@@ -238,40 +238,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkRouteCacheHitPath runs the Table 2 baseline under DOR, whose
-// scalar fingerprints make nearly every decision a cache hit (most via
-// the per-requester epoch memo), against the same run with the cache
-// off. The pair bounds what the cache's fast path costs and saves end
-// to end; hit-rate rides along as a reported metric.
-func BenchmarkRouteCacheHitPath(b *testing.B) { benchRouteCache(b, "dor") }
-
-// BenchmarkRouteCacheMissPath runs the same pair under Footprint, whose
-// idle/owner-mask fingerprints churn too fast under load for congruent
-// states to recur: the adaptive gate bypasses the table, so this pair
-// bounds the cache's residual overhead on its worst-case workload.
-func BenchmarkRouteCacheMissPath(b *testing.B) { benchRouteCache(b, "footprint") }
-
-func benchRouteCache(b *testing.B, alg string) {
-	p := benchProfile()
-	run := func(b *testing.B, off bool) {
-		for i := 0; i < b.N; i++ {
-			cfg := p.BaseConfig()
-			cfg.Algorithm = alg
-			cfg.NoRouteCache = off
-			res, err := Run(cfg, "uniform", 0.3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.Runtime.CyclesPerSec, "cycles/s")
-			if rc := res.RouteCache; rc != nil {
-				b.ReportMetric(rc.HitRate(), "hit-rate")
-			}
-		}
-	}
-	b.Run("cached", func(b *testing.B) { run(b, false) })
-	b.Run("uncached", func(b *testing.B) { run(b, true) })
-}
-
 // --- ablations (DESIGN.md) -------------------------------------------------
 
 // BenchmarkAblationThreshold sweeps Footprint's congestion threshold

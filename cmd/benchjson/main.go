@@ -86,7 +86,6 @@ func main() {
 			HeapAllocBytes: rt.HeapAllocBytes,
 			HeapAllocs:     rt.HeapAllocs,
 			Profile:        res.PerfProfile,
-			RouteCache:     res.RouteCache,
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: engine reference %s\n", rt.String())
 		if pp := res.PerfProfile; pp != nil {
@@ -94,9 +93,6 @@ func main() {
 			if pp.Arena != nil {
 				fmt.Fprintf(os.Stderr, "benchjson: engine arena %s\n", pp.Arena)
 			}
-		}
-		if res.RouteCache != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: engine route cache %s\n", res.RouteCache)
 		}
 	}
 

@@ -22,7 +22,6 @@ func main() {
 	jobs := cli.NewJobs()
 	lobs := cli.NewObs("ctree")
 	anat := cli.NewAnatomy("ctree")
-	rcache := cli.NewRouteCache("ctree")
 	flag.Parse()
 
 	fmt.Println(exp.Table1().Format())
@@ -41,7 +40,6 @@ func main() {
 	prof.Jobs = *jobs
 	anat.Apply(&prof.Obs)
 	lobs.ApplyProfile(&prof)
-	rcache.ApplyProfile(&prof)
 	study, err := exp.Figure2(prof, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ctree:", err)

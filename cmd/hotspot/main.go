@@ -26,7 +26,6 @@ func main() {
 	lobs := cli.NewObs("hotspot")
 	export := cli.NewRunExport("hotspot")
 	anat := cli.NewAnatomy("hotspot")
-	rcache := cli.NewRouteCache("hotspot")
 	flag.Parse()
 
 	if *flows {
@@ -54,7 +53,6 @@ func main() {
 	prof.Obs = export.Options()
 	anat.Apply(&prof.Obs)
 	lobs.ApplyProfile(&prof)
-	rcache.ApplyProfile(&prof)
 
 	study, err := exp.Figure9(prof, *bg, nil)
 	if err != nil {

@@ -62,7 +62,6 @@ func main() {
 	heatmapOut := flag.String("heatmap-out", "", "write the measurement-window link heatmap as CSV to this file")
 	lobs := cli.NewObs("nocsim")
 	anat := cli.NewAnatomy("nocsim")
-	rcache := cli.NewRouteCache("nocsim")
 	flag.Parse()
 
 	if *printConfig {
@@ -83,8 +82,6 @@ func main() {
 	}
 	anat.Apply(&cfg.Obs)
 	lobs.ApplyConfig(&cfg)
-	rcache.ApplyConfig(&cfg)
-	rcache.Warn(cfg.Algorithm)
 
 	p, err := traffic.ByName(*pattern, cfg.Mesh())
 	if err != nil {
@@ -132,9 +129,6 @@ func main() {
 		}
 		if pp.Arena != nil {
 			fmt.Printf("%18s %s\n", "arena", pp.Arena)
-		}
-		if pp.RouteCache != nil {
-			fmt.Printf("%18s %s\n", "route cache", pp.RouteCache)
 		}
 	}
 	if anat.Enabled() {

@@ -23,7 +23,6 @@ func main() {
 	jobs := cli.NewJobs()
 	lobs := cli.NewObs("scale")
 	anat := cli.NewAnatomy("scale")
-	rcache := cli.NewRouteCache("scale")
 	flag.Parse()
 
 	lobs.Start()
@@ -36,7 +35,6 @@ func main() {
 	prof.Jobs = *jobs
 	anat.Apply(&prof.Obs)
 	lobs.ApplyProfile(&prof)
-	rcache.ApplyProfile(&prof)
 
 	var meshes [][2]int
 	for _, s := range strings.Split(*sizes, ",") {

@@ -28,7 +28,6 @@ func main() {
 	lobs := cli.NewObs("sweep")
 	export := cli.NewRunExport("sweep")
 	anat := cli.NewAnatomy("sweep")
-	rcache := cli.NewRouteCache("sweep")
 	flag.Parse()
 
 	lobs.Start()
@@ -42,7 +41,6 @@ func main() {
 	prof.Obs = export.Options()
 	anat.Apply(&prof.Obs)
 	lobs.ApplyProfile(&prof)
-	rcache.ApplyProfile(&prof)
 
 	patterns := exp.SyntheticPatterns()
 	if *pattern != "" {

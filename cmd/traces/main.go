@@ -30,7 +30,6 @@ func main() {
 	jobs := cli.NewJobs()
 	lobs := cli.NewObs("traces")
 	anat := cli.NewAnatomy("traces")
-	rcache := cli.NewRouteCache("traces")
 	flag.Parse()
 
 	if *gen != "" {
@@ -50,7 +49,6 @@ func main() {
 	prof.Jobs = *jobs
 	anat.Apply(&prof.Obs)
 	lobs.ApplyProfile(&prof)
-	rcache.ApplyProfile(&prof)
 
 	var pairList [][2]string
 	if *pairs != "" {

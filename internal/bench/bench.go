@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"nocsim/internal/obs"
-	"nocsim/internal/routing"
 )
 
 // Report is one BENCH_<n>.json document.
@@ -48,11 +47,6 @@ type Engine struct {
 	// per-phase time/allocation breakdown plus GC pause and heap-growth
 	// accounting. Absent in reports written before the profiler existed.
 	Profile *obs.PerfProfile `json:"profile,omitempty"`
-	// RouteCache is the route-decision cache account of the reference
-	// run: hit/miss/eviction/draw-replay counters. Absent in reports
-	// written before the cache existed or when it is disabled. Gates
-	// treat these fields as informational, never pass/fail.
-	RouteCache *routing.CacheStats `json:"route_cache,omitempty"`
 }
 
 // ParallelSweep is a fixed reference sweep (Figure 5, uniform traffic,

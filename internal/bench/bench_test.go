@@ -128,6 +128,27 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadCommittedTrajectory: every committed BENCH_<n>.json must keep
+// loading as the schema sheds fields. BENCH_6.json carries
+// engine.route_cache accounts from the removed route-decision cache;
+// Load ignores keys it no longer knows, and the gated numbers survive.
+func TestLoadCommittedTrajectory(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH files found: %v", err)
+	}
+	for _, path := range paths {
+		r, err := Load(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if r.Engine.CyclesPerSec <= 0 || len(r.Benchmarks) == 0 {
+			t.Errorf("%s: loaded without its engine run or benchmarks: %+v", path, r.Engine)
+		}
+	}
+}
+
 // TestCompare exercises the gate across its verdict space: within
 // budget, regressed, improved, hard-broken determinism and a dropped
 // benchmark.

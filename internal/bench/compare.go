@@ -110,23 +110,6 @@ func Compare(oldR, newR *Report, tol Tolerances) *Comparison {
 	add("engine heap allocs", float64(oldR.Engine.HeapAllocs), float64(newR.Engine.HeapAllocs), tol.Allocs, false, false)
 	add("engine heap bytes", float64(oldR.Engine.HeapAllocBytes), float64(newR.Engine.HeapAllocBytes), tol.Bytes, false, false)
 
-	// Route-decision cache counters: informational only. Hit rates
-	// describe workload congruence, not a gated capacity, and reports
-	// written before the cache existed have no old value to diff.
-	if oc, nc := oldR.Engine.RouteCache, newR.Engine.RouteCache; oc != nil || nc != nil {
-		var oldRate, newRate, oldReplay, newReplay float64
-		if oc != nil {
-			oldRate = oc.HitRate()
-			oldReplay = float64(oc.DrawReplays)
-		}
-		if nc != nil {
-			newRate = nc.HitRate()
-			newReplay = float64(nc.DrawReplays)
-		}
-		add("engine route-cache hit rate", oldRate, newRate, 0, true, true)
-		add("engine route-cache draw replays", oldReplay, newReplay, 0, false, true)
-	}
-
 	// Parallel sweep: determinism is non-negotiable; speedup is context.
 	if oldR.Parallel.Identical && !newR.Parallel.Identical {
 		c.Broken = append(c.Broken,
@@ -213,9 +196,6 @@ func (c *Comparison) WriteMarkdown(w io.Writer, newR *Report) {
 		fmt.Fprintf(w, "\nGC: %d cycles, %.1f ms paused, %.1f MB allocated (%d objects)\n",
 			pp.GC.NumGC, float64(pp.GC.PauseTotalNanos)/1e6,
 			float64(pp.GC.TotalAllocBytes)/(1<<20), pp.GC.Mallocs)
-	}
-	if rc := newR.Engine.RouteCache; rc != nil {
-		fmt.Fprintf(w, "\nRoute cache: %s\n", rc)
 	}
 	if newR.Parallel.Degenerate() {
 		gm := newR.Parallel.GOMAXPROCS

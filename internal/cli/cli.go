@@ -17,7 +17,6 @@ import (
 
 	"nocsim/internal/exp"
 	"nocsim/internal/obs"
-	"nocsim/internal/routing"
 	"nocsim/internal/sim"
 )
 
@@ -125,63 +124,6 @@ func (o *Obs) ApplyConfig(cfg *sim.Config) {
 	if o.Profile {
 		cfg.Obs.Profile = true
 		cfg.Obs.ProfileEvery = o.ProfileEvery
-	}
-}
-
-// RouteCache is the shared -routecache flag: the route-decision cache
-// is on by default and "-routecache=off" is the escape hatch. Results
-// are bit-identical either way — the cache replays recorded decisions
-// and RNG draws exactly — so the flag only trades speed.
-type RouteCache struct {
-	Mode string
-
-	tool string
-}
-
-// NewRouteCache registers -routecache on the default flag set.
-func NewRouteCache(tool string) *RouteCache {
-	rc := &RouteCache{tool: tool}
-	flag.StringVar(&rc.Mode, "routecache", "on",
-		"route-decision cache: on or off; results are bit-identical either way, off is only slower")
-	return rc
-}
-
-// Off reports whether the cache is disabled. An unknown flag value is a
-// usage error.
-func (rc *RouteCache) Off() bool {
-	switch rc.Mode {
-	case "", "on":
-		return false
-	case "off":
-		return true
-	default:
-		fmt.Fprintf(os.Stderr, "%s: invalid -routecache value %q (want on or off)\n", rc.tool, rc.Mode)
-		os.Exit(2)
-		return false
-	}
-}
-
-// ApplyProfile copies the flag onto an experiment profile.
-func (rc *RouteCache) ApplyProfile(p *exp.Profile) { p.NoRouteCache = rc.Off() }
-
-// ApplyConfig copies the flag onto a single simulation config.
-func (rc *RouteCache) ApplyConfig(cfg *sim.Config) { cfg.NoRouteCache = rc.Off() }
-
-// Warn prints a one-line notice when the cache is requested but the
-// named algorithm opted out of fingerprinting, so a run that silently
-// takes the uncached path is visible. Unknown names are left for the
-// command's own validation to report.
-func (rc *RouteCache) Warn(algorithm string) {
-	if rc.Off() || algorithm == "" {
-		return
-	}
-	alg, err := routing.New(algorithm)
-	if err != nil {
-		return
-	}
-	if !routing.Cacheable(alg) {
-		fmt.Fprintf(os.Stderr, "%s: -routecache is on but algorithm %q does not publish a cache fingerprint; routes are computed uncached\n",
-			rc.tool, algorithm)
 	}
 }
 

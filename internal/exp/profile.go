@@ -48,10 +48,6 @@ type Profile struct {
 	// experiment (see sim.Config.StepAll) — the debug mode the
 	// determinism gate diffs against.
 	StepAll bool
-	// NoRouteCache disables the route-decision cache in every run of the
-	// experiment (see sim.Config.NoRouteCache) — the escape hatch the
-	// route-cache gate diffs against.
-	NoRouteCache bool
 }
 
 // FullProfile is the publication-quality effort level.
@@ -101,7 +97,6 @@ func (p Profile) apply(cfg sim.Config) sim.Config {
 	cfg.WatchdogCycles = p.WatchdogCycles
 	cfg.WatchdogOut = p.WatchdogOut
 	cfg.StepAll = p.StepAll
-	cfg.NoRouteCache = p.NoRouteCache
 	return cfg
 }
 

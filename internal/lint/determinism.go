@@ -15,18 +15,18 @@ import (
 //     hidden shared state couples concurrent runs and breaks the
 //     "equal seeds ⇒ identical results at any -jobs" guarantee, and
 //   - Intn draws on a generator stored in a package-level variable.
-//     Routing decisions draw through the routing.Rand interface
-//     (Intn(n int) int), so a `var rng = rand.New(...)` shared across
-//     runs is the same hidden coupling as the global source with an
-//     explicit seed pasted on; generators must be owned per run and
+//     Routing decisions draw Intn from the run's *rand.Rand
+//     (routing.Context.Rand), so a `var rng = rand.New(...)` shared
+//     across runs is the same hidden coupling as the global source with
+//     an explicit seed pasted on; generators must be owned per run and
 //     reach their draw sites as parameters, fields or locals.
 //
 // Explicitly seeded generators (rand.New(rand.NewSource(seed))) and
-// *rand.Rand / routing.Rand method calls on run-owned values stay
-// legal. Wall-clock self-metrics that never feed results (cycles/s
-// reporting, the phase profiler) flow through the single waived seam
-// prof.Now in internal/prof; consumers take a prof.Clock and need no
-// waiver of their own.
+// *rand.Rand method calls on run-owned values stay legal. Wall-clock
+// self-metrics that never feed results (cycles/s reporting, the phase
+// profiler) flow through the single waived seam prof.Now in
+// internal/prof; consumers take a prof.Clock and need no waiver of
+// their own.
 var analyzeDeterminism = &Analyzer{
 	Name: "determinism",
 	Doc:  "no wall clock or global math/rand state in result-producing packages",
@@ -59,10 +59,10 @@ func runDeterminism(p *Package) []Finding {
 				return true
 			}
 			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				// Methods (e.g. *rand.Rand, routing.Rand) are fine on
-				// run-owned generators — but an Intn-shaped draw whose
-				// receiver chain is rooted in a package-level variable is
-				// shared hidden state, seeded or not.
+				// Methods (e.g. on *rand.Rand) are fine on run-owned
+				// generators — but an Intn-shaped draw whose receiver
+				// chain is rooted in a package-level variable is shared
+				// hidden state, seeded or not.
 				if isIntnShaped(fn, sig) {
 					if v := packageLevelRecv(p.Info, call); v != nil {
 						out = append(out, finding(p, call.Pos(), "determinism",
@@ -96,10 +96,10 @@ func runDeterminism(p *Package) []Finding {
 	return out
 }
 
-// isIntnShaped reports whether a method has the routing.Rand draw shape:
+// isIntnShaped reports whether a method has the tie-break draw shape:
 // named Intn, one int parameter, one int result. Matching the shape
-// rather than a concrete type catches both *rand.Rand and any
-// interposer implementing the Rand interface.
+// rather than a concrete type catches both *rand.Rand and any wrapper
+// or interface a package puts in front of it.
 func isIntnShaped(fn *types.Func, sig *types.Signature) bool {
 	if fn.Name() != "Intn" || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
 		return false

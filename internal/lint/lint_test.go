@@ -22,8 +22,6 @@ var fixtureCases = []struct {
 	{"routepurity", "nocsim/internal/routing/fixture"},
 	{"seedident", "nocsim/internal/sim/fixture"},
 	{"arenaescape", "nocsim/internal/flit/fixture"},
-	{"cacheread", "nocsim/internal/routing/fixture"},
-	{"rngorder", "nocsim/internal/routing/fixture"},
 	{"sinkcap", "nocsim/internal/router/fixture"},
 }
 
@@ -231,45 +229,6 @@ func TestMainWaivers(t *testing.T) {
 		if !waiverLine.MatchString(line) {
 			t.Errorf("waiver line %q does not match file:line: rule: reason", line)
 		}
-	}
-}
-
-// TestCacheReadCoversFingerprinters guards cacheread against silently
-// verifying nothing: every algorithm that opts into the route cache
-// must be discovered as a proof root. A new Fingerprinter joins the
-// list by being found; one that stops being found (renamed method,
-// changed signature) fails here instead of passing vacuously.
-func TestCacheReadCoversFingerprinters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checking internal/routing is slow")
-	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader()
-	p, tfs, err := l.Load(filepath.Join(root, "internal", "routing"), "nocsim/internal/routing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range tfs {
-		t.Fatalf("internal/routing does not type-check: %s: %s", f.Pos, f.Msg)
-	}
-	var got []string
-	for _, r := range cacheSpecRoots(BuildProgram([]*Package{p})) {
-		got = append(got, routeOwner(r.route))
-	}
-	sort.Strings(got)
-	want := []string{
-		"(*DBAR).Route",
-		"(*DOR).Route",
-		"(*Footprint).Route",
-		"(*OddEven).Route",
-		"(*VOQSW).Route",
-		"(*XORDET).Route",
-	}
-	if !slicesEqual(got, want) {
-		t.Errorf("cacheread proof roots = %q, want %q", got, want)
 	}
 }
 

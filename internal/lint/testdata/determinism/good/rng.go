@@ -4,8 +4,8 @@ package fixture
 
 import "math/rand"
 
-// decider mirrors the routing.Rand consumer shape: the generator
-// arrives as an interface value owned by the caller.
+// decider is a narrowed generator interface: the generator arrives
+// as an interface value owned by the caller.
 type decider interface {
 	Intn(n int) int
 }

@@ -1,9 +1,9 @@
 // A memoizing algorithm whose Route mutates caller-visible state: the
-// receiver's cache map and hit counter. Memoization belongs in the
-// cache layer that interposes on Route (internal/routing/cache.go),
-// where the router drives it explicitly — a Route that self-caches
-// hides writes inside what the replay contract requires to be a pure
-// decision function. noclint must flag every write.
+// receiver's memo map and hit counter. A Route that self-caches hides
+// writes inside what the router treats as a pure decision function of
+// (Context, View): it is re-evaluated every cycle a head flit waits,
+// and determinism rests on it reading state but never keeping any.
+// noclint must flag every write.
 package fixture
 
 // CachingAlg memoizes decisions inside Route itself.

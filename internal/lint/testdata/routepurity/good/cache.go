@@ -1,7 +1,6 @@
 // The pure counterpart of the caching fixture: a Route that reads a
-// prebuilt table owned by the receiver but writes only locals. Reuse
-// of prior decisions is the cache layer's job; the algorithm just
-// computes.
+// prebuilt table owned by the receiver but writes only locals: the
+// algorithm just computes, every call.
 package fixture
 
 // TableAlg routes from an immutable table built at construction.

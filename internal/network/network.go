@@ -36,11 +36,6 @@ type Config struct {
 	// mode — results must be bit-identical either way (the determinism
 	// gate compares the two), it only costs time.
 	StepAll bool
-	// NoRouteCache disables the shared route-decision cache (on by
-	// default for algorithms that implement routing.Fingerprinter). An
-	// escape hatch — results must be bit-identical either way (the
-	// route-cache gate compares the two), caching only saves time.
-	NoRouteCache bool
 }
 
 // chanLink is one channel with the nodes it can wake: a busy channel has
@@ -58,7 +53,6 @@ type Network struct {
 	endpoints []*router.Endpoint
 	links     []chanLink
 	arena     *flit.Arena
-	cache     *routing.Cache // shared route-decision cache, nil when off
 	now       int64
 	inFlight  int
 
@@ -114,12 +108,11 @@ func (p Phase) String() string {
 }
 
 // PhaseProbe observes sampled cycles of the loop. BeginCycle is called
-// at the top of every Step; returning false keeps the cycle on the
-// uninstrumented fast path. Within an instrumented cycle, BeginPhase
-// marks each phase entry (the probe attributes the span since the
-// previous mark to the previous phase) and EndCycle closes the last
-// span. A phase may begin more than once per cycle (inject-eject does);
-// probes accumulate.
+// at the top of every Step; returning false leaves the cycle unmarked.
+// Within an instrumented cycle, BeginPhase marks each phase entry (the
+// probe attributes the span since the previous mark to the previous
+// phase) and EndCycle closes the last span. A phase may begin more than
+// once per cycle (inject-eject does); probes accumulate.
 type PhaseProbe interface {
 	BeginCycle(now int64) bool
 	BeginPhase(p Phase)
@@ -135,16 +128,6 @@ func New(cfg Config) *Network {
 	n.endpoints = make([]*router.Endpoint, nodes)
 	n.activeMark = make([]bool, nodes)
 	n.activeNodes = make([]int, 0, nodes)
-
-	// One route-decision cache serves the whole fabric: routers step
-	// sequentially within a cycle, and congruent states recur across
-	// routers as well as across blocked cycles. NewCache leaves the
-	// cache disabled when the algorithm did not opt into fingerprinting.
-	if !cfg.NoRouteCache {
-		if c := routing.NewCache(cfg.NewAlg()); c.Enabled() {
-			n.cache = c
-		}
-	}
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = router.New(router.Config{
 			Mesh:          cfg.Mesh,
@@ -157,7 +140,6 @@ func New(cfg Config) *Network {
 			Downstream:    n,
 			Metrics:       cfg.Metrics,
 			StickyRouting: cfg.StickyRouting,
-			Cache:         n.cache,
 		})
 	}
 	// Inter-router links: for every node and direction with a neighbour,
@@ -235,17 +217,6 @@ func (n *Network) Offer(p *flit.Packet) {
 // reads its live/free/high-water accounting.
 func (n *Network) Arena() *flit.Arena { return n.arena }
 
-// RouteCacheStats returns a snapshot of the shared route-decision
-// cache's counters, or nil when caching is off (disabled by config or
-// by an algorithm without fingerprinting).
-func (n *Network) RouteCacheStats() *routing.CacheStats {
-	if n.cache == nil {
-		return nil
-	}
-	s := n.cache.Stats()
-	return &s
-}
-
 // computeActive rebuilds the worklist for this cycle: a node is active
 // when its router or endpoint holds work, or when any attached channel is
 // busy (a flit or credit will be delivered to it this cycle). Everything
@@ -283,76 +254,59 @@ func (n *Network) computeActive() {
 // Step advances the fabric by one cycle, visiting only the active nodes.
 // Phases are globally ordered so results are independent of router
 // iteration order: all receives, then all routing+VC allocation, then
-// all switch traversal and endpoint activity, then all links tick.
+// all switch traversal and endpoint activity, then all links tick. On a
+// cycle the probe elects to sample, each phase entry is marked; the
+// probe only reads clocks and allocation counters between phases, so
+// sampling can never change simulated results.
 func (n *Network) Step() {
-	if n.Probe != nil && n.Probe.BeginCycle(n.now) {
-		n.stepProbed()
-		return
-	}
+	p := n.Probe
+	probed := p != nil && p.BeginCycle(n.now)
 	n.computeActive()
+	if probed {
+		p.BeginPhase(PhaseInjectEject)
+	}
 	for _, id := range n.activeNodes {
 		n.endpoints[id].Receive()
+	}
+	if probed {
+		p.BeginPhase(PhaseRouteCompute)
 	}
 	for _, id := range n.activeNodes {
 		r := n.routers[id]
 		r.SyncClock(n.now)
 		r.Receive()
 	}
+	if probed {
+		p.BeginPhase(PhaseVCAlloc)
+	}
 	for _, id := range n.activeNodes {
 		n.routers[id].AllocateVCs()
 	}
+	if probed {
+		p.BeginPhase(PhaseSwitchAlloc)
+	}
 	for _, id := range n.activeNodes {
 		n.routers[id].SwitchAndTraverse()
+	}
+	if probed {
+		p.BeginPhase(PhaseInjectEject)
 	}
 	for _, id := range n.activeNodes {
 		e := n.endpoints[id]
 		e.Consume(n.now)
 		e.Inject(n.now)
+	}
+	if probed {
+		p.BeginPhase(PhaseLinkTraversal)
 	}
 	// Ticking an idle channel is a no-op, so the link phase is identical
 	// with or without the worklist.
 	for _, l := range n.links {
 		l.ch.Tick()
 	}
-	n.now++
-}
-
-// stepProbed is Step with phase marks for an instrumented cycle. The
-// fabric work and its ordering are identical to the fast path — the
-// probe only reads clocks and allocation counters between phases, so
-// sampling can never change simulated results.
-func (n *Network) stepProbed() {
-	p := n.Probe
-	n.computeActive()
-	p.BeginPhase(PhaseInjectEject)
-	for _, id := range n.activeNodes {
-		n.endpoints[id].Receive()
+	if probed {
+		p.EndCycle()
 	}
-	p.BeginPhase(PhaseRouteCompute)
-	for _, id := range n.activeNodes {
-		r := n.routers[id]
-		r.SyncClock(n.now)
-		r.Receive()
-	}
-	p.BeginPhase(PhaseVCAlloc)
-	for _, id := range n.activeNodes {
-		n.routers[id].AllocateVCs()
-	}
-	p.BeginPhase(PhaseSwitchAlloc)
-	for _, id := range n.activeNodes {
-		n.routers[id].SwitchAndTraverse()
-	}
-	p.BeginPhase(PhaseInjectEject)
-	for _, id := range n.activeNodes {
-		e := n.endpoints[id]
-		e.Consume(n.now)
-		e.Inject(n.now)
-	}
-	p.BeginPhase(PhaseLinkTraversal)
-	for _, l := range n.links {
-		l.ch.Tick()
-	}
-	p.EndCycle()
 	n.now++
 }
 

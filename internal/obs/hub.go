@@ -8,7 +8,6 @@ import (
 
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
-	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
 
@@ -86,14 +85,11 @@ type RunStatus struct {
 	Occupancy *AnatomySample `json:"occupancy,omitempty"`
 	// Arena is the latest flit/packet arena account of the run's fabric:
 	// live/free/high-water slots and the allocated-vs-reused split.
-	Arena *flit.ArenaStats `json:"arena,omitempty"`
-	// RouteCache is the latest route-decision cache account (nil when the
-	// cache is off or the algorithm opted out of fingerprinting).
-	RouteCache *routing.CacheStats `json:"route_cache,omitempty"`
-	Stalled    bool                `json:"stalled,omitempty"`
-	Done       bool                `json:"done"`
-	Started    time.Time           `json:"started"`
-	Updated    time.Time           `json:"updated"`
+	Arena   *flit.ArenaStats `json:"arena,omitempty"`
+	Stalled bool             `json:"stalled,omitempty"`
+	Done    bool             `json:"done"`
+	Started time.Time        `json:"started"`
+	Updated time.Time        `json:"updated"`
 }
 
 // FabricGauges is the latest per-router counter sample published by a
@@ -156,9 +152,6 @@ type RunUpdate struct {
 	Occupancy *AnatomySample
 	// Arena carries the fabric's flit/packet arena account.
 	Arena *flit.ArenaStats
-	// RouteCache carries the route-decision cache account (nil when the
-	// cache is off).
-	RouteCache *routing.CacheStats
 }
 
 // Update publishes a heartbeat.
@@ -196,9 +189,6 @@ func (rh *RunHandle) Update(u RunUpdate) {
 	}
 	if u.Arena != nil {
 		r.Arena = u.Arena
-	}
-	if u.RouteCache != nil {
-		r.RouteCache = u.RouteCache
 	}
 	if r.Total > 0 {
 		r.Percent = 100 * float64(r.Cycle) / float64(r.Total)

@@ -9,7 +9,6 @@ import (
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
 	"nocsim/internal/prof"
-	"nocsim/internal/routing"
 )
 
 // This file is the cycle-loop performance profiler: a sampled phase
@@ -79,11 +78,6 @@ type PerfProfile struct {
 	// allocated-vs-reused split. Unlike the host metrics above it is
 	// deterministic — the counters move only on fabric events.
 	Arena *flit.ArenaStats `json:"arena,omitempty"`
-	// RouteCache is the route-decision cache account at run end (filled
-	// by the simulation; nil when the cache is off or the algorithm opted
-	// out). Like Arena it is deterministic — the counters move only on
-	// route computations, never on host state.
-	RouteCache *routing.CacheStats `json:"route_cache,omitempty"`
 }
 
 // String renders the profile as a one-line phase breakdown.

@@ -10,7 +10,6 @@ import (
 
 	"nocsim/internal/flit"
 	"nocsim/internal/router"
-	"nocsim/internal/routing"
 )
 
 // The Prometheus text exposition format (version 0.0.4) is hand-rolled
@@ -219,27 +218,6 @@ func (h *Hub) writeMetrics(w io.Writer) error {
 		func(p *flit.PoolStats) float64 { return float64(p.Allocs) })
 	perArena("nocsim_arena_reused_total", "Arena allocations served from the free-list rather than by growing a slab.", "counter",
 		func(p *flit.PoolStats) float64 { return float64(p.Reused) })
-
-	// Route-decision cache families, for the runs whose network runs the
-	// cache (absent when -routecache=off or the algorithm opted out).
-	perRouteCache := func(name, help string, get func(s *routing.CacheStats) float64) {
-		p.Family(name, help, "counter")
-		for _, r := range runs {
-			if r.RouteCache != nil {
-				p.Sample(name, []PromLabel{{"run", r.Label}}, get(r.RouteCache))
-			}
-		}
-	}
-	perRouteCache("nocsim_routecache_hits_total", "Route computations served from the route-decision cache by fingerprint lookup.",
-		func(s *routing.CacheStats) float64 { return float64(s.Hits) })
-	perRouteCache("nocsim_routecache_memo_hits_total", "Cache hits served by the per-requester epoch memo without hashing.",
-		func(s *routing.CacheStats) float64 { return float64(s.MemoHits) })
-	perRouteCache("nocsim_routecache_misses_total", "Route computations executed live (cache miss, bypass, or uncacheable entry).",
-		func(s *routing.CacheStats) float64 { return float64(s.Misses) })
-	perRouteCache("nocsim_routecache_evictions_total", "Entries overwritten by a colliding fingerprint in the direct-mapped table.",
-		func(s *routing.CacheStats) float64 { return float64(s.Evictions) })
-	perRouteCache("nocsim_routecache_draw_replays_total", "Cache hits that consumed one live RNG draw to stay stream-identical.",
-		func(s *routing.CacheStats) float64 { return float64(s.DrawReplays) })
 
 	// Latency-anatomy families, for the runs whose anatomy collector is
 	// enabled. Labels: run (+ component or vc_class).

@@ -31,11 +31,6 @@ type Config struct {
 	// packet waits. Off by default: re-evaluation reproduces the paper's
 	// results (see DESIGN.md).
 	StickyRouting bool
-	// Cache, when non-nil and enabled, serves route computations for
-	// congruent states from a fingerprint cache (see routing.Cache). The
-	// network shares one cache across its routers; results are
-	// bit-identical with or without it.
-	Cache *routing.Cache
 }
 
 // DownstreamInfo answers the neighbour-status queries of adaptive routing:
@@ -73,12 +68,12 @@ type Router struct {
 	inBlocked []int64          // consecutive failed-allocation cycles
 	inRouted  []bool
 	// inReqs is the packet's VC request set per input VC, computed at
-	// route time. The slices retain their capacity across packets, so
-	// re-evaluation does not allocate in steady state. This is what makes
-	// "waiting on footprint channels" effective under StickyRouting — a
-	// packet that found its port saturated keeps requesting only its
-	// footprint VCs even as other VCs free up, and claims them on
-	// priority.
+	// route time. Each slice is sized once, on its input VC's first
+	// route computation, and reused across packets, so re-evaluation
+	// never allocates after that. This is what makes "waiting on
+	// footprint channels" effective under StickyRouting — a packet that
+	// found its port saturated keeps requesting only its footprint VCs
+	// even as other VCs free up, and claims them on priority.
 	inReqs [][]routing.Request
 
 	// Input buffers: per-VC rings of capacity BufDepth over one backing
@@ -109,16 +104,6 @@ type Router struct {
 	fpCnt    []int16
 	regCnt   []int16 // like fpCnt, for the persistent footprint registers
 	nodes    int     // cfg.Mesh.Nodes(), fpCnt/regCnt stride
-
-	// portEpoch counts, per output port, the idle/owner/reg-owner state
-	// transitions since construction. The route cache's slot memo
-	// (routing.EpochView) compares epochs to replay a blocked packet's
-	// previous decision without hashing.
-	portEpoch [topo.NumPorts]uint32
-	// cache/routeSlots are the shared route-decision cache and this
-	// router's per-input-VC memo slots; nil/empty when caching is off.
-	cache      *routing.Cache
-	routeSlots []routing.CacheSlot
 
 	// Output stages: per-port rings of capacity stageCap over one backing
 	// array, absorbing the internal speedup.
@@ -182,13 +167,19 @@ type Router struct {
 	wantDecisions bool
 }
 
+// MaxVCs is the largest supported VC count per physical channel: the
+// per-port VC state lives in uint32 bitmasks.
+const MaxVCs = 32
+
 // New constructs a router. Input and output channels are attached later by
-// the network with AttachIn/AttachOut.
+// the network with AttachIn/AttachOut. It panics on a configuration
+// sim.Config.Validate and sim.New reject; callers taking user input go
+// through those.
 func New(cfg Config) *Router {
 	if cfg.VCs < 1 {
 		panic("router: need at least one VC")
 	}
-	if cfg.VCs > 32 {
+	if cfg.VCs > MaxVCs {
 		panic("router: at most 32 VCs supported (per-port idle bitmask)")
 	}
 	if cfg.Alg.UsesEscape() && cfg.VCs < 2 {
@@ -244,10 +235,6 @@ func New(cfg Config) *Router {
 	r.nodes = cfg.Mesh.Nodes()
 	r.fpCnt = make([]int16, P*r.nodes)
 	r.regCnt = make([]int16, P*r.nodes)
-	if cfg.Cache != nil && cfg.Cache.Enabled() {
-		r.cache = cfg.Cache
-		r.routeSlots = make([]routing.CacheSlot, n)
-	}
 	for p := 0; p < P; p++ {
 		r.saIn[p] = alloc.NewRoundRobin(cfg.VCs)
 		r.saOut[p] = alloc.NewRoundRobin(P)
@@ -304,25 +291,20 @@ func (r *Router) outIdle(idx int) bool {
 }
 
 // refreshIdleBit re-derives output VC idx's bit of the per-port idle
-// bitmask, bumping the port's state epoch on an actual flip. Call after
-// any mutation of outAlloc, outCredits or outAwaitTail.
+// bitmask. Call after any mutation of outAlloc, outCredits or
+// outAwaitTail.
 func (r *Router) refreshIdleBit(idx int) {
 	p := idx / r.vcs
 	bit := uint32(1) << uint(idx%r.vcs)
-	old := r.idleMask[p]
 	if r.outIdle(idx) {
-		r.idleMask[p] = old | bit
+		r.idleMask[p] |= bit
 	} else {
-		r.idleMask[p] = old &^ bit
-	}
-	if r.idleMask[p] != old {
-		r.portEpoch[p]++
+		r.idleMask[p] &^= bit
 	}
 }
 
 // setOwner moves output VC idx's footprint owner to dest (-1 on drain),
-// keeping the per-(port, destination) owner counts and the port's state
-// epoch in step.
+// keeping the per-(port, destination) owner counts in step.
 func (r *Router) setOwner(idx, dest int) {
 	old := int(r.outOwner[idx])
 	if old == dest {
@@ -336,12 +318,10 @@ func (r *Router) setOwner(idx, dest int) {
 		r.fpCnt[p*r.nodes+dest]++
 	}
 	r.outOwner[idx] = int32(dest)
-	r.portEpoch[p]++
 }
 
 // setRegOwner moves output VC idx's persistent footprint register to
-// dest, keeping the per-(port, destination) register counts and the
-// port's state epoch in step.
+// dest, keeping the per-(port, destination) register counts in step.
 func (r *Router) setRegOwner(idx, dest int) {
 	old := int(r.outRegOwner[idx])
 	if old == dest {
@@ -355,7 +335,6 @@ func (r *Router) setRegOwner(idx, dest int) {
 		r.regCnt[p*r.nodes+dest]++
 	}
 	r.outRegOwner[idx] = int32(dest)
-	r.portEpoch[p]++
 }
 
 // --- input buffer rings ----------------------------------------------------
@@ -494,11 +473,6 @@ func (r *Router) RegOwnerBits(d topo.Direction, dest int) uint32 {
 	return m
 }
 
-// PortEpoch implements routing.EpochView: the output port's cumulative
-// idle/owner/reg-owner transition count. While a port's epoch stands
-// still, every routing-visible bit of its state is unchanged.
-func (r *Router) PortEpoch(d topo.Direction) uint32 { return r.portEpoch[d] }
-
 // FootprintCount implements routing.AggregateView: the number of VCs of
 // port d in [lo, VCs) currently owned by dest, read off the maintained
 // owner counts (the escape VCs below lo are deducted by inspection; lo
@@ -621,6 +595,11 @@ func (r *Router) AllocateVCs() {
 				if r.wantEvents && !r.inRouted[requester] {
 					r.cfg.Metrics.OnRoute(r.now, r.cfg.NodeID, f.Packet, topo.Direction(p))
 				}
+				if r.inReqs[requester] == nil {
+					// A request set is one port's usable VCs, plus the
+					// escape VC when VC 0 is reserved: at most r.vcs.
+					r.inReqs[requester] = make([]routing.Request, 0, r.vcs)
+				}
 				reqs := r.inReqs[requester][:0]
 				if f.Packet.Dest == r.cfg.NodeID {
 					// Ejection: request every local-port VC obliviously.
@@ -633,11 +612,7 @@ func (r *Router) AllocateVCs() {
 					// context was bound at construction.
 					r.routeCtx.Dest = f.Packet.Dest
 					r.routeCtx.InDir = topo.Direction(p)
-					if r.cache != nil {
-						reqs = r.cache.Requests(r.cfg.Alg, &r.routeCtx, &r.routeSlots[requester], reqs)
-					} else {
-						reqs = r.cfg.Alg.Route(&r.routeCtx, reqs)
-					}
+					reqs = r.cfg.Alg.Route(&r.routeCtx, reqs)
 					if len(reqs) > 0 {
 						// The first request's port is the adaptive choice
 						// (escape request is appended last by convention).

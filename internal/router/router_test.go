@@ -383,3 +383,63 @@ func TestSpeedupMovesTwoFlitsPerCycle(t *testing.T) {
 		t.Error("speedup-2 router failed to move two flits in one cycle")
 	}
 }
+
+// TestRequestSetsSizedOnce pins the inReqs sizing: an input VC's request
+// slice is allocated on its first route computation with capacity VCs
+// — one port's usable VCs plus the escape VC when VC 0 is reserved —
+// and no registered algorithm, nor the ejection path, ever outgrows it
+// as the output ports go from all-idle through the congestion
+// thresholds to saturated. Re-routing blocked head flits therefore does
+// not allocate.
+func TestRequestSetsSizedOnce(t *testing.T) {
+	// From node 5 = (1,1): two productive ports, X only, Y only, eject.
+	// Only East, South and Local are ever requested, so at most 3·VCs of
+	// the 5·VCs head flits can be granted and the rest stay blocked.
+	dests := []int{15, 7, 13, 5}
+	for _, name := range routing.Names() {
+		for _, vcs := range []int{2, 10, 32} {
+			r, ins, _ := testRouter(t, routing.MustNew(name), vcs)
+			checkCaps := func(when string) {
+				t.Helper()
+				for i, reqs := range r.inReqs {
+					if reqs != nil && cap(reqs) != vcs {
+						t.Fatalf("%s vcs=%d %s: cap(inReqs[%d]) = %d, want %d",
+							name, vcs, when, i, cap(reqs), vcs)
+					}
+				}
+			}
+			// One head flit per input port per cycle. The tails never
+			// arrive, so granted output VCs stay held and the ports fill.
+			id := uint64(0)
+			for v := 0; v < vcs; v++ {
+				for d := topo.East; d <= topo.Local; d++ {
+					f := headFlit(id, dests[int(id)%len(dests)], 2)[0]
+					f.VC = v
+					id++
+					ins[d].Send(f)
+					ins[d].Tick()
+				}
+				r.Receive()
+				r.AllocateVCs()
+				checkCaps("while filling")
+			}
+			for i := 0; i < 4; i++ {
+				r.AllocateVCs()
+			}
+			checkCaps("saturated")
+			if r.routingTotal < 2*vcs {
+				t.Fatalf("%s vcs=%d: %d blocked head flits, want at least %d",
+					name, vcs, r.routingTotal, 2*vcs)
+			}
+			for i, reqs := range r.inReqs {
+				if reqs == nil {
+					t.Fatalf("%s vcs=%d: input VC %d never routed", name, vcs, i)
+				}
+			}
+			if n := testing.AllocsPerRun(50, r.AllocateVCs); n != 0 {
+				t.Errorf("%s vcs=%d: AllocateVCs on blocked head flits allocates %v times per call, want 0",
+					name, vcs, n)
+			}
+		}
+	}
+}

@@ -31,13 +31,6 @@ func (*DBAR) UsesEscape() bool { return true }
 // reallocate a VC before the tail flit's credit returns (Section 4.2.1).
 func (*DBAR) ConservativeRealloc() bool { return true }
 
-// CacheSpec implements Fingerprinter: the port choice reads local idle
-// counts plus the neighbour status exchange. Downstream state has no
-// local epoch, so DBAR decisions always take the hashed path.
-func (*DBAR) CacheSpec() (CacheSpec, bool) {
-	return CacheSpec{Idle: true, Downstream: true}, true
-}
-
 // Route implements Algorithm.
 func (*DBAR) Route(ctx *Context, reqs []Request) []Request {
 	m, v := ctx.Mesh, ctx.View

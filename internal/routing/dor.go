@@ -24,10 +24,6 @@ func (*DOR) UsesEscape() bool { return false }
 // ConservativeRealloc implements Algorithm.
 func (*DOR) ConservativeRealloc() bool { return false }
 
-// CacheSpec implements Fingerprinter: DOR reads no view state, so the
-// destination offset alone determines its decision.
-func (*DOR) CacheSpec() (CacheSpec, bool) { return CacheSpec{}, true }
-
 // Route implements Algorithm: all VCs of the single dimension-order port
 // at Low priority.
 func (*DOR) Route(ctx *Context, reqs []Request) []Request {

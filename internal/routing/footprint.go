@@ -66,13 +66,6 @@ func (*Footprint) UsesEscape() bool { return true }
 // ConservativeRealloc implements Algorithm.
 func (*Footprint) ConservativeRealloc() bool { return true }
 
-// CacheSpec implements Fingerprinter: steps 2 and 3 read the productive
-// ports' idle, owner and footprint-register bitmasks (the idle and
-// footprint counts derive from the masks), and nothing else.
-func (*Footprint) CacheSpec() (CacheSpec, bool) {
-	return CacheSpec{Idle: true, Owner: true, RegOwner: true}, true
-}
-
 // threshold returns the congestion threshold for a port with nVCs VCs.
 func (f *Footprint) threshold(nVCs int) int {
 	if f.Threshold > 0 {

@@ -29,13 +29,6 @@ func (*OddEven) UsesEscape() bool { return false }
 // ConservativeRealloc implements Algorithm.
 func (*OddEven) ConservativeRealloc() bool { return false }
 
-// CacheSpec implements Fingerprinter: the port choice reads the
-// productive ports' idle counts, and turn legality depends on the
-// current column's parity (which an offset key cannot see).
-func (*OddEven) CacheSpec() (CacheSpec, bool) {
-	return CacheSpec{Idle: true, ColumnParity: true}, true
-}
-
 // allowedDirs returns the minimal directions the odd-even turn model
 // permits from cur toward dest for a packet that arrived from inDir.
 // At least one direction is always returned for cur != dest.

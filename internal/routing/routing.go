@@ -12,24 +12,13 @@ package routing
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 
 	"nocsim/internal/alloc"
 	"nocsim/internal/topo"
 )
-
-// Rand is the tie-break randomness a routing decision may consume. It is
-// the minimal slice of *math/rand.Rand the algorithms use (a single
-// Intn(2) on full ties in selectByCounts), narrowed to an interface so
-// the route cache can interpose a recording source: the cache counts how
-// many draws a computed decision consumed and replays exactly that many
-// from the live stream on every hit, keeping the shared per-router RNG
-// stream bit-identical whether or not caching is enabled.
-type Rand interface {
-	// Intn returns a uniform value in [0, n). n must be > 0.
-	Intn(n int) int
-}
 
 // View is the routing-visible state of one router, provided by the router
 // microarchitecture. All information is local except DownstreamIdle, which
@@ -65,7 +54,7 @@ type Context struct {
 	// injected packets. Turn-model algorithms need it to identify turns.
 	InDir topo.Direction
 	View  View
-	Rand  Rand
+	Rand  *rand.Rand
 }
 
 // Request asks for virtual channel VC of output port Dir at priority Pri.

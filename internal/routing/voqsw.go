@@ -34,17 +34,6 @@ func (v *VOQSW) UsesEscape() bool { return v.base.UsesEscape() }
 // ConservativeRealloc implements Algorithm, deferring to the base.
 func (v *VOQSW) ConservativeRealloc() bool { return v.base.ConservativeRealloc() }
 
-// CacheSpec implements Fingerprinter: the next-hop class is a function
-// of the offset and the base algorithm's port choice, so the base
-// algorithm's spec already covers the overlay.
-func (v *VOQSW) CacheSpec() (CacheSpec, bool) {
-	f, ok := v.base.(Fingerprinter)
-	if !ok {
-		return CacheSpec{}, false
-	}
-	return f.CacheSpec()
-}
-
 // nextHopClass returns the VC class for a packet leaving cur through out
 // toward dest: the dimension-order output direction it will take at the
 // next router (Local when the next router is the destination), folded

@@ -30,19 +30,6 @@ func (x *XORDET) UsesEscape() bool { return x.base.UsesEscape() }
 // ConservativeRealloc implements Algorithm, deferring to the base.
 func (x *XORDET) ConservativeRealloc() bool { return x.base.ConservativeRealloc() }
 
-// CacheSpec implements Fingerprinter: the base algorithm's spec plus the
-// destination coordinate class, because the static VC map depends on
-// absolute destination coordinates rather than offsets.
-func (x *XORDET) CacheSpec() (CacheSpec, bool) {
-	f, ok := x.base.(Fingerprinter)
-	if !ok {
-		return CacheSpec{}, false
-	}
-	spec, ok := f.CacheSpec()
-	spec.DestClass = true
-	return spec, ok
-}
-
 // Class returns the static VC class of dest on mesh m given nClasses
 // usable VCs: the XOR of the destination coordinates folded modulo
 // nClasses.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"nocsim/internal/obs"
+	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
@@ -45,10 +46,6 @@ type Config struct {
 	// and endpoint is visited every cycle (see network.Config.StepAll). A
 	// debug mode: results are bit-identical either way, only slower.
 	StepAll bool
-	// NoRouteCache disables the route-decision cache (see
-	// network.Config.NoRouteCache). An escape hatch: results are
-	// bit-identical either way, only slower.
-	NoRouteCache bool
 	// Obs selects the observability collectors (lifecycle tracer,
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; see Simulation.Observability.
@@ -108,8 +105,8 @@ func (c Config) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("sim: invalid mesh %dx%d", c.Width, c.Height)
 	}
-	if c.VCs < 1 {
-		return fmt.Errorf("sim: need at least 1 VC, have %d", c.VCs)
+	if c.VCs < 1 || c.VCs > router.MaxVCs {
+		return fmt.Errorf("sim: need 1 to %d VCs, have %d", router.MaxVCs, c.VCs)
 	}
 	if c.BufDepth < 1 {
 		return fmt.Errorf("sim: need buffer depth >= 1, have %d", c.BufDepth)

@@ -181,8 +181,8 @@ func TestMonitoringDoesNotChangeResults(t *testing.T) {
 }
 
 // TestProfilerDoesNotChangeResults pins the phase profiler's contract:
-// the probed cycle loop (stepProbed) must be behaviorally identical to
-// the plain one, so enabling profiling — even at every=1, instrumenting
+// a probed cycle of network.Step must be behaviorally identical to an
+// unprobed one, so enabling profiling — even at every=1, instrumenting
 // every cycle — changes no Result field. The profiler runs on a fake
 // clock here, proving its wall-clock reads never leak into the fabric.
 func TestProfilerDoesNotChangeResults(t *testing.T) {

@@ -58,10 +58,6 @@ type Result struct {
 	// Config.Obs.Profile is set). Like Runtime it describes the host,
 	// never the fabric: determinism goldens scrub it.
 	PerfProfile *obs.PerfProfile
-	// RouteCache is the route-decision cache's traffic counters (nil
-	// when caching is off). Deterministic — a pure function of the
-	// simulated schedule — but a self-metric, not a fabric result.
-	RouteCache *routing.CacheStats
 	// Stalled reports that the run's watchdog flagged at least one
 	// zero-progress window (see Config.WatchdogCycles).
 	Stalled bool
@@ -191,6 +187,10 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		}
 		newAlg = func() routing.Algorithm { return routing.MustNew(cfg.Algorithm) }
 	}
+	if alg := newAlg(); cfg.VCs < 2 && alg.UsesEscape() {
+		return nil, fmt.Errorf("sim: %s reserves VC 0 as its escape channel and needs at least 2 VCs, have %d",
+			alg.Name(), cfg.VCs)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &Simulation{
 		cfg:     cfg,
@@ -218,7 +218,6 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		StickyRouting: cfg.StickyRouting,
 		SlowEndpoints: cfg.SlowEndpoints,
 		StepAll:       cfg.StepAll,
-		NoRouteCache:  cfg.NoRouteCache,
 	})
 	s.net.Sink = s.onEject
 	if cfg.Obs.Profile {
@@ -388,7 +387,6 @@ func (s *Simulation) heartbeat(now int64) {
 	}
 	arena := s.net.Arena().Stats()
 	u.Arena = &arena
-	u.RouteCache = s.net.RouteCacheStats()
 	if s.col != nil {
 		if s.col.Tracer != nil {
 			u.TraceEvents = s.col.Tracer.Total()
@@ -518,7 +516,6 @@ func (s *Simulation) Run() *Result {
 		BlockEvents:     s.met.blockEvents,
 		BufferPurity:    s.met.bufferPurity(),
 		Runtime:         rt,
-		RouteCache:      s.net.RouteCacheStats(),
 		Stalled:         s.stalled,
 		Obs:             s.col,
 	}
@@ -553,7 +550,6 @@ func (s *Simulation) Run() *Result {
 		}
 		arena := s.net.Arena().Stats()
 		pp.Arena = &arena
-		pp.RouteCache = res.RouteCache
 		res.PerfProfile = pp
 	}
 	return res

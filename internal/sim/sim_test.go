@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nocsim/internal/flit"
+	"nocsim/internal/routing"
 	"nocsim/internal/traffic"
 )
 
@@ -27,6 +28,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Width = 0 },
 		func(c *Config) { c.Height = -1 },
 		func(c *Config) { c.VCs = 0 },
+		func(c *Config) { c.VCs = 33 },
 		func(c *Config) { c.BufDepth = 0 },
 		func(c *Config) { c.Speedup = 0 },
 		func(c *Config) { c.Algorithm = "" },
@@ -39,6 +41,44 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
+	}
+}
+
+// TestNewChecksEscapeVC: an algorithm that reserves VC 0 as its escape
+// channel cannot run on one VC; New must say so instead of letting
+// router.New panic. Algorithms without an escape VC run on one.
+func TestNewChecksEscapeVC(t *testing.T) {
+	for _, tc := range []struct {
+		alg string
+		ok  bool
+	}{
+		{"footprint", false},
+		{"dbar", false},
+		{"dbar+xordet", false},
+		{"dor", true},
+		{"oddeven", true},
+	} {
+		cfg := testConfig()
+		cfg.Algorithm = tc.alg
+		cfg.VCs = 1
+		res, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.05)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s on 1 VC: want an error", tc.alg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s on 1 VC: %v", tc.alg, err)
+		} else if res.MeasuredEjected == 0 {
+			t.Errorf("%s on 1 VC: no packets delivered", tc.alg)
+		}
+	}
+	cfg := testConfig()
+	cfg.VCs = 1
+	cfg.AlgFactory = func() routing.Algorithm { return routing.NewFootprint() }
+	if _, err := New(cfg); err == nil {
+		t.Error("AlgFactory footprint on 1 VC: want an error")
 	}
 }
 
