@@ -83,21 +83,19 @@ func main() {
 	anat.Apply(&cfg.Obs)
 	lobs.ApplyConfig(&cfg)
 
-	p, err := traffic.ByName(*pattern, cfg.Mesh())
+	size, err := traffic.SizeRange(*minFlits, *maxFlits)
 	if err != nil {
 		fatal(err)
-	}
-	var size traffic.SizeFn
-	if *minFlits == *maxFlits {
-		size = traffic.FixedSize(*minFlits)
-	} else {
-		size = traffic.UniformSize(*minFlits, *maxFlits)
 	}
 	if *rates != "" {
 		sweep(cfg, *pattern, size, *rates, *jobs, anat)
 		return
 	}
-	s, err := sim.New(cfg, &traffic.Generator{Pattern: p, Rate: *rate, Size: size})
+	gen, err := sim.PatternGenerator(cfg, *pattern, size, *rate)
+	if err != nil {
+		fatal(err)
+	}
+	s, err := sim.New(cfg, gen)
 	if err != nil {
 		fatal(err)
 	}

@@ -67,6 +67,23 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// TestRoutePurityRootsAtDecide pins the rule's second root: the router
+// calls Decide, not Route, so a Decide that writes through its context
+// must be a finding in its own right (the fixture's type has no Route).
+func TestRoutePurityRootsAtDecide(t *testing.T) {
+	bad := checkFixture(t, NewLoader(), filepath.Join("testdata", "routepurity", "bad"),
+		"nocsim/internal/routing/fixture", "routepurity")
+	for _, f := range bad {
+		if filepath.Base(f.Pos.Filename) == "decide.go" {
+			if !strings.Contains(f.Msg, "ctx.LastDir") || !strings.Contains(f.Msg, "(*StickyAlg).Decide") {
+				t.Errorf("decide.go finding %q, want the ctx.LastDir write under (*StickyAlg).Decide", f.Msg)
+			}
+			return
+		}
+	}
+	t.Errorf("no finding in bad/decide.go; Decide is not a routepurity root: %v", bad)
+}
+
 // TestScopes pins the path scoping: result-producing roots are covered
 // by determinism, the observability layer is not, and nothing outside
 // the module is.

@@ -6,16 +6,18 @@ import (
 	"go/types"
 )
 
-// analyzeRoutePurity enforces the routing contract: a Route method (and
-// every same-package function it reaches) is a decision function — it
-// may read the router's View and draw from the decision's own RNG, but
-// it must not mutate reachable state, send on channels, or talk to the
-// observability layer. This is the static twin of the dynamic
+// analyzeRoutePurity enforces the routing contract: a Decide method, its
+// list form Route (and every same-package function they reach) is a
+// decision function — it may read the router's View and draw from the
+// decision's own RNG, but it must not mutate reachable state, send on
+// channels, or talk to the observability layer. Decide returns its
+// Decision by value, so filling a local one is legal and a write through
+// the context it was handed is not. This is the static twin of the dynamic
 // replay-purity property test: the paper's paired-seed comparisons are
 // only meaningful if routing cannot perturb the fabric it is inspecting.
 //
 // Concretely, in internal/routing, starting from every method named
-// Route and walking same-package static calls:
+// Decide or Route and walking same-package static calls:
 //
 //   - no assignment whose target can alias caller-visible memory
 //     (fields through pointers/receivers, slice/map elements, derefs);
@@ -25,7 +27,7 @@ import (
 //     it) — metrics are the router's job, after the decision.
 var analyzeRoutePurity = &Analyzer{
 	Name: "routepurity",
-	Doc:  "Route and its helpers read state but never write, send or emit metrics",
+	Doc:  "Decide, Route and their helpers read state but never write, send or emit metrics",
 	Applies: func(path string) bool {
 		const root = "nocsim/internal/routing"
 		return path == root || len(path) > len(root) && path[:len(root)+1] == root+"/"
@@ -97,20 +99,20 @@ func runRoutePurity(p *Package) []Finding {
 	}
 
 	for obj, fd := range decls {
-		if fd.Name.Name == "Route" && fd.Recv != nil {
+		if (fd.Name.Name == "Decide" || fd.Name.Name == "Route") && fd.Recv != nil {
 			visit(obj, fd, routeLabel(p, fd))
 		}
 	}
 	return out
 }
 
-// routeLabel names a Route root for messages, e.g. "(*Footprint).Route".
+// routeLabel names a root for messages, e.g. "(*Footprint).Decide".
 func routeLabel(p *Package, fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
 	}
 	if n := namedType(p.Info.Types[fd.Recv.List[0].Type].Type); n != nil {
-		return "(*" + n.Obj().Name() + ").Route"
+		return "(*" + n.Obj().Name() + ")." + fd.Name.Name
 	}
 	return fd.Name.Name
 }

@@ -13,7 +13,8 @@ import (
 // schedule and checks credit-based flow control's conservation law after
 // every cycle: for each inter-router link and VC, the upstream output
 // VC's available credits plus the downstream input VC's buffered flits
-// never exceed the buffer depth, and neither side ever goes negative.
+// never exceed the buffer depth, and neither side ever goes negative; and
+// every port's allocatable-VC mask matches a recount of the VC flags.
 // (Flits and credits in flight on the one-cycle channel pipelines account
 // for the remainder, so the observable sum only ever undershoots the
 // depth, never overshoots.) Alongside, the arena's live-packet count must
@@ -114,6 +115,24 @@ func FuzzCreditConservation(f *testing.F) {
 							t.Fatalf("cycle %d link %d-%v->%d vc %d: credits %d + buffered %d outside [0,%d]",
 								cycle, id, d, nb, v, c, use, depth)
 						}
+					}
+				}
+			}
+			// The allocatable-VC mask VC allocation reads must equal a
+			// recount of the per-VC flags it summarizes, and cover the
+			// idle mask routing reads.
+			for id := 0; id < mesh.Nodes(); id++ {
+				r := net.Router(id)
+				for d := topo.East; d <= topo.Local; d++ {
+					var free uint32
+					for v := 0; v < vcs; v++ {
+						if st := r.OutputVCSnapshot(d, v); !st.Allocated && !st.AwaitTailCredit {
+							free |= 1 << uint(v)
+						}
+					}
+					if got := r.FreeBits(d); got != free || r.IdleBits(d)&^free != 0 {
+						t.Fatalf("cycle %d node %d port %v: FreeBits %#x, recount %#x, IdleBits %#x",
+							cycle, id, d, got, free, r.IdleBits(d))
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocsim/internal/flit"
 	"nocsim/internal/routing"
@@ -61,8 +62,8 @@ func (c VCClass) String() string {
 // for a packet at a router — as the adaptiveness it actually exercised:
 // how many ports and VCs the algorithm offered versus the minimal-path
 // ceiling it could have offered. The router (not the routing algorithm;
-// the routepurity lint keeps Route side-effect free) derives it from the
-// request set Route returned and reports it through
+// the routepurity lint keeps Decide side-effect free) derives it from the
+// routing.Decision returned and reports it through
 // MetricsSink.OnRouteDecision. Ejection decisions (dest == this node)
 // are not reported: they exercise no routing freedom.
 type Decision struct {
@@ -100,44 +101,34 @@ type Decision struct {
 }
 
 // emitDecision builds and reports the Decision record for a packet's
-// first route computation at this router. Called only when
-// r.wantDecisions and dest != NodeID.
-func (r *Router) emitDecision(in topo.Direction, dest int, reqs []routing.Request, p *flit.Packet) {
-	dx, hasX, dy, hasY := r.cfg.Mesh.MinimalDirs(r.cfg.NodeID, dest)
-	d := Decision{In: in, MinimalProgress: true}
+// first route computation at this router, from the routing decision dec.
+// Called only when r.wantDecisions and the packet is not at its
+// destination.
+func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.Packet) {
+	dx, hasX, dy, hasY := r.cfg.Mesh.MinimalDirs(r.cfg.NodeID, p.Dest)
+	d := Decision{In: in, MinimalProgress: true, EscapeRequested: dec.HasEsc}
 	if hasX {
 		d.MinimalPorts++
 	}
 	if hasY {
 		d.MinimalPorts++
 	}
-	escape := r.cfg.Alg.UsesEscape()
 	adaptivePerPort := r.cfg.VCs
-	if escape {
+	if r.cfg.Alg.UsesEscape() {
 		adaptivePerPort--
 	}
 	d.AdmissibleVCs = d.MinimalPorts * adaptivePerPort
-	var adaptiveMask uint8
-	for _, rq := range reqs {
-		d.PortMask |= 1 << uint(rq.Dir)
-		if escape && rq.VC == 0 {
-			d.EscapeRequested = true
-			continue
-		}
-		if !((hasX && rq.Dir == dx) || (hasY && rq.Dir == dy)) {
-			d.MinimalProgress = false
-		}
-		adaptiveMask |= 1 << uint(rq.Dir)
-		d.OfferedVCs++
-		i := r.idx(rq.Dir, rq.VC)
-		if r.outIdle(i) {
-			d.IdleVCs++
-		} else if int(r.outOwner[i]) == dest {
-			d.FootprintVCs++
-		}
+	if offered := dec.VCMask(); offered != 0 {
+		d.OfferedPorts = 1
+		d.PortMask = 1 << uint(dec.Dir)
+		d.MinimalProgress = (hasX && dec.Dir == dx) || (hasY && dec.Dir == dy)
+		d.OfferedVCs = bits.OnesCount32(offered)
+		idle := offered & r.idleMask[dec.Dir]
+		d.IdleVCs = bits.OnesCount32(idle)
+		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.OwnerBits(dec.Dir, p.Dest))
 	}
-	for m := adaptiveMask; m != 0; m &= m - 1 {
-		d.OfferedPorts++
+	if dec.HasEsc {
+		d.PortMask |= 1 << uint(dec.Esc)
 	}
 	r.cfg.Metrics.OnRouteDecision(r.now, r.cfg.NodeID, p, d)
 }

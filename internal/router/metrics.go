@@ -53,8 +53,8 @@ type MetricsSink interface {
 	// WantRouteDecisions reports whether the sink consumes per-decision
 	// adaptiveness records. Routers cache the answer at attach time; it
 	// must be constant over the sink's lifetime. It is a separate
-	// capability from WantPacketEvents because building a Decision walks
-	// the request set — costlier than stamping a lifecycle event.
+	// capability from WantPacketEvents because building a Decision reads
+	// the port's VC masks — costlier than stamping a lifecycle event.
 	WantRouteDecisions() bool
 
 	// OnRouteDecision fires at most once per packet per router, right

@@ -67,14 +67,16 @@ type Router struct {
 	inOutVC   []int32          // granted output VC (active state)
 	inBlocked []int64          // consecutive failed-allocation cycles
 	inRouted  []bool
-	// inReqs is the packet's VC request set per input VC, computed at
-	// route time. Each slice is sized once, on its input VC's first
-	// route computation, and reused across packets, so re-evaluation
-	// never allocates after that. This is what makes "waiting on
-	// footprint channels" effective under StickyRouting — a packet that
-	// found its port saturated keeps requesting only its footprint VCs
-	// even as other VCs free up, and claims them on priority.
-	inReqs [][]routing.Request
+	// inDest is the destination of the head packet of a routing-state
+	// input VC, so the per-cycle re-evaluation of a blocked head reads
+	// one dense array instead of chasing flit and packet pointers.
+	inDest []int32
+	// inDec is the head packet's routing decision per input VC: the VC
+	// request set as masks, replaced at every re-evaluation. Under
+	// StickyRouting it is what stays frozen — a packet that found its
+	// port saturated keeps requesting only its footprint VCs even as
+	// other VCs free up, and claims them on priority.
+	inDec []routing.Decision
 
 	// Input buffers: per-VC rings of capacity BufDepth over one backing
 	// array; slot i of VC idx is bufStore[idx*BufDepth+(bufHead[idx]+i)%BufDepth].
@@ -95,11 +97,13 @@ type Router struct {
 	outAwaitTail []bool
 
 	// Per-port aggregates of the output VC state, maintained on every
-	// transition so the routing helpers (routing.AggregateView) answer
-	// idle/footprint counts in O(1) instead of scanning every VC.
-	// idleMask bit v is set while VC v of the port is idle; fpCnt counts,
-	// per (port, destination), the VCs currently owned by that
-	// destination.
+	// transition so routing.View answers in O(1) instead of scanning
+	// every VC. freeMask bit v is set while VC v of the port can be
+	// allocated (not held, not awaiting a tail credit); idleMask bit v
+	// while it is also fully drained, so idleMask is a subset of
+	// freeMask. fpCnt counts, per (port, destination), the VCs currently
+	// owned by that destination.
+	freeMask [topo.NumPorts]uint32
 	idleMask [topo.NumPorts]uint32
 	fpCnt    []int16
 	regCnt   []int16 // like fpCnt, for the persistent footprint registers
@@ -118,15 +122,12 @@ type Router struct {
 	saIn   []*alloc.RoundRobin // per input port: VC chooser
 	saOut  []*alloc.RoundRobin // per output port: input chooser
 	vaReqs []alloc.VCRequest
-	// reqPort maps requester index -> the output port its adaptive
-	// requests targeted this cycle, for blocking metrics.
-	reqPort []topo.Direction
-	saVec   []bool // scratch request vector for switch allocation
+	saVec  []bool // scratch request vector for switch allocation
 
-	// routeCtx is the reusable routing context: Route receives a pointer
-	// to it every call, so route computation never heap-allocates. Safe
-	// because Route is pure (the routepurity lint) and algorithms do not
-	// retain the context.
+	// routeCtx is the reusable routing context: Decide receives a pointer
+	// to it every call (only Dest and InDir vary), so route computation
+	// never heap-allocates. Safe because Decide is pure (the routepurity
+	// lint) and algorithms do not retain the context.
 	routeCtx routing.Context
 
 	// routingMask/activeMask track, per input port, which VCs are in the
@@ -202,7 +203,8 @@ func New(cfg Config) *Router {
 		inOutVC:   make([]int32, n),
 		inBlocked: make([]int64, n),
 		inRouted:  make([]bool, n),
-		inReqs:    make([][]routing.Request, n),
+		inDest:    make([]int32, n),
+		inDec:     make([]routing.Decision, n),
 
 		bufStore: make([]*flit.Flit, n*cfg.BufDepth),
 		bufHead:  make([]int32, n),
@@ -221,11 +223,10 @@ func New(cfg Config) *Router {
 		inCh:  make([]*Channel, P),
 		outCh: make([]*Channel, P),
 
-		va:      alloc.NewVCAllocator(n, n),
-		saIn:    make([]*alloc.RoundRobin, P),
-		saOut:   make([]*alloc.RoundRobin, P),
-		reqPort: make([]topo.Direction, n),
-		saVec:   make([]bool, cfg.VCs),
+		va:    alloc.NewVCAllocator(n, n),
+		saIn:  make([]*alloc.RoundRobin, P),
+		saOut: make([]*alloc.RoundRobin, P),
+		saVec: make([]bool, cfg.VCs),
 	}
 	for i := 0; i < n; i++ {
 		r.outCredits[i] = int32(cfg.BufDepth)
@@ -238,12 +239,9 @@ func New(cfg Config) *Router {
 	for p := 0; p < P; p++ {
 		r.saIn[p] = alloc.NewRoundRobin(cfg.VCs)
 		r.saOut[p] = alloc.NewRoundRobin(P)
-		r.idleMask[p] = uint32(1)<<uint(cfg.VCs) - 1 // all VCs start idle
+		r.freeMask[p] = uint32(1)<<uint(cfg.VCs) - 1 // all VCs start idle
+		r.idleMask[p] = r.freeMask[p]
 	}
-	// The routing context is built once and reused: Route receives a
-	// pointer to it every call (only Dest and InDir vary), so route
-	// computation never heap-allocates. Safe because Route is pure (the
-	// routepurity lint) and algorithms do not retain the context.
 	r.routeCtx = routing.Context{
 		Mesh: cfg.Mesh,
 		Cur:  cfg.NodeID,
@@ -290,16 +288,19 @@ func (r *Router) outIdle(idx int) bool {
 	return !r.outAlloc[idx] && !r.outAwaitTail[idx] && int(r.outCredits[idx]) == r.cfg.BufDepth
 }
 
-// refreshIdleBit re-derives output VC idx's bit of the per-port idle
-// bitmask. Call after any mutation of outAlloc, outCredits or
+// refreshOutBits re-derives output VC idx's bit of the per-port free and
+// idle bitmasks. Call after any mutation of outAlloc, outCredits or
 // outAwaitTail.
-func (r *Router) refreshIdleBit(idx int) {
+func (r *Router) refreshOutBits(idx int) {
 	p := idx / r.vcs
 	bit := uint32(1) << uint(idx%r.vcs)
-	if r.outIdle(idx) {
-		r.idleMask[p] |= bit
-	} else {
-		r.idleMask[p] &^= bit
+	r.freeMask[p] &^= bit
+	r.idleMask[p] &^= bit
+	if !r.outAlloc[idx] && !r.outAwaitTail[idx] {
+		r.freeMask[p] |= bit
+		if int(r.outCredits[idx]) == r.cfg.BufDepth {
+			r.idleMask[p] |= bit
+		}
 	}
 }
 
@@ -408,18 +409,16 @@ func (r *Router) stagePop(o int) *flit.Flit {
 // VCs implements routing.View.
 func (r *Router) VCs() int { return r.vcs }
 
-// VCIdle implements routing.View: a VC is idle when its downstream buffer
+// VCIdle reports whether output VC (d, v) is idle: its downstream buffer
 // is fully drained and no packet holds it. The footprint owner register
 // is independent state and may still name a destination.
 func (r *Router) VCIdle(d topo.Direction, v int) bool {
 	return r.outIdle(r.idx(d, v))
 }
 
-// VCOwner implements routing.View.
+// VCOwner returns the destination of the packets occupying output VC
+// (d, v), or -1 when it is drained.
 func (r *Router) VCOwner(d topo.Direction, v int) int { return int(r.outOwner[r.idx(d, v)]) }
-
-// VCRegOwner implements routing.View: the persistent footprint register.
-func (r *Router) VCRegOwner(d topo.Direction, v int) int { return int(r.outRegOwner[r.idx(d, v)]) }
 
 // DownstreamIdle implements routing.View by delegating to the network.
 func (r *Router) DownstreamIdle(d topo.Direction, dest int) int {
@@ -429,17 +428,22 @@ func (r *Router) DownstreamIdle(d topo.Direction, dest int) int {
 	return r.cfg.Downstream.DownstreamIdle(r.cfg.NodeID, d, dest)
 }
 
-// IdleCount implements routing.AggregateView: the number of idle VCs of
+// IdleCount implements routing.View: the number of idle VCs of
 // port d in [lo, VCs), read off the maintained idle bitmask.
 func (r *Router) IdleCount(d topo.Direction, lo int) int {
 	return bits.OnesCount32(r.idleMask[d] >> uint(lo))
 }
 
-// IdleBits implements routing.BitsView: the maintained idle bitmask of
+// IdleBits implements routing.View: the maintained idle bitmask of
 // port d.
 func (r *Router) IdleBits(d topo.Direction) uint32 { return r.idleMask[d] }
 
-// OwnerBits implements routing.BitsView: the VCs of port d owned by dest,
+// FreeBits returns the bitmask of port d's VCs that can be allocated this
+// cycle: neither held by a packet nor awaiting a tail credit. It is a
+// superset of IdleBits.
+func (r *Router) FreeBits(d topo.Direction) uint32 { return r.freeMask[d] }
+
+// OwnerBits implements routing.View: the VCs of port d owned by dest,
 // built from the owner array without per-VC interface dispatch. The
 // maintained owner count short-circuits the common no-footprint case.
 func (r *Router) OwnerBits(d topo.Direction, dest int) uint32 {
@@ -456,7 +460,7 @@ func (r *Router) OwnerBits(d topo.Direction, dest int) uint32 {
 	return m
 }
 
-// RegOwnerBits implements routing.BitsView: the VCs of port d whose
+// RegOwnerBits implements routing.View: the VCs of port d whose
 // persistent footprint register names dest, with the same count-based
 // short-circuit as OwnerBits.
 func (r *Router) RegOwnerBits(d topo.Direction, dest int) uint32 {
@@ -473,7 +477,7 @@ func (r *Router) RegOwnerBits(d topo.Direction, dest int) uint32 {
 	return m
 }
 
-// FootprintCount implements routing.AggregateView: the number of VCs of
+// FootprintCount implements routing.View: the number of VCs of
 // port d in [lo, VCs) currently owned by dest, read off the maintained
 // owner counts (the escape VCs below lo are deducted by inspection; lo
 // is 0 or 1 in practice).
@@ -536,11 +540,7 @@ func (r *Router) Receive() {
 					if !f.Head {
 						panic("router: non-head flit at front of idle VC")
 					}
-					r.inState[i] = vcRouting
-					r.inRouted[i] = false
-					r.inBlocked[i] = 0
-					r.routingMask[p] |= uint32(1) << uint(f.VC)
-					r.routingTotal++
+					r.startRouting(i, f)
 				}
 			}
 		}
@@ -555,7 +555,7 @@ func (r *Router) Receive() {
 				if cr.Tail {
 					r.outAwaitTail[i] = false
 				}
-				r.refreshIdleBit(i)
+				r.refreshOutBits(i)
 				if r.outIdle(i) {
 					// The footprint register clears once the VC fully
 					// drains: a footprint VC is one currently occupied
@@ -567,8 +567,16 @@ func (r *Router) Receive() {
 	}
 }
 
-// resIndex flattens (port, vc) into a VC-allocator resource index.
-func (r *Router) resIndex(d topo.Direction, vc int) int { return int(d)*r.vcs + vc }
+// startRouting moves input VC i to the routing state with head flit f at
+// the front of its buffer.
+func (r *Router) startRouting(i int, f *flit.Flit) {
+	r.inState[i] = vcRouting
+	r.inRouted[i] = false
+	r.inBlocked[i] = 0
+	r.inDest[i] = int32(f.Packet.Dest)
+	r.routingMask[i/r.vcs] |= uint32(1) << uint(i%r.vcs)
+	r.routingTotal++
+}
 
 // AllocateVCs runs route computation and VC allocation for every input VC
 // in routing state. Phase B+C.
@@ -581,9 +589,8 @@ func (r *Router) AllocateVCs() {
 		// Iterate only the VCs in routing state, lowest first (the same
 		// order the dense scan visited them in).
 		for m := r.routingMask[p]; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros32(m)
-			requester := r.idx(topo.Direction(p), v)
-			f := r.bufFront(requester)
+			requester := r.idx(topo.Direction(p), bits.TrailingZeros32(m))
+			dec := &r.inDec[requester]
 			if !r.inRouted[requester] || !r.cfg.StickyRouting {
 				// By default the route (and its VC request set) is
 				// re-evaluated every cycle while the packet waits, so
@@ -592,49 +599,40 @@ func (r *Router) AllocateVCs() {
 				// packet per router and retried until granted; see
 				// DESIGN.md for why the default reproduces the paper's
 				// results and stickiness does not.
+				dest := int(r.inDest[requester])
 				if r.wantEvents && !r.inRouted[requester] {
-					r.cfg.Metrics.OnRoute(r.now, r.cfg.NodeID, f.Packet, topo.Direction(p))
+					r.cfg.Metrics.OnRoute(r.now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
 				}
-				if r.inReqs[requester] == nil {
-					// A request set is one port's usable VCs, plus the
-					// escape VC when VC 0 is reserved: at most r.vcs.
-					r.inReqs[requester] = make([]routing.Request, 0, r.vcs)
-				}
-				reqs := r.inReqs[requester][:0]
-				if f.Packet.Dest == r.cfg.NodeID {
+				if dest == r.cfg.NodeID {
 					// Ejection: request every local-port VC obliviously.
-					for ev := 0; ev < r.vcs; ev++ {
-						reqs = append(reqs, routing.Request{Dir: topo.Local, VC: ev, Pri: alloc.Low})
-					}
-					r.reqPort[requester] = topo.Local
+					*dec = routing.Decision{Dir: topo.Local}
+					dec.Pri[alloc.Low] = uint32(1)<<uint(r.vcs) - 1
 				} else {
 					// Only Dest and InDir vary per call; the rest of the
 					// context was bound at construction.
-					r.routeCtx.Dest = f.Packet.Dest
+					r.routeCtx.Dest = dest
 					r.routeCtx.InDir = topo.Direction(p)
-					reqs = r.cfg.Alg.Route(&r.routeCtx, reqs)
-					if len(reqs) > 0 {
-						// The first request's port is the adaptive choice
-						// (escape request is appended last by convention).
-						r.reqPort[requester] = reqs[0].Dir
-					}
+					*dec = r.cfg.Alg.Decide(&r.routeCtx)
 					if r.wantDecisions && !r.inRouted[requester] {
-						r.emitDecision(topo.Direction(p), f.Packet.Dest, reqs, f.Packet)
+						r.emitDecision(topo.Direction(p), dec, r.bufFront(requester).Packet)
 					}
 				}
-				r.inReqs[requester] = reqs
 				r.inRouted[requester] = true
 			}
-			for _, rq := range r.inReqs[requester] {
-				res := r.resIndex(rq.Dir, rq.VC)
-				if r.outAlloc[res] || r.outAwaitTail[res] {
-					continue // not allocatable this cycle
-				}
+			// Submit the requests that can be granted this cycle, in the
+			// decision's list order (ascending VC, escape last): grant
+			// order, and with it lifecycle-event order, follows the order
+			// the allocator first sees each resource in. A blocked head
+			// (no requested VC free) submits nothing.
+			base := r.idx(dec.Dir, 0)
+			for a := dec.VCMask() & r.freeMask[dec.Dir]; a != 0; a &= a - 1 {
+				vc := bits.TrailingZeros32(a)
 				r.vaReqs = append(r.vaReqs, alloc.VCRequest{
-					Requester: requester,
-					Resource:  res,
-					Pri:       rq.Pri,
-				})
+					Requester: requester, Resource: base + vc, Pri: dec.PriOf(vc)})
+			}
+			if dec.HasEsc && r.freeMask[dec.Esc]&1 != 0 {
+				r.vaReqs = append(r.vaReqs, alloc.VCRequest{
+					Requester: requester, Resource: r.idx(dec.Esc, 0), Pri: alloc.Lowest})
 			}
 		}
 	}
@@ -651,7 +649,7 @@ func (r *Router) AllocateVCs() {
 		r.routingTotal--
 		r.activeMask[g.Requester/r.vcs] |= inBit
 		r.activeTotal++
-		dest := r.bufFront(g.Requester).Packet.Dest
+		dest := int(r.inDest[g.Requester])
 		var class VCClass
 		if r.wantEvents {
 			// Classify against the pre-grant state: the assignments below
@@ -659,7 +657,7 @@ func (r *Router) AllocateVCs() {
 			class = r.classifyVC(od, ovc, dest)
 		}
 		r.outAlloc[g.Resource] = true
-		r.refreshIdleBit(g.Resource)
+		r.refreshOutBits(g.Resource)
 		r.setOwner(g.Resource, dest)
 		r.setRegOwner(g.Resource, dest)
 		if r.wantEvents {
@@ -677,8 +675,8 @@ func (r *Router) AllocateVCs() {
 			r.inBlocked[requester]++
 			r.vcAllocFails++
 			if r.cfg.Metrics != nil {
-				out := r.reqPort[requester]
-				fp, busy := r.portOccupancy(out, r.bufFront(requester).Packet.Dest)
+				out := r.inDec[requester].Dir
+				fp, busy := r.portOccupancy(out, int(r.inDest[requester]))
 				r.cfg.Metrics.OnVCAllocFailure(r.now, r.cfg.NodeID, r.bufFront(requester).Packet,
 					out, fp, busy, r.inBlocked[requester])
 			}
@@ -736,7 +734,7 @@ func (r *Router) SwitchAndTraverse() {
 						// credits is backpressure from downstream.
 						i := r.idx(topo.Direction(p), v)
 						if r.bufLen[i] > 0 &&
-							r.outCredits[r.resIndex(r.inOutDir[i], int(r.inOutVC[i]))] == 0 {
+							r.outCredits[r.idx(r.inOutDir[i], int(r.inOutVC[i]))] == 0 {
 							r.creditStalls[r.inOutDir[i]]++
 						}
 					}
@@ -821,7 +819,7 @@ func (r *Router) vcReady(p, v int) bool {
 	if r.inState[i] != vcActive || r.bufLen[i] == 0 {
 		return false
 	}
-	return r.outCredits[r.resIndex(r.inOutDir[i], int(r.inOutVC[i]))] > 0 &&
+	return r.outCredits[r.idx(r.inOutDir[i], int(r.inOutVC[i]))] > 0 &&
 		int(r.stageLen[r.inOutDir[i]]) < stageCap
 }
 
@@ -832,10 +830,10 @@ func (r *Router) traverse(p, v int) {
 	f := r.bufPop(i)
 	od := r.inOutDir[i]
 	ovc := int(r.inOutVC[i])
-	res := r.resIndex(od, ovc)
+	res := r.idx(od, ovc)
 	f.VC = ovc
 	r.outCredits[res]--
-	r.refreshIdleBit(res)
+	r.refreshOutBits(res)
 	r.stagePush(int(od), f)
 	r.xbarGrants[od]++
 	if r.wantEvents && f.Head {
@@ -852,7 +850,7 @@ func (r *Router) traverse(p, v int) {
 		if r.cfg.Alg.ConservativeRealloc() {
 			r.outAwaitTail[res] = true
 		}
-		r.refreshIdleBit(res)
+		r.refreshOutBits(res)
 		// Next packet (if already buffered) starts routing next cycle.
 		inBit := uint32(1) << uint(v)
 		r.activeMask[p] &^= inBit
@@ -862,11 +860,7 @@ func (r *Router) traverse(p, v int) {
 			if !nf.Head {
 				panic("router: flit interleaving detected")
 			}
-			r.inState[i] = vcRouting
-			r.inRouted[i] = false
-			r.inBlocked[i] = 0
-			r.routingMask[p] |= inBit
-			r.routingTotal++
+			r.startRouting(i, nf)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (r *Router) InputVCSnapshot(d topo.Direction, v int) InVCState {
 		st.Blocked = r.inBlocked[i]
 		st.Routed = r.inRouted[i]
 		if r.inRouted[i] {
-			st.ReqDir = r.reqPort[i]
+			st.ReqDir = r.inDec[i].Dir
 		}
 	case vcActive:
 		st.State = VCStateActive

@@ -75,8 +75,8 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 			func(r *router.Router, d topo.Direction, v int) int { return r.OutVCCredits(d, v) }},
 		{"owner", func(st router.OutVCState) int { return st.Owner },
 			func(r *router.Router, d topo.Direction, v int) int { return r.VCOwner(d, v) }},
-		{"reg-owner", func(st router.OutVCState) int { return st.RegOwner },
-			func(r *router.Router, d topo.Direction, v int) int { return r.VCRegOwner(d, v) }},
+		{"free", func(st router.OutVCState) int { return b2i(!st.Allocated && !st.AwaitTailCredit) },
+			func(r *router.Router, d topo.Direction, v int) int { return int(r.FreeBits(d) >> uint(v) & 1) }},
 		{"idle", func(st router.OutVCState) int {
 			return b2i(!st.Allocated && !st.AwaitTailCredit && st.Credits == cfg.BufDepth)
 		},
@@ -117,6 +117,9 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 			if got := r.IdleBits(d); got != idleBits {
 				t.Errorf("node %d port %v: IdleBits %#x, recount %#x", id, d, got, idleBits)
 			}
+			if stray := idleBits &^ r.FreeBits(d); stray != 0 {
+				t.Errorf("node %d port %v: idle VCs %#x are not free", id, d, stray)
+			}
 			for lo := 0; lo <= 1; lo++ {
 				want := bits.OnesCount32(idleBits >> uint(lo))
 				if got := r.IdleCount(d, lo); got != want {
@@ -131,7 +134,7 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 						ownBits |= 1 << uint(v)
 						n++
 					}
-					if r.VCRegOwner(d, v) == dest {
+					if r.OutputVCSnapshot(d, v).RegOwner == dest {
 						regBits |= 1 << uint(v)
 					}
 				}

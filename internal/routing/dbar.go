@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"nocsim/internal/alloc"
-	"nocsim/internal/topo"
-)
+import "nocsim/internal/alloc"
 
 // DBAR is the fully-adaptive baseline of the paper, modelled on
 // "DBAR: an efficient routing algorithm to support multiple concurrent
@@ -31,41 +28,36 @@ func (*DBAR) UsesEscape() bool { return true }
 // reallocate a VC before the tail flit's credit returns (Section 4.2.1).
 func (*DBAR) ConservativeRealloc() bool { return true }
 
-// Route implements Algorithm.
-func (*DBAR) Route(ctx *Context, reqs []Request) []Request {
-	m, v := ctx.Mesh, ctx.View
-	dx, hasX, dy, hasY := m.MinimalDirs(ctx.Cur, ctx.Dest)
-	esc := dorDir(m, ctx.Cur, ctx.Dest)
-
-	var d topo.Direction
-	switch {
-	case hasX && hasY:
+// Decide implements Algorithm.
+func (*DBAR) Decide(ctx *Context) Decision {
+	v := ctx.View
+	dx, hasX, dy, hasY := ctx.Mesh.MinimalDirs(ctx.Cur, ctx.Dest)
+	esc := dorOf(dx, hasX, dy, hasY)
+	dec := Decision{Dir: esc, Esc: esc, HasEsc: true}
+	if hasX && hasY {
 		half := (v.VCs() + 1) / 2
-		ix, iy := countIdle(v, dx, 1), countIdle(v, dy, 1)
-		nx, ny := v.DownstreamIdle(dx, ctx.Dest), v.DownstreamIdle(dy, ctx.Dest)
+		ix, iy := v.IdleCount(dx, 1), v.IdleCount(dy, 1)
 		congX, congY := ix < half, iy < half
 		switch {
 		case congX != congY && congY:
 			// Only Y congested locally: go X.
-			d = dx
+			dec.Dir = dx
 		case congX != congY && congX:
-			d = dy
+			dec.Dir = dy
 		default:
 			// Neither (or both) congested locally: let the next-hop,
 			// destination-sliced occupancy decide; local idles break ties.
-			d = selectByCounts(ctx, dx, dy, nx, ny, ix, iy)
+			nx, ny := v.DownstreamIdle(dx, ctx.Dest), v.DownstreamIdle(dy, ctx.Dest)
+			dec.Dir = selectByCounts(ctx, dx, dy, nx, ny, ix, iy)
 		}
-	case hasX:
-		d = dx
-	default:
-		d = dy
 	}
+	dec.Pri[alloc.Low] = vcMask(1, v.VCs())
+	return dec
+}
 
-	for vc := 1; vc < v.VCs(); vc++ {
-		reqs = append(reqs, Request{Dir: d, VC: vc, Pri: alloc.Low})
-	}
-	reqs = append(reqs, Request{Dir: esc, VC: 0, Pri: alloc.Lowest})
-	return reqs
+// Route implements Algorithm.
+func (a *DBAR) Route(ctx *Context, reqs []Request) []Request {
+	return appendRequests(reqs, a.Decide(ctx))
 }
 
 var _ Algorithm = (*DBAR)(nil)

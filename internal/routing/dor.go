@@ -24,14 +24,17 @@ func (*DOR) UsesEscape() bool { return false }
 // ConservativeRealloc implements Algorithm.
 func (*DOR) ConservativeRealloc() bool { return false }
 
-// Route implements Algorithm: all VCs of the single dimension-order port
+// Decide implements Algorithm: all VCs of the single dimension-order port
 // at Low priority.
-func (*DOR) Route(ctx *Context, reqs []Request) []Request {
-	d := dorDir(ctx.Mesh, ctx.Cur, ctx.Dest)
-	for v := 0; v < ctx.View.VCs(); v++ {
-		reqs = append(reqs, Request{Dir: d, VC: v, Pri: alloc.Low})
-	}
-	return reqs
+func (*DOR) Decide(ctx *Context) Decision {
+	dec := Decision{Dir: dorDir(ctx.Mesh, ctx.Cur, ctx.Dest)}
+	dec.Pri[alloc.Low] = vcMask(0, ctx.View.VCs())
+	return dec
+}
+
+// Route implements Algorithm.
+func (a *DOR) Route(ctx *Context, reqs []Request) []Request {
+	return appendRequests(reqs, a.Decide(ctx))
 }
 
 var _ Algorithm = (*DOR)(nil)

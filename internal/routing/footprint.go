@@ -1,11 +1,6 @@
 package routing
 
-import (
-	"math/bits"
-
-	"nocsim/internal/alloc"
-	"nocsim/internal/topo"
-)
+import "nocsim/internal/alloc"
 
 // Footprint implements the paper's contribution (Algorithm 1): a minimal
 // fully-adaptive routing algorithm under Duato's theory that regulates its
@@ -82,65 +77,46 @@ func (f *Footprint) pri(p alloc.Priority) alloc.Priority {
 	return p
 }
 
-// Route implements Algorithm 1 of the paper.
-func (f *Footprint) Route(ctx *Context, reqs []Request) []Request {
-	m, v := ctx.Mesh, ctx.View
+// Decide implements Algorithm 1 of the paper.
+func (f *Footprint) Decide(ctx *Context) Decision {
+	v, dest := ctx.View, ctx.Dest
 	nVCs := v.VCs()
 
-	// STEP 1: legal output ports and VC classification.
-	dx, hasX, dy, hasY := m.MinimalDirs(ctx.Cur, ctx.Dest)
-	esc := dorDir(m, ctx.Cur, ctx.Dest)
+	// STEP 1: legal output ports; the dimension-order one doubles as the
+	// escape port, requested at the lowest priority whatever step 3 says.
+	dx, hasX, dy, hasY := ctx.Mesh.MinimalDirs(ctx.Cur, dest)
+	esc := dorOf(dx, hasX, dy, hasY)
+	dec := Decision{Dir: esc, Esc: esc, HasEsc: true}
 
-	var d topo.Direction
-	switch {
-	case hasX && hasY:
-		// STEP 2: the port with more idle VCs wins; ties fall to the
-		// port with more footprint VCs; remaining ties break randomly.
-		ix, iy := countIdle(v, dx, 1), countIdle(v, dy, 1)
-		fx, fy := countFootprint(v, dx, ctx.Dest, 1), countFootprint(v, dy, ctx.Dest, 1)
-		d = selectByCounts(ctx, dx, dy, ix, iy, fx, fy)
-	case hasX:
-		d = dx
-	default:
-		d = dy
+	// STEP 2: the port with more idle VCs wins; ties fall to the port
+	// with more footprint VCs; remaining ties break randomly.
+	idle, fp := v.IdleCount(esc, 1), v.FootprintCount(esc, dest, 1)
+	if hasX && hasY {
+		iy, fy := v.IdleCount(dy, 1), v.FootprintCount(dy, dest, 1)
+		if selectByCounts(ctx, dx, dy, idle, iy, fp, fy) == dy {
+			dec.Dir, idle, fp = dy, iy, fy
+		}
 	}
 
 	// STEP 3: VC requests by congestion state of the chosen port.
-	idle := countIdle(v, d, 1)
-	fp := countFootprint(v, d, ctx.Dest, 1)
-
-	// Views exposing per-port bitmasks (the router's SoA state does) let
-	// the per-VC classification below read three masks instead of making
-	// three interface calls per VC; the scalar fallback is identical and
-	// the property tests cross-check the two paths.
-	bv, fast := v.(BitsView)
-
-	// Future-work extension: once the destination owns MaxFootprintVCs
-	// VCs of the port, confine its packets to them regardless of load,
-	// giving the stronger isolation of Section 4.2.5.
-	if f.MaxFootprintVCs > 0 && fp >= f.MaxFootprintVCs {
-		reqs = f.appendFootprintVCs(reqs, v, bv, fast, d, ctx.Dest, nVCs)
-		reqs = append(reqs, Request{Dir: esc, VC: 0, Pri: alloc.Lowest})
-		return reqs
-	}
-
+	d, adaptive := dec.Dir, vcMask(1, nVCs)
 	switch {
+	case f.MaxFootprintVCs > 0 && fp >= f.MaxFootprintVCs:
+		// Future-work extension: once the destination owns
+		// MaxFootprintVCs VCs of the port, confine its packets to them
+		// regardless of load, giving the stronger isolation of Section
+		// 4.2.5.
+		dec.Pri[f.pri(alloc.High)] = v.OwnerBits(d, dest) & adaptive
 	case idle >= f.threshold(nVCs):
 		// No congestion: use all adaptive VCs; waiting on footprint
 		// channels would only add latency.
-		for vc := 1; vc < nVCs; vc++ {
-			reqs = append(reqs, Request{Dir: d, VC: vc, Pri: alloc.Low})
-		}
+		dec.Pri[alloc.Low] = adaptive
+	case idle == 0 && fp != 0 && !f.DisableRegulation:
+		// Saturated port: wait on the footprint channels only.
+		dec.Pri[f.pri(alloc.High)] = v.OwnerBits(d, dest) & adaptive
 	case idle == 0:
-		if fp != 0 && !f.DisableRegulation {
-			// Saturated port: wait on the footprint channels only.
-			reqs = f.appendFootprintVCs(reqs, v, bv, fast, d, ctx.Dest, nVCs)
-		} else {
-			// No footprint to follow: request all adaptive VCs.
-			for vc := 1; vc < nVCs; vc++ {
-				reqs = append(reqs, Request{Dir: d, VC: vc, Pri: alloc.Low})
-			}
-		}
+		// No footprint to follow: request all adaptive VCs.
+		dec.Pri[alloc.Low] = adaptive
 	default:
 		// Between zero-load and saturation the ladder regulates which
 		// packets take which VCs. A packet that already has footprints
@@ -152,60 +128,25 @@ func (f *Footprint) Route(ctx *Context, reqs []Request) []Request {
 		// Contests therefore resolve exactly as Section 3.3's example:
 		// congested flows keep their channels, other flows get the idle
 		// capacity.
-		hasFP := fp > 0
-		var idleM, regM, ownM uint32
-		if fast {
-			idleM = bv.IdleBits(d)
-			regM = bv.RegOwnerBits(d, ctx.Dest)
-			ownM = bv.OwnerBits(d, ctx.Dest)
+		idleM := v.IdleBits(d) & adaptive
+		reclaim := idleM & v.RegOwnerBits(d, dest)
+		own := v.OwnerBits(d, dest) & adaptive &^ idleM
+		freshPri := f.pri(alloc.High)
+		if fp > 0 {
+			freshPri = alloc.Low
 		}
-		for vc := 1; vc < nVCs; vc++ {
-			var idleVC, regOwn, own bool
-			if fast {
-				bit := uint32(1) << uint(vc)
-				idleVC, regOwn, own = idleM&bit != 0, regM&bit != 0, ownM&bit != 0
-			} else {
-				idleVC = v.VCIdle(d, vc)
-				regOwn = v.VCRegOwner(d, vc) == ctx.Dest
-				own = v.VCOwner(d, vc) == ctx.Dest
-			}
-			switch {
-			case idleVC && regOwn:
-				reqs = append(reqs, Request{Dir: d, VC: vc, Pri: f.pri(alloc.Highest)})
-			case idleVC && !hasFP:
-				reqs = append(reqs, Request{Dir: d, VC: vc, Pri: f.pri(alloc.High)})
-			case idleVC:
-				reqs = append(reqs, Request{Dir: d, VC: vc, Pri: alloc.Low})
-			case own:
-				reqs = append(reqs, Request{Dir: d, VC: vc, Pri: f.pri(alloc.Medium)})
-			default:
-				reqs = append(reqs, Request{Dir: d, VC: vc, Pri: alloc.Low})
-			}
-		}
+		// |=, not =: with the ladder disabled several classes share Low.
+		dec.Pri[alloc.Low] = adaptive &^ idleM &^ own
+		dec.Pri[f.pri(alloc.Highest)] |= reclaim
+		dec.Pri[freshPri] |= idleM &^ reclaim
+		dec.Pri[f.pri(alloc.Medium)] |= own
 	}
-
-	// The escape channel is always requested at the lowest priority.
-	reqs = append(reqs, Request{Dir: esc, VC: 0, Pri: alloc.Lowest})
-	return reqs
+	return dec
 }
 
-// appendFootprintVCs requests every adaptive VC of port d owned by dest at
-// High priority, in ascending VC order.
-func (f *Footprint) appendFootprintVCs(reqs []Request, v View, bv BitsView, fast bool, d topo.Direction, dest, nVCs int) []Request {
-	if fast {
-		m := bv.OwnerBits(d, dest) &^ 1 // adaptive VCs only
-		for ; m != 0; m &= m - 1 {
-			vc := bits.TrailingZeros32(m)
-			reqs = append(reqs, Request{Dir: d, VC: vc, Pri: f.pri(alloc.High)})
-		}
-		return reqs
-	}
-	for vc := 1; vc < nVCs; vc++ {
-		if v.VCOwner(d, vc) == dest {
-			reqs = append(reqs, Request{Dir: d, VC: vc, Pri: f.pri(alloc.High)})
-		}
-	}
-	return reqs
+// Route implements Algorithm.
+func (f *Footprint) Route(ctx *Context, reqs []Request) []Request {
+	return appendRequests(reqs, f.Decide(ctx))
 }
 
 var _ Algorithm = (*Footprint)(nil)

@@ -83,22 +83,23 @@ func (*OddEven) allowedDirs(m topo.Mesh, cur, dest int, inDir topo.Direction) (d
 	return dirs, n
 }
 
-// Route implements Algorithm: pick the allowed port with more idle VCs
+// Decide implements Algorithm: pick the allowed port with more idle VCs
 // (random tie-break) and request all its VCs at Low priority.
-func (oe *OddEven) Route(ctx *Context, reqs []Request) []Request {
+func (oe *OddEven) Decide(ctx *Context) Decision {
 	dirs, n := oe.allowedDirs(ctx.Mesh, ctx.Cur, ctx.Dest, ctx.InDir)
-	var d topo.Direction
-	if n == 1 {
-		d = dirs[0]
-	} else {
-		i0 := countIdle(ctx.View, dirs[0], 0)
-		i1 := countIdle(ctx.View, dirs[1], 0)
-		d = selectByCounts(ctx, dirs[0], dirs[1], i0, i1, 0, 0)
+	dec := Decision{Dir: dirs[0]}
+	if n > 1 {
+		i0 := ctx.View.IdleCount(dirs[0], 0)
+		i1 := ctx.View.IdleCount(dirs[1], 0)
+		dec.Dir = selectByCounts(ctx, dirs[0], dirs[1], i0, i1, 0, 0)
 	}
-	for v := 0; v < ctx.View.VCs(); v++ {
-		reqs = append(reqs, Request{Dir: d, VC: v, Pri: alloc.Low})
-	}
-	return reqs
+	dec.Pri[alloc.Low] = vcMask(0, ctx.View.VCs())
+	return dec
+}
+
+// Route implements Algorithm.
+func (oe *OddEven) Route(ctx *Context, reqs []Request) []Request {
+	return appendRequests(reqs, oe.Decide(ctx))
 }
 
 var _ Algorithm = (*OddEven)(nil)

@@ -22,7 +22,7 @@ type scenario struct {
 
 // randomView fills a fresh view with random VC occupancy and downstream
 // congestion numbers.
-func randomView(rng *rand.Rand, nodes, vcs int) *fakeView {
+func randomView(rng *rand.Rand, nodes, vcs, _ int) *fakeView {
 	fv := newFakeView(vcs)
 	for d := topo.East; d <= topo.Local; d++ {
 		for v := 0; v < vcs; v++ {
@@ -35,23 +35,30 @@ func randomView(rng *rand.Rand, nodes, vcs int) *fakeView {
 	return fv
 }
 
-// walkScenario draws a reachable routing state: it injects a packet at a
-// random source and walks it toward a random destination for a random
-// number of hops, each hop decided by the algorithm itself against a
-// randomly occupied view. Turn-model algorithms restrict which (inDir,
-// position) states can occur — inventing an arrival port out of thin air
-// produces histories the model provably never creates — so reachability
-// must come from the algorithm's own decisions.
+// walkScenario draws a reachable routing state on a random mesh with a
+// random VC count and uniformly half-occupied views; see walkScenarioWith.
 func walkScenario(rng *rand.Rand, alg Algorithm) scenario {
 	m := topo.MustNew(3+rng.Intn(6), 3+rng.Intn(6))
 	vcs := 2 + rng.Intn(5)
+	return walkScenarioWith(rng, alg, m, vcs, randomView)
+}
+
+// walkScenarioWith draws a reachable routing state: it injects a packet
+// at a random source and walks it toward a random destination for a
+// random number of hops, each hop decided by the algorithm itself against
+// a fresh view from newView. Turn-model algorithms restrict which (inDir,
+// position) states can occur — inventing an arrival port out of thin air
+// produces histories the model provably never creates — so reachability
+// must come from the algorithm's own decisions.
+func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int,
+	newView func(rng *rand.Rand, nodes, vcs, dest int) *fakeView) scenario {
 	cur := rng.Intn(m.Nodes())
 	dest := rng.Intn(m.Nodes())
 	for dest == cur {
 		dest = rng.Intn(m.Nodes())
 	}
 	inDir := topo.Local
-	view := randomView(rng, m.Nodes(), vcs)
+	view := newView(rng, m.Nodes(), vcs, dest)
 	steps := rng.Intn(m.Hops(cur, dest)) // strictly short of the destination
 	for i := 0; i < steps; i++ {
 		ctx := &Context{
@@ -69,7 +76,7 @@ func walkScenario(rng *rand.Rand, alg Algorithm) scenario {
 		}
 		inDir = r.Dir.Opposite()
 		cur = next
-		view = randomView(rng, m.Nodes(), vcs)
+		view = newView(rng, m.Nodes(), vcs, dest)
 	}
 	return scenario{m: m, cur: cur, dest: dest, inDir: inDir, view: view}
 }

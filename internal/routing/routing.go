@@ -12,6 +12,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -21,23 +22,29 @@ import (
 )
 
 // View is the routing-visible state of one router, provided by the router
-// microarchitecture. All information is local except DownstreamIdle, which
-// models the neighbour status exchange used by DBAR.
+// microarchitecture as per-port bitmasks (bit v describes VC v) and the
+// counts derived from them. All information is local except
+// DownstreamIdle, which models the neighbour status exchange used by DBAR.
 type View interface {
 	// VCs returns the number of virtual channels per physical channel.
 	VCs() int
-	// VCIdle reports whether VC v of output port d holds no flits and is
-	// not allocated: the VC has no owner.
-	VCIdle(d topo.Direction, v int) bool
-	// VCOwner returns the destination of the packets currently occupying
-	// VC v of output port d, or -1 when the VC is idle.
-	VCOwner(d topo.Direction, v int) int
-	// VCRegOwner returns the persistent footprint register of VC v of
-	// output port d: the destination of the last packet allocated to
-	// it, surviving drains until overwritten (-1 before first use).
-	// Footprint uses it to re-grant a just-drained footprint VC to its
-	// own flow first.
-	VCRegOwner(d topo.Direction, v int) int
+	// IdleBits returns the mask of port d's idle VCs: those that hold no
+	// flits downstream and are not allocated, so have no owner.
+	IdleBits(d topo.Direction) uint32
+	// OwnerBits returns the mask of port d's VCs currently occupied by
+	// packets to dest (its footprint VCs).
+	OwnerBits(d topo.Direction, dest int) uint32
+	// RegOwnerBits returns the mask of port d's VCs whose persistent
+	// footprint register names dest: the destination of the last packet
+	// allocated to the VC, surviving drains until overwritten. Footprint
+	// uses it to re-grant a just-drained footprint VC to its own flow
+	// first.
+	RegOwnerBits(d topo.Direction, dest int) uint32
+	// IdleCount returns the number of idle VCs of port d in [lo, VCs).
+	IdleCount(d topo.Direction, lo int) int
+	// FootprintCount returns the number of VCs of port d in [lo, VCs)
+	// currently owned by dest.
+	FootprintCount(d topo.Direction, dest, lo int) int
 	// DownstreamIdle returns the number of idle adaptive VCs on the
 	// productive output ports toward dest at the neighbouring router
 	// reached through output port d. This is the one-hop-ahead,
@@ -64,6 +71,62 @@ type Request struct {
 	Pri alloc.Priority
 }
 
+// Decision is one routing decision in the form the router consumes: the
+// chosen output port, the VCs requested on it as one bitmask per priority
+// level (bit v of Pri[p] requests VC v at priority p; a VC appears at one
+// level at most), and optionally the escape VC 0 of the dimension-order
+// port at alloc.Lowest. Every algorithm here decides "some VCs of one
+// port, plus perhaps the escape", so this is all a decision holds.
+type Decision struct {
+	Dir    topo.Direction
+	Pri    [alloc.Highest + 1]uint32
+	Esc    topo.Direction
+	HasEsc bool
+}
+
+// VCMask returns the VCs requested on Dir at any priority.
+func (d *Decision) VCMask() uint32 {
+	var m uint32
+	for _, p := range d.Pri {
+		m |= p
+	}
+	return m
+}
+
+// PriOf returns the priority at which VC vc of Dir is requested
+// (alloc.None when it is not).
+func (d *Decision) PriOf(vc int) alloc.Priority {
+	bit := uint32(1) << uint(vc)
+	for p := alloc.Highest; p > alloc.None; p-- {
+		if d.Pri[p]&bit != 0 {
+			return p
+		}
+	}
+	return alloc.None
+}
+
+// onlyVC returns d with its requests on Dir replaced by the single VC vc
+// at Low, the escape untouched: what the static VC-mapping overlays make
+// of their base algorithm's decision.
+func (d Decision) onlyVC(vc int) Decision {
+	d.Pri = [alloc.Highest + 1]uint32{alloc.Low: 1 << uint(vc)}
+	return d
+}
+
+// appendRequests expands d to list form — the VCs of Dir in ascending
+// order, the escape request last — and appends it to reqs. Every
+// Algorithm's Route is this applied to its Decide.
+func appendRequests(reqs []Request, d Decision) []Request {
+	for m := d.VCMask(); m != 0; m &= m - 1 {
+		vc := bits.TrailingZeros32(m)
+		reqs = append(reqs, Request{Dir: d.Dir, VC: vc, Pri: d.PriOf(vc)})
+	}
+	if d.HasEsc {
+		reqs = append(reqs, Request{Dir: d.Esc, VC: 0, Pri: alloc.Lowest})
+	}
+	return reqs
+}
+
 // Algorithm computes VC requests for the head flit of a packet.
 type Algorithm interface {
 	// Name returns the algorithm's identifier, e.g. "footprint".
@@ -77,8 +140,13 @@ type Algorithm interface {
 	// returned (Section 4.2.1 of the paper attributes Odd-Even's uniform
 	// -random edge over DBAR to DBAR having this restriction).
 	ConservativeRealloc() bool
-	// Route appends the VC requests for the packet described by ctx to
-	// reqs and returns the extended slice. ctx.Cur != ctx.Dest.
+	// Decide computes the VC requests for the packet described by ctx.
+	// ctx.Cur != ctx.Dest. It writes nothing the caller can see: the
+	// decision is returned by value.
+	Decide(ctx *Context) Decision
+	// Route is Decide in list form: it appends the requests to reqs, the
+	// VCs of the chosen port in ascending order and the escape request
+	// last, and returns the extended slice.
 	Route(ctx *Context, reqs []Request) []Request
 }
 
@@ -91,78 +159,30 @@ func adaptiveVCRange(usesEscape bool) (lo int) {
 	return 0
 }
 
-// AggregateView is an optional View extension for views that maintain
-// O(1) per-port aggregates (the router's struct-of-arrays state does, by
-// updating a per-port idle bitmask and per-destination owner counts on
-// every state transition). The counting helpers prefer it over scanning
-// VC by VC, because routes are re-evaluated every cycle a packet waits
-// and the scans dominated the cycle loop.
-type AggregateView interface {
-	View
-	// IdleCount returns the number of idle VCs of port d in [lo, VCs).
-	IdleCount(d topo.Direction, lo int) int
-	// FootprintCount returns the number of VCs of port d in [lo, VCs)
-	// currently owned by dest.
-	FootprintCount(d topo.Direction, dest, lo int) int
+// vcMask returns the mask of VCs [lo, nVCs).
+func vcMask(lo, nVCs int) uint32 {
+	return (uint32(1)<<uint(nVCs) - 1) &^ (uint32(1)<<uint(lo) - 1)
 }
 
-// BitsView is a further optional extension for views that can expose one
-// port's VC state as bitmasks (bit v describes VC v). Algorithms whose
-// request-building step inspects every VC of the chosen port (Footprint's
-// step 3) read three masks instead of making three interface calls per
-// VC. Implementations must agree with the scalar View methods; the
-// routing property tests cross-check the two paths.
-type BitsView interface {
-	AggregateView
-	// IdleBits returns the idle-VC bitmask of port d.
-	IdleBits(d topo.Direction) uint32
-	// OwnerBits returns the bitmask of port d's VCs owned by dest.
-	OwnerBits(d topo.Direction, dest int) uint32
-	// RegOwnerBits returns the bitmask of port d's VCs whose persistent
-	// footprint register names dest.
-	RegOwnerBits(d topo.Direction, dest int) uint32
-}
-
-// countIdle counts idle VCs of port d in [lo, V).
-func countIdle(v View, d topo.Direction, lo int) int {
-	if av, ok := v.(AggregateView); ok {
-		return av.IdleCount(d, lo)
-	}
-	n := 0
-	for i := lo; i < v.VCs(); i++ {
-		if v.VCIdle(d, i) {
-			n++
-		}
-	}
-	return n
-}
-
-// countFootprint counts VCs of port d in [lo, V) owned by dest.
-func countFootprint(v View, d topo.Direction, dest, lo int) int {
-	if av, ok := v.(AggregateView); ok {
-		return av.FootprintCount(d, dest, lo)
-	}
-	n := 0
-	for i := lo; i < v.VCs(); i++ {
-		if v.VCOwner(d, i) == dest {
-			n++
-		}
-	}
-	return n
-}
-
-// dorDir returns the dimension-order (X then Y) productive direction.
-// It panics when cur == dest; routers eject such packets before routing.
-func dorDir(m topo.Mesh, cur, dest int) topo.Direction {
-	dx, hasX, dy, hasY := m.MinimalDirs(cur, dest)
+// dorOf returns the dimension-order (X then Y) direction among the
+// minimal directions topo.Mesh.MinimalDirs reported. It panics when there
+// is none: the packet is at its destination, and routers eject such
+// packets before routing.
+func dorOf(dx topo.Direction, hasX bool, dy topo.Direction, hasY bool) topo.Direction {
 	switch {
 	case hasX:
 		return dx
 	case hasY:
 		return dy
 	default:
-		panic(fmt.Sprintf("routing: dorDir(%d, %d) at destination", cur, dest))
+		panic("routing: route computed at the destination")
 	}
+}
+
+// dorDir returns the dimension-order productive direction from cur toward
+// dest.
+func dorDir(m topo.Mesh, cur, dest int) topo.Direction {
+	return dorOf(m.MinimalDirs(cur, dest))
 }
 
 // Registry of algorithm constructors, keyed by name. Constructors receive

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -35,15 +36,47 @@ func newFakeView(numVCs int) *fakeView {
 	return fv
 }
 
-func (f *fakeView) VCs() int                            { return f.numVCs }
-func (f *fakeView) VCIdle(d topo.Direction, v int) bool { return f.owner[d][v] == -1 }
-func (f *fakeView) VCOwner(d topo.Direction, v int) int { return f.owner[d][v] }
-func (f *fakeView) VCRegOwner(d topo.Direction, v int) int {
+func (f *fakeView) VCs() int { return f.numVCs }
+
+// regOwnerOf returns the persistent footprint register of VC v of port d.
+func (f *fakeView) regOwnerOf(d topo.Direction, v int) int {
 	if ro, ok := f.regOwner[d]; ok && ro[v] != -1 {
 		return ro[v]
 	}
 	return f.owner[d][v]
 }
+
+// bitsWhere returns the mask of VCs in [lo, VCs) for which pred holds.
+func (f *fakeView) bitsWhere(lo int, pred func(v int) bool) uint32 {
+	var m uint32
+	for v := lo; v < f.numVCs; v++ {
+		if pred(v) {
+			m |= 1 << uint(v)
+		}
+	}
+	return m
+}
+
+func (f *fakeView) IdleBits(d topo.Direction) uint32 {
+	return f.bitsWhere(0, func(v int) bool { return f.owner[d][v] == -1 })
+}
+
+func (f *fakeView) OwnerBits(d topo.Direction, dest int) uint32 {
+	return f.bitsWhere(0, func(v int) bool { return f.owner[d][v] == dest })
+}
+
+func (f *fakeView) RegOwnerBits(d topo.Direction, dest int) uint32 {
+	return f.bitsWhere(0, func(v int) bool { return f.regOwnerOf(d, v) == dest })
+}
+
+func (f *fakeView) IdleCount(d topo.Direction, lo int) int {
+	return bits.OnesCount32(f.IdleBits(d) >> uint(lo))
+}
+
+func (f *fakeView) FootprintCount(d topo.Direction, dest, lo int) int {
+	return bits.OnesCount32(f.OwnerBits(d, dest) >> uint(lo))
+}
+
 func (f *fakeView) DownstreamIdle(d topo.Direction, _ int) int { return f.downstream[d] }
 
 // clone deep-copies the view so a mutation by Route is detectable by

@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"nocsim/internal/alloc"
-	"nocsim/internal/topo"
-)
+import "nocsim/internal/topo"
 
 // VOQSW is the switch-level virtual output queueing of McKeown et al.
 // (INFOCOM'96) as adapted to NoCs and cited in footnote 5 of the paper:
@@ -52,36 +49,19 @@ func nextHopClass(m topo.Mesh, cur int, out topo.Direction, dest, nClasses int) 
 	return class % nClasses
 }
 
-// Route implements Algorithm: take the base algorithm's port decision and
-// rewrite the adaptive requests to the next-hop-output VC class.
-func (v *VOQSW) Route(ctx *Context, reqs []Request) []Request {
-	base := len(reqs)
-	reqs = v.base.Route(ctx, reqs)
-
-	nVCs := ctx.View.VCs()
+// Decide implements Algorithm: the base algorithm's port decision and
+// escape request, with its adaptive VC requests replaced by the VC of the
+// next-hop-output class.
+func (v *VOQSW) Decide(ctx *Context) Decision {
+	dec := v.base.Decide(ctx)
 	lo := adaptiveVCRange(v.base.UsesEscape())
+	vc := lo + nextHopClass(ctx.Mesh, ctx.Cur, dec.Dir, ctx.Dest, ctx.View.VCs()-lo)
+	return dec.onlyVC(vc)
+}
 
-	var dir topo.Direction
-	found := false
-	escReq := Request{Pri: alloc.None}
-	for _, r := range reqs[base:] {
-		if v.base.UsesEscape() && r.VC == 0 && r.Pri == alloc.Lowest {
-			escReq = r
-			continue
-		}
-		if !found {
-			dir, found = r.Dir, true
-		}
-	}
-	reqs = reqs[:base]
-	if found {
-		vc := lo + nextHopClass(ctx.Mesh, ctx.Cur, dir, ctx.Dest, nVCs-lo)
-		reqs = append(reqs, Request{Dir: dir, VC: vc, Pri: alloc.Low})
-	}
-	if escReq.Pri != alloc.None {
-		reqs = append(reqs, escReq)
-	}
-	return reqs
+// Route implements Algorithm.
+func (v *VOQSW) Route(ctx *Context, reqs []Request) []Request {
+	return appendRequests(reqs, v.Decide(ctx))
 }
 
 var _ Algorithm = (*VOQSW)(nil)

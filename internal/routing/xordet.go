@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"nocsim/internal/alloc"
-	"nocsim/internal/topo"
-)
+import "nocsim/internal/topo"
 
 // XORDET is the static HoL-blocking-aware VC mapping of Peñaranda et al.
 // (HPCC'14), applied as an overlay on a base routing algorithm, exactly as
@@ -38,40 +35,18 @@ func Class(m topo.Mesh, dest, nClasses int) int {
 	return (c.X ^ c.Y) % nClasses
 }
 
-// Route implements Algorithm: run the base algorithm for its port
-// decision, then rewrite the adaptive VC requests to the single statically
-// assigned VC of the packet's destination class. Escape requests pass
-// through unchanged.
-func (x *XORDET) Route(ctx *Context, reqs []Request) []Request {
-	base := len(reqs)
-	reqs = x.base.Route(ctx, reqs)
-
-	nVCs := ctx.View.VCs()
+// Decide implements Algorithm: the base algorithm's port decision and
+// escape request, with its adaptive VC requests replaced by the single
+// statically assigned VC of the packet's destination class.
+func (x *XORDET) Decide(ctx *Context) Decision {
 	lo := adaptiveVCRange(x.base.UsesEscape())
-	vc := lo + Class(ctx.Mesh, ctx.Dest, nVCs-lo)
+	vc := lo + Class(ctx.Mesh, ctx.Dest, ctx.View.VCs()-lo)
+	return x.base.Decide(ctx).onlyVC(vc)
+}
 
-	// Find the port the base algorithm chose for its adaptive requests
-	// and the escape request (if any).
-	var dir topo.Direction
-	found := false
-	escReq := Request{Pri: alloc.None}
-	for _, r := range reqs[base:] {
-		if x.base.UsesEscape() && r.VC == 0 && r.Pri == alloc.Lowest {
-			escReq = r
-			continue
-		}
-		if !found {
-			dir, found = r.Dir, true
-		}
-	}
-	reqs = reqs[:base]
-	if found {
-		reqs = append(reqs, Request{Dir: dir, VC: vc, Pri: alloc.Low})
-	}
-	if escReq.Pri != alloc.None {
-		reqs = append(reqs, escReq)
-	}
-	return reqs
+// Route implements Algorithm.
+func (x *XORDET) Route(ctx *Context, reqs []Request) []Request {
+	return appendRequests(reqs, x.Decide(ctx))
 }
 
 var _ Algorithm = (*XORDET)(nil)

@@ -179,3 +179,50 @@ func TestAnatomyExercisedWithinStaticBound(t *testing.T) {
 		}
 	}
 }
+
+// TestOffPathConsumersReadTheStoredDecision runs one congested footprint
+// simulation four ways — no consumer, lifecycle tracer, anatomy
+// collector, both — and holds that the router's per-event and
+// per-decision branches, which read the routing decision stored for the
+// input VC, neither perturb the run nor each other: the scrubbed result
+// is identical all four ways, the tracer records the same event sequence
+// with the anatomy collector on or off, and the anatomy aggregate is the
+// same with the tracer on or off.
+func TestOffPathConsumersReadTheStoredDecision(t *testing.T) {
+	run := func(o obs.Options) SweepPoint {
+		t.Helper()
+		cfg := testConfig()
+		cfg.Algorithm = "footprint"
+		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
+		cfg.Obs = o
+		pts, err := LatencyThroughputJobs(cfg, "transpose", traffic.FixedSize(1), []float64{0.45}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts[0]
+	}
+	bare := run(obs.Options{})
+	traced := run(obs.Options{Trace: true})
+	anat := run(obs.Options{Anatomy: true})
+	both := run(obs.Options{Trace: true, Anatomy: true})
+
+	if bare.Result.BlockEvents == 0 {
+		t.Fatal("no blocked head flits; the run does not exercise re-evaluation")
+	}
+	want := scrubPoints([]SweepPoint{bare})
+	for name, pt := range map[string]SweepPoint{"tracer": traced, "anatomy": anat, "both": both} {
+		if !reflect.DeepEqual(want, scrubPoints([]SweepPoint{pt})) {
+			t.Errorf("%s: off-path consumers changed the simulation result", name)
+		}
+	}
+	if ev := traced.Result.Obs.Tracer.Events(); len(ev) == 0 {
+		t.Error("tracer recorded no events")
+	} else if !reflect.DeepEqual(ev, both.Result.Obs.Tracer.Events()) {
+		t.Error("the anatomy collector changed the lifecycle event sequence")
+	}
+	if anat.Result.Anatomy == nil || anat.Result.Anatomy.Decisions == 0 {
+		t.Error("anatomy collector saw no routing decisions")
+	} else if !reflect.DeepEqual(anat.Result.Anatomy, both.Result.Anatomy) {
+		t.Error("the lifecycle tracer changed the anatomy aggregate")
+	}
+}

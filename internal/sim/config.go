@@ -102,8 +102,8 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Width <= 0 || c.Height <= 0 {
-		return fmt.Errorf("sim: invalid mesh %dx%d", c.Width, c.Height)
+	if _, err := topo.New(c.Width, c.Height); err != nil {
+		return fmt.Errorf("sim: invalid mesh: %v", err)
 	}
 	if c.VCs < 1 || c.VCs > router.MaxVCs {
 		return fmt.Errorf("sim: need 1 to %d VCs, have %d", router.MaxVCs, c.VCs)

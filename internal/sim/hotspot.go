@@ -44,6 +44,11 @@ func HotspotRun(cfg Config, bgRate, rate float64) (HotspotPoint, error) {
 	if cfg.Width != 8 || cfg.Height != 8 {
 		return HotspotPoint{}, fmt.Errorf("sim: Table 3 hotspot flows require an 8x8 mesh, have %dx%d", cfg.Width, cfg.Height)
 	}
+	for _, r := range []float64{bgRate, rate} {
+		if err := traffic.CheckRate(r); err != nil {
+			return HotspotPoint{}, err
+		}
+	}
 	base := cfg.RunLabel
 	if base == "" {
 		base = algName(cfg)

@@ -61,18 +61,36 @@ func runLoad(cfg Config, pattern string, size traffic.SizeFn, rate float64) (*Re
 	return runLoadID(cfg, loadIdentity(cfg, pattern, rate), pattern, size, rate)
 }
 
+// PatternGenerator builds the Bernoulli generator of the named pattern on
+// cfg's mesh at the given offered load. It is where a traffic cell named
+// by user input is checked: an invalid cfg, a pattern that is unknown or
+// not defined on the mesh, and a load outside 0..1 are errors here, so
+// none of them can reach a constructor that panics.
+func PatternGenerator(cfg Config, pattern string, size traffic.SizeFn, rate float64) (*traffic.Generator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	p, err := traffic.ByName(pattern, cfg.Mesh())
+	if err != nil {
+		return nil, err
+	}
+	if err := traffic.CheckRate(rate); err != nil {
+		return nil, err
+	}
+	return &traffic.Generator{Pattern: p, Rate: rate, Size: size}, nil
+}
+
 // runLoadID runs one simulation at the given load under an explicit run
 // identity. The identity is applied to a private Config copy — the
 // caller's cfg is never mutated, which is what makes the fan-out in
 // LatencyThroughputJobs safe.
 func runLoadID(cfg Config, id RunIdentity, pattern string, size traffic.SizeFn, rate float64) (*Result, error) {
-	p, err := traffic.ByName(pattern, cfg.Mesh())
+	gen, err := PatternGenerator(cfg, pattern, size, rate)
 	if err != nil {
 		return nil, err
 	}
 	cfg = id.Apply(cfg)
 	cfg.PprofLabels = []string{"traffic", pattern, "rate", fmt.Sprintf("%.3f", rate)}
-	gen := &traffic.Generator{Pattern: p, Rate: rate, Size: size}
 	s, err := New(cfg, gen)
 	if err != nil {
 		return nil, err

@@ -116,8 +116,17 @@ func (p Permutation) Dest(src int, _ *rand.Rand) (int, bool) {
 	return d, ok
 }
 
-// ByName constructs one of the named standard patterns for mesh m.
+// ByName constructs one of the named standard patterns for mesh m. It
+// returns an error when the name is unknown or the pattern is not defined
+// on m, so a pattern it returns never panics in Dest.
 func ByName(name string, m topo.Mesh) (Pattern, error) {
+	pow2 := m.Nodes()&(m.Nodes()-1) == 0
+	switch {
+	case name == "transpose" && m.Width != m.Height:
+		return nil, fmt.Errorf("traffic: transpose requires a square mesh, have %dx%d", m.Width, m.Height)
+	case (name == "shuffle" || name == "bitrev") && !pow2:
+		return nil, fmt.Errorf("traffic: %s requires a power-of-two node count, have %d", name, m.Nodes())
+	}
 	switch name {
 	case "uniform":
 		return Uniform{Nodes: m.Nodes()}, nil
@@ -156,6 +165,32 @@ func UniformSize(lo, hi int) SizeFn {
 		panic("traffic: invalid size range")
 	}
 	return func(rng *rand.Rand) int { return lo + rng.Intn(hi-lo+1) }
+}
+
+// SizeRange returns the SizeFn for packet sizes drawn uniformly from
+// [lo, hi] flits (constant when lo == hi), or an error for a range no
+// packet can have. Callers holding user input use it in place of
+// FixedSize and UniformSize, which panic.
+func SizeRange(lo, hi int) (SizeFn, error) {
+	switch {
+	case lo < 1:
+		return nil, fmt.Errorf("traffic: packet size must be >= 1 flit, have %d", lo)
+	case hi < lo:
+		return nil, fmt.Errorf("traffic: invalid packet size range %d..%d", lo, hi)
+	case lo == hi:
+		return FixedSize(lo), nil
+	}
+	return UniformSize(lo, hi), nil
+}
+
+// CheckRate rejects an offered load a Bernoulli source cannot inject: a
+// node's injection port takes one flit per cycle, so a load outside
+// [0, 1] flits/node/cycle (or NaN) is an error rather than being clamped.
+func CheckRate(rate float64) error {
+	if !(rate >= 0 && rate <= 1) {
+		return fmt.Errorf("traffic: offered load must be within 0..1 flits/node/cycle, have %v", rate)
+	}
+	return nil
 }
 
 // MeanSize estimates the expectation of a SizeFn by sampling; generators

@@ -102,17 +102,11 @@ func RunSized(cfg Config, pattern string, rate float64, minFlits, maxFlits int) 
 // the given offered load with packet sizes uniform in [minFlits,
 // maxFlits].
 func NewPatternInjector(cfg Config, pattern string, rate float64, minFlits, maxFlits int) (Injector, error) {
-	p, err := traffic.ByName(pattern, cfg.Mesh())
+	size, err := traffic.SizeRange(minFlits, maxFlits)
 	if err != nil {
 		return nil, err
 	}
-	var size traffic.SizeFn
-	if minFlits == maxFlits {
-		size = traffic.FixedSize(minFlits)
-	} else {
-		size = traffic.UniformSize(minFlits, maxFlits)
-	}
-	return &traffic.Generator{Pattern: p, Rate: rate, Size: size}, nil
+	return sim.PatternGenerator(cfg, pattern, size, rate)
 }
 
 // SweepPoint is one injection rate of a latency-throughput curve.

@@ -1,6 +1,10 @@
 package nocsim
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // quickCfg returns a fast config for facade tests.
 func quickCfg() Config {
@@ -32,6 +36,63 @@ func TestRunSizedValidates(t *testing.T) {
 	cfg.Algorithm = "bogus"
 	if _, err := Run(cfg, "uniform", 0.2); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestUserInputIsAnErrorNotAPanic holds the inputs a command line can
+// supply that used to panic deep in the traffic constructors (or run
+// silently wrong): each is reported by Run, RunSized and the sweep entry
+// points as an error naming what was wrong, and the two lookalikes that
+// are legal still run.
+func TestUserInputIsAnErrorNotAPanic(t *testing.T) {
+	cases := []struct {
+		name          string
+		width, height int
+		pattern       string
+		rate          float64
+		lo, hi        int
+		want          string // substring of the error; "" = must run
+	}{
+		{"shuffle on 9 nodes", 3, 3, "shuffle", 0.2, 1, 1, "power-of-two"},
+		{"transpose on 3x5", 3, 5, "transpose", 0.2, 1, 1, "square mesh"},
+		{"min-flits 3 max-flits 2", 4, 4, "uniform", 0.2, 3, 2, "size range"},
+		{"min-flits 0 max-flits 0", 4, 4, "uniform", 0.2, 0, 0, "size must be >= 1"},
+		{"300x300 mesh", 300, 300, "uniform", 0.2, 1, 1, "exceeds 65535 nodes"},
+		{"rate -1", 4, 4, "uniform", -1, 1, 1, "offered load"},
+		{"rate 5", 4, 4, "uniform", 5, 1, 1, "offered load"},
+		{"rate NaN", 4, 4, "uniform", math.NaN(), 1, 1, "offered load"},
+		{"bitcomp on 9 nodes", 3, 3, "bitcomp", 0.2, 1, 1, ""},
+		{"1x4 mesh", 1, 4, "uniform", 0.2, 1, 1, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Width, cfg.Height = c.width, c.height
+			check := func(via string, err error) {
+				t.Helper()
+				switch {
+				case c.want == "" && err != nil:
+					t.Errorf("%s: %v", via, err)
+				case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+					t.Errorf("%s: error %v, want one containing %q", via, err, c.want)
+				}
+			}
+			_, err := RunSized(cfg, c.pattern, c.rate, c.lo, c.hi)
+			check("RunSized", err)
+			if c.lo == 1 && c.hi == 1 {
+				_, err = Run(cfg, c.pattern, c.rate)
+				check("Run", err)
+				_, err = LatencyThroughput(cfg, c.pattern, []float64{c.rate})
+				check("LatencyThroughput", err)
+			}
+		})
+	}
+	// The saturation search picks its own rates; the mesh and pattern
+	// checks are the ones that can reach it.
+	cfg := quickCfg()
+	cfg.Width, cfg.Height = 3, 5
+	if _, err := SaturationThroughput(cfg, "transpose", 0.1); err == nil {
+		t.Error("SaturationThroughput: transpose on a 3x5 mesh accepted")
 	}
 }
 
