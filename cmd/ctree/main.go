@@ -17,12 +17,11 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "full", "effort level: full or quick")
 	tables := flag.Bool("tables", false, "print Table 1 and the cost analysis, skip the simulation")
-	jobs := cli.NewJobs()
-	lobs := cli.NewObs("ctree")
-	anat := cli.NewAnatomy("ctree")
+	ex := cli.NewExperiment("ctree")
 	flag.Parse()
+	prof := ex.Profile(nil)
+	defer ex.Obs.Close()
 
 	fmt.Println(exp.Table1().Format())
 	fmt.Println(exp.SectionCost().Format())
@@ -30,16 +29,6 @@ func main() {
 		return
 	}
 
-	lobs.Start()
-	defer lobs.Close()
-
-	prof := exp.FullProfile()
-	if *profile == "quick" {
-		prof = exp.QuickProfile()
-	}
-	prof.Jobs = *jobs
-	anat.Apply(&prof.Obs)
-	lobs.ApplyProfile(&prof)
 	study, err := exp.Figure2(prof, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ctree:", err)

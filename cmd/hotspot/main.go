@@ -19,13 +19,10 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "full", "effort level: full or quick")
 	bg := flag.Float64("bg", 0.3, "background injection rate (flits/node/cycle)")
 	flows := flag.Bool("flows", false, "print the Table 3 hotspot flows and exit")
-	jobs := cli.NewJobs()
-	lobs := cli.NewObs("hotspot")
+	ex := cli.NewExperiment("hotspot")
 	export := cli.NewRunExport("hotspot")
-	anat := cli.NewAnatomy("hotspot")
 	flag.Parse()
 
 	if *flows {
@@ -42,38 +39,24 @@ func main() {
 		return
 	}
 
-	lobs.Start()
-	defer lobs.Close()
-
-	prof := exp.FullProfile()
-	if *profile == "quick" {
-		prof = exp.QuickProfile()
-	}
-	prof.Jobs = *jobs
-	prof.Obs = export.Options()
-	anat.Apply(&prof.Obs)
-	lobs.ApplyProfile(&prof)
+	prof := ex.Profile(export)
+	defer ex.Obs.Close()
 
 	study, err := exp.Figure9(prof, *bg, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotspot:", err)
 		os.Exit(1)
 	}
-	if export.Enabled() {
-		for alg, pts := range study.Curves {
-			for _, pt := range pts {
-				export.Write(fmt.Sprintf("%s-hot%.2f", alg, pt.Rate), pt.Result.Obs)
-			}
+	fmt.Println(study.Format())
+	// Each run's collector files and latency anatomy; no-ops without
+	// their flags.
+	for _, alg := range []string{"footprint", "dbar"} {
+		for _, pt := range study.Curves[alg] {
+			id := fmt.Sprintf("%s-hot%.2f", alg, pt.Rate)
+			export.Write(id, pt.Result.Obs)
+			ex.Anatomy.Report(os.Stdout, id, pt.Result)
 		}
 	}
 	export.Report()
-	fmt.Println(study.Format())
-	if anat.Enabled() {
-		for alg, pts := range study.Curves {
-			for _, pt := range pts {
-				anat.Report(os.Stdout, fmt.Sprintf("%s-hot%.2f", alg, pt.Rate), pt.Result)
-			}
-		}
-		anat.Summary()
-	}
+	ex.Anatomy.Summary()
 }

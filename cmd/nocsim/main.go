@@ -52,7 +52,7 @@ func main() {
 	minFlits := flag.Int("min-flits", 1, "minimum packet size")
 	maxFlits := flag.Int("max-flits", 1, "maximum packet size")
 	printConfig := flag.Bool("print-config", false, "print the configuration (Table 2) and exit")
-	heatmap := flag.Bool("heatmap", false, "print a link-utilization heatmap of the measurement window")
+	heatmap := flag.Bool("heatmap", false, "print the measurement-window link utilization: mean, per-node egress grid and the five hottest links")
 
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace (Perfetto) packet lifecycle trace to this file")
 	traceJSONL := flag.String("trace-jsonl", "", "write the packet lifecycle trace as JSONL to this file")
@@ -78,7 +78,7 @@ func main() {
 		Trace:         *traceOut != "" || *traceJSONL != "",
 		TraceCapacity: *traceCap,
 		SamplePeriod:  *samplePeriod,
-		Heatmap:       *heatmapOut != "",
+		Heatmap:       *heatmap || *heatmapOut != "",
 	}
 	anat.Apply(&cfg.Obs)
 	lobs.ApplyConfig(&cfg)
@@ -98,10 +98,6 @@ func main() {
 	s, err := sim.New(cfg, gen)
 	if err != nil {
 		fatal(err)
-	}
-	var probe *sim.UtilizationProbe
-	if *heatmap {
-		probe = sim.NewUtilizationProbe(s.Network())
 	}
 	res := s.Run()
 
@@ -134,17 +130,17 @@ func main() {
 		anat.Report(os.Stdout, fmt.Sprintf("%s-%s-%.2f", *pattern, cfg.Algorithm, *rate), res)
 		anat.Summary()
 	}
-	if probe != nil {
-		snap := probe.Snapshot(cfg.Mesh())
-		fmt.Printf("\nmean link utilization %.3f over %d cycles (whole run)\n", snap.Mean(), snap.Cycles)
-		fmt.Print(snap.Heatmap(cfg.Mesh()))
-		fmt.Println("hottest links:")
-		for _, l := range snap.Hottest(5) {
-			fmt.Printf("  n%-3d -%s-> n%-3d %.3f flits/cycle\n", l.From, l.Dir, l.To, l.Utilization)
-		}
-	}
 
 	if col := s.Observability(); col != nil {
+		if *heatmap {
+			hm := col.Heatmap
+			fmt.Printf("\nmean link utilization %.3f over the %d-cycle measurement window\n", hm.MeanUtilization(), hm.Cycles())
+			fmt.Print(hm.EgressGrid())
+			fmt.Println("hottest links:")
+			for _, l := range hm.Hottest(5) {
+				fmt.Printf("  n%-3d -%s-> n%-3d %d flits, %.4f flits/cycle\n", l.From, l.Dir, l.To, l.Flits, l.Utilization)
+			}
+		}
 		if *traceOut != "" {
 			writeFile(*traceOut, col.Tracer.WriteChromeTrace)
 			fmt.Printf("trace              %s (%d events, %d dropped) — load in https://ui.perfetto.dev\n",

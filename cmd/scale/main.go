@@ -18,23 +18,11 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "full", "effort level: full or quick")
 	sizes := flag.String("sizes", "4x4,16x16", "comma-separated mesh sizes, e.g. 4x4,16x16")
-	jobs := cli.NewJobs()
-	lobs := cli.NewObs("scale")
-	anat := cli.NewAnatomy("scale")
+	ex := cli.NewExperiment("scale")
 	flag.Parse()
-
-	lobs.Start()
-	defer lobs.Close()
-
-	prof := exp.FullProfile()
-	if *profile == "quick" {
-		prof = exp.QuickProfile()
-	}
-	prof.Jobs = *jobs
-	anat.Apply(&prof.Obs)
-	lobs.ApplyProfile(&prof)
+	prof := ex.Profile(nil)
+	defer ex.Obs.Close()
 
 	var meshes [][2]int
 	for _, s := range strings.Split(*sizes, ",") {

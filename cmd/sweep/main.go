@@ -23,24 +23,12 @@ import (
 func main() {
 	figure := flag.String("figure", "5", "figure to regenerate (5, 6 or 7), or \"anatomy\" for the exercised-adaptiveness / latency-composition study")
 	pattern := flag.String("pattern", "", "restrict to one pattern (default: all three)")
-	profile := flag.String("profile", "full", "effort level: full or quick")
-	jobs := cli.NewJobs()
-	lobs := cli.NewObs("sweep")
+	ex := cli.NewExperiment("sweep")
 	export := cli.NewRunExport("sweep")
-	anat := cli.NewAnatomy("sweep")
 	flag.Parse()
-
-	lobs.Start()
-	defer lobs.Close()
-
-	prof := exp.FullProfile()
-	if *profile == "quick" {
-		prof = exp.QuickProfile()
-	}
-	prof.Jobs = *jobs
-	prof.Obs = export.Options()
-	anat.Apply(&prof.Obs)
-	lobs.ApplyProfile(&prof)
+	prof := ex.Profile(export)
+	defer ex.Obs.Close()
+	anat := ex.Anatomy
 
 	patterns := exp.SyntheticPatterns()
 	if *pattern != "" {
@@ -49,22 +37,25 @@ func main() {
 
 	for _, p := range patterns {
 		switch *figure {
-		case "5":
-			cs, err := exp.Figure5(prof, p)
+		case "5", "6":
+			run := exp.Figure5
+			if *figure == "6" {
+				run = exp.Figure6
+			}
+			cs, err := run(prof, p)
 			if err != nil {
 				fatal(err)
 			}
-			exportCurves(export, cs)
 			fmt.Println(cs.Format())
-			reportAnatomy(anat, cs)
-		case "6":
-			cs, err := exp.Figure6(prof, p)
-			if err != nil {
-				fatal(err)
+			// Each run's collector files and latency anatomy, suffixed
+			// with pattern-algorithm-rate; no-ops without their flags.
+			for _, c := range cs.Curves {
+				for _, pt := range c.Points {
+					id := fmt.Sprintf("%s-%s-%.2f", cs.Pattern, c.Algorithm, pt.Rate)
+					export.Write(id, pt.Result.Obs)
+					anat.Report(os.Stdout, id, pt.Result)
+				}
 			}
-			exportCurves(export, cs)
-			fmt.Println(cs.Format())
-			reportAnatomy(anat, cs)
 		case "7":
 			vs, err := exp.Figure7(prof, p, nil)
 			if err != nil {
@@ -89,34 +80,6 @@ func main() {
 	}
 	export.Report()
 	anat.Summary()
-}
-
-// exportCurves writes each run's collector files, suffixed with
-// pattern-algorithm-rate.
-func exportCurves(export *cli.RunExport, cs exp.CurveSet) {
-	if !export.Enabled() {
-		return
-	}
-	for _, c := range cs.Curves {
-		for _, pt := range c.Points {
-			id := fmt.Sprintf("%s-%s-%.2f", cs.Pattern, c.Algorithm, pt.Rate)
-			export.Write(id, pt.Result.Obs)
-		}
-	}
-}
-
-// reportAnatomy prints/exports each run's latency anatomy when the
-// -anatomy flag set enabled collection on the sweep's profile.
-func reportAnatomy(anat *cli.Anatomy, cs exp.CurveSet) {
-	if !anat.Enabled() {
-		return
-	}
-	for _, c := range cs.Curves {
-		for _, pt := range c.Points {
-			id := fmt.Sprintf("%s-%s-%.2f", cs.Pattern, c.Algorithm, pt.Rate)
-			anat.Report(os.Stdout, id, pt.Result)
-		}
-	}
 }
 
 func fatal(err error) {

@@ -21,15 +21,12 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "full", "effort level: full or quick")
 	pairs := flag.String("pairs", "", "comma-separated workload pairs, e.g. x264+canneal (default: the built-in set)")
 	gen := flag.String("gen", "", "generate a trace file for the named workload and exit")
 	cycles := flag.Int64("cycles", 20000, "trace length in cycles (with -gen)")
 	seed := flag.Int64("seed", 1, "trace generation seed (with -gen)")
 	out := flag.String("o", "", "output file (with -gen)")
-	jobs := cli.NewJobs()
-	lobs := cli.NewObs("traces")
-	anat := cli.NewAnatomy("traces")
+	ex := cli.NewExperiment("traces")
 	flag.Parse()
 
 	if *gen != "" {
@@ -39,16 +36,8 @@ func main() {
 		return
 	}
 
-	lobs.Start()
-	defer lobs.Close()
-
-	prof := exp.FullProfile()
-	if *profile == "quick" {
-		prof = exp.QuickProfile()
-	}
-	prof.Jobs = *jobs
-	anat.Apply(&prof.Obs)
-	lobs.ApplyProfile(&prof)
+	prof := ex.Profile(nil)
+	defer ex.Obs.Close()
 
 	var pairList [][2]string
 	if *pairs != "" {
@@ -80,11 +69,16 @@ func generate(name string, cycles, seed int64, out string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // error paths; success reports Close below
 		dst = f
 	}
 	if err := trace.Write(dst, records); err != nil {
 		return err
+	}
+	if out != "" {
+		if err := dst.Close(); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(os.Stderr, "traces: wrote %d records of %s\n", len(records), name)
 	return nil

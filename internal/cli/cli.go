@@ -2,8 +2,9 @@
 // observability server (-obs-addr), the stall watchdog
 // (-watchdog-cycles, -watchdog-out), the pprof endpoint (-pprof), the
 // per-run collector exports (-counters-out, -heatmap-out,
-// -sample-period) of the experiment harnesses, and the latency-anatomy
-// set (-anatomy, -anatomy-out, -anatomy-period).
+// -sample-period) of the experiment harnesses, the latency-anatomy set
+// (-anatomy, -anatomy-out), and the -profile/-jobs preamble of the
+// figure commands (NewExperiment).
 package cli
 
 import (
@@ -29,6 +30,50 @@ func NewJobs() *int {
 		"parallel simulation runs across the experiment grid (0 = one worker per CPU); results are identical at any value")
 }
 
+// Experiment is the flag set every figure command shares: the effort
+// profile, the worker count, the observability servers and the latency
+// anatomy. Construct with NewExperiment before flag.Parse, call Profile
+// after.
+type Experiment struct {
+	Obs     *Obs
+	Anatomy *Anatomy
+
+	profile *string
+	jobs    *int
+}
+
+// NewExperiment registers -profile, -jobs and the NewObs and NewAnatomy
+// flags. tool names the command in diagnostics.
+func NewExperiment(tool string) *Experiment {
+	return &Experiment{
+		profile: flag.String("profile", "full", "effort level: full or quick"),
+		jobs:    NewJobs(),
+		Obs:     NewObs(tool),
+		Anatomy: NewAnatomy(tool),
+	}
+}
+
+// Profile starts the servers the flags asked for and returns the named
+// effort profile with the worker count, the collectors of export (nil
+// for a command without per-run exports), the anatomy and the
+// monitoring flags applied. An unknown -profile name prints one
+// diagnostic line and exits 1. The caller defers e.Obs.Close.
+func (e *Experiment) Profile(export *RunExport) exp.Profile {
+	prof, err := exp.ProfileByName(*e.profile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", e.Obs.Tool, err)
+		os.Exit(1)
+	}
+	e.Obs.Start()
+	prof.Jobs = *e.jobs
+	if export != nil {
+		prof.Obs = export.Options()
+	}
+	e.Anatomy.Apply(&prof.Obs)
+	e.Obs.ApplyProfile(&prof)
+	return prof
+}
+
 // Obs is the shared observability flag set. Construct with NewObs before
 // flag.Parse, Start after.
 type Obs struct {
@@ -39,7 +84,6 @@ type Obs struct {
 	PprofAddr      string
 	Profile        bool
 	ProfileEvery   int64
-	StepAll        bool
 
 	Hub    *obs.Hub
 	server *obs.Server
@@ -61,8 +105,6 @@ func NewObs(tool string) *Obs {
 		"profile the cycle loop: attribute time and allocations to pipeline phases on sampled cycles; results are unchanged")
 	flag.Int64Var(&o.ProfileEvery, "profile-every", 0,
 		"phase-profiler sampling period in cycles (0 = default 64)")
-	flag.BoolVar(&o.StepAll, "stepall", false,
-		"debug: step every router and endpoint every cycle instead of only the active set; results are bit-identical, only slower")
 	return o
 }
 
@@ -106,7 +148,6 @@ func (o *Obs) ApplyProfile(p *exp.Profile) {
 	p.Monitor = o.Hub
 	p.WatchdogCycles = o.WatchdogCycles
 	p.WatchdogOut = o.WatchdogOut
-	p.StepAll = o.StepAll
 	if o.Profile {
 		p.Obs.Profile = true
 		p.Obs.ProfileEvery = o.ProfileEvery
@@ -120,10 +161,50 @@ func (o *Obs) ApplyConfig(cfg *sim.Config) {
 	cfg.Monitor = o.Hub
 	cfg.WatchdogCycles = o.WatchdogCycles
 	cfg.WatchdogOut = o.WatchdogOut
-	cfg.StepAll = o.StepAll
 	if o.Profile {
 		cfg.Obs.Profile = true
 		cfg.Obs.ProfileEvery = o.ProfileEvery
+	}
+}
+
+// fileWriter creates the export files of one flag set and counts the
+// ones that landed. Parallel sweep workers share it.
+type fileWriter struct {
+	tool string
+
+	mu      sync.Mutex
+	written int
+}
+
+// writeFile creates path and streams write into it, reporting a failure
+// on stderr instead of aborting the sweep.
+func (fw *fileWriter) writeFile(path string, write func(w io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", fw.tool, err)
+		return
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		fmt.Fprintf(os.Stderr, "%s: write %s: %v\n", fw.tool, path, err)
+		return
+	}
+	if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: close %s: %v\n", fw.tool, path, err)
+		return
+	}
+	fw.mu.Lock()
+	fw.written++
+	fw.mu.Unlock()
+}
+
+// report prints how many files of kind were written.
+func (fw *fileWriter) report(kind string) {
+	fw.mu.Lock()
+	written := fw.written
+	fw.mu.Unlock()
+	if written > 0 {
+		fmt.Fprintf(os.Stderr, "%s: wrote %d %s files\n", fw.tool, written, kind)
 	}
 }
 
@@ -135,15 +216,12 @@ type RunExport struct {
 	HeatmapOut   string
 	SamplePeriod int64
 
-	tool string
-
-	mu      sync.Mutex // Write is called from parallel sweep workers
-	written int
+	fileWriter
 }
 
 // NewRunExport registers -counters-out, -heatmap-out and -sample-period.
 func NewRunExport(tool string) *RunExport {
-	e := &RunExport{tool: tool}
+	e := &RunExport{fileWriter: fileWriter{tool: tool}}
 	flag.StringVar(&e.CountersOut, "counters-out", "",
 		"write per-router counter time series as CSV, one file per run, suffixed with the run identity")
 	flag.StringVar(&e.HeatmapOut, "heatmap-out", "",
@@ -165,11 +243,6 @@ func (e *RunExport) Options() obs.Options {
 	}
 }
 
-// Enabled reports whether any per-run export was requested.
-func (e *RunExport) Enabled() bool {
-	return e.CountersOut != "" || e.HeatmapOut != ""
-}
-
 // Write exports one run's collector data under the configured base paths,
 // suffixed with the run identity (e.g. counters.csv ->
 // counters_uniform-footprint-0.30.csv).
@@ -178,69 +251,35 @@ func (e *RunExport) Write(runID string, col *obs.Collector) {
 		return
 	}
 	if e.CountersOut != "" && col.Sampler != nil {
-		e.writeFile(suffixPath(e.CountersOut, runID), col.Sampler.WriteCSV)
+		e.writeFile(obs.SuffixPath(e.CountersOut, runID), col.Sampler.WriteCSV)
 	}
 	if e.HeatmapOut != "" && col.Heatmap != nil {
-		e.writeFile(suffixPath(e.HeatmapOut, runID), col.Heatmap.WriteCSV)
+		e.writeFile(obs.SuffixPath(e.HeatmapOut, runID), col.Heatmap.WriteCSV)
 	}
 }
 
 // Report prints how many files were written.
-func (e *RunExport) Report() {
-	e.mu.Lock()
-	written := e.written
-	e.mu.Unlock()
-	if written > 0 {
-		fmt.Fprintf(os.Stderr, "%s: wrote %d per-run export files\n", e.tool, written)
-	}
-}
-
-func (e *RunExport) writeFile(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", e.tool, err)
-		return
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "%s: write %s: %v\n", e.tool, path, err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: close %s: %v\n", e.tool, path, err)
-		return
-	}
-	e.mu.Lock()
-	e.written++
-	e.mu.Unlock()
-}
+func (e *RunExport) Report() { e.report("per-run export") }
 
 // Anatomy is the shared latency-anatomy flag set: -anatomy collects and
 // prints the per-run latency composition and exercised-adaptiveness
 // table, -anatomy-out additionally writes per-run CSVs (the aggregate
-// plus a -occupancy time-series file), -anatomy-period tunes the
-// footprint-occupancy sampling. Construct with NewAnatomy before
+// plus a -occupancy time-series file). Construct with NewAnatomy before
 // flag.Parse.
 type Anatomy struct {
-	Print  bool
-	Out    string
-	Period int64
+	Print bool
+	Out   string
 
-	tool string
-
-	mu      sync.Mutex // Report may run from parallel sweep exporters
-	written int
+	fileWriter
 }
 
-// NewAnatomy registers -anatomy, -anatomy-out and -anatomy-period.
+// NewAnatomy registers -anatomy and -anatomy-out.
 func NewAnatomy(tool string) *Anatomy {
-	a := &Anatomy{tool: tool}
+	a := &Anatomy{fileWriter: fileWriter{tool: tool}}
 	flag.BoolVar(&a.Print, "anatomy", false,
 		"collect the latency anatomy (per-hop latency composition, VC-class grant split, exercised adaptiveness) and print it per run")
 	flag.StringVar(&a.Out, "anatomy-out", "",
 		"write the latency anatomy as CSV, one aggregate file plus one -occupancy time-series file per run, suffixed with the run identity")
-	flag.Int64Var(&a.Period, "anatomy-period", 0,
-		"footprint-occupancy sampling period in cycles (0 = default 256)")
 	return a
 }
 
@@ -249,11 +288,9 @@ func (a *Anatomy) Enabled() bool { return a.Print || a.Out != "" }
 
 // Apply enables the anatomy collector on o when requested.
 func (a *Anatomy) Apply(o *obs.Options) {
-	if !a.Enabled() {
-		return
+	if a.Enabled() {
+		o.Anatomy = true
 	}
-	o.Anatomy = true
-	o.AnatomyPeriod = a.Period
 }
 
 // Report prints the run's anatomy table to w (under -anatomy) and writes
@@ -273,44 +310,11 @@ func (a *Anatomy) Report(w io.Writer, runID string, res *sim.Result) {
 	if a.Out == "" {
 		return
 	}
-	a.writeFile(suffixPath(a.Out, runID), res.Anatomy.WriteCSV)
+	a.writeFile(obs.SuffixPath(a.Out, runID), res.Anatomy.WriteCSV)
 	if res.Obs != nil && res.Obs.Anatomy != nil {
-		a.writeFile(suffixPath(a.Out, runID+"-occupancy"), res.Obs.Anatomy.WriteSeriesCSV)
+		a.writeFile(obs.SuffixPath(a.Out, runID+"-occupancy"), res.Obs.Anatomy.WriteSeriesCSV)
 	}
 }
 
 // Summary prints how many CSV files Report wrote.
-func (a *Anatomy) Summary() {
-	a.mu.Lock()
-	written := a.written
-	a.mu.Unlock()
-	if written > 0 {
-		fmt.Fprintf(os.Stderr, "%s: wrote %d anatomy CSV files\n", a.tool, written)
-	}
-}
-
-func (a *Anatomy) writeFile(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", a.tool, err)
-		return
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "%s: write %s: %v\n", a.tool, path, err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: close %s: %v\n", a.tool, path, err)
-		return
-	}
-	a.mu.Lock()
-	a.written++
-	a.mu.Unlock()
-}
-
-// suffixPath inserts _id before the extension: base.csv -> base_id.csv.
-func suffixPath(base, id string) string { return obs.SuffixPath(base, id) }
-
-// Slug reduces a run identity to a filename-safe token.
-func Slug(s string) string { return obs.Slug(s) }
+func (a *Anatomy) Summary() { a.report("anatomy CSV") }

@@ -35,6 +35,24 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
+func TestProfileByName(t *testing.T) {
+	for _, name := range []string{"quick", "full"} {
+		p, err := ProfileByName(name)
+		if err != nil || p.Name != name {
+			t.Errorf("ProfileByName(%q) = profile %q, %v", name, p.Name, err)
+		}
+	}
+	_, err := ProfileByName("quik")
+	if err == nil {
+		t.Fatal("unknown profile name accepted")
+	}
+	for _, want := range []string{`"quik"`, "quick", "full"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 func TestRateGrid(t *testing.T) {
 	g := rateGrid(0.1, 0.3, 0.1)
 	if len(g) != 3 || g[0] != 0.1 || g[2] < 0.299 || g[2] > 0.301 {

@@ -6,6 +6,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"nocsim/internal/obs"
 	"nocsim/internal/sim"
 )
@@ -44,10 +46,6 @@ type Profile struct {
 	// snapshot path.
 	WatchdogCycles int64
 	WatchdogOut    string
-	// StepAll disables the active-set worklist in every run of the
-	// experiment (see sim.Config.StepAll) — the debug mode the
-	// determinism gate diffs against.
-	StepAll bool
 }
 
 // FullProfile is the publication-quality effort level.
@@ -78,6 +76,18 @@ func QuickProfile() Profile {
 	}
 }
 
+// ProfileByName returns the effort profile called name: "full" or
+// "quick".
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "full":
+		return FullProfile(), nil
+	case "quick":
+		return QuickProfile(), nil
+	}
+	return Profile{}, fmt.Errorf("unknown profile %q (want full or quick)", name)
+}
+
 func rateGrid(lo, hi, step float64) []float64 {
 	var out []float64
 	for r := lo; r <= hi+1e-9; r += step {
@@ -96,7 +106,6 @@ func (p Profile) apply(cfg sim.Config) sim.Config {
 	cfg.Monitor = p.Monitor
 	cfg.WatchdogCycles = p.WatchdogCycles
 	cfg.WatchdogOut = p.WatchdogOut
-	cfg.StepAll = p.StepAll
 	return cfg
 }
 

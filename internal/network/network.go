@@ -32,9 +32,9 @@ type Config struct {
 	// source of endpoint congestion). Unlisted nodes drain every cycle.
 	SlowEndpoints map[int]int
 	// StepAll disables the active-set worklist: Step visits every router
-	// and endpoint every cycle, as the pre-worklist loop did. A debug
-	// mode — results must be bit-identical either way (the determinism
-	// gate compares the two), it only costs time.
+	// and endpoint every cycle, as the pre-worklist loop did. The
+	// reference path — results must be bit-identical either way
+	// (internal/sim's worklist tests compare the two), it only costs time.
 	StepAll bool
 }
 

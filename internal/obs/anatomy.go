@@ -284,9 +284,6 @@ func NewAnatomyCollector(period int64, maxSamples int) *AnatomyCollector {
 	}
 }
 
-// Period returns the occupancy sampling period in cycles.
-func (a *AnatomyCollector) Period() int64 { return a.period }
-
 // OpenWindow arms measurement for packets born in [start, end).
 func (a *AnatomyCollector) OpenWindow(start, end int64) {
 	a.windowSet = true

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
@@ -137,25 +139,106 @@ func (h *Heatmap) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "# directed links: from,to,dir,flits,flits_per_cycle"); err != nil {
 		return err
 	}
-	for id := 0; id < m.Nodes(); id++ {
-		for d := topo.East; d <= topo.Local; d++ {
-			to := id
-			if d != topo.Local {
-				nb, ok := m.Neighbor(id, d)
-				if !ok {
-					continue
-				}
-				to = nb
-			}
-			flits := h.LinkFlits(id, d)
-			perCycle := 0.0
-			if cycles > 0 {
-				perCycle = float64(flits) / float64(cycles)
-			}
-			if _, err := fmt.Fprintf(w, "%d,%d,%s,%d,%.4f\n", id, to, d, flits, perCycle); err != nil {
-				return err
-			}
+	for _, l := range h.links(true) {
+		if _, err := fmt.Fprintf(w, "%d,%d,%s,%d,%.4f\n", l.From, l.To, l.Dir, l.Flits, l.Utilization); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// LinkLoad is one directed link's load over the window.
+type LinkLoad struct {
+	From, To    int
+	Dir         topo.Direction
+	Flits       int64
+	Utilization float64 // flits per cycle, 0..1
+}
+
+// links lists the window's directed links in node, then direction
+// order: every inter-router link and, with local set, each node's
+// ejection link (Dir Local, To = From). Empty before CloseWindow.
+func (h *Heatmap) links(local bool) []LinkLoad {
+	if !h.closed {
+		return nil
+	}
+	var out []LinkLoad
+	cycles := h.Cycles()
+	for id := 0; id < h.mesh.Nodes(); id++ {
+		for d := topo.East; d <= topo.Local; d++ {
+			to, ok := id, local
+			if d != topo.Local {
+				to, ok = h.mesh.Neighbor(id, d)
+			}
+			if !ok {
+				continue
+			}
+			l := LinkLoad{From: id, To: to, Dir: d, Flits: h.LinkFlits(id, d)}
+			if cycles > 0 {
+				l.Utilization = float64(l.Flits) / float64(cycles)
+			}
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// Links returns the load of every inter-router link over the window.
+func (h *Heatmap) Links() []LinkLoad { return h.links(false) }
+
+// Hottest returns the n most loaded inter-router links, most loaded
+// first; ties keep node, then direction order.
+func (h *Heatmap) Hottest(n int) []LinkLoad {
+	links := h.Links()
+	sort.SliceStable(links, func(i, j int) bool { return links[i].Flits > links[j].Flits })
+	return links[:min(n, len(links))]
+}
+
+// MeanUtilization returns the average utilization over the inter-router
+// links, 0 for an empty window.
+func (h *Heatmap) MeanUtilization() float64 {
+	links := h.Links()
+	if len(links) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, l := range links {
+		sum += l.Utilization
+	}
+	return sum / float64(len(links))
+}
+
+// heatRunes maps utilization deciles to ASCII shades.
+var heatRunes = []byte(" .:-=+*#%@")
+
+func heatRune(u float64) byte {
+	return heatRunes[max(0, min(int(u*float64(len(heatRunes))), len(heatRunes)-1))]
+}
+
+// EgressGrid renders per-node egress load (the mean utilization of a
+// node's outgoing inter-router links) as an ASCII grid — a quick visual
+// of where congestion sits on the mesh.
+func (h *Heatmap) EgressGrid() string {
+	m := h.mesh
+	load := make([]float64, m.Nodes())
+	cnt := make([]int, m.Nodes())
+	for _, l := range h.Links() {
+		load[l.From] += l.Utilization
+		cnt[l.From]++
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "egress load heatmap (%c = 0%% ... %c = 100%%)\n", heatRunes[0], heatRunes[len(heatRunes)-1])
+	for y := 0; y < m.Height; y++ {
+		for x := 0; x < m.Width; x++ {
+			n := m.Node(topo.Coord{X: x, Y: y})
+			u := 0.0
+			if cnt[n] > 0 {
+				u = load[n] / float64(cnt[n])
+			}
+			b.WriteByte(heatRune(u))
+			b.WriteByte(' ')
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -183,6 +183,75 @@ func TestHeatmapReconcilesWithAccepted(t *testing.T) {
 	}
 }
 
+// TestHeatmapLinks checks the link view nocsim -heatmap prints: every
+// directed inter-router link once, utilizations in range, the mean
+// strictly inside (0,1) under load, and Hottest sorted most loaded first
+// and agreeing with LinkFlits.
+func TestHeatmapLinks(t *testing.T) {
+	_, col, cfg := runObserved(t)
+	hm := col.Heatmap
+	if hm.Cycles() != cfg.MeasureCycles {
+		t.Errorf("cycles = %d, want %d", hm.Cycles(), cfg.MeasureCycles)
+	}
+	links := hm.Links()
+	// 4x4 mesh: 2*(3*4)*2 = 48 directed inter-router links.
+	if len(links) != 48 {
+		t.Fatalf("links = %d, want 48", len(links))
+	}
+	for _, l := range links {
+		if l.Utilization < 0 || l.Utilization > 1 {
+			t.Errorf("link %d->%d utilization %v out of range", l.From, l.To, l.Utilization)
+		}
+		if l.Flits != hm.LinkFlits(l.From, l.Dir) {
+			t.Errorf("link %d->%d flits %d, LinkFlits %d", l.From, l.To, l.Flits, hm.LinkFlits(l.From, l.Dir))
+		}
+	}
+	if mean := hm.MeanUtilization(); mean <= 0 || mean >= 1 {
+		t.Errorf("mean utilization = %v", mean)
+	}
+	hot := hm.Hottest(5)
+	if len(hot) != 5 {
+		t.Fatalf("hottest = %d", len(hot))
+	}
+	for i := 1; i < len(hot); i++ {
+		if hot[i].Utilization > hot[i-1].Utilization {
+			t.Error("hottest not sorted")
+		}
+	}
+	if n := len(hm.Hottest(100)); n != 48 {
+		t.Errorf("Hottest(100) = %d links, want all 48", n)
+	}
+}
+
+// TestHeatmapEgressGrid runs one persistent flow 0 -> 3 along the top
+// row: the grid is a header plus one line per mesh row, the flow's row
+// is lit and the idle bottom row is blank.
+func TestHeatmapEgressGrid(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Width, cfg.Height = 4, 4
+	cfg.VCs = 4
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 2000
+	cfg.Obs = obs.Options{Heatmap: true}
+	gen := &traffic.Generator{
+		Nodes:   []int{0},
+		Pattern: traffic.Permutation{Flows: map[int]int{0: 3}},
+		Rate:    1.0,
+	}
+	s := sim.MustNew(cfg, gen)
+	s.Run()
+	out := s.Observability().Heatmap.EgressGrid()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 5 { // header + 4 rows
+		t.Fatalf("heatmap lines = %d:\n%s", len(lines), out)
+	}
+	if lines[1] == lines[4] {
+		t.Errorf("flow row should differ from idle row:\n%s", out)
+	}
+	if strings.TrimSpace(lines[4]) != "" {
+		t.Errorf("idle row should be blank:\n%s", out)
+	}
+}
+
 // TestHeatmapLinkFlowConservation sanity-checks the link section: every
 // flit ejected somewhere must have crossed at least the ejection link, so
 // total link flits >= total ejected flits.

@@ -42,11 +42,10 @@ type Options struct {
 	// Anatomy enables the latency-anatomy collector: per-packet latency
 	// decomposition, exercised-adaptiveness decision records and the
 	// footprint-occupancy time series; the run's Result then carries an
-	// Anatomy aggregate. AnatomyPeriod is the occupancy sampling period
-	// in cycles (DefaultAnatomyPeriod when 0); AnatomySamples bounds the
-	// retained series points (DefaultAnatomySamples when 0).
+	// Anatomy aggregate. Occupancy is sampled every DefaultAnatomyPeriod
+	// cycles; AnatomySamples bounds the retained series points
+	// (DefaultAnatomySamples when 0).
 	Anatomy        bool
-	AnatomyPeriod  int64
 	AnatomySamples int
 }
 
@@ -90,7 +89,7 @@ func NewCollector(o Options) *Collector {
 		c.Heatmap = NewHeatmap()
 	}
 	if o.Anatomy {
-		c.Anatomy = NewAnatomyCollector(o.AnatomyPeriod, o.AnatomySamples)
+		c.Anatomy = NewAnatomyCollector(DefaultAnatomyPeriod, o.AnatomySamples)
 	}
 	return c
 }

@@ -42,10 +42,9 @@ type Config struct {
 	// ejection bandwidth is below port bandwidth, the second source of
 	// endpoint congestion in Section 2 of the paper.
 	SlowEndpoints map[int]int
-	// StepAll disables the network's active-set worklist so every router
-	// and endpoint is visited every cycle (see network.Config.StepAll). A
-	// debug mode: results are bit-identical either way, only slower.
-	StepAll bool
+	// stepAll selects network.Config.StepAll, the reference path the
+	// in-package worklist tests compare the active set against.
+	stepAll bool
 	// Obs selects the observability collectors (lifecycle tracer,
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; see Simulation.Observability.

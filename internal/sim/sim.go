@@ -217,7 +217,7 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		Metrics:       sink,
 		StickyRouting: cfg.StickyRouting,
 		SlowEndpoints: cfg.SlowEndpoints,
-		StepAll:       cfg.StepAll,
+		StepAll:       cfg.stepAll,
 	})
 	s.net.Sink = s.onEject
 	if cfg.Obs.Profile {

@@ -9,7 +9,7 @@ import (
 
 // TestActiveSetMatchesStepAll pins the worklist contract: Step visiting
 // only active nodes must be bit-identical to stepping every node every
-// cycle (Config.StepAll, the -stepall debug flag). The active-set
+// cycle (network.Config.StepAll, reached through Config.stepAll). The active-set
 // admission rules are proved in network.computeActive — a skipped node's
 // cycle is a no-op — and this test holds the proof against the
 // implementation for every routing algorithm, over a sweep long enough
@@ -30,7 +30,7 @@ func TestActiveSetMatchesStepAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.StepAll = true
+			cfg.stepAll = true
 			stepAll, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -55,7 +55,7 @@ func TestActiveSetMatchesStepAllWedged(t *testing.T) {
 		cfg.VCs = 2
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 200, 400
 		cfg.SlowEndpoints = map[int]int{3: 1 << 30}
-		cfg.StepAll = stepAll
+		cfg.stepAll = stepAll
 		gen := &traffic.Generator{
 			Nodes:   []int{0, 1, 2},
 			Pattern: traffic.Permutation{Label: "wedge", Flows: map[int]int{0: 3, 1: 3, 2: 3}},
