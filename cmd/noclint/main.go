@@ -1,8 +1,8 @@
 // Command noclint runs the repository's domain-aware static analyzers
 // over Go packages: the per-package rules (determinism, exhaustive,
 // maporder, routepurity, seedident) and the interprocedural program
-// rules (arenaescape, sinkcap), which resolve calls across the whole
-// module at once. It must be run from the module root:
+// rule (arenaescape), which resolves calls across the whole module at
+// once. It must be run from the module root:
 //
 //	go run ./cmd/noclint ./...
 //

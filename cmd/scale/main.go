@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"nocsim/internal/cli"
@@ -26,9 +27,13 @@ func main() {
 
 	var meshes [][2]int
 	for _, s := range strings.Split(*sizes, ",") {
-		var w, h int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%dx%d", &w, &h); err != nil {
-			fatal(fmt.Errorf("bad size %q: %v", s, err))
+		// Not Sscanf("%dx%d"): it stops after the second number and would
+		// read 4x4x4 as 4x4.
+		ws, hs, _ := strings.Cut(strings.TrimSpace(s), "x")
+		w, errW := strconv.Atoi(ws)
+		h, errH := strconv.Atoi(hs)
+		if errW != nil || errH != nil {
+			fatal(fmt.Errorf("bad size %q: want WIDTHxHEIGHT, e.g. 8x8", s))
 		}
 		meshes = append(meshes, [2]int{w, h})
 	}

@@ -111,21 +111,6 @@ func typeLabel(n *types.Named) string {
 	return obj.Pkg().Name() + "." + obj.Name()
 }
 
-// walkWithStack traverses the file invoking fn with every node and the
-// stack of its ancestors (outermost first, excluding n itself).
-func walkWithStack(f *ast.File, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}
-
 // containsObject reports whether expr mentions an identifier resolving
 // to obj.
 func containsObject(info *types.Info, expr ast.Expr, obj types.Object) bool {

@@ -22,7 +22,6 @@ var fixtureCases = []struct {
 	{"routepurity", "nocsim/internal/routing/fixture"},
 	{"seedident", "nocsim/internal/sim/fixture"},
 	{"arenaescape", "nocsim/internal/flit/fixture"},
-	{"sinkcap", "nocsim/internal/router/fixture"},
 }
 
 // checkFixture loads one fixture package and returns its findings for

@@ -10,9 +10,8 @@ import (
 // view over every loaded package at once, with a function index keyed by
 // (package path, receiver type name, function name) and static-call
 // resolution over it. Rules that must reason across function boundaries
-// — capability dominance of a metrics call, arena handles escaping
-// their run — run as ProgramAnalyzers over this view instead of
-// per-package Analyzers.
+// — arena handles escaping their run — run as ProgramAnalyzers over
+// this view instead of per-package Analyzers.
 //
 // The index is keyed by strings rather than types.Object identity
 // because the loader type-checks each target package itself while its
@@ -109,7 +108,6 @@ type ProgramAnalyzer struct {
 func ProgramAnalyzers() []*ProgramAnalyzer {
 	return []*ProgramAnalyzer{
 		analyzeArenaEscape,
-		analyzeSinkCap,
 	}
 }
 

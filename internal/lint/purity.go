@@ -9,12 +9,12 @@ import (
 // analyzeRoutePurity enforces the routing contract: a Decide method, its
 // list form Route (and every same-package function they reach) is a
 // decision function — it may read the router's View and draw from the
-// decision's own RNG, but it must not mutate reachable state, send on
-// channels, or talk to the observability layer. Decide returns its
-// Decision by value, so filling a local one is legal and a write through
-// the context it was handed is not. This is the static twin of the dynamic
-// replay-purity property test: the paper's paired-seed comparisons are
-// only meaningful if routing cannot perturb the fabric it is inspecting.
+// decision's own RNG, but it must not mutate reachable state or send on
+// channels. Decide returns its Decision by value, so filling a local one
+// is legal and a write through the context it was handed is not. This is
+// the static twin of the dynamic replay-purity property test: the paper's
+// paired-seed comparisons are only meaningful if routing cannot perturb
+// the fabric it is inspecting.
 //
 // Concretely, in internal/routing, starting from every method named
 // Decide or Route and walking same-package static calls:
@@ -22,12 +22,10 @@ import (
 //   - no assignment whose target can alias caller-visible memory
 //     (fields through pointers/receivers, slice/map elements, derefs);
 //     writes to function-local value variables stay legal,
-//   - no channel sends or close,
-//   - no calls to router.MetricsSink methods (or any value implementing
-//     it) — metrics are the router's job, after the decision.
+//   - no channel sends or close.
 var analyzeRoutePurity = &Analyzer{
 	Name: "routepurity",
-	Doc:  "Decide, Route and their helpers read state but never write, send or emit metrics",
+	Doc:  "Decide, Route and their helpers read state but never write or send",
 	Applies: func(path string) bool {
 		const root = "nocsim/internal/routing"
 		return path == root || len(path) > len(root) && path[:len(root)+1] == root+"/"
@@ -51,7 +49,6 @@ func runRoutePurity(p *Package) []Finding {
 		}
 	}
 
-	sink := metricsSinkInterface(p)
 	var out []Finding
 	visited := map[*types.Func]bool{}
 
@@ -80,13 +77,6 @@ func runRoutePurity(p *Package) []Finding {
 				}
 				fn := calleeFunc(p.Info, x)
 				if fn == nil {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					if isMetricsSinkRecv(sig.Recv().Type(), sink) {
-						out = append(out, finding(p, x.Pos(), "routepurity",
-							fmt.Sprintf("MetricsSink call %s inside %s: metrics are emitted by the router, not the algorithm", fn.Name(), root)))
-					}
 					return true
 				}
 				// Follow same-package static calls.
@@ -153,34 +143,4 @@ func appendImpureWrite(p *Package, out []Finding, fd *ast.FuncDecl, lhs ast.Expr
 			fmt.Sprintf("write through reference %s inside %s: may mutate router state", exprString(p.Fset, lhs), root)))
 	}
 	return out
-}
-
-// metricsSinkInterface finds router.MetricsSink among the package's
-// imports, or nil when the package does not import the router.
-func metricsSinkInterface(p *Package) *types.Interface {
-	for _, imp := range p.Pkg.Imports() {
-		if imp.Path() != "nocsim/internal/router" {
-			continue
-		}
-		if tn, ok := imp.Scope().Lookup("MetricsSink").(*types.TypeName); ok {
-			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-				return iface
-			}
-		}
-	}
-	return nil
-}
-
-// isMetricsSinkRecv reports whether a method receiver type is (or
-// implements) the router's MetricsSink seam.
-func isMetricsSinkRecv(recv types.Type, sink *types.Interface) bool {
-	if n := namedType(recv); n != nil && n.Obj().Name() == "MetricsSink" {
-		if pkg := n.Obj().Pkg(); pkg != nil && pkg.Path() == "nocsim/internal/router" {
-			return true
-		}
-	}
-	if sink == nil {
-		return false
-	}
-	return types.Implements(recv, sink) || types.Implements(types.NewPointer(recv), sink)
 }

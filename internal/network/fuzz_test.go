@@ -109,7 +109,7 @@ func FuzzCreditConservation(f *testing.F) {
 					}
 					down := net.Router(nb)
 					for v := 0; v < vcs; v++ {
-						c := up.OutVCCredits(d, v)
+						c := up.OutputVCSnapshot(d, v).Credits
 						use := down.InputBufferUse(d.Opposite(), v)
 						if c < 0 || use < 0 || c+use > depth {
 							t.Fatalf("cycle %d link %d-%v->%d vc %d: credits %d + buffered %d outside [0,%d]",
@@ -183,7 +183,7 @@ func FuzzCreditConservation(f *testing.F) {
 				}
 				down := net.Router(nb)
 				for v := 0; v < vcs; v++ {
-					if c := up.OutVCCredits(d, v); c != depth {
+					if c := up.OutputVCSnapshot(d, v).Credits; c != depth {
 						t.Fatalf("drained fabric: link %d-%v->%d vc %d has %d credits, want %d",
 							id, d, nb, v, c, depth)
 					}

@@ -22,8 +22,9 @@ type Config struct {
 	// its own so algorithms may keep per-router state.
 	NewAlg func() routing.Algorithm
 	Rand   *rand.Rand
-	// Metrics receives router events; may be nil.
-	Metrics router.MetricsSink
+	// Sinks receives router and endpoint events; a nil field is an event
+	// nobody listens to.
+	Sinks router.Sinks
 	// StickyRouting freezes per-packet VC request sets at route time;
 	// see router.Config.StickyRouting.
 	StickyRouting bool
@@ -138,7 +139,7 @@ func New(cfg Config) *Network {
 			Alg:           cfg.NewAlg(),
 			Rand:          cfg.Rand,
 			Downstream:    n,
-			Metrics:       cfg.Metrics,
+			Sinks:         cfg.Sinks,
 			StickyRouting: cfg.StickyRouting,
 		})
 	}
@@ -164,7 +165,7 @@ func New(cfg Config) *Network {
 		n.routers[id].AttachIn(topo.Local, inj)
 		n.routers[id].AttachOut(topo.Local, ej)
 		ep := router.NewEndpoint(id, cfg.VCs, cfg.BufDepth, inj, ej)
-		ep.SetMetrics(cfg.Metrics)
+		ep.SetPacketSink(cfg.Sinks.Packets)
 		ep.UseArena(n.arena)
 		if iv, ok := cfg.SlowEndpoints[id]; ok {
 			ep.ConsumeInterval = iv

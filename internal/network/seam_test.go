@@ -1,0 +1,187 @@
+package network_test
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"nocsim/internal/flit"
+	"nocsim/internal/network"
+	"nocsim/internal/obs"
+	"nocsim/internal/router"
+	"nocsim/internal/routing"
+	"nocsim/internal/topo"
+)
+
+// seamCounts tallies the events one recording sink received, by kind.
+type seamCounts struct {
+	Failures, Injects, Routes, Grants, Hops, Ejects, Decisions int
+}
+
+// seamRecorder implements all three router.Sinks interfaces; the table
+// attaches a separate recorder per field.
+type seamRecorder struct{ seamCounts }
+
+func (r *seamRecorder) OnVCAllocFailure(int64, int, *flit.Packet, topo.Direction, int, int, int64) {
+	r.Failures++
+}
+func (r *seamRecorder) OnInject(int64, *flit.Packet)                     { r.Injects++ }
+func (r *seamRecorder) OnRoute(int64, int, *flit.Packet, topo.Direction) { r.Routes++ }
+func (r *seamRecorder) OnVCAllocGrant(int64, int, *flit.Packet, topo.Direction, int, router.VCClass, int64) {
+	r.Grants++
+}
+func (r *seamRecorder) OnHeadTraverse(int64, int, *flit.Packet, topo.Direction, int) { r.Hops++ }
+func (r *seamRecorder) OnEject(int64, *flit.Packet)                                  { r.Ejects++ }
+func (r *seamRecorder) OnRouteDecision(int64, int, *flit.Packet, router.Decision)    { r.Decisions++ }
+
+// seamOutcome is what the fabric did, as seen without any sink.
+type seamOutcome struct {
+	VCAllocFailures []int64
+	OutputFlits     [][topo.NumPorts]int64
+	Ejected         []uint64
+}
+
+// TestSinksSubsetsNeverPerturbTheRun is the seam's contract as a table:
+// for every nil/non-nil subset of {Blocked, Packets, Decisions} a 4x4
+// footprint mesh driven past saturation must not panic (a nil field is
+// the off switch, and every event site tests it), each attached sink
+// must see its events, in the same numbers whichever other sinks are
+// attached, and the fabric outcome must be the same in all eight.
+func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
+	const cycles = 400
+	mesh := topo.MustNew(4, 4)
+
+	var firstOutcome *seamOutcome
+	// first holds each sink's totals from the first subset that attached
+	// it; every later subset must reproduce them.
+	first := map[string]seamCounts{}
+	agree := func(t *testing.T, field string, got *seamRecorder) {
+		t.Helper()
+		if got == nil {
+			return
+		}
+		if want, seen := first[field]; !seen {
+			first[field] = got.seamCounts
+		} else if want != got.seamCounts {
+			t.Errorf("%s sink saw %+v, but %+v in an earlier subset", field, got.seamCounts, want)
+		}
+	}
+
+	for subset := 0; subset < 8; subset++ {
+		var blocked, packets, decisions *seamRecorder
+		name := ""
+		if subset&1 != 0 {
+			blocked, name = &seamRecorder{}, name+"+blocked"
+		}
+		if subset&2 != 0 {
+			packets, name = &seamRecorder{}, name+"+packets"
+		}
+		if subset&4 != 0 {
+			decisions, name = &seamRecorder{}, name+"+decisions"
+		}
+		if name == "" {
+			name = "none"
+		}
+		t.Run(name, func(t *testing.T) {
+			// Attach on the concrete pointers: a nil *seamRecorder stored
+			// in an interface field would be a non-nil interface, and the
+			// router would call through it.
+			var sinks router.Sinks
+			if blocked != nil {
+				sinks.Blocked = blocked
+			}
+			if packets != nil {
+				sinks.Packets = packets
+			}
+			if decisions != nil {
+				sinks.Decisions = decisions
+			}
+			// The disabled collector is a nil pointer; attaching it must
+			// not turn any field into a non-nil interface around it.
+			before := sinks
+			(*obs.Collector)(nil).Attach(&sinks)
+			if sinks != before {
+				t.Fatalf("Attach on a nil collector changed the sinks: %+v -> %+v", before, sinks)
+			}
+
+			n := network.New(network.Config{
+				Mesh:     mesh,
+				VCs:      4,
+				BufDepth: 4,
+				Speedup:  2,
+				NewAlg:   func() routing.Algorithm { return routing.MustNew("footprint") },
+				Rand:     rand.New(rand.NewSource(1)),
+				Sinks:    sinks,
+			})
+			got := &seamOutcome{}
+			n.Sink = func(p *flit.Packet) { got.Ejected = append(got.Ejected, p.ID) }
+			// Every node offers most cycles, half of it at one hotspot:
+			// well past what 16 ejection ports can take.
+			load := rand.New(rand.NewSource(2))
+			var id uint64
+			for c := 0; c < cycles; c++ {
+				for src := 0; src < mesh.Nodes(); src++ {
+					if load.Intn(4) == 0 {
+						continue
+					}
+					dest := 5
+					if load.Intn(2) == 0 {
+						dest = load.Intn(mesh.Nodes())
+					}
+					if dest == src {
+						continue
+					}
+					id++
+					n.Offer(&flit.Packet{ID: id, Src: src, Dest: dest, Size: 1 + load.Intn(4), Born: n.Now()})
+				}
+				n.Step()
+			}
+			for node := 0; node < mesh.Nodes(); node++ {
+				r := n.Router(node)
+				got.VCAllocFailures = append(got.VCAllocFailures, r.VCAllocFailures())
+				var flits [topo.NumPorts]int64
+				for d := topo.East; d <= topo.Local; d++ {
+					flits[d] = r.OutputFlits(d)
+				}
+				got.OutputFlits = append(got.OutputFlits, flits)
+			}
+
+			if len(got.Ejected) == 0 {
+				t.Fatal("fixture ejected nothing")
+			}
+			if firstOutcome == nil {
+				firstOutcome = got
+			} else if !reflect.DeepEqual(firstOutcome, got) {
+				t.Errorf("observers perturbed the run:\nnone: %+v\n%s: %+v", firstOutcome, name, got)
+			}
+
+			if blocked != nil {
+				var fails int64
+				for _, f := range got.VCAllocFailures {
+					fails += f
+				}
+				if blocked.Failures == 0 || int64(blocked.Failures) != fails {
+					t.Errorf("Blocked saw %d failures, routers counted %d", blocked.Failures, fails)
+				}
+			}
+			if packets != nil {
+				c := packets.seamCounts
+				if c.Injects == 0 || c.Routes == 0 || c.Grants == 0 || c.Hops == 0 || c.Ejects == 0 {
+					t.Errorf("Packets sink missed a lifecycle event: %+v", c)
+				}
+				if c.Ejects != len(got.Ejected) {
+					t.Errorf("Packets saw %d ejections, the network sink %d", c.Ejects, len(got.Ejected))
+				}
+			}
+			if decisions != nil && decisions.Decisions == 0 {
+				t.Error("Decisions sink saw no decision")
+			}
+			agree(t, "Blocked", blocked)
+			agree(t, "Packets", packets)
+			agree(t, "Decisions", decisions)
+		})
+	}
+	if firstOutcome == nil || len(first) != 3 {
+		t.Fatal("table did not run every subset")
+	}
+}

@@ -14,8 +14,7 @@ import (
 // cycles when the caller does not choose one.
 const DefaultAnatomyPeriod = 256
 
-// DefaultAnatomySamples bounds the occupancy time series when the caller
-// does not choose a limit.
+// DefaultAnatomySamples bounds the occupancy time series.
 const DefaultAnatomySamples = 4096
 
 // Component is one named slice of the latency decomposition.
@@ -247,8 +246,7 @@ type packetAnatomy struct {
 // run on the single stepping goroutine, so it needs no locking; the Hub
 // snapshots aggregates under its own mutex.
 type AnatomyCollector struct {
-	period     int64
-	maxSamples int
+	period int64
 
 	windowSet  bool
 	start, end int64
@@ -269,18 +267,14 @@ type AnatomyCollector struct {
 
 // NewAnatomyCollector returns a collector sampling occupancy every
 // period cycles (DefaultAnatomyPeriod when <= 0), keeping at most
-// maxSamples points (DefaultAnatomySamples when <= 0).
-func NewAnatomyCollector(period int64, maxSamples int) *AnatomyCollector {
+// DefaultAnatomySamples points.
+func NewAnatomyCollector(period int64) *AnatomyCollector {
 	if period <= 0 {
 		period = DefaultAnatomyPeriod
 	}
-	if maxSamples <= 0 {
-		maxSamples = DefaultAnatomySamples
-	}
 	return &AnatomyCollector{
-		period:     period,
-		maxSamples: maxSamples,
-		inflight:   make(map[uint64]packetAnatomy),
+		period:   period,
+		inflight: make(map[uint64]packetAnatomy),
 	}
 }
 
@@ -390,7 +384,7 @@ func (a *AnatomyCollector) onDecision(p *flit.Packet, d router.Decision) {
 // the fabric, classified idle / owned / allocated, plus the
 // congestion-tree census (destinations owning VCs).
 func (a *AnatomyCollector) sample(now int64, net *network.Network) {
-	if len(a.samples) >= a.maxSamples {
+	if len(a.samples) >= DefaultAnatomySamples {
 		a.sampleDropped++
 		return
 	}

@@ -12,7 +12,7 @@ import (
 // sequence and checks every component charge, the telescoping identity
 // (components partition Eject−Born exactly), and the decision aggregates.
 func TestAnatomyDecomposition(t *testing.T) {
-	a := NewAnatomyCollector(0, 0)
+	a := NewAnatomyCollector(0)
 	a.OpenWindow(100, 200)
 
 	p := &flit.Packet{ID: 1, Born: 100, Dest: 5}
@@ -74,7 +74,7 @@ func TestAnatomyDecomposition(t *testing.T) {
 // trace in the aggregate, so the anatomy describes exactly the measured
 // population.
 func TestAnatomyMeasuredPopulationGate(t *testing.T) {
-	a := NewAnatomyCollector(0, 0)
+	a := NewAnatomyCollector(0)
 
 	early := &flit.Packet{ID: 1, Born: 10}
 	a.onInject(12, early) // window not open yet
@@ -96,7 +96,7 @@ func TestAnatomyMeasuredPopulationGate(t *testing.T) {
 // aggregate: the table carries the headline numbers and the CSV carries
 // one metric,value row per field.
 func TestAnatomyFormatAndCSV(t *testing.T) {
-	a := NewAnatomyCollector(0, 0)
+	a := NewAnatomyCollector(0)
 	a.OpenWindow(0, 1000)
 	p := &flit.Packet{ID: 7, Born: 0}
 	a.onInject(1, p)

@@ -35,30 +35,26 @@ type RouterSample struct {
 	Ports        [topo.NumPorts]PortCounters
 }
 
-// DefaultSampleRows bounds the sampler's memory when the caller does not
-// choose a limit: at an 8×8 mesh this is ~1500 sample points per router.
+// DefaultSampleRows bounds the sampler's memory: at an 8×8 mesh this is
+// ~1500 sample points per router.
 const DefaultSampleRows = 100000
 
 // Sampler collects per-router/per-port time-series counters on a fixed
 // cycle period. Construct with NewSampler; the Collector drives Sample.
 type Sampler struct {
 	period  int64
-	maxRows int
 	samples []RouterSample
 	// dropped counts samples discarded after the row bound was reached.
 	dropped int64
 }
 
 // NewSampler returns a sampler recording every period cycles, retaining
-// at most maxRows router-samples (DefaultSampleRows when maxRows <= 0).
-func NewSampler(period int64, maxRows int) *Sampler {
+// at most DefaultSampleRows router-samples.
+func NewSampler(period int64) *Sampler {
 	if period < 1 {
 		period = 1
 	}
-	if maxRows <= 0 {
-		maxRows = DefaultSampleRows
-	}
-	return &Sampler{period: period, maxRows: maxRows}
+	return &Sampler{period: period}
 }
 
 // Period returns the sampling period in cycles.
@@ -74,7 +70,7 @@ func (s *Sampler) Samples() []RouterSample { return s.samples }
 // Sample records every router's counters at cycle now.
 func (s *Sampler) Sample(now int64, net *network.Network) {
 	for id := 0; id < net.Nodes(); id++ {
-		if len(s.samples) >= s.maxRows {
+		if len(s.samples) >= DefaultSampleRows {
 			s.dropped++
 			continue
 		}

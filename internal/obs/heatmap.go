@@ -80,9 +80,6 @@ func (h *Heatmap) onEject(now int64, p *flit.Packet) {
 // Cycles returns the window length.
 func (h *Heatmap) Cycles() int64 { return h.end - h.start }
 
-// NodeEjected returns the flits ejected at node within the window.
-func (h *Heatmap) NodeEjected(node int) int64 { return h.nodeEject[node] }
-
 // TotalEjected returns the flits ejected fabric-wide within the window;
 // it equals Result.Accepted × nodes × measurement cycles.
 func (h *Heatmap) TotalEjected() int64 {

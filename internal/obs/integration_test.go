@@ -25,9 +25,7 @@ func runObserved(t *testing.T) (*sim.Result, *obs.Collector, sim.Config) {
 	cfg.MeasureCycles = 600
 	cfg.DrainCycles = 4000
 	cfg.Obs = obs.Options{Trace: true, SamplePeriod: 50, Heatmap: true}
-	gen := &traffic.Generator{Pattern: traffic.Uniform{Nodes: cfg.Mesh().Nodes()},
-		Rate: 0.2, Size: traffic.UniformSize(1, 4)}
-	s := sim.MustNew(cfg, gen)
+	s := sim.MustNew(cfg, observedLoad(cfg))
 	col := s.Observability()
 	if col == nil {
 		t.Fatal("Observability() nil with collectors enabled")
@@ -36,31 +34,47 @@ func runObserved(t *testing.T) (*sim.Result, *obs.Collector, sim.Config) {
 	return res, col, cfg
 }
 
+// observedLoad is the traffic runObserved offers.
+func observedLoad(cfg sim.Config) *traffic.Generator {
+	return &traffic.Generator{Pattern: traffic.Uniform{Nodes: cfg.Mesh().Nodes()},
+		Rate: 0.2, Size: traffic.UniformSize(1, 4)}
+}
+
 // TestSeamSharedBySimMetricsAndTracer checks that the simulator's own
-// metrics and the tracer both consume the same MetricsSink seam in one
-// run: blocking statistics (fed by sim.metrics) and lifecycle events
-// (fed by the Collector) must both be populated.
+// metrics and the tracer both consume the router.Sinks seam in one run:
+// blocking statistics (fed by sim.metrics) and lifecycle events (fed by
+// the Collector) must both be populated. The failure event is the one
+// they share, through the tracer's forward-then-record wrapper, so the
+// blocking statistics must not move when tracing is switched on.
 func TestSeamSharedBySimMetricsAndTracer(t *testing.T) {
-	res, col, _ := runObserved(t)
+	res, col, cfg := runObserved(t)
 	if !res.Stable {
 		t.Fatal("test load should be stable")
 	}
 	if res.Measured == 0 {
 		t.Fatal("no packets measured")
 	}
-	// sim.metrics side of the tee: purity needs VC-alloc failure events.
+	// sim.metrics side: purity needs VC-alloc failure events.
 	if res.BlockEvents == 0 {
-		t.Error("sim metrics saw no block events through the tee")
+		t.Error("sim metrics saw no block events")
 	}
-	// Collector side of the tee.
+	cfg.Obs = obs.Options{}
+	plain := sim.MustNew(cfg, observedLoad(cfg)).Run()
+	if res.BlockEvents != plain.BlockEvents || res.Purity != plain.Purity ||
+		res.HoLDegree != plain.HoLDegree || res.BufferPurity != plain.BufferPurity {
+		t.Errorf("blocking statistics moved with tracing on: events %d purity %v HoL %v buffer purity %v, untraced %d %v %v %v",
+			res.BlockEvents, res.Purity, res.HoLDegree, res.BufferPurity,
+			plain.BlockEvents, plain.Purity, plain.HoLDegree, plain.BufferPurity)
+	}
+	// Collector side.
 	if col.Tracer.Total() == 0 {
-		t.Error("tracer saw no events through the tee")
+		t.Error("tracer saw no events")
 	}
 	kinds := map[obs.EventKind]int{}
 	for _, e := range col.Tracer.Events() {
 		kinds[e.Kind]++
 	}
-	for _, k := range []obs.EventKind{obs.EventInject, obs.EventRoute, obs.EventGrant, obs.EventHop, obs.EventEject} {
+	for _, k := range []obs.EventKind{obs.EventInject, obs.EventRoute, obs.EventBlock, obs.EventGrant, obs.EventHop, obs.EventEject} {
 		if kinds[k] == 0 {
 			t.Errorf("no %v events recorded", k)
 		}
@@ -374,5 +388,19 @@ func TestDisabledObservability(t *testing.T) {
 	if off.Accepted != on.Accepted || off.Measured != on.Measured ||
 		off.P99 != on.P99 || off.BlockEvents != on.BlockEvents {
 		t.Errorf("observability changed results:\noff: %v\non:  %v", off, on)
+	}
+}
+
+// TestAnatomySeriesBound: the occupancy series keeps its first
+// DefaultAnatomySamples points and counts the rest, which is what the
+// end-of-run truncation warning reports.
+func TestAnatomySeriesBound(t *testing.T) {
+	col := obs.NewCollector(obs.Options{Anatomy: true})
+	net := liveNet(t)
+	for i := int64(0); i < obs.DefaultAnatomySamples+3; i++ {
+		col.Tick(i*obs.DefaultAnatomyPeriod, net)
+	}
+	if kept, dropped := len(col.Anatomy.Samples()), col.Anatomy.SamplesDropped(); kept != obs.DefaultAnatomySamples || dropped != 3 {
+		t.Errorf("kept %d samples, dropped %d; want %d and 3", kept, dropped, obs.DefaultAnatomySamples)
 	}
 }

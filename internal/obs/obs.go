@@ -3,9 +3,9 @@
 // exporters, per-router/per-port time-series counters with a CSV
 // exporter, and per-link/per-node heatmaps reconciled against the
 // simulation's accepted throughput. Everything plugs into the
-// router.MetricsSink seam; a disabled collector costs nothing because
-// routers and endpoints gate the per-packet callbacks on
-// WantPacketEvents.
+// router.Sinks seam through Collector.Attach; a collector that is off
+// leaves its sink field nil, and the nil check at the event site is the
+// whole cost.
 package obs
 
 import (
@@ -24,10 +24,9 @@ type Options struct {
 	Trace         bool
 	TraceCapacity int
 	// SamplePeriod, when > 0, enables per-router/per-port counter
-	// sampling every SamplePeriod cycles. MaxSamples bounds the retained
-	// router-samples (DefaultSampleRows when 0).
+	// sampling every SamplePeriod cycles, retaining DefaultSampleRows
+	// router-samples.
 	SamplePeriod int64
-	MaxSamples   int
 	// Heatmap enables per-link/per-node accounting over the measurement
 	// window.
 	Heatmap bool
@@ -43,21 +42,19 @@ type Options struct {
 	// decomposition, exercised-adaptiveness decision records and the
 	// footprint-occupancy time series; the run's Result then carries an
 	// Anatomy aggregate. Occupancy is sampled every DefaultAnatomyPeriod
-	// cycles; AnatomySamples bounds the retained series points
-	// (DefaultAnatomySamples when 0).
-	Anatomy        bool
-	AnatomySamples int
+	// cycles, retaining DefaultAnatomySamples series points.
+	Anatomy bool
 }
 
 // Enabled reports whether any collector is selected. The phase profiler
-// is deliberately excluded: it is a network probe, not a MetricsSink
-// collector, and is wired separately by the simulation.
+// is deliberately excluded: it is a network probe, not an event sink,
+// and is wired separately by the simulation.
 func (o Options) Enabled() bool {
 	return o.Trace || o.SamplePeriod > 0 || o.Heatmap || o.Anatomy
 }
 
-// Collector owns the selected observability components and implements
-// router.MetricsSink by dispatching to them. The simulation drives
+// Collector owns the selected observability components and dispatches
+// the router.Sinks events it attached itself to. The simulation drives
 // Tick every cycle and OpenWindow/CloseWindow around its measurement
 // phase.
 type Collector struct {
@@ -72,8 +69,7 @@ type Collector struct {
 }
 
 // NewCollector builds the collectors o selects; it returns nil when o is
-// entirely disabled so callers can pass the result straight to
-// router.Tee.
+// entirely disabled; Attach on the nil collector is a no-op.
 func NewCollector(o Options) *Collector {
 	if !o.Enabled() {
 		return nil
@@ -83,13 +79,13 @@ func NewCollector(o Options) *Collector {
 		c.Tracer = NewTracer(o.TraceCapacity)
 	}
 	if o.SamplePeriod > 0 {
-		c.Sampler = NewSampler(o.SamplePeriod, o.MaxSamples)
+		c.Sampler = NewSampler(o.SamplePeriod)
 	}
 	if o.Heatmap {
 		c.Heatmap = NewHeatmap()
 	}
 	if o.Anatomy {
-		c.Anatomy = NewAnatomyCollector(DefaultAnatomyPeriod, o.AnatomySamples)
+		c.Anatomy = NewAnatomyCollector(DefaultAnatomyPeriod)
 	}
 	return c
 }
@@ -124,16 +120,49 @@ func (c *Collector) CloseWindow(net *network.Network) {
 	}
 }
 
-// --- router.MetricsSink ----------------------------------------------------
+// --- router.Sinks ----------------------------------------------------------
 
-// WantPacketEvents implements router.MetricsSink: the per-packet
-// lifecycle callbacks are consumed when tracing, heatmapping or
-// collecting the latency anatomy.
-func (c *Collector) WantPacketEvents() bool {
-	return c.Tracer != nil || c.Heatmap != nil || c.Anatomy != nil
+// Attach adds the collector to the sinks whose events it consumes:
+// Packets when tracing, heatmapping or collecting the latency anatomy,
+// Decisions for the anatomy alone, and — only when tracing — Blocked,
+// keeping the sink already there. A nil collector leaves sinks untouched.
+func (c *Collector) Attach(sinks *router.Sinks) {
+	if c == nil {
+		return
+	}
+	if c.Tracer != nil || c.Heatmap != nil || c.Anatomy != nil {
+		sinks.Packets = c
+	}
+	if c.Anatomy != nil {
+		sinks.Decisions = c
+	}
+	if c.Tracer != nil {
+		sinks.Blocked = blockTracer{next: sinks.Blocked, tracer: c.Tracer}
+	}
 }
 
-// OnInject implements router.MetricsSink.
+// blockTracer is the one place two consumers share an event: it forwards
+// each failure to the sink attached before it, then records the start of
+// the blocking span.
+type blockTracer struct {
+	next   router.BlockedSink // may be nil
+	tracer *Tracer
+}
+
+// OnVCAllocFailure implements router.BlockedSink: only the first failed
+// cycle of a blocking span is recorded, so saturated runs do not flush
+// the ring with repeats.
+func (b blockTracer) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, fp, busy int, waited int64) {
+	if b.next != nil {
+		b.next.OnVCAllocFailure(now, node, p, out, fp, busy, waited)
+	}
+	if waited == 1 {
+		b.tracer.add(Event{Cycle: now, Kind: EventBlock, Node: node,
+			Packet: p.ID, Src: p.Src, Dest: p.Dest, Dir: out, FootprintVCs: fp, BusyVCs: busy})
+	}
+}
+
+// OnInject implements router.PacketSink.
 func (c *Collector) OnInject(now int64, p *flit.Packet) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventInject, Node: p.Src,
@@ -144,7 +173,7 @@ func (c *Collector) OnInject(now int64, p *flit.Packet) {
 	}
 }
 
-// OnRoute implements router.MetricsSink.
+// OnRoute implements router.PacketSink.
 func (c *Collector) OnRoute(now int64, node int, p *flit.Packet, in topo.Direction) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventRoute, Node: node,
@@ -155,17 +184,7 @@ func (c *Collector) OnRoute(now int64, node int, p *flit.Packet, in topo.Directi
 	}
 }
 
-// OnVCAllocFailure implements router.MetricsSink: only the first failed
-// cycle of a blocking span is recorded, so saturated runs do not flush
-// the ring with repeats.
-func (c *Collector) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, fp, busy int, waited int64) {
-	if c.Tracer != nil && waited == 1 {
-		c.Tracer.add(Event{Cycle: now, Kind: EventBlock, Node: node,
-			Packet: p.ID, Src: p.Src, Dest: p.Dest, Dir: out, FootprintVCs: fp, BusyVCs: busy})
-	}
-}
-
-// OnVCAllocGrant implements router.MetricsSink.
+// OnVCAllocGrant implements router.PacketSink.
 func (c *Collector) OnVCAllocGrant(now int64, node int, p *flit.Packet, out topo.Direction, outVC int, class router.VCClass, waited int64) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventGrant, Node: node,
@@ -176,7 +195,7 @@ func (c *Collector) OnVCAllocGrant(now int64, node int, p *flit.Packet, out topo
 	}
 }
 
-// OnHeadTraverse implements router.MetricsSink.
+// OnHeadTraverse implements router.PacketSink.
 func (c *Collector) OnHeadTraverse(now int64, node int, p *flit.Packet, out topo.Direction, outVC int) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventHop, Node: node,
@@ -187,7 +206,7 @@ func (c *Collector) OnHeadTraverse(now int64, node int, p *flit.Packet, out topo
 	}
 }
 
-// OnEject implements router.MetricsSink.
+// OnEject implements router.PacketSink.
 func (c *Collector) OnEject(now int64, p *flit.Packet) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventEject, Node: p.Dest,
@@ -201,16 +220,8 @@ func (c *Collector) OnEject(now int64, p *flit.Packet) {
 	}
 }
 
-// WantRouteDecisions implements router.MetricsSink: decision records are
-// consumed only by the anatomy collector.
-func (c *Collector) WantRouteDecisions() bool { return c.Anatomy != nil }
-
-// OnRouteDecision implements router.MetricsSink.
+// OnRouteDecision implements router.DecisionSink; Attach sets Decisions
+// only when the anatomy collector is on.
 func (c *Collector) OnRouteDecision(now int64, node int, p *flit.Packet, d router.Decision) {
-	if c.Anatomy != nil {
-		c.Anatomy.onDecision(p, d)
-	}
+	c.Anatomy.onDecision(p, d)
 }
-
-// compile-time seam check.
-var _ router.MetricsSink = (*Collector)(nil)

@@ -126,12 +126,9 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 }
 
 func TestSamplerBounds(t *testing.T) {
-	s := NewSampler(0, 0)
+	s := NewSampler(0)
 	if s.Period() != 1 {
 		t.Errorf("period clamped to %d, want 1", s.Period())
-	}
-	if s.maxRows != DefaultSampleRows {
-		t.Errorf("maxRows = %d, want default", s.maxRows)
 	}
 }
 

@@ -64,7 +64,7 @@ func (c VCClass) String() string {
 // ceiling it could have offered. The router (not the routing algorithm;
 // the routepurity lint keeps Decide side-effect free) derives it from the
 // routing.Decision returned and reports it through
-// MetricsSink.OnRouteDecision. Ejection decisions (dest == this node)
+// DecisionSink.OnRouteDecision. Ejection decisions (dest == this node)
 // are not reported: they exercise no routing freedom.
 type Decision struct {
 	// In is the input port the packet arrived on.
@@ -102,7 +102,7 @@ type Decision struct {
 
 // emitDecision builds and reports the Decision record for a packet's
 // first route computation at this router, from the routing decision dec.
-// Called only when r.wantDecisions and the packet is not at its
+// Called only when Sinks.Decisions is attached and the packet is not at its
 // destination.
 func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.Packet) {
 	dx, hasX, dy, hasY := r.cfg.Mesh.MinimalDirs(r.cfg.NodeID, p.Dest)
@@ -130,7 +130,7 @@ func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.
 	if dec.HasEsc {
 		d.PortMask |= 1 << uint(dec.Esc)
 	}
-	r.cfg.Metrics.OnRouteDecision(r.now, r.cfg.NodeID, p, d)
+	r.cfg.Sinks.Decisions.OnRouteDecision(r.now, r.cfg.NodeID, p, d)
 }
 
 // classifyVC returns the VCClass of output VC (d, vc) for a packet to

@@ -38,10 +38,9 @@ type Endpoint struct {
 	// simulator collects latency statistics here. May be nil.
 	Sink func(p *flit.Packet)
 
-	// metrics receives packet inject/eject lifecycle events; set with
-	// SetMetrics. wantEvents caches its WantPacketEvents answer.
-	metrics    MetricsSink
-	wantEvents bool
+	// packets receives the inject/eject lifecycle events; set with
+	// SetPacketSink, nil when nobody listens.
+	packets PacketSink
 
 	// arena, when set with UseArena, backs the flits the endpoint
 	// segments packets into; consumed flits and fully-ejected packets are
@@ -83,12 +82,9 @@ func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel) *Endpoint {
 	return e
 }
 
-// SetMetrics attaches a metrics sink; the endpoint reports packet
-// injection and ejection through it. Must be called before traffic flows.
-func (e *Endpoint) SetMetrics(m MetricsSink) {
-	e.metrics = m
-	e.wantEvents = m != nil && m.WantPacketEvents()
-}
+// SetPacketSink attaches the sink the endpoint reports packet injection
+// and ejection through. Must be called before traffic flows.
+func (e *Endpoint) SetPacketSink(s PacketSink) { e.packets = s }
 
 // UseArena makes the endpoint segment packets into arena-backed flits
 // and recycle flits (at consumption) and packets (after the Sink sees
@@ -171,8 +167,8 @@ func (e *Endpoint) Consume(now int64) {
 		if p.Dest != e.node {
 			panic(fmt.Sprintf("router: packet %d for %d ejected at %d", p.ID, p.Dest, e.node))
 		}
-		if e.wantEvents {
-			e.metrics.OnEject(now, p)
+		if e.packets != nil {
+			e.packets.OnEject(now, p)
 		}
 		if e.Sink != nil {
 			e.Sink(p)
@@ -221,8 +217,8 @@ func (e *Endpoint) Inject(now int64) {
 	e.injCh.Send(f)
 	if f.Head {
 		e.curPacket.Inject = now
-		if e.wantEvents {
-			e.metrics.OnInject(now, e.curPacket)
+		if e.packets != nil {
+			e.packets.OnInject(now, e.curPacket)
 		}
 	}
 	if f.Tail {

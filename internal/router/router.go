@@ -24,8 +24,9 @@ type Config struct {
 	// algorithms exchange; the network implements it. May be nil for
 	// algorithms that never call Context.View.DownstreamIdle.
 	Downstream DownstreamInfo
-	// Metrics receives blocking events and may be nil.
-	Metrics MetricsSink
+	// Sinks receives the router's events; a nil field is an event nobody
+	// listens to.
+	Sinks Sinks
 	// StickyRouting freezes each packet's VC request set at route
 	// computation time instead of re-evaluating it every cycle while the
 	// packet waits. Off by default: re-evaluation reproduces the paper's
@@ -160,12 +161,6 @@ type Router struct {
 	// skip idle routers, so the network re-syncs it via SyncClock before
 	// each active cycle. It stamps the events sent to the metrics sink.
 	now int64
-	// wantEvents caches Metrics.WantPacketEvents() so the per-packet
-	// lifecycle callbacks cost one branch when no consumer wants them.
-	wantEvents bool
-	// wantDecisions caches Metrics.WantRouteDecisions() the same way for
-	// the per-decision adaptiveness records.
-	wantDecisions bool
 }
 
 // MaxVCs is the largest supported VC count per physical channel: the
@@ -247,10 +242,6 @@ func New(cfg Config) *Router {
 		Cur:  cfg.NodeID,
 		View: r,
 		Rand: cfg.Rand,
-	}
-	if cfg.Metrics != nil {
-		r.wantEvents = cfg.Metrics.WantPacketEvents()
-		r.wantDecisions = cfg.Metrics.WantRouteDecisions()
 	}
 	return r
 }
@@ -600,8 +591,8 @@ func (r *Router) AllocateVCs() {
 				// DESIGN.md for why the default reproduces the paper's
 				// results and stickiness does not.
 				dest := int(r.inDest[requester])
-				if r.wantEvents && !r.inRouted[requester] {
-					r.cfg.Metrics.OnRoute(r.now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
+				if r.cfg.Sinks.Packets != nil && !r.inRouted[requester] {
+					r.cfg.Sinks.Packets.OnRoute(r.now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
 				}
 				if dest == r.cfg.NodeID {
 					// Ejection: request every local-port VC obliviously.
@@ -613,7 +604,7 @@ func (r *Router) AllocateVCs() {
 					r.routeCtx.Dest = dest
 					r.routeCtx.InDir = topo.Direction(p)
 					*dec = r.cfg.Alg.Decide(&r.routeCtx)
-					if r.wantDecisions && !r.inRouted[requester] {
+					if r.cfg.Sinks.Decisions != nil && !r.inRouted[requester] {
 						r.emitDecision(topo.Direction(p), dec, r.bufFront(requester).Packet)
 					}
 				}
@@ -650,20 +641,17 @@ func (r *Router) AllocateVCs() {
 		r.activeMask[g.Requester/r.vcs] |= inBit
 		r.activeTotal++
 		dest := int(r.inDest[g.Requester])
-		var class VCClass
-		if r.wantEvents {
-			// Classify against the pre-grant state: the assignments below
-			// mark the VC allocated/owned, which would read as busy.
-			class = r.classifyVC(od, ovc, dest)
+		if r.cfg.Sinks.Packets != nil {
+			// Reported before the assignments below so the VC is classified
+			// against its pre-grant state: once marked allocated and owned
+			// it would read as busy.
+			r.cfg.Sinks.Packets.OnVCAllocGrant(r.now, r.cfg.NodeID, r.bufFront(g.Requester).Packet,
+				od, ovc, r.classifyVC(od, ovc, dest), r.inBlocked[g.Requester])
 		}
 		r.outAlloc[g.Resource] = true
 		r.refreshOutBits(g.Resource)
 		r.setOwner(g.Resource, dest)
 		r.setRegOwner(g.Resource, dest)
-		if r.wantEvents {
-			r.cfg.Metrics.OnVCAllocGrant(r.now, r.cfg.NodeID, r.bufFront(g.Requester).Packet,
-				od, ovc, class, r.inBlocked[g.Requester])
-		}
 	}
 
 	// Blocking bookkeeping: every head packet that tried and failed. The
@@ -674,10 +662,10 @@ func (r *Router) AllocateVCs() {
 			requester := r.idx(topo.Direction(p), bits.TrailingZeros32(m))
 			r.inBlocked[requester]++
 			r.vcAllocFails++
-			if r.cfg.Metrics != nil {
+			if r.cfg.Sinks.Blocked != nil {
 				out := r.inDec[requester].Dir
 				fp, busy := r.portOccupancy(out, int(r.inDest[requester]))
-				r.cfg.Metrics.OnVCAllocFailure(r.now, r.cfg.NodeID, r.bufFront(requester).Packet,
+				r.cfg.Sinks.Blocked.OnVCAllocFailure(r.now, r.cfg.NodeID, r.bufFront(requester).Packet,
 					out, fp, busy, r.inBlocked[requester])
 			}
 		}
@@ -836,8 +824,8 @@ func (r *Router) traverse(p, v int) {
 	r.refreshOutBits(res)
 	r.stagePush(int(od), f)
 	r.xbarGrants[od]++
-	if r.wantEvents && f.Head {
-		r.cfg.Metrics.OnHeadTraverse(r.now, r.cfg.NodeID, f.Packet, od, ovc)
+	if r.cfg.Sinks.Packets != nil && f.Head {
+		r.cfg.Sinks.Packets.OnHeadTraverse(r.now, r.cfg.NodeID, f.Packet, od, ovc)
 	}
 
 	// Return a credit for the freed input buffer slot.
@@ -869,16 +857,6 @@ func (r *Router) traverse(p, v int) {
 // VC v; the congestion-tree analyzer reads it.
 func (r *Router) InputBufferUse(d topo.Direction, v int) int {
 	return int(r.bufLen[r.idx(d, v)])
-}
-
-// InputVCBlocked returns how many consecutive cycles the head packet of
-// input VC (d, v) has failed VC allocation; 0 when not blocked.
-func (r *Router) InputVCBlocked(d topo.Direction, v int) int64 {
-	i := r.idx(d, v)
-	if r.inState[i] != vcRouting {
-		return 0
-	}
-	return r.inBlocked[i]
 }
 
 // InputVCDest returns the destination of the packet at the front of input
@@ -915,9 +893,4 @@ func (r *Router) InputVCPurity(d topo.Direction, v int) (occupied, pure bool) {
 // packet.
 func (r *Router) OutVCAllocated(d topo.Direction, v int) bool {
 	return r.outAlloc[r.idx(d, v)]
-}
-
-// OutVCCredits returns the available credits of output VC (d, v).
-func (r *Router) OutVCCredits(d topo.Direction, v int) int {
-	return int(r.outCredits[r.idx(d, v)])
 }

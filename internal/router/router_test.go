@@ -330,10 +330,10 @@ func TestInputVCBlockedCounter(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.AllocateVCs()
 	}
-	if got := r.InputVCBlocked(topo.West, 1); got != 3 {
+	if got := r.InputVCSnapshot(topo.West, 1).Blocked; got != 3 {
 		t.Errorf("blocked = %d, want 3", got)
 	}
-	if got := r.InputVCBlocked(topo.West, 0); got != 0 {
+	if got := r.InputVCSnapshot(topo.West, 0).Blocked; got != 0 {
 		t.Errorf("active VC blocked = %d, want 0", got)
 	}
 }

@@ -54,13 +54,6 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 	}{
 		{"buffered", func(st router.InVCState) int { return st.Buffered },
 			func(r *router.Router, d topo.Direction, v int) int { return r.InputBufferUse(d, v) }},
-		{"blocked", func(st router.InVCState) int {
-			if st.State != router.VCStateRouting {
-				return 0
-			}
-			return int(st.Blocked)
-		},
-			func(r *router.Router, d topo.Direction, v int) int { return int(r.InputVCBlocked(d, v)) }},
 		{"packet-dest", func(st router.InVCState) int { return st.PacketDest },
 			func(r *router.Router, d topo.Direction, v int) int { return r.InputVCDest(d, v) }},
 	}
@@ -71,8 +64,6 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 	}{
 		{"allocated", func(st router.OutVCState) int { return b2i(st.Allocated) },
 			func(r *router.Router, d topo.Direction, v int) int { return b2i(r.OutVCAllocated(d, v)) }},
-		{"credits", func(st router.OutVCState) int { return st.Credits },
-			func(r *router.Router, d topo.Direction, v int) int { return r.OutVCCredits(d, v) }},
 		{"owner", func(st router.OutVCState) int { return st.Owner },
 			func(r *router.Router, d topo.Direction, v int) int { return r.VCOwner(d, v) }},
 		{"free", func(st router.OutVCState) int { return b2i(!st.Allocated && !st.AwaitTailCredit) },

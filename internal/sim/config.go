@@ -34,10 +34,6 @@ type Config struct {
 	// Seed drives every stochastic choice; equal seeds give identical
 	// runs.
 	Seed int64
-	// StickyRouting freezes per-packet VC request sets at route
-	// computation time (see router.Config.StickyRouting). Off by
-	// default; the default reproduces the paper's results.
-	StickyRouting bool
 	// SlowEndpoints maps node id -> consume interval for endpoints whose
 	// ejection bandwidth is below port bandwidth, the second source of
 	// endpoint congestion in Section 2 of the paper.
@@ -45,6 +41,10 @@ type Config struct {
 	// stepAll selects network.Config.StepAll, the reference path the
 	// in-package worklist tests compare the active set against.
 	stepAll bool
+	// stickyRouting selects router.Config.StickyRouting, the frozen
+	// request set of DESIGN.md's mechanism matrix; only the in-package
+	// test sets it.
+	stickyRouting bool
 	// Obs selects the observability collectors (lifecycle tracer,
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; see Simulation.Observability.

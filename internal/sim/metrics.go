@@ -3,17 +3,13 @@ package sim
 import (
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
-	"nocsim/internal/router"
 	"nocsim/internal/stats"
 	"nocsim/internal/topo"
 )
 
-// metrics implements router.MetricsSink and periodic network sampling,
+// metrics implements router.BlockedSink and periodic network sampling,
 // aggregating the blocking statistics behind Figures 10(b) and 10(c).
-// The embedded NopSink declines the per-packet lifecycle events; only
-// VC-allocation failures are consumed.
 type metrics struct {
-	router.NopSink
 	enabled bool
 	// blockEvents counts VC-allocation failures of routed head packets.
 	blockEvents int64
@@ -35,7 +31,7 @@ type metrics struct {
 // samplePeriod is the cycle interval of purity sampling.
 const samplePeriod = 16
 
-// OnVCAllocFailure implements router.MetricsSink.
+// OnVCAllocFailure implements router.BlockedSink.
 func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, footprintVCs, busyVCs int, waited int64) {
 	if !m.enabled {
 		return

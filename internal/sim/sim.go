@@ -200,13 +200,10 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		latency: map[flit.Class]*stats.Summary{},
 		hist:    stats.NewHistogram(4096),
 	}
-	// The simulator's own metrics and the observability collectors share
-	// the router.MetricsSink seam; Tee keeps direct dispatch when the
-	// collectors are disabled.
-	var sink router.MetricsSink = s.met
-	if s.col != nil {
-		sink = router.Tee(s.met, s.col)
-	}
+	// The simulator's own metrics consume only the failure event; the
+	// observability collectors add themselves to the fields they consume.
+	sinks := router.Sinks{Blocked: s.met}
+	s.col.Attach(&sinks)
 	s.net = network.New(network.Config{
 		Mesh:          cfg.Mesh(),
 		VCs:           cfg.VCs,
@@ -214,8 +211,8 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		Speedup:       cfg.Speedup,
 		NewAlg:        newAlg,
 		Rand:          rng,
-		Metrics:       sink,
-		StickyRouting: cfg.StickyRouting,
+		Sinks:         sinks,
+		StickyRouting: cfg.stickyRouting,
 		SlowEndpoints: cfg.SlowEndpoints,
 		StepAll:       cfg.stepAll,
 	})
@@ -525,6 +522,11 @@ func (s *Simulation) Run() *Result {
 	if s.col != nil {
 		if s.col.Anatomy != nil {
 			res.Anatomy = s.col.Anatomy.Aggregate()
+			if d := s.col.Anatomy.SamplesDropped(); d > 0 {
+				fmt.Fprintf(os.Stderr,
+					"sim: warning: anatomy occupancy series truncated — %d of %d samples dropped (the series keeps the first %d)\n",
+					d, d+obs.DefaultAnatomySamples, obs.DefaultAnatomySamples)
+			}
 		}
 		if s.col.Tracer != nil {
 			// Ring overflow silently truncates the lifecycle record; make

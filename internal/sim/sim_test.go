@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"nocsim/internal/flit"
@@ -234,6 +235,23 @@ func TestSaturationThroughputBadTolerance(t *testing.T) {
 	}
 }
 
+// TestSaturationProbeWithoutTrafficIsAnError: shuffle on two nodes maps
+// each node to itself, so the pattern is defined and silent. With no
+// packet measured the criterion can never fire; the search must say so
+// instead of walking to its upper bound and reporting that.
+func TestSaturationProbeWithoutTrafficIsAnError(t *testing.T) {
+	cfg := testConfig()
+	cfg.Width, cfg.Height = 2, 1
+	probe, err := runLoad(cfg, "shuffle", traffic.FixedSize(1), probeRate)
+	if err != nil || probe.Measured != 0 {
+		t.Fatalf("fixture: shuffle on 2 nodes measured %+v, err %v; want a silent run", probe, err)
+	}
+	sr, err := SaturationThroughput(cfg, "shuffle", traffic.FixedSize(1), 0.05)
+	if err == nil || !strings.Contains(err.Error(), "measured no packet") {
+		t.Errorf("SaturationThroughput = %+v, %v; want the no-packet error", sr, err)
+	}
+}
+
 // TestSlowEndpointCreatesEndpointCongestion models Section 2's second
 // endpoint-congestion source: an endpoint whose ejection rate is half the
 // port bandwidth saturates under load a normal endpoint absorbs.
@@ -262,12 +280,12 @@ func TestSlowEndpointCreatesEndpointCongestion(t *testing.T) {
 	}
 }
 
-// TestStickyRoutingRuns exercises the StickyRouting configuration end to
+// TestStickyRoutingRuns exercises the stickyRouting configuration end to
 // end (the DESIGN.md matrix shows it degrades throughput; here we only
 // require correct, deadlock-free operation).
 func TestStickyRoutingRuns(t *testing.T) {
 	cfg := testConfig()
-	cfg.StickyRouting = true
+	cfg.stickyRouting = true
 	res, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.15)
 	if err != nil {
 		t.Fatal(err)

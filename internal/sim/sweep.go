@@ -157,6 +157,11 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 		return nil, err
 	}
 	sr.Evaluations++
+	if probe.Measured == 0 {
+		// Nothing offered means nothing can saturate: the bisection
+		// would walk to its upper bound and report that as a throughput.
+		return nil, fmt.Errorf("sim: the probe run at load %.2f measured no packet, so there is no latency to bisect against", probeRate)
+	}
 	sr.ZeroLoadLatency = probe.AvgLatency(flit.ClassBackground)
 	if crit.Saturated(probe, sr.ZeroLoadLatency) {
 		// Even the probe load saturates (cannot happen in practice for

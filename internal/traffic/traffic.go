@@ -118,10 +118,13 @@ func (p Permutation) Dest(src int, _ *rand.Rand) (int, bool) {
 
 // ByName constructs one of the named standard patterns for mesh m. It
 // returns an error when the name is unknown or the pattern is not defined
-// on m, so a pattern it returns never panics in Dest.
+// on m — no pattern is defined on a single node, which has nowhere to
+// send — so a pattern it returns never panics in Dest.
 func ByName(name string, m topo.Mesh) (Pattern, error) {
 	pow2 := m.Nodes()&(m.Nodes()-1) == 0
 	switch {
+	case m.Nodes() < 2:
+		return nil, fmt.Errorf("traffic: a %dx%d mesh has no second node to send to", m.Width, m.Height)
 	case name == "transpose" && m.Width != m.Height:
 		return nil, fmt.Errorf("traffic: transpose requires a square mesh, have %dx%d", m.Width, m.Height)
 	case (name == "shuffle" || name == "bitrev") && !pow2:

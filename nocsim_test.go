@@ -63,6 +63,7 @@ func TestUserInputIsAnErrorNotAPanic(t *testing.T) {
 		{"rate NaN", 4, 4, "uniform", math.NaN(), 1, 1, "offered load"},
 		{"bitcomp on 9 nodes", 3, 3, "bitcomp", 0.2, 1, 1, ""},
 		{"1x4 mesh", 1, 4, "uniform", 0.2, 1, 1, ""},
+		{"1x1 mesh", 1, 1, "uniform", 0.2, 1, 1, "no second node"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -93,6 +94,10 @@ func TestUserInputIsAnErrorNotAPanic(t *testing.T) {
 	cfg.Width, cfg.Height = 3, 5
 	if _, err := SaturationThroughput(cfg, "transpose", 0.1); err == nil {
 		t.Error("SaturationThroughput: transpose on a 3x5 mesh accepted")
+	}
+	cfg.Width, cfg.Height = 1, 1
+	if sr, err := SaturationThroughput(cfg, "uniform", 0.1); err == nil {
+		t.Errorf("SaturationThroughput: a 1x1 mesh has saturation throughput %v", sr.Throughput)
 	}
 }
 
