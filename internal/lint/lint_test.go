@@ -83,6 +83,24 @@ func TestRoutePurityRootsAtDecide(t *testing.T) {
 	t.Errorf("no finding in bad/decide.go; Decide is not a routepurity root: %v", bad)
 }
 
+// TestRoutePurityFollowsStateMethods pins the walk from Decide into the
+// methods of the state it reads: the algorithms call routing.State's read
+// methods, and one of those writing a field is the impurity the rule
+// exists for (the fixture's Decide body is clean).
+func TestRoutePurityFollowsStateMethods(t *testing.T) {
+	bad := checkFixture(t, NewLoader(), filepath.Join("testdata", "routepurity", "bad"),
+		"nocsim/internal/routing/fixture", "routepurity")
+	for _, f := range bad {
+		if filepath.Base(f.Pos.Filename) == "state.go" {
+			if !strings.Contains(f.Msg, "s.Reads") || !strings.Contains(f.Msg, "(*CountingAlg).Decide") {
+				t.Errorf("state.go finding %q, want the s.Reads write under (*CountingAlg).Decide", f.Msg)
+			}
+			return
+		}
+	}
+	t.Errorf("no finding in bad/state.go; a State method reached from Decide is not walked: %v", bad)
+}
+
 // TestScopes pins the path scoping: result-producing roots are covered
 // by determinism, the observability layer is not, and nothing outside
 // the module is.

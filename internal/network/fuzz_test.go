@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -13,8 +14,10 @@ import (
 // schedule and checks credit-based flow control's conservation law after
 // every cycle: for each inter-router link and VC, the upstream output
 // VC's available credits plus the downstream input VC's buffered flits
-// never exceed the buffer depth, and neither side ever goes negative; and
-// every port's allocatable-VC mask matches a recount of the VC flags.
+// never exceed the buffer depth, and neither side ever goes negative;
+// every port's allocatable-VC mask matches a recount of the VC flags; and
+// every router's routing.State — what the algorithms decide on — equals a
+// scan of the per-VC state it is maintained from.
 // (Flits and credits in flight on the one-cycle channel pipelines account
 // for the remainder, so the observable sum only ever undershoots the
 // depth, never overshoots.) Alongside, the arena's live-packet count must
@@ -130,11 +133,12 @@ func FuzzCreditConservation(f *testing.F) {
 							free |= 1 << uint(v)
 						}
 					}
-					if got := r.FreeBits(d); got != free || r.IdleBits(d)&^free != 0 {
-						t.Fatalf("cycle %d node %d port %v: FreeBits %#x, recount %#x, IdleBits %#x",
-							cycle, id, d, got, free, r.IdleBits(d))
+					if got := r.FreeBits(d); got != free || r.State().Idle[d]&^free != 0 {
+						t.Fatalf("cycle %d node %d port %v: FreeBits %#x, recount %#x, idle %#x",
+							cycle, id, d, got, free, r.State().Idle[d])
 					}
 				}
+				checkRoutingState(t, net, id, cycle)
 			}
 			st := net.Arena().Stats()
 			if st.Packets.Live != net.InFlight() {
@@ -199,4 +203,66 @@ func FuzzCreditConservation(f *testing.F) {
 			t.Fatalf("drained fabric leaks arena slots: %s", st)
 		}
 	})
+}
+
+// checkRoutingState compares the routing.State of node id's router with a
+// scan of the per-VC owner, register and idle state, its minimal
+// directions with the mesh's for every destination, and its downstream
+// pointers with the mesh's neighbours.
+func checkRoutingState(t *testing.T, net *network.Network, id int, cycle int64) {
+	t.Helper()
+	mesh, r := net.Mesh(), net.Router(id)
+	st := r.State()
+	for d := topo.East; d <= topo.Local; d++ {
+		var idle uint32
+		owners := make([]uint32, mesh.Nodes())
+		regs := make([]uint32, mesh.Nodes())
+		for v := 0; v < r.VCs(); v++ {
+			if r.VCIdle(d, v) {
+				idle |= 1 << uint(v)
+			}
+			if o := r.VCOwner(d, v); o >= 0 {
+				owners[o] |= 1 << uint(v)
+			}
+			if reg := r.OutputVCSnapshot(d, v).RegOwner; reg >= 0 {
+				regs[reg] |= 1 << uint(v)
+			}
+		}
+		if st.Idle[d] != idle {
+			t.Fatalf("cycle %d node %d port %v: State.Idle %#x, scan %#x", cycle, id, d, st.Idle[d], idle)
+		}
+		for lo := 0; lo <= 1; lo++ {
+			if got, want := st.IdleCount(d, lo), bits.OnesCount32(idle>>uint(lo)); got != want {
+				t.Fatalf("cycle %d node %d port %v: IdleCount(lo=%d) %d, scan %d", cycle, id, d, lo, got, want)
+			}
+		}
+		for dest := range owners {
+			if got := st.OwnerBits(d, dest); got != owners[dest] {
+				t.Fatalf("cycle %d node %d port %v dest %d: OwnerBits %#x, scan %#x", cycle, id, d, dest, got, owners[dest])
+			}
+			if got := st.RegOwnerBits(d, dest); got != regs[dest] {
+				t.Fatalf("cycle %d node %d port %v dest %d: RegOwnerBits %#x, scan %#x", cycle, id, d, dest, got, regs[dest])
+			}
+			for lo := 0; lo <= 1; lo++ {
+				if got, want := st.FootprintCount(d, dest, lo), bits.OnesCount32(owners[dest]>>uint(lo)); got != want {
+					t.Fatalf("cycle %d node %d port %v dest %d: FootprintCount(lo=%d) %d, scan %d", cycle, id, d, dest, lo, got, want)
+				}
+			}
+		}
+		var want *routing.State
+		if nb, ok := mesh.Neighbor(id, d); ok {
+			want = net.Router(nb).State()
+		}
+		if got := r.Downstream(d); got != want {
+			t.Fatalf("node %d port %v: downstream State %p, want %p", id, d, got, want)
+		}
+	}
+	for dest := 0; dest < mesh.Nodes(); dest++ {
+		gx, gokx, gy, goky := st.MinimalDirs(dest)
+		wx, wokx, wy, woky := mesh.MinimalDirs(id, dest)
+		if gx != wx || gokx != wokx || gy != wy || goky != woky {
+			t.Fatalf("node %d dest %d: State.MinimalDirs (%v %v %v %v), mesh (%v %v %v %v)",
+				id, dest, gx, gokx, gy, goky, wx, wokx, wy, woky)
+		}
+	}
 }

@@ -1,6 +1,6 @@
-// Package network wires routers, channels and endpoints into a 2D mesh and
-// advances the whole fabric cycle by cycle. It also implements the
-// neighbour status exchange that DBAR-class routing algorithms consume.
+// Package network wires routers, channels and endpoints into a 2D mesh —
+// neighbours' routing.State included, which is the status exchange DBAR-class
+// algorithms consume — and advances the whole fabric cycle by cycle.
 package network
 
 import (
@@ -138,13 +138,13 @@ func New(cfg Config) *Network {
 			Speedup:       cfg.Speedup,
 			Alg:           cfg.NewAlg(),
 			Rand:          cfg.Rand,
-			Downstream:    n,
 			Sinks:         cfg.Sinks,
 			StickyRouting: cfg.StickyRouting,
 		})
 	}
 	// Inter-router links: for every node and direction with a neighbour,
-	// one channel from node's output to the neighbour's opposite input.
+	// one channel from node's output to the neighbour's opposite input,
+	// and the neighbour's state for node's DownstreamIdle to read.
 	for id := 0; id < nodes; id++ {
 		for d := topo.East; d <= topo.South; d++ {
 			nb, ok := cfg.Mesh.Neighbor(id, d)
@@ -155,6 +155,7 @@ func New(cfg Config) *Network {
 			n.links = append(n.links, chanLink{ch: ch, a: id, b: nb})
 			n.routers[id].AttachOut(d, ch)
 			n.routers[nb].AttachIn(d.Opposite(), ch)
+			n.routers[id].AttachDownstream(d, n.routers[nb].State())
 		}
 	}
 	// Injection and ejection links.
@@ -181,15 +182,12 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// DownstreamIdle implements router.DownstreamInfo: the idle adaptive VC
-// count toward dest at the neighbour reached through output port d of
-// node. Returns 0 at mesh edges.
-func (n *Network) DownstreamIdle(node int, d topo.Direction, dest int) int {
-	nb, ok := n.cfg.Mesh.Neighbor(node, d)
-	if !ok {
-		return 0
+// SetBlockedSink replaces Config.Sinks.Blocked on every router, from the
+// next Step on; a simulation opens and closes its measurement window so.
+func (n *Network) SetBlockedSink(b router.BlockedSink) {
+	for _, r := range n.routers {
+		r.SetBlockedSink(b)
 	}
-	return n.routers[nb].IdleAdaptiveToward(dest)
 }
 
 // Now returns the current cycle.

@@ -203,19 +203,23 @@ func TestEndpointOversubscription(t *testing.T) {
 func TestDownstreamIdleAtEdge(t *testing.T) {
 	n := newNet(t, 4, 4, "dbar", 4)
 	// Node 3 has no East neighbour.
-	if got := n.DownstreamIdle(3, topo.East, 0); got != 0 {
+	if got := n.Router(3).DownstreamIdle(topo.East, 0); got != 0 {
 		t.Errorf("edge DownstreamIdle = %d, want 0", got)
 	}
 	// Interior: neighbour exists, all VCs idle initially: 3 adaptive VCs
 	// per productive port.
-	got := n.DownstreamIdle(5, topo.East, 7) // neighbour 6, productive E only
+	got := n.Router(5).DownstreamIdle(topo.East, 7) // neighbour 6, productive E only
 	if got != 3 {
 		t.Errorf("DownstreamIdle = %d, want 3", got)
 	}
 	// Toward a corner needing both dims from neighbour.
-	got = n.DownstreamIdle(5, topo.East, 11) // neighbour 6: dest 11 is E+S
+	got = n.Router(5).DownstreamIdle(topo.East, 11) // neighbour 6: dest 11 is E+S
 	if got != 6 {
 		t.Errorf("DownstreamIdle = %d, want 6", got)
+	}
+	// The neighbour is the destination: its ejection port's adaptive VCs.
+	if got := n.Router(5).DownstreamIdle(topo.East, 6); got != 3 {
+		t.Errorf("DownstreamIdle toward the neighbour itself = %d, want 3", got)
 	}
 }
 

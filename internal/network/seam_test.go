@@ -16,14 +16,24 @@ import (
 // seamCounts tallies the events one recording sink received, by kind.
 type seamCounts struct {
 	Failures, Injects, Routes, Grants, Hops, Ejects, Decisions int
+	// Spans counts the failures that carried their packet; BadPacket the
+	// failures that broke the rule that those are exactly the first of
+	// each blocking span.
+	Spans, BadPacket int
 }
 
 // seamRecorder implements all three router.Sinks interfaces; the table
 // attaches a separate recorder per field.
 type seamRecorder struct{ seamCounts }
 
-func (r *seamRecorder) OnVCAllocFailure(int64, int, *flit.Packet, topo.Direction, int, int, int64) {
+func (r *seamRecorder) OnVCAllocFailure(_ int64, _ int, p *flit.Packet, _ topo.Direction, _, _ int, waited int64) {
 	r.Failures++
+	if p != nil {
+		r.Spans++
+	}
+	if (p != nil) != (waited == 1) {
+		r.BadPacket++
+	}
 }
 func (r *seamRecorder) OnInject(int64, *flit.Packet)                     { r.Injects++ }
 func (r *seamRecorder) OnRoute(int64, int, *flit.Packet, topo.Direction) { r.Routes++ }
@@ -162,6 +172,10 @@ func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
 				}
 				if blocked.Failures == 0 || int64(blocked.Failures) != fails {
 					t.Errorf("Blocked saw %d failures, routers counted %d", blocked.Failures, fails)
+				}
+				if blocked.Spans == 0 || blocked.Spans == blocked.Failures || blocked.BadPacket != 0 {
+					t.Errorf("of %d failures %d carried a packet and %d broke \"packet exactly when waited == 1\"; want some, not all, and none",
+						blocked.Failures, blocked.Spans, blocked.BadPacket)
 				}
 			}
 			if packets != nil {

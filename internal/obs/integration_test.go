@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"nocsim/internal/flit"
+	"nocsim/internal/network"
 	"nocsim/internal/obs"
 	"nocsim/internal/sim"
 	"nocsim/internal/topo"
@@ -79,6 +83,98 @@ func TestSeamSharedBySimMetricsAndTracer(t *testing.T) {
 			t.Errorf("no %v events recorded", k)
 		}
 	}
+
+	// Past saturation the failure event fires for thousands of heads a
+	// cycle, most of them on the later cycles of a span, which carry no
+	// packet, and the sinks are swapped at the window's edges.
+	t.Run("hotspot past saturation", func(t *testing.T) {
+		traced, clock := runHotspotSaturated(t, obs.Options{Trace: true, TraceCapacity: 1 << 21})
+		plain, _ := runHotspotSaturated(t, obs.Options{})
+		if traced.BlockEvents != plain.BlockEvents || traced.Purity != plain.Purity ||
+			traced.HoLDegree != plain.HoLDegree || traced.BufferPurity != plain.BufferPurity {
+			t.Errorf("blocking statistics moved with tracing on: events %d purity %v HoL %v buffer purity %v, untraced %d %v %v %v",
+				traced.BlockEvents, traced.Purity, traced.HoLDegree, traced.BufferPurity,
+				plain.BlockEvents, plain.Purity, plain.HoLDegree, plain.BufferPurity)
+		}
+		// The span starts are the failures that carry a packet: every one
+		// recorded must name it.
+		starts := 0
+		for _, e := range traced.Obs.Tracer.Events() {
+			if e.Kind != obs.EventBlock {
+				continue
+			}
+			starts++
+			if e.Packet == 0 || e.Src == e.Dest {
+				t.Fatalf("vc-block span start without its packet: %+v", e)
+			}
+		}
+		if starts == 0 || int64(starts) >= clock.total() {
+			t.Errorf("%d vc-block span starts for %d failures; want some, and fewer than failures", starts, clock.total())
+		}
+		// The window is which sink is attached: the simulator's metrics
+		// count exactly the failures of its cycles, and the fixture has
+		// failures on both sides of it to leave out.
+		before, in, after := clock.atOpen, clock.atClose-clock.atOpen, clock.total()-clock.atClose
+		if before == 0 || after == 0 {
+			t.Fatalf("fixture has %d failures before the window and %d after; want both", before, after)
+		}
+		if traced.BlockEvents != in {
+			t.Errorf("metrics counted %d failures, the routers %d inside the window (%d before, %d after)",
+				traced.BlockEvents, in, before, after)
+		}
+	})
+}
+
+// failureClock is an injector that offers nothing: ticked at the top of
+// every cycle, it reads the routers' cumulative VC-allocation failure
+// count at the first cycle of the measurement window and at the first
+// after it.
+type failureClock struct {
+	net             *network.Network
+	open, close     int64
+	atOpen, atClose int64
+}
+
+func (c *failureClock) Init(topo.Mesh, *rand.Rand) {}
+
+func (c *failureClock) Tick(now int64, _ func(*flit.Packet)) {
+	switch now {
+	case c.open:
+		c.atOpen = c.total()
+	case c.close:
+		c.atClose = c.total()
+	}
+}
+
+func (c *failureClock) total() int64 {
+	var n int64
+	for id := 0; id < c.net.Nodes(); id++ {
+		n += c.net.Router(id).VCAllocFailures()
+	}
+	return n
+}
+
+// runHotspotSaturated runs Table 3's hotspot flows at 0.70 over 0.30 of
+// uniform background on the Table 2 mesh — the benchmark's hotspot_sat
+// load — with a failureClock around the measurement window.
+func runHotspotSaturated(t *testing.T, o obs.Options) (*sim.Result, *failureClock) {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 300, 600, 600
+	cfg.Obs = o
+	flows := traffic.HotspotFlows()
+	var sources []int
+	for src := range flows.Flows {
+		sources = append(sources, src)
+	}
+	sort.Ints(sources)
+	hot := &traffic.Generator{Nodes: sources, Pattern: flows, Rate: 0.70, Class: flit.ClassHotspot}
+	bg := &traffic.Generator{Nodes: traffic.BackgroundNodes(cfg.Mesh()),
+		Pattern: traffic.Uniform{Nodes: cfg.Mesh().Nodes()}, Rate: 0.30}
+	clock := &failureClock{open: cfg.WarmupCycles, close: cfg.WarmupCycles + cfg.MeasureCycles}
+	s := sim.MustNew(cfg, hot, bg, clock)
+	clock.net = s.Network()
+	return s.Run(), clock
 }
 
 // TestChromeTraceFromSimulation validates the Chrome-trace export of a

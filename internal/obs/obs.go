@@ -151,7 +151,7 @@ type blockTracer struct {
 
 // OnVCAllocFailure implements router.BlockedSink: only the first failed
 // cycle of a blocking span is recorded, so saturated runs do not flush
-// the ring with repeats.
+// the ring with repeats. It is also the only cycle p is non-nil on.
 func (b blockTracer) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, fp, busy int, waited int64) {
 	if b.next != nil {
 		b.next.OnVCAllocFailure(now, node, p, out, fp, busy, waited)

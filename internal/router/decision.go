@@ -105,7 +105,7 @@ type Decision struct {
 // Called only when Sinks.Decisions is attached and the packet is not at its
 // destination.
 func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.Packet) {
-	dx, hasX, dy, hasY := r.cfg.Mesh.MinimalDirs(r.cfg.NodeID, p.Dest)
+	dx, hasX, dy, hasY := r.st.MinimalDirs(p.Dest)
 	d := Decision{In: in, MinimalProgress: true, EscapeRequested: dec.HasEsc}
 	if hasX {
 		d.MinimalPorts++
@@ -113,19 +113,15 @@ func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.
 	if hasY {
 		d.MinimalPorts++
 	}
-	adaptivePerPort := r.cfg.VCs
-	if r.cfg.Alg.UsesEscape() {
-		adaptivePerPort--
-	}
-	d.AdmissibleVCs = d.MinimalPorts * adaptivePerPort
+	d.AdmissibleVCs = d.MinimalPorts * (r.vcs - r.st.Lo)
 	if offered := dec.VCMask(); offered != 0 {
 		d.OfferedPorts = 1
 		d.PortMask = 1 << uint(dec.Dir)
 		d.MinimalProgress = (hasX && dec.Dir == dx) || (hasY && dec.Dir == dy)
 		d.OfferedVCs = bits.OnesCount32(offered)
-		idle := offered & r.idleMask[dec.Dir]
+		idle := offered & r.st.Idle[dec.Dir]
 		d.IdleVCs = bits.OnesCount32(idle)
-		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.OwnerBits(dec.Dir, p.Dest))
+		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.st.OwnerBits(dec.Dir, p.Dest))
 	}
 	if dec.HasEsc {
 		d.PortMask |= 1 << uint(dec.Esc)
@@ -138,7 +134,7 @@ func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.
 // (ejection) are classified by occupancy only — the escape class applies
 // to network ports.
 func (r *Router) classifyVC(d topo.Direction, vc, dest int) VCClass {
-	if vc == 0 && d != topo.Local && r.cfg.Alg.UsesEscape() {
+	if vc == 0 && d != topo.Local && r.st.Lo == 1 {
 		return VCClassEscape
 	}
 	i := r.idx(d, vc)

@@ -20,8 +20,12 @@ type Endpoint struct {
 	injCh *Channel // endpoint -> router local input port
 	ejCh  *Channel // router local output port -> endpoint
 
-	// Injection side.
+	// Injection side. The source queue is queue[qHead:]: Inject pops by
+	// advancing qHead, so that a backlog of thousands of packets past
+	// saturation is not moved once per packet injected; Offer moves it
+	// down over the popped prefix when the backing array is full.
 	queue     []*flit.Packet
+	qHead     int
 	nextSeq   int // next flit of the packet currently being injected
 	injVC     int // local input VC held by the current packet
 	curPacket *flit.Packet
@@ -99,13 +103,18 @@ func (e *Endpoint) Offer(p *flit.Packet) {
 	if p.Src != e.node {
 		panic(fmt.Sprintf("router: packet src %d offered to endpoint %d", p.Src, e.node))
 	}
+	if len(e.queue) == cap(e.queue) && e.qHead > 0 {
+		// Reuse the popped prefix before growing, so the array grows
+		// exactly when the backlog outgrows it.
+		e.queue, e.qHead = e.queue[:copy(e.queue, e.queue[e.qHead:])], 0
+	}
 	e.queue = append(e.queue, p)
 }
 
 // QueueLen returns the number of packets waiting in the source queue,
 // including the packet currently being injected.
 func (e *Endpoint) QueueLen() int {
-	n := len(e.queue)
+	n := len(e.queue) - e.qHead
 	if e.curPacket != nil {
 		n++
 	}
@@ -136,7 +145,7 @@ func (e *Endpoint) Receive() {
 // network's worklist watches separately), so it may be skipped without
 // changing any simulated result.
 func (e *Endpoint) Quiescent() bool {
-	return len(e.queue) == 0 && e.curPacket == nil && e.ejCount == 0
+	return len(e.queue) == e.qHead && e.curPacket == nil && e.ejCount == 0
 }
 
 // Consume drains at most one ejected flit (the endpoint's ejection
@@ -144,16 +153,11 @@ func (e *Endpoint) Quiescent() bool {
 // current cycle, recorded as the ejection time of completed packets.
 // Phase D.
 func (e *Endpoint) Consume(now int64) {
-	if e.ConsumeInterval > 1 && now%int64(e.ConsumeInterval) != 0 {
+	if e.ejCount == 0 || e.ConsumeInterval > 1 && now%int64(e.ConsumeInterval) != 0 {
 		return
 	}
-	any := false
 	for v := range e.ejBuf {
 		e.reqVec[v] = len(e.ejBuf[v]) > 0
-		any = any || e.reqVec[v]
-	}
-	if !any {
-		return
 	}
 	v := e.consume.Arbitrate(e.reqVec)
 	f := e.ejBuf[v][0]
@@ -191,16 +195,18 @@ func (e *Endpoint) Consume(now int64) {
 // Phase D.
 func (e *Endpoint) Inject(now int64) {
 	if e.curPacket == nil {
-		if len(e.queue) == 0 {
+		if len(e.queue) == e.qHead {
 			return
 		}
 		v := e.pickVC()
 		if v < 0 {
 			return // all local input VCs held by in-flight packets
 		}
-		e.curPacket = e.queue[0]
-		copy(e.queue, e.queue[1:])
-		e.queue = e.queue[:len(e.queue)-1]
+		e.curPacket = e.queue[e.qHead]
+		e.qHead++
+		if e.qHead == len(e.queue) {
+			e.queue, e.qHead = e.queue[:0], 0
+		}
 		e.nextSeq = 0
 		e.injVC = v
 		e.vcBusy[v] = true

@@ -201,3 +201,53 @@ func TestEndpointSlowConsumeInterval(t *testing.T) {
 		t.Fatalf("slow endpoint consumed %d in 8 cycles at interval 4, want 2", got)
 	}
 }
+
+// TestEndpointLongQueueLeavesInOrder drains a saturated-size source queue
+// through the pop-by-index path: 10,000 single-flit packets, half of them
+// offered while the others leave so that the queue is moved down over its
+// popped prefix along the way, must be injected in offer order with
+// QueueLen exact after every step and the endpoint quiescent at the end.
+func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
+	const total = 10000
+	e, inj, _ := newTestEndpoint()
+	offered := 0
+	offer := func() {
+		offered++
+		e.Offer(&flit.Packet{ID: uint64(offered), Src: 3, Dest: 7, Size: 1})
+	}
+	for offered < total/2 {
+		offer()
+	}
+	if e.QueueLen() != total/2 {
+		t.Fatalf("QueueLen = %d after %d offers", e.QueueLen(), total/2)
+	}
+	for left := 1; left <= total; left++ {
+		if left%2 == 0 {
+			offer()
+		}
+		e.Inject(int64(left))
+		inj.Tick()
+		f := inj.Recv()
+		if f == nil || f.Packet.ID != uint64(left) {
+			t.Fatalf("step %d: injected %v, want packet %d", left, f, left)
+		}
+		if got, want := e.QueueLen(), offered-left; got != want {
+			t.Fatalf("step %d: QueueLen = %d, want %d", left, got, want)
+		}
+		if e.Quiescent() != (left == offered) {
+			t.Fatalf("step %d: Quiescent = %v with %d packets queued", left, e.Quiescent(), offered-left)
+		}
+		// Hand the buffer slot back, as the router would.
+		inj.SendCredit(flit.Credit{VC: f.VC, Tail: true})
+		inj.Tick()
+		e.Receive()
+	}
+	if offered != total || e.QueueLen() != 0 {
+		t.Errorf("offered %d of %d packets, %d left queued", offered, total, e.QueueLen())
+	}
+	// The backlog never exceeded total/2, so an array that had to hold
+	// every packet ever offered was not reusing its popped prefix.
+	if cap(e.queue) >= total {
+		t.Errorf("queue array grew to %d slots for a backlog of at most %d", cap(e.queue), total/2)
+	}
+}

@@ -33,7 +33,9 @@ type BlockedSink interface {
 	// the paper's "purity of blocking" is footprintVCs/busyVCs
 	// (Figure 10b). waited is the number of consecutive failed cycles
 	// including this one, so waited == 1 marks the start of a blocking
-	// span.
+	// span. p is the blocked packet on that first cycle and nil on every
+	// later one: a head that stays blocked is reported from the router's
+	// dense arrays alone.
 	OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, footprintVCs, busyVCs int, waited int64)
 }
 

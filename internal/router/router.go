@@ -20,10 +20,6 @@ type Config struct {
 	Speedup  int // switch-allocation iterations per cycle (Table 2: 2)
 	Alg      routing.Algorithm
 	Rand     *rand.Rand
-	// Downstream provides the one-hop neighbour status DBAR-style
-	// algorithms exchange; the network implements it. May be nil for
-	// algorithms that never call Context.View.DownstreamIdle.
-	Downstream DownstreamInfo
 	// Sinks receives the router's events; a nil field is an event nobody
 	// listens to.
 	Sinks Sinks
@@ -32,13 +28,6 @@ type Config struct {
 	// packet waits. Off by default: re-evaluation reproduces the paper's
 	// results (see DESIGN.md).
 	StickyRouting bool
-}
-
-// DownstreamInfo answers the neighbour-status queries of adaptive routing:
-// the number of idle adaptive VCs on the productive ports toward dest at
-// the router reached through output port d of router node.
-type DownstreamInfo interface {
-	DownstreamIdle(node int, d topo.Direction, dest int) int
 }
 
 // input VC state machine states.
@@ -87,28 +76,24 @@ type Router struct {
 
 	// Output VC state, SoA over idx: allocation, flow-control credits,
 	// the live footprint owner of Section 3.2 (destination of the packets
-	// in the downstream buffer, -1 when drained), the persistent
-	// footprint register of Section 4.4 (destination of the last packet
-	// allocated, surviving drains until overwritten), and the Duato-style
-	// conservative-reallocation latch awaiting the tail credit.
+	// in the downstream buffer, -1 when drained) and the Duato-style
+	// conservative-reallocation latch awaiting the tail credit. The
+	// persistent footprint register of Section 4.4 is st.RegOwner.
 	outAlloc     []bool
 	outCredits   []int32
 	outOwner     []int32
-	outRegOwner  []int32
 	outAwaitTail []bool
 
-	// Per-port aggregates of the output VC state, maintained on every
-	// transition so routing.View answers in O(1) instead of scanning
-	// every VC. freeMask bit v is set while VC v of the port can be
-	// allocated (not held, not awaiting a tail credit); idleMask bit v
-	// while it is also fully drained, so idleMask is a subset of
-	// freeMask. fpCnt counts, per (port, destination), the VCs currently
-	// owned by that destination.
+	// st is what routing decisions read of the output VC state, kept in
+	// step at every transition: refreshOutBits maintains st.Idle, setOwner
+	// st.Owners, and a grant writes st.RegOwner. freeMask bit v is set
+	// while VC v of the port can be allocated (not held, not awaiting a
+	// tail credit); st.Idle is its subset of fully drained VCs. down[d] is
+	// the State of the neighbour behind output port d (nil at a mesh edge
+	// and for the local port), which DownstreamIdle reads.
+	st       routing.State
+	down     [topo.NumPorts]*routing.State
 	freeMask [topo.NumPorts]uint32
-	idleMask [topo.NumPorts]uint32
-	fpCnt    []int16
-	regCnt   []int16 // like fpCnt, for the persistent footprint registers
-	nodes    int     // cfg.Mesh.Nodes(), fpCnt/regCnt stride
 
 	// Output stages: per-port rings of capacity stageCap over one backing
 	// array, absorbing the internal speedup.
@@ -167,10 +152,10 @@ type Router struct {
 // per-port VC state lives in uint32 bitmasks.
 const MaxVCs = 32
 
-// New constructs a router. Input and output channels are attached later by
-// the network with AttachIn/AttachOut. It panics on a configuration
-// sim.Config.Validate and sim.New reject; callers taking user input go
-// through those.
+// New constructs a router. Input and output channels and the neighbours'
+// states are attached later by the network with AttachIn, AttachOut and
+// AttachDownstream. It panics on a configuration sim.Config.Validate and
+// sim.New reject; callers taking user input go through those.
 func New(cfg Config) *Router {
 	if cfg.VCs < 1 {
 		panic("router: need at least one VC")
@@ -192,6 +177,7 @@ func New(cfg Config) *Router {
 	r := &Router{
 		cfg: cfg,
 		vcs: cfg.VCs,
+		st:  routing.NewState(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg.UsesEscape()),
 
 		inState:   make([]uint8, n),
 		inOutDir:  make([]topo.Direction, n),
@@ -208,7 +194,6 @@ func New(cfg Config) *Router {
 		outAlloc:     make([]bool, n),
 		outCredits:   make([]int32, n),
 		outOwner:     make([]int32, n),
-		outRegOwner:  make([]int32, n),
 		outAwaitTail: make([]bool, n),
 
 		stageStore: make([]*flit.Flit, P*stageCap),
@@ -226,16 +211,11 @@ func New(cfg Config) *Router {
 	for i := 0; i < n; i++ {
 		r.outCredits[i] = int32(cfg.BufDepth)
 		r.outOwner[i] = -1
-		r.outRegOwner[i] = -1
 	}
-	r.nodes = cfg.Mesh.Nodes()
-	r.fpCnt = make([]int16, P*r.nodes)
-	r.regCnt = make([]int16, P*r.nodes)
 	for p := 0; p < P; p++ {
 		r.saIn[p] = alloc.NewRoundRobin(cfg.VCs)
 		r.saOut[p] = alloc.NewRoundRobin(P)
-		r.freeMask[p] = uint32(1)<<uint(cfg.VCs) - 1 // all VCs start idle
-		r.idleMask[p] = r.freeMask[p]
+		r.freeMask[p] = r.st.Idle[p] // all VCs start idle
 	}
 	r.routeCtx = routing.Context{
 		Mesh: cfg.Mesh,
@@ -251,6 +231,16 @@ func (r *Router) AttachIn(d topo.Direction, ch *Channel) { r.inCh[d] = ch }
 
 // AttachOut connects ch as the output channel leaving port d.
 func (r *Router) AttachOut(d topo.Direction, ch *Channel) { r.outCh[d] = ch }
+
+// AttachDownstream makes nb, the State of the router at the far end of
+// output port d, what DownstreamIdle(d, …) reads.
+func (r *Router) AttachDownstream(d topo.Direction, nb *routing.State) { r.down[d] = nb }
+
+// Downstream returns the State attached to output port d, or nil.
+func (r *Router) Downstream(d topo.Direction) *routing.State { return r.down[d] }
+
+// SetBlockedSink replaces Sinks.Blocked from the next cycle on; nil detaches it.
+func (r *Router) SetBlockedSink(b BlockedSink) { r.cfg.Sinks.Blocked = b }
 
 // NodeID returns the router's node id.
 func (r *Router) NodeID() int { return r.cfg.NodeID }
@@ -286,47 +276,31 @@ func (r *Router) refreshOutBits(idx int) {
 	p := idx / r.vcs
 	bit := uint32(1) << uint(idx%r.vcs)
 	r.freeMask[p] &^= bit
-	r.idleMask[p] &^= bit
+	r.st.Idle[p] &^= bit
 	if !r.outAlloc[idx] && !r.outAwaitTail[idx] {
 		r.freeMask[p] |= bit
 		if int(r.outCredits[idx]) == r.cfg.BufDepth {
-			r.idleMask[p] |= bit
+			r.st.Idle[p] |= bit
 		}
 	}
 }
 
 // setOwner moves output VC idx's footprint owner to dest (-1 on drain),
-// keeping the per-(port, destination) owner counts in step.
+// keeping the per-(port, destination) owner masks in step.
 func (r *Router) setOwner(idx, dest int) {
 	old := int(r.outOwner[idx])
 	if old == dest {
 		return
 	}
-	p := idx / r.vcs
+	row := r.st.Owners[idx/r.vcs*r.st.Mesh.Nodes():]
+	bit := uint32(1) << uint(idx%r.vcs)
 	if old >= 0 {
-		r.fpCnt[p*r.nodes+old]--
+		row[old] &^= bit
 	}
 	if dest >= 0 {
-		r.fpCnt[p*r.nodes+dest]++
+		row[dest] |= bit
 	}
 	r.outOwner[idx] = int32(dest)
-}
-
-// setRegOwner moves output VC idx's persistent footprint register to
-// dest, keeping the per-(port, destination) register counts in step.
-func (r *Router) setRegOwner(idx, dest int) {
-	old := int(r.outRegOwner[idx])
-	if old == dest {
-		return
-	}
-	p := idx / r.vcs
-	if old >= 0 {
-		r.regCnt[p*r.nodes+old]--
-	}
-	if dest >= 0 {
-		r.regCnt[p*r.nodes+dest]++
-	}
-	r.outRegOwner[idx] = int32(dest)
 }
 
 // --- input buffer rings ----------------------------------------------------
@@ -397,7 +371,19 @@ func (r *Router) stagePop(o int) *flit.Flit {
 
 // --- routing.View ---------------------------------------------------------
 
-// VCs implements routing.View.
+// State implements routing.View.
+func (r *Router) State() *routing.State { return &r.st }
+
+// DownstreamIdle implements routing.View: a read of the neighbour's State.
+func (r *Router) DownstreamIdle(d topo.Direction, dest int) int {
+	nb := r.down[d]
+	if nb == nil {
+		return 0
+	}
+	return nb.IdleToward(dest)
+}
+
+// VCs returns the number of virtual channels per physical channel.
 func (r *Router) VCs() int { return r.vcs }
 
 // VCIdle reports whether output VC (d, v) is idle: its downstream buffer
@@ -411,103 +397,10 @@ func (r *Router) VCIdle(d topo.Direction, v int) bool {
 // (d, v), or -1 when it is drained.
 func (r *Router) VCOwner(d topo.Direction, v int) int { return int(r.outOwner[r.idx(d, v)]) }
 
-// DownstreamIdle implements routing.View by delegating to the network.
-func (r *Router) DownstreamIdle(d topo.Direction, dest int) int {
-	if r.cfg.Downstream == nil {
-		return 0
-	}
-	return r.cfg.Downstream.DownstreamIdle(r.cfg.NodeID, d, dest)
-}
-
-// IdleCount implements routing.View: the number of idle VCs of
-// port d in [lo, VCs), read off the maintained idle bitmask.
-func (r *Router) IdleCount(d topo.Direction, lo int) int {
-	return bits.OnesCount32(r.idleMask[d] >> uint(lo))
-}
-
-// IdleBits implements routing.View: the maintained idle bitmask of
-// port d.
-func (r *Router) IdleBits(d topo.Direction) uint32 { return r.idleMask[d] }
-
 // FreeBits returns the bitmask of port d's VCs that can be allocated this
 // cycle: neither held by a packet nor awaiting a tail credit. It is a
-// superset of IdleBits.
+// superset of State().Idle[d].
 func (r *Router) FreeBits(d topo.Direction) uint32 { return r.freeMask[d] }
-
-// OwnerBits implements routing.View: the VCs of port d owned by dest,
-// built from the owner array without per-VC interface dispatch. The
-// maintained owner count short-circuits the common no-footprint case.
-func (r *Router) OwnerBits(d topo.Direction, dest int) uint32 {
-	if dest < 0 || r.fpCnt[int(d)*r.nodes+dest] == 0 {
-		return 0
-	}
-	base := int(d) * r.vcs
-	var m uint32
-	for v := 0; v < r.vcs; v++ {
-		if int(r.outOwner[base+v]) == dest {
-			m |= uint32(1) << uint(v)
-		}
-	}
-	return m
-}
-
-// RegOwnerBits implements routing.View: the VCs of port d whose
-// persistent footprint register names dest, with the same count-based
-// short-circuit as OwnerBits.
-func (r *Router) RegOwnerBits(d topo.Direction, dest int) uint32 {
-	if dest < 0 || r.regCnt[int(d)*r.nodes+dest] == 0 {
-		return 0
-	}
-	base := int(d) * r.vcs
-	var m uint32
-	for v := 0; v < r.vcs; v++ {
-		if int(r.outRegOwner[base+v]) == dest {
-			m |= uint32(1) << uint(v)
-		}
-	}
-	return m
-}
-
-// FootprintCount implements routing.View: the number of VCs of
-// port d in [lo, VCs) currently owned by dest, read off the maintained
-// owner counts (the escape VCs below lo are deducted by inspection; lo
-// is 0 or 1 in practice).
-func (r *Router) FootprintCount(d topo.Direction, dest, lo int) int {
-	if dest < 0 {
-		return 0
-	}
-	n := int(r.fpCnt[int(d)*r.nodes+dest])
-	base := int(d) * r.vcs
-	for v := 0; v < lo; v++ {
-		if int(r.outOwner[base+v]) == dest {
-			n--
-		}
-	}
-	return n
-}
-
-// IdleAdaptiveToward returns the number of idle adaptive VCs over the
-// productive output ports of this router toward dest (ejection port when
-// dest is this node). The network uses it to answer DownstreamIdle for
-// neighbours.
-func (r *Router) IdleAdaptiveToward(dest int) int {
-	lo := 0
-	if r.cfg.Alg.UsesEscape() {
-		lo = 1
-	}
-	if dest == r.cfg.NodeID {
-		return r.IdleCount(topo.Local, lo)
-	}
-	dx, hasX, dy, hasY := r.cfg.Mesh.MinimalDirs(r.cfg.NodeID, dest)
-	n := 0
-	if hasX {
-		n += r.IdleCount(dx, lo)
-	}
-	if hasY {
-		n += r.IdleCount(dy, lo)
-	}
-	return n
-}
 
 // --- per-cycle phases ------------------------------------------------------
 
@@ -651,7 +544,7 @@ func (r *Router) AllocateVCs() {
 		r.outAlloc[g.Resource] = true
 		r.refreshOutBits(g.Resource)
 		r.setOwner(g.Resource, dest)
-		r.setRegOwner(g.Resource, dest)
+		r.st.RegOwner[g.Resource] = int32(dest)
 	}
 
 	// Blocking bookkeeping: every head packet that tried and failed. The
@@ -665,7 +558,13 @@ func (r *Router) AllocateVCs() {
 			if r.cfg.Sinks.Blocked != nil {
 				out := r.inDec[requester].Dir
 				fp, busy := r.portOccupancy(out, int(r.inDest[requester]))
-				r.cfg.Sinks.Blocked.OnVCAllocFailure(r.now, r.cfg.NodeID, r.bufFront(requester).Packet,
+				// The packet goes out with the first failure of a span only,
+				// so a head that stays blocked costs no flit or packet load.
+				var pkt *flit.Packet
+				if r.inBlocked[requester] == 1 {
+					pkt = r.bufFront(requester).Packet
+				}
+				r.cfg.Sinks.Blocked.OnVCAllocFailure(r.now, r.cfg.NodeID, pkt,
 					out, fp, busy, r.inBlocked[requester])
 			}
 		}
@@ -673,17 +572,11 @@ func (r *Router) AllocateVCs() {
 }
 
 // portOccupancy counts footprint and busy adaptive VCs of port d with
-// respect to dest.
+// respect to dest. An owned VC is never idle, so the footprint VCs are a
+// subset of the busy ones.
 func (r *Router) portOccupancy(d topo.Direction, dest int) (fp, busy int) {
-	lo := 0
-	if r.cfg.Alg.UsesEscape() {
-		lo = 1
-	}
-	// An owned VC is never idle, so the footprint VCs are a subset of the
-	// busy ones and both counts come from the aggregates.
-	busy = (r.vcs - lo) - r.IdleCount(d, lo)
-	fp = r.FootprintCount(d, dest, lo)
-	return fp, busy
+	lo := r.st.Lo
+	return r.st.FootprintCount(d, dest, lo), r.vcs - lo - r.st.IdleCount(d, lo)
 }
 
 // SwitchAndTraverse performs switch allocation and switch traversal for

@@ -87,7 +87,7 @@ func (r *Router) OutputVCSnapshot(d topo.Direction, v int) OutVCState {
 		Allocated:       r.outAlloc[i],
 		Credits:         int(r.outCredits[i]),
 		Owner:           int(r.outOwner[i]),
-		RegOwner:        int(r.outRegOwner[i]),
+		RegOwner:        int(r.st.RegOwner[i]),
 		AwaitTailCredit: r.outAwaitTail[i],
 	}
 }

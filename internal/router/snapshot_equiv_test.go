@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nocsim/internal/router"
+	"nocsim/internal/routing"
 	"nocsim/internal/sim"
 	"nocsim/internal/topo"
 	"nocsim/internal/traffic"
@@ -16,11 +17,12 @@ import (
 // snapshot structs that stall post-mortems serialize, and the scalar +
 // aggregate accessors (including the bitmask fast paths) that analyzers
 // and routing algorithms read live. The allocation overhaul flattened
-// per-VC state into parallel arrays indexed by (port, vc) and layered
-// incremental aggregates (idle bitmask, footprint owner counts) on top;
-// every exported field below reads a different slice of that layout, so
-// any indexing slip or stale aggregate shows up as a disagreement between
-// two views of the same VC.
+// per-VC state into parallel arrays indexed by (port, vc) and the router
+// keeps a routing.State (idle masks, per-destination owner masks,
+// footprint registers, neighbour pointers) in step with them; every
+// exported field below reads a different slice of that layout, so any
+// indexing slip or stale mask shows up as a disagreement between two
+// views of the same VC.
 //
 // The wedged fixture — every node floods node 3, whose endpoint stops
 // consuming — matters: it freezes the fabric mid-flight with buffered
@@ -97,47 +99,66 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 				}
 			}
 
-			// The incremental aggregates and bitmasks must agree with a
-			// VC-by-VC recount of the snapshots they summarize.
+			// The routing.State the algorithms read must agree with a
+			// VC-by-VC recount of the snapshots it summarizes.
+			st := r.State()
 			idleBits := uint32(0)
 			for v := 0; v < cfg.VCs; v++ {
 				if r.VCIdle(d, v) {
 					idleBits |= 1 << uint(v)
 				}
 			}
-			if got := r.IdleBits(d); got != idleBits {
-				t.Errorf("node %d port %v: IdleBits %#x, recount %#x", id, d, got, idleBits)
+			if got := st.Idle[d]; got != idleBits {
+				t.Errorf("node %d port %v: Idle %#x, recount %#x", id, d, got, idleBits)
 			}
 			if stray := idleBits &^ r.FreeBits(d); stray != 0 {
 				t.Errorf("node %d port %v: idle VCs %#x are not free", id, d, stray)
 			}
 			for lo := 0; lo <= 1; lo++ {
 				want := bits.OnesCount32(idleBits >> uint(lo))
-				if got := r.IdleCount(d, lo); got != want {
+				if got := st.IdleCount(d, lo); got != want {
 					t.Errorf("node %d port %v: IdleCount(lo=%d) %d, recount %d", id, d, lo, got, want)
 				}
 			}
 			for dest := 0; dest < net.Nodes(); dest++ {
 				ownBits, regBits := uint32(0), uint32(0)
-				n := 0
 				for v := 0; v < cfg.VCs; v++ {
 					if r.VCOwner(d, v) == dest {
 						ownBits |= 1 << uint(v)
-						n++
 					}
 					if r.OutputVCSnapshot(d, v).RegOwner == dest {
 						regBits |= 1 << uint(v)
 					}
 				}
-				if got := r.OwnerBits(d, dest); got != ownBits {
+				if got := st.OwnerBits(d, dest); got != ownBits {
 					t.Errorf("node %d port %v dest %d: OwnerBits %#x, recount %#x", id, d, dest, got, ownBits)
 				}
-				if got := r.RegOwnerBits(d, dest); got != regBits {
+				if got := st.RegOwnerBits(d, dest); got != regBits {
 					t.Errorf("node %d port %v dest %d: RegOwnerBits %#x, recount %#x", id, d, dest, got, regBits)
 				}
-				if got := r.FootprintCount(d, dest, 0); got != n {
-					t.Errorf("node %d port %v dest %d: FootprintCount %d, recount %d", id, d, dest, got, n)
+				for lo := 0; lo <= 1; lo++ {
+					want := bits.OnesCount32(ownBits >> uint(lo))
+					if got := st.FootprintCount(d, dest, lo); got != want {
+						t.Errorf("node %d port %v dest %d: FootprintCount(lo=%d) %d, recount %d", id, d, dest, lo, got, want)
+					}
 				}
+			}
+
+			// The neighbour whose State DownstreamIdle reads is the mesh's.
+			var want *routing.State
+			if nb, ok := net.Mesh().Neighbor(id, d); ok {
+				want = net.Router(nb).State()
+			}
+			if got := r.Downstream(d); got != want {
+				t.Errorf("node %d port %v: downstream State %p, want %p", id, d, got, want)
+			}
+		}
+		for dest := 0; dest < net.Nodes(); dest++ {
+			gx, gokx, gy, goky := r.State().MinimalDirs(dest)
+			wx, wokx, wy, woky := net.Mesh().MinimalDirs(id, dest)
+			if gx != wx || gokx != wokx || gy != wy || goky != woky {
+				t.Errorf("node %d dest %d: MinimalDirs (%v %v %v %v), mesh says (%v %v %v %v)",
+					id, dest, gx, gokx, gy, goky, wx, wokx, wy, woky)
 			}
 		}
 	}

@@ -30,13 +30,13 @@ func (*DBAR) ConservativeRealloc() bool { return true }
 
 // Decide implements Algorithm.
 func (*DBAR) Decide(ctx *Context) Decision {
-	v := ctx.View
-	dx, hasX, dy, hasY := ctx.Mesh.MinimalDirs(ctx.Cur, ctx.Dest)
+	st := ctx.View.State()
+	dx, hasX, dy, hasY := st.MinimalDirs(ctx.Dest)
 	esc := dorOf(dx, hasX, dy, hasY)
 	dec := Decision{Dir: esc, Esc: esc, HasEsc: true}
 	if hasX && hasY {
-		half := (v.VCs() + 1) / 2
-		ix, iy := v.IdleCount(dx, 1), v.IdleCount(dy, 1)
+		half := (st.VCs + 1) / 2
+		ix, iy := st.IdleCount(dx, 1), st.IdleCount(dy, 1)
 		congX, congY := ix < half, iy < half
 		switch {
 		case congX != congY && congY:
@@ -47,11 +47,11 @@ func (*DBAR) Decide(ctx *Context) Decision {
 		default:
 			// Neither (or both) congested locally: let the next-hop,
 			// destination-sliced occupancy decide; local idles break ties.
-			nx, ny := v.DownstreamIdle(dx, ctx.Dest), v.DownstreamIdle(dy, ctx.Dest)
+			nx, ny := ctx.View.DownstreamIdle(dx, ctx.Dest), ctx.View.DownstreamIdle(dy, ctx.Dest)
 			dec.Dir = selectByCounts(ctx, dx, dy, nx, ny, ix, iy)
 		}
 	}
-	dec.Pri[alloc.Low] = vcMask(1, v.VCs())
+	dec.Pri[alloc.Low] = vcMask(1, st.VCs)
 	return dec
 }
 

@@ -27,8 +27,9 @@ func (*DOR) ConservativeRealloc() bool { return false }
 // Decide implements Algorithm: all VCs of the single dimension-order port
 // at Low priority.
 func (*DOR) Decide(ctx *Context) Decision {
-	dec := Decision{Dir: dorDir(ctx.Mesh, ctx.Cur, ctx.Dest)}
-	dec.Pri[alloc.Low] = vcMask(0, ctx.View.VCs())
+	st := ctx.View.State()
+	dec := Decision{Dir: dorOf(st.MinimalDirs(ctx.Dest))}
+	dec.Pri[alloc.Low] = vcMask(0, st.VCs)
 	return dec
 }
 

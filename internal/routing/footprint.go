@@ -79,20 +79,20 @@ func (f *Footprint) pri(p alloc.Priority) alloc.Priority {
 
 // Decide implements Algorithm 1 of the paper.
 func (f *Footprint) Decide(ctx *Context) Decision {
-	v, dest := ctx.View, ctx.Dest
-	nVCs := v.VCs()
+	st, dest := ctx.View.State(), ctx.Dest
+	nVCs := st.VCs
 
 	// STEP 1: legal output ports; the dimension-order one doubles as the
 	// escape port, requested at the lowest priority whatever step 3 says.
-	dx, hasX, dy, hasY := ctx.Mesh.MinimalDirs(ctx.Cur, dest)
+	dx, hasX, dy, hasY := st.MinimalDirs(dest)
 	esc := dorOf(dx, hasX, dy, hasY)
 	dec := Decision{Dir: esc, Esc: esc, HasEsc: true}
 
 	// STEP 2: the port with more idle VCs wins; ties fall to the port
 	// with more footprint VCs; remaining ties break randomly.
-	idle, fp := v.IdleCount(esc, 1), v.FootprintCount(esc, dest, 1)
+	idle, fp := st.IdleCount(esc, 1), st.FootprintCount(esc, dest, 1)
 	if hasX && hasY {
-		iy, fy := v.IdleCount(dy, 1), v.FootprintCount(dy, dest, 1)
+		iy, fy := st.IdleCount(dy, 1), st.FootprintCount(dy, dest, 1)
 		if selectByCounts(ctx, dx, dy, idle, iy, fp, fy) == dy {
 			dec.Dir, idle, fp = dy, iy, fy
 		}
@@ -106,14 +106,14 @@ func (f *Footprint) Decide(ctx *Context) Decision {
 		// MaxFootprintVCs VCs of the port, confine its packets to them
 		// regardless of load, giving the stronger isolation of Section
 		// 4.2.5.
-		dec.Pri[f.pri(alloc.High)] = v.OwnerBits(d, dest) & adaptive
+		dec.Pri[f.pri(alloc.High)] = st.OwnerBits(d, dest) & adaptive
 	case idle >= f.threshold(nVCs):
 		// No congestion: use all adaptive VCs; waiting on footprint
 		// channels would only add latency.
 		dec.Pri[alloc.Low] = adaptive
 	case idle == 0 && fp != 0 && !f.DisableRegulation:
 		// Saturated port: wait on the footprint channels only.
-		dec.Pri[f.pri(alloc.High)] = v.OwnerBits(d, dest) & adaptive
+		dec.Pri[f.pri(alloc.High)] = st.OwnerBits(d, dest) & adaptive
 	case idle == 0:
 		// No footprint to follow: request all adaptive VCs.
 		dec.Pri[alloc.Low] = adaptive
@@ -128,9 +128,9 @@ func (f *Footprint) Decide(ctx *Context) Decision {
 		// Contests therefore resolve exactly as Section 3.3's example:
 		// congested flows keep their channels, other flows get the idle
 		// capacity.
-		idleM := v.IdleBits(d) & adaptive
-		reclaim := idleM & v.RegOwnerBits(d, dest)
-		own := v.OwnerBits(d, dest) & adaptive &^ idleM
+		idleM := st.Idle[d] & adaptive
+		reclaim := idleM & st.RegOwnerBits(d, dest)
+		own := st.OwnerBits(d, dest) & adaptive &^ idleM
 		freshPri := f.pri(alloc.High)
 		if fp > 0 {
 			freshPri = alloc.Low

@@ -107,7 +107,7 @@ func FuzzRouteAdmissible(f *testing.F) {
 		for i := 0; i < steps; i++ {
 			ctx := &Context{
 				Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
-				View: view, Rand: rand.New(rand.NewSource(seed)),
+				View: view.at(m, cur), Rand: rand.New(rand.NewSource(seed)),
 			}
 			reqs := alg.Route(ctx, nil)
 			if len(reqs) == 0 {
@@ -129,7 +129,7 @@ func FuzzRouteAdmissible(f *testing.F) {
 				View: v, Rand: rand.New(rand.NewSource(seed)),
 			}
 		}
-		snapshot := view.clone()
+		snapshot := view.at(m, cur).clone()
 		reqs := alg.Route(ctx(view), nil)
 
 		// Route must not mutate the view it inspects.

@@ -87,13 +87,14 @@ func (*OddEven) allowedDirs(m topo.Mesh, cur, dest int, inDir topo.Direction) (d
 // (random tie-break) and request all its VCs at Low priority.
 func (oe *OddEven) Decide(ctx *Context) Decision {
 	dirs, n := oe.allowedDirs(ctx.Mesh, ctx.Cur, ctx.Dest, ctx.InDir)
+	st := ctx.View.State()
 	dec := Decision{Dir: dirs[0]}
 	if n > 1 {
-		i0 := ctx.View.IdleCount(dirs[0], 0)
-		i1 := ctx.View.IdleCount(dirs[1], 0)
+		i0 := st.IdleCount(dirs[0], 0)
+		i1 := st.IdleCount(dirs[1], 0)
 		dec.Dir = selectByCounts(ctx, dirs[0], dirs[1], i0, i1, 0, 0)
 	}
-	dec.Pri[alloc.Low] = vcMask(0, ctx.View.VCs())
+	dec.Pri[alloc.Low] = vcMask(0, st.VCs)
 	return dec
 }
 

@@ -63,7 +63,7 @@ func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int,
 	for i := 0; i < steps; i++ {
 		ctx := &Context{
 			Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
-			View: view, Rand: rng,
+			View: view.at(m, cur), Rand: rng,
 		}
 		reqs := alg.Route(ctx, nil)
 		if len(reqs) == 0 {
@@ -78,7 +78,7 @@ func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int,
 		cur = next
 		view = newView(rng, m.Nodes(), vcs, dest)
 	}
-	return scenario{m: m, cur: cur, dest: dest, inDir: inDir, view: view}
+	return scenario{m: m, cur: cur, dest: dest, inDir: inDir, view: view.at(m, cur)}
 }
 
 func (s scenario) ctx(seed int64) *Context {
@@ -129,8 +129,8 @@ func TestRoutingInvariantsRandomized(t *testing.T) {
 				minimal := minimalDirSet(s.m, s.cur, s.dest)
 				dd := dorDir(s.m, s.cur, s.dest)
 				for _, r := range reqs {
-					if r.VC < 0 || r.VC >= s.view.VCs() {
-						t.Fatalf("trial %d: VC %d out of range [0,%d)", trial, r.VC, s.view.VCs())
+					if r.VC < 0 || r.VC >= s.view.numVCs {
+						t.Fatalf("trial %d: VC %d out of range [0,%d)", trial, r.VC, s.view.numVCs)
 					}
 					if !minimal[r.Dir] {
 						t.Fatalf("trial %d: non-minimal request %v (cur %d dest %d, quadrant %v)",

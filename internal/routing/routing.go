@@ -21,34 +21,19 @@ import (
 	"nocsim/internal/topo"
 )
 
-// View is the routing-visible state of one router, provided by the router
-// microarchitecture as per-port bitmasks (bit v describes VC v) and the
-// counts derived from them. All information is local except
-// DownstreamIdle, which models the neighbour status exchange used by DBAR.
+// View is what a routing decision reads: the State of the router it is
+// made at, fetched once per decision and all local, and DownstreamIdle,
+// which models the neighbour status exchange used by DBAR. It is an
+// interface only so that a Context can be written with a router in its
+// View field; the router is the one implementation outside tests.
 type View interface {
-	// VCs returns the number of virtual channels per physical channel.
-	VCs() int
-	// IdleBits returns the mask of port d's idle VCs: those that hold no
-	// flits downstream and are not allocated, so have no owner.
-	IdleBits(d topo.Direction) uint32
-	// OwnerBits returns the mask of port d's VCs currently occupied by
-	// packets to dest (its footprint VCs).
-	OwnerBits(d topo.Direction, dest int) uint32
-	// RegOwnerBits returns the mask of port d's VCs whose persistent
-	// footprint register names dest: the destination of the last packet
-	// allocated to the VC, surviving drains until overwritten. Footprint
-	// uses it to re-grant a just-drained footprint VC to its own flow
-	// first.
-	RegOwnerBits(d topo.Direction, dest int) uint32
-	// IdleCount returns the number of idle VCs of port d in [lo, VCs).
-	IdleCount(d topo.Direction, lo int) int
-	// FootprintCount returns the number of VCs of port d in [lo, VCs)
-	// currently owned by dest.
-	FootprintCount(d topo.Direction, dest, lo int) int
+	// State returns the router's routing-visible state, to be read only.
+	State() *State
 	// DownstreamIdle returns the number of idle adaptive VCs on the
 	// productive output ports toward dest at the neighbouring router
-	// reached through output port d. This is the one-hop-ahead,
-	// destination-sliced congestion information DBAR routers exchange.
+	// reached through output port d (0 at a mesh edge). This is the
+	// one-hop-ahead, destination-sliced congestion information DBAR
+	// routers exchange.
 	DownstreamIdle(d topo.Direction, dest int) int
 }
 

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,15 +8,20 @@ import (
 	"nocsim/internal/topo"
 )
 
-// fakeView is a scriptable routing View for unit tests.
+// fakeView is a scriptable routing View for unit tests: owner, regOwner
+// and downstream are the script, and at builds the State they describe
+// for a router at a given node, which is what the algorithm then reads.
 type fakeView struct {
 	numVCs int
-	// owner[d][v] is the VC owner destination, -1 when idle.
+	// owner[d][v] is the VC owner destination, -1 when idle. A VC owned
+	// by a node that is not on the mesh is just busy.
 	owner map[topo.Direction][]int
 	// regOwner[d][v] is the persistent footprint register; defaults to
 	// mirroring owner when unset.
 	regOwner   map[topo.Direction][]int
 	downstream map[topo.Direction]int
+	// st is the State at last built from the script.
+	st *State
 }
 
 func newFakeView(numVCs int) *fakeView {
@@ -36,8 +40,6 @@ func newFakeView(numVCs int) *fakeView {
 	return fv
 }
 
-func (f *fakeView) VCs() int { return f.numVCs }
-
 // regOwnerOf returns the persistent footprint register of VC v of port d.
 func (f *fakeView) regOwnerOf(d topo.Direction, v int) int {
 	if ro, ok := f.regOwner[d]; ok && ro[v] != -1 {
@@ -46,41 +48,31 @@ func (f *fakeView) regOwnerOf(d topo.Direction, v int) int {
 	return f.owner[d][v]
 }
 
-// bitsWhere returns the mask of VCs in [lo, VCs) for which pred holds.
-func (f *fakeView) bitsWhere(lo int, pred func(v int) bool) uint32 {
-	var m uint32
-	for v := lo; v < f.numVCs; v++ {
-		if pred(v) {
-			m |= 1 << uint(v)
+// at builds the State the script describes for the router of node cur on
+// m, as an escape-VC algorithm's router would hold it, and returns f.
+func (f *fakeView) at(m topo.Mesh, cur int) *fakeView {
+	st := NewState(m, cur, f.numVCs, true)
+	for d := topo.East; d <= topo.Local; d++ {
+		for v, o := range f.owner[d] {
+			if o >= 0 {
+				st.Idle[d] &^= 1 << uint(v)
+			}
+			if o >= 0 && o < m.Nodes() {
+				st.Owners[int(d)*m.Nodes()+o] |= 1 << uint(v)
+			}
+			st.RegOwner[int(d)*f.numVCs+v] = int32(f.regOwnerOf(d, v))
 		}
 	}
-	return m
+	f.st = &st
+	return f
 }
 
-func (f *fakeView) IdleBits(d topo.Direction) uint32 {
-	return f.bitsWhere(0, func(v int) bool { return f.owner[d][v] == -1 })
-}
-
-func (f *fakeView) OwnerBits(d topo.Direction, dest int) uint32 {
-	return f.bitsWhere(0, func(v int) bool { return f.owner[d][v] == dest })
-}
-
-func (f *fakeView) RegOwnerBits(d topo.Direction, dest int) uint32 {
-	return f.bitsWhere(0, func(v int) bool { return f.regOwnerOf(d, v) == dest })
-}
-
-func (f *fakeView) IdleCount(d topo.Direction, lo int) int {
-	return bits.OnesCount32(f.IdleBits(d) >> uint(lo))
-}
-
-func (f *fakeView) FootprintCount(d topo.Direction, dest, lo int) int {
-	return bits.OnesCount32(f.OwnerBits(d, dest) >> uint(lo))
-}
+func (f *fakeView) State() *State { return f.st }
 
 func (f *fakeView) DownstreamIdle(d topo.Direction, _ int) int { return f.downstream[d] }
 
-// clone deep-copies the view so a mutation by Route is detectable by
-// comparing against the snapshot.
+// clone deep-copies the view, built State included, so a mutation by
+// Route is detectable by comparing against the snapshot.
 func (f *fakeView) clone() *fakeView {
 	c := &fakeView{
 		numVCs:     f.numVCs,
@@ -99,13 +91,19 @@ func (f *fakeView) clone() *fakeView {
 	for d, n := range f.downstream {
 		c.downstream[d] = n
 	}
+	if f.st != nil {
+		st := *f.st
+		st.Owners = append([]uint32(nil), st.Owners...)
+		st.RegOwner = append([]int32(nil), st.RegOwner...)
+		c.st = &st
+	}
 	return c
 }
 
-func testCtx(m topo.Mesh, cur, dest int, v View) *Context {
+func testCtx(m topo.Mesh, cur, dest int, v *fakeView) *Context {
 	return &Context{
 		Mesh: m, Cur: cur, Dest: dest, InDir: topo.Local,
-		View: v, Rand: rand.New(rand.NewSource(42)),
+		View: v.at(m, cur), Rand: rand.New(rand.NewSource(42)),
 	}
 }
 

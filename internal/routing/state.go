@@ -1,0 +1,115 @@
+package routing
+
+import (
+	"math/bits"
+
+	"nocsim/internal/topo"
+)
+
+// State is the routing-visible state of one router as plain data: bit v
+// of a mask describes VC v of the port. The router that owns a State
+// writes it where its output VCs change hands; routing algorithms and
+// the neighbours' DownstreamIdle only read it, through the fields or the
+// read methods below.
+type State struct {
+	// VCs is the number of virtual channels per physical channel.
+	VCs int
+	// Lo is the first adaptive VC under the router's own algorithm: 1
+	// when VC 0 is its escape channel, else 0.
+	Lo int
+	// Idle[d] is the mask of port d's idle VCs: those that hold no flits
+	// downstream and are not allocated, so have no owner.
+	Idle [topo.NumPorts]uint32
+	// Owners[int(d)*Mesh.Nodes()+dest] is the mask of port d's VCs
+	// currently occupied by packets to dest (its footprint VCs).
+	Owners []uint32
+	// RegOwner[int(d)*VCs+v] is the persistent footprint register of VC v
+	// of port d: the destination of the last packet allocated to it,
+	// surviving drains until overwritten; -1 before the first.
+	RegOwner []int32
+	// Mesh is the topology and Pos the router's own position on it.
+	Mesh topo.Mesh
+	Pos  topo.Coord
+}
+
+// NewState returns the State of node's router on m under an algorithm
+// that does or does not reserve VC 0 as its escape channel, every VC idle
+// and unowned.
+func NewState(m topo.Mesh, node, vcs int, usesEscape bool) State {
+	s := State{
+		VCs:      vcs,
+		Lo:       adaptiveVCRange(usesEscape),
+		Owners:   make([]uint32, topo.NumPorts*m.Nodes()),
+		RegOwner: make([]int32, topo.NumPorts*vcs),
+		Mesh:     m,
+		Pos:      m.Coord(node),
+	}
+	for d := range s.Idle {
+		s.Idle[d] = vcMask(0, vcs)
+	}
+	for i := range s.RegOwner {
+		s.RegOwner[i] = -1
+	}
+	return s
+}
+
+// IdleCount returns the number of idle VCs of port d in [lo, VCs).
+func (s *State) IdleCount(d topo.Direction, lo int) int {
+	return bits.OnesCount32(s.Idle[d] >> uint(lo))
+}
+
+// OwnerBits returns the mask of port d's VCs occupied by packets to dest.
+func (s *State) OwnerBits(d topo.Direction, dest int) uint32 {
+	return s.Owners[int(d)*s.Mesh.Nodes()+dest]
+}
+
+// FootprintCount returns the number of VCs of port d in [lo, VCs)
+// occupied by packets to dest.
+func (s *State) FootprintCount(d topo.Direction, dest, lo int) int {
+	return bits.OnesCount32(s.OwnerBits(d, dest) >> uint(lo))
+}
+
+// RegOwnerBits returns the mask of port d's VCs whose persistent
+// footprint register names dest. Footprint uses it to re-grant a
+// just-drained footprint VC to its own flow first.
+func (s *State) RegOwnerBits(d topo.Direction, dest int) uint32 {
+	var m uint32
+	for v, reg := range s.RegOwner[int(d)*s.VCs : (int(d)+1)*s.VCs] {
+		if int(reg) == dest {
+			m |= 1 << uint(v)
+		}
+	}
+	return m
+}
+
+// MinimalDirs is Mesh.MinimalDirs from this router toward dest. Which way
+// a head is going is close to random from one head to the next, so the
+// sign of each offset picks the direction arithmetically (East/West are
+// 0/1 and North/South 2/3) where comparing would branch.
+func (s *State) MinimalDirs(dest int) (dx topo.Direction, hasX bool, dy topo.Direction, hasY bool) {
+	c := s.Mesh.Coord(dest)
+	ex, ey := c.X-s.Pos.X, c.Y-s.Pos.Y
+	dx = topo.East + topo.Direction(uint(ex)>>63)
+	if ey != 0 {
+		dy = topo.South - topo.Direction(uint(ey)>>63)
+	}
+	return dx, ex != 0, dy, ey != 0
+}
+
+// IdleToward returns the number of idle adaptive VCs over this router's
+// productive output ports toward dest (the ejection port when dest is
+// this node): what a neighbour's DownstreamIdle reports.
+func (s *State) IdleToward(dest int) int {
+	dx, hasX, dy, hasY := s.MinimalDirs(dest)
+	if !hasX && !hasY {
+		return s.IdleCount(topo.Local, s.Lo)
+	}
+	n := 0
+	if hasX {
+		n = s.IdleCount(dx, s.Lo)
+	}
+	if hasY {
+		n += s.IdleCount(dy, s.Lo)
+	}
+	return n
+}

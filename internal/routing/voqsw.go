@@ -55,7 +55,7 @@ func nextHopClass(m topo.Mesh, cur int, out topo.Direction, dest, nClasses int) 
 func (v *VOQSW) Decide(ctx *Context) Decision {
 	dec := v.base.Decide(ctx)
 	lo := adaptiveVCRange(v.base.UsesEscape())
-	vc := lo + nextHopClass(ctx.Mesh, ctx.Cur, dec.Dir, ctx.Dest, ctx.View.VCs()-lo)
+	vc := lo + nextHopClass(ctx.Mesh, ctx.Cur, dec.Dir, ctx.Dest, ctx.View.State().VCs-lo)
 	return dec.onlyVC(vc)
 }
 

@@ -40,7 +40,7 @@ func Class(m topo.Mesh, dest, nClasses int) int {
 // statically assigned VC of the packet's destination class.
 func (x *XORDET) Decide(ctx *Context) Decision {
 	lo := adaptiveVCRange(x.base.UsesEscape())
-	vc := lo + Class(ctx.Mesh, ctx.Dest, ctx.View.VCs()-lo)
+	vc := lo + Class(ctx.Mesh, ctx.Dest, ctx.View.State().VCs-lo)
 	return x.base.Decide(ctx).onlyVC(vc)
 }
 

@@ -122,6 +122,14 @@ func (c Config) Validate() error {
 	if c.WatchdogCycles < 0 {
 		return fmt.Errorf("sim: negative watchdog window %d", c.WatchdogCycles)
 	}
+	for node, interval := range c.SlowEndpoints {
+		if node < 0 || node >= c.Width*c.Height {
+			return fmt.Errorf("sim: slow endpoint %d is not a node of the %dx%d mesh", node, c.Width, c.Height)
+		}
+		if interval < 1 {
+			return fmt.Errorf("sim: slow endpoint %d needs a consume interval >= 1, have %d", node, interval)
+		}
+	}
 	return nil
 }
 

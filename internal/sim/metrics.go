@@ -8,9 +8,10 @@ import (
 )
 
 // metrics implements router.BlockedSink and periodic network sampling,
-// aggregating the blocking statistics behind Figures 10(b) and 10(c).
+// aggregating the blocking statistics behind Figures 10(b) and 10(c). It
+// has no on/off switch: the simulation attaches it to the fabric for the
+// measurement window and samples it there, and nothing reaches it outside.
 type metrics struct {
-	enabled bool
 	// blockEvents counts VC-allocation failures of routed head packets.
 	blockEvents int64
 	// sameDestSum/sameDestObs aggregate, per failure, the fraction of
@@ -33,9 +34,6 @@ const samplePeriod = 16
 
 // OnVCAllocFailure implements router.BlockedSink.
 func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, footprintVCs, busyVCs int, waited int64) {
-	if !m.enabled {
-		return
-	}
 	m.blockEvents++
 	if busyVCs > 0 {
 		m.sameDestSum += float64(footprintVCs) / float64(busyVCs)
@@ -45,9 +43,6 @@ func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo
 
 // sample scans the fabric's input buffers for VC organization purity.
 func (m *metrics) sample(net *network.Network) {
-	if !m.enabled {
-		return
-	}
 	for id := 0; id < net.Nodes(); id++ {
 		r := net.Router(id)
 		for d := topo.East; d <= topo.Local; d++ {

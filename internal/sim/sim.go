@@ -146,6 +146,10 @@ type Simulation struct {
 	measuring bool
 	measStart int64
 	measEnd   int64
+	// blockedInWindow is the fabric's Sinks.Blocked during the measurement
+	// window — met, behind the tracer when tracing — and blockedOutside on
+	// every other cycle: the tracer alone, or nil.
+	blockedInWindow, blockedOutside router.BlockedSink
 
 	measured        int64
 	measuredEjected int64
@@ -200,10 +204,16 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		latency: map[flit.Class]*stats.Summary{},
 		hist:    stats.NewHistogram(4096),
 	}
-	// The simulator's own metrics consume only the failure event; the
-	// observability collectors add themselves to the fields they consume.
-	sinks := router.Sinks{Blocked: s.met}
+	// The simulator's own metrics consume only the failure event, and only
+	// inside the measurement window: the fabric starts with the sinks of
+	// the cycles outside it and Run swaps Blocked at the window's edges.
+	// The observability collectors add themselves to the fields they
+	// consume, in both.
+	var sinks router.Sinks
 	s.col.Attach(&sinks)
+	window := router.Sinks{Blocked: s.met}
+	s.col.Attach(&window)
+	s.blockedOutside, s.blockedInWindow = sinks.Blocked, window.Blocked
 	s.net = network.New(network.Config{
 		Mesh:          cfg.Mesh(),
 		VCs:           cfg.VCs,
@@ -456,7 +466,7 @@ func (s *Simulation) Run() *Result {
 			s.step()
 		}
 		s.met.reset()
-		s.met.enabled = true
+		s.net.SetBlockedSink(s.blockedInWindow)
 		s.measuring = true
 		s.measStart = s.net.Now()
 		s.measEnd = s.measStart + s.cfg.MeasureCycles
@@ -467,7 +477,7 @@ func (s *Simulation) Run() *Result {
 		for i := int64(0); i < s.cfg.MeasureCycles; i++ {
 			s.step()
 		}
-		s.met.enabled = false
+		s.net.SetBlockedSink(s.blockedOutside)
 		if s.col != nil {
 			s.col.CloseWindow(s.net)
 		}

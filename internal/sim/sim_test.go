@@ -35,13 +35,25 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Algorithm = "" },
 		func(c *Config) { c.MeasureCycles = 0 },
 		func(c *Config) { c.WarmupCycles = -1 },
+		// A slow endpoint that is not on the mesh would be silently
+		// ignored, and an interval below 1 silently run at full speed.
+		func(c *Config) { c.SlowEndpoints = map[int]int{99: 4} },
+		func(c *Config) { c.SlowEndpoints = map[int]int{-1: 4} },
+		func(c *Config) { c.SlowEndpoints = map[int]int{3: 0} },
+		func(c *Config) { c.SlowEndpoints = map[int]int{3: -2} },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig()
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: want validation error", i)
+		} else if !strings.HasPrefix(err.Error(), "sim: ") {
+			t.Errorf("case %d: error %q does not start with \"sim: \"", i, err)
 		}
+	}
+	good.SlowEndpoints = map[int]int{0: 1, 63: 4}
+	if err := good.Validate(); err != nil {
+		t.Errorf("slow endpoints on the mesh with intervals >= 1 rejected: %v", err)
 	}
 }
 
