@@ -21,7 +21,6 @@ func main() {
 	ex := cli.NewExperiment("ctree")
 	flag.Parse()
 	prof := ex.Profile(nil)
-	defer ex.Obs.Close()
 
 	fmt.Println(exp.Table1().Format())
 	fmt.Println(exp.SectionCost().Format())

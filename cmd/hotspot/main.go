@@ -4,7 +4,7 @@
 //	hotspot
 //	hotspot -bg 0.3 -profile quick
 //	hotspot -flows        # print Table 3
-//	hotspot -obs-addr localhost:9090 -heatmap-out hot.csv
+//	hotspot -heatmap-out hot.csv  # one link heatmap per (alg, hotspot rate)
 package main
 
 import (
@@ -40,7 +40,6 @@ func main() {
 	}
 
 	prof := ex.Profile(export)
-	defer ex.Obs.Close()
 
 	study, err := exp.Figure9(prof, *bg, nil)
 	if err != nil {

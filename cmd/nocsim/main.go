@@ -11,8 +11,7 @@
 //	nocsim -trace-out trace.json    # Perfetto-loadable lifecycle trace
 //	nocsim -heatmap-out links.csv   # measurement-window link heatmap
 //	nocsim -counters-out ts.csv -sample-period 100
-//	nocsim -obs-addr localhost:9090 # live /metrics, /status, /snapshot
-//	nocsim -watchdog-cycles 5000    # dump a fabric snapshot on stalls
+//	nocsim -watchdog-cycles 5000    # on a stall: dump a fabric snapshot, exit 1
 package main
 
 import (
@@ -68,8 +67,9 @@ func main() {
 		fmt.Print(exp.Table2(cfg))
 		return
 	}
-	lobs.Start()
-	defer lobs.Close()
+	if err := lobs.Start(); err != nil {
+		fatal(err)
+	}
 
 	if *countersOut != "" && *samplePeriod <= 0 {
 		*samplePeriod = 100
@@ -88,7 +88,7 @@ func main() {
 		fatal(err)
 	}
 	if *rates != "" {
-		sweep(cfg, *pattern, size, *rates, *jobs, anat)
+		sweep(cfg, *pattern, size, *rates, *jobs, lobs, anat)
 		return
 	}
 	gen, err := sim.PatternGenerator(cfg, *pattern, size, *rate)
@@ -162,13 +162,16 @@ func main() {
 				*heatmapOut, col.Heatmap.TotalEjected())
 		}
 	}
+	if err := lobs.CheckStalled(res); err != nil {
+		fatal(err)
+	}
 }
 
 // sweep runs the comma-separated rate grid through the parallel
 // execution engine and prints one row per rate. Single-run outputs
 // (traces, counter CSVs) are skipped; use the experiment commands'
 // -counters-out for per-run exports.
-func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, jobs int, anat *cli.Anatomy) {
+func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, jobs int, lobs *cli.Obs, anat *cli.Anatomy) {
 	var grid []float64
 	for _, s := range strings.Split(rateList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -184,8 +187,10 @@ func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string,
 	fmt.Printf("%s / %s, %dx%d, %d VCs, %d workers\n",
 		cfg.Algorithm, pattern, cfg.Width, cfg.Height, cfg.VCs, sim.Jobs(jobs))
 	fmt.Printf("%8s %10s %10s %10s %8s %8s\n", "rate", "offered", "accepted", "latency", "p99", "stable")
-	for _, pt := range pts {
+	results := make([]*sim.Result, len(pts))
+	for i, pt := range pts {
 		res := pt.Result
+		results[i] = res
 		fmt.Printf("%8.3f %10.3f %10.3f %10s %8s %8v\n",
 			pt.Rate, res.Offered, res.Accepted,
 			naFloat(res.AvgLatency(flit.ClassBackground), "%.1f",
@@ -199,6 +204,9 @@ func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string,
 			anat.Report(os.Stdout, fmt.Sprintf("%s-%s-%.2f", pattern, cfg.Algorithm, pt.Rate), pt.Result)
 		}
 		anat.Summary()
+	}
+	if err := lobs.CheckStalled(results...); err != nil {
+		fatal(err)
 	}
 }
 

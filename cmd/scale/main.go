@@ -4,7 +4,7 @@
 //	scale
 //	scale -profile quick
 //	scale -sizes 4x4,8x8,16x16
-//	scale -obs-addr localhost:9090 -watchdog-cycles 5000
+//	scale -watchdog-cycles 5000     # dump a fabric snapshot per stalled run
 package main
 
 import (
@@ -23,7 +23,6 @@ func main() {
 	ex := cli.NewExperiment("scale")
 	flag.Parse()
 	prof := ex.Profile(nil)
-	defer ex.Obs.Close()
 
 	var meshes [][2]int
 	for _, s := range strings.Split(*sizes, ",") {

@@ -6,7 +6,7 @@
 //	sweep -figure anatomy           # adaptiveness & latency-composition study
 //	sweep -figure 5 -pattern shuffle -profile quick
 //	sweep -jobs 8                   # 8 parallel runs, identical results
-//	sweep -obs-addr localhost:9090  # live per-run progress while it runs
+//	sweep -pprof localhost:6060     # CPU profiles labelled per run
 //	sweep -counters-out ts.csv      # one counter CSV per (pattern,alg,rate)
 //	sweep -figure anatomy -anatomy-out anatomy.csv  # per-run anatomy CSVs
 package main
@@ -27,7 +27,6 @@ func main() {
 	export := cli.NewRunExport("sweep")
 	flag.Parse()
 	prof := ex.Profile(export)
-	defer ex.Obs.Close()
 	anat := ex.Anatomy
 
 	patterns := exp.SyntheticPatterns()

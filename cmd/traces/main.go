@@ -37,7 +37,6 @@ func main() {
 	}
 
 	prof := ex.Profile(nil)
-	defer ex.Obs.Close()
 
 	var pairList [][2]string
 	if *pairs != "" {

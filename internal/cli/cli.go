@@ -1,20 +1,21 @@
-// Package cli carries the flag wiring shared by every command: the live
-// observability server (-obs-addr), the stall watchdog
-// (-watchdog-cycles, -watchdog-out), the pprof endpoint (-pprof), the
-// per-run collector exports (-counters-out, -heatmap-out,
-// -sample-period) of the experiment harnesses, the latency-anatomy set
-// (-anatomy, -anatomy-out), and the -profile/-jobs preamble of the
-// figure commands (NewExperiment).
+// Package cli carries the flag wiring shared by every command: the stall
+// watchdog (-watchdog-cycles, -watchdog-out), the pprof endpoint
+// (-pprof), the phase profiler (-phase-profile), the per-run collector
+// exports (-counters-out, -heatmap-out, -sample-period) of the
+// experiment harnesses, the latency-anatomy set (-anatomy,
+// -anatomy-out), and the -profile/-jobs preamble of the figure commands
+// (NewExperiment).
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"sync"
+	"strings"
 
 	"nocsim/internal/exp"
 	"nocsim/internal/obs"
@@ -31,9 +32,9 @@ func NewJobs() *int {
 }
 
 // Experiment is the flag set every figure command shares: the effort
-// profile, the worker count, the observability servers and the latency
-// anatomy. Construct with NewExperiment before flag.Parse, call Profile
-// after.
+// profile, the worker count, the watchdog and profiling flags and the
+// latency anatomy. Construct with NewExperiment before flag.Parse, call
+// Profile after.
 type Experiment struct {
 	Obs     *Obs
 	Anatomy *Anatomy
@@ -53,18 +54,20 @@ func NewExperiment(tool string) *Experiment {
 	}
 }
 
-// Profile starts the servers the flags asked for and returns the named
-// effort profile with the worker count, the collectors of export (nil
-// for a command without per-run exports), the anatomy and the
-// monitoring flags applied. An unknown -profile name prints one
-// diagnostic line and exits 1. The caller defers e.Obs.Close.
+// Profile starts the pprof server if -pprof asked for one and returns
+// the named effort profile with the worker count, the collectors of
+// export (nil for a command without per-run exports), the anatomy and
+// the watchdog and profiler flags applied. An unknown -profile name or
+// an unbindable -pprof address prints one diagnostic line and exits 1.
 func (e *Experiment) Profile(export *RunExport) exp.Profile {
 	prof, err := exp.ProfileByName(*e.profile)
+	if err == nil {
+		err = e.Obs.Start()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", e.Obs.Tool, err)
 		os.Exit(1)
 	}
-	e.Obs.Start()
 	prof.Jobs = *e.jobs
 	if export != nil {
 		prof.Obs = export.Options()
@@ -78,23 +81,18 @@ func (e *Experiment) Profile(export *RunExport) exp.Profile {
 // flag.Parse, Start after.
 type Obs struct {
 	Tool           string
-	Addr           string
 	WatchdogCycles int64
 	WatchdogOut    string
 	PprofAddr      string
 	Profile        bool
 	ProfileEvery   int64
-
-	Hub    *obs.Hub
-	server *obs.Server
 }
 
-// NewObs registers -obs-addr, -watchdog-cycles, -watchdog-out and -pprof
-// on the default flag set. tool names the command in diagnostics.
+// NewObs registers -watchdog-cycles, -watchdog-out, -pprof,
+// -phase-profile and -profile-every on the default flag set. tool names
+// the command in diagnostics.
 func NewObs(tool string) *Obs {
 	o := &Obs{Tool: tool}
-	flag.StringVar(&o.Addr, "obs-addr", "",
-		"serve live observability (/metrics, /status, /snapshot) on this address (e.g. localhost:9090)")
 	flag.Int64Var(&o.WatchdogCycles, "watchdog-cycles", 0,
 		"flag windows of this many cycles with in-flight packets but zero forward progress, dumping a fabric snapshot (0 = off)")
 	flag.StringVar(&o.WatchdogOut, "watchdog-out", "",
@@ -108,57 +106,31 @@ func NewObs(tool string) *Obs {
 	return o
 }
 
-// Start launches the servers the flags asked for: pprof on the default
-// mux and the observability endpoints on their own hub. Call after
-// flag.Parse; it returns the hub (nil when -obs-addr is unset).
-func (o *Obs) Start() *obs.Hub {
-	if o.PprofAddr != "" {
-		addr := o.PprofAddr
-		go func() {
-			if err := http.ListenAndServe(addr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", o.Tool, err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "%s: pprof http://%s/debug/pprof/\n", o.Tool, addr)
+// Start binds the -pprof address, when one was given, and serves
+// net/http/pprof on it until the process exits; the address it
+// announces is the bound one, so ":0" is usable. Call after flag.Parse.
+// An address that cannot be bound is an error.
+func (o *Obs) Start() error {
+	if o.PprofAddr == "" {
+		return nil
 	}
-	if o.Addr != "" {
-		o.Hub = obs.NewHub()
-		srv, err := obs.StartServer(o.Addr, o.Hub)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", o.Tool, err)
-			os.Exit(1)
+	ln, err := net.Listen("tcp", o.PprofAddr)
+	if err != nil {
+		return fmt.Errorf("pprof: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: pprof http://%s/debug/pprof/\n", o.Tool, ln.Addr())
+	go func() {
+		if err := http.Serve(ln, nil); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", o.Tool, err)
 		}
-		o.server = srv
-		fmt.Fprintf(os.Stderr, "%s: observability http://%s/metrics /status /snapshot\n", o.Tool, srv.Addr)
-	}
-	return o.Hub
+	}()
+	return nil
 }
 
-// Close stops the observability server (the pprof goroutine dies with the
-// process).
-func (o *Obs) Close() {
-	if o.server != nil {
-		o.server.Close()
-	}
-}
-
-// ApplyProfile copies the monitoring, watchdog and phase-profiler flags
-// onto an experiment profile.
-func (o *Obs) ApplyProfile(p *exp.Profile) {
-	p.Monitor = o.Hub
-	p.WatchdogCycles = o.WatchdogCycles
-	p.WatchdogOut = o.WatchdogOut
-	if o.Profile {
-		p.Obs.Profile = true
-		p.Obs.ProfileEvery = o.ProfileEvery
-	}
-}
-
-// ApplyConfig copies the monitoring, watchdog and phase-profiler flags
-// onto a single simulation config. Call it after the command has built
-// cfg.Obs, so the profiler selection survives.
+// ApplyConfig copies the watchdog and phase-profiler flags onto a single
+// simulation config. Call it after the command has built cfg.Obs, so the
+// profiler selection survives.
 func (o *Obs) ApplyConfig(cfg *sim.Config) {
-	cfg.Monitor = o.Hub
 	cfg.WatchdogCycles = o.WatchdogCycles
 	cfg.WatchdogOut = o.WatchdogOut
 	if o.Profile {
@@ -167,12 +139,41 @@ func (o *Obs) ApplyConfig(cfg *sim.Config) {
 	}
 }
 
-// fileWriter creates the export files of one flag set and counts the
-// ones that landed. Parallel sweep workers share it.
-type fileWriter struct {
-	tool string
+// ApplyProfile is ApplyConfig for an experiment profile, whose runs get
+// the same three fields through Profile.BaseConfig.
+func (o *Obs) ApplyProfile(p *exp.Profile) {
+	cfg := sim.Config{Obs: p.Obs}
+	o.ApplyConfig(&cfg)
+	p.Obs, p.WatchdogCycles, p.WatchdogOut = cfg.Obs, cfg.WatchdogCycles, cfg.WatchdogOut
+}
 
-	mu      sync.Mutex
+// CheckStalled returns an error naming every result whose watchdog
+// tripped, with the snapshot each one dumped, and nil when none did. A
+// stalled run still produces a Result; commands print it and then fail
+// with this error, so a wedged fabric never exits 0.
+func (o *Obs) CheckStalled(results ...*sim.Result) error {
+	var stalled []string
+	for _, r := range results {
+		if r == nil || !r.Stalled {
+			continue
+		}
+		label := r.Config.RunLabel
+		if label == "" {
+			label = r.Config.Algorithm
+		}
+		stalled = append(stalled, fmt.Sprintf("%s (snapshot %s)", label, r.Config.StallPath()))
+	}
+	if len(stalled) == 0 {
+		return nil
+	}
+	return fmt.Errorf("watchdog: %d of %d runs stalled: %s", len(stalled), len(results), strings.Join(stalled, ", "))
+}
+
+// fileWriter creates the export files of one flag set and counts the
+// ones that landed. It is not for sweep workers: commands write after
+// the figure has returned.
+type fileWriter struct {
+	tool    string
 	written int
 }
 
@@ -193,18 +194,13 @@ func (fw *fileWriter) writeFile(path string, write func(w io.Writer) error) {
 		fmt.Fprintf(os.Stderr, "%s: close %s: %v\n", fw.tool, path, err)
 		return
 	}
-	fw.mu.Lock()
 	fw.written++
-	fw.mu.Unlock()
 }
 
 // report prints how many files of kind were written.
 func (fw *fileWriter) report(kind string) {
-	fw.mu.Lock()
-	written := fw.written
-	fw.mu.Unlock()
-	if written > 0 {
-		fmt.Fprintf(os.Stderr, "%s: wrote %d %s files\n", fw.tool, written, kind)
+	if fw.written > 0 {
+		fmt.Fprintf(os.Stderr, "%s: wrote %d %s files\n", fw.tool, fw.written, kind)
 	}
 }
 

@@ -47,9 +47,6 @@ func Anatomy(p Profile, pattern string, algs []string) (AnatomyStudy, error) {
 	if algs == nil {
 		algs = AnatomyAlgorithms()
 	}
-	if p.Monitor != nil {
-		p.Monitor.AddPlan(len(algs) * len(p.Rates))
-	}
 	// Flatten the (algorithm × rate) grid: every cell is one independent
 	// run through the shared worker pool.
 	pts, err := sim.Map(p.Jobs, len(algs)*len(p.Rates), func(i int) (AnatomyPoint, error) {

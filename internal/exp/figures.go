@@ -123,9 +123,6 @@ func Figure6(p Profile, pattern string) (CurveSet, error) {
 func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []string) (CurveSet, error) {
 	crit := sim.DefaultCriterion()
 	cs := CurveSet{Figure: figure, Pattern: pattern}
-	if p.Monitor != nil {
-		p.Monitor.AddPlan(len(algs) * len(p.Rates))
-	}
 	curves, err := sim.Map(p.Jobs, len(algs), func(i int) (Curve, error) {
 		alg := algs[i]
 		cfg := p.BaseConfig()
@@ -153,11 +150,6 @@ func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []str
 			} else {
 				saturated = 0
 			}
-		}
-		if p.Monitor != nil && len(pts) < len(p.Rates) {
-			// The early-exit trimmed this curve; the skipped rates will
-			// never run, so shrink the plan to keep grid progress honest.
-			p.Monitor.AddPlan(len(pts) - len(p.Rates))
 		}
 		return Curve{Algorithm: alg, Points: pts}, nil
 	})
@@ -340,9 +332,6 @@ func Figure9(p Profile, bgRate float64, rates []float64) (HotspotStudy, error) {
 		rates = rateGrid(0.05, 0.65, 0.05)
 	}
 	out := HotspotStudy{BackgroundRate: bgRate, Rates: rates, Curves: map[string][]sim.HotspotPoint{}}
-	if p.Monitor != nil {
-		p.Monitor.AddPlan(2 * len(rates))
-	}
 	// Flatten the (algorithm × rate) grid so every cell is one independent
 	// run; nesting HotspotCurveJobs inside a parallel algorithm loop would
 	// oversubscribe the worker budget.

@@ -1,11 +1,12 @@
 package exp
 
 import (
-	"io"
-	"sync"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
-	"nocsim/internal/obs"
+	"nocsim/internal/sim"
 )
 
 // TestCurveSetDeterministicAcrossJobs is the harness-level golden test:
@@ -53,43 +54,16 @@ func TestFigure10DeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestParallelSweepMonitorRace runs a monitored figure on the worker
-// pool while scraper goroutines hit the hub the way the HTTP handlers
-// do. Under -race this proves the whole path — parallel run
-// registration, heartbeats, plan accounting, per-run labels — is clean.
-func TestParallelSweepMonitorRace(t *testing.T) {
-	hub := obs.NewHub()
+// TestParallelSweepLabelsDistinct runs a figure on the worker pool and
+// checks that every run of the sweep carries a distinct, rate-tagged
+// label — the shared-config mutation this engine replaced used to
+// clobber them. Under -race it also proves the curve workers share
+// nothing they write.
+func TestParallelSweepLabelsDistinct(t *testing.T) {
 	p := tinyProfile()
 	p.Jobs = 4
-	p.Monitor = hub
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for s := 0; s < 2; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := hub.WriteStatus(io.Discard); err != nil {
-					t.Errorf("WriteStatus: %v", err)
-					return
-				}
-				if err := hub.WriteMetrics(io.Discard); err != nil {
-					t.Errorf("WriteMetrics: %v", err)
-					return
-				}
-			}
-		}()
-	}
 
 	cs, err := curveSet(p, "Figure 5", "uniform", nil, []string{"footprint", "dbar", "dor", "oddeven"})
-	close(stop)
-	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,23 +71,47 @@ func TestParallelSweepMonitorRace(t *testing.T) {
 		t.Fatalf("curves = %d", len(cs.Curves))
 	}
 
-	st := hub.Status()
-	if st.Active != 0 {
-		t.Errorf("active runs = %d after the sweep finished", st.Active)
-	}
-	if st.Completed == 0 {
-		t.Error("no completed runs reported")
-	}
-	// Every run of the sweep must carry a distinct, rate-tagged label —
-	// the shared-config mutation this engine replaced used to clobber
-	// them.
-	seen := map[string]int{}
-	for _, r := range st.Runs {
-		seen[r.Label]++
-	}
-	for label, n := range seen {
-		if n > 1 {
-			t.Errorf("label %q used by %d runs; per-run identity must be unique", label, n)
+	seen := map[string]bool{}
+	for _, c := range cs.Curves {
+		for _, pt := range c.Points {
+			label := pt.Result.Config.RunLabel
+			if want := fmt.Sprintf("rate=%.3f", pt.Rate); !strings.Contains(label, c.Algorithm) || !strings.HasSuffix(label, want) {
+				t.Errorf("label %q does not name its run (%s, %s)", label, c.Algorithm, want)
+			}
+			if seen[label] {
+				t.Errorf("label %q used by more than one run; per-run identity must be unique", label)
+			}
+			seen[label] = true
 		}
 	}
+}
+
+// TestConfigIsPlainData holds the sharing rule of sim.Map: a worker's
+// copy of sim.Config or Profile is private because neither can reach a
+// pointer, an interface, a channel or a sync type. Funcs (constructors
+// and clocks, called but never written) and maps and slices of plain
+// data (read-only once the grid fans out) are allowed.
+func TestConfigIsPlainData(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		if strings.HasPrefix(typ.PkgPath(), "sync") {
+			t.Errorf("%s is a %s", path, typ)
+			return
+		}
+		switch typ.Kind() {
+		case reflect.Ptr, reflect.Interface, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s (%s): a copy would share it", path, typ.Kind(), typ)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Map:
+			check(path+"[key]", typ.Key())
+			check(path+"[]", typ.Elem())
+		case reflect.Slice, reflect.Array:
+			check(path+"[]", typ.Elem())
+		}
+	}
+	check("sim.Config", reflect.TypeOf(sim.Config{}))
+	check("exp.Profile", reflect.TypeOf(Profile{}))
 }

@@ -37,10 +37,6 @@ type Profile struct {
 	// heatmap, tracer) attached to every simulation of the experiment;
 	// each Result carries its collector back for per-run export.
 	Obs obs.Options
-	// Monitor, when non-nil, aggregates every run's live progress for
-	// the /metrics and /status endpoints, so a whole figure's grid of
-	// runs is visible while it executes.
-	Monitor *obs.Hub
 	// WatchdogCycles arms the per-run stall watchdog (see
 	// sim.Config.WatchdogCycles); WatchdogOut overrides the stall
 	// snapshot path.
@@ -103,7 +99,6 @@ func (p Profile) apply(cfg sim.Config) sim.Config {
 	cfg.MeasureCycles = p.Measure
 	cfg.DrainCycles = p.Drain
 	cfg.Obs = p.Obs
-	cfg.Monitor = p.Monitor
 	cfg.WatchdogCycles = p.WatchdogCycles
 	cfg.WatchdogOut = p.WatchdogOut
 	return cfg

@@ -85,7 +85,7 @@ type Anatomy struct {
 }
 
 // Components returns the latency decomposition as a fixed-order slice
-// (the shared vocabulary of the CSV, Prometheus and table exporters).
+// (the shared vocabulary of the CSV and table exporters).
 func (a *Anatomy) Components() []Component {
 	out := []Component{
 		{"src-queue", a.SrcQueueCycles},
@@ -243,8 +243,7 @@ type packetAnatomy struct {
 }
 
 // AnatomyCollector accumulates the latency anatomy. All event callbacks
-// run on the single stepping goroutine, so it needs no locking; the Hub
-// snapshots aggregates under its own mutex.
+// run on the single stepping goroutine, so it needs no locking.
 type AnatomyCollector struct {
 	period int64
 

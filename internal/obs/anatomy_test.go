@@ -133,8 +133,8 @@ func TestAnatomyFormatAndCSV(t *testing.T) {
 	}
 }
 
-// TestVCClassStrings pins the enum's exporter vocabulary (CSV columns,
-// Prometheus label values) against accidental renames.
+// TestVCClassStrings pins the enum's exporter vocabulary (CSV columns)
+// against accidental renames.
 func TestVCClassStrings(t *testing.T) {
 	want := map[router.VCClass]string{
 		router.VCClassIdle:      "idle",

@@ -487,6 +487,10 @@ func TestDisabledObservability(t *testing.T) {
 	}
 }
 
+// liveNet builds a small fabric with some traffic in flight so that
+// collectors ticked against it read non-trivial state.
+func liveNet(t *testing.T) *network.Network { return floodNet(t, 50, nil) }
+
 // TestAnatomySeriesBound: the occupancy series keeps its first
 // DefaultAnatomySamples points and counts the rest, which is what the
 // end-of-run truncation warning reports.

@@ -97,8 +97,8 @@ var heapAllocMetrics = [...]string{"/gc/heap/allocs:bytes", "/gc/heap/allocs:obj
 
 // PhaseProfiler implements network.PhaseProbe: it samples every Kth
 // cycle and accumulates per-phase wall time and allocation deltas. It is
-// driven from the simulation's stepping goroutine only; Snapshot and
-// Profile are safe from that same goroutine (the heartbeat).
+// driven from the simulation's stepping goroutine only, and Snapshot and
+// Profile are read from that same goroutine.
 type PhaseProfiler struct {
 	every int64
 	clock prof.Clock
@@ -192,8 +192,7 @@ func (p *PhaseProfiler) EndCycle() {
 // SampleEvery returns the sampling period in cycles.
 func (p *PhaseProfiler) SampleEvery() int64 { return p.every }
 
-// Snapshot returns the per-phase aggregates so far, in pipeline order —
-// the heartbeat publishes it to the hub while the run executes.
+// Snapshot returns the per-phase aggregates so far, in pipeline order.
 func (p *PhaseProfiler) Snapshot() []PhaseStats {
 	out := make([]PhaseStats, network.NumPhases)
 	var total int64

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -100,7 +98,7 @@ func (c BlockChain) String() string {
 
 // FabricSnapshot is a structured dump of the whole fabric at one cycle:
 // every non-idle VC plus the head-flit blocked-on chains. It is the
-// watchdog's stall post-mortem and the /snapshot endpoint's payload.
+// watchdog's stall post-mortem.
 type FabricSnapshot struct {
 	Cycle      int64        `json:"cycle"`
 	Width      int          `json:"width"`
@@ -353,11 +351,4 @@ func (s *FabricSnapshot) Summary() string {
 		fmt.Fprintf(&b, "  chain %d: %s\n", i+1, s.Chains[i].String())
 	}
 	return b.String()
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s *FabricSnapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -18,6 +17,13 @@ import (
 // wedgedNet floods a 2x2 fabric toward node 3, whose endpoint never
 // consumes, and steps until the backpressure freezes everything.
 func wedgedNet(t *testing.T) *network.Network {
+	return floodNet(t, 500, map[int]int{3: 1 << 30})
+}
+
+// floodNet steps a 2x2 fabric for the given cycles while nodes 0-2 each
+// offer node 3 a single-flit packet per cycle; slow is the fabric's
+// SlowEndpoints.
+func floodNet(t *testing.T, cycles int, slow map[int]int) *network.Network {
 	t.Helper()
 	n := network.New(network.Config{
 		Mesh:          topo.MustNew(2, 2),
@@ -26,11 +32,11 @@ func wedgedNet(t *testing.T) *network.Network {
 		Speedup:       2,
 		NewAlg:        func() routing.Algorithm { return routing.MustNew("footprint") },
 		Rand:          rand.New(rand.NewSource(1)),
-		SlowEndpoints: map[int]int{3: 1 << 30},
+		SlowEndpoints: slow,
 	})
 	n.Sink = func(p *flit.Packet) {}
 	id := uint64(0)
-	for cycle := 0; cycle < 500; cycle++ {
+	for cycle := 0; cycle < cycles; cycle++ {
 		for _, src := range []int{0, 1, 2} {
 			id++
 			n.Offer(&flit.Packet{ID: id, Src: src, Dest: 3, Size: 1, Born: n.Now()})
@@ -82,12 +88,12 @@ func TestSnapshotCapturesWedgedFabric(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	n := wedgedNet(t)
 	snap := obs.Capture(n)
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got obs.FabricSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v", err)
 	}
 	if !reflect.DeepEqual(&got, snap) {

@@ -26,7 +26,6 @@ type Watchdog struct {
 	lastProgress int64
 	primed       bool
 	tripped      bool
-	stalls       int64
 }
 
 // NewWatchdog builds a watchdog that trips after window cycles without
@@ -38,12 +37,6 @@ func NewWatchdog(window int64, snap func() *FabricSnapshot) *Watchdog {
 	}
 	return &Watchdog{window: window, snap: snap}
 }
-
-// Window returns the configured no-progress window in cycles.
-func (w *Watchdog) Window() int64 { return w.window }
-
-// Stalls returns the number of stall windows flagged so far.
-func (w *Watchdog) Stalls() int64 { return w.stalls }
 
 // Beat feeds the watchdog the fabric's progress counters at cycle now:
 // inFlight packets and workDone, the cumulative flits sent through all
@@ -62,7 +55,6 @@ func (w *Watchdog) Beat(now int64, inFlight int, workDone int64) *StallReport {
 		return nil
 	}
 	w.tripped = true
-	w.stalls++
 	rep := &StallReport{
 		Cycle:      now,
 		SinceCycle: w.lastProgress,

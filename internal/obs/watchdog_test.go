@@ -36,9 +36,6 @@ func TestWatchdogPrimesTripsAndRearms(t *testing.T) {
 	if rep := wd.Beat(350, 5, 11); rep == nil {
 		t.Fatal("did not trip after re-arming")
 	}
-	if wd.Stalls() != 2 {
-		t.Errorf("Stalls = %d, want 2", wd.Stalls())
-	}
 }
 
 func TestWatchdogIgnoresEmptyFabric(t *testing.T) {
@@ -52,12 +49,11 @@ func TestWatchdogIgnoresEmptyFabric(t *testing.T) {
 
 // TestWatchdogWedgedNetwork wedges a 2x2 fabric — every node floods node
 // 3, whose endpoint never consumes — and checks the full integration: the
-// simulation's heartbeat trips the watchdog, marks the result stalled,
-// reports to the hub, and dumps a stall snapshot whose blocked-on chains
-// name at least one blocked VC.
+// simulation's heartbeat trips the watchdog, marks the result stalled
+// and dumps a stall snapshot whose blocked-on chains name at least one
+// blocked VC.
 func TestWatchdogWedgedNetwork(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "stall.json")
-	hub := obs.NewHub()
 	cfg := sim.DefaultConfig()
 	cfg.Width, cfg.Height = 2, 2
 	cfg.VCs = 2
@@ -65,7 +61,6 @@ func TestWatchdogWedgedNetwork(t *testing.T) {
 	cfg.MeasureCycles = 200
 	cfg.DrainCycles = 4000
 	cfg.SlowEndpoints = map[int]int{3: 1 << 30} // consumes only at cycle 0
-	cfg.Monitor = hub
 	cfg.WatchdogCycles = 400
 	cfg.WatchdogOut = out
 	gen := &traffic.Generator{
@@ -80,9 +75,6 @@ func TestWatchdogWedgedNetwork(t *testing.T) {
 	}
 	if res.Stable {
 		t.Error("wedged run reported stable")
-	}
-	if hub.Stalls() == 0 {
-		t.Error("stall not reported to the hub")
 	}
 
 	data, err := os.ReadFile(out)

@@ -26,7 +26,7 @@ func anatomyRun(t *testing.T, alg string, rate float64) *Result {
 }
 
 // TestAnatomyDoesNotChangeResults pins the anatomy collector's contract:
-// like the profiler and the monitor, enabling it must not alter a single
+// like the profiler and the watchdog, enabling it must not alter a single
 // simulated bit. The scrubbed sweeps must be bit-identical, and every
 // anatomy-enabled run must actually carry a populated aggregate.
 func TestAnatomyDoesNotChangeResults(t *testing.T) {

@@ -49,13 +49,8 @@ type Config struct {
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; see Simulation.Observability.
 	Obs obs.Options
-	// Monitor, when non-nil, receives the run's live progress: phase,
-	// percent complete, in-flight packets, accepted rate and per-router
-	// gauges, published on a heartbeat cadence for the /metrics and
-	// /status endpoints. Runs sharing one hub (a sweep) aggregate there.
-	Monitor *obs.Hub
-	// RunLabel names the run in the monitor's output; defaults to the
-	// algorithm name.
+	// RunLabel names the run in its pprof labels and its stall snapshot
+	// path (see RunIdentity.Apply); defaults to the algorithm name.
 	RunLabel string
 	// PprofLabels are extra (key, value) pairs attached to the run's
 	// stepping goroutine as runtime/pprof labels, on top of the implicit
@@ -68,8 +63,7 @@ type Config struct {
 	// captures a fabric snapshot (written to WatchdogOut) and summarizes
 	// it to stderr.
 	WatchdogCycles int64
-	// WatchdogOut is the stall snapshot JSON path (default
-	// "nocsim-stall.json").
+	// WatchdogOut is the stall snapshot JSON path; see StallPath.
 	WatchdogOut string
 
 	// WarmupCycles run before measurement starts.
@@ -131,6 +125,15 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// StallPath returns the path the run's watchdog dumps its stall
+// snapshot to: WatchdogOut, or "nocsim-stall.json" when that is empty.
+func (c Config) StallPath() string {
+	if c.WatchdogOut == "" {
+		return "nocsim-stall.json"
+	}
+	return c.WatchdogOut
 }
 
 // Mesh returns the configured topology.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -157,8 +158,9 @@ func TestHotspotDeterministicAcrossJobs(t *testing.T) {
 }
 
 // TestMonitoringDoesNotChangeResults pins the rule that made label and
-// seed-key separate identities: attaching a monitor (which decorates run
-// labels) must not alter a single simulated bit.
+// seed-key separate identities: decorating the run labels and arming
+// the watchdog (whose beat reads the fabric every few cycles and whose
+// dump path is derived per run) must not alter a single simulated bit.
 func TestMonitoringDoesNotChangeResults(t *testing.T) {
 	cfg := testConfig()
 	cfg.Algorithm = "oddeven"
@@ -169,14 +171,15 @@ func TestMonitoringDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Monitor = obs.NewHub()
 	cfg.RunLabel = "decorated label"
+	cfg.WatchdogCycles = 50
+	cfg.WatchdogOut = filepath.Join(t.TempDir(), "stall.json")
 	monitored, err := LatencyThroughputJobs(cfg, "transpose", traffic.FixedSize(1), rates, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(scrubPoints(bare), scrubPoints(monitored)) {
-		t.Error("attaching a monitor changed simulation results")
+		t.Error("a decorated label and an armed watchdog changed simulation results")
 	}
 }
 

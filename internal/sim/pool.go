@@ -22,6 +22,11 @@ import (
 // watchdog snapshot path. Equal base seeds therefore give bit-identical
 // results at any worker count; the determinism tests in
 // determinism_test.go hold this invariant for every routing algorithm.
+//
+// Sharing rule: the workers of a Map share the index counter, the stop
+// flag and the result and error slices (each element written by the one
+// worker that drew its index), nothing else; a Config is plain data
+// (TestConfigIsPlainData in internal/exp), so a run's copy is private.
 
 // DefaultJobs is the worker count used when a harness is handed a
 // non-positive jobs value: one worker per CPU.
@@ -106,17 +111,17 @@ func DeriveSeed(base int64, identity string) int64 {
 	return int64(h.Sum64())
 }
 
-// RunIdentity pins one run of an experiment grid: the label shown by
-// the monitor and the derived seed driving its RNG. Harnesses compute
-// it per cell before fanning out, so a shared base Config is never
-// mutated across goroutines.
+// RunIdentity pins one run of an experiment grid: the label naming it
+// in profiles and stall dumps and the derived seed driving its RNG.
+// Harnesses compute it per cell before fanning out, so a shared base
+// Config is never mutated across goroutines.
 type RunIdentity struct {
 	Label string
 	Seed  int64
 }
 
 // Identify builds a run identity under base config cfg: label names the
-// run for the monitor; seedKey is the canonical cell identity fed to
+// run for display; seedKey is the canonical cell identity fed to
 // DeriveSeed (kept separate from the label so display decoration never
 // changes results).
 func Identify(cfg Config, label, seedKey string) RunIdentity {
@@ -130,11 +135,7 @@ func (id RunIdentity) Apply(cfg Config) Config {
 	cfg.RunLabel = id.Label
 	cfg.Seed = id.Seed
 	if cfg.WatchdogCycles > 0 {
-		base := cfg.WatchdogOut
-		if base == "" {
-			base = "nocsim-stall.json"
-		}
-		cfg.WatchdogOut = obs.SuffixPath(base, id.Label)
+		cfg.WatchdogOut = obs.SuffixPath(cfg.StallPath(), id.Label)
 	}
 	return cfg
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
@@ -156,17 +155,11 @@ type Simulation struct {
 	offeredFlits    int64 // flits offered during the measurement window
 	ejectedFlits    int64 // flits ejected during the measurement window
 
-	// Live-observability state: the heartbeat (every beatEvery cycles,
-	// 0 = off) feeds the watchdog and publishes progress to the hub.
-	beatEvery     int64
-	runh          *obs.RunHandle
-	wd            *obs.Watchdog
-	phase         string
-	runStartCycle int64
-	wallStart     time.Time
-	totalOffered  int64 // whole-run offered flits
-	totalEjected  int64 // whole-run ejected flits
-	stalled       bool
+	// The stall watchdog, beaten every beatEvery cycles; both are zero
+	// unless cfg.WatchdogCycles arms it.
+	beatEvery int64
+	wd        *obs.Watchdog
+	stalled   bool
 
 	latency map[flit.Class]*stats.Summary
 	hist    *stats.Histogram
@@ -231,18 +224,12 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		s.prof = obs.NewPhaseProfiler(cfg.Obs.ProfileEvery, cfg.Obs.ProfileClock)
 		s.net.Probe = s.prof
 	}
-	if cfg.Monitor != nil || cfg.WatchdogCycles > 0 {
-		s.beatEvery = 128
-		if cfg.WatchdogCycles > 0 && cfg.WatchdogCycles/4 < s.beatEvery {
-			s.beatEvery = max(1, cfg.WatchdogCycles/4)
-		}
-	}
 	if cfg.WatchdogCycles > 0 {
+		s.beatEvery = max(1, min(128, cfg.WatchdogCycles/4))
 		s.wd = obs.NewWatchdog(cfg.WatchdogCycles, func() *obs.FabricSnapshot {
 			return obs.Capture(s.net)
 		})
 	}
-	s.phase = "manual" // replaced by Run's phase bookkeeping
 	mesh := cfg.Mesh()
 	for _, g := range gens {
 		g.Init(mesh, rng)
@@ -291,7 +278,6 @@ func (s *Simulation) onEject(p *flit.Packet) {
 	if s.measuring && s.net.Now() >= s.measStart && s.net.Now() < s.measEnd {
 		s.ejectedFlits += int64(p.Size)
 	}
-	s.totalEjected += int64(p.Size)
 	for _, obs := range s.observers {
 		obs.OnEject(p)
 	}
@@ -327,103 +313,28 @@ func (s *Simulation) step() {
 				s.measured++
 				s.offeredFlits += int64(p.Size)
 			}
-			s.totalOffered += int64(p.Size)
 			s.net.Offer(p)
 		})
 	}
 	s.net.Step()
 }
 
-// heartbeat feeds the stall watchdog and publishes live progress to the
-// monitoring hub. It runs every beatEvery cycles, so its per-call cost
-// (a few hundred counter reads) amortizes to noise.
+// heartbeat feeds the stall watchdog; on the beat that completes a
+// zero-progress window it marks the run stalled, dumps the fabric
+// snapshot and summarizes it to stderr.
 func (s *Simulation) heartbeat(now int64) {
-	inFlight := s.net.InFlight()
-	work := s.net.TotalOutputFlits()
-	if s.wd != nil {
-		if rep := s.wd.Beat(now, inFlight, work); rep != nil {
-			s.stalled = true
-			path := s.cfg.WatchdogOut
-			if path == "" {
-				path = "nocsim-stall.json"
-			}
-			if err := rep.Dump(path); err != nil {
-				fmt.Fprintln(os.Stderr, "sim: watchdog dump:", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "sim: watchdog snapshot written to %s\n", path)
-			}
-			fmt.Fprintln(os.Stderr, rep.Summary())
-			if s.cfg.Monitor != nil {
-				s.cfg.Monitor.ReportStall(rep)
-				s.runh.MarkStalled()
-			}
-		}
-	}
-	hub := s.cfg.Monitor
-	if hub == nil {
+	rep := s.wd.Beat(now, s.net.InFlight(), s.net.TotalOutputFlits())
+	if rep == nil {
 		return
 	}
-	if s.runh == nil {
-		// Manually-stepped simulations (congestion-tree analyzers) never
-		// enter Run; register them on the first beat so they still show
-		// up in /status.
-		label := s.cfg.RunLabel
-		if label == "" {
-			label = s.cfg.Algorithm
-		}
-		total := s.cfg.WarmupCycles + s.cfg.MeasureCycles + s.cfg.DrainCycles
-		s.runh = hub.StartRun(label, s.cfg.Algorithm, total)
+	s.stalled = true
+	path := s.cfg.StallPath()
+	if err := rep.Dump(path); err != nil {
+		fmt.Fprintln(os.Stderr, "sim: watchdog dump:", err)
+	} else {
+		fmt.Fprintf(os.Stderr, "sim: watchdog snapshot written to %s\n", path)
 	}
-	if s.wallStart.IsZero() {
-		s.wallStart = prof.Now()
-		s.runStartCycle = now
-	}
-	u := obs.RunUpdate{
-		Phase:        s.phase,
-		Cycle:        now - s.runStartCycle,
-		InFlight:     inFlight,
-		OfferedFlits: s.totalOffered,
-		EjectedFlits: s.totalEjected,
-		FlitHops:     work,
-	}
-	if wall := prof.Now().Sub(s.wallStart).Seconds(); wall > 0 {
-		u.CyclesPerSec = float64(now-s.runStartCycle) / wall
-	}
-	if s.prof != nil {
-		u.Phases = s.prof.Snapshot()
-	}
-	arena := s.net.Arena().Stats()
-	u.Arena = &arena
-	if s.col != nil {
-		if s.col.Tracer != nil {
-			u.TraceEvents = s.col.Tracer.Total()
-			u.TraceDropped = s.col.Tracer.Dropped()
-		}
-		if s.col.Anatomy != nil {
-			u.Anatomy = s.col.Anatomy.Aggregate()
-			if smp := s.col.Anatomy.Samples(); len(smp) > 0 {
-				last := smp[len(smp)-1]
-				u.Occupancy = &last
-			}
-		}
-	}
-	if s.measuring && now > s.measStart {
-		end := now
-		if end > s.measEnd {
-			end = s.measEnd
-		}
-		cycles := float64(end - s.measStart)
-		u.AcceptedRate = float64(s.ejectedFlits) / float64(s.cfg.Mesh().Nodes()) / cycles
-	}
-	if s.hist.N() > 0 {
-		u.LatencyP50 = s.hist.Quantile(0.5)
-		u.LatencyP99 = s.hist.Quantile(0.99)
-	}
-	s.runh.Update(u)
-	hub.PublishGauges(now, s.net)
-	if hub.SnapshotWanted() {
-		hub.PublishSnapshot(obs.Capture(s.net))
-	}
+	fmt.Fprintln(os.Stderr, rep.Summary())
 }
 
 // pprofLabels builds the run's runtime/pprof label set: the routing
@@ -450,18 +361,7 @@ func (s *Simulation) Run() *Result {
 	wall0 := prof.Now()
 	startCycle := s.net.Now()
 
-	if s.cfg.Monitor != nil {
-		label := s.cfg.RunLabel
-		if label == "" {
-			label = s.cfg.Algorithm
-		}
-		total := s.cfg.WarmupCycles + s.cfg.MeasureCycles + s.cfg.DrainCycles
-		s.runh = s.cfg.Monitor.StartRun(label, s.cfg.Algorithm, total)
-		s.wallStart = wall0
-		s.runStartCycle = startCycle
-	}
 	pprof.Do(context.Background(), s.pprofLabels(), func(context.Context) {
-		s.phase = "warmup"
 		for i := int64(0); i < s.cfg.WarmupCycles; i++ {
 			s.step()
 		}
@@ -473,7 +373,6 @@ func (s *Simulation) Run() *Result {
 		if s.col != nil {
 			s.col.OpenWindow(s.net, s.cfg.Mesh(), s.measStart, s.measEnd)
 		}
-		s.phase = "measure"
 		for i := int64(0); i < s.cfg.MeasureCycles; i++ {
 			s.step()
 		}
@@ -484,14 +383,11 @@ func (s *Simulation) Run() *Result {
 		// Drain: keep the offered load flowing so the backpressure seen
 		// by measured packets persists, until every measured packet has
 		// ejected or the drain budget runs out.
-		s.phase = "drain"
 		for i := int64(0); i < s.cfg.DrainCycles && s.measuredEjected < s.measured; i++ {
 			s.step()
 		}
 	})
 	s.measuring = false
-	s.phase = "done"
-	s.runh.Finish()
 
 	wall := prof.Now().Sub(wall0).Seconds()
 	var mem1 runtime.MemStats

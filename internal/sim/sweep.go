@@ -37,11 +37,11 @@ func LatencyThroughputJobs(cfg Config, pattern string, size traffic.SizeFn, rate
 }
 
 // loadIdentity derives the identity of one rate point of a sweep: the
-// monitored label is the harness's base label (or the algorithm name)
+// label is the harness's base label (or the algorithm name)
 // tagged with the injection rate — bisection searches pick rates
 // dynamically, so the rate part cannot be pre-assigned — while the seed
 // key is the canonical (pattern, rate) traffic cell. The key is
-// independent of display decoration, so monitoring never changes
+// independent of display decoration, so relabelling never changes
 // results, and deliberately excludes the routing algorithm, so the
 // curves of a figure compare algorithms on identical offered traffic
 // (each run still owns a private RNG seeded from the key).
