@@ -5,6 +5,10 @@
 //	ctree
 //	ctree -profile quick
 //	ctree -tables         # Table 1 + cost analysis only
+//
+// Figure 2 steps its fabrics by hand and samples the congestion tree as
+// it goes: it makes no sim.Result, so ctree takes the process flags
+// (-profile, -jobs, -watchdog-*, -pprof) and none of the per-run ones.
 package main
 
 import (

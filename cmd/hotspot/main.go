@@ -4,7 +4,13 @@
 //	hotspot
 //	hotspot -bg 0.3 -profile quick
 //	hotspot -flows        # print Table 3
-//	hotspot -heatmap-out hot.csv  # one link heatmap per (alg, hotspot rate)
+//	hotspot -heatmap-out hot.csv  # one link heatmap per run: hot_figure-9-footprint-bg-0.30-hot-0.10.csv
+//	hotspot -anatomy -phase-profile  # the table, then both blocks per run
+//
+// The per-run flags (-anatomy, -anatomy-out, -phase-profile,
+// -counters-out, -heatmap-out) are served after the table for all 26
+// runs; a run whose watchdog tripped or a file that could not be written
+// is exit 1.
 package main
 
 import (
@@ -22,7 +28,7 @@ func main() {
 	bg := flag.Float64("bg", 0.3, "background injection rate (flits/node/cycle)")
 	flows := flag.Bool("flows", false, "print the Table 3 hotspot flows and exit")
 	ex := cli.NewExperiment("hotspot")
-	export := cli.NewRunExport("hotspot")
+	report := cli.NewRunReport()
 	flag.Parse()
 
 	if *flows {
@@ -39,23 +45,17 @@ func main() {
 		return
 	}
 
-	prof := ex.Profile(export)
-
-	study, err := exp.Figure9(prof, *bg, nil)
+	study, err := exp.Figure9(ex.Profile(report), *bg, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotspot:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Println(study.Format())
-	// Each run's collector files and latency anatomy; no-ops without
-	// their flags.
-	for _, alg := range []string{"footprint", "dbar"} {
-		for _, pt := range study.Curves[alg] {
-			id := fmt.Sprintf("%s-hot%.2f", alg, pt.Rate)
-			export.Write(id, pt.Result.Obs)
-			ex.Anatomy.Report(os.Stdout, id, pt.Result)
-		}
+	if err := report.Finish(os.Stdout, study.Runs()); err != nil {
+		fatal(err)
 	}
-	export.Report()
-	ex.Anatomy.Summary()
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "hotspot:", err)
+	os.Exit(1)
 }

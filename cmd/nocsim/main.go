@@ -11,7 +11,13 @@
 //	nocsim -trace-out trace.json    # Perfetto-loadable lifecycle trace
 //	nocsim -heatmap-out links.csv   # measurement-window link heatmap
 //	nocsim -counters-out ts.csv -sample-period 100
+//	nocsim -anatomy -phase-profile  # both tables after the result, under [<alg>]
+//	nocsim -rates 0.1,0.3 -heatmap-out h.csv  # one file per rate: h_footprint-rate-0.100.csv
 //	nocsim -watchdog-cycles 5000    # on a stall: dump a fabric snapshot, exit 1
+//
+// A single run writes -counters-out and -heatmap-out to the exact paths
+// given; under -rates they, like every per-run flag, are served per run
+// with the run's label as the file suffix (see cli.RunReport).
 package main
 
 import (
@@ -26,7 +32,6 @@ import (
 	"nocsim/internal/cli"
 	"nocsim/internal/exp"
 	"nocsim/internal/flit"
-	"nocsim/internal/obs"
 	"nocsim/internal/sim"
 	"nocsim/internal/traffic"
 )
@@ -56,11 +61,8 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace (Perfetto) packet lifecycle trace to this file")
 	traceJSONL := flag.String("trace-jsonl", "", "write the packet lifecycle trace as JSONL to this file")
 	traceCap := flag.Int("trace-cap", 0, "lifecycle tracer ring capacity in events (0 = default)")
-	countersOut := flag.String("counters-out", "", "write per-router/per-port counter time series as CSV to this file")
-	samplePeriod := flag.Int64("sample-period", 0, "counter sampling period in cycles (0 = off; implied 100 by -counters-out)")
-	heatmapOut := flag.String("heatmap-out", "", "write the measurement-window link heatmap as CSV to this file")
 	lobs := cli.NewObs("nocsim")
-	anat := cli.NewAnatomy("nocsim")
+	report := cli.NewRunReport()
 	flag.Parse()
 
 	if *printConfig {
@@ -71,26 +73,20 @@ func main() {
 		fatal(err)
 	}
 
-	if *countersOut != "" && *samplePeriod <= 0 {
-		*samplePeriod = 100
-	}
-	cfg.Obs = obs.Options{
-		Trace:         *traceOut != "" || *traceJSONL != "",
-		TraceCapacity: *traceCap,
-		SamplePeriod:  *samplePeriod,
-		Heatmap:       *heatmap || *heatmapOut != "",
-	}
-	anat.Apply(&cfg.Obs)
-	lobs.ApplyConfig(&cfg)
+	cfg.Obs = report.Options()
+	cfg.WatchdogCycles, cfg.WatchdogOut = lobs.WatchdogCycles, lobs.WatchdogOut
 
 	size, err := traffic.SizeRange(*minFlits, *maxFlits)
 	if err != nil {
 		fatal(err)
 	}
 	if *rates != "" {
-		sweep(cfg, *pattern, size, *rates, *jobs, lobs, anat)
+		sweep(cfg, *pattern, size, *rates, *jobs, report)
 		return
 	}
+	cfg.Obs.Trace = *traceOut != "" || *traceJSONL != ""
+	cfg.Obs.TraceCapacity = *traceCap
+	cfg.Obs.Heatmap = cfg.Obs.Heatmap || *heatmap
 	gen, err := sim.PatternGenerator(cfg, *pattern, size, *rate)
 	if err != nil {
 		fatal(err)
@@ -113,24 +109,6 @@ func main() {
 	fmt.Printf("blocking           %d events, purity %.3f, HoL degree %.1f\n",
 		res.BlockEvents, res.Purity, res.HoLDegree)
 	fmt.Printf("runtime            %s\n", res.Runtime)
-	if pp := res.PerfProfile; pp != nil {
-		fmt.Printf("\nphase profile      %d sampled cycles (every %d), GC: %d cycles, %.1fms paused\n",
-			pp.SampledCycles, pp.SampleEvery, pp.GC.NumGC, float64(pp.GC.PauseTotalNanos)/1e6)
-		fmt.Printf("%18s %10s %8s %12s %10s\n", "phase", "time", "share", "alloc", "allocs")
-		for _, ph := range pp.Phases {
-			fmt.Printf("%18s %9.2fms %7.1f%% %11.1fKB %10d\n",
-				ph.Phase, float64(ph.Nanos)/1e6, 100*ph.TimeShare, float64(ph.AllocBytes)/1024, ph.Allocs)
-		}
-		if pp.Arena != nil {
-			fmt.Printf("%18s %s\n", "arena", pp.Arena)
-		}
-	}
-	if anat.Enabled() {
-		fmt.Println()
-		anat.Report(os.Stdout, fmt.Sprintf("%s-%s-%.2f", *pattern, cfg.Algorithm, *rate), res)
-		anat.Summary()
-	}
-
 	if col := s.Observability(); col != nil {
 		if *heatmap {
 			hm := col.Heatmap
@@ -151,27 +129,28 @@ func main() {
 			fmt.Printf("trace jsonl        %s (%d events, %d dropped)\n",
 				*traceJSONL, col.Tracer.Len(), col.Tracer.Dropped())
 		}
-		if *countersOut != "" {
-			writeFile(*countersOut, col.Sampler.WriteCSV)
+		if report.CountersOut != "" {
+			writeFile(report.CountersOut, col.Sampler.WriteCSV)
 			fmt.Printf("counters           %s (%d samples every %d cycles)\n",
-				*countersOut, len(col.Sampler.Samples()), col.Sampler.Period())
+				report.CountersOut, len(col.Sampler.Samples()), col.Sampler.Period())
 		}
-		if *heatmapOut != "" {
-			writeFile(*heatmapOut, col.Heatmap.WriteCSV)
+		if report.HeatmapOut != "" {
+			writeFile(report.HeatmapOut, col.Heatmap.WriteCSV)
 			fmt.Printf("heatmap            %s (%d flits ejected in window)\n",
-				*heatmapOut, col.Heatmap.TotalEjected())
+				report.HeatmapOut, col.Heatmap.TotalEjected())
 		}
 	}
-	if err := lobs.CheckStalled(res); err != nil {
+	// The two exact-path files are served; Finish does the rest.
+	report.CountersOut, report.HeatmapOut = "", ""
+	if err := report.Finish(os.Stdout, []*sim.Result{res}); err != nil {
 		fatal(err)
 	}
 }
 
 // sweep runs the comma-separated rate grid through the parallel
-// execution engine and prints one row per rate. Single-run outputs
-// (traces, counter CSVs) are skipped; use the experiment commands'
-// -counters-out for per-run exports.
-func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, jobs int, lobs *cli.Obs, anat *cli.Anatomy) {
+// execution engine, prints one row per rate and serves the per-run flags
+// for every run. The single-run trace outputs are skipped.
+func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, jobs int, report *cli.RunReport) {
 	var grid []float64
 	for _, s := range strings.Split(rateList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -180,7 +159,7 @@ func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string,
 		}
 		grid = append(grid, v)
 	}
-	pts, err := sim.LatencyThroughputJobs(cfg, pattern, size, grid, jobs)
+	pts, err := sim.LatencyThroughput(cfg, pattern, size, grid, jobs)
 	if err != nil {
 		fatal(err)
 	}
@@ -198,14 +177,7 @@ func sweep(cfg sim.Config, pattern string, size traffic.SizeFn, rateList string,
 			naFloat(res.P99, "%.0f", !math.IsNaN(res.P99)),
 			res.Stable)
 	}
-	if anat.Enabled() {
-		for _, pt := range pts {
-			fmt.Println()
-			anat.Report(os.Stdout, fmt.Sprintf("%s-%s-%.2f", pattern, cfg.Algorithm, pt.Rate), pt.Result)
-		}
-		anat.Summary()
-	}
-	if err := lobs.CheckStalled(results...); err != nil {
+	if err := report.Finish(os.Stdout, results); err != nil {
 		fatal(err)
 	}
 }
@@ -218,17 +190,9 @@ func naFloat(v float64, format string, ok bool) string {
 	return fmt.Sprintf(format, v)
 }
 
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+// writeFile writes one exact-path single-run file or exits.
+func writeFile(path string, export func(w io.Writer) error) {
+	if err := cli.WriteFile(path, export); err != nil {
 		fatal(err)
 	}
 }

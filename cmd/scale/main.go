@@ -4,7 +4,13 @@
 //	scale
 //	scale -profile quick
 //	scale -sizes 4x4,8x8,16x16
-//	scale -watchdog-cycles 5000     # dump a fabric snapshot per stalled run
+//	scale -watchdog-cycles 5000     # dump a fabric snapshot per stalled run, exit 1
+//	scale -sizes 4x4 -anatomy       # the table, then one anatomy block per bisection probe
+//
+// The per-run flags (-anatomy, -anatomy-out, -phase-profile,
+// -counters-out, -heatmap-out) are served after the table for every
+// probe of every bisection, under labels such as
+// "Figure 8 uniform/dbar 4x4 rate=0.525".
 package main
 
 import (
@@ -21,8 +27,9 @@ import (
 func main() {
 	sizes := flag.String("sizes", "4x4,16x16", "comma-separated mesh sizes, e.g. 4x4,16x16")
 	ex := cli.NewExperiment("scale")
+	report := cli.NewRunReport()
 	flag.Parse()
-	prof := ex.Profile(nil)
+	prof := ex.Profile(report)
 
 	var meshes [][2]int
 	for _, s := range strings.Split(*sizes, ",") {
@@ -42,6 +49,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println(study.Format())
+	if err := report.Finish(os.Stdout, study.Runs()); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

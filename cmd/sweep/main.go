@@ -7,8 +7,14 @@
 //	sweep -figure 5 -pattern shuffle -profile quick
 //	sweep -jobs 8                   # 8 parallel runs, identical results
 //	sweep -pprof localhost:6060     # CPU profiles labelled per run
-//	sweep -counters-out ts.csv      # one counter CSV per (pattern,alg,rate)
+//	sweep -counters-out ts.csv      # one counter CSV per run: ts_figure-5-uniform-footprint-rate-0.100.csv
+//	sweep -figure 7 -anatomy        # the table, then one anatomy block per bisection probe
 //	sweep -figure anatomy -anatomy-out anatomy.csv  # per-run anatomy CSVs
+//
+// After the tables every per-run flag (-anatomy, -anatomy-out,
+// -phase-profile, -counters-out, -heatmap-out) is served for every run
+// the figure made, under the run's label; a run whose watchdog tripped
+// or a file that could not be written is exit 1.
 package main
 
 import (
@@ -18,67 +24,54 @@ import (
 
 	"nocsim/internal/cli"
 	"nocsim/internal/exp"
+	"nocsim/internal/sim"
 )
 
 func main() {
-	figure := flag.String("figure", "5", "figure to regenerate (5, 6 or 7), or \"anatomy\" for the exercised-adaptiveness / latency-composition study")
+	name := flag.String("figure", "5", "figure to regenerate (5, 6 or 7), or \"anatomy\" for the exercised-adaptiveness / latency-composition study")
 	pattern := flag.String("pattern", "", "restrict to one pattern (default: all three)")
 	ex := cli.NewExperiment("sweep")
-	export := cli.NewRunExport("sweep")
+	report := cli.NewRunReport()
 	flag.Parse()
-	prof := ex.Profile(export)
-	anat := ex.Anatomy
+	prof := ex.Profile(report)
 
 	patterns := exp.SyntheticPatterns()
 	if *pattern != "" {
 		patterns = []string{*pattern}
 	}
 
+	var runs []*sim.Result
 	for _, p := range patterns {
-		switch *figure {
-		case "5", "6":
-			run := exp.Figure5
-			if *figure == "6" {
-				run = exp.Figure6
-			}
-			cs, err := run(prof, p)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(cs.Format())
-			// Each run's collector files and latency anatomy, suffixed
-			// with pattern-algorithm-rate; no-ops without their flags.
-			for _, c := range cs.Curves {
-				for _, pt := range c.Points {
-					id := fmt.Sprintf("%s-%s-%.2f", cs.Pattern, c.Algorithm, pt.Rate)
-					export.Write(id, pt.Result.Obs)
-					anat.Report(os.Stdout, id, pt.Result)
-				}
-			}
-		case "7":
-			vs, err := exp.Figure7(prof, p, nil)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(vs.Format())
-		case "anatomy":
-			st, err := exp.Anatomy(prof, p, nil)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(st.Format())
-			for _, c := range st.Curves {
-				for _, pt := range c.Points {
-					id := fmt.Sprintf("%s-%s-%.2f", st.Pattern, c.Algorithm, pt.Rate)
-					anat.Report(os.Stdout, id, pt.Result)
-				}
-			}
-		default:
-			fatal(fmt.Errorf("unknown figure %q (want 5, 6, 7 or anatomy)", *figure))
+		table, made, err := figure(*name, prof, p)
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Println(table)
+		runs = append(runs, made...)
 	}
-	export.Report()
-	anat.Summary()
+	if err := report.Finish(os.Stdout, runs); err != nil {
+		fatal(err)
+	}
+}
+
+// figure runs one panel of the named figure and returns its table and
+// every run it made.
+func figure(name string, prof exp.Profile, pattern string) (string, []*sim.Result, error) {
+	switch name {
+	case "5":
+		cs, err := exp.Figure5(prof, pattern)
+		return cs.Format(), cs.Runs(), err
+	case "6":
+		cs, err := exp.Figure6(prof, pattern)
+		return cs.Format(), cs.Runs(), err
+	case "7":
+		vs, err := exp.Figure7(prof, pattern, nil)
+		return vs.Format(), vs.Runs(), err
+	case "anatomy":
+		cs, err := exp.Anatomy(prof, pattern, nil)
+		return cs.FormatAnatomy(), cs.Runs(), err
+	}
+	return "", nil, fmt.Errorf("unknown figure %q (want 5, 6, 7 or anatomy)", name)
 }
 
 func fatal(err error) {

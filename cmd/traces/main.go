@@ -6,6 +6,13 @@
 //	traces -profile quick
 //	traces -pairs fluidanimate+bodytrack,x264+canneal
 //	traces -gen dedup -cycles 20000 -o dedup.trace   # write a trace file
+//	traces -pairs x264+canneal -anatomy              # the tables, then one anatomy block per replay
+//
+// The per-run flags (-anatomy, -anatomy-out, -phase-profile,
+// -counters-out, -heatmap-out) are served after the tables for every
+// paired and solo replay, under labels such as
+// "Figure 10 x264+canneal/dbar"; a run whose watchdog tripped or a file
+// that could not be written is exit 1.
 package main
 
 import (
@@ -27,6 +34,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "trace generation seed (with -gen)")
 	out := flag.String("o", "", "output file (with -gen)")
 	ex := cli.NewExperiment("traces")
+	report := cli.NewRunReport()
 	flag.Parse()
 
 	if *gen != "" {
@@ -36,7 +44,7 @@ func main() {
 		return
 	}
 
-	prof := ex.Profile(nil)
+	prof := ex.Profile(report)
 
 	var pairList [][2]string
 	if *pairs != "" {
@@ -54,6 +62,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println(study.Format())
+	if err := report.Finish(os.Stdout, study.Runs()); err != nil {
+		fatal(err)
+	}
 }
 
 func generate(name string, cycles, seed int64, out string) error {

@@ -1,13 +1,17 @@
-// Package cli carries the flag wiring shared by every command: the stall
-// watchdog (-watchdog-cycles, -watchdog-out), the pprof endpoint
-// (-pprof), the phase profiler (-phase-profile), the per-run collector
-// exports (-counters-out, -heatmap-out, -sample-period) of the
-// experiment harnesses, the latency-anatomy set (-anatomy,
-// -anatomy-out), and the -profile/-jobs preamble of the figure commands
-// (NewExperiment).
+// Package cli carries the flag wiring the commands share, in two groups.
+// The process group is what a command needs while it runs: the stall
+// watchdog (-watchdog-cycles, -watchdog-out) and the pprof endpoint
+// (-pprof) of Obs, to which Experiment adds the -profile/-jobs preamble
+// of the figure commands. The run group, RunReport, is everything a flag
+// can ask of one simulation: -anatomy, -anatomy-out, -phase-profile,
+// -profile-every, -counters-out, -heatmap-out, -sample-period. An
+// experiment returns every run it made, and RunReport.Finish serves all
+// of those flags in one place, after the experiment has returned, under
+// each run's own label.
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,35 +35,32 @@ func NewJobs() *int {
 		"parallel simulation runs across the experiment grid (0 = one worker per CPU); results are identical at any value")
 }
 
-// Experiment is the flag set every figure command shares: the effort
-// profile, the worker count, the watchdog and profiling flags and the
-// latency anatomy. Construct with NewExperiment before flag.Parse, call
-// Profile after.
+// Experiment is the process group of a figure command: the effort
+// profile, the worker count and the Obs flags. Construct with
+// NewExperiment before flag.Parse, call Profile after.
 type Experiment struct {
-	Obs     *Obs
-	Anatomy *Anatomy
+	Obs *Obs
 
 	profile *string
 	jobs    *int
 }
 
-// NewExperiment registers -profile, -jobs and the NewObs and NewAnatomy
-// flags. tool names the command in diagnostics.
+// NewExperiment registers -profile, -jobs and the NewObs flags. tool
+// names the command in diagnostics.
 func NewExperiment(tool string) *Experiment {
 	return &Experiment{
 		profile: flag.String("profile", "full", "effort level: full or quick"),
 		jobs:    NewJobs(),
 		Obs:     NewObs(tool),
-		Anatomy: NewAnatomy(tool),
 	}
 }
 
 // Profile starts the pprof server if -pprof asked for one and returns
-// the named effort profile with the worker count, the collectors of
-// export (nil for a command without per-run exports), the anatomy and
-// the watchdog and profiler flags applied. An unknown -profile name or
-// an unbindable -pprof address prints one diagnostic line and exits 1.
-func (e *Experiment) Profile(export *RunExport) exp.Profile {
+// the named effort profile with the worker count, the watchdog flags and
+// the collectors report asks of every run (nil for a command that makes
+// no sim.Result) applied. An unknown -profile name or an unbindable
+// -pprof address prints one diagnostic line and exits 1.
+func (e *Experiment) Profile(report *RunReport) exp.Profile {
 	prof, err := exp.ProfileByName(*e.profile)
 	if err == nil {
 		err = e.Obs.Start()
@@ -69,28 +70,24 @@ func (e *Experiment) Profile(export *RunExport) exp.Profile {
 		os.Exit(1)
 	}
 	prof.Jobs = *e.jobs
-	if export != nil {
-		prof.Obs = export.Options()
+	prof.WatchdogCycles, prof.WatchdogOut = e.Obs.WatchdogCycles, e.Obs.WatchdogOut
+	if report != nil {
+		prof.Obs = report.Options()
 	}
-	e.Anatomy.Apply(&prof.Obs)
-	e.Obs.ApplyProfile(&prof)
 	return prof
 }
 
-// Obs is the shared observability flag set. Construct with NewObs before
-// flag.Parse, Start after.
+// Obs is the process group every command shares. Construct with NewObs
+// before flag.Parse, Start after.
 type Obs struct {
 	Tool           string
 	WatchdogCycles int64
 	WatchdogOut    string
 	PprofAddr      string
-	Profile        bool
-	ProfileEvery   int64
 }
 
-// NewObs registers -watchdog-cycles, -watchdog-out, -pprof,
-// -phase-profile and -profile-every on the default flag set. tool names
-// the command in diagnostics.
+// NewObs registers -watchdog-cycles, -watchdog-out and -pprof on the
+// default flag set. tool names the command in diagnostics.
 func NewObs(tool string) *Obs {
 	o := &Obs{Tool: tool}
 	flag.Int64Var(&o.WatchdogCycles, "watchdog-cycles", 0,
@@ -99,10 +96,6 @@ func NewObs(tool string) *Obs {
 		"stall snapshot JSON path (default nocsim-stall.json)")
 	flag.StringVar(&o.PprofAddr, "pprof", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.BoolVar(&o.Profile, "phase-profile", false,
-		"profile the cycle loop: attribute time and allocations to pipeline phases on sampled cycles; results are unchanged")
-	flag.Int64Var(&o.ProfileEvery, "profile-every", 0,
-		"phase-profiler sampling period in cycles (0 = default 64)")
 	return o
 }
 
@@ -127,190 +120,118 @@ func (o *Obs) Start() error {
 	return nil
 }
 
-// ApplyConfig copies the watchdog and phase-profiler flags onto a single
-// simulation config. Call it after the command has built cfg.Obs, so the
-// profiler selection survives.
-func (o *Obs) ApplyConfig(cfg *sim.Config) {
-	cfg.WatchdogCycles = o.WatchdogCycles
-	cfg.WatchdogOut = o.WatchdogOut
-	if o.Profile {
-		cfg.Obs.Profile = true
-		cfg.Obs.ProfileEvery = o.ProfileEvery
-	}
-}
-
-// ApplyProfile is ApplyConfig for an experiment profile, whose runs get
-// the same three fields through Profile.BaseConfig.
-func (o *Obs) ApplyProfile(p *exp.Profile) {
-	cfg := sim.Config{Obs: p.Obs}
-	o.ApplyConfig(&cfg)
-	p.Obs, p.WatchdogCycles, p.WatchdogOut = cfg.Obs, cfg.WatchdogCycles, cfg.WatchdogOut
-}
-
-// CheckStalled returns an error naming every result whose watchdog
-// tripped, with the snapshot each one dumped, and nil when none did. A
-// stalled run still produces a Result; commands print it and then fail
-// with this error, so a wedged fabric never exits 0.
-func (o *Obs) CheckStalled(results ...*sim.Result) error {
-	var stalled []string
-	for _, r := range results {
-		if r == nil || !r.Stalled {
-			continue
-		}
-		label := r.Config.RunLabel
-		if label == "" {
-			label = r.Config.Algorithm
-		}
-		stalled = append(stalled, fmt.Sprintf("%s (snapshot %s)", label, r.Config.StallPath()))
-	}
-	if len(stalled) == 0 {
-		return nil
-	}
-	return fmt.Errorf("watchdog: %d of %d runs stalled: %s", len(stalled), len(results), strings.Join(stalled, ", "))
-}
-
-// fileWriter creates the export files of one flag set and counts the
-// ones that landed. It is not for sweep workers: commands write after
-// the figure has returned.
-type fileWriter struct {
-	tool    string
-	written int
-}
-
-// writeFile creates path and streams write into it, reporting a failure
-// on stderr instead of aborting the sweep.
-func (fw *fileWriter) writeFile(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", fw.tool, err)
-		return
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "%s: write %s: %v\n", fw.tool, path, err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: close %s: %v\n", fw.tool, path, err)
-		return
-	}
-	fw.written++
-}
-
-// report prints how many files of kind were written.
-func (fw *fileWriter) report(kind string) {
-	if fw.written > 0 {
-		fmt.Fprintf(os.Stderr, "%s: wrote %d %s files\n", fw.tool, fw.written, kind)
-	}
-}
-
-// RunExport is the per-run collector flag set of the experiment
-// harnesses: each simulation of a sweep gets its own counter/heatmap
-// files, suffixed with the run's identity.
-type RunExport struct {
+// RunReport is the run group: what the flags ask of every simulation a
+// command makes. Options turns them into the collectors each run
+// carries; Finish reads the runs once the experiment has returned.
+// Construct with NewRunReport before flag.Parse.
+type RunReport struct {
+	Anatomy      bool
+	AnatomyOut   string
+	PhaseProfile bool
+	ProfileEvery int64
 	CountersOut  string
 	HeatmapOut   string
 	SamplePeriod int64
-
-	fileWriter
 }
 
-// NewRunExport registers -counters-out, -heatmap-out and -sample-period.
-func NewRunExport(tool string) *RunExport {
-	e := &RunExport{fileWriter: fileWriter{tool: tool}}
-	flag.StringVar(&e.CountersOut, "counters-out", "",
-		"write per-router counter time series as CSV, one file per run, suffixed with the run identity")
-	flag.StringVar(&e.HeatmapOut, "heatmap-out", "",
-		"write measurement-window link heatmaps as CSV, one file per run, suffixed with the run identity")
-	flag.Int64Var(&e.SamplePeriod, "sample-period", 0,
+// NewRunReport registers -anatomy, -anatomy-out, -phase-profile,
+// -profile-every, -counters-out, -heatmap-out and -sample-period.
+func NewRunReport() *RunReport {
+	r := &RunReport{}
+	flag.BoolVar(&r.Anatomy, "anatomy", false,
+		"collect the latency anatomy (per-hop latency composition, VC-class grant split, exercised adaptiveness) and print it per run")
+	flag.StringVar(&r.AnatomyOut, "anatomy-out", "",
+		"write the latency anatomy as CSV, one aggregate file plus one -occupancy time-series file per run, suffixed with the run label")
+	flag.BoolVar(&r.PhaseProfile, "phase-profile", false,
+		"profile the cycle loop: attribute time and allocations to pipeline phases on sampled cycles and print the table per run; results are unchanged")
+	flag.Int64Var(&r.ProfileEvery, "profile-every", 0,
+		"phase-profiler sampling period in cycles (0 = default 64)")
+	flag.StringVar(&r.CountersOut, "counters-out", "",
+		"write per-router counter time series as CSV, one file per run, suffixed with the run label")
+	flag.StringVar(&r.HeatmapOut, "heatmap-out", "",
+		"write measurement-window link heatmaps as CSV, one file per run, suffixed with the run label")
+	flag.Int64Var(&r.SamplePeriod, "sample-period", 0,
 		"counter sampling period in cycles (0 = off; implied 100 by -counters-out)")
-	return e
+	return r
 }
 
-// Options translates the flags into collector options for the profile.
-func (e *RunExport) Options() obs.Options {
-	period := e.SamplePeriod
-	if e.CountersOut != "" && period <= 0 {
+// Options translates the flags into the collectors every run carries.
+func (r *RunReport) Options() obs.Options {
+	period := r.SamplePeriod
+	if r.CountersOut != "" && period <= 0 {
 		period = 100
 	}
 	return obs.Options{
 		SamplePeriod: period,
-		Heatmap:      e.HeatmapOut != "",
+		Heatmap:      r.HeatmapOut != "",
+		Anatomy:      r.Anatomy || r.AnatomyOut != "",
+		Profile:      r.PhaseProfile,
+		ProfileEvery: r.ProfileEvery,
 	}
 }
 
-// Write exports one run's collector data under the configured base paths,
-// suffixed with the run identity (e.g. counters.csv ->
-// counters_uniform-footprint-0.30.csv).
-func (e *RunExport) Write(runID string, col *obs.Collector) {
-	if col == nil {
-		return
-	}
-	if e.CountersOut != "" && col.Sampler != nil {
-		e.writeFile(obs.SuffixPath(e.CountersOut, runID), col.Sampler.WriteCSV)
-	}
-	if e.HeatmapOut != "" && col.Heatmap != nil {
-		e.writeFile(obs.SuffixPath(e.HeatmapOut, runID), col.Heatmap.WriteCSV)
-	}
-}
-
-// Report prints how many files were written.
-func (e *RunExport) Report() { e.report("per-run export") }
-
-// Anatomy is the shared latency-anatomy flag set: -anatomy collects and
-// prints the per-run latency composition and exercised-adaptiveness
-// table, -anatomy-out additionally writes per-run CSVs (the aggregate
-// plus a -occupancy time-series file). Construct with NewAnatomy before
-// flag.Parse.
-type Anatomy struct {
-	Print bool
-	Out   string
-
-	fileWriter
-}
-
-// NewAnatomy registers -anatomy and -anatomy-out.
-func NewAnatomy(tool string) *Anatomy {
-	a := &Anatomy{fileWriter: fileWriter{tool: tool}}
-	flag.BoolVar(&a.Print, "anatomy", false,
-		"collect the latency anatomy (per-hop latency composition, VC-class grant split, exercised adaptiveness) and print it per run")
-	flag.StringVar(&a.Out, "anatomy-out", "",
-		"write the latency anatomy as CSV, one aggregate file plus one -occupancy time-series file per run, suffixed with the run identity")
-	return a
-}
-
-// Enabled reports whether anatomy collection was requested.
-func (a *Anatomy) Enabled() bool { return a.Print || a.Out != "" }
-
-// Apply enables the anatomy collector on o when requested.
-func (a *Anatomy) Apply(o *obs.Options) {
-	if a.Enabled() {
-		o.Anatomy = true
-	}
-}
-
-// Report prints the run's anatomy table to w (under -anatomy) and writes
-// its CSVs (under -anatomy-out). runID is the run identity used to
-// suffix output files; res may be nil or anatomy-free, in which case
-// Report is a no-op.
-func (a *Anatomy) Report(w io.Writer, runID string, res *sim.Result) {
-	if res == nil || res.Anatomy == nil {
-		return
-	}
-	if a.Print {
-		if runID != "" {
-			fmt.Fprintf(w, "[%s] ", runID)
+// Finish serves the run flags for every run of a finished experiment,
+// which must have carried Options: it prints each run's latency anatomy
+// and phase profile to w under "[<run label>]" and writes its counter,
+// heatmap and anatomy CSVs to the flag's path suffixed with the label,
+// as the run's stall snapshot is (obs.SuffixPath; a label-less run goes
+// by its algorithm). Every file that can be written is. The error names
+// each file that could not be and each run whose watchdog tripped, with
+// the snapshot it dumped — a stalled run still has a Result, so commands
+// print their table, call Finish and exit 1 on its error.
+func (r *RunReport) Finish(w io.Writer, runs []*sim.Result) error {
+	var lost, stalled []string
+	write := func(base, id string, export func(io.Writer) error) {
+		if err := WriteFile(obs.SuffixPath(base, id), export); err != nil {
+			lost = append(lost, err.Error())
 		}
-		res.Anatomy.Format(w)
 	}
-	if a.Out == "" {
-		return
+	for _, res := range runs {
+		label := res.Config.RunLabel
+		if label == "" {
+			label = res.Config.Algorithm
+		}
+		if r.Anatomy {
+			fmt.Fprintf(w, "\n[%s] ", label)
+			res.Anatomy.Format(w)
+		}
+		if r.PhaseProfile {
+			fmt.Fprintf(w, "\n[%s] ", label)
+			res.PerfProfile.Format(w)
+		}
+		if r.CountersOut != "" {
+			write(r.CountersOut, label, res.Obs.Sampler.WriteCSV)
+		}
+		if r.HeatmapOut != "" {
+			write(r.HeatmapOut, label, res.Obs.Heatmap.WriteCSV)
+		}
+		if r.AnatomyOut != "" {
+			write(r.AnatomyOut, label, res.Anatomy.WriteCSV)
+			write(r.AnatomyOut, label+"-occupancy", res.Obs.Anatomy.WriteSeriesCSV)
+		}
+		if res.Stalled {
+			stalled = append(stalled, fmt.Sprintf("%s (snapshot %s)", label, res.Config.StallPath()))
+		}
 	}
-	a.writeFile(obs.SuffixPath(a.Out, runID), res.Anatomy.WriteCSV)
-	if res.Obs != nil && res.Obs.Anatomy != nil {
-		a.writeFile(obs.SuffixPath(a.Out, runID+"-occupancy"), res.Obs.Anatomy.WriteSeriesCSV)
+	var errs []error
+	if len(lost) > 0 {
+		errs = append(errs, fmt.Errorf("%d per-run files not written: %s", len(lost), strings.Join(lost, ", ")))
 	}
+	if len(stalled) > 0 {
+		errs = append(errs, fmt.Errorf("watchdog: %d of %d runs stalled: %s", len(stalled), len(runs), strings.Join(stalled, ", ")))
+	}
+	return errors.Join(errs...)
 }
 
-// Summary prints how many CSV files Report wrote.
-func (a *Anatomy) Summary() { a.report("anatomy CSV") }
+// WriteFile creates path and streams export into it.
+func WriteFile(path string, export func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := export(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return f.Close()
+}

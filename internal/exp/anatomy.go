@@ -16,57 +16,37 @@ func AnatomyAlgorithms() []string {
 	return []string{"footprint", "dbar", "oddeven", "dor"}
 }
 
-// AnatomyPoint is one (rate, run) cell of the anatomy study.
-type AnatomyPoint struct {
-	Rate   float64
-	Result *sim.Result
-}
-
-// AnatomyCurve is one algorithm's anatomy trajectory over offered load.
-type AnatomyCurve struct {
-	Algorithm string
-	Points    []AnatomyPoint
-}
-
-// AnatomyStudy sweeps offered load × algorithm with the latency-anatomy
-// collector enabled: the runtime counterpart of the paper's Section 3.1
-// analysis. Where Figure 5 shows *that* an algorithm saturates, the
-// anatomy shows *why* — which VC class absorbs the growing wait, and how
-// much of the static adaptiveness each algorithm actually exercises as
-// congestion builds.
-type AnatomyStudy struct {
-	Pattern string
-	Curves  []AnatomyCurve
-}
-
-// Anatomy runs the study under the named pattern. algs defaults to
-// AnatomyAlgorithms. Unlike the figure sweeps there is no saturation
-// early-exit: the saturated regime is exactly where the anatomy is most
-// interesting.
-func Anatomy(p Profile, pattern string, algs []string) (AnatomyStudy, error) {
+// Anatomy sweeps offered load × algorithm under the named pattern with
+// the latency-anatomy collector enabled: the runtime counterpart of the
+// paper's Section 3.1 analysis. Where Figure 5 shows *that* an algorithm
+// saturates, the anatomy shows *why* — which VC class absorbs the growing
+// wait, and how much of the static adaptiveness each algorithm actually
+// exercises as congestion builds. algs defaults to AnatomyAlgorithms.
+// Unlike the figure sweeps there is no saturation early-exit: the
+// saturated regime is exactly where the anatomy is most interesting.
+// The panel it returns is read with FormatAnatomy.
+func Anatomy(p Profile, pattern string, algs []string) (CurveSet, error) {
 	if algs == nil {
 		algs = AnatomyAlgorithms()
 	}
 	// Flatten the (algorithm × rate) grid: every cell is one independent
 	// run through the shared worker pool.
-	pts, err := sim.Map(p.Jobs, len(algs)*len(p.Rates), func(i int) (AnatomyPoint, error) {
-		alg, rate := algs[i/len(p.Rates)], p.Rates[i%len(p.Rates)]
-		cfg := p.BaseConfig()
-		cfg.Algorithm = alg
+	pts, err := sim.Map(p.Jobs, len(algs)*len(p.Rates), func(i int) (sim.SweepPoint, error) {
+		rate := p.Rates[i%len(p.Rates)]
+		cfg := curveConfig(p, "anatomy", pattern, algs[i/len(p.Rates)])
 		cfg.Obs.Anatomy = true
-		cfg.RunLabel = fmt.Sprintf("anatomy %s/%s rate=%.2f", pattern, alg, rate)
-		sub, err := sim.LatencyThroughputJobs(cfg, pattern, traffic.FixedSize(1), []float64{rate}, 1)
+		res, err := sim.RunLoad(cfg, pattern, traffic.FixedSize(1), rate)
 		if err != nil {
-			return AnatomyPoint{}, fmt.Errorf("exp: anatomy %s/%s rate=%.2f: %w", pattern, alg, rate, err)
+			return sim.SweepPoint{}, fmt.Errorf("exp: %s rate=%.2f: %w", cfg.RunLabel, rate, err)
 		}
-		return AnatomyPoint{Rate: rate, Result: sub[0].Result}, nil
+		return sim.SweepPoint{Rate: rate, Result: res}, nil
 	})
 	if err != nil {
-		return AnatomyStudy{}, err
+		return CurveSet{}, err
 	}
-	out := AnatomyStudy{Pattern: pattern}
+	out := CurveSet{Figure: "anatomy", Pattern: pattern}
 	for ai, alg := range algs {
-		out.Curves = append(out.Curves, AnatomyCurve{
+		out.Curves = append(out.Curves, Curve{
 			Algorithm: alg,
 			Points:    pts[ai*len(p.Rates) : (ai+1)*len(p.Rates)],
 		})
@@ -74,11 +54,11 @@ func Anatomy(p Profile, pattern string, algs []string) (AnatomyStudy, error) {
 	return out, nil
 }
 
-// Format renders the study's two families of curves: exercised
-// adaptiveness vs. load (one ports|vcs column per algorithm) and, per
-// algorithm, the latency composition vs. load (component shares of the
-// end-to-end latency).
-func (s AnatomyStudy) Format() string {
+// FormatAnatomy renders an Anatomy panel's two families of curves:
+// exercised adaptiveness vs. load (one ports|vcs column per algorithm)
+// and, per algorithm, the latency composition vs. load (component shares
+// of the end-to-end latency).
+func (s CurveSet) FormatAnatomy() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "latency anatomy — %s traffic\n", s.Pattern)
 
@@ -135,23 +115,4 @@ func (s AnatomyStudy) Format() string {
 		}
 	}
 	return b.String()
-}
-
-func (s AnatomyStudy) maxPoints() int {
-	n := 0
-	for _, c := range s.Curves {
-		if len(c.Points) > n {
-			n = len(c.Points)
-		}
-	}
-	return n
-}
-
-func (s AnatomyStudy) rateAt(i int) float64 {
-	for _, c := range s.Curves {
-		if i < len(c.Points) {
-			return c.Points[i].Rate
-		}
-	}
-	return 0
 }

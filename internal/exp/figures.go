@@ -54,6 +54,37 @@ type CurveSet struct {
 	Curves  []Curve
 }
 
+// Runs returns every simulation of the panel: curve by curve, each in
+// rate order.
+func (cs CurveSet) Runs() []*sim.Result {
+	var runs []*sim.Result
+	for _, c := range cs.Curves {
+		for _, pt := range c.Points {
+			runs = append(runs, pt.Result)
+		}
+	}
+	return runs
+}
+
+// maxPoints is the row count of the panel's tables: the longest curve.
+func (cs CurveSet) maxPoints() int {
+	n := 0
+	for _, c := range cs.Curves {
+		n = max(n, len(c.Points))
+	}
+	return n
+}
+
+// rateAt is the rate of row i, read off the first curve that reaches it.
+func (cs CurveSet) rateAt(i int) float64 {
+	for _, c := range cs.Curves {
+		if i < len(c.Points) {
+			return c.Points[i].Rate
+		}
+	}
+	return 0
+}
+
 // Format renders the panel as the paper's series: one row per rate with
 // one latency column per algorithm, followed by the saturation summary.
 func (cs CurveSet) Format() string {
@@ -64,22 +95,9 @@ func (cs CurveSet) Format() string {
 		fmt.Fprintf(&b, "%16s", c.Algorithm)
 	}
 	b.WriteString("\n")
-	maxPts := 0
-	for _, c := range cs.Curves {
-		if len(c.Points) > maxPts {
-			maxPts = len(c.Points)
-		}
-	}
 	crit := sim.DefaultCriterion()
-	for i := 0; i < maxPts; i++ {
-		var rate float64
-		for _, c := range cs.Curves {
-			if i < len(c.Points) {
-				rate = c.Points[i].Rate
-				break
-			}
-		}
-		fmt.Fprintf(&b, "%-8.2f", rate)
+	for i := 0; i < cs.maxPoints(); i++ {
+		fmt.Fprintf(&b, "%-8.2f", cs.rateAt(i))
 		for _, c := range cs.Curves {
 			if i >= len(c.Points) {
 				fmt.Fprintf(&b, "%16s", "sat")
@@ -115,6 +133,15 @@ func Figure6(p Profile, pattern string) (CurveSet, error) {
 	return curveSet(p, "Figure 6", pattern, traffic.UniformSize(1, 6), SyntheticAlgorithms())
 }
 
+// curveConfig is the base config of one curve of a panel, labelled
+// "<figure> <pattern>/<alg>"; sim.RunLoad tags each run with its rate.
+func curveConfig(p Profile, figure, pattern, alg string) sim.Config {
+	cfg := p.BaseConfig()
+	cfg.Algorithm = alg
+	cfg.RunLabel = fmt.Sprintf("%s %s/%s", figure, pattern, alg)
+	return cfg
+}
+
 // curveSet fans the figure's algorithms out to the worker pool — one
 // curve per worker — while each curve's rates stay sequential: the
 // early-exit below needs the previous points' saturation verdicts, and
@@ -124,26 +151,22 @@ func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []str
 	crit := sim.DefaultCriterion()
 	cs := CurveSet{Figure: figure, Pattern: pattern}
 	curves, err := sim.Map(p.Jobs, len(algs), func(i int) (Curve, error) {
-		alg := algs[i]
-		cfg := p.BaseConfig()
-		cfg.Algorithm = alg
+		cfg := curveConfig(p, figure, pattern, algs[i])
 		var pts []sim.SweepPoint
 		var zero float64
 		saturated := 0
-		cfg.RunLabel = fmt.Sprintf("%s %s/%s", figure, pattern, alg)
 		for _, rate := range p.Rates {
-			sub, err := sim.LatencyThroughputJobs(cfg, pattern, size, []float64{rate}, 1)
+			res, err := sim.RunLoad(cfg, pattern, size, rate)
 			if err != nil {
-				return Curve{}, fmt.Errorf("exp: %s %s/%s: %w", figure, pattern, alg, err)
+				return Curve{}, fmt.Errorf("exp: %s: %w", cfg.RunLabel, err)
 			}
-			pt := sub[0]
-			pts = append(pts, pt)
+			pts = append(pts, sim.SweepPoint{Rate: rate, Result: res})
 			if zero == 0 {
-				zero = pt.Result.AvgLatency(flit.ClassBackground)
+				zero = res.AvgLatency(flit.ClassBackground)
 			}
 			// Deeply saturated points cost a full drain budget each and
 			// add nothing to the curve: stop after two in a row.
-			if crit.Saturated(pt.Result, zero) {
+			if crit.Saturated(res, zero) {
 				if saturated++; saturated >= 2 {
 					break
 				}
@@ -151,7 +174,7 @@ func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []str
 				saturated = 0
 			}
 		}
-		return Curve{Algorithm: alg, Points: pts}, nil
+		return Curve{Algorithm: algs[i], Points: pts}, nil
 	})
 	if err != nil {
 		return CurveSet{}, err
@@ -171,6 +194,21 @@ type VCSweepPoint struct {
 type VCSweep struct {
 	Pattern string
 	Points  []VCSweepPoint
+	runs    []*sim.Result
+}
+
+// Runs returns every simulation of the panel: the probes of each
+// (VC count, algorithm) bisection in order, cell by cell.
+func (v VCSweep) Runs() []*sim.Result { return v.runs }
+
+// saturationRuns flattens the probes of a grid of bisections, cell by
+// cell.
+func saturationRuns(srs []*sim.SaturationResult) []*sim.Result {
+	var runs []*sim.Result
+	for _, sr := range srs {
+		runs = append(runs, sr.Runs...)
+	}
+	return runs
 }
 
 // Format renders the panel with Footprint's gain over DBAR per VC count.
@@ -195,26 +233,22 @@ func Figure7(p Profile, pattern string, vcCounts []int) (VCSweep, error) {
 		vcCounts = []int{2, 4, 8, 16}
 	}
 	algs := []string{"footprint", "dbar"}
-	tps, err := sim.Map(p.Jobs, len(vcCounts)*len(algs), func(i int) (float64, error) {
+	srs, err := sim.Map(p.Jobs, len(vcCounts)*len(algs), func(i int) (*sim.SaturationResult, error) {
 		vcs, alg := vcCounts[i/len(algs)], algs[i%len(algs)]
 		cfg := p.BaseConfig()
 		cfg.Algorithm = alg
 		cfg.VCs = vcs
 		cfg.RunLabel = fmt.Sprintf("Figure 7 %s/%s vcs=%d", pattern, alg, vcs)
-		sr, err := sim.SaturationThroughput(cfg, pattern, traffic.FixedSize(1), p.Tol)
-		if err != nil {
-			return 0, err
-		}
-		return sr.Throughput, nil
+		return sim.SaturationThroughput(cfg, pattern, traffic.FixedSize(1), p.Tol)
 	})
 	if err != nil {
 		return VCSweep{}, err
 	}
-	out := VCSweep{Pattern: pattern}
+	out := VCSweep{Pattern: pattern, runs: saturationRuns(srs)}
 	for vi, vcs := range vcCounts {
 		pt := VCSweepPoint{VCs: vcs, Throughput: map[string]float64{}}
 		for ai, alg := range algs {
-			pt.Throughput[alg] = tps[vi*len(algs)+ai]
+			pt.Throughput[alg] = srs[vi*len(algs)+ai].Throughput
 		}
 		out.Points = append(out.Points, pt)
 	}
@@ -232,7 +266,14 @@ type ScalePoint struct {
 }
 
 // ScaleStudy is the whole of Figure 8.
-type ScaleStudy struct{ Points []ScalePoint }
+type ScaleStudy struct {
+	Points []ScalePoint
+	runs   []*sim.Result
+}
+
+// Runs returns every simulation of the study: the probes of each (mesh,
+// pattern, algorithm) bisection in order, cell by cell.
+func (s ScaleStudy) Runs() []*sim.Result { return s.runs }
 
 // Format renders Figure 8's normalized bars.
 func (s ScaleStudy) Format() string {
@@ -269,28 +310,24 @@ func Figure8(p Profile, sizes [][2]int) (ScaleStudy, error) {
 			}
 		}
 	}
-	tps, err := sim.Map(p.Jobs, len(cells), func(i int) (float64, error) {
+	srs, err := sim.Map(p.Jobs, len(cells), func(i int) (*sim.SaturationResult, error) {
 		c := cells[i]
 		cfg := p.BaseConfig()
 		cfg.Algorithm = c.alg
 		cfg.Width, cfg.Height = c.wh[0], c.wh[1]
 		cfg.RunLabel = fmt.Sprintf("Figure 8 %s/%s %dx%d", c.pattern, c.alg, c.wh[0], c.wh[1])
-		sr, err := sim.SaturationThroughput(cfg, c.pattern, traffic.FixedSize(1), p.Tol)
-		if err != nil {
-			return 0, err
-		}
-		return sr.Throughput, nil
+		return sim.SaturationThroughput(cfg, c.pattern, traffic.FixedSize(1), p.Tol)
 	})
 	if err != nil {
 		return ScaleStudy{}, err
 	}
-	var out ScaleStudy
+	out := ScaleStudy{runs: saturationRuns(srs)}
 	i := 0
 	for _, wh := range sizes {
 		for _, pattern := range patterns {
 			pt := ScalePoint{Width: wh[0], Height: wh[1], Pattern: pattern, Throughput: map[string]float64{}}
 			for _, alg := range algs {
-				pt.Throughput[alg] = tps[i]
+				pt.Throughput[alg] = srs[i].Throughput
 				i++
 			}
 			pt.DBARNormalized = stats.Ratio(pt.Throughput["dbar"], pt.Throughput["footprint"])
@@ -305,6 +342,18 @@ type HotspotStudy struct {
 	BackgroundRate float64
 	Rates          []float64
 	Curves         map[string][]sim.HotspotPoint
+}
+
+// Runs returns every simulation of the figure: Footprint's curve, then
+// DBAR's, each in rate order.
+func (h HotspotStudy) Runs() []*sim.Result {
+	var runs []*sim.Result
+	for _, alg := range []string{"footprint", "dbar"} {
+		for _, pt := range h.Curves[alg] {
+			runs = append(runs, pt.Result)
+		}
+	}
+	return runs
 }
 
 // Format renders Figure 9's two curves side by side.
@@ -333,7 +382,7 @@ func Figure9(p Profile, bgRate float64, rates []float64) (HotspotStudy, error) {
 	}
 	out := HotspotStudy{BackgroundRate: bgRate, Rates: rates, Curves: map[string][]sim.HotspotPoint{}}
 	// Flatten the (algorithm × rate) grid so every cell is one independent
-	// run; nesting HotspotCurveJobs inside a parallel algorithm loop would
+	// run; nesting HotspotCurve inside a parallel algorithm loop would
 	// oversubscribe the worker budget.
 	algs := []string{"footprint", "dbar"}
 	pts, err := sim.Map(p.Jobs, len(algs)*len(rates), func(i int) (sim.HotspotPoint, error) {

@@ -2,7 +2,10 @@
 // the paper. The cmd tools print their results; the benchmark harness in
 // the repository root runs them at reduced scale. Each experiment returns
 // a structured result with a Format method that prints the same rows or
-// series the paper reports.
+// series the paper reports and, when it simulates through sim.Run, a Runs
+// method that hands back every simulation it made — bisection probes
+// included, in grid order — so that whatever a flag asks of a run is done
+// in one place (cli.RunReport.Finish) after the experiment has returned.
 package exp
 
 import (

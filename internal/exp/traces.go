@@ -31,7 +31,13 @@ type WorkloadMetrics struct {
 type TraceStudy struct {
 	Pairs       []PairResult
 	PerWorkload []WorkloadMetrics
+	runs        []*sim.Result
 }
+
+// Runs returns every simulation of the figure: the (pair × algorithm)
+// replays of panel (a), then the (workload × algorithm) solo replays of
+// panels (b) and (c).
+func (ts TraceStudy) Runs() []*sim.Result { return ts.runs }
 
 // DefaultPairs lists the workload combinations reported here, including
 // the pairs the paper calls out by name (X264+Canneal as the single case
@@ -120,7 +126,7 @@ func Figure10(p Profile, pairs [][2]string) (TraceStudy, error) {
 	if err != nil {
 		return TraceStudy{}, err
 	}
-	var study TraceStudy
+	study := TraceStudy{runs: pairRes}
 	for pi, pair := range pairs {
 		pr := PairResult{A: pair[0], B: pair[1],
 			Latency: map[string]float64{}, Delivered: map[string]int64{}}
@@ -152,6 +158,7 @@ func Figure10(p Profile, pairs [][2]string) (TraceStudy, error) {
 	if err != nil {
 		return TraceStudy{}, err
 	}
+	study.runs = append(study.runs, soloRes...)
 	for ni, name := range names {
 		wm := WorkloadMetrics{Name: name,
 			Purity: map[string]float64{}, HoLDegree: map[string]float64{}}

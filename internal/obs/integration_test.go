@@ -65,10 +65,10 @@ func TestSeamSharedBySimMetricsAndTracer(t *testing.T) {
 	cfg.Obs = obs.Options{}
 	plain := sim.MustNew(cfg, observedLoad(cfg)).Run()
 	if res.BlockEvents != plain.BlockEvents || res.Purity != plain.Purity ||
-		res.HoLDegree != plain.HoLDegree || res.BufferPurity != plain.BufferPurity {
-		t.Errorf("blocking statistics moved with tracing on: events %d purity %v HoL %v buffer purity %v, untraced %d %v %v %v",
-			res.BlockEvents, res.Purity, res.HoLDegree, res.BufferPurity,
-			plain.BlockEvents, plain.Purity, plain.HoLDegree, plain.BufferPurity)
+		res.HoLDegree != plain.HoLDegree {
+		t.Errorf("blocking statistics moved with tracing on: events %d purity %v HoL %v, untraced %d %v %v",
+			res.BlockEvents, res.Purity, res.HoLDegree,
+			plain.BlockEvents, plain.Purity, plain.HoLDegree)
 	}
 	// Collector side.
 	if col.Tracer.Total() == 0 {
@@ -91,10 +91,10 @@ func TestSeamSharedBySimMetricsAndTracer(t *testing.T) {
 		traced, clock := runHotspotSaturated(t, obs.Options{Trace: true, TraceCapacity: 1 << 21})
 		plain, _ := runHotspotSaturated(t, obs.Options{})
 		if traced.BlockEvents != plain.BlockEvents || traced.Purity != plain.Purity ||
-			traced.HoLDegree != plain.HoLDegree || traced.BufferPurity != plain.BufferPurity {
-			t.Errorf("blocking statistics moved with tracing on: events %d purity %v HoL %v buffer purity %v, untraced %d %v %v %v",
-				traced.BlockEvents, traced.Purity, traced.HoLDegree, traced.BufferPurity,
-				plain.BlockEvents, plain.Purity, plain.HoLDegree, plain.BufferPurity)
+			traced.HoLDegree != plain.HoLDegree {
+			t.Errorf("blocking statistics moved with tracing on: events %d purity %v HoL %v, untraced %d %v %v",
+				traced.BlockEvents, traced.Purity, traced.HoLDegree,
+				plain.BlockEvents, plain.Purity, plain.HoLDegree)
 		}
 		// The span starts are the failures that carry a packet: every one
 		// recorded must name it.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"runtime/metrics"
 	"strings"
 	"time"
@@ -88,6 +89,21 @@ func (p *PerfProfile) String() string {
 		fmt.Fprintf(&b, " %s %.1f%%", ph.Phase, 100*ph.TimeShare)
 	}
 	return b.String()
+}
+
+// Format prints the profile as a table: one row per pipeline phase with
+// its time, share and allocation columns, then the arena account.
+func (p *PerfProfile) Format(w io.Writer) {
+	fmt.Fprintf(w, "phase profile      %d sampled cycles (every %d), GC: %d cycles, %.1fms paused\n",
+		p.SampledCycles, p.SampleEvery, p.GC.NumGC, float64(p.GC.PauseTotalNanos)/1e6)
+	fmt.Fprintf(w, "%18s %10s %8s %12s %10s\n", "phase", "time", "share", "alloc", "allocs")
+	for _, ph := range p.Phases {
+		fmt.Fprintf(w, "%18s %9.2fms %7.1f%% %11.1fKB %10d\n",
+			ph.Phase, float64(ph.Nanos)/1e6, 100*ph.TimeShare, float64(ph.AllocBytes)/1024, ph.Allocs)
+	}
+	if p.Arena != nil {
+		fmt.Fprintf(w, "%18s %s\n", "arena", p.Arena)
+	}
 }
 
 // heapAllocMetrics are the runtime/metrics samples the profiler reads at

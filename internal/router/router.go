@@ -313,12 +313,6 @@ func (r *Router) bufFront(idx int) *flit.Flit {
 	return r.bufStore[idx*r.cfg.BufDepth+int(r.bufHead[idx])]
 }
 
-// bufAt returns the i-th buffered flit of input VC idx (0 = front).
-func (r *Router) bufAt(idx, i int) *flit.Flit {
-	depth := r.cfg.BufDepth
-	return r.bufStore[idx*depth+(int(r.bufHead[idx])+i)%depth]
-}
-
 // bufPush appends f to input VC idx, panicking on overflow (credits
 // guarantee space).
 func (r *Router) bufPush(idx int, f *flit.Flit) {
@@ -760,26 +754,6 @@ func (r *Router) InputVCDest(d topo.Direction, v int) int {
 		return -1
 	}
 	return f.Packet.Dest
-}
-
-// InputVCPurity inspects the buffer of input VC (d, v): occupied reports
-// whether it holds any flits, and pure whether every buffered packet
-// shares one destination. A pure VC blocks only its own flow (a footprint
-// chain); an impure VC is head-of-line blocking unrelated packets. The
-// paper's Figure 10(b) "purity of blocking" aggregates this.
-func (r *Router) InputVCPurity(d topo.Direction, v int) (occupied, pure bool) {
-	i := r.idx(d, v)
-	n := int(r.bufLen[i])
-	if n == 0 {
-		return false, false
-	}
-	dest := r.bufFront(i).Packet.Dest
-	for j := 1; j < n; j++ {
-		if r.bufAt(i, j).Packet.Dest != dest {
-			return true, false
-		}
-	}
-	return true, true
 }
 
 // OutVCAllocated reports whether output VC (d, v) is currently held by a

@@ -338,36 +338,6 @@ func TestInputVCBlockedCounter(t *testing.T) {
 	}
 }
 
-func TestInputVCPurity(t *testing.T) {
-	alg := &scriptAlg{}
-	r, ins, _ := testRouter(t, alg, 2)
-	if occ, _ := r.InputVCPurity(topo.West, 0); occ {
-		t.Error("empty VC reported occupied")
-	}
-	// Two single-flit packets to the same dest share VC0's buffer: pure.
-	for _, id := range []uint64{1, 2} {
-		f := headFlit(id, 6, 1)[0]
-		f.VC = 0
-		ins[topo.West].Send(f)
-		ins[topo.West].Tick()
-		r.Receive()
-	}
-	if occ, pure := r.InputVCPurity(topo.West, 0); !occ || !pure {
-		t.Errorf("same-dest buffer: occ=%v pure=%v, want true,true", occ, pure)
-	}
-	// Mixed destinations in VC1: impure.
-	for i, dest := range []int{6, 9} {
-		f := headFlit(uint64(10+i), dest, 1)[0]
-		f.VC = 1
-		ins[topo.West].Send(f)
-		ins[topo.West].Tick()
-		r.Receive()
-	}
-	if occ, pure := r.InputVCPurity(topo.West, 1); !occ || pure {
-		t.Errorf("mixed buffer: occ=%v pure=%v, want true,false", occ, pure)
-	}
-}
-
 func TestSpeedupMovesTwoFlitsPerCycle(t *testing.T) {
 	// Two packets on different input VCs to different output VCs: with
 	// speedup 2 both traverse in one cycle.

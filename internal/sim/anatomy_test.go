@@ -18,7 +18,7 @@ func anatomyRun(t *testing.T, alg string, rate float64) *Result {
 	cfg.Algorithm = alg
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 	cfg.Obs = obs.Options{Anatomy: true}
-	pts, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), []float64{rate}, 1)
+	pts, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), []float64{rate}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +36,12 @@ func TestAnatomyDoesNotChangeResults(t *testing.T) {
 		cfg.Algorithm = alg
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 
-		bare, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 2)
+		bare, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Obs = obs.Options{Anatomy: true}
-		anat, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 2)
+		anat, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +67,11 @@ func TestAnatomyDeterministicAcrossJobs(t *testing.T) {
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 	cfg.Obs = obs.Options{Anatomy: true}
 
-	serial, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
+	serial, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 8)
+	par, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestOffPathConsumersReadTheStoredDecision(t *testing.T) {
 		cfg.Algorithm = "footprint"
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 		cfg.Obs = o
-		pts, err := LatencyThroughputJobs(cfg, "transpose", traffic.FixedSize(1), []float64{0.45}, 1)
+		pts, err := LatencyThroughput(cfg, "transpose", traffic.FixedSize(1), []float64{0.45}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

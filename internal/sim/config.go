@@ -49,8 +49,9 @@ type Config struct {
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; see Simulation.Observability.
 	Obs obs.Options
-	// RunLabel names the run in its pprof labels and its stall snapshot
-	// path (see RunIdentity.Apply); defaults to the algorithm name.
+	// RunLabel is the run's one name: in its pprof labels, its stall
+	// snapshot path (see RunIdentity.Apply) and the per-run tables and
+	// export files of the commands; defaults to the algorithm name.
 	RunLabel string
 	// PprofLabels are extra (key, value) pairs attached to the run's
 	// stepping goroutine as runtime/pprof labels, on top of the implicit

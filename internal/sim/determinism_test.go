@@ -77,15 +77,15 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 			cfg.Algorithm = alg
 			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 
-			serial, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
+			serial, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 8)
+			par, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 8)
+			again, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,12 +120,12 @@ func TestSweepSeedSensitivity(t *testing.T) {
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 	rates := []float64{0.3}
 
-	a, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
+	a, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed += 1
-	b, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
+	b, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestHotspotDeterministicAcrossJobs(t *testing.T) {
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 200, 800
 	rates := []float64{0.1, 0.3}
 
-	serial, err := HotspotCurveJobs(cfg, 0.2, rates, 1)
+	serial, err := HotspotCurve(cfg, 0.2, rates, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := HotspotCurveJobs(cfg, 0.2, rates, 8)
+	par, err := HotspotCurve(cfg, 0.2, rates, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,14 @@ func TestMonitoringDoesNotChangeResults(t *testing.T) {
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 	rates := []float64{0.1, 0.3}
 
-	bare, err := LatencyThroughputJobs(cfg, "transpose", traffic.FixedSize(1), rates, 2)
+	bare, err := LatencyThroughput(cfg, "transpose", traffic.FixedSize(1), rates, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.RunLabel = "decorated label"
 	cfg.WatchdogCycles = 50
 	cfg.WatchdogOut = filepath.Join(t.TempDir(), "stall.json")
-	monitored, err := LatencyThroughputJobs(cfg, "transpose", traffic.FixedSize(1), rates, 2)
+	monitored, err := LatencyThroughput(cfg, "transpose", traffic.FixedSize(1), rates, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +199,12 @@ func TestProfilerDoesNotChangeResults(t *testing.T) {
 		cfg.Algorithm = alg
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 
-		bare, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 2)
+		bare, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Obs = obs.Options{Profile: true, ProfileEvery: 1, ProfileClock: clock}
-		profiled, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 2)
+		profiled, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

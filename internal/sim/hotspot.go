@@ -22,16 +22,11 @@ type HotspotPoint struct {
 // HotspotCurve reproduces Figure 9 for one algorithm: background latency
 // as a function of the hotspot injection rate. cfg must describe an 8×8
 // mesh, since Table 3's flows are defined on it. bgRate is the constant
-// background load (the paper uses 0.30). The rates run in parallel on
-// one worker per CPU; see HotspotCurveJobs.
-func HotspotCurve(cfg Config, bgRate float64, hotspotRates []float64) ([]HotspotPoint, error) {
-	return HotspotCurveJobs(cfg, bgRate, hotspotRates, 0)
-}
-
-// HotspotCurveJobs is HotspotCurve on up to jobs workers (0 = one per
-// CPU). Every rate is an independent simulation with its own Config
-// copy and derived seed, so the curve is identical at any jobs value.
-func HotspotCurveJobs(cfg Config, bgRate float64, hotspotRates []float64, jobs int) ([]HotspotPoint, error) {
+// background load (the paper uses 0.30). The rates run on up to jobs
+// workers (0 = one per CPU); every rate is an independent simulation
+// with its own Config copy and derived seed, so the curve is identical
+// at any jobs value.
+func HotspotCurve(cfg Config, bgRate float64, hotspotRates []float64, jobs int) ([]HotspotPoint, error) {
 	return Map(jobs, len(hotspotRates), func(i int) (HotspotPoint, error) {
 		return HotspotRun(cfg, bgRate, hotspotRates[i])
 	})

@@ -21,14 +21,14 @@ func hotspotTestConfig(alg string) Config {
 
 func TestHotspotCurveRequires8x8(t *testing.T) {
 	cfg := testConfig() // 4x4
-	if _, err := HotspotCurve(cfg, 0.3, []float64{0.1}); err == nil {
+	if _, err := HotspotCurve(cfg, 0.3, []float64{0.1}, 0); err == nil {
 		t.Error("want error on non-8x8 mesh")
 	}
 }
 
 func TestHotspotCurveShape(t *testing.T) {
 	cfg := hotspotTestConfig("footprint")
-	pts, err := HotspotCurve(cfg, 0.3, []float64{0.1, 0.5})
+	pts, err := HotspotCurve(cfg, 0.3, []float64{0.1, 0.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFootprintBeatsDBARUnderHotspot(t *testing.T) {
 		cfg := hotspotTestConfig(alg)
 		cfg.VCs = 10 // the Figure 9 gap needs the paper's VC count
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 1500, 2000, 6000
-		pts, err := HotspotCurve(cfg, 0.3, []float64{0.45})
+		pts, err := HotspotCurve(cfg, 0.3, []float64{0.45}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,14 @@ package sim
 
 import (
 	"nocsim/internal/flit"
-	"nocsim/internal/network"
 	"nocsim/internal/stats"
 	"nocsim/internal/topo"
 )
 
-// metrics implements router.BlockedSink and periodic network sampling,
-// aggregating the blocking statistics behind Figures 10(b) and 10(c). It
-// has no on/off switch: the simulation attaches it to the fabric for the
-// measurement window and samples it there, and nothing reaches it outside.
+// metrics implements router.BlockedSink, aggregating the blocking
+// statistics behind Figures 10(b) and 10(c). It has no on/off switch: the
+// simulation attaches it to the fabric for the measurement window, and
+// nothing reaches it outside.
 type metrics struct {
 	// blockEvents counts VC-allocation failures of routed head packets.
 	blockEvents int64
@@ -19,18 +18,7 @@ type metrics struct {
 	// destination (a per-event congestion-composition diagnostic).
 	sameDestSum float64
 	sameDestObs int64
-
-	// VC organization purity (the paper's "purity of blocking",
-	// Figure 10b): sampled periodically over all occupied input VCs, the
-	// fraction whose buffered packets all share one destination. Pure
-	// VCs are footprint chains that only block their own flow; impure
-	// VCs are HoL blocking.
-	pureVCs     int64
-	occupiedVCs int64
 }
-
-// samplePeriod is the cycle interval of purity sampling.
-const samplePeriod = 16
 
 // OnVCAllocFailure implements router.BlockedSink.
 func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, footprintVCs, busyVCs int, waited int64) {
@@ -41,32 +29,11 @@ func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo
 	}
 }
 
-// sample scans the fabric's input buffers for VC organization purity.
-func (m *metrics) sample(net *network.Network) {
-	for id := 0; id < net.Nodes(); id++ {
-		r := net.Router(id)
-		for d := topo.East; d <= topo.Local; d++ {
-			for v := 0; v < r.VCs(); v++ {
-				occupied, pure := r.InputVCPurity(d, v)
-				if !occupied {
-					continue
-				}
-				m.occupiedVCs++
-				if pure {
-					m.pureVCs++
-				}
-			}
-		}
-	}
-}
-
 // reset clears the counters (called at the start of measurement).
 func (m *metrics) reset() {
 	m.blockEvents = 0
 	m.sameDestSum = 0
 	m.sameDestObs = 0
-	m.pureVCs = 0
-	m.occupiedVCs = 0
 }
 
 // purity returns the paper's purity of blocking (Figure 10b): at each
@@ -83,11 +50,4 @@ func (m *metrics) purity() float64 {
 // caller.
 func (m *metrics) holDegree() float64 {
 	return (1 - m.purity()) * float64(m.blockEvents)
-}
-
-// bufferPurity is a secondary diagnostic: the fraction of occupied input
-// VC buffers whose packets all share one destination (destination
-// organization of the buffer space).
-func (m *metrics) bufferPurity() float64 {
-	return stats.Ratio(float64(m.pureVCs), float64(m.occupiedVCs))
 }

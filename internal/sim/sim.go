@@ -43,13 +43,10 @@ type Result struct {
 	// VC-allocation failure, the footprint share of the busy VCs at the
 	// requested port, averaged over failures. HoLDegree is impurity ×
 	// blocking events per thousand measured packets (Figure 10c).
-	// BlockEvents is the raw VC-allocation failure count. BufferPurity
-	// is a secondary diagnostic: the fraction of occupied input VC
-	// buffers holding packets of a single destination.
-	Purity       float64
-	HoLDegree    float64
-	BlockEvents  int64
-	BufferPurity float64
+	// BlockEvents is the raw VC-allocation failure count.
+	Purity      float64
+	HoLDegree   float64
+	BlockEvents int64
 	// Runtime reports the simulator's own performance over the whole run
 	// (warmup + measurement + drain).
 	Runtime RuntimeStats
@@ -296,9 +293,6 @@ func (s *Simulation) Step() { s.step() }
 func (s *Simulation) step() {
 	now := s.net.Now()
 	inWindow := s.measuring && now >= s.measStart && now < s.measEnd
-	if inWindow && now%samplePeriod == 0 {
-		s.met.sample(s.net)
-	}
 	if s.col != nil {
 		s.col.Tick(now, s.net)
 	}
@@ -417,7 +411,6 @@ func (s *Simulation) Run() *Result {
 		Stable:          s.measuredEjected >= s.measured,
 		Purity:          s.met.purity(),
 		BlockEvents:     s.met.blockEvents,
-		BufferPurity:    s.met.bufferPurity(),
 		Runtime:         rt,
 		Stalled:         s.stalled,
 		Obs:             s.col,

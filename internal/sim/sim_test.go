@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestNewChecksEscapeVC(t *testing.T) {
 		cfg := testConfig()
 		cfg.Algorithm = tc.alg
 		cfg.VCs = 1
-		res, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.05)
+		res, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.05)
 		if !tc.ok {
 			if err == nil {
 				t.Errorf("%s on 1 VC: want an error", tc.alg)
@@ -105,7 +106,7 @@ func TestNewRejectsUnknownAlgorithm(t *testing.T) {
 
 func TestLowLoadAccounting(t *testing.T) {
 	cfg := testConfig()
-	res, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.1)
+	res, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +137,11 @@ func TestLowLoadAccounting(t *testing.T) {
 
 func TestLatencyIncreasesWithLoad(t *testing.T) {
 	cfg := testConfig()
-	low, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.05)
+	low, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.35)
+	high, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestOverloadDetected(t *testing.T) {
 	// Bit-complement sends every flit across the bisection: a 4x4 mesh
 	// has 4 bisection links per direction shared by 8 sources, so the
 	// capacity bound is 0.5 flits/node/cycle and rate 0.95 must saturate.
-	res, err := runLoad(cfg, "bitcomp", traffic.FixedSize(1), 0.95)
+	res, err := RunLoad(cfg, "bitcomp", traffic.FixedSize(1), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestOverloadDetected(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	cfg := testConfig()
-	a, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.2)
+	a, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.2)
+	b, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestDeterministicResults(t *testing.T) {
 		t.Errorf("same seed, different results:\n%v\n%v", a, b)
 	}
 	cfg.Seed = 2
-	c, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.2)
+	c, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDeterministicResults(t *testing.T) {
 
 func TestLatencyThroughputCurve(t *testing.T) {
 	cfg := testConfig()
-	pts, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), []float64{0.05, 0.2})
+	pts, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), []float64{0.05, 0.2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +237,8 @@ func TestSaturationThroughputSearch(t *testing.T) {
 	if sr.ZeroLoadLatency <= 0 {
 		t.Error("no zero-load latency")
 	}
-	if sr.Evaluations < 3 {
-		t.Errorf("bisection did too little work: %d evals", sr.Evaluations)
+	if len(sr.Runs) < 3 {
+		t.Errorf("bisection did too little work: %d evals", len(sr.Runs))
 	}
 }
 
@@ -254,13 +255,51 @@ func TestSaturationThroughputBadTolerance(t *testing.T) {
 func TestSaturationProbeWithoutTrafficIsAnError(t *testing.T) {
 	cfg := testConfig()
 	cfg.Width, cfg.Height = 2, 1
-	probe, err := runLoad(cfg, "shuffle", traffic.FixedSize(1), probeRate)
+	probe, err := RunLoad(cfg, "shuffle", traffic.FixedSize(1), probeRate)
 	if err != nil || probe.Measured != 0 {
 		t.Fatalf("fixture: shuffle on 2 nodes measured %+v, err %v; want a silent run", probe, err)
 	}
 	sr, err := SaturationThroughput(cfg, "shuffle", traffic.FixedSize(1), 0.05)
 	if err == nil || !strings.Contains(err.Error(), "measured no packet") {
 		t.Errorf("SaturationThroughput = %+v, %v; want the no-packet error", sr, err)
+	}
+}
+
+// TestSaturationMatrixDrainsOrReports is the ROADMAP's saturation matrix
+// in reduced form: every registered algorithm under every synthetic
+// pattern on a 4x4, bisected at a coarse tolerance and then overloaded at
+// 1.2x the throughput found, with the watchdog armed throughout. Drain or
+// report, never hang: every run comes back within its cycle budget, and
+// none may trip the watchdog — a deadlock introduced later fails here
+// with the path of its fabric snapshot instead of a test timeout.
+func TestSaturationMatrixDrainsOrReports(t *testing.T) {
+	cfg := testConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 200, 400, 1500
+	cfg.WatchdogCycles = 400
+	cfg.WatchdogOut = filepath.Join(t.TempDir(), "stall.json")
+	budget := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
+	for _, alg := range routing.Names() {
+		for _, pattern := range []string{"uniform", "transpose", "shuffle"} {
+			cfg.Algorithm = alg
+			sr, err := SaturationThroughput(cfg, pattern, traffic.FixedSize(1), 0.1)
+			if err != nil {
+				t.Errorf("%s/%s: %v", alg, pattern, err)
+				continue
+			}
+			over, err := RunLoad(cfg, pattern, traffic.FixedSize(1), min(1, 1.2*sr.Throughput))
+			if err != nil {
+				t.Errorf("%s/%s at 1.2x %.3f: %v", alg, pattern, sr.Throughput, err)
+				continue
+			}
+			for _, r := range append(sr.Runs, over) {
+				if r.Stalled {
+					t.Errorf("%s stalled (snapshot %s)", r.Config.RunLabel, r.Config.StallPath())
+				}
+				if r.Runtime.Cycles > budget {
+					t.Errorf("%s ran %d cycles, budget %d", r.Config.RunLabel, r.Runtime.Cycles, budget)
+				}
+			}
+		}
 	}
 }
 
@@ -298,7 +337,7 @@ func TestSlowEndpointCreatesEndpointCongestion(t *testing.T) {
 func TestStickyRoutingRuns(t *testing.T) {
 	cfg := testConfig()
 	cfg.stickyRouting = true
-	res, err := runLoad(cfg, "uniform", traffic.FixedSize(1), 0.15)
+	res, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

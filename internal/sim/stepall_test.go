@@ -26,12 +26,12 @@ func TestActiveSetMatchesStepAll(t *testing.T) {
 			cfg.Algorithm = alg
 			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 
-			worklist, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
+			worklist, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.stepAll = true
-			stepAll, err := LatencyThroughputJobs(cfg, "uniform", traffic.FixedSize(1), rates, 1)
+			stepAll, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,20 +15,13 @@ type SweepPoint struct {
 
 // LatencyThroughput produces one latency-throughput curve (the building
 // block of Figures 5, 6 and 7): cfg is run once per rate with the named
-// synthetic pattern and packet-size distribution. The rates run in
-// parallel on one worker per CPU; results are independent of the worker
-// count (see LatencyThroughputJobs).
-func LatencyThroughput(cfg Config, pattern string, size traffic.SizeFn, rates []float64) ([]SweepPoint, error) {
-	return LatencyThroughputJobs(cfg, pattern, size, rates, 0)
-}
-
-// LatencyThroughputJobs is LatencyThroughput on up to jobs workers
-// (0 = one per CPU). Every rate point is an independent simulation with
-// its own Config copy and a seed derived from cfg.Seed and the point's
-// identity, so the curve is bit-identical at any jobs value.
-func LatencyThroughputJobs(cfg Config, pattern string, size traffic.SizeFn, rates []float64, jobs int) ([]SweepPoint, error) {
+// synthetic pattern and packet-size distribution, on up to jobs workers
+// (0 = one per CPU). Every rate point is an independent RunLoad with its
+// own Config copy and derived seed, so the curve is bit-identical at any
+// jobs value.
+func LatencyThroughput(cfg Config, pattern string, size traffic.SizeFn, rates []float64, jobs int) ([]SweepPoint, error) {
 	return Map(jobs, len(rates), func(i int) (SweepPoint, error) {
-		res, err := runLoad(cfg, pattern, size, rates[i])
+		res, err := RunLoad(cfg, pattern, size, rates[i])
 		if err != nil {
 			return SweepPoint{}, err
 		}
@@ -55,12 +48,6 @@ func loadIdentity(cfg Config, pattern string, rate float64) RunIdentity {
 		fmt.Sprintf("load/%s/rate=%.6f", pattern, rate))
 }
 
-// runLoad runs one simulation at the given uniform-pattern-family load
-// under the point's derived identity.
-func runLoad(cfg Config, pattern string, size traffic.SizeFn, rate float64) (*Result, error) {
-	return runLoadID(cfg, loadIdentity(cfg, pattern, rate), pattern, size, rate)
-}
-
 // PatternGenerator builds the Bernoulli generator of the named pattern on
 // cfg's mesh at the given offered load. It is where a traffic cell named
 // by user input is checked: an invalid cfg, a pattern that is unknown or
@@ -80,16 +67,17 @@ func PatternGenerator(cfg Config, pattern string, size traffic.SizeFn, rate floa
 	return &traffic.Generator{Pattern: p, Rate: rate, Size: size}, nil
 }
 
-// runLoadID runs one simulation at the given load under an explicit run
-// identity. The identity is applied to a private Config copy — the
-// caller's cfg is never mutated, which is what makes the fan-out in
-// LatencyThroughputJobs safe.
-func runLoadID(cfg Config, id RunIdentity, pattern string, size traffic.SizeFn, rate float64) (*Result, error) {
+// RunLoad is the one pattern-cell runner: one simulation of cfg under
+// the named pattern at the given offered load, under the cell's derived
+// identity (see loadIdentity). The identity is applied to a private
+// Config copy — the caller's cfg is never mutated, which is what makes
+// fanning RunLoad out over a worker pool safe.
+func RunLoad(cfg Config, pattern string, size traffic.SizeFn, rate float64) (*Result, error) {
 	gen, err := PatternGenerator(cfg, pattern, size, rate)
 	if err != nil {
 		return nil, err
 	}
-	cfg = id.Apply(cfg)
+	cfg = loadIdentity(cfg, pattern, rate).Apply(cfg)
 	cfg.PprofLabels = []string{"traffic", pattern, "rate", fmt.Sprintf("%.3f", rate)}
 	s, err := New(cfg, gen)
 	if err != nil {
@@ -132,8 +120,9 @@ type SaturationResult struct {
 	Throughput float64
 	// ZeroLoadLatency is the latency reference measured at low load.
 	ZeroLoadLatency float64
-	// Evaluations counts simulation runs performed.
-	Evaluations int
+	// Runs holds every simulation performed, in order: the zero-load
+	// probe first, then each bisection step.
+	Runs []*Result
 }
 
 // probeRate is the low load used to establish the zero-load latency.
@@ -152,11 +141,11 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 	crit := DefaultCriterion()
 	sr := &SaturationResult{}
 
-	probe, err := runLoad(cfg, pattern, size, probeRate)
+	probe, err := RunLoad(cfg, pattern, size, probeRate)
 	if err != nil {
 		return nil, err
 	}
-	sr.Evaluations++
+	sr.Runs = append(sr.Runs, probe)
 	if probe.Measured == 0 {
 		// Nothing offered means nothing can saturate: the bisection
 		// would walk to its upper bound and report that as a throughput.
@@ -173,11 +162,11 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 	lo, hi := probeRate, 1.0
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
-		res, err := runLoad(cfg, pattern, size, mid)
+		res, err := RunLoad(cfg, pattern, size, mid)
 		if err != nil {
 			return nil, err
 		}
-		sr.Evaluations++
+		sr.Runs = append(sr.Runs, res)
 		if crit.Saturated(res, sr.ZeroLoadLatency) {
 			hi = mid
 		} else {

@@ -116,7 +116,7 @@ type SweepPoint = sim.SweepPoint
 // the latency-throughput curve of cfg under the named pattern with
 // single-flit packets.
 func LatencyThroughput(cfg Config, pattern string, rates []float64) ([]SweepPoint, error) {
-	return sim.LatencyThroughput(cfg, pattern, traffic.FixedSize(1), rates)
+	return sim.LatencyThroughput(cfg, pattern, traffic.FixedSize(1), rates, 0)
 }
 
 // SaturationResult reports a saturation-throughput search.
@@ -134,7 +134,7 @@ type HotspotPoint = sim.HotspotPoint
 // HotspotCurve measures background-traffic latency while the Table 3
 // hotspot flows inject at each rate; cfg must describe an 8×8 mesh.
 func HotspotCurve(cfg Config, backgroundRate float64, hotspotRates []float64) ([]HotspotPoint, error) {
-	return sim.HotspotCurve(cfg, backgroundRate, hotspotRates)
+	return sim.HotspotCurve(cfg, backgroundRate, hotspotRates, 0)
 }
 
 // TraceRecord is one packet of a trace file.
