@@ -89,15 +89,14 @@ func (p *pool[T]) slot(idx int) *T {
 	return &p.chunks[idx/arenaChunkSize][idx%arenaChunkSize]
 }
 
-// alloc hands out a zeroed slot and its handle.
+// alloc hands out a zeroed slot and its handle: fresh slab slots are
+// zero as made, recycled ones were zeroed by release.
 func (p *pool[T]) alloc() (*T, Handle) {
 	var idx int
 	if n := len(p.free); n > 0 {
 		idx = int(p.free[n-1])
 		p.free = p.free[:n-1]
 		p.stats.Reused++
-		var zero T
-		*p.slot(idx) = zero
 	} else {
 		idx = len(p.gens)
 		if idx/arenaChunkSize == len(p.chunks) {
@@ -128,9 +127,12 @@ func (p *pool[T]) get(h Handle, kind string) *T {
 }
 
 // release recycles the slot behind h. The generation bump invalidates
-// every outstanding copy of the handle, so double frees panic too.
+// every outstanding copy of the handle, so double frees panic too. The
+// slot is zeroed here, not on reuse: a pointer kept across the free reads
+// a zero value at once instead of a plausible one until the next tenant.
 func (p *pool[T]) release(h Handle, kind string) {
-	p.get(h, kind) // validates index and generation
+	var zero T
+	*p.get(h, kind) = zero // get validates index and generation
 	idx := h.Index()
 	p.gens[idx]++
 	if p.gens[idx] == 0 {
@@ -172,10 +174,7 @@ func (a *Arena) FreeFlit(f *Flit) {
 	if f.arena != a {
 		panic("flit: flit freed into foreign arena")
 	}
-	h := f.handle
-	f.arena = nil
-	f.handle = 0
-	a.flits.release(h, "flit")
+	a.flits.release(f.handle, "flit")
 }
 
 // NewPacket allocates a zeroed packet. The packet pointer stays stable —
@@ -200,10 +199,7 @@ func (a *Arena) FreePacket(p *Packet) {
 	if p.arena != a {
 		panic("flit: packet freed into foreign arena")
 	}
-	h := p.handle
-	p.arena = nil
-	p.handle = 0
-	a.packets.release(h, "packet")
+	a.packets.release(p.handle, "packet")
 }
 
 // Stats reports the arena's live/free/high-water accounting.

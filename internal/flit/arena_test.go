@@ -34,6 +34,25 @@ func TestArenaRecycling(t *testing.T) {
 	}
 }
 
+// TestArenaFreeZeroesSlot pins when a slot is wiped: at the free, before
+// any reuse, so a pointer kept across FreePacket/FreeFlit reads a zero
+// value at once rather than the departed tenant's fields.
+func TestArenaFreeZeroesSlot(t *testing.T) {
+	a := NewArena()
+	p := a.NewPacket()
+	p.ID, p.Src, p.Dest, p.Size, p.Born, p.Eject = 7, 1, 2, 3, 10, 40
+	f := a.NewFlit()
+	f.Packet, f.Seq, f.Tail, f.VC = p, 2, true, 1
+	a.FreeFlit(f)
+	a.FreePacket(p)
+	if *p != (Packet{}) {
+		t.Errorf("freed packet slot reads %+v, want the zero Packet", *p)
+	}
+	if *f != (Flit{}) {
+		t.Errorf("freed flit slot reads %+v, want the zero Flit", *f)
+	}
+}
+
 // TestArenaStaleHandlePanics is the core safety property in its simplest
 // form: resolving a handle after its slot was freed (and recycled) must
 // panic instead of aliasing the new tenant.

@@ -24,12 +24,11 @@ import (
 // Explicitly seeded generators (rand.New(rand.NewSource(seed))) and
 // *rand.Rand method calls on run-owned values stay legal. Wall-clock
 // self-metrics that never feed results (cycles/s reporting, the phase
-// profiler) flow through the single waived seam prof.Now in
-// internal/prof; consumers take a prof.Clock and need no waiver of
-// their own.
+// profiler) flow through the single seam prof.Now in internal/prof, the
+// one function the rule exempts by name (isWallClockSeam); consumers
+// take a prof.Clock.
 var analyzeDeterminism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no wall clock or global math/rand state in result-producing packages",
 	Applies: func(path string) bool {
 		return underAny(path, deterministicRoots)
 	},
@@ -50,6 +49,9 @@ func runDeterminism(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok && isWallClockSeam(p, fd) {
+				return false
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -94,6 +96,12 @@ func runDeterminism(p *Package) []Finding {
 		})
 	}
 	return out
+}
+
+// isWallClockSeam reports whether fd is prof.Now, the one function inside
+// the deterministic roots allowed to read the wall clock.
+func isWallClockSeam(p *Package, fd *ast.FuncDecl) bool {
+	return p.Pkg.Path() == "nocsim/internal/prof" && fd.Recv == nil && fd.Name.Name == "Now"
 }
 
 // isIntnShaped reports whether a method has the tie-break draw shape:

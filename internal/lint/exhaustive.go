@@ -24,7 +24,6 @@ import (
 // not required.
 var analyzeExhaustive = &Analyzer{
 	Name:    "exhaustive",
-	Doc:     "switches over module enum types cover every constant or panic in default",
 	Applies: inModule,
 	Run:     runExhaustive,
 }

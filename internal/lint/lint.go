@@ -3,24 +3,21 @@
 // results at any -jobs value, paired seeds per traffic cell — is dynamic
 // by nature: a golden test only catches nondeterminism on the path it
 // happens to execute. noclint encodes the invariants behind that
-// guarantee as machine-checked rules over the module's syntax trees and
-// type information, so a future change cannot silently reintroduce a
+// guarantee as five machine-checked rules over the module's syntax trees
+// and type information, so a future change cannot silently reintroduce a
 // wall-clock read, an unordered map walk in an exporter, a side effect
-// in a routing function, or ad-hoc seed arithmetic.
+// in a routing function, or ad-hoc seed arithmetic. Each rule is kept
+// because a seeded bug of its kind passes every other test (DESIGN.md,
+// "Enforced invariants", has the audit).
 //
 // The suite is pure standard library (go/parser + go/types with the
-// source importer); run it from the module root:
+// source importer) and has one entry point, the package's own test:
 //
-//	go run ./cmd/noclint ./...
+//	go test ./internal/lint
 //
-// A finding can be waived at a specific line with a suppression comment
-// carrying the rule name and a reason:
-//
-//	s.wallStart = time.Now() //noclint:allow determinism wall-clock self-metrics only
-//
-// The comment may also sit on the line directly above the flagged one.
-// Suppressions without a reason, or naming an unknown rule, are
-// themselves findings.
+// TestRepositoryClean fails with one "path:line:col: rule: message" line
+// per finding. There is no flag and no waiver comment: a rule that must
+// not apply somewhere says so in its own code, by name.
 package lint
 
 import (
@@ -48,11 +45,10 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Analyzer is one checked invariant: a rule name (the suppression key),
-// a one-line contract, a package-path scope, and the checker itself.
+// Analyzer is one checked invariant: a rule name, a package-path scope,
+// and the checker itself.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Applies reports whether the rule is in force for a package path.
 	Applies func(pkgPath string) bool
 	Run     func(p *Package) []Finding
@@ -69,26 +65,47 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// knownRules returns the valid //noclint:allow rule names.
-func knownRules() map[string]bool {
-	m := map[string]bool{ruleTypecheck: true}
-	for _, a := range Analyzers() {
-		m[a.Name] = true
-	}
-	for _, a := range ProgramAnalyzers() {
-		m[a.Name] = true
-	}
-	return m
+// ruleTypecheck is the rule name of the loader's own findings.
+const ruleTypecheck = "typecheck"
+
+// Finding is one rule violation at a source position.
+type Finding struct {
+	Pos  token.Position
+	Rule string
+	Msg  string
+}
+
+// SortFindings orders findings by file, line, column, rule and message —
+// a total order, so two runs over the same tree report identically.
+func SortFindings(fs []Finding) {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
+	})
 }
 
 // deterministicRoots are the packages whose code feeds simulation
 // results: everything under them must be a pure function of Config and
-// seed. obs and cli sit outside — they observe runs (wall-clock speed,
-// uptime) without feeding results back in. internal/prof is in scope on
-// purpose: it exists to concentrate the module's one sanctioned
-// wall-clock read behind a single waived seam (prof.Now), so a new
-// time.Now anywhere else in these roots — including prof itself — is a
-// finding.
+// seed — the engine (sim, exp, network, router, routing, alloc, flit,
+// topo), where the traffic is made (traffic, trace) and where it is
+// counted (stats). obs and cli sit outside — they observe runs
+// (wall-clock speed, uptime) without feeding results back in.
+// internal/prof is in scope on purpose: it exists to concentrate the
+// module's one sanctioned wall-clock read in a single function
+// (prof.Now, which determinism exempts by name), so a new time.Now
+// anywhere else in these roots — including prof itself — is a finding.
 var deterministicRoots = []string{
 	"nocsim/internal/sim",
 	"nocsim/internal/exp",
@@ -96,6 +113,12 @@ var deterministicRoots = []string{
 	"nocsim/internal/routing",
 	"nocsim/internal/network",
 	"nocsim/internal/prof",
+	"nocsim/internal/traffic",
+	"nocsim/internal/trace",
+	"nocsim/internal/flit",
+	"nocsim/internal/alloc",
+	"nocsim/internal/topo",
+	"nocsim/internal/stats",
 }
 
 // underAny reports whether path is one of roots or nested below one.
@@ -132,13 +155,14 @@ func NewLoader() *Loader {
 	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
-// Parse reads the non-test Go files of dir into a Package with syntax
-// only — no type information. Enough for the suppression scanner; the
-// analyzers need a full Load.
-func (l *Loader) Parse(dir, asPath string) (*Package, error) {
+// Load parses the non-test Go files of dir and type-checks them as
+// import path asPath. Type errors are returned as findings (rule
+// "typecheck") rather than aborting, so a partially broken tree still
+// gets the rest of its report.
+func (l *Loader) Load(dir, asPath string) (*Package, []Finding, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var files []*ast.File
 	for _, e := range entries {
@@ -148,24 +172,12 @@ func (l *Loader) Parse(dir, asPath string) (*Package, error) {
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("lint: parse %s: %w", name, err)
+			return nil, nil, fmt.Errorf("lint: parse %s: %w", name, err)
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	return &Package{Path: asPath, Fset: l.fset, Files: files}, nil
-}
-
-// Load parses the non-test Go files of dir and type-checks them as
-// import path asPath. Type errors are returned as findings (rule
-// "typecheck") rather than aborting, so a partially broken tree still
-// gets the rest of its report.
-func (l *Loader) Load(dir, asPath string) (*Package, []Finding, error) {
-	p, err := l.Parse(dir, asPath)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -184,49 +196,23 @@ func (l *Loader) Load(dir, asPath string) (*Package, []Finding, error) {
 			}
 		},
 	}
-	pkg, _ := conf.Check(asPath, l.fset, p.Files, info)
-	p.Pkg, p.Info = pkg, info
-	return p, tfs, nil
+	pkg, _ := conf.Check(asPath, l.fset, files, info)
+	return &Package{Path: asPath, Fset: l.fset, Files: files, Pkg: pkg, Info: info}, tfs, nil
 }
 
-// Check runs every applicable analyzer on p and returns the surviving
-// findings after suppression filtering, sorted. Single-package
-// convenience over CheckAll: interprocedural rules see only p, so
-// obligations normally discharged in another package may surface.
-func Check(p *Package) []Finding {
-	active, _ := CheckAll([]*Package{p})
-	return active
-}
-
-// CheckAll runs the whole suite — per-package analyzers on each package,
-// then the interprocedural ProgramAnalyzers over all of them at once —
-// and splits the results into active findings (including malformed
-// suppressions) and findings waived by //noclint:allow comments. Both
-// slices come back sorted.
-func CheckAll(pkgs []*Package) (active, waived []Finding) {
-	var raw []Finding
-	var allows []allowance
-	var bad []Finding
+// Check runs every applicable analyzer on each package and returns the
+// findings, sorted.
+func Check(pkgs ...*Package) []Finding {
+	var out []Finding
 	for _, p := range pkgs {
 		for _, a := range Analyzers() {
-			if !a.Applies(p.Path) {
-				continue
+			if a.Applies(p.Path) {
+				out = append(out, a.Run(p)...)
 			}
-			raw = append(raw, a.Run(p)...)
 		}
-		as, b := collectAllowances(p)
-		allows = append(allows, as...)
-		bad = append(bad, b...)
 	}
-	prog := BuildProgram(pkgs)
-	for _, a := range ProgramAnalyzers() {
-		raw = append(raw, a.Run(prog)...)
-	}
-	active, waived = filterWaived(raw, allows)
-	active = append(active, bad...)
-	SortFindings(active)
-	SortFindings(waived)
-	return active, waived
+	SortFindings(out)
+	return out
 }
 
 // ModuleRoot walks up from dir to the enclosing go.mod.

@@ -1,11 +1,7 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"path/filepath"
-	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -21,12 +17,10 @@ var fixtureCases = []struct {
 	{"maporder", "nocsim/internal/lint/fixture"},
 	{"routepurity", "nocsim/internal/routing/fixture"},
 	{"seedident", "nocsim/internal/sim/fixture"},
-	{"arenaescape", "nocsim/internal/flit/fixture"},
 }
 
 // checkFixture loads one fixture package and returns its findings for
-// the rule under test, plus any suppression-hygiene findings (a
-// malformed //noclint:allow in a fixture is a fixture bug).
+// the rule under test.
 func checkFixture(t *testing.T, l *Loader, dir, asPath, rule string) []Finding {
 	t.Helper()
 	p, tfs, err := l.Load(dir, asPath)
@@ -38,16 +32,15 @@ func checkFixture(t *testing.T, l *Loader, dir, asPath, rule string) []Finding {
 	}
 	var out []Finding
 	for _, f := range Check(p) {
-		if f.Rule == rule || f.Rule == ruleSuppression {
+		if f.Rule == rule {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// TestFixtures exercises every rule against its bad / good / allowed
-// fixture triple: at least one true positive, a clean pass, and an
-// honored //noclint:allow suppression.
+// TestFixtures exercises every rule against its bad / good fixture
+// pair: at least one true positive and a clean pass.
 func TestFixtures(t *testing.T) {
 	l := NewLoader()
 	for _, tc := range fixtureCases {
@@ -58,9 +51,6 @@ func TestFixtures(t *testing.T) {
 			}
 			if good := checkFixture(t, l, filepath.Join(base, "good"), tc.asPath, tc.rule); len(good) != 0 {
 				t.Errorf("%s/good: unexpected findings: %v", tc.rule, good)
-			}
-			if allowed := checkFixture(t, l, filepath.Join(base, "allowed"), tc.asPath, tc.rule); len(allowed) != 0 {
-				t.Errorf("%s/allowed: suppression not honored: %v", tc.rule, allowed)
 			}
 		})
 	}
@@ -101,16 +91,42 @@ func TestRoutePurityFollowsStateMethods(t *testing.T) {
 	t.Errorf("no finding in bad/state.go; a State method reached from Decide is not walked: %v", bad)
 }
 
-// TestScopes pins the path scoping: result-producing roots are covered
-// by determinism, the observability layer is not, and nothing outside
-// the module is.
+// TestDeterminismExemptsProfNowByName pins the rule's one exemption: it
+// is the function Now of internal/prof, not the package — a second
+// wall-clock read there is a finding — and not the name, which buys
+// nothing under any other path.
+func TestDeterminismExemptsProfNowByName(t *testing.T) {
+	l := NewLoader()
+	dir := filepath.Join("testdata", "determinism", "prof")
+	got := checkFixture(t, l, dir, "nocsim/internal/prof", "determinism")
+	if len(got) != 1 || !strings.Contains(got[0].Msg, "time.Since") {
+		t.Errorf("as internal/prof: findings %v, want exactly the time.Since in Elapsed", got)
+	}
+	if got := checkFixture(t, l, dir, "nocsim/internal/sim/prof", "determinism"); len(got) != 2 {
+		t.Errorf("as internal/sim/prof: findings %v, want Now's time.Now and Elapsed's time.Since", got)
+	}
+}
+
+// TestScopes pins the path scoping: result-producing roots — the engine,
+// where the traffic is made and where it is counted — are covered by
+// determinism, the observability layer is not, and nothing outside the
+// module is.
 func TestScopes(t *testing.T) {
 	det := analyzeDeterminism.Applies
 	for path, want := range map[string]bool{
 		"nocsim/internal/sim":         true,
 		"nocsim/internal/sim/fixture": true,
+		"nocsim/internal/exp":         true,
+		"nocsim/internal/router":      true,
 		"nocsim/internal/routing":     true,
+		"nocsim/internal/network":     true,
 		"nocsim/internal/prof":        true,
+		"nocsim/internal/traffic":     true,
+		"nocsim/internal/trace":       true,
+		"nocsim/internal/flit":        true,
+		"nocsim/internal/alloc":       true,
+		"nocsim/internal/topo":        true,
+		"nocsim/internal/stats":       true,
 		"nocsim/internal/obs":         false,
 		"nocsim/internal/cli":         false,
 		"nocsim/internal/simx":        false,
@@ -122,44 +138,6 @@ func TestScopes(t *testing.T) {
 	}
 	if inModule("nocsimx/internal/sim") {
 		t.Error("inModule must not match a foreign module sharing the prefix")
-	}
-}
-
-// reportLine matches the stable "path:line:col: rule: message" format.
-var reportLine = regexp.MustCompile(`^[^:]+\.go:\d+:\d+: [a-z]+: .+$`)
-
-// TestMainExitCodes drives the CLI entry point: nonzero with a sorted,
-// stable report on a bad fixture, zero on a clean one.
-func TestMainExitCodes(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := Main([]string{"-pkgpath", "nocsim/internal/sim/fixture", "testdata/determinism/bad"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("bad fixture: exit %d (stderr %q), want 1", code, stderr.String())
-	}
-	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) == 0 {
-		t.Fatal("bad fixture: no report lines on stdout")
-	}
-	for _, line := range lines {
-		if !reportLine.MatchString(line) {
-			t.Errorf("report line %q does not match path:line:col: rule: msg", line)
-		}
-	}
-	if !sort.StringsAreSorted(lines) {
-		t.Errorf("report not sorted:\n%s", stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "finding(s)") {
-		t.Errorf("stderr %q missing the finding count", stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	code = Main([]string{"-pkgpath", "nocsim/internal/sim/fixture", "testdata/determinism/good"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("good fixture: exit %d (stdout %q), want 0", code, stdout.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("good fixture: unexpected output %q", stdout.String())
 	}
 }
 
@@ -190,148 +168,16 @@ func loadModule(t testing.TB) []*Package {
 	return pkgs
 }
 
-// TestMainJSON drives -json: machine-readable findings on a bad
-// fixture, and suppressed findings surfaced (but not counted) on the
-// allowed fixture.
-func TestMainJSON(t *testing.T) {
-	type jf struct {
-		File       string `json:"file"`
-		Line       int    `json:"line"`
-		Col        int    `json:"col"`
-		Rule       string `json:"rule"`
-		Msg        string `json:"msg"`
-		Suppressed bool   `json:"suppressed"`
-	}
-	var stdout, stderr bytes.Buffer
-	code := Main([]string{"-json", "-pkgpath", "nocsim/internal/sim/fixture", "testdata/determinism/bad"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("bad fixture: exit %d (stderr %q), want 1", code, stderr.String())
-	}
-	var got []jf
-	if err := json.Unmarshal(stdout.Bytes(), &got); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	if len(got) == 0 {
-		t.Fatal("bad fixture: empty JSON findings")
-	}
-	for _, f := range got {
-		if f.File == "" || f.Line == 0 || f.Rule == "" || f.Msg == "" {
-			t.Errorf("incomplete JSON finding: %+v", f)
-		}
-		if f.Suppressed {
-			t.Errorf("bad fixture has no suppressions, but %+v is marked suppressed", f)
-		}
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	code = Main([]string{"-json", "-pkgpath", "nocsim/internal/sim/fixture", "testdata/determinism/allowed"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("allowed fixture: exit %d (stdout %q), want 0", code, stdout.String())
-	}
-	got = nil
-	if err := json.Unmarshal(stdout.Bytes(), &got); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	suppressed := 0
-	for _, f := range got {
-		if !f.Suppressed {
-			t.Errorf("allowed fixture: active finding leaked into exit-0 run: %+v", f)
-		} else {
-			suppressed++
-		}
-	}
-	if suppressed == 0 {
-		t.Error("allowed fixture: waived findings missing from -json output")
-	}
-}
-
-// TestMainWaivers drives -waivers: every //noclint:allow in the target
-// comes back as "file:line: rule: reason" without type-checking.
-func TestMainWaivers(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := Main([]string{"-waivers", "-pkgpath", "nocsim/internal/sim/fixture", "testdata/determinism/allowed"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d (stderr %q), want 0", code, stderr.String())
-	}
-	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("no waivers reported for the allowed fixture")
-	}
-	waiverLine := regexp.MustCompile(`^[^:]+\.go:\d+: [a-z]+: .+$`)
-	for _, line := range lines {
-		if !waiverLine.MatchString(line) {
-			t.Errorf("waiver line %q does not match file:line: rule: reason", line)
-		}
-	}
-}
-
-// TestRepositoryClean runs the full suite — all per-package rules plus
-// the interprocedural program rules — over the module tip. The tree must
-// stay noclint-clean, so CI failures reproduce locally as a test.
+// TestRepositoryClean is noclint's one entry point: the five rules over
+// every package of the module tip. The tree must stay clean; each
+// finding is one "path:line:col: rule: message" failure line.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is slow")
 	}
-	active, _ := CheckAll(loadModule(t))
-	for _, f := range active {
+	for _, f := range Check(loadModule(t)...) {
 		t.Errorf("%s: %s: %s", f.Pos, f.Rule, f.Msg)
 	}
-}
-
-// TestWaiverBudget pins the module's //noclint:allow inventory: every
-// waiver in the tree must be on this list, so adding one is a conscious,
-// reviewed act rather than drift.
-func TestWaiverBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parsing the whole module is slow enough to skip in -short")
-	}
-	want := []string{
-		"internal/prof/prof.go: determinism",
-	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels, err := PackageDirs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader()
-	var got []string
-	for _, rel := range rels {
-		p, err := l.Parse(filepath.Join(root, rel), importPathFor(rel))
-		if err != nil {
-			t.Fatalf("parse %s: %v", rel, err)
-		}
-		allows, bad := collectAllowances(p)
-		for _, f := range bad {
-			t.Errorf("malformed suppression: %s: %s", f.Pos, f.Msg)
-		}
-		for _, a := range allows {
-			relFile, err := filepath.Rel(root, a.file)
-			if err != nil {
-				relFile = a.file
-			}
-			got = append(got, filepath.ToSlash(relFile)+": "+a.rule)
-		}
-	}
-	sort.Strings(got)
-	if !slicesEqual(got, want) {
-		t.Errorf("waiver inventory drifted:\n got  %q\n want %q\nupdate the golden only with a reviewed justification", got, want)
-	}
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BenchmarkNoclintFullModule measures one whole-suite pass over the
@@ -341,9 +187,8 @@ func BenchmarkNoclintFullModule(b *testing.B) {
 	pkgs := loadModule(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		active, _ := CheckAll(pkgs)
-		if len(active) != 0 {
-			b.Fatalf("module not clean: %v", active[0])
+		if fs := Check(pkgs...); len(fs) != 0 {
+			b.Fatalf("module not clean: %v", fs[0])
 		}
 	}
 }

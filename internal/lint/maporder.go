@@ -16,11 +16,9 @@ import (
 // A map range inside a sensitive function is legal only as the
 // collect-then-sort idiom: the loop body does nothing but append keys
 // or values to a slice that is subsequently passed to a sort call in
-// the same function. Anything else needs sorted keys up front or a
-// //noclint:allow waiver.
+// the same function. Anything else needs sorted keys up front.
 var analyzeMapOrder = &Analyzer{
 	Name:    "maporder",
-	Doc:     "no unordered map iteration in Result-building, exporting or seed-deriving functions",
 	Applies: inModule,
 	Run:     runMapOrder,
 }

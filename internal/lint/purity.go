@@ -25,7 +25,6 @@ import (
 //   - no channel sends or close.
 var analyzeRoutePurity = &Analyzer{
 	Name: "routepurity",
-	Doc:  "Decide, Route and their helpers read state but never write or send",
 	Applies: func(path string) bool {
 		const root = "nocsim/internal/routing"
 		return path == root || len(path) > len(root) && path[:len(root)+1] == root+"/"

@@ -25,7 +25,6 @@ import (
 //     identifier threading the base seed through.
 var analyzeSeedIdentity = &Analyzer{
 	Name: "seedident",
-	Doc:  "per-run seeds come from sim.DeriveSeed / sim.RunIdentity, never seed arithmetic",
 	Applies: func(path string) bool {
 		return underAny(path, deterministicRoots)
 	},

@@ -1,7 +1,7 @@
 // A wall-clock read scattered into engine code instead of flowing
 // through the prof.Clock seam. noclint must flag it even when the value
 // only feeds a self-metric — the seam exists so these reads stay
-// auditable at one waived site.
+// auditable in one named function.
 package fixture
 
 import "time"

@@ -1,6 +1,6 @@
 // The consumer side of the wall-clock seam: engine code that needs
 // timestamps takes an injected clock and calls it. Calls through a
-// function value are not time.Now and pass the rule without a waiver —
+// function value are not time.Now and pass the rule as they are —
 // tests substitute fake clocks, production wires prof.Now.
 package fixture
 

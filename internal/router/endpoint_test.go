@@ -105,6 +105,49 @@ func TestEndpointEjectionAndSink(t *testing.T) {
 	}
 }
 
+// ejectRecorder is a PacketSink that keeps what OnEject was shown; the
+// endpoint under test never fires the other events.
+type ejectRecorder struct {
+	PacketSink
+	seen flit.Packet
+}
+
+func (r *ejectRecorder) OnEject(_ int64, p *flit.Packet) { r.seen = *p }
+
+// TestEndpointObserversSeePacketBeforeFree pins the order at the arena's
+// packet free site: the packet sink and the Sink both read the ejected
+// packet intact, and only then is its slot recycled (and so zeroed).
+func TestEndpointObserversSeePacketBeforeFree(t *testing.T) {
+	e, _, ej := newTestEndpoint()
+	a := flit.NewArena()
+	e.UseArena(a)
+	rec := &ejectRecorder{}
+	e.SetPacketSink(rec)
+	var sunk flit.Packet
+	e.Sink = func(p *flit.Packet) { sunk = *p }
+
+	p := a.NewPacket()
+	p.ID, p.Src, p.Dest, p.Size, p.Born = 42, 1, 3, 1, 5
+	f := a.NewFlit()
+	f.Packet, f.Head, f.Tail = p, true, true
+	ej.Send(f)
+	ej.Tick()
+	e.Receive()
+	e.Consume(17)
+
+	for _, got := range []struct {
+		who string
+		p   flit.Packet
+	}{{"Packets.OnEject", rec.seen}, {"Sink", sunk}} {
+		if got.p.ID != 42 || got.p.Src != 1 || got.p.Dest != 3 || got.p.Born != 5 || got.p.Eject != 17 {
+			t.Errorf("%s saw %+v, want ID 42 Src 1 Dest 3 Born 5 Eject 17", got.who, got.p)
+		}
+	}
+	if st := a.Stats(); st.Packets.Live != 0 || st.Flits.Live != 0 {
+		t.Errorf("after consumption arena holds %s, want nothing live", st)
+	}
+}
+
 func TestEndpointConsumesOneFlitPerCycle(t *testing.T) {
 	e, _, ej := newTestEndpoint()
 	consumed := 0

@@ -100,7 +100,7 @@ func computeGolden(alg Algorithm, vcs int) goldenEntry {
 	var reqs []Request
 	for i := 0; i < goldenStates; i++ {
 		m := topo.MustNew(3+rng.Intn(6), 3+rng.Intn(6))
-		s := walkScenarioWith(rng, alg, m, vcs, goldenView)
+		s := walkScenarioWith(rng, alg, m, vcs)
 		ctx := s.ctx(int64(i))
 		reqs = alg.Route(ctx, reqs[:0])
 		put(hReq, uint64(len(reqs)))

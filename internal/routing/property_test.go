@@ -20,45 +20,32 @@ type scenario struct {
 	view  *fakeView
 }
 
-// randomView fills a fresh view with random VC occupancy and downstream
-// congestion numbers.
-func randomView(rng *rand.Rand, nodes, vcs, _ int) *fakeView {
-	fv := newFakeView(vcs)
-	for d := topo.East; d <= topo.Local; d++ {
-		for v := 0; v < vcs; v++ {
-			if rng.Float64() < 0.5 {
-				fv.owner[d][v] = rng.Intn(nodes)
-			}
-		}
-		fv.downstream[d] = rng.Intn(vcs + 1)
-	}
-	return fv
-}
-
 // walkScenario draws a reachable routing state on a random mesh with a
-// random VC count and uniformly half-occupied views; see walkScenarioWith.
+// random VC count; see walkScenarioWith.
 func walkScenario(rng *rand.Rand, alg Algorithm) scenario {
 	m := topo.MustNew(3+rng.Intn(6), 3+rng.Intn(6))
 	vcs := 2 + rng.Intn(5)
-	return walkScenarioWith(rng, alg, m, vcs, randomView)
+	return walkScenarioWith(rng, alg, m, vcs)
 }
 
 // walkScenarioWith draws a reachable routing state: it injects a packet
 // at a random source and walks it toward a random destination for a
 // random number of hops, each hop decided by the algorithm itself against
-// a fresh view from newView. Turn-model algorithms restrict which (inDir,
-// position) states can occur — inventing an arrival port out of thin air
-// produces histories the model provably never creates — so reachability
-// must come from the algorithm's own decisions.
-func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int,
-	newView func(rng *rand.Rand, nodes, vcs, dest int) *fakeView) scenario {
+// a fresh goldenView, whose owners and footprint registers name the
+// packet's own destination often enough that Footprint's saturated and
+// ladder branches — the only code that reads the registers — are visited,
+// not just its uncongested one. Turn-model algorithms restrict which
+// (inDir, position) states can occur — inventing an arrival port out of
+// thin air produces histories the model provably never creates — so
+// reachability must come from the algorithm's own decisions.
+func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int) scenario {
 	cur := rng.Intn(m.Nodes())
 	dest := rng.Intn(m.Nodes())
 	for dest == cur {
 		dest = rng.Intn(m.Nodes())
 	}
 	inDir := topo.Local
-	view := newView(rng, m.Nodes(), vcs, dest)
+	view := goldenView(rng, m.Nodes(), vcs, dest)
 	steps := rng.Intn(m.Hops(cur, dest)) // strictly short of the destination
 	for i := 0; i < steps; i++ {
 		ctx := &Context{
@@ -76,7 +63,7 @@ func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int,
 		}
 		inDir = r.Dir.Opposite()
 		cur = next
-		view = newView(rng, m.Nodes(), vcs, dest)
+		view = goldenView(rng, m.Nodes(), vcs, dest)
 	}
 	return scenario{m: m, cur: cur, dest: dest, inDir: inDir, view: view.at(m, cur)}
 }
@@ -176,7 +163,9 @@ func TestRoutingInvariantsRandomized(t *testing.T) {
 // routepurity rule: a routing decision reads the router's View but must
 // not mutate it — the paired-seed comparisons only hold if routing
 // cannot perturb the fabric it inspects. The view is deep-copied before
-// every Route call and compared structurally after.
+// every Route call and compared structurally after; walkScenario's views
+// put every algorithm in each of its congestion states, so a write in
+// any branch of a decision shows.
 func TestRouteLeavesViewUntouched(t *testing.T) {
 	for _, name := range Names() {
 		name := name
