@@ -1,5 +1,7 @@
 package alloc
 
+import "math/bits"
+
 // VCRequest is one virtual-channel allocation request: requester (an input
 // VC, identified by a dense index) asks for resource (an output VC, dense
 // index) at the given priority.
@@ -26,16 +28,17 @@ type VCAllocator struct {
 	numRequesters int
 	numResources  int
 
-	outNext []int // round-robin pointer per resource
-	inNext  []int // round-robin pointer per requester
+	outNext []int32 // round-robin pointer per resource
+	inNext  []int32 // round-robin pointer per requester
 
-	// scratch, reused across calls; only touched entries are reset.
-	resPri      []Priority // best priority seen per resource this call
-	resWin      []int      // winning requester per resource this call
-	reqPri      []Priority // best granted priority per requester
-	reqWin      []int      // winning resource per requester
-	touchedRes  []int
-	touchedReqs []int
+	// scratch, reused across calls; only touched entries are reset. The
+	// touched lists have their bound; grants starts at the few a call makes.
+	resPri      []uint8 // best priority seen per resource this call
+	resWin      []int32 // winning requester per resource this call
+	reqPri      []uint8 // best granted priority per requester
+	reqWin      []int32 // winning resource per requester
+	touchedRes  []int32
+	touchedReqs []int32
 	grants      []Grant
 }
 
@@ -45,15 +48,20 @@ func NewVCAllocator(numRequesters, numResources int) *VCAllocator {
 	if numRequesters <= 0 || numResources <= 0 {
 		panic("alloc: VC allocator needs positive dimensions")
 	}
+	slab := make([]int32, 3*(numRequesters+numResources)) // the six index arrays
+	cut := func(n int) []int32 { s := slab[:n:n]; slab = slab[n:]; return s }
 	a := &VCAllocator{
 		numRequesters: numRequesters,
 		numResources:  numResources,
-		outNext:       make([]int, numResources),
-		inNext:        make([]int, numRequesters),
-		resPri:        make([]Priority, numResources),
-		resWin:        make([]int, numResources),
-		reqPri:        make([]Priority, numRequesters),
-		reqWin:        make([]int, numRequesters),
+		outNext:       cut(numResources),
+		inNext:        cut(numRequesters),
+		resPri:        make([]uint8, numResources),
+		resWin:        cut(numResources),
+		reqPri:        make([]uint8, numRequesters),
+		reqWin:        cut(numRequesters),
+		touchedRes:    cut(numResources)[:0],
+		touchedReqs:   cut(numRequesters)[:0],
+		grants:        make([]Grant, 0, 8),
 	}
 	for i := range a.resWin {
 		a.resWin[i] = -1
@@ -67,7 +75,7 @@ func NewVCAllocator(numRequesters, numResources int) *VCAllocator {
 // rrBetter reports whether candidate a beats candidate b for a resource
 // whose round-robin pointer is next, given equal priority: the index
 // closest at-or-after the pointer (mod n) wins.
-func rrBetter(a, b, next, n int) bool {
+func rrBetter[T int | int32](a, b, next, n T) bool {
 	da := a - next
 	if da < 0 {
 		da += n
@@ -77,6 +85,34 @@ func rrBetter(a, b, next, n int) bool {
 		db += n
 	}
 	return da < db
+}
+
+// GrantUncontended is Allocate for a requester q nobody competes with this
+// call. q asks for the VCs pri[p]&free of the port whose VC 0 is resource
+// base, at each priority p, and for resource esc at Lowest (esc < 0: not).
+// Resources are independent in the output stage and requesters in the
+// input stage, so q's grant is its own best candidate; it is returned (-1:
+// nothing asked for) and both pointers advance as Allocate advances them.
+func (a *VCAllocator) GrantUncontended(q, base int, pri *[Highest + 1]uint32, free uint32, esc int) int {
+	next, r := int(a.inNext[q]), -1
+	for p := Highest; p >= Lowest && r < 0; p-- {
+		if m := pri[p] & free; m != 0 {
+			// Nearest at or after the pointer: the lowest VC, unless the
+			// pointer is inside the port with a candidate at or above it.
+			if k := uint(next - base); next > base && m>>k != 0 {
+				m = m >> k << k
+			}
+			r = base + bits.TrailingZeros32(m)
+		}
+		if p == Lowest && esc >= 0 && (r < 0 || rrBetter(esc, r, next, a.numResources)) {
+			r = esc
+		}
+	}
+	if r >= 0 { // out of range, q or r panics here: each array has its length
+		a.outNext[r] = int32((q + 1) % a.numRequesters)
+		a.inNext[q] = int32((r + 1) % a.numResources)
+	}
+	return r
 }
 
 // Grant is one requester→resource match produced by Allocate.
@@ -99,24 +135,26 @@ func (a *VCAllocator) Allocate(reqs []VCRequest) []Grant {
 			rq.Resource < 0 || rq.Resource >= a.numResources {
 			panic("alloc: VC request out of range")
 		}
-		r := rq.Resource
+		r, q, pri := int32(rq.Resource), int32(rq.Requester), uint8(rq.Pri)
 		if a.resWin[r] == -1 {
 			a.touchedRes = append(a.touchedRes, r)
-			a.resPri[r] = rq.Pri
-			a.resWin[r] = rq.Requester
+			a.resPri[r] = pri
+			a.resWin[r] = q
 			continue
 		}
-		if rq.Pri > a.resPri[r] ||
-			(rq.Pri == a.resPri[r] && rq.Requester != a.resWin[r] &&
-				rrBetter(rq.Requester, a.resWin[r], a.outNext[r], a.numRequesters)) {
-			a.resPri[r] = rq.Pri
-			a.resWin[r] = rq.Requester
+		if pri > a.resPri[r] ||
+			(pri == a.resPri[r] && q != a.resWin[r] &&
+				rrBetter(q, a.resWin[r], a.outNext[r], int32(a.numRequesters))) {
+			a.resPri[r] = pri
+			a.resWin[r] = q
 		}
 	}
 
-	// Input stage: each requester keeps its best resource grant.
+	// Input stage: each requester keeps its best resource grant. Either
+	// stage's scratch is reset as the next stage reads it.
 	for _, r := range a.touchedRes {
 		q, p := a.resWin[r], a.resPri[r]
+		a.resWin[r], a.resPri[r] = -1, uint8(None)
 		if a.reqWin[q] == -1 {
 			a.touchedReqs = append(a.touchedReqs, q)
 			a.reqPri[q] = p
@@ -125,7 +163,7 @@ func (a *VCAllocator) Allocate(reqs []VCRequest) []Grant {
 		}
 		if p > a.reqPri[q] ||
 			(p == a.reqPri[q] && r != a.reqWin[q] &&
-				rrBetter(r, a.reqWin[q], a.inNext[q], a.numResources)) {
+				rrBetter(r, a.reqWin[q], a.inNext[q], int32(a.numResources))) {
 			a.reqPri[q] = p
 			a.reqWin[q] = r
 		}
@@ -134,23 +172,12 @@ func (a *VCAllocator) Allocate(reqs []VCRequest) []Grant {
 	grants := a.grants[:0]
 	for _, q := range a.touchedReqs {
 		r := a.reqWin[q]
-		grants = append(grants, Grant{Requester: q, Resource: r})
+		a.reqWin[q], a.reqPri[q] = -1, uint8(None)
+		grants = append(grants, Grant{Requester: int(q), Resource: int(r)})
 		// Advance round-robin state past the winners.
-		a.inNext[q] = (r + 1) % a.numResources
-		a.outNext[r] = (q + 1) % a.numRequesters
+		a.inNext[q] = (r + 1) % int32(a.numResources)
+		a.outNext[r] = (q + 1) % int32(a.numRequesters)
 	}
-	a.grants = grants
-
-	// Reset touched scratch.
-	for _, r := range a.touchedRes {
-		a.resWin[r] = -1
-		a.resPri[r] = None
-	}
-	for _, q := range a.touchedReqs {
-		a.reqWin[q] = -1
-		a.reqPri[q] = None
-	}
-	a.touchedRes = a.touchedRes[:0]
-	a.touchedReqs = a.touchedReqs[:0]
+	a.grants, a.touchedRes, a.touchedReqs = grants, a.touchedRes[:0], a.touchedReqs[:0]
 	return grants
 }

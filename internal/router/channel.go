@@ -18,10 +18,16 @@ type Channel struct {
 	// upstream credit pipeline
 	stagedCredits  []flit.Credit
 	arrivedCredits []flit.Credit
+	creditBuf      [4]flit.Credit
 }
 
-// NewChannel returns an empty channel.
-func NewChannel() *Channel { return &Channel{} }
+// NewChannel returns an empty channel. Its credit slices start on its own
+// array and hold Table 2's two credits a cycle (Speedup) without growing.
+func NewChannel() *Channel {
+	c := &Channel{}
+	c.stagedCredits, c.arrivedCredits = c.creditBuf[:0:2], c.creditBuf[2:2]
+	return c
+}
 
 // CanSend reports whether the sender may stage a flit this cycle.
 func (c *Channel) CanSend() bool { return c.staged == nil }

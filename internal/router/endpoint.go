@@ -80,8 +80,10 @@ func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel) *Endpoint {
 		consume:  alloc.NewRoundRobin(vcs),
 		reqVec:   make([]bool, vcs),
 	}
+	store := make([]*flit.Flit, vcs*bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
 		e.credits[v] = bufDepth
+		e.ejBuf[v] = store[v*bufDepth : v*bufDepth : (v+1)*bufDepth]
 	}
 	return e
 }

@@ -44,9 +44,9 @@ const stageCap = 4
 // Router is one mesh router. Its per-VC state is laid out as
 // struct-of-arrays indexed by idx = int(port)*VCs + vc (the same dense
 // index the VC allocator uses), so a cycle's scans walk contiguous
-// arrays instead of chasing per-port/per-VC pointers, and the input
-// buffers and output stages are fixed-capacity rings over single backing
-// arrays — the steady-state cycle loop allocates nothing.
+// arrays instead of chasing per-port/per-VC pointers. The input buffers
+// and output stages are fixed-capacity rings and the scratch lists are
+// sized at construction, so a warm cycle allocates nothing.
 type Router struct {
 	cfg Config
 	vcs int // cfg.VCs, hot-path copy
@@ -104,11 +104,12 @@ type Router struct {
 	inCh  []*Channel // attached input channels, [port]
 	outCh []*Channel // attached output channels, [port]
 
-	va     *alloc.VCAllocator
-	saIn   []*alloc.RoundRobin // per input port: VC chooser
-	saOut  []*alloc.RoundRobin // per output port: input chooser
-	vaReqs []alloc.VCRequest
-	saVec  []bool // scratch request vector for switch allocation
+	va      *alloc.VCAllocator
+	saIn    []*alloc.RoundRobin // per input port: VC chooser
+	saOut   []*alloc.RoundRobin // per output port: input chooser
+	vaReqs  []alloc.VCRequest
+	vaHeads []uint8 // this cycle's routing heads with a grantable VC, ascending
+	saVec   []bool  // scratch request vector for switch allocation
 
 	// routeCtx is the reusable routing context: Decide receives a pointer
 	// to it every call (only Dest and InDir vary), so route computation
@@ -203,10 +204,12 @@ func New(cfg Config) *Router {
 		inCh:  make([]*Channel, P),
 		outCh: make([]*Channel, P),
 
-		va:    alloc.NewVCAllocator(n, n),
-		saIn:  make([]*alloc.RoundRobin, P),
-		saOut: make([]*alloc.RoundRobin, P),
-		saVec: make([]bool, cfg.VCs),
+		va:      alloc.NewVCAllocator(n, n),
+		saIn:    make([]*alloc.RoundRobin, P),
+		saOut:   make([]*alloc.RoundRobin, P),
+		saVec:   make([]bool, cfg.VCs),
+		vaHeads: make([]uint8, 0, n),                       // every head fits
+		vaReqs:  make([]alloc.VCRequest, 0, 2*(cfg.VCs+1)), // two heads' requests, then it grows
 	}
 	for i := 0; i < n; i++ {
 		r.outCredits[i] = int32(cfg.BufDepth)
@@ -241,9 +244,6 @@ func (r *Router) Downstream(d topo.Direction) *routing.State { return r.down[d] 
 
 // SetBlockedSink replaces Sinks.Blocked from the next cycle on; nil detaches it.
 func (r *Router) SetBlockedSink(b BlockedSink) { r.cfg.Sinks.Blocked = b }
-
-// NodeID returns the router's node id.
-func (r *Router) NodeID() int { return r.cfg.NodeID }
 
 // SyncClock sets the router's cycle counter. The network calls it before
 // stepping an active router, so event timestamps stay correct even when
@@ -462,7 +462,9 @@ func (r *Router) AllocateVCs() {
 	if r.routingTotal == 0 {
 		return
 	}
-	r.vaReqs = r.vaReqs[:0]
+	r.vaHeads, r.vaReqs = r.vaHeads[:0], r.vaReqs[:0]
+	var seen [topo.NumPorts]uint32
+	var dup uint32
 	for p := 0; p < topo.NumPorts; p++ {
 		// Iterate only the VCs in routing state, lowest first (the same
 		// order the dense scan visited them in).
@@ -497,48 +499,46 @@ func (r *Router) AllocateVCs() {
 				}
 				r.inRouted[requester] = true
 			}
-			// Submit the requests that can be granted this cycle, in the
-			// decision's list order (ascending VC, escape last): grant
-			// order, and with it lifecycle-event order, follows the order
-			// the allocator first sees each resource in. A blocked head
-			// (no requested VC free) submits nothing.
-			base := r.idx(dec.Dir, 0)
-			for a := dec.VCMask() & r.freeMask[dec.Dir]; a != 0; a &= a - 1 {
-				vc := bits.TrailingZeros32(a)
-				r.vaReqs = append(r.vaReqs, alloc.VCRequest{
-					Requester: requester, Resource: base + vc, Pri: dec.PriOf(vc)})
+			// A blocked head (no requested VC free) is recorded nowhere; the
+			// others are, and dup collects every VC a second head wants too.
+			a, esc := dec.VCMask()&r.freeMask[dec.Dir], uint32(0)
+			if dec.HasEsc {
+				esc = r.freeMask[dec.Esc] & 1
 			}
-			if dec.HasEsc && r.freeMask[dec.Esc]&1 != 0 {
-				r.vaReqs = append(r.vaReqs, alloc.VCRequest{
-					Requester: requester, Resource: r.idx(dec.Esc, 0), Pri: alloc.Lowest})
+			if a|esc == 0 {
+				continue
 			}
+			r.vaHeads = append(r.vaHeads, uint8(requester))
+			dup |= seen[dec.Dir]&a | seen[dec.Esc]&esc
+			seen[dec.Dir] |= a
+			seen[dec.Esc] |= esc
 		}
 	}
 
-	grants := r.va.Allocate(r.vaReqs)
-	for _, g := range grants {
-		od := topo.Direction(g.Resource / r.vcs)
-		ovc := g.Resource % r.vcs
-		r.inState[g.Requester] = vcActive
-		r.inOutDir[g.Requester] = od
-		r.inOutVC[g.Requester] = int32(ovc)
-		inBit := uint32(1) << uint(g.Requester%r.vcs)
-		r.routingMask[g.Requester/r.vcs] &^= inBit
-		r.routingTotal--
-		r.activeMask[g.Requester/r.vcs] |= inBit
-		r.activeTotal++
-		dest := int(r.inDest[g.Requester])
-		if r.cfg.Sinks.Packets != nil {
-			// Reported before the assignments below so the VC is classified
-			// against its pre-grant state: once marked allocated and owned
-			// it would read as busy.
-			r.cfg.Sinks.Packets.OnVCAllocGrant(r.now, r.cfg.NodeID, r.bufFront(g.Requester).Packet,
-				od, ovc, r.classifyVC(od, ovc, dest), r.inBlocked[g.Requester])
+	// With no VC contested, each head's grant is its own best candidate
+	// (DESIGN.md, "VC allocation in two forms"). Otherwise the heads expand
+	// in list order (ascending VC, escape last): grant order, and with it
+	// event order, follows the order Allocate first sees each resource in.
+	for _, h := range r.vaHeads {
+		q, dec, esc := int(h), &r.inDec[h], -1
+		if dec.HasEsc && r.freeMask[dec.Esc]&1 != 0 {
+			esc = r.idx(dec.Esc, 0)
 		}
-		r.outAlloc[g.Resource] = true
-		r.refreshOutBits(g.Resource)
-		r.setOwner(g.Resource, dest)
-		r.st.RegOwner[g.Resource] = int32(dest)
+		base, free := r.idx(dec.Dir, 0), r.freeMask[dec.Dir]
+		if dup == 0 {
+			r.grant(q, r.va.GrantUncontended(q, base, &dec.Pri, free, esc))
+			continue
+		}
+		for a := dec.VCMask() & free; a != 0; a &= a - 1 {
+			vc := bits.TrailingZeros32(a)
+			r.vaReqs = append(r.vaReqs, alloc.VCRequest{Requester: q, Resource: base + vc, Pri: dec.PriOf(vc)})
+		}
+		if esc >= 0 {
+			r.vaReqs = append(r.vaReqs, alloc.VCRequest{Requester: q, Resource: esc, Pri: alloc.Lowest})
+		}
+	}
+	for _, g := range r.va.Allocate(r.vaReqs) { // nothing, in mask form
+		r.grant(g.Requester, g.Resource)
 	}
 
 	// Blocking bookkeeping: every head packet that tried and failed. The
@@ -563,6 +563,31 @@ func (r *Router) AllocateVCs() {
 			}
 		}
 	}
+}
+
+// grant hands output VC res to the head packet of input VC q.
+func (r *Router) grant(q, res int) {
+	od, ovc := topo.Direction(res/r.vcs), res%r.vcs
+	r.inState[q] = vcActive
+	r.inOutDir[q] = od
+	r.inOutVC[q] = int32(ovc)
+	inBit := uint32(1) << uint(q%r.vcs)
+	r.routingMask[q/r.vcs] &^= inBit
+	r.routingTotal--
+	r.activeMask[q/r.vcs] |= inBit
+	r.activeTotal++
+	dest := int(r.inDest[q])
+	if r.cfg.Sinks.Packets != nil {
+		// Reported before the assignments below so the VC is classified
+		// against its pre-grant state: once marked allocated and owned
+		// it would read as busy.
+		r.cfg.Sinks.Packets.OnVCAllocGrant(r.now, r.cfg.NodeID, r.bufFront(q).Packet,
+			od, ovc, r.classifyVC(od, ovc, dest), r.inBlocked[q])
+	}
+	r.outAlloc[res] = true
+	r.refreshOutBits(res)
+	r.setOwner(res, dest)
+	r.st.RegOwner[res] = int32(dest)
 }
 
 // portOccupancy counts footprint and busy adaptive VCs of port d with

@@ -25,10 +25,15 @@ func (s *scriptAlg) Route(ctx *routing.Context, out []routing.Request) []routing
 	return append(out, s.reqs[ctx.Dest]...)
 }
 
-// Decide is the scripted requests (all on one port) in mask form.
+// Decide is the scripted requests (all on one port) in mask form; with
+// escape set, a request for VC 0 at Lowest is the escape, on any port.
 func (s *scriptAlg) Decide(ctx *routing.Context) routing.Decision {
 	var dec routing.Decision
 	for _, rq := range s.reqs[ctx.Dest] {
+		if s.escape && rq.VC == 0 && rq.Pri == alloc.Lowest {
+			dec.Esc, dec.HasEsc = rq.Dir, true
+			continue
+		}
 		dec.Dir = rq.Dir
 		dec.Pri[rq.Pri] |= 1 << uint(rq.VC)
 	}
@@ -401,6 +406,68 @@ func TestBlockedHeadsAllocateNothing(t *testing.T) {
 			if n := testing.AllocsPerRun(50, r.AllocateVCs); n != 0 {
 				t.Errorf("%s vcs=%d: AllocateVCs on blocked head flits allocates %v times per call, want 0",
 					name, vcs, n)
+			}
+		}
+	}
+}
+
+// TestAllocationFormFollowsContention delivers pairs of heads to a fresh
+// router and holds that the pair is resolved in mask form exactly when no
+// output VC is requested twice, and that either form grants what
+// alloc.Allocate grants on the scripted requests in list form (ascending
+// VC, escape last, in requester order) — the contested pairs through the
+// list path the router had before it had two.
+func TestAllocationFormFollowsContention(t *testing.T) {
+	E, S := topo.East, topo.South
+	cases := []struct {
+		name     string
+		script   map[int][]routing.Request // by destination; 6 arrives on West, 9 on North
+		listPath bool
+	}{
+		{"disjoint VCs of one port", map[int][]routing.Request{
+			6: {{Dir: E, VC: 1, Pri: alloc.High}, {Dir: E, VC: 2, Pri: alloc.Low}},
+			9: {{Dir: E, VC: 3, Pri: alloc.Low}}}, false},
+		{"different ports, one escape", map[int][]routing.Request{
+			6: {{Dir: E, VC: 1, Pri: alloc.Low}, {Dir: E, VC: 0, Pri: alloc.Lowest}},
+			9: {{Dir: S, VC: 1, Pri: alloc.Low}}}, false},
+		{"same port, same VCs", map[int][]routing.Request{
+			6: {{Dir: E, VC: 1, Pri: alloc.Low}, {Dir: E, VC: 2, Pri: alloc.Low}},
+			9: {{Dir: E, VC: 1, Pri: alloc.High}, {Dir: E, VC: 2, Pri: alloc.Low}}}, true},
+		{"different ports, shared escape", map[int][]routing.Request{
+			6: {{Dir: E, VC: 1, Pri: alloc.Low}, {Dir: E, VC: 0, Pri: alloc.Lowest}},
+			9: {{Dir: S, VC: 1, Pri: alloc.Low}, {Dir: E, VC: 0, Pri: alloc.Lowest}}}, true},
+		{"escape is the other head's adaptive VC", map[int][]routing.Request{
+			6: {{Dir: S, VC: 1, Pri: alloc.Low}, {Dir: E, VC: 0, Pri: alloc.Lowest}},
+			9: {{Dir: E, VC: 0, Pri: alloc.Low}, {Dir: E, VC: 1, Pri: alloc.Low}}}, true},
+	}
+	for _, c := range cases {
+		r, ins, _ := testRouter(t, &scriptAlg{reqs: c.script, escape: true}, 4)
+		var reqs []alloc.VCRequest
+		for _, h := range []struct {
+			in   topo.Direction
+			dest int
+		}{{topo.West, 6}, {topo.North, 9}} { // ascending requester index
+			f := headFlit(uint64(h.dest), h.dest, 2)[0]
+			f.VC = 1
+			ins[h.in].Send(f)
+			ins[h.in].Tick()
+			for _, rq := range c.script[h.dest] {
+				reqs = append(reqs, alloc.VCRequest{Requester: r.idx(h.in, 1), Resource: r.idx(rq.Dir, rq.VC), Pri: rq.Pri})
+			}
+		}
+		r.Receive()
+		r.AllocateVCs()
+		if got := len(r.vaReqs) != 0; got != c.listPath {
+			t.Errorf("%s: request list built = %v, want %v", c.name, got, c.listPath)
+		}
+		want := alloc.NewVCAllocator(5*4, 5*4).Allocate(reqs)
+		if len(want)+r.routingTotal != 2 {
+			t.Errorf("%s: %d heads left routing after %d grants", c.name, r.routingTotal, len(want))
+		}
+		for _, g := range want {
+			if r.inState[g.Requester] != vcActive || r.idx(r.inOutDir[g.Requester], int(r.inOutVC[g.Requester])) != g.Resource {
+				t.Errorf("%s: input VC %d holds %v VC %d (state %d), Allocate grants resource %d", c.name,
+					g.Requester, r.inOutDir[g.Requester], r.inOutVC[g.Requester], r.inState[g.Requester], g.Resource)
 			}
 		}
 	}

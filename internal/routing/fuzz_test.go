@@ -62,7 +62,7 @@ func fuzzView(fb *fuzzBytes, nodes, vcs int) *fakeView {
 
 // FuzzRouteAdmissible decodes a routing scenario from the fuzz input and
 // checks that the decision is admissible: minimal, turn-legal, escape-
-// correct and pure.
+// correct, filed under sound priority levels and pure.
 //
 // The packet's arrival port is not decoded directly — turn models make
 // some (position, inDir) pairs unreachable by construction, and inventing
@@ -166,6 +166,9 @@ func FuzzRouteAdmissible(f *testing.F) {
 		}
 		if inDir == topo.Local && len(reqs) == 0 {
 			t.Fatalf("%s: no requests for a freshly injected packet (cur %d dest %d)", name, cur, dest)
+		}
+		if bad := levelsViolation(alg.Decide(ctx(view))); bad != "" {
+			t.Fatalf("%s: %s", name, bad)
 		}
 
 		// Purity: the decision is a function of (state, seed).

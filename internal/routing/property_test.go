@@ -1,11 +1,13 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"nocsim/internal/alloc"
 	"nocsim/internal/topo"
 )
 
@@ -88,6 +90,24 @@ func minimalDirSet(m topo.Mesh, cur, dest int) map[topo.Direction]bool {
 	return set
 }
 
+// levelsViolation names what is wrong with how d files its VCs under
+// priority levels, or returns "": level None is no request, so nothing may
+// be filed there (VCMask, PriOf and the allocator all skip it), and a VC
+// is requested at one level at most.
+func levelsViolation(d Decision) string {
+	if d.Pri[alloc.None] != 0 {
+		return fmt.Sprintf("Pri[None] = %#x, want 0", d.Pri[alloc.None])
+	}
+	var seen uint32
+	for p := alloc.Lowest; p <= alloc.Highest; p++ {
+		if twice := seen & d.Pri[p]; twice != 0 {
+			return fmt.Sprintf("VCs %#x at %v and at a lower level too", twice, p)
+		}
+		seen |= d.Pri[p]
+	}
+	return ""
+}
+
 // TestRoutingInvariantsRandomized drives every registered algorithm
 // through randomized reachable decisions and holds the invariants that
 // make the fabric minimal and deadlock-free:
@@ -99,6 +119,8 @@ func minimalDirSet(m topo.Mesh, cur, dest int) map[topo.Direction]bool {
 //   - Odd-Even variants never request a turn the turn model forbids;
 //   - DOR variants request exactly the dimension-order direction;
 //   - a freshly injected packet always gets at least one request;
+//   - the decision files nothing under level None and no VC under two
+//     levels (levelsViolation);
 //   - a decision is a pure function of (state, seed): repeating it with
 //     an identically seeded RNG yields identical requests — the local
 //     form of the engine-level determinism guarantee.
@@ -145,6 +167,9 @@ func TestRoutingInvariantsRandomized(t *testing.T) {
 				if s.inDir == topo.Local && len(reqs) == 0 {
 					t.Fatalf("trial %d: no requests for a freshly injected packet (cur %d dest %d)",
 						trial, s.cur, s.dest)
+				}
+				if bad := levelsViolation(alg.Decide(s.ctx(int64(trial)))); bad != "" {
+					t.Fatalf("trial %d: %s", trial, bad)
 				}
 
 				// Purity: an identical decision replayed with an equally
@@ -208,5 +233,27 @@ func TestFootprintCandidatesWithinAdaptiveQuadrant(t *testing.T) {
 					trial, r.Dir, minimal)
 			}
 		}
+	}
+}
+
+// TestDecisionLevelNoneIsNoRequest holds the three readers of a decision
+// to one meaning of level None: a bit filed there is not requested (PriOf,
+// as the allocator), so VCMask must not report it either — it would count
+// as offered, and keep a head from reading as blocked, without ever being
+// grantable.
+func TestDecisionLevelNoneIsNoRequest(t *testing.T) {
+	d := Decision{Pri: [alloc.Highest + 1]uint32{alloc.None: 0b0110, alloc.Low: 0b1000}}
+	if got := d.VCMask(); got != 0b1000 {
+		t.Errorf("VCMask = %#b, want 0b1000", got)
+	}
+	if got := d.PriOf(1); got != alloc.None {
+		t.Errorf("PriOf(1) = %v, want none", got)
+	}
+	if levelsViolation(d) == "" {
+		t.Error("levelsViolation accepts bits under None")
+	}
+	d = Decision{Pri: [alloc.Highest + 1]uint32{alloc.Low: 0b0100, alloc.High: 0b0110}}
+	if levelsViolation(d) == "" {
+		t.Error("levelsViolation accepts a VC at two levels")
 	}
 }

@@ -69,10 +69,11 @@ type Decision struct {
 	HasEsc bool
 }
 
-// VCMask returns the VCs requested on Dir at any priority.
+// VCMask returns the VCs requested on Dir at any priority. Pri[alloc.None]
+// is no request, here as in PriOf and the allocator.
 func (d *Decision) VCMask() uint32 {
 	var m uint32
-	for _, p := range d.Pri {
+	for _, p := range d.Pri[alloc.Lowest:] {
 		m |= p
 	}
 	return m

@@ -138,7 +138,9 @@ type Simulation struct {
 	col  *obs.Collector     // nil unless cfg.Obs selects collectors
 	prof *obs.PhaseProfiler // nil unless cfg.Obs.Profile
 
-	nextID    uint64
+	nextID uint64
+	// offerFn is s.offer, bound once so that a cycle makes no closure.
+	offerFn   func(*flit.Packet)
 	measuring bool
 	measStart int64
 	measEnd   int64
@@ -217,6 +219,7 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		StepAll:       cfg.stepAll,
 	})
 	s.net.Sink = s.onEject
+	s.offerFn = s.offer
 	if cfg.Obs.Profile {
 		s.prof = obs.NewPhaseProfiler(cfg.Obs.ProfileEvery, cfg.Obs.ProfileClock)
 		s.net.Probe = s.prof
@@ -292,7 +295,6 @@ func (s *Simulation) Step() { s.step() }
 // step advances one cycle, generating traffic first.
 func (s *Simulation) step() {
 	now := s.net.Now()
-	inWindow := s.measuring && now >= s.measStart && now < s.measEnd
 	if s.col != nil {
 		s.col.Tick(now, s.net)
 	}
@@ -300,17 +302,21 @@ func (s *Simulation) step() {
 		s.heartbeat(now)
 	}
 	for _, g := range s.gens {
-		g.Tick(now, func(p *flit.Packet) {
-			s.nextID++
-			p.ID = s.nextID
-			if inWindow {
-				s.measured++
-				s.offeredFlits += int64(p.Size)
-			}
-			s.net.Offer(p)
-		})
+		g.Tick(now, s.offerFn)
 	}
 	s.net.Step()
+}
+
+// offer numbers a generated packet, counts it when it is born inside the
+// measurement window, and queues it at its source.
+func (s *Simulation) offer(p *flit.Packet) {
+	s.nextID++
+	p.ID = s.nextID
+	if now := s.net.Now(); s.measuring && now >= s.measStart && now < s.measEnd {
+		s.measured++
+		s.offeredFlits += int64(p.Size)
+	}
+	s.net.Offer(p)
 }
 
 // heartbeat feeds the stall watchdog; on the beat that completes a

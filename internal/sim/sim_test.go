@@ -348,3 +348,33 @@ func TestStickyRoutingRuns(t *testing.T) {
 		t.Errorf("lost packets under sticky routing: %d/%d", res.MeasuredEjected, res.Measured)
 	}
 }
+
+// TestSteadyStateStepAllocatesNothing pins router.Router's claim that the
+// cycle loop allocates nothing once warm: the scratch a cycle appends to
+// (the allocator's touched lists, the heads scratch, a channel's credit
+// slices, an endpoint's ejection buffers) has its bound at construction,
+// and the generator's offer function is bound once. What still grows by
+// doubling — the request and grant lists of a router busier than it has
+// been, a source queue, the arena — is done growing after warm-up at a
+// load below saturation.
+func TestSteadyStateStepAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		alg  string
+		w, h int
+		rate float64
+	}{{"footprint", 8, 8, 0.30}, {"dor", 16, 16, 0.05}} {
+		cfg := DefaultConfig()
+		cfg.Algorithm, cfg.Width, cfg.Height = c.alg, c.w, c.h
+		gen, err := PatternGenerator(cfg, "uniform", traffic.FixedSize(1), c.rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := MustNew(cfg, gen)
+		for i := 0; i < 3000; i++ {
+			s.Step()
+		}
+		if n := testing.AllocsPerRun(1000, s.Step); n != 0 {
+			t.Errorf("%s %dx%d uniform %.2f: a warm cycle allocates %v times, want 0", c.alg, c.w, c.h, c.rate, n)
+		}
+	}
+}
