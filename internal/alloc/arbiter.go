@@ -5,17 +5,10 @@
 // allocator, Round-Robin switch arbiter").
 package alloc
 
-// Arbiter selects one requester out of a set, implementing some fairness
-// policy across successive invocations.
-type Arbiter interface {
-	// Arbitrate returns the granted index among requests[i]==true entries,
-	// or -1 when nothing is requested. The arbiter updates its internal
-	// fairness state only when a grant is made.
-	Arbitrate(requests []bool) int
-}
+import "math/bits"
 
-// RoundRobin is a classic round-robin arbiter over n requesters. The zero
-// value is not usable; construct with NewRoundRobin.
+// RoundRobin is a classic round-robin arbiter over n <= 32 requesters (a
+// request set is a uint32). The zero value is not usable.
 type RoundRobin struct {
 	n    int
 	next int // index with the highest priority this round
@@ -23,32 +16,44 @@ type RoundRobin struct {
 
 // NewRoundRobin returns a round-robin arbiter for n requesters.
 func NewRoundRobin(n int) *RoundRobin {
-	if n <= 0 {
-		panic("alloc: round-robin arbiter needs at least one requester")
+	if n <= 0 || n > 32 {
+		panic("alloc: round-robin arbiter needs 1 to 32 requesters")
 	}
 	return &RoundRobin{n: n}
 }
 
-// Arbitrate grants the first requester at or after the round-robin pointer
-// and advances the pointer past the winner. The wrap-around search is two
-// linear scans so the hot path avoids a modulo per step.
+// Arbitrate packs the request vector into a mask for ArbitrateMask.
 func (a *RoundRobin) Arbitrate(requests []bool) int {
 	if len(requests) != a.n {
 		panic("alloc: request vector size mismatch")
 	}
-	for idx := a.next; idx < a.n; idx++ {
-		if requests[idx] {
-			a.next = (idx + 1) % a.n
-			return idx
+	var req uint32
+	for i, r := range requests {
+		if r {
+			req |= 1 << uint(i)
 		}
 	}
-	for idx := 0; idx < a.next; idx++ {
-		if requests[idx] {
-			a.next = (idx + 1) % a.n
-			return idx
-		}
+	return a.ArbitrateMask(req)
+}
+
+// ArbitrateMask grants the first requester (set bit of req) at or after
+// the round-robin pointer, wrapping to the lowest, and advances the
+// pointer past the winner; -1, pointer unmoved, when req is empty.
+func (a *RoundRobin) ArbitrateMask(req uint32) int {
+	if req>>uint(a.n) != 0 {
+		panic("alloc: request bit at or above the arbiter's size")
 	}
-	return -1
+	if req == 0 {
+		return -1
+	}
+	idx := bits.TrailingZeros32(req)
+	if at := req >> uint(a.next); at != 0 {
+		idx = a.next + bits.TrailingZeros32(at)
+	}
+	if a.next = idx + 1; a.next == a.n { // no modulo on the switch's hot path
+		a.next = 0
+	}
+	return idx
 }
 
 // Priority orders virtual-channel requests as in Algorithm 1 of the paper.

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -133,5 +134,106 @@ func TestRoundRobinStrongFairness(t *testing.T) {
 		if c != 10 {
 			t.Errorf("requester %d granted %d times, want 10", i, c)
 		}
+	}
+}
+
+// scanArbitrate is the two-scan arbitration loop RoundRobin ran over a
+// []bool before it took masks, kept as the reference ArbitrateMask is
+// compared with: the winner among the set bits of req for a pointer at
+// next, and the pointer after the grant.
+func scanArbitrate(n, next int, req uint32) (winner, after int) {
+	for idx := next; idx < n; idx++ {
+		if req&(1<<uint(idx)) != 0 {
+			return idx, (idx + 1) % n
+		}
+	}
+	for idx := 0; idx < next; idx++ {
+		if req&(1<<uint(idx)) != 0 {
+			return idx, (idx + 1) % n
+		}
+	}
+	return -1, next
+}
+
+// checkArbitrateMask runs one arbitration from pointer next on both forms.
+func checkArbitrateMask(t *testing.T, n, next int, req uint32) {
+	t.Helper()
+	a := &RoundRobin{n: n, next: next}
+	want, wantNext := scanArbitrate(n, next, req)
+	if got := a.ArbitrateMask(req); got != want || a.next != wantNext {
+		t.Fatalf("n=%d next=%d req=%#x: winner %d pointer %d, scan says %d and %d",
+			n, next, req, got, a.next, want, wantNext)
+	}
+}
+
+// TestArbitrateMaskMatchesScan holds the mask arbiter to the scan it
+// replaced: every mask at every pointer for small arbiters, and a seeded
+// sample at the switch allocator's widest sizes.
+func TestArbitrateMaskMatchesScan(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for next := 0; next < n; next++ {
+			for req := uint32(0); req < 1<<uint(n); req++ {
+				checkArbitrateMask(t, n, next, req)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{10, 32} {
+		for i := 0; i < 20000; i++ {
+			req := rng.Uint32() >> uint(32-n)
+			if i%2 == 0 {
+				req &= rng.Uint32() & rng.Uint32() // sparse masks as well as dense
+			}
+			checkArbitrateMask(t, n, rng.Intn(n), req)
+		}
+	}
+}
+
+// FuzzArbitrateMask is the same comparison on fuzz-chosen sizes, pointers
+// and masks, and holds Arbitrate([]bool) to the mask form it packs into.
+func FuzzArbitrateMask(f *testing.F) {
+	f.Add(uint8(1), uint8(0), uint32(1))
+	f.Add(uint8(5), uint8(3), uint32(0b00101))
+	f.Add(uint8(5), uint8(4), uint32(0b01111))
+	f.Add(uint8(10), uint8(9), uint32(0))
+	f.Add(uint8(32), uint8(31), uint32(1<<31))
+	f.Add(uint8(32), uint8(17), uint32(0xffff))
+	f.Fuzz(func(t *testing.T, size, ptr uint8, req uint32) {
+		n := 1 + int(size)%32
+		next := int(ptr) % n
+		req &= 1<<uint(n) - 1
+		checkArbitrateMask(t, n, next, req)
+
+		vec := make([]bool, n)
+		for i := range vec {
+			vec[i] = req&(1<<uint(i)) != 0
+		}
+		a, b := &RoundRobin{n: n, next: next}, &RoundRobin{n: n, next: next}
+		if got, want := a.Arbitrate(vec), b.ArbitrateMask(req); got != want || a.next != b.next {
+			t.Fatalf("n=%d next=%d req=%#x: Arbitrate %d pointer %d, ArbitrateMask %d pointer %d",
+				n, next, req, got, a.next, want, b.next)
+		}
+	})
+}
+
+// TestRoundRobinMaskPanics: a request from a requester the arbiter does
+// not have, and an arbiter wider than its mask, are bugs in the caller.
+func TestRoundRobinMaskPanics(t *testing.T) {
+	if got := NewRoundRobin(32).ArbitrateMask(1 << 31); got != 31 {
+		t.Errorf("32-wide arbiter granted %d, want 31", got)
+	}
+	for name, f := range map[string]func(){
+		"bit at n":      func() { NewRoundRobin(5).ArbitrateMask(1 << 5) },
+		"bit above n":   func() { NewRoundRobin(5).ArbitrateMask(1<<31 | 1) },
+		"33 requesters": func() { NewRoundRobin(33) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -3,6 +3,7 @@ package network_test
 import (
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocsim/internal/network"
@@ -23,7 +24,11 @@ import (
 // depth, never overshoots.) Alongside, the arena's live-packet count must
 // track the network's in-flight count exactly — the allocation overhaul
 // recycles flit and packet slots at ejection, and a leak or double-free
-// on any path breaks this equality immediately.
+// on any path breaks this equality immediately. And the lists Step follows
+// must agree with a scan of the fabric (Network.WakeListFaults): each
+// busy link on the busy list exactly once and no idle one, and the wake
+// set covering every node that holds work and both ends of every busy
+// link — what the deleted all-nodes and all-links scans computed.
 //
 // The schedule is finite, so the run must also drain: every credit
 // returns, every buffer empties, and the arena's live counts reach zero.
@@ -102,6 +107,11 @@ func FuzzCreditConservation(f *testing.F) {
 			schedule = append(schedule, o)
 		}
 
+		checkLists := func(cycle int64, when string) {
+			if faults := net.WakeListFaults(); len(faults) > 0 {
+				t.Fatalf("cycle %d, after %s: wake lists disagree with a scan:\n%s", cycle, when, strings.Join(faults, "\n"))
+			}
+		}
 		checkConservation := func(cycle int64) {
 			for id := 0; id < mesh.Nodes(); id++ {
 				up := net.Router(id)
@@ -145,6 +155,7 @@ func FuzzCreditConservation(f *testing.F) {
 				t.Fatalf("cycle %d: arena live packets %d != in-flight %d",
 					cycle, st.Packets.Live, net.InFlight())
 			}
+			checkLists(cycle, "Step")
 		}
 
 		const drainBudget = 4000
@@ -161,6 +172,7 @@ func FuzzCreditConservation(f *testing.F) {
 				p.Born = cycle
 				net.Offer(p)
 			}
+			checkLists(cycle, "the offers")
 			net.Step()
 			checkConservation(cycle)
 			if cycle > lastOffer && net.InFlight() == 0 {

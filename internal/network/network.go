@@ -4,6 +4,7 @@
 package network
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"nocsim/internal/flit"
@@ -32,19 +33,11 @@ type Config struct {
 	// ejection bandwidth is below the port bandwidth (Section 2's second
 	// source of endpoint congestion). Unlisted nodes drain every cycle.
 	SlowEndpoints map[int]int
-	// StepAll disables the active-set worklist: Step visits every router
-	// and endpoint every cycle, as the pre-worklist loop did. The
-	// reference path — results must be bit-identical either way
-	// (internal/sim's worklist tests compare the two), it only costs time.
+	// StepAll keeps every link on the busy list, and with it every node on
+	// the worklist, every cycle, as the pre-worklist loop did. The
+	// reference — results must be bit-identical either way (internal/sim's
+	// worklist tests compare the two), it only costs time.
 	StepAll bool
-}
-
-// chanLink is one channel with the nodes it can wake: a busy channel has
-// a flit or credit to deliver, so both its endpoints' nodes must step.
-// Injection/ejection channels name the same node twice.
-type chanLink struct {
-	ch   *router.Channel
-	a, b int
 }
 
 // Network is a running mesh fabric.
@@ -52,15 +45,18 @@ type Network struct {
 	cfg       Config
 	routers   []*router.Router
 	endpoints []*router.Endpoint
-	links     []chanLink
 	arena     *flit.Arena
 	now       int64
 	inFlight  int
 
-	// activeMark/activeNodes are the worklist scratch: the node ids that
-	// can do work this cycle, ascending. Reused across cycles.
-	activeMark  []bool
-	activeNodes []int
+	// links is every channel and busy those carrying a flit or credit (a
+	// channel appends itself when first sent on; Step delivers from, ticks
+	// and prunes the list); wake is the next cycle's worklist as a node set
+	// and active this cycle's, ascending. All are sized at construction.
+	links  []router.Channel
+	busy   []*router.Channel
+	wake   []uint64
+	active []int
 
 	// Sink, when set, receives every packet as its tail flit is consumed
 	// at the destination endpoint. Set it before offering traffic.
@@ -72,11 +68,11 @@ type Network struct {
 	Probe PhaseProbe
 }
 
-// Phase identifies one stage of the fabric's cycle loop, in execution
-// order within Step. PhaseInjectEject covers both endpoint spans of a
-// cycle (flit receive at the top, consume/inject at the bottom);
-// PhaseSwitchAlloc covers switch allocation plus crossbar traversal;
-// PhaseLinkTraversal is the link pipeline tick.
+// Phase identifies one stage of the fabric's cycle loop. PhaseLinkTraversal
+// covers both link spans of a cycle (delivery of arrivals at the top, the
+// pipeline tick at the bottom); route computation runs inside PhaseVCAlloc's
+// AllocateVCs; PhaseSwitchAlloc covers switch allocation plus crossbar
+// traversal; PhaseInjectEject is the endpoints' consume and inject.
 type Phase uint8
 
 const (
@@ -113,7 +109,7 @@ func (p Phase) String() string {
 // Within an instrumented cycle, BeginPhase marks each phase entry (the
 // probe attributes the span since the previous mark to the previous
 // phase) and EndCycle closes the last span. A phase may begin more than
-// once per cycle (inject-eject does); probes accumulate.
+// once per cycle (link-traversal does); probes accumulate.
 type PhaseProbe interface {
 	BeginCycle(now int64) bool
 	BeginPhase(p Phase)
@@ -127,8 +123,8 @@ func New(cfg Config) *Network {
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]*router.Router, nodes)
 	n.endpoints = make([]*router.Endpoint, nodes)
-	n.activeMark = make([]bool, nodes)
-	n.activeNodes = make([]int, 0, nodes)
+	n.wake = make([]uint64, (nodes+63)/64)
+	n.active = make([]int, 0, nodes)
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = router.New(router.Config{
 			Mesh:          cfg.Mesh,
@@ -142,6 +138,19 @@ func New(cfg Config) *Network {
 			StickyRouting: cfg.StickyRouting,
 		})
 	}
+	// Every channel (injection and ejection per node, two per mesh edge) is
+	// cut from one slice. Under StepAll none lists itself: all are, below.
+	w, h := cfg.Mesh.Width, cfg.Mesh.Height
+	n.links = make([]router.Channel, 2*nodes+2*((w-1)*h+w*(h-1)))
+	n.busy = make([]*router.Channel, 0, len(n.links))
+	list, unwired := &n.busy, n.links
+	if cfg.StepAll {
+		list = nil
+	}
+	link := func() (ch *router.Channel) {
+		ch, unwired = &unwired[0], unwired[1:]
+		return ch.Init(list)
+	}
 	// Inter-router links: for every node and direction with a neighbour,
 	// one channel from node's output to the neighbour's opposite input,
 	// and the neighbour's state for node's DownstreamIdle to read.
@@ -151,8 +160,7 @@ func New(cfg Config) *Network {
 			if !ok {
 				continue
 			}
-			ch := router.NewChannel()
-			n.links = append(n.links, chanLink{ch: ch, a: id, b: nb})
+			ch := link()
 			n.routers[id].AttachOut(d, ch)
 			n.routers[nb].AttachIn(d.Opposite(), ch)
 			n.routers[id].AttachDownstream(d, n.routers[nb].State())
@@ -160,9 +168,7 @@ func New(cfg Config) *Network {
 	}
 	// Injection and ejection links.
 	for id := 0; id < nodes; id++ {
-		inj := router.NewChannel()
-		ej := router.NewChannel()
-		n.links = append(n.links, chanLink{ch: inj, a: id, b: id}, chanLink{ch: ej, a: id, b: id})
+		inj, ej := link(), link()
 		n.routers[id].AttachIn(topo.Local, inj)
 		n.routers[id].AttachOut(topo.Local, ej)
 		ep := router.NewEndpoint(id, cfg.VCs, cfg.BufDepth, inj, ej)
@@ -178,6 +184,12 @@ func New(cfg Config) *Network {
 			}
 		}
 		n.endpoints[id] = ep
+	}
+	if cfg.StepAll {
+		for i := range n.links {
+			n.busy = append(n.busy, &n.links[i])
+			n.wakeEnds(n.links[i].Ends())
+		}
 	}
 	return n
 }
@@ -205,10 +217,13 @@ func (n *Network) Endpoint(id int) *router.Endpoint { return n.endpoints[id] }
 // Nodes returns the node count.
 func (n *Network) Nodes() int { return n.cfg.Mesh.Nodes() }
 
-// Offer enqueues a packet at its source endpoint.
+// Offer enqueues a packet at its source endpoint and wakes the node. It is
+// the only way a packet enters a fabric: an Endpoint.Offer behind the
+// network's back wakes nobody and waits for something else to step its node.
 func (n *Network) Offer(p *flit.Packet) {
 	n.inFlight++
 	n.endpoints[p.Src].Offer(p)
+	n.wakeNode(p.Src)
 }
 
 // Arena returns the fabric's flit/packet arena. Injectors allocate
@@ -216,93 +231,83 @@ func (n *Network) Offer(p *flit.Packet) {
 // reads its live/free/high-water accounting.
 func (n *Network) Arena() *flit.Arena { return n.arena }
 
-// computeActive rebuilds the worklist for this cycle: a node is active
-// when its router or endpoint holds work, or when any attached channel is
-// busy (a flit or credit will be delivered to it this cycle). Everything
-// a skipped node could do is a provable no-op — its per-cycle state
-// transitions are all driven by held work or channel arrivals, and the
-// arbiters update fairness state only on grants — so skipping cannot
-// change any simulated result. The list is ascending in node id, keeping
-// iteration order (and shared-RNG consumption order) identical to the
-// step-everything loop. With Config.StepAll the list is simply every
-// node.
-func (n *Network) computeActive() {
-	n.activeNodes = n.activeNodes[:0]
-	if n.cfg.StepAll {
-		for id := range n.routers {
-			n.activeNodes = append(n.activeNodes, id)
-		}
-		return
-	}
-	for id := range n.activeMark {
-		n.activeMark[id] = !n.routers[id].Quiescent() || !n.endpoints[id].Quiescent()
-	}
-	for _, l := range n.links {
-		if l.ch.Busy() {
-			n.activeMark[l.a] = true
-			n.activeMark[l.b] = true
-		}
-	}
-	for id, m := range n.activeMark {
-		if m {
-			n.activeNodes = append(n.activeNodes, id)
-		}
-	}
-}
+// wakeNode puts node id on the next cycle's worklist.
+func (n *Network) wakeNode(id int) { n.wake[id>>6] |= 1 << uint(id&63) }
 
-// Step advances the fabric by one cycle, visiting only the active nodes.
-// Phases are globally ordered so results are independent of router
-// iteration order: all receives, then all routing+VC allocation, then
-// all switch traversal and endpoint activity, then all links tick. On a
-// cycle the probe elects to sample, each phase entry is marked; the
-// probe only reads clocks and allocation counters between phases, so
-// sampling can never change simulated results.
+// wakeEnds wakes both ends of a link that has something to deliver.
+func (n *Network) wakeEnds(from, to int) { n.wakeNode(from); n.wakeNode(to) }
+
+// Step advances the fabric by one cycle, visiting only the links on the
+// busy list and the nodes woken since the last cycle began: by a link
+// still busy after its tick (both ends), by their own router or endpoint
+// still holding work after their step, or by an Offer. A skipped node's
+// cycle is a provable no-op (DESIGN.md, "Wake lists"); the worklist is
+// ascending in node id, so iteration and shared-RNG consumption order are
+// the step-everything loop's. Phases are globally ordered so results are
+// independent of router iteration order: all deliveries, all routing+VC
+// allocation, all switch traversal, all endpoint activity, all busy links
+// tick. On a cycle the probe elects to sample, each phase entry is
+// marked; the probe only reads clocks and allocation counters between
+// phases, so sampling can never change simulated results.
 func (n *Network) Step() {
 	p := n.Probe
 	probed := p != nil && p.BeginCycle(n.now)
-	n.computeActive()
-	if probed {
-		p.BeginPhase(PhaseInjectEject)
+	n.active = n.active[:0]
+	for w, m := range n.wake {
+		for ; m != 0; m &= m - 1 {
+			n.active = append(n.active, w<<6+bits.TrailingZeros64(m))
+		}
+		n.wake[w] = 0
 	}
-	for _, id := range n.activeNodes {
-		n.endpoints[id].Receive()
+	if probed {
+		p.BeginPhase(PhaseLinkTraversal)
+	}
+	for _, ch := range n.busy {
+		ch.Deliver()
 	}
 	if probed {
 		p.BeginPhase(PhaseRouteCompute)
 	}
-	for _, id := range n.activeNodes {
-		r := n.routers[id]
-		r.SyncClock(n.now)
-		r.Receive()
+	for _, id := range n.active {
+		n.routers[id].SyncClock(n.now)
 	}
 	if probed {
 		p.BeginPhase(PhaseVCAlloc)
 	}
-	for _, id := range n.activeNodes {
+	for _, id := range n.active {
 		n.routers[id].AllocateVCs()
 	}
 	if probed {
 		p.BeginPhase(PhaseSwitchAlloc)
 	}
-	for _, id := range n.activeNodes {
+	for _, id := range n.active {
 		n.routers[id].SwitchAndTraverse()
 	}
 	if probed {
 		p.BeginPhase(PhaseInjectEject)
 	}
-	for _, id := range n.activeNodes {
+	for _, id := range n.active {
 		e := n.endpoints[id]
 		e.Consume(n.now)
 		e.Inject(n.now)
+		// Nothing later in the cycle touches the node's held work.
+		if !e.Quiescent() || !n.routers[id].Quiescent() {
+			n.wakeNode(id)
+		}
 	}
 	if probed {
 		p.BeginPhase(PhaseLinkTraversal)
 	}
-	// Ticking an idle channel is a no-op, so the link phase is identical
-	// with or without the worklist.
-	for _, l := range n.links {
-		l.ch.Tick()
+	// A link that went idle leaves the list (its next Send or SendCredit
+	// relists it); one still busy has something to deliver next cycle.
+	keep := n.busy[:0]
+	for _, ch := range n.busy {
+		if ch.Tick() || n.cfg.StepAll {
+			keep = append(keep, ch)
+			n.wakeEnds(ch.Ends())
+		}
 	}
+	n.busy = keep
 	if probed {
 		p.EndCycle()
 	}

@@ -342,3 +342,38 @@ func TestSlowEndpointNetworkLossless(t *testing.T) {
 		t.Errorf("delivered %d of %d through slow endpoint", delivered, offered)
 	}
 }
+
+// TestWakeAfterLongSleep: a fabric that has slept for 1,000 cycles is woken
+// by one Offer and carries the packet exactly as a fabric that stepped
+// every node and link all along — same injection and ejection cycles, same
+// hop count, for an adaptive algorithm drawing from the shared RNG.
+func TestWakeAfterLongSleep(t *testing.T) {
+	run := func(stepAll bool) flit.Packet {
+		n := network.New(network.Config{
+			Mesh:     topo.MustNew(8, 8),
+			VCs:      4,
+			BufDepth: 4,
+			Speedup:  2,
+			NewAlg:   func() routing.Algorithm { return routing.MustNew("footprint") },
+			Rand:     rand.New(rand.NewSource(1)),
+			StepAll:  stepAll,
+		})
+		n.Run(1000)
+		var got flit.Packet
+		n.Sink = func(p *flit.Packet) { got = *p }
+		n.Offer(&flit.Packet{ID: 1, Src: 9, Dest: 54, Size: 5, Born: n.Now()})
+		drainOrDiagnose(t, n, 500)
+		if faults := n.WakeListFaults(); len(faults) > 0 {
+			t.Errorf("StepAll=%v, drained: %v", stepAll, faults)
+		}
+		return got
+	}
+	slept, stepped := run(false), run(true)
+	if slept.Inject != 1000 {
+		t.Errorf("packet offered at cycle 1000 of an idle fabric injected at %d", slept.Inject)
+	}
+	if slept.Inject != stepped.Inject || slept.Eject != stepped.Eject || slept.Hops != stepped.Hops {
+		t.Errorf("woken fabric: inject %d eject %d hops %d; StepAll twin: inject %d eject %d hops %d",
+			slept.Inject, slept.Eject, slept.Hops, stepped.Inject, stepped.Eject, stepped.Hops)
+	}
+}

@@ -34,9 +34,8 @@ type Endpoint struct {
 	pickRR    int
 	// Ejection side.
 	ejBuf   [][]*flit.Flit
-	ejCount int // total flits across ejBuf
+	ejMask  uint32 // the non-empty VCs of ejBuf
 	consume *alloc.RoundRobin
-	reqVec  []bool // scratch for Consume
 
 	// Sink is invoked when a packet's tail flit is consumed; the
 	// simulator collects latency statistics here. May be nil.
@@ -78,8 +77,8 @@ func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel) *Endpoint {
 		vcBusy:   make([]bool, vcs),
 		ejBuf:    make([][]*flit.Flit, vcs),
 		consume:  alloc.NewRoundRobin(vcs),
-		reqVec:   make([]bool, vcs),
 	}
+	injCh.ep, injCh.fromNode, ejCh.ep, ejCh.toNode = e, int32(node), e, int32(node)
 	store := make([]*flit.Flit, vcs*bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
 		e.credits[v] = bufDepth
@@ -123,21 +122,32 @@ func (e *Endpoint) QueueLen() int {
 	return n
 }
 
-// Receive ingests injection credits and ejected flits. Phase A.
+// Receive ingests injection credits and ejected flits: phase A of a
+// standalone endpoint. A network's channels Deliver instead.
 func (e *Endpoint) Receive() {
-	for _, cr := range e.injCh.RecvCredits() {
+	e.acceptCredits(e.injCh.RecvCredits())
+	if f := e.ejCh.Recv(); f != nil {
+		e.acceptFlit(f)
+	}
+}
+
+// acceptCredits returns injection credits crs to their VCs.
+func (e *Endpoint) acceptCredits(crs []flit.Credit) {
+	for _, cr := range crs {
 		e.credits[cr.VC]++
 		if e.credits[cr.VC] > e.bufDepth {
 			panic(fmt.Sprintf("router: endpoint %d credit overflow vc %d", e.node, cr.VC))
 		}
 	}
-	if f := e.ejCh.Recv(); f != nil {
-		if len(e.ejBuf[f.VC]) >= e.bufDepth {
-			panic(fmt.Sprintf("router: endpoint %d ejection overflow vc %d", e.node, f.VC))
-		}
-		e.ejBuf[f.VC] = append(e.ejBuf[f.VC], f)
-		e.ejCount++
+}
+
+// acceptFlit buffers ejected flit f for Consume.
+func (e *Endpoint) acceptFlit(f *flit.Flit) {
+	if len(e.ejBuf[f.VC]) >= e.bufDepth {
+		panic(fmt.Sprintf("router: endpoint %d ejection overflow vc %d", e.node, f.VC))
 	}
+	e.ejBuf[f.VC] = append(e.ejBuf[f.VC], f)
+	e.ejMask |= 1 << uint(f.VC)
 }
 
 // Quiescent reports that the endpoint holds no work at a cycle boundary:
@@ -147,7 +157,7 @@ func (e *Endpoint) Receive() {
 // network's worklist watches separately), so it may be skipped without
 // changing any simulated result.
 func (e *Endpoint) Quiescent() bool {
-	return len(e.queue) == e.qHead && e.curPacket == nil && e.ejCount == 0
+	return len(e.queue) == e.qHead && e.curPacket == nil && e.ejMask == 0
 }
 
 // Consume drains at most one ejected flit (the endpoint's ejection
@@ -155,17 +165,16 @@ func (e *Endpoint) Quiescent() bool {
 // current cycle, recorded as the ejection time of completed packets.
 // Phase D.
 func (e *Endpoint) Consume(now int64) {
-	if e.ejCount == 0 || e.ConsumeInterval > 1 && now%int64(e.ConsumeInterval) != 0 {
+	if e.ejMask == 0 || e.ConsumeInterval > 1 && now%int64(e.ConsumeInterval) != 0 {
 		return
 	}
-	for v := range e.ejBuf {
-		e.reqVec[v] = len(e.ejBuf[v]) > 0
-	}
-	v := e.consume.Arbitrate(e.reqVec)
+	v := e.consume.ArbitrateMask(e.ejMask)
 	f := e.ejBuf[v][0]
 	copy(e.ejBuf[v], e.ejBuf[v][1:])
 	e.ejBuf[v] = e.ejBuf[v][:len(e.ejBuf[v])-1]
-	e.ejCount--
+	if len(e.ejBuf[v]) == 0 {
+		e.ejMask &^= 1 << uint(v)
+	}
 	e.ejCh.SendCredit(flit.Credit{VC: v, Tail: f.Tail})
 	if f.Tail {
 		p := f.Packet

@@ -109,7 +109,6 @@ type Router struct {
 	saOut   []*alloc.RoundRobin // per output port: input chooser
 	vaReqs  []alloc.VCRequest
 	vaHeads []uint8 // this cycle's routing heads with a grantable VC, ascending
-	saVec   []bool  // scratch request vector for switch allocation
 
 	// routeCtx is the reusable routing context: Decide receives a pointer
 	// to it every call (only Dest and InDir vary), so route computation
@@ -207,7 +206,6 @@ func New(cfg Config) *Router {
 		va:      alloc.NewVCAllocator(n, n),
 		saIn:    make([]*alloc.RoundRobin, P),
 		saOut:   make([]*alloc.RoundRobin, P),
-		saVec:   make([]bool, cfg.VCs),
 		vaHeads: make([]uint8, 0, n),                       // every head fits
 		vaReqs:  make([]alloc.VCRequest, 0, 2*(cfg.VCs+1)), // two heads' requests, then it grows
 	}
@@ -230,10 +228,14 @@ func New(cfg Config) *Router {
 }
 
 // AttachIn connects ch as the input channel arriving at port d.
-func (r *Router) AttachIn(d topo.Direction, ch *Channel) { r.inCh[d] = ch }
+func (r *Router) AttachIn(d topo.Direction, ch *Channel) {
+	r.inCh[d], ch.toR, ch.toPort, ch.toNode = ch, r, uint8(d), int32(r.cfg.NodeID)
+}
 
 // AttachOut connects ch as the output channel leaving port d.
-func (r *Router) AttachOut(d topo.Direction, ch *Channel) { r.outCh[d] = ch }
+func (r *Router) AttachOut(d topo.Direction, ch *Channel) {
+	r.outCh[d], ch.fromR, ch.fromPort, ch.fromNode = ch, r, uint8(d), int32(r.cfg.NodeID)
+}
 
 // AttachDownstream makes nb, the State of the router at the far end of
 // output port d, what DownstreamIdle(d, …) reads.
@@ -398,49 +400,56 @@ func (r *Router) FreeBits(d topo.Direction) uint32 { return r.freeMask[d] }
 
 // --- per-cycle phases ------------------------------------------------------
 
-// Receive ingests flits and credits that arrived on the attached channels.
-// Phase A; the network runs it for every active router before any other
-// phase.
+// Receive ingests flits and credits that arrived on the attached channels:
+// phase A of a standalone router. A network's channels Deliver instead.
 func (r *Router) Receive() {
 	for p := 0; p < topo.NumPorts; p++ {
-		ch := r.inCh[p]
-		if ch != nil {
+		if ch := r.inCh[p]; ch != nil {
 			if f := ch.Recv(); f != nil {
-				i := r.idx(topo.Direction(p), f.VC)
-				r.bufPush(i, f)
-				if f.Head {
-					f.Packet.Hops++
-				}
-				// Promote an idle input VC straight to routing: a VC is
-				// idle only while its buffer is empty, so this flit is the
-				// front and must be a head.
-				if r.inState[i] == vcIdle {
-					if !f.Head {
-						panic("router: non-head flit at front of idle VC")
-					}
-					r.startRouting(i, f)
-				}
+				r.acceptFlit(p, f)
 			}
 		}
 		if och := r.outCh[p]; och != nil {
-			for _, cr := range och.RecvCredits() {
-				i := r.idx(topo.Direction(p), cr.VC)
-				r.outCredits[i]++
-				if int(r.outCredits[i]) > r.cfg.BufDepth {
-					panic(fmt.Sprintf("router %d: credit overflow port %v vc %d",
-						r.cfg.NodeID, topo.Direction(p), cr.VC))
-				}
-				if cr.Tail {
-					r.outAwaitTail[i] = false
-				}
-				r.refreshOutBits(i)
-				if r.outIdle(i) {
-					// The footprint register clears once the VC fully
-					// drains: a footprint VC is one currently occupied
-					// by packets to its owner destination.
-					r.setOwner(i, -1)
-				}
-			}
+			r.acceptCredits(p, och.RecvCredits())
+		}
+	}
+}
+
+// acceptFlit buffers flit f arriving at input port p.
+func (r *Router) acceptFlit(p int, f *flit.Flit) {
+	i := r.idx(topo.Direction(p), f.VC)
+	r.bufPush(i, f)
+	if f.Head {
+		f.Packet.Hops++
+	}
+	// Promote an idle input VC straight to routing: a VC is idle only
+	// while its buffer is empty, so this flit is the front and must be a
+	// head.
+	if r.inState[i] == vcIdle {
+		if !f.Head {
+			panic("router: non-head flit at front of idle VC")
+		}
+		r.startRouting(i, f)
+	}
+}
+
+// acceptCredits returns the credits crs to the VCs of output port p.
+func (r *Router) acceptCredits(p int, crs []flit.Credit) {
+	for _, cr := range crs {
+		i := r.idx(topo.Direction(p), cr.VC)
+		r.outCredits[i]++
+		if int(r.outCredits[i]) > r.cfg.BufDepth {
+			panic(fmt.Sprintf("router %d: credit overflow port %v vc %d", r.cfg.NodeID, topo.Direction(p), cr.VC))
+		}
+		if cr.Tail {
+			r.outAwaitTail[i] = false
+		}
+		r.refreshOutBits(i)
+		if r.outIdle(i) {
+			// The footprint register clears once the VC fully drains: a
+			// footprint VC is one currently occupied by packets to its
+			// owner destination.
+			r.setOwner(i, -1)
 		}
 	}
 }
@@ -605,29 +614,16 @@ func (r *Router) SwitchAndTraverse() {
 	P := topo.NumPorts
 	if r.activeTotal > 0 || r.stageTotal > 0 {
 		for iter := 0; iter < r.cfg.Speedup; iter++ {
-			// Input stage: each input port nominates one ready VC.
-			type nominee struct {
-				vc int
-				ok bool
-			}
-			var noms [topo.NumPorts]nominee
-			var outReq [topo.NumPorts][topo.NumPorts]bool // [out][in]
-			var outAny [topo.NumPorts]bool
-			nominated := false
+			// Input stage: each input port nominates one ready VC into want[o],
+			// the mask of input ports asking for the nominee's output port o.
+			var nom [topo.NumPorts]int
+			var want [topo.NumPorts]uint32
 			for p := 0; p < P; p++ {
-				if r.activeMask[p] == 0 {
-					continue
-				}
-				for v := range r.saVec {
-					r.saVec[v] = false
-				}
-				anyReady := false
+				var ready uint32
 				for m := r.activeMask[p]; m != 0; m &= m - 1 {
 					v := bits.TrailingZeros32(m)
-					ready := r.vcReady(p, v)
-					r.saVec[v] = ready
-					if ready {
-						anyReady = true
+					if r.vcReady(p, v) {
+						ready |= 1 << uint(v)
 					} else if iter == 0 {
 						// Diagnose the stall once per cycle: an active VC
 						// with buffered flits whose output VC is out of
@@ -639,31 +635,20 @@ func (r *Router) SwitchAndTraverse() {
 						}
 					}
 				}
-				if !anyReady {
-					continue // arbitrating an all-false vector is a no-op
+				if ready == 0 {
+					continue // arbitrating an empty mask is a no-op
 				}
-				if v := r.saIn[p].Arbitrate(r.saVec); v >= 0 {
-					noms[p] = nominee{vc: v, ok: true}
-					od := r.inOutDir[r.idx(topo.Direction(p), v)]
-					outReq[od][p] = true
-					outAny[od] = true
-					nominated = true
-				}
+				nom[p] = r.saIn[p].ArbitrateMask(ready)
+				want[r.inOutDir[r.idx(topo.Direction(p), nom[p])]] |= 1 << uint(p)
 			}
-			// Output stage: each output port grants one input port.
-			// Arbitrating an empty vector is a no-op that leaves the
-			// round-robin pointer alone, so unrequested ports are skipped.
+			// Output stage: each requested output port grants one input port.
 			for o := 0; o < P; o++ {
-				if !outAny[o] {
-					continue
+				if want[o] != 0 {
+					in := r.saOut[o].ArbitrateMask(want[o])
+					r.traverse(in, nom[in])
 				}
-				in := r.saOut[o].Arbitrate(outReq[o][:])
-				if in < 0 {
-					continue
-				}
-				r.traverse(in, noms[in].vc)
 			}
-			if !nominated {
+			if want == [topo.NumPorts]uint32{} {
 				// Nothing was ready and nothing moved, so every remaining
 				// speedup iteration would be an identical no-op.
 				break

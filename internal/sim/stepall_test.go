@@ -4,41 +4,85 @@ import (
 	"reflect"
 	"testing"
 
+	"nocsim/internal/trace"
 	"nocsim/internal/traffic"
 )
 
-// TestActiveSetMatchesStepAll pins the worklist contract: Step visiting
-// only active nodes must be bit-identical to stepping every node every
-// cycle (network.Config.StepAll, reached through Config.stepAll). The active-set
-// admission rules are proved in network.computeActive — a skipped node's
-// cycle is a no-op — and this test holds the proof against the
-// implementation for every routing algorithm, over a sweep long enough
-// to include warmup, saturated measurement and drain, where a wrongly
+// TestActiveSetMatchesStepAll pins the wake-list contract: Step visiting
+// only woken nodes and busy links must be bit-identical to every node and
+// every link being on its list every cycle (network.Config.StepAll,
+// reached through Config.stepAll). Who wakes a node is argued beside
+// network.Step and in DESIGN.md ("Wake lists") — a skipped node's cycle
+// is a no-op — and this test holds the argument against the
+// implementation for every routing algorithm, over runs long enough to
+// include warmup, saturated measurement and drain, where a wrongly
 // skipped router would reorder arbitration or strand a flit and shift
-// every downstream latency sample.
+// every downstream latency sample. The traffic shapes differ in what
+// they make of the lists: single-flit uniform keeps most nodes awake,
+// multi-flit transpose holds wormholes across sleeping neighbours,
+// Table 3's hotspots block heads behind slow credits, and a trace
+// player offers in dependency-gated bursts between idle stretches.
 func TestActiveSetMatchesStepAll(t *testing.T) {
-	rates := []float64{0.1, 0.3}
+	sweep := func(pattern string, size traffic.SizeFn, rates ...float64) func(Config) ([]SweepPoint, error) {
+		return func(cfg Config) ([]SweepPoint, error) {
+			return LatencyThroughput(cfg, pattern, size, rates, 1)
+		}
+	}
+	scenarios := []struct {
+		name string
+		run  func(Config) ([]SweepPoint, error)
+	}{
+		{"uniform", sweep("uniform", traffic.FixedSize(1), 0.1, 0.3)},
+		{"transpose-multiflit", sweep("transpose", traffic.UniformSize(1, 6), 0.25)},
+		{"hotspot", func(cfg Config) ([]SweepPoint, error) {
+			cfg.Width, cfg.Height = 8, 8 // Table 3's flows
+			pt, err := HotspotRun(cfg, 0.3, 0.5)
+			return []SweepPoint{{Rate: pt.Rate, Result: pt.Result}}, err
+		}},
+		{"trace-player", func(cfg Config) ([]SweepPoint, error) {
+			w, err := trace.WorkloadByName("x264")
+			if err != nil {
+				return nil, err
+			}
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 0, 1500, 6000
+			s, err := New(cfg, trace.NewPlayer(trace.Generate(w, cfg.Mesh(), cfg.MeasureCycles, cfg.Seed)))
+			if err != nil {
+				return nil, err
+			}
+			return []SweepPoint{{Result: s.Run()}}, nil
+		}},
+	}
 	for _, alg := range determinismAlgorithms {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
-			t.Parallel()
-			cfg := testConfig()
-			cfg.Algorithm = alg
-			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
+			for _, sc := range scenarios {
+				sc := sc
+				t.Run(sc.name, func(t *testing.T) {
+					t.Parallel()
+					cfg := testConfig()
+					cfg.Algorithm = alg
+					cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
 
-			worklist, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.stepAll = true
-			stepAll, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, s := scrubPoints(worklist), scrubPoints(stepAll)
-			if !reflect.DeepEqual(w, s) {
-				t.Errorf("active-set worklist diverged from step-all:\nworklist: %+v\nstep-all: %+v",
-					dump(w), dump(s))
+					worklist, err := sc.run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.stepAll = true
+					stepAll, err := sc.run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pt := range worklist {
+						if pt.Result.MeasuredEjected == 0 {
+							t.Fatal("no measured packet ejected: the comparison is vacuous")
+						}
+					}
+					w, s := scrubPoints(worklist), scrubPoints(stepAll)
+					if !reflect.DeepEqual(w, s) {
+						t.Errorf("wake lists diverged from step-all:\nwake lists: %+v\nstep-all: %+v",
+							dump(w), dump(s))
+					}
+				})
 			}
 		})
 	}
