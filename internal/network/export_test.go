@@ -42,3 +42,16 @@ func (n *Network) WakeListFaults() []string {
 	}
 	return faults
 }
+
+// PortMaskFaults checks every router's routing, active and stage port
+// masks against the ones derived from the per-port state they summarize,
+// and describes every breach.
+func (n *Network) PortMaskFaults() []string {
+	var faults []string
+	for id, r := range n.routers {
+		if kept, derived := r.PortMasks(); kept != derived {
+			faults = append(faults, fmt.Sprintf("node %d: routing/active/stage port masks %05b, derived %05b", id, kept, derived))
+		}
+	}
+	return faults
+}

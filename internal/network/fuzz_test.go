@@ -16,9 +16,11 @@ import (
 // every cycle: for each inter-router link and VC, the upstream output
 // VC's available credits plus the downstream input VC's buffered flits
 // never exceed the buffer depth, and neither side ever goes negative;
-// every port's allocatable-VC mask matches a recount of the VC flags; and
+// every port's allocatable-VC mask matches a recount of the VC flags;
 // every router's routing.State — what the algorithms decide on — equals a
-// scan of the per-VC state it is maintained from.
+// scan of the per-VC state it is maintained from; and every router's port
+// masks equal the ones derived from its per-port state
+// (Network.PortMaskFaults).
 // (Flits and credits in flight on the one-cycle channel pipelines account
 // for the remainder, so the observable sum only ever undershoots the
 // depth, never overshoots.) Alongside, the arena's live-packet count must
@@ -38,11 +40,13 @@ func FuzzCreditConservation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 0, 9, 200, 4, 4, 4, 4, 1, 2, 3, 4, 5, 6})
 	f.Add([]byte{0xff, 0x55, 0xaa, 0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66})
+	// One seed per algorithm: the first byte picks names[i].
 	for i, name := range routing.Names() {
 		seed := make([]byte, 40)
 		for j := range seed {
 			seed[j] = byte(i*53 + j*7 + len(name))
 		}
+		seed[0] = byte(i)
 		f.Add(seed)
 	}
 
@@ -156,6 +160,9 @@ func FuzzCreditConservation(f *testing.F) {
 					cycle, st.Packets.Live, net.InFlight())
 			}
 			checkLists(cycle, "Step")
+			if faults := net.PortMaskFaults(); len(faults) > 0 {
+				t.Fatalf("cycle %d: port masks disagree with the per-port state:\n%s", cycle, strings.Join(faults, "\n"))
+			}
 		}
 
 		const drainBudget = 4000
@@ -218,9 +225,10 @@ func FuzzCreditConservation(f *testing.F) {
 }
 
 // checkRoutingState compares the routing.State of node id's router with a
-// scan of the per-VC owner, register and idle state, its minimal
-// directions with the mesh's for every destination, and its downstream
-// pointers with the mesh's neighbours.
+// scan of the per-VC owner registers, footprint registers and idle state —
+// OwnerMask on every router, the owner index too where there is one — its
+// minimal directions with the mesh's for every destination, and its
+// downstream pointers with the mesh's neighbours.
 func checkRoutingState(t *testing.T, net *network.Network, id int, cycle int64) {
 	t.Helper()
 	mesh, r := net.Mesh(), net.Router(id)
@@ -249,11 +257,17 @@ func checkRoutingState(t *testing.T, net *network.Network, id int, cycle int64) 
 			}
 		}
 		for dest := range owners {
-			if got := st.OwnerBits(d, dest); got != owners[dest] {
-				t.Fatalf("cycle %d node %d port %v dest %d: OwnerBits %#x, scan %#x", cycle, id, d, dest, got, owners[dest])
+			if got := st.OwnerMask(d, dest); got != owners[dest] {
+				t.Fatalf("cycle %d node %d port %v dest %d: OwnerMask %#x, scan %#x", cycle, id, d, dest, got, owners[dest])
 			}
 			if got := st.RegOwnerBits(d, dest); got != regs[dest] {
 				t.Fatalf("cycle %d node %d port %v dest %d: RegOwnerBits %#x, scan %#x", cycle, id, d, dest, got, regs[dest])
+			}
+			if st.Owners == nil {
+				continue
+			}
+			if got := st.OwnerBits(d, dest); got != owners[dest] {
+				t.Fatalf("cycle %d node %d port %v dest %d: OwnerBits %#x, scan %#x", cycle, id, d, dest, got, owners[dest])
 			}
 			for lo := 0; lo <= 1; lo++ {
 				if got, want := st.FootprintCount(d, dest, lo), bits.OnesCount32(owners[dest]>>uint(lo)); got != want {

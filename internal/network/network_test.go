@@ -5,6 +5,7 @@ package network_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nocsim/internal/flit"
@@ -375,5 +376,42 @@ func TestWakeAfterLongSleep(t *testing.T) {
 	if slept.Inject != stepped.Inject || slept.Eject != stepped.Eject || slept.Hops != stepped.Hops {
 		t.Errorf("woken fabric: inject %d eject %d hops %d; StepAll twin: inject %d eject %d hops %d",
 			slept.Inject, slept.Eject, slept.Hops, stepped.Inject, stepped.Eject, stepped.Hops)
+	}
+}
+
+// TestFabricStateIndependentOfMeshSize pins what a router holds to its
+// VCs, not to the mesh: the per-destination owner index, the one
+// structure sized by the node count, is built only where Footprint
+// decides, so a DOR fabric's bytes per node at 16×16 are its bytes per
+// node at 4×4 (links per node differ only at the edges), and every router
+// of a Footprint fabric has an index while no other algorithm's router
+// does.
+func TestFabricStateIndependentOfMeshSize(t *testing.T) {
+	perNode := func(side int) float64 {
+		var best uint64
+		for i := 0; i < 3; i++ { // the least of three: another goroutine may allocate too
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n := newNet(t, side, side, "dor", 10)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(n)
+			if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < best {
+				best = b
+			}
+		}
+		return float64(best) / float64(side*side)
+	}
+	small, large := perNode(4), perNode(16)
+	if large > 1.1*small || small > 1.1*large {
+		t.Errorf("network.New allocates %.0f B/node for DOR at 4x4 and %.0f B/node at 16x16: more than 10%% apart", small, large)
+	}
+
+	for _, alg := range routing.Names() {
+		n := newNet(t, 4, 4, alg, 4)
+		for id := 0; id < n.Nodes(); id++ {
+			if indexed := n.Router(id).State().Owners != nil; indexed != (alg == "footprint") {
+				t.Errorf("%s: router %d has an owner index: %v", alg, id, indexed)
+			}
+		}
 	}
 }

@@ -121,7 +121,7 @@ func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.
 		d.OfferedVCs = bits.OnesCount32(offered)
 		idle := offered & r.st.Idle[dec.Dir]
 		d.IdleVCs = bits.OnesCount32(idle)
-		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.st.OwnerBits(dec.Dir, p.Dest))
+		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.st.OwnerMask(dec.Dir, p.Dest))
 	}
 	if dec.HasEsc {
 		d.PortMask |= 1 << uint(dec.Esc)
@@ -137,11 +137,10 @@ func (r *Router) classifyVC(d topo.Direction, vc, dest int) VCClass {
 	if vc == 0 && d != topo.Local && r.st.Lo == 1 {
 		return VCClassEscape
 	}
-	i := r.idx(d, vc)
-	if r.outIdle(i) {
+	if r.outIdle(r.idx(d, vc)) {
 		return VCClassIdle
 	}
-	if int(r.outOwner[i]) == dest {
+	if r.st.OwnerMask(d, dest)>>uint(vc)&1 != 0 {
 		return VCClassFootprint
 	}
 	return VCClassBusy

@@ -74,21 +74,21 @@ type Router struct {
 	bufHead  []int32
 	bufLen   []int32
 
-	// Output VC state, SoA over idx: allocation, flow-control credits,
-	// the live footprint owner of Section 3.2 (destination of the packets
-	// in the downstream buffer, -1 when drained) and the Duato-style
-	// conservative-reallocation latch awaiting the tail credit. The
-	// persistent footprint register of Section 4.4 is st.RegOwner.
+	// Output VC state, SoA over idx: allocation, flow-control credits and
+	// the Duato-style conservative-reallocation latch awaiting the tail
+	// credit. The owner registers of Section 4.4 live in st: st.Owner (the
+	// destination of the packets in the downstream buffer, -1 when
+	// drained) and st.RegOwner (the last destination granted the VC).
 	outAlloc     []bool
 	outCredits   []int32
-	outOwner     []int32
 	outAwaitTail []bool
 
 	// st is what routing decisions read of the output VC state, kept in
-	// step at every transition: refreshOutBits maintains st.Idle, setOwner
-	// st.Owners, and a grant writes st.RegOwner. freeMask bit v is set
-	// while VC v of the port can be allocated (not held, not awaiting a
-	// tail credit); st.Idle is its subset of fully drained VCs. down[d] is
+	// step at every transition: refreshOutBits maintains st.Idle, a grant
+	// and a drain call st.SetOwner, and a grant writes st.RegOwner.
+	// freeMask bit v is set while VC v of the port can be allocated (not
+	// held, not awaiting a tail credit); st.Idle is its subset of fully
+	// drained VCs. down[d] is
 	// the State of the neighbour behind output port d (nil at a mesh edge
 	// and for the local port), which DownstreamIdle reads.
 	st       routing.State
@@ -118,15 +118,17 @@ type Router struct {
 
 	// routingMask/activeMask track, per input port, which VCs are in the
 	// routing/active state, so the per-cycle scans iterate only occupied
-	// VCs (bit twiddling over the mask); the *Total sums plus the
-	// buffered-flit and staged-flit totals answer Quiescent for the
-	// network's active-router worklist.
+	// VCs (bit twiddling over the mask). routingPorts, activePorts and
+	// stagePorts have bit p set while routingMask[p], activeMask[p] or
+	// stageLen[p] is non-zero, so the scans visit only occupied ports;
+	// with the buffered-flit total they answer Quiescent for the network's
+	// worklist.
 	routingMask  [topo.NumPorts]uint32
 	activeMask   [topo.NumPorts]uint32
-	routingTotal int
-	activeTotal  int
+	routingPorts uint8
+	activePorts  uint8
+	stagePorts   uint8
 	bufTotal     int
-	stageTotal   int
 
 	// outFlits counts flits sent per output port, for link-utilization
 	// analysis.
@@ -177,7 +179,7 @@ func New(cfg Config) *Router {
 	r := &Router{
 		cfg: cfg,
 		vcs: cfg.VCs,
-		st:  routing.NewState(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg.UsesEscape()),
+		st:  routing.NewState(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg),
 
 		inState:   make([]uint8, n),
 		inOutDir:  make([]topo.Direction, n),
@@ -193,7 +195,6 @@ func New(cfg Config) *Router {
 
 		outAlloc:     make([]bool, n),
 		outCredits:   make([]int32, n),
-		outOwner:     make([]int32, n),
 		outAwaitTail: make([]bool, n),
 
 		stageStore: make([]*flit.Flit, P*stageCap),
@@ -211,7 +212,6 @@ func New(cfg Config) *Router {
 	}
 	for i := 0; i < n; i++ {
 		r.outCredits[i] = int32(cfg.BufDepth)
-		r.outOwner[i] = -1
 	}
 	for p := 0; p < P; p++ {
 		r.saIn[p] = alloc.NewRoundRobin(cfg.VCs)
@@ -259,7 +259,7 @@ func (r *Router) SyncClock(now int64) { r.now = now }
 // network watches separately), so the active-router worklist may skip it
 // without changing any simulated result.
 func (r *Router) Quiescent() bool {
-	return r.routingTotal == 0 && r.activeTotal == 0 && r.bufTotal == 0 && r.stageTotal == 0
+	return r.routingPorts|r.activePorts|r.stagePorts == 0 && r.bufTotal == 0
 }
 
 // idx flattens (port, vc) into the dense SoA / VC-allocator index.
@@ -285,24 +285,6 @@ func (r *Router) refreshOutBits(idx int) {
 			r.st.Idle[p] |= bit
 		}
 	}
-}
-
-// setOwner moves output VC idx's footprint owner to dest (-1 on drain),
-// keeping the per-(port, destination) owner masks in step.
-func (r *Router) setOwner(idx, dest int) {
-	old := int(r.outOwner[idx])
-	if old == dest {
-		return
-	}
-	row := r.st.Owners[idx/r.vcs*r.st.Mesh.Nodes():]
-	bit := uint32(1) << uint(idx%r.vcs)
-	if old >= 0 {
-		row[old] &^= bit
-	}
-	if dest >= 0 {
-		row[dest] |= bit
-	}
-	r.outOwner[idx] = int32(dest)
 }
 
 // --- input buffer rings ----------------------------------------------------
@@ -351,7 +333,7 @@ func (r *Router) stagePush(o int, f *flit.Flit) {
 	pos := (int(r.stageHead[o]) + int(r.stageLen[o])) % stageCap
 	r.stageStore[o*stageCap+pos] = f
 	r.stageLen[o]++
-	r.stageTotal++
+	r.stagePorts |= 1 << uint(o)
 }
 
 // stagePop removes and returns the front flit of output port o's stage.
@@ -360,8 +342,9 @@ func (r *Router) stagePop(o int) *flit.Flit {
 	f := r.stageStore[pos]
 	r.stageStore[pos] = nil
 	r.stageHead[o] = int32((int(r.stageHead[o]) + 1) % stageCap)
-	r.stageLen[o]--
-	r.stageTotal--
+	if r.stageLen[o]--; r.stageLen[o] == 0 {
+		r.stagePorts &^= 1 << uint(o)
+	}
 	return f
 }
 
@@ -391,7 +374,7 @@ func (r *Router) VCIdle(d topo.Direction, v int) bool {
 
 // VCOwner returns the destination of the packets occupying output VC
 // (d, v), or -1 when it is drained.
-func (r *Router) VCOwner(d topo.Direction, v int) int { return int(r.outOwner[r.idx(d, v)]) }
+func (r *Router) VCOwner(d topo.Direction, v int) int { return int(r.st.Owner[r.idx(d, v)]) }
 
 // FreeBits returns the bitmask of port d's VCs that can be allocated this
 // cycle: neither held by a packet nor awaiting a tail credit. It is a
@@ -446,10 +429,10 @@ func (r *Router) acceptCredits(p int, crs []flit.Credit) {
 		}
 		r.refreshOutBits(i)
 		if r.outIdle(i) {
-			// The footprint register clears once the VC fully drains: a
+			// The owner register clears once the VC fully drains: a
 			// footprint VC is one currently occupied by packets to its
 			// owner destination.
-			r.setOwner(i, -1)
+			r.st.SetOwner(topo.Direction(p), cr.VC, -1)
 		}
 	}
 }
@@ -462,21 +445,22 @@ func (r *Router) startRouting(i int, f *flit.Flit) {
 	r.inBlocked[i] = 0
 	r.inDest[i] = int32(f.Packet.Dest)
 	r.routingMask[i/r.vcs] |= uint32(1) << uint(i%r.vcs)
-	r.routingTotal++
+	r.routingPorts |= 1 << uint(i/r.vcs)
 }
 
 // AllocateVCs runs route computation and VC allocation for every input VC
 // in routing state. Phase B+C.
 func (r *Router) AllocateVCs() {
-	if r.routingTotal == 0 {
+	if r.routingPorts == 0 {
 		return
 	}
 	r.vaHeads, r.vaReqs = r.vaHeads[:0], r.vaReqs[:0]
 	var seen [topo.NumPorts]uint32
 	var dup uint32
-	for p := 0; p < topo.NumPorts; p++ {
-		// Iterate only the VCs in routing state, lowest first (the same
-		// order the dense scan visited them in).
+	for ps := r.routingPorts; ps != 0; ps &= ps - 1 {
+		// Iterate only the VCs in routing state, lowest port and VC first
+		// (the same order the dense scan visited them in).
+		p := bits.TrailingZeros8(ps)
 		for m := r.routingMask[p]; m != 0; m &= m - 1 {
 			requester := r.idx(topo.Direction(p), bits.TrailingZeros32(m))
 			dec := &r.inDec[requester]
@@ -553,7 +537,8 @@ func (r *Router) AllocateVCs() {
 	// Blocking bookkeeping: every head packet that tried and failed. The
 	// grant loop above removed granted VCs from the routing masks, so the
 	// remaining bits are exactly the failures.
-	for p := 0; p < topo.NumPorts; p++ {
+	for ps := r.routingPorts; ps != 0; ps &= ps - 1 {
+		p := bits.TrailingZeros8(ps)
 		for m := r.routingMask[p]; m != 0; m &= m - 1 {
 			requester := r.idx(topo.Direction(p), bits.TrailingZeros32(m))
 			r.inBlocked[requester]++
@@ -580,11 +565,12 @@ func (r *Router) grant(q, res int) {
 	r.inState[q] = vcActive
 	r.inOutDir[q] = od
 	r.inOutVC[q] = int32(ovc)
-	inBit := uint32(1) << uint(q%r.vcs)
-	r.routingMask[q/r.vcs] &^= inBit
-	r.routingTotal--
-	r.activeMask[q/r.vcs] |= inBit
-	r.activeTotal++
+	p, inBit := q/r.vcs, uint32(1)<<uint(q%r.vcs)
+	if r.routingMask[p] &^= inBit; r.routingMask[p] == 0 {
+		r.routingPorts &^= 1 << uint(p)
+	}
+	r.activeMask[p] |= inBit
+	r.activePorts |= 1 << uint(p)
 	dest := int(r.inDest[q])
 	if r.cfg.Sinks.Packets != nil {
 		// Reported before the assignments below so the VC is classified
@@ -595,7 +581,7 @@ func (r *Router) grant(q, res int) {
 	}
 	r.outAlloc[res] = true
 	r.refreshOutBits(res)
-	r.setOwner(res, dest)
+	r.st.SetOwner(od, ovc, dest)
 	r.st.RegOwner[res] = int32(dest)
 }
 
@@ -604,21 +590,23 @@ func (r *Router) grant(q, res int) {
 // subset of the busy ones.
 func (r *Router) portOccupancy(d topo.Direction, dest int) (fp, busy int) {
 	lo := r.st.Lo
-	return r.st.FootprintCount(d, dest, lo), r.vcs - lo - r.st.IdleCount(d, lo)
+	return bits.OnesCount32(r.st.OwnerMask(d, dest) >> uint(lo)), r.vcs - lo - r.st.IdleCount(d, lo)
 }
 
 // SwitchAndTraverse performs switch allocation and switch traversal for
 // Speedup iterations, then drains one flit per output port onto its
 // channel. Phase D+E.
 func (r *Router) SwitchAndTraverse() {
-	P := topo.NumPorts
-	if r.activeTotal > 0 || r.stageTotal > 0 {
+	if r.activePorts|r.stagePorts != 0 {
 		for iter := 0; iter < r.cfg.Speedup; iter++ {
 			// Input stage: each input port nominates one ready VC into want[o],
-			// the mask of input ports asking for the nominee's output port o.
+			// the mask of input ports asking for the nominee's output port o,
+			// and wantPorts collects the output ports asked for.
 			var nom [topo.NumPorts]int
 			var want [topo.NumPorts]uint32
-			for p := 0; p < P; p++ {
+			var wantPorts uint8
+			for ps := r.activePorts; ps != 0; ps &= ps - 1 {
+				p := bits.TrailingZeros8(ps)
 				var ready uint32
 				for m := r.activeMask[p]; m != 0; m &= m - 1 {
 					v := bits.TrailingZeros32(m)
@@ -639,26 +627,25 @@ func (r *Router) SwitchAndTraverse() {
 					continue // arbitrating an empty mask is a no-op
 				}
 				nom[p] = r.saIn[p].ArbitrateMask(ready)
-				want[r.inOutDir[r.idx(topo.Direction(p), nom[p])]] |= 1 << uint(p)
+				o := r.inOutDir[r.idx(topo.Direction(p), nom[p])]
+				want[o] |= 1 << uint(p)
+				wantPorts |= 1 << uint(o)
+			}
+			if wantPorts == 0 {
+				// Nothing was ready, so this and every remaining speedup
+				// iteration would be an identical no-op.
+				break
 			}
 			// Output stage: each requested output port grants one input port.
-			for o := 0; o < P; o++ {
-				if want[o] != 0 {
-					in := r.saOut[o].ArbitrateMask(want[o])
-					r.traverse(in, nom[in])
-				}
-			}
-			if want == [topo.NumPorts]uint32{} {
-				// Nothing was ready and nothing moved, so every remaining
-				// speedup iteration would be an identical no-op.
-				break
+			for m := wantPorts; m != 0; m &= m - 1 {
+				o := bits.TrailingZeros8(m)
+				in := r.saOut[o].ArbitrateMask(want[o])
+				r.traverse(in, nom[in])
 			}
 		}
 		// Link traversal: one flit per output channel per cycle.
-		for o := 0; o < P; o++ {
-			if r.stageLen[o] == 0 {
-				continue
-			}
+		for m := r.stagePorts; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros8(m)
 			ch := r.outCh[o]
 			if ch == nil || !ch.CanSend() {
 				continue
@@ -668,6 +655,20 @@ func (r *Router) SwitchAndTraverse() {
 		}
 	}
 	r.now++
+}
+
+// PortMasks returns the routing, active and stage port masks as kept and
+// as derived from routingMask, activeMask and stageLen; between cycles the
+// two are equal.
+func (r *Router) PortMasks() (kept, derived [3]uint8) {
+	for p := 0; p < topo.NumPorts; p++ {
+		for k, n := range [3]int{int(r.routingMask[p]), int(r.activeMask[p]), int(r.stageLen[p])} {
+			if n != 0 {
+				derived[k] |= 1 << uint(p)
+			}
+		}
+	}
+	return [3]uint8{r.routingPorts, r.activePorts, r.stagePorts}, derived
 }
 
 // OutputFlits returns the number of flits the router has sent through
@@ -737,9 +738,9 @@ func (r *Router) traverse(p, v int) {
 		}
 		r.refreshOutBits(res)
 		// Next packet (if already buffered) starts routing next cycle.
-		inBit := uint32(1) << uint(v)
-		r.activeMask[p] &^= inBit
-		r.activeTotal--
+		if r.activeMask[p] &^= uint32(1) << uint(v); r.activeMask[p] == 0 {
+			r.activePorts &^= 1 << uint(p)
+		}
 		r.inState[i] = vcIdle
 		if nf := r.bufFront(i); nf != nil {
 			if !nf.Head {

@@ -86,7 +86,7 @@ func (r *Router) OutputVCSnapshot(d topo.Direction, v int) OutVCState {
 	return OutVCState{
 		Allocated:       r.outAlloc[i],
 		Credits:         int(r.outCredits[i]),
-		Owner:           int(r.outOwner[i]),
+		Owner:           int(r.st.Owner[i]),
 		RegOwner:        int(r.st.RegOwner[i]),
 		AwaitTailCredit: r.outAwaitTail[i],
 	}

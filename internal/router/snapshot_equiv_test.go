@@ -18,11 +18,13 @@ import (
 // aggregate accessors (including the bitmask fast paths) that analyzers
 // and routing algorithms read live. The allocation overhaul flattened
 // per-VC state into parallel arrays indexed by (port, vc) and the router
-// keeps a routing.State (idle masks, per-destination owner masks,
-// footprint registers, neighbour pointers) in step with them; every
-// exported field below reads a different slice of that layout, so any
-// indexing slip or stale mask shows up as a disagreement between two
-// views of the same VC.
+// keeps a routing.State (idle masks, owner and footprint registers, the
+// per-destination owner index under Footprint, neighbour pointers) in step
+// with them; every exported field below reads a different slice of that
+// layout, so any indexing slip or stale mask shows up as a disagreement
+// between two views of the same VC. Every algorithm runs it: OwnerMask
+// scans the registers on a router without an index and reads the index
+// on one with it.
 //
 // The wedged fixture — every node floods node 3, whose endpoint stops
 // consuming — matters: it freezes the fabric mid-flight with buffered
@@ -30,7 +32,14 @@ import (
 // owners, so the comparison covers the populated states, not just the
 // all-idle reset fabric.
 func TestSnapshotMatchesSoAState(t *testing.T) {
+	for _, alg := range routing.Names() {
+		t.Run(alg, func(t *testing.T) { snapshotMatchesSoAState(t, alg) })
+	}
+}
+
+func snapshotMatchesSoAState(t *testing.T, alg string) {
 	cfg := sim.DefaultConfig()
+	cfg.Algorithm = alg
 	cfg.Width, cfg.Height = 2, 2
 	cfg.VCs = 2
 	cfg.WarmupCycles = 100
@@ -130,11 +139,17 @@ func TestSnapshotMatchesSoAState(t *testing.T) {
 						regBits |= 1 << uint(v)
 					}
 				}
-				if got := st.OwnerBits(d, dest); got != ownBits {
-					t.Errorf("node %d port %v dest %d: OwnerBits %#x, recount %#x", id, d, dest, got, ownBits)
+				if got := st.OwnerMask(d, dest); got != ownBits {
+					t.Errorf("node %d port %v dest %d: OwnerMask %#x, recount %#x", id, d, dest, got, ownBits)
 				}
 				if got := st.RegOwnerBits(d, dest); got != regBits {
 					t.Errorf("node %d port %v dest %d: RegOwnerBits %#x, recount %#x", id, d, dest, got, regBits)
+				}
+				if st.Owners == nil {
+					continue
+				}
+				if got := st.OwnerBits(d, dest); got != ownBits {
+					t.Errorf("node %d port %v dest %d: OwnerBits %#x, recount %#x", id, d, dest, got, ownBits)
 				}
 				for lo := 0; lo <= 1; lo++ {
 					want := bits.OnesCount32(ownBits >> uint(lo))

@@ -75,12 +75,13 @@ func FuzzRouteAdmissible(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
 	// One longer seed per registered algorithm so the initial corpus
-	// exercises every Route implementation.
+	// exercises every Route implementation: the first byte picks names[i].
 	for i, name := range Names() {
 		seed := make([]byte, 48)
 		for j := range seed {
 			seed[j] = byte(i*37 + j*11 + len(name))
 		}
+		seed[0] = byte(i)
 		f.Add(seed)
 	}
 
@@ -107,7 +108,7 @@ func FuzzRouteAdmissible(f *testing.F) {
 		for i := 0; i < steps; i++ {
 			ctx := &Context{
 				Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
-				View: view.at(m, cur), Rand: rand.New(rand.NewSource(seed)),
+				View: view.at(m, cur, alg), Rand: rand.New(rand.NewSource(seed)),
 			}
 			reqs := alg.Route(ctx, nil)
 			if len(reqs) == 0 {
@@ -129,7 +130,7 @@ func FuzzRouteAdmissible(f *testing.F) {
 				View: v, Rand: rand.New(rand.NewSource(seed)),
 			}
 		}
-		snapshot := view.at(m, cur).clone()
+		snapshot := view.at(m, cur, alg).clone()
 		reqs := alg.Route(ctx(view), nil)
 
 		// Route must not mutate the view it inspects.

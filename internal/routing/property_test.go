@@ -52,7 +52,7 @@ func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int) scena
 	for i := 0; i < steps; i++ {
 		ctx := &Context{
 			Mesh: m, Cur: cur, Dest: dest, InDir: inDir,
-			View: view.at(m, cur), Rand: rng,
+			View: view.at(m, cur, alg), Rand: rng,
 		}
 		reqs := alg.Route(ctx, nil)
 		if len(reqs) == 0 {
@@ -67,7 +67,7 @@ func walkScenarioWith(rng *rand.Rand, alg Algorithm, m topo.Mesh, vcs int) scena
 		cur = next
 		view = goldenView(rng, m.Nodes(), vcs, dest)
 	}
-	return scenario{m: m, cur: cur, dest: dest, inDir: inDir, view: view.at(m, cur)}
+	return scenario{m: m, cur: cur, dest: dest, inDir: inDir, view: view.at(m, cur, alg)}
 }
 
 func (s scenario) ctx(seed int64) *Context {

@@ -49,16 +49,18 @@ func (f *fakeView) regOwnerOf(d topo.Direction, v int) int {
 }
 
 // at builds the State the script describes for the router of node cur on
-// m, as an escape-VC algorithm's router would hold it, and returns f.
-func (f *fakeView) at(m topo.Mesh, cur int) *fakeView {
-	st := NewState(m, cur, f.numVCs, true)
+// m, as alg's router would hold it — with an owner index only if alg's
+// decisions read one, so an algorithm reading an index it was not given
+// panics — and returns f.
+func (f *fakeView) at(m topo.Mesh, cur int, alg Algorithm) *fakeView {
+	st := NewState(m, cur, f.numVCs, alg)
 	for d := topo.East; d <= topo.Local; d++ {
 		for v, o := range f.owner[d] {
 			if o >= 0 {
 				st.Idle[d] &^= 1 << uint(v)
 			}
 			if o >= 0 && o < m.Nodes() {
-				st.Owners[int(d)*m.Nodes()+o] |= 1 << uint(v)
+				st.SetOwner(d, v, o)
 			}
 			st.RegOwner[int(d)*f.numVCs+v] = int32(f.regOwnerOf(d, v))
 		}
@@ -93,6 +95,7 @@ func (f *fakeView) clone() *fakeView {
 	}
 	if f.st != nil {
 		st := *f.st
+		st.Owner = append([]int32(nil), st.Owner...)
 		st.Owners = append([]uint32(nil), st.Owners...)
 		st.RegOwner = append([]int32(nil), st.RegOwner...)
 		c.st = &st
@@ -100,11 +103,13 @@ func (f *fakeView) clone() *fakeView {
 	return c
 }
 
-func testCtx(m topo.Mesh, cur, dest int, v *fakeView) *Context {
-	return &Context{
+// route returns alg's requests at node cur for a freshly injected packet
+// to dest, against the State fv scripts.
+func route(alg Algorithm, m topo.Mesh, cur, dest int, fv *fakeView) []Request {
+	return alg.Route(&Context{
 		Mesh: m, Cur: cur, Dest: dest, InDir: topo.Local,
-		View: v.at(m, cur), Rand: rand.New(rand.NewSource(42)),
-	}
+		View: fv.at(m, cur, alg), Rand: rand.New(rand.NewSource(42)),
+	}, nil)
 }
 
 func reqsByDir(reqs []Request) map[topo.Direction][]Request {
@@ -168,7 +173,7 @@ func TestDORRoute(t *testing.T) {
 	m := topo.MustNew(4, 4)
 	fv := newFakeView(4)
 	// 0 -> 10 = (2,2): DOR must go East first.
-	reqs := NewDOR().Route(testCtx(m, 0, 10, fv), nil)
+	reqs := route(NewDOR(), m, 0, 10, fv)
 	byDir := reqsByDir(reqs)
 	if len(byDir) != 1 || len(byDir[topo.East]) != 4 {
 		t.Fatalf("DOR requests = %v", reqs)
@@ -179,7 +184,7 @@ func TestDORRoute(t *testing.T) {
 		}
 	}
 	// Same column: go South.
-	reqs = NewDOR().Route(testCtx(m, 2, 14, fv), nil)
+	reqs = route(NewDOR(), m, 2, 14, fv)
 	if d := reqs[0].Dir; d != topo.South {
 		t.Errorf("DOR dir = %v, want S", d)
 	}
@@ -259,7 +264,7 @@ func TestOddEvenSelectsByIdleVCs(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		fv.owner[topo.South][v] = 99
 	}
-	reqs := NewOddEven().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewOddEven(), m, 9, 27, fv)
 	for _, r := range reqs {
 		if r.Dir != topo.East {
 			t.Fatalf("odd-even chose %v with South congested; reqs=%v", r.Dir, reqs)
@@ -275,7 +280,7 @@ func TestDBARPrefersUncongestedPort(t *testing.T) {
 	for v := 0; v < 7; v++ {
 		fv.owner[topo.East][v] = 50
 	}
-	reqs := NewDBAR().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewDBAR(), m, 9, 27, fv)
 	byDir := reqsByDir(reqs)
 	if len(byDir[topo.South]) != 9 {
 		t.Fatalf("DBAR should request 9 adaptive VCs on South, got %v", reqs)
@@ -293,7 +298,7 @@ func TestDBARUsesDownstreamInfo(t *testing.T) {
 	// Neither port congested locally; downstream South much freer.
 	fv.downstream[topo.East] = 1
 	fv.downstream[topo.South] = 8
-	reqs := NewDBAR().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewDBAR(), m, 9, 27, fv)
 	for _, r := range reqs {
 		if r.VC != 0 && r.Dir != topo.South {
 			t.Fatalf("DBAR ignored downstream congestion: %v", reqs)
@@ -304,7 +309,7 @@ func TestDBARUsesDownstreamInfo(t *testing.T) {
 func TestDBARNeverRequestsEscapeAsAdaptive(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	fv := newFakeView(4)
-	reqs := NewDBAR().Route(testCtx(m, 0, 63, fv), nil)
+	reqs := route(NewDBAR(), m, 0, 63, fv)
 	for _, r := range reqs {
 		if r.VC == 0 && r.Pri != alloc.Lowest {
 			t.Errorf("VC0 requested at %v", r.Pri)
@@ -315,7 +320,7 @@ func TestDBARNeverRequestsEscapeAsAdaptive(t *testing.T) {
 func TestFootprintUncongestedUsesAllAdaptive(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	fv := newFakeView(10) // all idle
-	reqs := NewFootprint().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewFootprint(), m, 9, 27, fv)
 	adaptive := 0
 	for _, r := range reqs {
 		if r.VC != 0 {
@@ -341,7 +346,7 @@ func TestFootprintSaturatedFollowsFootprints(t *testing.T) {
 		fv.owner[topo.South][v] = 51
 	}
 	fv.owner[topo.East][2] = dest
-	reqs := NewFootprint().Route(testCtx(m, 9, dest, fv), nil)
+	reqs := route(NewFootprint(), m, 9, dest, fv)
 	var fpReqs []Request
 	for _, r := range reqs {
 		if r.Pri == alloc.High {
@@ -368,7 +373,7 @@ func TestFootprintSaturatedNoFootprintFallsBack(t *testing.T) {
 			fv.owner[d][v] = 50
 		}
 	}
-	reqs := NewFootprint().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewFootprint(), m, 9, 27, fv)
 	adaptive := 0
 	for _, r := range reqs {
 		if r.VC != 0 {
@@ -397,7 +402,7 @@ func TestFootprintMidLoadPriorityLadder(t *testing.T) {
 	for v := 1; v < 10; v++ {
 		fv.owner[topo.South][v] = 51
 	}
-	reqs := NewFootprint().Route(testCtx(m, 9, dest, fv), nil)
+	reqs := route(NewFootprint(), m, 9, dest, fv)
 	got := map[int]alloc.Priority{}
 	for _, r := range reqs {
 		if r.Dir == topo.East && r.VC != 0 {
@@ -427,7 +432,7 @@ func TestFootprintMidLoadNoFootprintGetsIdleHigh(t *testing.T) {
 		fv.owner[topo.South][v] = 51
 	}
 	fv.owner[topo.South][9] = 51
-	reqs := NewFootprint().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewFootprint(), m, 9, 27, fv)
 	got := map[int]alloc.Priority{}
 	for _, r := range reqs {
 		if r.Dir == topo.East && r.VC != 0 {
@@ -462,7 +467,7 @@ func TestFootprintReclaimsRegisteredIdleVC(t *testing.T) {
 	for v := 1; v < 10; v++ {
 		fv.owner[topo.South][v] = 51
 	}
-	reqs := NewFootprint().Route(testCtx(m, 9, dest, fv), nil)
+	reqs := route(NewFootprint(), m, 9, dest, fv)
 	got := map[int]alloc.Priority{}
 	for _, r := range reqs {
 		if r.Dir == topo.East && r.VC != 0 {
@@ -486,7 +491,7 @@ func TestFootprintPortSelectionByFootprintTieBreak(t *testing.T) {
 	fv.owner[topo.East][1] = dest
 	fv.owner[topo.South][1] = dest
 	fv.owner[topo.South][2] = dest
-	reqs := NewFootprint().Route(testCtx(m, 9, dest, fv), nil)
+	reqs := route(NewFootprint(), m, 9, dest, fv)
 	for _, r := range reqs {
 		if r.Pri == alloc.High && r.Dir != topo.South {
 			t.Fatalf("footprint tie-break chose %v, want South: %v", r.Dir, reqs)
@@ -497,7 +502,7 @@ func TestFootprintPortSelectionByFootprintTieBreak(t *testing.T) {
 func TestFootprintAlwaysRequestsEscape(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	fv := newFakeView(4)
-	reqs := NewFootprint().Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(NewFootprint(), m, 9, 27, fv)
 	found := false
 	for _, r := range reqs {
 		if r.VC == 0 && r.Pri == alloc.Lowest && r.Dir == topo.East {
@@ -518,7 +523,7 @@ func TestFootprintThresholdOverride(t *testing.T) {
 		fv.owner[topo.South][v] = 50
 	}
 	fp := &Footprint{Threshold: 8}
-	reqs := fp.Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(fp, m, 9, 27, fv)
 	sawLadder := false
 	for _, r := range reqs {
 		// Ladder branch emits High (idle VCs for this footprint-less
@@ -540,7 +545,7 @@ func TestFootprintDisablePriorities(t *testing.T) {
 		fv.owner[topo.South][v] = 50
 	}
 	fp := &Footprint{DisablePriorities: true}
-	reqs := fp.Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(fp, m, 9, 27, fv)
 	for _, r := range reqs {
 		if r.Pri != alloc.Low && r.Pri != alloc.Lowest {
 			t.Errorf("priorities not flattened: %v", r)
@@ -566,7 +571,7 @@ func TestXORDETSingleVCRequest(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	fv := newFakeView(10)
 	x := MustNew("dor+xordet")
-	reqs := x.Route(testCtx(m, 0, 27, fv), nil)
+	reqs := route(x, m, 0, 27, fv)
 	if len(reqs) != 1 {
 		t.Fatalf("dor+xordet requests = %v, want exactly one", reqs)
 	}
@@ -579,7 +584,7 @@ func TestXORDETWithDBARKeepsEscape(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	fv := newFakeView(10)
 	x := MustNew("dbar+xordet")
-	reqs := x.Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(x, m, 9, 27, fv)
 	var adaptive, escape int
 	for _, r := range reqs {
 		if r.VC == 0 && r.Pri == alloc.Lowest {
@@ -698,7 +703,7 @@ func TestVOQSWNextHopClass(t *testing.T) {
 	fv := newFakeView(10)
 	v := MustNew("dor+voqsw")
 	// 0 -> 27 = (3,3): DOR goes East; at node 1 DOR still goes East.
-	reqs := v.Route(testCtx(m, 0, 27, fv), nil)
+	reqs := route(v, m, 0, 27, fv)
 	if len(reqs) != 1 {
 		t.Fatalf("dor+voqsw requests = %v, want one", reqs)
 	}
@@ -706,7 +711,7 @@ func TestVOQSWNextHopClass(t *testing.T) {
 		t.Errorf("VC class = %d, want %d (next hop continues East)", reqs[0].VC, want)
 	}
 	// 0 -> 1: next router IS the destination: Local class.
-	reqs = v.Route(testCtx(m, 0, 1, fv), nil)
+	reqs = route(v, m, 0, 1, fv)
 	if want := int(topo.Local) % 10; reqs[0].VC != want {
 		t.Errorf("VC class = %d, want %d (ejection next hop)", reqs[0].VC, want)
 	}
@@ -716,7 +721,7 @@ func TestVOQSWWithEscapeBase(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	fv := newFakeView(10)
 	v := MustNew("dbar+voqsw")
-	reqs := v.Route(testCtx(m, 9, 27, fv), nil)
+	reqs := route(v, m, 9, 27, fv)
 	var adaptive, escape int
 	for _, r := range reqs {
 		if r.VC == 0 && r.Pri == alloc.Lowest {
@@ -739,8 +744,8 @@ func TestVOQSWSeparatesDownstreamDirections(t *testing.T) {
 	v := MustNew("dor+voqsw")
 	// From node 1, both packets leave East, but at node 2 one continues
 	// East and the other turns South: different classes.
-	r1 := v.Route(testCtx(m, 1, 7, fv), nil)  // continues East at 2
-	r2 := v.Route(testCtx(m, 1, 18, fv), nil) // turns South at 2
+	r1 := route(v, m, 1, 7, fv)  // continues East at 2
+	r2 := route(v, m, 1, 18, fv) // turns South at 2
 	if r1[0].Dir != r2[0].Dir {
 		t.Fatalf("both should leave East: %v %v", r1, r2)
 	}
@@ -761,7 +766,7 @@ func TestFootprintMaxFootprintVCsCap(t *testing.T) {
 		fv.owner[topo.South][v] = 50
 	}
 	fp := &Footprint{MaxFootprintVCs: 2}
-	reqs := fp.Route(testCtx(m, 9, dest, fv), nil)
+	reqs := route(fp, m, 9, dest, fv)
 	for _, r := range reqs {
 		if r.Pri == alloc.Lowest {
 			continue // escape
@@ -771,7 +776,7 @@ func TestFootprintMaxFootprintVCsCap(t *testing.T) {
 		}
 	}
 	// Without the cap the uncongested branch would request all 9.
-	plain := NewFootprint().Route(testCtx(m, 9, dest, fv), nil)
+	plain := route(NewFootprint(), m, 9, dest, fv)
 	if len(plain) <= len(reqs) {
 		t.Errorf("cap did not restrict requests: %d vs %d", len(plain), len(reqs))
 	}

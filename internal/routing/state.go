@@ -20,8 +20,13 @@ type State struct {
 	// Idle[d] is the mask of port d's idle VCs: those that hold no flits
 	// downstream and are not allocated, so have no owner.
 	Idle [topo.NumPorts]uint32
-	// Owners[int(d)*Mesh.Nodes()+dest] is the mask of port d's VCs
-	// currently occupied by packets to dest (its footprint VCs).
+	// Owner[int(d)*VCs+v] is the owner register of VC v of port d (Section
+	// 4.4): the destination of the packets occupying it, -1 once drained.
+	// Only SetOwner writes it, so that Owners stays in step.
+	Owner []int32
+	// Owners[int(d)*Mesh.Nodes()+dest] is the mask of port d's VCs whose
+	// Owner is dest (its footprint VCs toward dest): an index over Owner
+	// built only for an algorithm whose decisions read it, nil otherwise.
 	Owners []uint32
 	// RegOwner[int(d)*VCs+v] is the persistent footprint register of VC v
 	// of port d: the destination of the last packet allocated to it,
@@ -32,25 +37,49 @@ type State struct {
 	Pos  topo.Coord
 }
 
-// NewState returns the State of node's router on m under an algorithm
-// that does or does not reserve VC 0 as its escape channel, every VC idle
-// and unowned.
-func NewState(m topo.Mesh, node, vcs int, usesEscape bool) State {
+// NewState returns the State of node's router on m under alg, every VC
+// idle and unowned. Only Footprint, whose decisions read the owner index,
+// gets one: no other State holds anything sized by the mesh.
+func NewState(m topo.Mesh, node, vcs int, alg Algorithm) State {
+	n := topo.NumPorts * vcs
+	regs := make([]int32, 2*n) // Owner, then RegOwner
+	for i := range regs {
+		regs[i] = -1
+	}
 	s := State{
 		VCs:      vcs,
-		Lo:       adaptiveVCRange(usesEscape),
-		Owners:   make([]uint32, topo.NumPorts*m.Nodes()),
-		RegOwner: make([]int32, topo.NumPorts*vcs),
+		Lo:       adaptiveVCRange(alg.UsesEscape()),
+		Owner:    regs[:n:n],
+		RegOwner: regs[n:],
 		Mesh:     m,
 		Pos:      m.Coord(node),
+	}
+	if _, ok := alg.(*Footprint); ok {
+		s.Owners = make([]uint32, topo.NumPorts*m.Nodes())
 	}
 	for d := range s.Idle {
 		s.Idle[d] = vcMask(0, vcs)
 	}
-	for i := range s.RegOwner {
-		s.RegOwner[i] = -1
-	}
 	return s
+}
+
+// SetOwner sets the owner register of VC v of port d to dest (-1 on
+// drain) and keeps the index, where there is one, in step: the one write
+// path of Owner and Owners.
+func (s *State) SetOwner(d topo.Direction, v, dest int) {
+	i := int(d)*s.VCs + v
+	old := int(s.Owner[i])
+	s.Owner[i] = int32(dest)
+	if s.Owners == nil || old == dest {
+		return
+	}
+	row, bit := s.Owners[int(d)*s.Mesh.Nodes():], uint32(1)<<uint(v)
+	if old >= 0 {
+		row[old] &^= bit
+	}
+	if dest >= 0 {
+		row[dest] |= bit
+	}
 }
 
 // IdleCount returns the number of idle VCs of port d in [lo, VCs).
@@ -58,9 +87,20 @@ func (s *State) IdleCount(d topo.Direction, lo int) int {
 	return bits.OnesCount32(s.Idle[d] >> uint(lo))
 }
 
-// OwnerBits returns the mask of port d's VCs occupied by packets to dest.
+// OwnerBits returns the mask of port d's VCs occupied by packets to dest,
+// read from the index: only a decision that was given one calls it.
 func (s *State) OwnerBits(d topo.Direction, dest int) uint32 {
 	return s.Owners[int(d)*s.Mesh.Nodes()+dest]
+}
+
+// OwnerMask is OwnerBits for every State: the index entry where there is
+// one, else a scan of the port's owner registers. Everything outside a
+// decision reads owners through it.
+func (s *State) OwnerMask(d topo.Direction, dest int) uint32 {
+	if s.Owners != nil {
+		return s.OwnerBits(d, dest)
+	}
+	return naming(s.Owner[int(d)*s.VCs:(int(d)+1)*s.VCs], dest)
 }
 
 // FootprintCount returns the number of VCs of port d in [lo, VCs)
@@ -73,11 +113,16 @@ func (s *State) FootprintCount(d topo.Direction, dest, lo int) int {
 // footprint register names dest. Footprint uses it to re-grant a
 // just-drained footprint VC to its own flow first.
 func (s *State) RegOwnerBits(d topo.Direction, dest int) uint32 {
+	return naming(s.RegOwner[int(d)*s.VCs:(int(d)+1)*s.VCs], dest)
+}
+
+// naming returns the mask of the registers in regs that hold dest,
+// without a branch per register: x|-x has its top bit set unless x is 0.
+func naming(regs []int32, dest int) uint32 {
 	var m uint32
-	for v, reg := range s.RegOwner[int(d)*s.VCs : (int(d)+1)*s.VCs] {
-		if int(reg) == dest {
-			m |= 1 << uint(v)
-		}
+	for v, reg := range regs {
+		x := uint32(reg ^ int32(dest))
+		m |= ((x|-x)>>31 ^ 1) << uint(v)
 	}
 	return m
 }
