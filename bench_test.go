@@ -165,7 +165,7 @@ func vcLabel(v int) string {
 }
 
 // BenchmarkFigure8Scaling regenerates Figure 8 on the 4×4 mesh (the
-// 16×16 run is left to cmd/scale) and reports DBAR's normalized
+// 16×16 run is left to nocsim scale) and reports DBAR's normalized
 // throughput.
 func BenchmarkFigure8Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@
 // series the paper reports and, when it simulates through sim.Run, a Runs
 // method that hands back every simulation it made — bisection probes
 // included, in grid order — so that whatever a flag asks of a run is done
-// in one place (cli.RunReport.Finish) after the experiment has returned.
+// in one place (cmd/nocsim's finish) after the experiment has returned.
 package exp
 
 import (

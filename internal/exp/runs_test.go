@@ -12,10 +12,10 @@ import (
 	"nocsim/internal/traffic"
 )
 
-// TestEveryFigureReturnsItsRuns holds the rule cli.RunReport.Finish is
+// TestEveryFigureReturnsItsRuns holds the rule cmd/nocsim's finish is
 // built on: every figure hands back every simulation it made, bisection
 // probes included, each under a label whose slug is unique within the
-// figure (Finish names files by it) and names its rate once, and each
+// figure (finish names files by it) and names its rate once, and each
 // carrying whatever collector the profile asked for.
 func TestEveryFigureReturnsItsRuns(t *testing.T) {
 	p := tinyProfile()

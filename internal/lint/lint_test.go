@@ -128,7 +128,6 @@ func TestScopes(t *testing.T) {
 		"nocsim/internal/topo":        true,
 		"nocsim/internal/stats":       true,
 		"nocsim/internal/obs":         false,
-		"nocsim/internal/cli":         false,
 		"nocsim/internal/simx":        false,
 		"other/internal/sim":          false,
 	} {

@@ -12,12 +12,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin" ./cmd/ctree ./cmd/sweep ./cmd/scale ./cmd/hotspot ./cmd/traces
+go build -o "$bin" ./cmd/nocsim
 
 run() { # run OUTPUT COMMAND ARGS...
 	local out=$1 cmd=$2
 	shift 2
-	"$bin/$cmd" -profile quick -jobs "${JOBS:-0}" "$@" > "results/$out"
+	"$bin/nocsim" "$cmd" -profile quick -jobs "${JOBS:-0}" "$@" > "results/$out"
 }
 
 run fig2_tables.txt ctree
