@@ -12,7 +12,7 @@
 //	nocsim -trace-out trace.json    # Perfetto-loadable lifecycle trace
 //	nocsim -heatmap-out links.csv   # measurement-window link heatmap
 //	nocsim -counters-out ts.csv     # per-router counters every 100 cycles
-//	nocsim -anatomy -phase-profile  # both tables after the result, under [<alg>]
+//	nocsim -anatomy                 # latency anatomy after the result, under [<alg>]
 //	nocsim -rates 0.1,0.3 -heatmap-out h.csv  # one file per rate: h_footprint-rate-0.100.csv
 //	nocsim -watchdog-cycles 5000    # on a stall: dump a fabric snapshot, exit 1
 //
@@ -27,10 +27,10 @@
 // -jobs, -watchdog-cycles, -watchdog-out and -pprof. Every command but
 // ctree, whose Figure 2 steps its fabrics by hand and makes no
 // sim.Result, takes the per-run flags (-anatomy, -anatomy-out,
-// -phase-profile, -counters-out, -heatmap-out): they are served after
-// the results for every run the command made (see opts.finish). A usage
-// error is exit 2; a failed run, a stalled run or a file that could not
-// be written is exit 1.
+// -counters-out, -heatmap-out): they are served after the results for
+// every run the command made (see opts.finish). A usage error is exit 2;
+// a failed run, a stalled run or a file that could not be written is
+// exit 1.
 package main
 
 import (
@@ -140,6 +140,18 @@ func single(fs *flag.FlagSet) action {
 			fmt.Fprint(w, exp.Table2(cfg))
 			return nil
 		}
+		// The trace outputs and the printed heatmap describe one run.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"trace-out", *traceOut != ""}, {"trace-jsonl", *traceJSONL != ""}, {"trace-cap", *traceCap != 0}, {"heatmap", *heatmap}} {
+			if f.set && *rates != "" {
+				return fmt.Errorf("-%s applies to a single run and -rates makes several", f.name)
+			}
+		}
+		if *traceCap != 0 && *traceOut == "" && *traceJSONL == "" {
+			return errors.New("-trace-cap needs -trace-out or -trace-jsonl")
+		}
 		if err := o.start(stderr); err != nil {
 			return err
 		}
@@ -208,7 +220,7 @@ func single(fs *flag.FlagSet) action {
 
 // rateSweep runs the comma-separated rate grid through the parallel
 // execution engine, prints one row per rate and serves the per-run flags
-// for every run. The single-run trace outputs are skipped.
+// for every run.
 func rateSweep(w io.Writer, cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, o *opts) error {
 	var grid []float64
 	for _, s := range strings.Split(rateList, ",") {
@@ -254,16 +266,15 @@ func naFloat(v float64, format string, ok bool) string {
 // opts is the flag wiring the commands share. The process flags
 // (-jobs, -watchdog-cycles, -watchdog-out, -pprof) are on every command
 // and -profile on the figure commands. The per-run flags (-anatomy,
-// -anatomy-out, -phase-profile, -counters-out, -heatmap-out) are on
-// every command that makes a sim.Result: collectors turns them into what
-// each run carries, and finish reads the runs once the command has made
-// them all.
+// -anatomy-out, -counters-out, -heatmap-out) are on every command that
+// makes a sim.Result: collectors turns them into what each run carries,
+// and finish reads the runs once the command has made them all.
 type opts struct {
 	tool, profile, pprof, watchdogOut string
 	jobs                              int
 	watchdogCycles                    int64
 
-	anatomy, phaseProfile               bool
+	anatomy                             bool
 	anatomyOut, countersOut, heatmapOut string
 }
 
@@ -287,8 +298,6 @@ func register(fs *flag.FlagSet, figure, perRun bool) *opts {
 			"collect the latency anatomy (per-hop latency composition, VC-class grant split, exercised adaptiveness) and print it per run")
 		fs.StringVar(&o.anatomyOut, "anatomy-out", "",
 			"write the latency anatomy as CSV, one aggregate file plus one -occupancy time-series file per run, suffixed with the run label")
-		fs.BoolVar(&o.phaseProfile, "phase-profile", false,
-			"profile the cycle loop: attribute time and allocations to pipeline phases on sampled cycles and print the table per run; results are unchanged")
 		fs.StringVar(&o.countersOut, "counters-out", "",
 			"write per-router counters sampled every 100 cycles as CSV; with more than one run, one file per run suffixed with the run label")
 		fs.StringVar(&o.heatmapOut, "heatmap-out", "",
@@ -343,7 +352,6 @@ func (o *opts) collectors() obs.Options {
 		SamplePeriod: period,
 		Heatmap:      o.heatmapOut != "",
 		Anatomy:      o.anatomy || o.anatomyOut != "",
-		Profile:      o.phaseProfile,
 	}
 }
 
@@ -353,11 +361,11 @@ func (o *opts) collectors() obs.Options {
 // line on w; otherwise each run's file takes the path suffixed with the
 // run's label, as its stall snapshot does (obs.SuffixPath; a label-less
 // run goes by its algorithm). The anatomy CSVs, two per run, are always
-// suffixed. Then each run's latency anatomy and phase profile are
-// printed to w under "[<run label>]". Every file that can be written
-// is. The error names each file that could not be and each run whose
-// watchdog tripped, with the snapshot it dumped — a stalled run still
-// has a Result, so its results are printed before the error.
+// suffixed. Then each run's latency anatomy is printed to w under
+// "[<run label>]". Every file that can be written is. The error names
+// each file that could not be and each run whose watchdog tripped, with
+// the snapshot it dumped — a stalled run still has a Result, so its
+// results are printed before the error.
 func (o *opts) finish(w io.Writer, runs []*sim.Result) error {
 	var lost, stalled []string
 	write := func(path string, export func(io.Writer) error) bool {
@@ -394,10 +402,6 @@ func (o *opts) finish(w io.Writer, runs []*sim.Result) error {
 		if o.anatomy {
 			fmt.Fprintf(w, "\n[%s] ", label)
 			res.Anatomy.Format(w)
-		}
-		if o.phaseProfile {
-			fmt.Fprintf(w, "\n[%s] ", label)
-			res.PerfProfile.Format(w)
 		}
 		if res.Stalled {
 			stalled = append(stalled, fmt.Sprintf("%s (snapshot %s)", label, res.Config.StallPath()))

@@ -63,8 +63,9 @@ func TestHotspotFlowsPrintsTable3(t *testing.T) {
 	}
 }
 
-// TestBadValues: a value the command cannot use is exit 1 with one line
-// on stderr naming it, before any simulation.
+// TestBadValues: a value the command cannot use, or a flag the call
+// would ignore, is exit 1 with one line on stderr naming it, before any
+// simulation.
 func TestBadValues(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -81,6 +82,11 @@ func TestBadValues(t *testing.T) {
 		{[]string{"scale", "-profile", "nope"}, `"nope"`},
 		{[]string{"hotspot", "-profile", "nope"}, `"nope"`},
 		{[]string{"traces", "-profile", "nope"}, `"nope"`},
+		{[]string{"-rates", "0.1,0.2", "-trace-out", "t.json"}, "-trace-out"},
+		{[]string{"-rates", "0.1,0.2", "-trace-jsonl", "t.jsonl"}, "-trace-jsonl"},
+		{[]string{"-rates", "0.1,0.2", "-trace-cap", "100"}, "-trace-cap"},
+		{[]string{"-rates", "0.1,0.2", "-heatmap"}, "-heatmap"},
+		{[]string{"-trace-cap", "100"}, "-trace-cap"},
 	} {
 		code, out, errOut := nocsim(c.args...)
 		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, c.bad) {
@@ -146,14 +152,14 @@ func TestPerRunFilePaths(t *testing.T) {
 // node 3, whose endpoint never consumes — through the path the commands
 // use (collectors onto the config, sim.New, Run, finish) with every
 // per-run flag set and -heatmap-out pointing into a directory that does
-// not exist: both tables appear under each run's label, every writable
+// not exist: the anatomy table appears under each run's label, every writable
 // file lands, and the error names the lost heatmaps and the wedged run,
 // and only those.
 func TestFinish(t *testing.T) {
 	dir := t.TempDir()
 	stallOut := filepath.Join(dir, "stall.json")
 	o := &opts{
-		anatomy: true, anatomyOut: filepath.Join(dir, "a.csv"), phaseProfile: true,
+		anatomy: true, anatomyOut: filepath.Join(dir, "a.csv"),
 		countersOut: filepath.Join(dir, "c.csv"), heatmapOut: filepath.Join(dir, "missing", "h.csv"),
 	}
 	simulate := func(label string, slow map[int]int) *sim.Result {
@@ -191,10 +197,8 @@ func TestFinish(t *testing.T) {
 		t.Errorf("error = %q, want %q", err, want)
 	}
 	for _, label := range []string{"healthy", "wedged"} {
-		for _, table := range []string{"latency anatomy", "phase profile"} {
-			if head := "\n[" + label + "] " + table; !strings.Contains(out.String(), head) {
-				t.Errorf("output lacks %q:\n%s", head, out.String())
-			}
+		if head := "\n[" + label + "] latency anatomy"; !strings.Contains(out.String(), head) {
+			t.Errorf("output lacks %q:\n%s", head, out.String())
 		}
 		for _, name := range []string{"c_" + label + ".csv", "a_" + label + ".csv", "a_" + label + "-occupancy.csv"} {
 			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
@@ -227,8 +231,7 @@ func TestStartUnbindablePprof(t *testing.T) {
 }
 
 // TestRunReportOptions: -counters-out implies a 100-cycle sampling
-// period; -anatomy-out alone enables the anatomy collector;
-// -phase-profile selects the profiler at its default period.
+// period; -anatomy-out alone enables the anatomy collector.
 func TestRunReportOptions(t *testing.T) {
 	for _, c := range []struct {
 		o    opts
@@ -239,7 +242,6 @@ func TestRunReportOptions(t *testing.T) {
 		{opts{heatmapOut: "h.csv"}, obs.Options{Heatmap: true}},
 		{opts{anatomy: true}, obs.Options{Anatomy: true}},
 		{opts{anatomyOut: "a.csv"}, obs.Options{Anatomy: true}},
-		{opts{phaseProfile: true}, obs.Options{Profile: true}},
 	} {
 		if got := c.o.collectors(); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%+v: options %+v, want %+v", c.o, got, c.want)

@@ -61,9 +61,6 @@ func (p *Packet) Handle() Handle { return p.handle }
 // (including source queueing) to tail ejection, as BookSim reports it.
 func (p *Packet) Latency() int64 { return p.Eject - p.Born }
 
-// NetworkLatency returns the latency excluding source queueing.
-func (p *Packet) NetworkLatency() int64 { return p.Eject - p.Inject }
-
 // Flit is the flow-control unit. A packet of Size 1 has a single flit that
 // is both head and tail.
 type Flit struct {

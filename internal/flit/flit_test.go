@@ -50,9 +50,6 @@ func TestLatencies(t *testing.T) {
 	if got := p.Latency(); got != 150 {
 		t.Errorf("Latency = %d, want 150", got)
 	}
-	if got := p.NetworkLatency(); got != 120 {
-		t.Errorf("NetworkLatency = %d, want 120", got)
-	}
 }
 
 func TestClassString(t *testing.T) {

@@ -23,10 +23,9 @@ import (
 //
 // Explicitly seeded generators (rand.New(rand.NewSource(seed))) and
 // *rand.Rand method calls on run-owned values stay legal. Wall-clock
-// self-metrics that never feed results (cycles/s reporting, the phase
-// profiler) flow through the single seam prof.Now in internal/prof, the
-// one function the rule exempts by name (isWallClockSeam); consumers
-// take a prof.Clock.
+// self-metrics that never feed results (cycles/s reporting) flow through
+// the single seam prof.Now in internal/prof, the one function the rule
+// exempts by name (isWallClockSeam).
 var analyzeDeterminism = &Analyzer{
 	Name: "determinism",
 	Applies: func(path string) bool {

@@ -1,5 +1,5 @@
 // A wall-clock read scattered into engine code instead of flowing
-// through the prof.Clock seam. noclint must flag it even when the value
+// through the prof.Now seam. noclint must flag it even when the value
 // only feeds a self-metric — the seam exists so these reads stay
 // auditable in one named function.
 package fixture

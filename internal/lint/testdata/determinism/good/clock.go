@@ -1,12 +1,11 @@
-// The consumer side of the wall-clock seam: engine code that needs
-// timestamps takes an injected clock and calls it. Calls through a
-// function value are not time.Now and pass the rule as they are —
-// tests substitute fake clocks, production wires prof.Now.
+// Engine code that takes an injected clock and calls it. Calls through
+// a function value are not time.Now and pass the rule as they are — a
+// test can substitute a fake clock, production would wire prof.Now.
 package fixture
 
 import "time"
 
-// clock mirrors prof.Clock.
+// clock is an injected wall-clock reader.
 type clock func() time.Time
 
 // profiler accumulates wall time through the seam only.

@@ -63,8 +63,8 @@ type Network struct {
 	Sink func(p *flit.Packet)
 
 	// Probe, when set, observes the cycle loop's phase structure on the
-	// cycles it elects to sample (obs.PhaseProfiler implements it). The
-	// disabled path pays one nil check per cycle.
+	// cycles it elects to sample (the benchmark module's per-cycle timer
+	// implements it). The disabled path pays one nil check per cycle.
 	Probe PhaseProbe
 }
 

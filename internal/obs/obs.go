@@ -11,7 +11,6 @@ package obs
 import (
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
-	"nocsim/internal/prof"
 	"nocsim/internal/router"
 	"nocsim/internal/topo"
 )
@@ -30,14 +29,6 @@ type Options struct {
 	// Heatmap enables per-link/per-node accounting over the measurement
 	// window.
 	Heatmap bool
-	// Profile enables the sampled cycle-loop phase profiler (see
-	// PhaseProfiler); the run's Result then carries a PerfProfile.
-	// ProfileEvery is the sampling period in cycles (DefaultProfileEvery
-	// when 0). ProfileClock overrides the profiler's clock — tests
-	// inject deterministic fakes; nil means prof.Now.
-	Profile      bool
-	ProfileEvery int64
-	ProfileClock prof.Clock
 	// Anatomy enables the latency-anatomy collector: per-packet latency
 	// decomposition, exercised-adaptiveness decision records and the
 	// footprint-occupancy time series; the run's Result then carries an
@@ -46,9 +37,7 @@ type Options struct {
 	Anatomy bool
 }
 
-// Enabled reports whether any collector is selected. The phase profiler
-// is deliberately excluded: it is a network probe, not an event sink,
-// and is wired separately by the simulation.
+// Enabled reports whether any collector is selected.
 func (o Options) Enabled() bool {
 	return o.Trace || o.SamplePeriod > 0 || o.Heatmap || o.Anatomy
 }

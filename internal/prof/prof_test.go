@@ -1,9 +1,6 @@
 package prof
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestNowMonotonic pins the seam's basic contract: consecutive reads
 // never go backwards (Go's time.Time carries a monotonic component).
@@ -12,18 +9,5 @@ func TestNowMonotonic(t *testing.T) {
 	b := Now()
 	if b.Before(a) {
 		t.Errorf("Now went backwards: %v then %v", a, b)
-	}
-}
-
-// TestOr pins the optional-injection helper: nil resolves to Now, a fake
-// clock is returned unchanged.
-func TestOr(t *testing.T) {
-	if Or(nil) == nil {
-		t.Fatal("Or(nil) returned nil")
-	}
-	fixed := time.Unix(42, 0)
-	fake := Clock(func() time.Time { return fixed })
-	if got := Or(fake)(); !got.Equal(fixed) {
-		t.Errorf("Or(fake)() = %v, want %v", got, fixed)
 	}
 }

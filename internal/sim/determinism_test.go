@@ -4,11 +4,8 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"nocsim/internal/obs"
 	"nocsim/internal/traffic"
 )
 
@@ -20,7 +17,7 @@ var determinismAlgorithms = []string{
 }
 
 // scrubPoints normalizes a sweep for bit-identity comparison: host-side
-// fields (wall-clock runtime, phase profiles, collectors) are cleared,
+// fields (wall-clock runtime, collectors, anatomy) are cleared,
 // and a NaN P99 (empty histogram) becomes a sentinel because NaN != NaN
 // under reflect.DeepEqual. Everything else — latency summaries down to
 // their unexported sums, throughput, blocking counters — must match
@@ -30,7 +27,6 @@ func scrubPoints(pts []SweepPoint) []SweepPoint {
 	for i, p := range pts {
 		r := *p.Result
 		r.Runtime = RuntimeStats{}
-		r.PerfProfile = nil
 		r.Obs = nil
 		r.Anatomy = nil
 		r.Config = Config{}
@@ -47,7 +43,6 @@ func scrubHotspot(pts []HotspotPoint) []HotspotPoint {
 	for i, p := range pts {
 		r := *p.Result
 		r.Runtime = RuntimeStats{}
-		r.PerfProfile = nil
 		r.Obs = nil
 		r.Anatomy = nil
 		r.Config = Config{}
@@ -180,41 +175,5 @@ func TestMonitoringDoesNotChangeResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(scrubPoints(bare), scrubPoints(monitored)) {
 		t.Error("a decorated label and an armed watchdog changed simulation results")
-	}
-}
-
-// TestProfilerDoesNotChangeResults pins the phase profiler's contract:
-// a probed cycle of network.Step must be behaviorally identical to an
-// unprobed one, so enabling profiling — even at every=1, instrumenting
-// every cycle — changes no Result field. The profiler runs on a fake
-// clock here, proving its wall-clock reads never leak into the fabric.
-func TestProfilerDoesNotChangeResults(t *testing.T) {
-	var ticks atomic.Int64 // the clock is shared by parallel workers
-	clock := func() time.Time {
-		return time.Unix(0, ticks.Add(1000))
-	}
-	rates := []float64{0.1, 0.3}
-	for _, alg := range []string{"footprint", "dbar"} {
-		cfg := testConfig()
-		cfg.Algorithm = alg
-		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 1000
-
-		bare, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Obs = obs.Options{Profile: true, ProfileEvery: 1, ProfileClock: clock}
-		profiled, err := LatencyThroughput(cfg, "uniform", traffic.FixedSize(1), rates, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range profiled {
-			if p.Result.PerfProfile == nil || p.Result.PerfProfile.SampledCycles == 0 {
-				t.Fatalf("%s: profiler enabled but no profile attached", alg)
-			}
-		}
-		if !reflect.DeepEqual(scrubPoints(bare), scrubPoints(profiled)) {
-			t.Errorf("%s: enabling the phase profiler changed simulation results", alg)
-		}
 	}
 }

@@ -89,19 +89,3 @@ func HotspotRun(cfg Config, bgRate, rate float64) (HotspotPoint, error) {
 		Result:            res,
 	}, nil
 }
-
-// HotspotSaturation returns the lowest tested hotspot rate at which the
-// background traffic saturates (latency beyond factor× the first point's
-// latency, or unstable), or the last rate + step when none saturates.
-func HotspotSaturation(points []HotspotPoint, factor float64) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	base := points[0].BackgroundLatency
-	for _, p := range points {
-		if !p.Stable || p.BackgroundLatency > factor*base {
-			return p.Rate
-		}
-	}
-	return points[len(points)-1].Rate
-}

@@ -83,24 +83,6 @@ func TestFootprintBeatsDBARUnderHotspot(t *testing.T) {
 	}
 }
 
-func TestHotspotSaturation(t *testing.T) {
-	pts := []HotspotPoint{
-		{Rate: 0.1, BackgroundLatency: 20, Stable: true},
-		{Rate: 0.2, BackgroundLatency: 22, Stable: true},
-		{Rate: 0.3, BackgroundLatency: 90, Stable: true},
-		{Rate: 0.4, BackgroundLatency: 500, Stable: false},
-	}
-	if got := HotspotSaturation(pts, 3); got != 0.3 {
-		t.Errorf("saturation = %v, want 0.3 (first point over 3x base)", got)
-	}
-	if got := HotspotSaturation(pts[:2], 3); got != 0.2 {
-		t.Errorf("no-saturation case = %v, want last rate", got)
-	}
-	if got := HotspotSaturation(nil, 3); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-}
-
 func TestCongestionTreeAnalysis(t *testing.T) {
 	// Drive the Section 2 permutation on a 4x4 mesh with DOR and verify
 	// the analyzer sees a congestion tree at the oversubscribed endpoint

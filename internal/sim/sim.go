@@ -50,10 +50,6 @@ type Result struct {
 	// Runtime reports the simulator's own performance over the whole run
 	// (warmup + measurement + drain).
 	Runtime RuntimeStats
-	// PerfProfile is the sampled cycle-loop phase profile (nil unless
-	// Config.Obs.Profile is set). Like Runtime it describes the host,
-	// never the fabric: determinism goldens scrub it.
-	PerfProfile *obs.PerfProfile
 	// Stalled reports that the run's watchdog flagged at least one
 	// zero-progress window (see Config.WatchdogCycles).
 	Stalled bool
@@ -61,9 +57,9 @@ type Result struct {
 	// disabled); experiment harnesses export its data per run.
 	Obs *obs.Collector
 	// Anatomy is the run's latency anatomy and exercised adaptiveness
-	// (nil unless Config.Obs.Anatomy). Like PerfProfile it is a
-	// telemetry payload: determinism goldens scrub it, and it must never
-	// feed back into fabric behaviour.
+	// (nil unless Config.Obs.Anatomy). It is a telemetry payload:
+	// determinism goldens scrub it, and it must never feed back into
+	// fabric behaviour.
 	Anatomy *obs.Anatomy
 }
 
@@ -135,8 +131,7 @@ type Simulation struct {
 	gens []Injector
 	rng  *rand.Rand
 	met  *metrics
-	col  *obs.Collector     // nil unless cfg.Obs selects collectors
-	prof *obs.PhaseProfiler // nil unless cfg.Obs.Profile
+	col  *obs.Collector // nil unless cfg.Obs selects collectors
 
 	nextID uint64
 	// offerFn is s.offer, bound once so that a cycle makes no closure.
@@ -220,10 +215,6 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 	})
 	s.net.Sink = s.onEject
 	s.offerFn = s.offer
-	if cfg.Obs.Profile {
-		s.prof = obs.NewPhaseProfiler(cfg.Obs.ProfileEvery, cfg.Obs.ProfileClock)
-		s.net.Probe = s.prof
-	}
 	if cfg.WatchdogCycles > 0 {
 		s.beatEvery = max(1, min(128, cfg.WatchdogCycles/4))
 		s.wd = obs.NewWatchdog(cfg.WatchdogCycles, func() *obs.FabricSnapshot {
@@ -443,21 +434,13 @@ func (s *Simulation) Run() *Result {
 					d, s.col.Tracer.Total())
 			}
 		}
-	}
-	if s.prof != nil {
-		pp := s.prof.Profile()
-		pp.GC = obs.GCStats{
-			NumGC:           mem1.NumGC - mem0.NumGC,
-			PauseTotalNanos: mem1.PauseTotalNs - mem0.PauseTotalNs,
-			TotalAllocBytes: mem1.TotalAlloc - mem0.TotalAlloc,
-			Mallocs:         mem1.Mallocs - mem0.Mallocs,
+		if s.col.Sampler != nil {
+			if d := s.col.Sampler.Dropped(); d > 0 {
+				fmt.Fprintf(os.Stderr,
+					"sim: warning: counter series truncated — %d of %d router-samples dropped (the series keeps the first %d)\n",
+					d, d+obs.DefaultSampleRows, obs.DefaultSampleRows)
+			}
 		}
-		if mem1.HeapSys > mem0.HeapSys {
-			pp.GC.HeapSysGrowthBytes = mem1.HeapSys - mem0.HeapSys
-		}
-		arena := s.net.Arena().Stats()
-		pp.Arena = &arena
-		res.PerfProfile = pp
 	}
 	return res
 }

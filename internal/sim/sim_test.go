@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"nocsim/internal/flit"
+	"nocsim/internal/obs"
 	"nocsim/internal/routing"
 	"nocsim/internal/traffic"
 )
@@ -376,5 +380,45 @@ func TestSteadyStateStepAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, s.Step); n != 0 {
 			t.Errorf("%s %dx%d uniform %.2f: a warm cycle allocates %v times, want 0", c.alg, c.w, c.h, c.rate, n)
 		}
+	}
+}
+
+// TestCounterTruncationWarns: a counter series that outgrows
+// obs.DefaultSampleRows keeps its first rows and says so on stderr, as
+// the trace ring and the anatomy series do. Sampling all 256 routers of
+// a 16x16 mesh every cycle fills the bound in 391 cycles.
+func TestCounterTruncationWarns(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 200
+	cfg.Obs = obs.Options{SamplePeriod: 1}
+	gen, err := PatternGenerator(cfg, "uniform", traffic.FixedSize(1), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(cfg, gen)
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	res := s.Run()
+	os.Stderr = stderr
+	w.Close()
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dropped := res.Obs.Sampler.Dropped()
+	if dropped == 0 {
+		t.Fatalf("%d cycles on %d routers dropped no samples", res.Runtime.Cycles, cfg.Mesh().Nodes())
+	}
+	want := fmt.Sprintf("sim: warning: counter series truncated — %d of %d router-samples dropped",
+		dropped, dropped+obs.DefaultSampleRows)
+	if !strings.Contains(string(got), want) {
+		t.Errorf("stderr %q lacks %q", got, want)
 	}
 }

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a stream of values and reports moments and extremes.
@@ -170,17 +169,4 @@ func Ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// Median of a small sample; the input slice is sorted in place.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	mid := len(xs) / 2
-	if len(xs)%2 == 1 {
-		return xs[mid]
-	}
-	return (xs[mid-1] + xs[mid]) / 2
 }

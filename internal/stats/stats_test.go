@@ -157,18 +157,6 @@ func TestNewHistogramPanics(t *testing.T) {
 	NewHistogram(0)
 }
 
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Error("empty median != 0")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median wrong")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median wrong")
-	}
-}
-
 // Property: histogram mean equals summary mean for in-range values.
 func TestHistogramMatchesSummary(t *testing.T) {
 	f := func(raw []uint8) bool {

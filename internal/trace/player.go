@@ -97,9 +97,3 @@ func (p *Player) OnEject(pkt *flit.Packet) {
 		delete(p.waiting, id)
 	}
 }
-
-// Finished reports whether every record has been injected and delivered.
-func (p *Player) Finished() bool {
-	return p.next == len(p.records) && p.Done == p.Total &&
-		len(p.waiting) == 0 && len(p.ready) == 0
-}

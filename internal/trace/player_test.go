@@ -54,9 +54,6 @@ func TestPlayerDependencyGating(t *testing.T) {
 		t.Errorf("reply packet wrong: %+v", got[1])
 	}
 	p.OnEject(got[1])
-	if !p.Finished() {
-		t.Error("player should be finished")
-	}
 	if p.Done != 2 || p.Total != 2 {
 		t.Errorf("Done/Total = %d/%d", p.Done, p.Total)
 	}
@@ -81,6 +78,8 @@ func TestPlayerInitValidates(t *testing.T) {
 	p.Init(topo.MustNew(4, 4), nil)
 }
 
+// TestPlayerNotFinishedWhileWaiting: a record whose dependency is never
+// delivered stays gated however long the player ticks.
 func TestPlayerNotFinishedWhileWaiting(t *testing.T) {
 	p := NewPlayer([]Record{
 		{ID: 1, Cycle: 0, Src: 0, Dest: 1, Size: 1},
@@ -88,8 +87,10 @@ func TestPlayerNotFinishedWhileWaiting(t *testing.T) {
 	})
 	p.Init(topo.MustNew(4, 4), nil)
 	var pkts []*flit.Packet
-	p.Tick(0, func(pkt *flit.Packet) { pkts = append(pkts, pkt) })
-	if p.Finished() {
-		t.Error("finished with a record still waiting on a dependency")
+	for now := int64(0); now < 100; now++ {
+		p.Tick(now, func(pkt *flit.Packet) { pkts = append(pkts, pkt) })
+	}
+	if len(pkts) != 1 || p.Done != 0 {
+		t.Errorf("%d packets injected, %d of %d done; want 1 injected, 0 done", len(pkts), p.Done, p.Total)
 	}
 }
