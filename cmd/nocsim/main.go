@@ -149,6 +149,9 @@ func single(fs *flag.FlagSet) action {
 				return fmt.Errorf("-%s applies to a single run and -rates makes several", f.name)
 			}
 		}
+		if *traceCap < 0 {
+			return fmt.Errorf("-trace-cap %d: a ring capacity is a positive event count (0 = default)", *traceCap)
+		}
 		if *traceCap != 0 && *traceOut == "" && *traceJSONL == "" {
 			return errors.New("-trace-cap needs -trace-out or -trace-jsonl")
 		}

@@ -67,6 +67,7 @@ func TestHotspotFlowsPrintsTable3(t *testing.T) {
 // would ignore, is exit 1 with one line on stderr naming it, before any
 // simulation.
 func TestBadValues(t *testing.T) {
+	jsonl := filepath.Join(t.TempDir(), "t.jsonl")
 	for _, c := range []struct {
 		args []string
 		bad  string
@@ -87,6 +88,8 @@ func TestBadValues(t *testing.T) {
 		{[]string{"-rates", "0.1,0.2", "-trace-cap", "100"}, "-trace-cap"},
 		{[]string{"-rates", "0.1,0.2", "-heatmap"}, "-heatmap"},
 		{[]string{"-trace-cap", "100"}, "-trace-cap"},
+		{[]string{"-width", "4", "-height", "4", "-warmup", "10", "-measure", "20", "-drain", "100",
+			"-trace-cap", "-5", "-trace-jsonl", jsonl}, "-trace-cap -5"},
 	} {
 		code, out, errOut := nocsim(c.args...)
 		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, c.bad) {

@@ -46,16 +46,10 @@ type Packet struct {
 	// Hops is incremented each time the head flit traverses a router.
 	Hops int
 
-	// arena/handle tie an arena-managed packet back to its slot; both
-	// are zero for plain heap-allocated packets, which Arena.FreePacket
-	// ignores.
-	arena  *Arena
-	handle Handle
+	// arena is the arena that owns the packet's slot; nil for plain
+	// heap-allocated packets, which Arena.FreePacket ignores.
+	arena *Arena
 }
-
-// Handle returns the packet's arena handle, or 0 when the packet is not
-// arena-managed.
-func (p *Packet) Handle() Handle { return p.handle }
 
 // Latency returns the packet latency in cycles, measured from creation
 // (including source queueing) to tail ejection, as BookSim reports it.
@@ -73,15 +67,10 @@ type Flit struct {
 	// it is rewritten hop by hop by the VC allocator.
 	VC int
 
-	// arena/handle tie an arena-managed flit back to its slot; zero for
-	// heap-allocated flits (Segment's output).
-	arena  *Arena
-	handle Handle
+	// arena is the arena that owns the flit's slot; nil for heap-allocated
+	// flits (Segment's output).
+	arena *Arena
 }
-
-// Handle returns the flit's arena handle, or 0 when the flit is not
-// arena-managed.
-func (f *Flit) Handle() Handle { return f.handle }
 
 // Segment splits a packet into its flits.
 func Segment(p *Packet) []*Flit {

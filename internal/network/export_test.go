@@ -9,7 +9,7 @@ import (
 // WakeListFaults checks the wake-list contract at a cycle boundary (after
 // a Step, or after an Offer) against a scan of the whole fabric, and
 // describes every breach: the busy list must hold each Busy link exactly
-// once and no idle one (every link, under StepAll), and the wake set
+// once and no idle one, and the wake set
 // must cover both ends of every busy link and every node whose router or
 // endpoint is not quiescent.
 func (n *Network) WakeListFaults() []string {
@@ -23,7 +23,7 @@ func (n *Network) WakeListFaults() []string {
 		ch := &n.links[i]
 		from, to := ch.Ends()
 		want := 0
-		if ch.Busy() || n.cfg.StepAll {
+		if ch.Busy() {
 			want = 1
 		}
 		if listed[ch] != want {

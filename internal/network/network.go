@@ -26,18 +26,10 @@ type Config struct {
 	// Sinks receives router and endpoint events; a nil field is an event
 	// nobody listens to.
 	Sinks router.Sinks
-	// StickyRouting freezes per-packet VC request sets at route time;
-	// see router.Config.StickyRouting.
-	StickyRouting bool
 	// SlowEndpoints maps node id -> consume interval for endpoints whose
 	// ejection bandwidth is below the port bandwidth (Section 2's second
 	// source of endpoint congestion). Unlisted nodes drain every cycle.
 	SlowEndpoints map[int]int
-	// StepAll keeps every link on the busy list, and with it every node on
-	// the worklist, every cycle, as the pre-worklist loop did. The
-	// reference — results must be bit-identical either way (internal/sim's
-	// worklist tests compare the two), it only costs time.
-	StepAll bool
 }
 
 // Network is a running mesh fabric.
@@ -127,29 +119,25 @@ func New(cfg Config) *Network {
 	n.active = make([]int, 0, nodes)
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = router.New(router.Config{
-			Mesh:          cfg.Mesh,
-			NodeID:        id,
-			VCs:           cfg.VCs,
-			BufDepth:      cfg.BufDepth,
-			Speedup:       cfg.Speedup,
-			Alg:           cfg.NewAlg(),
-			Rand:          cfg.Rand,
-			Sinks:         cfg.Sinks,
-			StickyRouting: cfg.StickyRouting,
+			Mesh:     cfg.Mesh,
+			NodeID:   id,
+			VCs:      cfg.VCs,
+			BufDepth: cfg.BufDepth,
+			Speedup:  cfg.Speedup,
+			Alg:      cfg.NewAlg(),
+			Rand:     cfg.Rand,
+			Sinks:    cfg.Sinks,
 		})
 	}
 	// Every channel (injection and ejection per node, two per mesh edge) is
-	// cut from one slice. Under StepAll none lists itself: all are, below.
+	// cut from one slice.
 	w, h := cfg.Mesh.Width, cfg.Mesh.Height
 	n.links = make([]router.Channel, 2*nodes+2*((w-1)*h+w*(h-1)))
 	n.busy = make([]*router.Channel, 0, len(n.links))
-	list, unwired := &n.busy, n.links
-	if cfg.StepAll {
-		list = nil
-	}
+	unwired := n.links
 	link := func() (ch *router.Channel) {
 		ch, unwired = &unwired[0], unwired[1:]
-		return ch.Init(list)
+		return ch.Init(&n.busy)
 	}
 	// Inter-router links: for every node and direction with a neighbour,
 	// one channel from node's output to the neighbour's opposite input,
@@ -184,12 +172,6 @@ func New(cfg Config) *Network {
 			}
 		}
 		n.endpoints[id] = ep
-	}
-	if cfg.StepAll {
-		for i := range n.links {
-			n.busy = append(n.busy, &n.links[i])
-			n.wakeEnds(n.links[i].Ends())
-		}
 	}
 	return n
 }
@@ -243,7 +225,7 @@ func (n *Network) wakeEnds(from, to int) { n.wakeNode(from); n.wakeNode(to) }
 // still holding work after their step, or by an Offer. A skipped node's
 // cycle is a provable no-op (DESIGN.md, "Wake lists"); the worklist is
 // ascending in node id, so iteration and shared-RNG consumption order are
-// the step-everything loop's. Phases are globally ordered so results are
+// those of a loop over every node. Phases are globally ordered so results are
 // independent of router iteration order: all deliveries, all routing+VC
 // allocation, all switch traversal, all endpoint activity, all busy links
 // tick. On a cycle the probe elects to sample, each phase entry is
@@ -302,7 +284,7 @@ func (n *Network) Step() {
 	// relists it); one still busy has something to deliver next cycle.
 	keep := n.busy[:0]
 	for _, ch := range n.busy {
-		if ch.Tick() || n.cfg.StepAll {
+		if ch.Tick() {
 			keep = append(keep, ch)
 			n.wakeEnds(ch.Ends())
 		}

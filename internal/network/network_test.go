@@ -345,37 +345,31 @@ func TestSlowEndpointNetworkLossless(t *testing.T) {
 }
 
 // TestWakeAfterLongSleep: a fabric that has slept for 1,000 cycles is woken
-// by one Offer and carries the packet exactly as a fabric that stepped
-// every node and link all along — same injection and ejection cycles, same
-// hop count, for an adaptive algorithm drawing from the shared RNG.
+// by one Offer and carries the packet exactly as the reference fabric,
+// which steps every node and link every cycle — same state every cycle,
+// same injection and ejection cycles and hop count, for an adaptive
+// algorithm drawing from the shared RNG — and its wake lists agree with a
+// scan once it has drained.
 func TestWakeAfterLongSleep(t *testing.T) {
-	run := func(stepAll bool) flit.Packet {
-		n := network.New(network.Config{
-			Mesh:     topo.MustNew(8, 8),
-			VCs:      4,
-			BufDepth: 4,
-			Speedup:  2,
-			NewAlg:   func() routing.Algorithm { return routing.MustNew("footprint") },
-			Rand:     rand.New(rand.NewSource(1)),
-			StepAll:  stepAll,
-		})
-		n.Run(1000)
-		var got flit.Packet
-		n.Sink = func(p *flit.Packet) { got = *p }
-		n.Offer(&flit.Packet{ID: 1, Src: 9, Dest: 54, Size: 5, Born: n.Now()})
-		drainOrDiagnose(t, n, 500)
-		if faults := n.WakeListFaults(); len(faults) > 0 {
-			t.Errorf("StepAll=%v, drained: %v", stepAll, faults)
-		}
-		return got
+	l := newLockstep(t, lockstepSpec{alg: "footprint", w: 8, h: 8, vcs: 4, depth: 4, speedup: 2, seed: 1})
+	var got flit.Packet
+	record := l.net.Sink
+	l.net.Sink = func(p *flit.Packet) { got = *p; record(p) }
+	for i := 0; i < 1000; i++ {
+		l.step()
 	}
-	slept, stepped := run(false), run(true)
-	if slept.Inject != 1000 {
-		t.Errorf("packet offered at cycle 1000 of an idle fabric injected at %d", slept.Inject)
+	l.offer(9, 54, 5)
+	for i := 0; i < 500 && !l.drained(); i++ {
+		l.step()
 	}
-	if slept.Inject != stepped.Inject || slept.Eject != stepped.Eject || slept.Hops != stepped.Hops {
-		t.Errorf("woken fabric: inject %d eject %d hops %d; StepAll twin: inject %d eject %d hops %d",
-			slept.Inject, slept.Eject, slept.Hops, stepped.Inject, stepped.Eject, stepped.Hops)
+	if !l.drained() || l.ejected != 1 {
+		t.Fatalf("packet offered to a fabric asleep for 1,000 cycles not delivered in 500 (in flight %d)", l.net.InFlight())
+	}
+	if got.Inject != 1000 {
+		t.Errorf("packet offered at cycle 1000 of an idle fabric injected at %d", got.Inject)
+	}
+	if faults := l.net.WakeListFaults(); len(faults) > 0 {
+		t.Errorf("drained: %v", faults)
 	}
 }
 

@@ -23,11 +23,6 @@ type Config struct {
 	// Sinks receives the router's events; a nil field is an event nobody
 	// listens to.
 	Sinks Sinks
-	// StickyRouting freezes each packet's VC request set at route
-	// computation time instead of re-evaluating it every cycle while the
-	// packet waits. Off by default: re-evaluation reproduces the paper's
-	// results (see DESIGN.md).
-	StickyRouting bool
 }
 
 // input VC state machine states.
@@ -62,10 +57,7 @@ type Router struct {
 	// one dense array instead of chasing flit and packet pointers.
 	inDest []int32
 	// inDec is the head packet's routing decision per input VC: the VC
-	// request set as masks, replaced at every re-evaluation. Under
-	// StickyRouting it is what stays frozen — a packet that found its
-	// port saturated keeps requesting only its footprint VCs even as
-	// other VCs free up, and claims them on priority.
+	// request set as masks, replaced at every re-evaluation.
 	inDec []routing.Decision
 
 	// Input buffers: per-VC rings of capacity BufDepth over one backing
@@ -463,35 +455,29 @@ func (r *Router) AllocateVCs() {
 		p := bits.TrailingZeros8(ps)
 		for m := r.routingMask[p]; m != 0; m &= m - 1 {
 			requester := r.idx(topo.Direction(p), bits.TrailingZeros32(m))
+			// The route (and its VC request set) is re-evaluated every cycle
+			// while the packet waits, so adaptive decisions track the live
+			// congestion state (DESIGN.md, "Mechanism analysis").
 			dec := &r.inDec[requester]
-			if !r.inRouted[requester] || !r.cfg.StickyRouting {
-				// By default the route (and its VC request set) is
-				// re-evaluated every cycle while the packet waits, so
-				// adaptive decisions track the live congestion state.
-				// With Config.StickyRouting the set is computed once per
-				// packet per router and retried until granted; see
-				// DESIGN.md for why the default reproduces the paper's
-				// results and stickiness does not.
-				dest := int(r.inDest[requester])
-				if r.cfg.Sinks.Packets != nil && !r.inRouted[requester] {
-					r.cfg.Sinks.Packets.OnRoute(r.now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
-				}
-				if dest == r.cfg.NodeID {
-					// Ejection: request every local-port VC obliviously.
-					*dec = routing.Decision{Dir: topo.Local}
-					dec.Pri[alloc.Low] = uint32(1)<<uint(r.vcs) - 1
-				} else {
-					// Only Dest and InDir vary per call; the rest of the
-					// context was bound at construction.
-					r.routeCtx.Dest = dest
-					r.routeCtx.InDir = topo.Direction(p)
-					*dec = r.cfg.Alg.Decide(&r.routeCtx)
-					if r.cfg.Sinks.Decisions != nil && !r.inRouted[requester] {
-						r.emitDecision(topo.Direction(p), dec, r.bufFront(requester).Packet)
-					}
-				}
-				r.inRouted[requester] = true
+			dest := int(r.inDest[requester])
+			if r.cfg.Sinks.Packets != nil && !r.inRouted[requester] {
+				r.cfg.Sinks.Packets.OnRoute(r.now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
 			}
+			if dest == r.cfg.NodeID {
+				// Ejection: request every local-port VC obliviously.
+				*dec = routing.Decision{Dir: topo.Local}
+				dec.Pri[alloc.Low] = uint32(1)<<uint(r.vcs) - 1
+			} else {
+				// Only Dest and InDir vary per call; the rest of the
+				// context was bound at construction.
+				r.routeCtx.Dest = dest
+				r.routeCtx.InDir = topo.Direction(p)
+				*dec = r.cfg.Alg.Decide(&r.routeCtx)
+				if r.cfg.Sinks.Decisions != nil && !r.inRouted[requester] {
+					r.emitDecision(topo.Direction(p), dec, r.bufFront(requester).Packet)
+				}
+			}
+			r.inRouted[requester] = true
 			// A blocked head (no requested VC free) is recorded nowhere; the
 			// others are, and dup collects every VC a second head wants too.
 			a, esc := dec.VCMask()&r.freeMask[dec.Dir], uint32(0)

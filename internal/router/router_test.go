@@ -250,55 +250,6 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 	r.Receive() // credits already at depth: must panic
 }
 
-func TestStickyRoutingFreezesRequests(t *testing.T) {
-	// With sticky routing the algorithm must be consulted exactly once
-	// per packet per router even while blocked.
-	calls := 0
-	alg := &countingScriptAlg{
-		scriptAlg: scriptAlg{reqs: map[int][]routing.Request{
-			6: {{Dir: topo.East, VC: 0, Pri: alloc.Low}},
-		}},
-		calls: &calls,
-	}
-	r := New(Config{
-		Mesh: topo.MustNew(4, 4), NodeID: 5, VCs: 2, BufDepth: 4,
-		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1)),
-		StickyRouting: true,
-	})
-	in := NewChannel()
-	r.AttachIn(topo.West, in)
-	out := NewChannel()
-	r.AttachOut(topo.East, out)
-	// Block the target VC by pre-allocating it.
-	blocker := headFlit(9, 6, 2)[0]
-	blocker.VC = 1
-	in.Send(blocker)
-	in.Tick()
-	r.Receive()
-	r.AllocateVCs() // blocker takes East VC0
-	f := headFlit(1, 6, 1)[0]
-	f.VC = 0
-	in.Send(f)
-	in.Tick()
-	r.Receive()
-	for i := 0; i < 5; i++ {
-		r.AllocateVCs() // blocked: East VC0 is held
-	}
-	if calls != 2 { // once for the blocker, once for the blocked packet
-		t.Errorf("route computed %d times under sticky routing, want 2", calls)
-	}
-}
-
-type countingScriptAlg struct {
-	scriptAlg
-	calls *int
-}
-
-func (c *countingScriptAlg) Decide(ctx *routing.Context) routing.Decision {
-	*c.calls++
-	return c.scriptAlg.Decide(ctx)
-}
-
 func TestEjectionRequestsLocalPort(t *testing.T) {
 	alg := &scriptAlg{}
 	r, ins, outs := testRouter(t, alg, 2)

@@ -38,13 +38,6 @@ type Config struct {
 	// ejection bandwidth is below port bandwidth, the second source of
 	// endpoint congestion in Section 2 of the paper.
 	SlowEndpoints map[int]int
-	// stepAll selects network.Config.StepAll, the reference path the
-	// in-package worklist tests compare the active set against.
-	stepAll bool
-	// stickyRouting selects router.Config.StickyRouting, the frozen
-	// request set of DESIGN.md's mechanism matrix; only the in-package
-	// test sets it.
-	stickyRouting bool
 	// Obs selects the observability collectors (lifecycle tracer,
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; see Simulation.Observability.

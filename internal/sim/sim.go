@@ -159,10 +159,6 @@ type Simulation struct {
 	hist    *stats.Histogram
 
 	observers []EjectObserver
-
-	// PacketHook, when set, observes every ejected packet (measured or
-	// not); congestion analyzers use it.
-	PacketHook func(p *flit.Packet)
 }
 
 // New assembles a simulation from a validated config and its traffic
@@ -209,9 +205,7 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		NewAlg:        newAlg,
 		Rand:          rng,
 		Sinks:         sinks,
-		StickyRouting: cfg.stickyRouting,
 		SlowEndpoints: cfg.SlowEndpoints,
-		StepAll:       cfg.stepAll,
 	})
 	s.net.Sink = s.onEject
 	s.offerFn = s.offer
@@ -271,9 +265,6 @@ func (s *Simulation) onEject(p *flit.Packet) {
 	}
 	for _, obs := range s.observers {
 		obs.OnEject(p)
-	}
-	if s.PacketHook != nil {
-		s.PacketHook(p)
 	}
 }
 

@@ -335,24 +335,6 @@ func TestSlowEndpointCreatesEndpointCongestion(t *testing.T) {
 	}
 }
 
-// TestStickyRoutingRuns exercises the stickyRouting configuration end to
-// end (the DESIGN.md matrix shows it degrades throughput; here we only
-// require correct, deadlock-free operation).
-func TestStickyRoutingRuns(t *testing.T) {
-	cfg := testConfig()
-	cfg.stickyRouting = true
-	res, err := RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stable {
-		t.Error("sticky routing unstable at light load")
-	}
-	if res.MeasuredEjected != res.Measured {
-		t.Errorf("lost packets under sticky routing: %d/%d", res.MeasuredEjected, res.Measured)
-	}
-}
-
 // TestSteadyStateStepAllocatesNothing pins router.Router's claim that the
 // cycle loop allocates nothing once warm: the scratch a cycle appends to
 // (the allocator's touched lists, the heads scratch, a channel's credit
