@@ -223,14 +223,23 @@ func single(fs *flag.FlagSet) action {
 
 // rateSweep runs the comma-separated rate grid through the parallel
 // execution engine, prints one row per rate and serves the per-run flags
-// for every run.
+// for every run. A run is named by its rate to three decimals, so two
+// rates that agree that far are an error: they would print as one row
+// and share every per-run file.
 func rateSweep(w io.Writer, cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, o *opts) error {
 	var grid []float64
+	named := map[string]string{} // rate to three decimals -> the value given
 	for _, s := range strings.Split(rateList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			return fmt.Errorf("bad rate %q: %v", s, err)
 		}
+		name, given := fmt.Sprintf("%.3f", v), strings.TrimSpace(s)
+		if prev, ok := named[name]; ok {
+			return fmt.Errorf("rates %s and %s are both rate %s: their runs would share every per-run file",
+				prev, given, name)
+		}
+		named[name] = given
 		grid = append(grid, v)
 	}
 	pts, err := sim.LatencyThroughput(cfg, pattern, size, grid, o.jobs)

@@ -75,6 +75,10 @@ func TestBadValues(t *testing.T) {
 		{[]string{"scale", "-sizes", "4x"}, `"4x"`},
 		{[]string{"traces", "-pairs", "x264"}, `"x264"`},
 		{[]string{"-rates", "0.1,x"}, `"x"`},
+		{[]string{"-width", "4", "-height", "4", "-warmup", "50", "-measure", "100", "-drain", "200",
+			"-rates", "0.1,0.1004"}, "0.1 and 0.1004"},
+		{[]string{"-width", "4", "-height", "4", "-warmup", "50", "-measure", "100", "-drain", "200",
+			"-rates", "0.2,0.3,0.2"}, "0.2 and 0.2"},
 		{[]string{"sweep", "-figure", "9"}, `"9"`},
 		{[]string{"traces", "-gen", "x264", "-cycles", "0"}, "-cycles 0"},
 		{[]string{"traces", "-gen", "x264", "-cycles", "-5"}, "-cycles -5"},

@@ -114,9 +114,8 @@ func (a *Arena) NewFlit() *Flit {
 }
 
 // FreeFlit returns f's slot to the arena. f must not be used afterwards.
-// Freeing a flit that is not arena-managed (heap-allocated, e.g. by
-// flit.Segment, or already freed) is a no-op; freeing a flit owned by
-// another arena panics.
+// Freeing a flit that is not arena-managed (heap-allocated, or already
+// freed) is a no-op; freeing a flit owned by another arena panics.
 func (a *Arena) FreeFlit(f *Flit) {
 	if f.arena == nil {
 		return

@@ -68,25 +68,8 @@ type Flit struct {
 	VC int
 
 	// arena is the arena that owns the flit's slot; nil for heap-allocated
-	// flits (Segment's output).
+	// flits.
 	arena *Arena
-}
-
-// Segment splits a packet into its flits.
-func Segment(p *Packet) []*Flit {
-	if p.Size <= 0 {
-		panic(fmt.Sprintf("flit: packet %d has non-positive size %d", p.ID, p.Size))
-	}
-	fs := make([]*Flit, p.Size)
-	for i := range fs {
-		fs[i] = &Flit{
-			Packet: p,
-			Seq:    i,
-			Head:   i == 0,
-			Tail:   i == p.Size-1,
-		}
-	}
-	return fs
 }
 
 // Credit is the flow-control token returned upstream when a flit leaves an

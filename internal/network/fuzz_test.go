@@ -15,12 +15,9 @@ import (
 // schedule and checks credit-based flow control's conservation law after
 // every cycle: for each inter-router link and VC, the upstream output
 // VC's available credits plus the downstream input VC's buffered flits
-// never exceed the buffer depth, and neither side ever goes negative;
-// every port's allocatable-VC mask matches a recount of the VC flags;
+// never exceed the buffer depth, and neither side ever goes negative; and
 // every router's routing.State — what the algorithms decide on — equals a
-// scan of the per-VC state it is maintained from; and every router's port
-// masks equal the ones derived from its per-port state
-// (Network.PortMaskFaults).
+// scan of the VC snapshots it is maintained from.
 // (Flits and credits in flight on the one-cycle channel pipelines account
 // for the remainder, so the observable sum only ever undershoots the
 // depth, never overshoots.) Alongside, the arena's live-packet count must
@@ -127,7 +124,7 @@ func FuzzCreditConservation(f *testing.F) {
 					down := net.Router(nb)
 					for v := 0; v < vcs; v++ {
 						c := up.OutputVCSnapshot(d, v).Credits
-						use := down.InputBufferUse(d.Opposite(), v)
+						use := down.InputVCSnapshot(d.Opposite(), v).Buffered
 						if c < 0 || use < 0 || c+use > depth {
 							t.Fatalf("cycle %d link %d-%v->%d vc %d: credits %d + buffered %d outside [0,%d]",
 								cycle, id, d, nb, v, c, use, depth)
@@ -135,24 +132,8 @@ func FuzzCreditConservation(f *testing.F) {
 					}
 				}
 			}
-			// The allocatable-VC mask VC allocation reads must equal a
-			// recount of the per-VC flags it summarizes, and cover the
-			// idle mask routing reads.
 			for id := 0; id < mesh.Nodes(); id++ {
-				r := net.Router(id)
-				for d := topo.East; d <= topo.Local; d++ {
-					var free uint32
-					for v := 0; v < vcs; v++ {
-						if st := r.OutputVCSnapshot(d, v); !st.Allocated && !st.AwaitTailCredit {
-							free |= 1 << uint(v)
-						}
-					}
-					if got := r.FreeBits(d); got != free || r.State().Idle[d]&^free != 0 {
-						t.Fatalf("cycle %d node %d port %v: FreeBits %#x, recount %#x, idle %#x",
-							cycle, id, d, got, free, r.State().Idle[d])
-					}
-				}
-				checkRoutingState(t, net, id, cycle)
+				checkRoutingState(t, net, id, depth, cycle)
 			}
 			st := net.Arena().Stats()
 			if st.Packets.Live != net.InFlight() {
@@ -160,9 +141,6 @@ func FuzzCreditConservation(f *testing.F) {
 					cycle, st.Packets.Live, net.InFlight())
 			}
 			checkLists(cycle, "Step")
-			if faults := net.PortMaskFaults(); len(faults) > 0 {
-				t.Fatalf("cycle %d: port masks disagree with the per-port state:\n%s", cycle, strings.Join(faults, "\n"))
-			}
 		}
 
 		const drainBudget = 4000
@@ -210,7 +188,7 @@ func FuzzCreditConservation(f *testing.F) {
 						t.Fatalf("drained fabric: link %d-%v->%d vc %d has %d credits, want %d",
 							id, d, nb, v, c, depth)
 					}
-					if use := down.InputBufferUse(d.Opposite(), v); use != 0 {
+					if use := down.InputVCSnapshot(d.Opposite(), v).Buffered; use != 0 {
 						t.Fatalf("drained fabric: link %d-%v->%d vc %d still buffers %d flits",
 							id, d, nb, v, use)
 					}
@@ -225,11 +203,11 @@ func FuzzCreditConservation(f *testing.F) {
 }
 
 // checkRoutingState compares the routing.State of node id's router with a
-// scan of the per-VC owner registers, footprint registers and idle state —
-// OwnerMask on every router, the owner index too where there is one — its
-// minimal directions with the mesh's for every destination, and its
-// downstream pointers with the mesh's neighbours.
-func checkRoutingState(t *testing.T, net *network.Network, id int, cycle int64) {
+// scan of its output VC snapshots — owner registers, footprint registers
+// and idleness (unallocated, not awaiting a tail credit, depth credits) —
+// OwnerMask on every router, the owner index too where there is one, and
+// its minimal directions with the mesh's for every destination.
+func checkRoutingState(t *testing.T, net *network.Network, id, depth int, cycle int64) {
 	t.Helper()
 	mesh, r := net.Mesh(), net.Router(id)
 	st := r.State()
@@ -238,14 +216,15 @@ func checkRoutingState(t *testing.T, net *network.Network, id int, cycle int64) 
 		owners := make([]uint32, mesh.Nodes())
 		regs := make([]uint32, mesh.Nodes())
 		for v := 0; v < r.VCs(); v++ {
-			if r.VCIdle(d, v) {
+			ov := r.OutputVCSnapshot(d, v)
+			if !ov.Allocated && !ov.AwaitTailCredit && ov.Credits == depth {
 				idle |= 1 << uint(v)
 			}
-			if o := r.VCOwner(d, v); o >= 0 {
-				owners[o] |= 1 << uint(v)
+			if ov.Owner >= 0 {
+				owners[ov.Owner] |= 1 << uint(v)
 			}
-			if reg := r.OutputVCSnapshot(d, v).RegOwner; reg >= 0 {
-				regs[reg] |= 1 << uint(v)
+			if ov.RegOwner >= 0 {
+				regs[ov.RegOwner] |= 1 << uint(v)
 			}
 		}
 		if st.Idle[d] != idle {
@@ -274,13 +253,6 @@ func checkRoutingState(t *testing.T, net *network.Network, id int, cycle int64) 
 					t.Fatalf("cycle %d node %d port %v dest %d: FootprintCount(lo=%d) %d, scan %d", cycle, id, d, dest, lo, got, want)
 				}
 			}
-		}
-		var want *routing.State
-		if nb, ok := mesh.Neighbor(id, d); ok {
-			want = net.Router(nb).State()
-		}
-		if got := r.Downstream(d); got != want {
-			t.Fatalf("node %d port %v: downstream State %p, want %p", id, d, got, want)
 		}
 	}
 	for dest := 0; dest < mesh.Nodes(); dest++ {

@@ -68,6 +68,9 @@ type Network struct {
 type Phase uint8
 
 const (
+	// PhaseRouteCompute is never marked: route computation runs inside
+	// AllocateVCs, so its time falls in PhaseVCAlloc. The constant stays
+	// because the benchmark module's per-layer report names it.
 	PhaseRouteCompute Phase = iota
 	PhaseVCAlloc
 	PhaseSwitchAlloc
@@ -159,9 +162,8 @@ func New(cfg Config) *Network {
 		inj, ej := link(), link()
 		n.routers[id].AttachIn(topo.Local, inj)
 		n.routers[id].AttachOut(topo.Local, ej)
-		ep := router.NewEndpoint(id, cfg.VCs, cfg.BufDepth, inj, ej)
+		ep := router.NewEndpoint(id, cfg.VCs, cfg.BufDepth, inj, ej, n.arena)
 		ep.SetPacketSink(cfg.Sinks.Packets)
-		ep.UseArena(n.arena)
 		if iv, ok := cfg.SlowEndpoints[id]; ok {
 			ep.ConsumeInterval = iv
 		}
@@ -225,10 +227,11 @@ func (n *Network) wakeEnds(from, to int) { n.wakeNode(from); n.wakeNode(to) }
 // still holding work after their step, or by an Offer. A skipped node's
 // cycle is a provable no-op (DESIGN.md, "Wake lists"); the worklist is
 // ascending in node id, so iteration and shared-RNG consumption order are
-// those of a loop over every node. Phases are globally ordered so results are
-// independent of router iteration order: all deliveries, all routing+VC
-// allocation, all switch traversal, all endpoint activity, all busy links
-// tick. On a cycle the probe elects to sample, each phase entry is
+// those of a loop over every node. Routers and endpoints are handed the
+// cycle, so a node that slept any number of cycles stamps its events
+// correctly. Phases are globally ordered so results are independent of
+// router iteration order: all deliveries, all routing+VC allocation, all
+// switch traversal, all endpoint activity, all busy links tick. On a cycle the probe elects to sample, each phase entry is
 // marked; the probe only reads clocks and allocation counters between
 // phases, so sampling can never change simulated results.
 func (n *Network) Step() {
@@ -248,22 +251,16 @@ func (n *Network) Step() {
 		ch.Deliver()
 	}
 	if probed {
-		p.BeginPhase(PhaseRouteCompute)
-	}
-	for _, id := range n.active {
-		n.routers[id].SyncClock(n.now)
-	}
-	if probed {
 		p.BeginPhase(PhaseVCAlloc)
 	}
 	for _, id := range n.active {
-		n.routers[id].AllocateVCs()
+		n.routers[id].AllocateVCs(n.now)
 	}
 	if probed {
 		p.BeginPhase(PhaseSwitchAlloc)
 	}
 	for _, id := range n.active {
-		n.routers[id].SwitchAndTraverse()
+		n.routers[id].SwitchAndTraverse(n.now)
 	}
 	if probed {
 		p.BeginPhase(PhaseInjectEject)

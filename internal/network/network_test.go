@@ -262,11 +262,11 @@ func TestXORDETIsolatesVCClasses(t *testing.T) {
 			rt := n.Router(r)
 			for d := topo.East; d <= topo.South; d++ {
 				for v := 0; v < 4; v++ {
-					if rt.InputBufferUse(d, v) == 0 {
+					iv := rt.InputVCSnapshot(d, v)
+					if iv.Buffered == 0 {
 						continue
 					}
-					dst := rt.InputVCDest(d, v)
-					if want := routing.Class(m, dst, 4); v != want {
+					if want := routing.Class(m, iv.PacketDest, 4); v != want {
 						bad++
 					}
 				}

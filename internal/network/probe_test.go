@@ -13,10 +13,11 @@ import (
 	"nocsim/internal/topo"
 )
 
-// stepPhases is the order in which Step marks the phases of a cycle.
+// stepPhases is the order in which Step marks the phases of a cycle;
+// route computation runs inside PhaseVCAlloc and is not marked.
 var stepPhases = []network.Phase{
-	network.PhaseLinkTraversal, network.PhaseRouteCompute, network.PhaseVCAlloc,
-	network.PhaseSwitchAlloc, network.PhaseInjectEject, network.PhaseLinkTraversal,
+	network.PhaseLinkTraversal, network.PhaseVCAlloc, network.PhaseSwitchAlloc,
+	network.PhaseInjectEject, network.PhaseLinkTraversal,
 }
 
 // orderProbe instruments every cycle and keeps the first cycle whose
@@ -127,7 +128,9 @@ func TestProbedStepIsIdentical(t *testing.T) {
 						rc.OutputFlits[d] = r.OutputFlits(d)
 						rc.CreditStalls[d] = r.CreditStalls(d)
 						rc.XbarGrants[d] = r.CrossbarGrants(d)
-						rc.BufferOccupancy[d] = r.InputBufferOccupancy(d)
+						for v := 0; v < r.VCs(); v++ {
+							rc.BufferOccupancy[d] += r.InputVCSnapshot(d, v).Buffered
+						}
 					}
 					st.Routers = append(st.Routers, rc)
 				}

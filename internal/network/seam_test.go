@@ -199,3 +199,91 @@ func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
 		t.Fatal("table did not run every subset")
 	}
 }
+
+// clockRecorder implements all three router.Sinks interfaces and checks
+// every event's cycle against the network's clock as it arrives.
+type clockRecorder struct {
+	t      *testing.T
+	n      *network.Network
+	counts seamCounts
+}
+
+func (r *clockRecorder) check(event string, now int64, node int) {
+	if now != r.n.Now() {
+		r.t.Fatalf("%s at node %d stamped cycle %d during cycle %d", event, node, now, r.n.Now())
+	}
+}
+
+func (r *clockRecorder) OnVCAllocFailure(now int64, node int, _ *flit.Packet, _ topo.Direction, _, _ int, _ int64) {
+	r.check("OnVCAllocFailure", now, node)
+	r.counts.Failures++
+}
+func (r *clockRecorder) OnInject(now int64, p *flit.Packet) {
+	r.check("OnInject", now, p.Src)
+	r.counts.Injects++
+}
+func (r *clockRecorder) OnRoute(now int64, node int, _ *flit.Packet, _ topo.Direction) {
+	r.check("OnRoute", now, node)
+	r.counts.Routes++
+}
+func (r *clockRecorder) OnVCAllocGrant(now int64, node int, _ *flit.Packet, _ topo.Direction, _ int, _ router.VCClass, _ int64) {
+	r.check("OnVCAllocGrant", now, node)
+	r.counts.Grants++
+}
+func (r *clockRecorder) OnHeadTraverse(now int64, node int, _ *flit.Packet, _ topo.Direction, _ int) {
+	r.check("OnHeadTraverse", now, node)
+	r.counts.Hops++
+}
+func (r *clockRecorder) OnEject(now int64, p *flit.Packet) {
+	r.check("OnEject", now, p.Dest)
+	r.counts.Ejects++
+}
+func (r *clockRecorder) OnRouteDecision(now int64, node int, _ *flit.Packet, _ router.Decision) {
+	r.check("OnRouteDecision", now, node)
+	r.counts.Decisions++
+}
+
+// TestEventsCarryNetworkCycle holds every router and endpoint event to the
+// cycle the network is stepping, for every algorithm, on on/off bursts
+// whose 350-cycle idle gaps drain the fabric, so routers sleep through
+// hundreds of cycles and wake again. A router that kept a clock of its
+// own would stamp its events with the cycles it was stepped, not the
+// network's.
+func TestEventsCarryNetworkCycle(t *testing.T) {
+	mesh := topo.MustNew(4, 4)
+	for _, alg := range routing.Names() {
+		t.Run(alg, func(t *testing.T) {
+			rec := &clockRecorder{t: t}
+			n := network.New(network.Config{
+				Mesh:     mesh,
+				VCs:      4,
+				BufDepth: 4,
+				Speedup:  2,
+				NewAlg:   func() routing.Algorithm { return routing.MustNew(alg) },
+				Rand:     rand.New(rand.NewSource(1)),
+				Sinks:    router.Sinks{Blocked: rec, Packets: rec, Decisions: rec},
+			})
+			rec.n = n
+			load := rand.New(rand.NewSource(2))
+			var id uint64
+			for c := 0; c < 1800; c++ {
+				if c%450 < 100 { // 100 cycles on, 350 off
+					for src := 0; src < mesh.Nodes(); src++ {
+						if dest := load.Intn(mesh.Nodes()); load.Float64() < 0.3 && dest != src {
+							id++
+							n.Offer(&flit.Packet{ID: id, Src: src, Dest: dest, Size: 1 + load.Intn(5), Born: n.Now()})
+						}
+					}
+				}
+				n.Step()
+			}
+			if n.InFlight() != 0 {
+				t.Fatalf("%d packets still in flight after the last gap", n.InFlight())
+			}
+			c := rec.counts
+			if c.Failures == 0 || c.Injects == 0 || c.Routes == 0 || c.Grants == 0 || c.Hops == 0 || c.Ejects == 0 || c.Decisions == 0 {
+				t.Errorf("some event kind never fired, so its stamp went unchecked: %+v", c)
+			}
+		})
+	}
+}

@@ -394,15 +394,17 @@ func (a *AnatomyCollector) sample(now int64, net *network.Network) {
 	for id := 0; id < net.Nodes(); id++ {
 		r := net.Router(id)
 		for d := topo.East; d < topo.Local; d++ {
+			idle := r.State().Idle[d]
 			for v := 0; v < r.VCs(); v++ {
-				if r.OutVCAllocated(d, v) {
+				ov := r.OutputVCSnapshot(d, v)
+				if ov.Allocated {
 					s.AllocatedVCs++
 				}
-				if r.VCIdle(d, v) {
+				if idle>>uint(v)&1 != 0 {
 					s.IdleVCs++
 					continue
 				}
-				owner := r.VCOwner(d, v)
+				owner := ov.Owner
 				if owner < 0 {
 					continue
 				}

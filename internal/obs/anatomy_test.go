@@ -9,8 +9,9 @@ import (
 )
 
 // TestAnatomyDecomposition drives the collector with a hand-written event
-// sequence and checks every component charge, the telescoping identity
-// (components partition Eject−Born exactly), and the decision aggregates.
+// sequence and checks every component charge, that none is negative, the
+// telescoping identity (components partition Eject−Born exactly), and the
+// decision aggregates.
 func TestAnatomyDecomposition(t *testing.T) {
 	a := NewAnatomyCollector(0)
 	a.OpenWindow(100, 200)
@@ -56,6 +57,9 @@ func TestAnatomyDecomposition(t *testing.T) {
 
 	var sum int64
 	for _, c := range agg.Components() {
+		if c.Cycles < 0 {
+			t.Errorf("component %s is %d cycles; no wait is negative", c.Name, c.Cycles)
+		}
 		sum += c.Cycles
 	}
 	if sum != agg.LatencyCycles {

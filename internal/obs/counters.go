@@ -77,8 +77,12 @@ func (s *Sampler) Sample(now int64, net *network.Network) {
 		r := net.Router(id)
 		rs := RouterSample{Cycle: now, Node: id, VCAllocFails: r.VCAllocFailures()}
 		for d := topo.East; d <= topo.Local; d++ {
+			occ := 0
+			for v := 0; v < r.VCs(); v++ {
+				occ += r.InputVCSnapshot(d, v).Buffered
+			}
 			rs.Ports[d] = PortCounters{
-				BufferOcc:    r.InputBufferOccupancy(d),
+				BufferOcc:    occ,
 				CreditStalls: r.CreditStalls(d),
 				XbarGrants:   r.CrossbarGrants(d),
 				LinkFlits:    r.OutputFlits(d),

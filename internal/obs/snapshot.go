@@ -169,7 +169,7 @@ func Capture(net *network.Network) *FabricSnapshot {
 					rs.InputVCs = append(rs.InputVCs, is)
 				}
 				ov := r.OutputVCSnapshot(d, v)
-				if ov.Allocated || ov.AwaitTailCredit || ov.Credits != r.BufDepth() || ov.RegOwner >= 0 {
+				if r.State().Idle[d]>>uint(v)&1 == 0 || ov.RegOwner >= 0 {
 					rs.OutputVCs = append(rs.OutputVCs, OutputVCSnap{
 						Port:            d.String(),
 						VC:              v,
@@ -306,14 +306,12 @@ func walkChain(net *network.Network, mesh topo.Mesh, start vcKey) BlockChain {
 // plausibly waits on: a footprint VC owned by its destination when one
 // exists, else the first non-idle VC.
 func busyVCAt(r *router.Router, d topo.Direction, dest int) (int, bool) {
-	first := -1
+	first, idle := -1, r.State().Idle[d]
 	for v := 0; v < r.VCs(); v++ {
-		ov := r.OutputVCSnapshot(d, v)
-		idle := !ov.Allocated && !ov.AwaitTailCredit && ov.Credits == r.BufDepth()
-		if idle {
+		if idle>>uint(v)&1 != 0 {
 			continue
 		}
-		if ov.Owner == dest {
+		if r.OutputVCSnapshot(d, v).Owner == dest {
 			return v, true
 		}
 		if first < 0 {

@@ -25,20 +25,17 @@ type Channel struct {
 	// credits to the from end.
 	fromR, toR *Router
 	ep         *Endpoint
-	// busy is the fabric's busy-link list (nil on a standalone channel) and
-	// listed whether the channel is on it already (or would be).
+	// busy is the fabric's busy-link list and listed whether the channel
+	// is on it already (or would be).
 	busy             *[]*Channel
 	fromNode, toNode int32
 	fromPort, toPort uint8
 	listed           bool
 }
 
-// NewChannel returns an empty standalone channel.
-func NewChannel() *Channel { return new(Channel).Init(nil) }
-
 // Init readies a zero Channel in place and returns it. The credit slices
 // start on its own array and hold Table 2's two credits a cycle (Speedup)
-// without growing; a non-nil busy is the list it joins when it is sent on.
+// without growing; busy is the list it joins when it is sent on.
 func (c *Channel) Init(busy *[]*Channel) *Channel {
 	c.stagedCredits, c.arrivedCredits = c.creditBuf[:0:2], c.creditBuf[2:2]
 	c.busy = busy
@@ -47,7 +44,7 @@ func (c *Channel) Init(busy *[]*Channel) *Channel {
 
 // list puts the channel on the busy list; a no-op once listed.
 func (c *Channel) list() {
-	if !c.listed && c.busy != nil {
+	if !c.listed {
 		c.listed = true
 		*c.busy = append(*c.busy, c)
 	}
@@ -79,9 +76,9 @@ func (c *Channel) Send(f *flit.Flit) {
 	c.list()
 }
 
-// Recv returns the flit that arrived this cycle, or nil. The flit is
+// recv returns the flit that arrived this cycle, or nil. The flit is
 // consumed.
-func (c *Channel) Recv() *flit.Flit {
+func (c *Channel) recv() *flit.Flit {
 	f := c.arrived
 	c.arrived = nil
 	return f
@@ -93,25 +90,25 @@ func (c *Channel) SendCredit(cr flit.Credit) {
 	c.list()
 }
 
-// RecvCredits returns the credits that arrived this cycle. The returned
+// recvCredits returns the credits that arrived this cycle. The returned
 // slice is valid until the channel's next Tick.
-func (c *Channel) RecvCredits() []flit.Credit {
+func (c *Channel) recvCredits() []flit.Credit {
 	crs := c.arrivedCredits
 	c.arrivedCredits = c.arrivedCredits[:0]
 	return crs
 }
 
-// Deliver hands what arrived this cycle to the attached ends, as their
-// Receive would: the flit to the receiving end, the credits to the sender.
+// Deliver hands what arrived this cycle to the attached ends: the flit to
+// the receiving end, the credits to the sender.
 func (c *Channel) Deliver() {
-	if f := c.Recv(); f != nil {
+	if f := c.recv(); f != nil {
 		if c.toR != nil {
 			c.toR.acceptFlit(int(c.toPort), f)
 		} else {
 			c.ep.acceptFlit(f)
 		}
 	}
-	if crs := c.RecvCredits(); len(crs) > 0 {
+	if crs := c.recvCredits(); len(crs) > 0 {
 		if c.fromR != nil {
 			c.fromR.acceptCredits(int(c.fromPort), crs)
 		} else {

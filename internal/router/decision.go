@@ -100,11 +100,12 @@ type Decision struct {
 	MinimalProgress bool
 }
 
-// emitDecision builds and reports the Decision record for a packet's
-// first route computation at this router, from the routing decision dec.
+// emitDecision builds and reports, stamped now, the Decision record for a
+// packet's first route computation at this router, from the routing
+// decision dec.
 // Called only when Sinks.Decisions is attached and the packet is not at its
 // destination.
-func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.Packet) {
+func (r *Router) emitDecision(now int64, in topo.Direction, dec *routing.Decision, p *flit.Packet) {
 	dx, hasX, dy, hasY := r.st.MinimalDirs(p.Dest)
 	d := Decision{In: in, MinimalProgress: true, EscapeRequested: dec.HasEsc}
 	if hasX {
@@ -126,7 +127,7 @@ func (r *Router) emitDecision(in topo.Direction, dec *routing.Decision, p *flit.
 	if dec.HasEsc {
 		d.PortMask |= 1 << uint(dec.Esc)
 	}
-	r.cfg.Sinks.Decisions.OnRouteDecision(r.now, r.cfg.NodeID, p, d)
+	r.cfg.Sinks.Decisions.OnRouteDecision(now, r.cfg.NodeID, p, d)
 }
 
 // classifyVC returns the VCClass of output VC (d, vc) for a packet to

@@ -45,10 +45,10 @@ type Endpoint struct {
 	// SetPacketSink, nil when nobody listens.
 	packets PacketSink
 
-	// arena, when set with UseArena, backs the flits the endpoint
-	// segments packets into; consumed flits and fully-ejected packets are
-	// recycled into it. Without an arena, flits are heap-allocated and
-	// left to the garbage collector.
+	// arena is the network's: it backs the flits the endpoint segments
+	// packets into, and consumed flits and fully-ejected packets are
+	// recycled into it. Packets it does not manage — heap packets from
+	// arena-unaware injectors — are left alone.
 	arena *flit.Arena
 
 	// ConsumeInterval throttles the ejection bandwidth: the endpoint
@@ -64,14 +64,15 @@ type Endpoint struct {
 // NewEndpoint creates the endpoint for node with the router's VC count and
 // buffer depth. injCh carries flits to the router's local input port (and
 // credits back); ejCh carries flits from the router's local output port
-// (and credits back).
-func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel) *Endpoint {
+// (and credits back); a is the network's arena.
+func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel, a *flit.Arena) *Endpoint {
 	e := &Endpoint{
 		node:     node,
 		vcs:      vcs,
 		bufDepth: bufDepth,
 		injCh:    injCh,
 		ejCh:     ejCh,
+		arena:    a,
 		injVC:    -1,
 		credits:  make([]int, vcs),
 		vcBusy:   make([]bool, vcs),
@@ -90,13 +91,6 @@ func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel) *Endpoint {
 // SetPacketSink attaches the sink the endpoint reports packet injection
 // and ejection through. Must be called before traffic flows.
 func (e *Endpoint) SetPacketSink(s PacketSink) { e.packets = s }
-
-// UseArena makes the endpoint segment packets into arena-backed flits
-// and recycle flits (at consumption) and packets (after the Sink sees
-// the tail) back into a. Packets not managed by a — heap packets from
-// arena-unaware injectors — are left alone. Must be set before traffic
-// flows.
-func (e *Endpoint) UseArena(a *flit.Arena) { e.arena = a }
 
 // Offer appends a packet to the source queue. The packet's Born cycle must
 // already be set by the traffic generator.
@@ -122,16 +116,8 @@ func (e *Endpoint) QueueLen() int {
 	return n
 }
 
-// Receive ingests injection credits and ejected flits: phase A of a
-// standalone endpoint. A network's channels Deliver instead.
-func (e *Endpoint) Receive() {
-	e.acceptCredits(e.injCh.RecvCredits())
-	if f := e.ejCh.Recv(); f != nil {
-		e.acceptFlit(f)
-	}
-}
-
-// acceptCredits returns injection credits crs to their VCs.
+// acceptCredits returns injection credits crs to their VCs: phase A,
+// called by the injection channel's Deliver.
 func (e *Endpoint) acceptCredits(crs []flit.Credit) {
 	for _, cr := range crs {
 		e.credits[cr.VC]++
@@ -141,7 +127,8 @@ func (e *Endpoint) acceptCredits(crs []flit.Credit) {
 	}
 }
 
-// acceptFlit buffers ejected flit f for Consume.
+// acceptFlit buffers ejected flit f for Consume: phase A, called by the
+// ejection channel's Deliver.
 func (e *Endpoint) acceptFlit(f *flit.Flit) {
 	if len(e.ejBuf[f.VC]) >= e.bufDepth {
 		panic(fmt.Sprintf("router: endpoint %d ejection overflow vc %d", e.node, f.VC))
@@ -188,16 +175,12 @@ func (e *Endpoint) Consume(now int64) {
 		if e.Sink != nil {
 			e.Sink(p)
 		}
-		if e.arena != nil {
-			// The packet's pointer identity was needed through the Sink
-			// chain (trace players key in-flight state by it); now the
-			// last observer has run, the slot can be recycled.
-			e.arena.FreePacket(p)
-		}
+		// The packet's pointer identity was needed through the Sink chain
+		// (trace players key in-flight state by it); now the last observer
+		// has run, the slot can be recycled.
+		e.arena.FreePacket(p)
 	}
-	if e.arena != nil {
-		e.arena.FreeFlit(f)
-	}
+	e.arena.FreeFlit(f)
 }
 
 // Inject sends at most one flit of the current packet into the router's
@@ -226,8 +209,7 @@ func (e *Endpoint) Inject(now int64) {
 		return
 	}
 	// Flits are materialized one per cycle as they enter the network —
-	// there is never a fully segmented copy of the packet waiting — from
-	// the arena when one is attached.
+	// there is never a fully segmented copy of the packet waiting.
 	f := e.newFlit()
 	f.VC = e.injVC
 	e.credits[e.injVC]--
@@ -245,15 +227,10 @@ func (e *Endpoint) Inject(now int64) {
 	}
 }
 
-// newFlit materializes the next flit of the packet under injection,
-// arena-backed when an arena is attached.
+// newFlit materializes the next flit of the packet under injection from
+// the arena.
 func (e *Endpoint) newFlit() *flit.Flit {
-	var f *flit.Flit
-	if e.arena != nil {
-		f = e.arena.NewFlit()
-	} else {
-		f = &flit.Flit{}
-	}
+	f := e.arena.NewFlit()
 	f.Packet = e.curPacket
 	f.Seq = e.nextSeq
 	f.Head = e.nextSeq == 0

@@ -7,9 +7,18 @@ import (
 )
 
 func newTestEndpoint() (*Endpoint, *Channel, *Channel) {
-	inj := NewChannel()
-	ej := NewChannel()
-	return NewEndpoint(3, 2, 4, inj, ej), inj, ej
+	inj := testChannel()
+	ej := testChannel()
+	return NewEndpoint(3, 2, 4, inj, ej, flit.NewArena()), inj, ej
+}
+
+// receiveAt hands e the credits and the flit that arrived on its channels,
+// as their Deliver does inside a network.
+func receiveAt(e *Endpoint) {
+	e.acceptCredits(e.injCh.recvCredits())
+	if f := e.ejCh.recv(); f != nil {
+		e.acceptFlit(f)
+	}
 }
 
 func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
@@ -18,7 +27,7 @@ func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Inject(int64(i))
 		inj.Tick()
-		f := inj.Recv()
+		f := inj.recv()
 		if f == nil {
 			t.Fatalf("cycle %d: no flit injected", i)
 		}
@@ -28,7 +37,7 @@ func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
 	}
 	e.Inject(3)
 	inj.Tick()
-	if inj.Recv() != nil {
+	if inj.recv() != nil {
 		t.Error("injected beyond packet length")
 	}
 	if e.QueueLen() != 0 {
@@ -44,7 +53,7 @@ func TestEndpointRespectsCredits(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.Inject(int64(i))
 		inj.Tick()
-		if f := inj.Recv(); f != nil {
+		if f := inj.recv(); f != nil {
 			sent++
 			usedVC = f.VC
 		}
@@ -55,10 +64,10 @@ func TestEndpointRespectsCredits(t *testing.T) {
 	// Returning a credit for the held VC resumes injection.
 	inj.SendCredit(flit.Credit{VC: usedVC})
 	inj.Tick()
-	e.Receive()
+	receiveAt(e)
 	e.Inject(100)
 	inj.Tick()
-	if inj.Recv() == nil {
+	if inj.recv() == nil {
 		t.Error("injection did not resume after credits returned")
 	}
 }
@@ -70,7 +79,7 @@ func TestEndpointPacketHoldsOneVC(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.Inject(int64(i))
 		inj.Tick()
-		if f := inj.Recv(); f != nil {
+		if f := inj.recv(); f != nil {
 			seen[f.VC] = true
 		}
 	}
@@ -84,12 +93,12 @@ func TestEndpointEjectionAndSink(t *testing.T) {
 	var done *flit.Packet
 	e.Sink = func(p *flit.Packet) { done = p }
 	p := &flit.Packet{ID: 1, Src: 0, Dest: 3, Size: 2}
-	fs := flit.Segment(p)
+	fs := segment(p)
 	for i, f := range fs {
 		f.VC = 0
 		ej.Send(f)
 		ej.Tick()
-		e.Receive()
+		receiveAt(e)
 		e.Consume(int64(i))
 	}
 	if done == nil {
@@ -100,7 +109,7 @@ func TestEndpointEjectionAndSink(t *testing.T) {
 	}
 	// Credits returned for both flits.
 	ej.Tick()
-	if crs := ej.RecvCredits(); len(crs) != 2 {
+	if crs := ej.recvCredits(); len(crs) != 2 {
 		t.Errorf("ejection credits = %d, want 2", len(crs))
 	}
 }
@@ -119,8 +128,7 @@ func (r *ejectRecorder) OnEject(_ int64, p *flit.Packet) { r.seen = *p }
 // packet intact, and only then is its slot recycled (and so zeroed).
 func TestEndpointObserversSeePacketBeforeFree(t *testing.T) {
 	e, _, ej := newTestEndpoint()
-	a := flit.NewArena()
-	e.UseArena(a)
+	a := e.arena
 	rec := &ejectRecorder{}
 	e.SetPacketSink(rec)
 	var sunk flit.Packet
@@ -132,7 +140,7 @@ func TestEndpointObserversSeePacketBeforeFree(t *testing.T) {
 	f.Packet, f.Head, f.Tail = p, true, true
 	ej.Send(f)
 	ej.Tick()
-	e.Receive()
+	receiveAt(e)
 	e.Consume(17)
 
 	for _, got := range []struct {
@@ -156,11 +164,11 @@ func TestEndpointConsumesOneFlitPerCycle(t *testing.T) {
 	// impossible (1 flit/cycle link), but buffer both before consuming.
 	for i, vc := range []int{0, 1} {
 		p := &flit.Packet{ID: uint64(i + 1), Src: 0, Dest: 3, Size: 1}
-		f := flit.Segment(p)[0]
+		f := segment(p)[0]
 		f.VC = vc
 		ej.Send(f)
 		ej.Tick()
-		e.Receive()
+		receiveAt(e)
 	}
 	e.Consume(10)
 	if consumed != 1 {
@@ -175,11 +183,11 @@ func TestEndpointConsumesOneFlitPerCycle(t *testing.T) {
 func TestEndpointWrongDestPanics(t *testing.T) {
 	e, _, ej := newTestEndpoint()
 	p := &flit.Packet{ID: 1, Src: 0, Dest: 9, Size: 1} // not node 3
-	f := flit.Segment(p)[0]
+	f := segment(p)[0]
 	f.VC = 0
 	ej.Send(f)
 	ej.Tick()
-	e.Receive()
+	receiveAt(e)
 	defer func() {
 		if recover() == nil {
 			t.Error("misrouted packet not detected")
@@ -197,7 +205,7 @@ func TestEndpointQueueLenCountsCurrentPacket(t *testing.T) {
 	}
 	e.Inject(0) // starts packet 1
 	inj.Tick()
-	inj.Recv()
+	inj.recv()
 	if e.QueueLen() != 2 {
 		t.Errorf("queue len after first flit = %d, want 2 (in-flight counts)", e.QueueLen())
 	}
@@ -210,11 +218,11 @@ func TestEndpointSlowConsumeInterval(t *testing.T) {
 	e.Sink = func(*flit.Packet) { consumed++ }
 	for i := 0; i < 4; i++ {
 		p := &flit.Packet{ID: uint64(i + 1), Src: 0, Dest: 3, Size: 1}
-		f := flit.Segment(p)[0]
+		f := segment(p)[0]
 		f.VC = i % 2
 		ej.Send(f)
 		ej.Tick()
-		e.Receive()
+		receiveAt(e)
 	}
 	for now := int64(0); now < 12; now++ {
 		e.Consume(now)
@@ -229,13 +237,13 @@ func TestEndpointSlowConsumeInterval(t *testing.T) {
 	e2.Sink = func(*flit.Packet) { got++ }
 	for i := 0; i < 8; i++ {
 		p := &flit.Packet{ID: uint64(100 + i), Src: 0, Dest: 3, Size: 1}
-		f := flit.Segment(p)[0]
+		f := segment(p)[0]
 		f.VC = i % 2
 		if ej2.CanSend() {
 			ej2.Send(f)
 		}
 		ej2.Tick()
-		e2.Receive()
+		receiveAt(e2)
 	}
 	for now := int64(0); now < 8; now++ {
 		e2.Consume(now)
@@ -270,7 +278,7 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 		}
 		e.Inject(int64(left))
 		inj.Tick()
-		f := inj.Recv()
+		f := inj.recv()
 		if f == nil || f.Packet.ID != uint64(left) {
 			t.Fatalf("step %d: injected %v, want packet %d", left, f, left)
 		}
@@ -283,7 +291,7 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 		// Hand the buffer slot back, as the router would.
 		inj.SendCredit(flit.Credit{VC: f.VC, Tail: true})
 		inj.Tick()
-		e.Receive()
+		receiveAt(e)
 	}
 	if offered != total || e.QueueLen() != 0 {
 		t.Errorf("offered %d of %d packets, %d left queued", offered, total, e.QueueLen())

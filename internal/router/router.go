@@ -134,12 +134,6 @@ type Router struct {
 	// vcAllocFails counts head packets that requested VCs and received no
 	// grant, summed over cycles.
 	vcAllocFails int64
-
-	// now is the router's cycle counter. Standalone routers advance it at
-	// the end of SwitchAndTraverse; inside a network the worklist may
-	// skip idle routers, so the network re-syncs it via SyncClock before
-	// each active cycle. It stamps the events sent to the metrics sink.
-	now int64
 }
 
 // MaxVCs is the largest supported VC count per physical channel: the
@@ -233,16 +227,8 @@ func (r *Router) AttachOut(d topo.Direction, ch *Channel) {
 // output port d, what DownstreamIdle(d, …) reads.
 func (r *Router) AttachDownstream(d topo.Direction, nb *routing.State) { r.down[d] = nb }
 
-// Downstream returns the State attached to output port d, or nil.
-func (r *Router) Downstream(d topo.Direction) *routing.State { return r.down[d] }
-
 // SetBlockedSink replaces Sinks.Blocked from the next cycle on; nil detaches it.
 func (r *Router) SetBlockedSink(b BlockedSink) { r.cfg.Sinks.Blocked = b }
-
-// SyncClock sets the router's cycle counter. The network calls it before
-// stepping an active router, so event timestamps stay correct even when
-// the worklist skipped the router for any number of idle cycles.
-func (r *Router) SyncClock(now int64) { r.now = now }
 
 // Quiescent reports that the router holds no work at a cycle boundary:
 // no input VC is routing or active, no flit is buffered, and no flit
@@ -357,40 +343,10 @@ func (r *Router) DownstreamIdle(d topo.Direction, dest int) int {
 // VCs returns the number of virtual channels per physical channel.
 func (r *Router) VCs() int { return r.vcs }
 
-// VCIdle reports whether output VC (d, v) is idle: its downstream buffer
-// is fully drained and no packet holds it. The footprint owner register
-// is independent state and may still name a destination.
-func (r *Router) VCIdle(d topo.Direction, v int) bool {
-	return r.outIdle(r.idx(d, v))
-}
-
-// VCOwner returns the destination of the packets occupying output VC
-// (d, v), or -1 when it is drained.
-func (r *Router) VCOwner(d topo.Direction, v int) int { return int(r.st.Owner[r.idx(d, v)]) }
-
-// FreeBits returns the bitmask of port d's VCs that can be allocated this
-// cycle: neither held by a packet nor awaiting a tail credit. It is a
-// superset of State().Idle[d].
-func (r *Router) FreeBits(d topo.Direction) uint32 { return r.freeMask[d] }
-
 // --- per-cycle phases ------------------------------------------------------
 
-// Receive ingests flits and credits that arrived on the attached channels:
-// phase A of a standalone router. A network's channels Deliver instead.
-func (r *Router) Receive() {
-	for p := 0; p < topo.NumPorts; p++ {
-		if ch := r.inCh[p]; ch != nil {
-			if f := ch.Recv(); f != nil {
-				r.acceptFlit(p, f)
-			}
-		}
-		if och := r.outCh[p]; och != nil {
-			r.acceptCredits(p, och.RecvCredits())
-		}
-	}
-}
-
-// acceptFlit buffers flit f arriving at input port p.
+// acceptFlit buffers flit f arriving at input port p: phase A, called by
+// the input channel's Deliver.
 func (r *Router) acceptFlit(p int, f *flit.Flit) {
 	i := r.idx(topo.Direction(p), f.VC)
 	r.bufPush(i, f)
@@ -408,7 +364,8 @@ func (r *Router) acceptFlit(p int, f *flit.Flit) {
 	}
 }
 
-// acceptCredits returns the credits crs to the VCs of output port p.
+// acceptCredits returns the credits crs to the VCs of output port p:
+// phase A, called by the output channel's Deliver.
 func (r *Router) acceptCredits(p int, crs []flit.Credit) {
 	for _, cr := range crs {
 		i := r.idx(topo.Direction(p), cr.VC)
@@ -441,8 +398,8 @@ func (r *Router) startRouting(i int, f *flit.Flit) {
 }
 
 // AllocateVCs runs route computation and VC allocation for every input VC
-// in routing state. Phase B+C.
-func (r *Router) AllocateVCs() {
+// in routing state at cycle now. Phase B+C.
+func (r *Router) AllocateVCs(now int64) {
 	if r.routingPorts == 0 {
 		return
 	}
@@ -461,7 +418,7 @@ func (r *Router) AllocateVCs() {
 			dec := &r.inDec[requester]
 			dest := int(r.inDest[requester])
 			if r.cfg.Sinks.Packets != nil && !r.inRouted[requester] {
-				r.cfg.Sinks.Packets.OnRoute(r.now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
+				r.cfg.Sinks.Packets.OnRoute(now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
 			}
 			if dest == r.cfg.NodeID {
 				// Ejection: request every local-port VC obliviously.
@@ -474,7 +431,7 @@ func (r *Router) AllocateVCs() {
 				r.routeCtx.InDir = topo.Direction(p)
 				*dec = r.cfg.Alg.Decide(&r.routeCtx)
 				if r.cfg.Sinks.Decisions != nil && !r.inRouted[requester] {
-					r.emitDecision(topo.Direction(p), dec, r.bufFront(requester).Packet)
+					r.emitDecision(now, topo.Direction(p), dec, r.bufFront(requester).Packet)
 				}
 			}
 			r.inRouted[requester] = true
@@ -505,7 +462,7 @@ func (r *Router) AllocateVCs() {
 		}
 		base, free := r.idx(dec.Dir, 0), r.freeMask[dec.Dir]
 		if dup == 0 {
-			r.grant(q, r.va.GrantUncontended(q, base, &dec.Pri, free, esc))
+			r.grant(now, q, r.va.GrantUncontended(q, base, &dec.Pri, free, esc))
 			continue
 		}
 		for a := dec.VCMask() & free; a != 0; a &= a - 1 {
@@ -517,7 +474,7 @@ func (r *Router) AllocateVCs() {
 		}
 	}
 	for _, g := range r.va.Allocate(r.vaReqs) { // nothing, in mask form
-		r.grant(g.Requester, g.Resource)
+		r.grant(now, g.Requester, g.Resource)
 	}
 
 	// Blocking bookkeeping: every head packet that tried and failed. The
@@ -538,15 +495,15 @@ func (r *Router) AllocateVCs() {
 				if r.inBlocked[requester] == 1 {
 					pkt = r.bufFront(requester).Packet
 				}
-				r.cfg.Sinks.Blocked.OnVCAllocFailure(r.now, r.cfg.NodeID, pkt,
+				r.cfg.Sinks.Blocked.OnVCAllocFailure(now, r.cfg.NodeID, pkt,
 					out, fp, busy, r.inBlocked[requester])
 			}
 		}
 	}
 }
 
-// grant hands output VC res to the head packet of input VC q.
-func (r *Router) grant(q, res int) {
+// grant hands output VC res to the head packet of input VC q at cycle now.
+func (r *Router) grant(now int64, q, res int) {
 	od, ovc := topo.Direction(res/r.vcs), res%r.vcs
 	r.inState[q] = vcActive
 	r.inOutDir[q] = od
@@ -562,7 +519,7 @@ func (r *Router) grant(q, res int) {
 		// Reported before the assignments below so the VC is classified
 		// against its pre-grant state: once marked allocated and owned
 		// it would read as busy.
-		r.cfg.Sinks.Packets.OnVCAllocGrant(r.now, r.cfg.NodeID, r.bufFront(q).Packet,
+		r.cfg.Sinks.Packets.OnVCAllocGrant(now, r.cfg.NodeID, r.bufFront(q).Packet,
 			od, ovc, r.classifyVC(od, ovc, dest), r.inBlocked[q])
 	}
 	r.outAlloc[res] = true
@@ -580,81 +537,67 @@ func (r *Router) portOccupancy(d topo.Direction, dest int) (fp, busy int) {
 }
 
 // SwitchAndTraverse performs switch allocation and switch traversal for
-// Speedup iterations, then drains one flit per output port onto its
-// channel. Phase D+E.
-func (r *Router) SwitchAndTraverse() {
-	if r.activePorts|r.stagePorts != 0 {
-		for iter := 0; iter < r.cfg.Speedup; iter++ {
-			// Input stage: each input port nominates one ready VC into want[o],
-			// the mask of input ports asking for the nominee's output port o,
-			// and wantPorts collects the output ports asked for.
-			var nom [topo.NumPorts]int
-			var want [topo.NumPorts]uint32
-			var wantPorts uint8
-			for ps := r.activePorts; ps != 0; ps &= ps - 1 {
-				p := bits.TrailingZeros8(ps)
-				var ready uint32
-				for m := r.activeMask[p]; m != 0; m &= m - 1 {
-					v := bits.TrailingZeros32(m)
-					if r.vcReady(p, v) {
-						ready |= 1 << uint(v)
-					} else if iter == 0 {
-						// Diagnose the stall once per cycle: an active VC
-						// with buffered flits whose output VC is out of
-						// credits is backpressure from downstream.
-						i := r.idx(topo.Direction(p), v)
-						if r.bufLen[i] > 0 &&
-							r.outCredits[r.idx(r.inOutDir[i], int(r.inOutVC[i]))] == 0 {
-							r.creditStalls[r.inOutDir[i]]++
-						}
+// Speedup iterations at cycle now, then drains one flit per output port
+// onto its channel. Phase D+E.
+func (r *Router) SwitchAndTraverse(now int64) {
+	if r.activePorts|r.stagePorts == 0 {
+		return
+	}
+	for iter := 0; iter < r.cfg.Speedup; iter++ {
+		// Input stage: each input port nominates one ready VC into want[o],
+		// the mask of input ports asking for the nominee's output port o,
+		// and wantPorts collects the output ports asked for.
+		var nom [topo.NumPorts]int
+		var want [topo.NumPorts]uint32
+		var wantPorts uint8
+		for ps := r.activePorts; ps != 0; ps &= ps - 1 {
+			p := bits.TrailingZeros8(ps)
+			var ready uint32
+			for m := r.activeMask[p]; m != 0; m &= m - 1 {
+				v := bits.TrailingZeros32(m)
+				if r.vcReady(p, v) {
+					ready |= 1 << uint(v)
+				} else if iter == 0 {
+					// Diagnose the stall once per cycle: an active VC
+					// with buffered flits whose output VC is out of
+					// credits is backpressure from downstream.
+					i := r.idx(topo.Direction(p), v)
+					if r.bufLen[i] > 0 &&
+						r.outCredits[r.idx(r.inOutDir[i], int(r.inOutVC[i]))] == 0 {
+						r.creditStalls[r.inOutDir[i]]++
 					}
 				}
-				if ready == 0 {
-					continue // arbitrating an empty mask is a no-op
-				}
-				nom[p] = r.saIn[p].ArbitrateMask(ready)
-				o := r.inOutDir[r.idx(topo.Direction(p), nom[p])]
-				want[o] |= 1 << uint(p)
-				wantPorts |= 1 << uint(o)
 			}
-			if wantPorts == 0 {
-				// Nothing was ready, so this and every remaining speedup
-				// iteration would be an identical no-op.
-				break
+			if ready == 0 {
+				continue // arbitrating an empty mask is a no-op
 			}
-			// Output stage: each requested output port grants one input port.
-			for m := wantPorts; m != 0; m &= m - 1 {
-				o := bits.TrailingZeros8(m)
-				in := r.saOut[o].ArbitrateMask(want[o])
-				r.traverse(in, nom[in])
-			}
+			nom[p] = r.saIn[p].ArbitrateMask(ready)
+			o := r.inOutDir[r.idx(topo.Direction(p), nom[p])]
+			want[o] |= 1 << uint(p)
+			wantPorts |= 1 << uint(o)
 		}
-		// Link traversal: one flit per output channel per cycle.
-		for m := r.stagePorts; m != 0; m &= m - 1 {
+		if wantPorts == 0 {
+			// Nothing was ready, so this and every remaining speedup
+			// iteration would be an identical no-op.
+			break
+		}
+		// Output stage: each requested output port grants one input port.
+		for m := wantPorts; m != 0; m &= m - 1 {
 			o := bits.TrailingZeros8(m)
-			ch := r.outCh[o]
-			if ch == nil || !ch.CanSend() {
-				continue
-			}
-			ch.Send(r.stagePop(o))
-			r.outFlits[o]++
+			in := r.saOut[o].ArbitrateMask(want[o])
+			r.traverse(now, in, nom[in])
 		}
 	}
-	r.now++
-}
-
-// PortMasks returns the routing, active and stage port masks as kept and
-// as derived from routingMask, activeMask and stageLen; between cycles the
-// two are equal.
-func (r *Router) PortMasks() (kept, derived [3]uint8) {
-	for p := 0; p < topo.NumPorts; p++ {
-		for k, n := range [3]int{int(r.routingMask[p]), int(r.activeMask[p]), int(r.stageLen[p])} {
-			if n != 0 {
-				derived[k] |= 1 << uint(p)
-			}
+	// Link traversal: one flit per output channel per cycle.
+	for m := r.stagePorts; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		ch := r.outCh[o]
+		if !ch.CanSend() {
+			continue
 		}
+		ch.Send(r.stagePop(o))
+		r.outFlits[o]++
 	}
-	return [3]uint8{r.routingPorts, r.activePorts, r.stagePorts}, derived
 }
 
 // OutputFlits returns the number of flits the router has sent through
@@ -674,17 +617,6 @@ func (r *Router) CrossbarGrants(d topo.Direction) int64 { return r.xbarGrants[d]
 // requested output VCs and received no grant, summed over cycles.
 func (r *Router) VCAllocFailures() int64 { return r.vcAllocFails }
 
-// InputBufferOccupancy returns the total flits buffered across the VCs of
-// input port d.
-func (r *Router) InputBufferOccupancy(d topo.Direction) int {
-	n := 0
-	base := int(d) * r.vcs
-	for v := 0; v < r.vcs; v++ {
-		n += int(r.bufLen[base+v])
-	}
-	return n
-}
-
 // vcReady reports whether input VC (p, v) can traverse the switch now.
 func (r *Router) vcReady(p, v int) bool {
 	i := r.idx(topo.Direction(p), v)
@@ -695,9 +627,9 @@ func (r *Router) vcReady(p, v int) bool {
 		int(r.stageLen[r.inOutDir[i]]) < stageCap
 }
 
-// traverse moves the front flit of input VC (p, v) into its output stage,
-// returning a credit upstream and managing wormhole state.
-func (r *Router) traverse(p, v int) {
+// traverse moves the front flit of input VC (p, v) into its output stage
+// at cycle now, returning a credit upstream and managing wormhole state.
+func (r *Router) traverse(now int64, p, v int) {
 	i := r.idx(topo.Direction(p), v)
 	f := r.bufPop(i)
 	od := r.inOutDir[i]
@@ -709,13 +641,11 @@ func (r *Router) traverse(p, v int) {
 	r.stagePush(int(od), f)
 	r.xbarGrants[od]++
 	if r.cfg.Sinks.Packets != nil && f.Head {
-		r.cfg.Sinks.Packets.OnHeadTraverse(r.now, r.cfg.NodeID, f.Packet, od, ovc)
+		r.cfg.Sinks.Packets.OnHeadTraverse(now, r.cfg.NodeID, f.Packet, od, ovc)
 	}
 
 	// Return a credit for the freed input buffer slot.
-	if ch := r.inCh[p]; ch != nil {
-		ch.SendCredit(flit.Credit{VC: v, Tail: f.Tail})
-	}
+	r.inCh[p].SendCredit(flit.Credit{VC: v, Tail: f.Tail})
 
 	if f.Tail {
 		r.outAlloc[res] = false
@@ -735,26 +665,4 @@ func (r *Router) traverse(p, v int) {
 			r.startRouting(i, nf)
 		}
 	}
-}
-
-// InputBufferUse returns the number of buffered flits at input port d,
-// VC v; the congestion-tree analyzer reads it.
-func (r *Router) InputBufferUse(d topo.Direction, v int) int {
-	return int(r.bufLen[r.idx(d, v)])
-}
-
-// InputVCDest returns the destination of the packet at the front of input
-// VC (d, v), or -1 when empty.
-func (r *Router) InputVCDest(d topo.Direction, v int) int {
-	f := r.bufFront(r.idx(d, v))
-	if f == nil {
-		return -1
-	}
-	return f.Packet.Dest
-}
-
-// OutVCAllocated reports whether output VC (d, v) is currently held by a
-// packet.
-func (r *Router) OutVCAllocated(d topo.Direction, v int) bool {
-	return r.outAlloc[r.idx(d, v)]
 }

@@ -50,17 +50,47 @@ func testRouter(t *testing.T, alg routing.Algorithm, vcs int) (*Router, map[topo
 	ins := map[topo.Direction]*Channel{}
 	outs := map[topo.Direction]*Channel{}
 	for d := topo.East; d <= topo.Local; d++ {
-		ins[d] = NewChannel()
-		outs[d] = NewChannel()
+		ins[d] = testChannel()
+		outs[d] = testChannel()
 		r.AttachIn(d, ins[d])
 		r.AttachOut(d, outs[d])
 	}
 	return r, ins, outs
 }
 
-func headFlit(id uint64, dest, size int) []*flit.Flit {
-	return flit.Segment(&flit.Packet{ID: id, Src: 0, Dest: dest, Size: size})
+// testChannel returns a channel on a busy list of its own.
+func testChannel() *Channel {
+	var busy []*Channel
+	return new(Channel).Init(&busy)
 }
+
+// receive hands r what arrived on its channels — flits on the inputs,
+// credits on the outputs — as their Deliver does inside a network, where
+// the far ends are attached too.
+func receive(r *Router) {
+	for p := 0; p < topo.NumPorts; p++ {
+		if f := r.inCh[p].recv(); f != nil {
+			r.acceptFlit(p, f)
+		}
+		r.acceptCredits(p, r.outCh[p].recvCredits())
+	}
+}
+
+// segment splits p into heap flits, as an endpoint injects them.
+func segment(p *flit.Packet) []*flit.Flit {
+	fs := make([]*flit.Flit, p.Size)
+	for i := range fs {
+		fs[i] = &flit.Flit{Packet: p, Seq: i, Head: i == 0, Tail: i == p.Size-1}
+	}
+	return fs
+}
+
+func headFlit(id uint64, dest, size int) []*flit.Flit {
+	return segment(&flit.Packet{ID: id, Src: 0, Dest: dest, Size: size})
+}
+
+// idle reports whether output VC (d, v) of r is idle, as routing reads it.
+func idle(r *Router, d topo.Direction, v int) bool { return r.State().Idle[d]>>uint(v)&1 != 0 }
 
 func TestNewValidation(t *testing.T) {
 	alg := &scriptAlg{}
@@ -92,12 +122,12 @@ func TestSingleFlitTraversal(t *testing.T) {
 	ins[topo.West].Send(f)
 	ins[topo.West].Tick()
 
-	r.Receive()
-	r.AllocateVCs()
-	r.SwitchAndTraverse()
+	receive(r)
+	r.AllocateVCs(0)
+	r.SwitchAndTraverse(0)
 	outs[topo.East].Tick()
 
-	got := outs[topo.East].Recv()
+	got := outs[topo.East].recv()
 	if got == nil {
 		t.Fatal("flit did not traverse in one cycle")
 	}
@@ -106,7 +136,7 @@ func TestSingleFlitTraversal(t *testing.T) {
 	}
 	// Credit for the freed input slot goes back upstream.
 	ins[topo.West].Tick()
-	crs := ins[topo.West].RecvCredits()
+	crs := ins[topo.West].recvCredits()
 	if len(crs) != 1 || crs[0].VC != 0 || !crs[0].Tail {
 		t.Errorf("upstream credit = %v", crs)
 	}
@@ -121,27 +151,27 @@ func TestOwnerRegisterLifecycle(t *testing.T) {
 	f.VC = 0
 	ins[topo.West].Send(f)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	if got := r.VCOwner(topo.East, 1); got != 6 {
+	receive(r)
+	r.AllocateVCs(0)
+	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != 6 {
 		t.Fatalf("owner after allocation = %d, want 6", got)
 	}
-	if r.VCIdle(topo.East, 1) {
+	if idle(r, topo.East, 1) {
 		t.Error("allocated VC reported idle")
 	}
-	r.SwitchAndTraverse()
+	r.SwitchAndTraverse(0)
 	// Flit left; downstream must drain and return the credit before the
 	// owner clears.
-	if got := r.VCOwner(topo.East, 1); got != 6 {
+	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != 6 {
 		t.Error("owner cleared before downstream drained")
 	}
 	outs[topo.East].SendCredit(flit.Credit{VC: 1, Tail: true})
 	outs[topo.East].Tick()
-	r.Receive()
-	if got := r.VCOwner(topo.East, 1); got != -1 {
+	receive(r)
+	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != -1 {
 		t.Errorf("owner after drain = %d, want -1", got)
 	}
-	if !r.VCIdle(topo.East, 1) {
+	if !idle(r, topo.East, 1) {
 		t.Error("drained VC not idle")
 	}
 }
@@ -158,26 +188,26 @@ func TestConservativeReallocWaitsForTailCredit(t *testing.T) {
 	f1.VC = 0
 	ins[topo.West].Send(f1)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	r.SwitchAndTraverse()
+	receive(r)
+	r.AllocateVCs(0)
+	r.SwitchAndTraverse(0)
 
 	// Second packet arrives wanting the same output VC.
 	f2 := headFlit(2, 6, 1)[0]
 	f2.VC = 1
 	ins[topo.West].Send(f2)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	if r.OutVCAllocated(topo.East, 1) {
+	receive(r)
+	r.AllocateVCs(0)
+	if r.OutputVCSnapshot(topo.East, 1).Allocated {
 		t.Fatal("VC reallocated before tail credit (conservative realloc broken)")
 	}
 	// Tail credit arrives; now reallocation may happen.
 	outs[topo.East].SendCredit(flit.Credit{VC: 1, Tail: true})
 	outs[topo.East].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	if !r.OutVCAllocated(topo.East, 1) {
+	receive(r)
+	r.AllocateVCs(0)
+	if !r.OutputVCSnapshot(topo.East, 1).Allocated {
 		t.Fatal("VC not reallocated after tail credit")
 	}
 }
@@ -194,17 +224,17 @@ func TestEagerReallocAfterTailSend(t *testing.T) {
 	f1.VC = 0
 	ins[topo.West].Send(f1)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	r.SwitchAndTraverse()
+	receive(r)
+	r.AllocateVCs(0)
+	r.SwitchAndTraverse(0)
 
 	f2 := headFlit(2, 6, 1)[0]
 	f2.VC = 1
 	ins[topo.West].Send(f2)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	if !r.OutVCAllocated(topo.East, 1) {
+	receive(r)
+	r.AllocateVCs(0)
+	if !r.OutputVCSnapshot(topo.East, 1).Allocated {
 		t.Fatal("eager realloc should allow immediate reallocation after tail send")
 	}
 }
@@ -219,11 +249,11 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 		f.VC = 0
 		ins[topo.West].Send(f)
 		ins[topo.West].Tick()
-		r.Receive()
-		r.AllocateVCs()
-		r.SwitchAndTraverse()
+		receive(r)
+		r.AllocateVCs(0)
+		r.SwitchAndTraverse(0)
 		outs[topo.East].Tick()
-		got := outs[topo.East].Recv()
+		got := outs[topo.East].recv()
 		if got == nil {
 			t.Fatalf("flit %d stalled", i)
 		}
@@ -231,7 +261,7 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 			t.Fatalf("flit order broken: got seq %d at position %d", got.Seq, i)
 		}
 		midPacket := i < len(flits)-1
-		if r.OutVCAllocated(topo.East, 0) != midPacket {
+		if r.OutputVCSnapshot(topo.East, 0).Allocated != midPacket {
 			t.Errorf("after flit %d: allocated=%v, want %v", i, !midPacket, midPacket)
 		}
 	}
@@ -247,7 +277,7 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 			t.Error("credit overflow not detected")
 		}
 	}()
-	r.Receive() // credits already at depth: must panic
+	receive(r) // credits already at depth: must panic
 }
 
 func TestEjectionRequestsLocalPort(t *testing.T) {
@@ -257,11 +287,11 @@ func TestEjectionRequestsLocalPort(t *testing.T) {
 	f.VC = 0
 	ins[topo.West].Send(f)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	r.SwitchAndTraverse()
+	receive(r)
+	r.AllocateVCs(0)
+	r.SwitchAndTraverse(0)
 	outs[topo.Local].Tick()
-	if got := outs[topo.Local].Recv(); got == nil {
+	if got := outs[topo.Local].recv(); got == nil {
 		t.Fatal("packet for this node not sent to the local port")
 	}
 }
@@ -277,15 +307,15 @@ func TestInputVCBlockedCounter(t *testing.T) {
 	b.VC = 0
 	ins[topo.West].Send(b)
 	ins[topo.West].Tick()
-	r.Receive()
-	r.AllocateVCs()
+	receive(r)
+	r.AllocateVCs(0)
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 1
 	ins[topo.West].Send(f)
 	ins[topo.West].Tick()
-	r.Receive()
+	receive(r)
 	for i := 0; i < 3; i++ {
-		r.AllocateVCs()
+		r.AllocateVCs(0)
 	}
 	if got := r.InputVCSnapshot(topo.West, 1).Blocked; got != 3 {
 		t.Errorf("blocked = %d, want 3", got)
@@ -311,12 +341,12 @@ func TestSpeedupMovesTwoFlitsPerCycle(t *testing.T) {
 	ins[topo.North].Send(fb)
 	ins[topo.West].Tick()
 	ins[topo.North].Tick()
-	r.Receive()
-	r.AllocateVCs()
-	r.SwitchAndTraverse()
+	receive(r)
+	r.AllocateVCs(0)
+	r.SwitchAndTraverse(0)
 	outs[topo.East].Tick()
 	outs[topo.South].Tick()
-	if outs[topo.East].Recv() == nil || outs[topo.South].Recv() == nil {
+	if outs[topo.East].recv() == nil || outs[topo.South].recv() == nil {
 		t.Error("speedup-2 router failed to move two flits in one cycle")
 	}
 }
@@ -354,17 +384,17 @@ func TestBlockedHeadsAllocateNothing(t *testing.T) {
 					ins[d].Send(f)
 					ins[d].Tick()
 				}
-				r.Receive()
-				r.AllocateVCs()
+				receive(r)
+				r.AllocateVCs(0)
 			}
 			for i := 0; i < 4; i++ {
-				r.AllocateVCs()
+				r.AllocateVCs(0)
 			}
 			if n := routingHeads(r); n < 2*vcs {
 				t.Fatalf("%s vcs=%d: %d blocked head flits, want at least %d",
 					name, vcs, n, 2*vcs)
 			}
-			if n := testing.AllocsPerRun(50, r.AllocateVCs); n != 0 {
+			if n := testing.AllocsPerRun(50, func() { r.AllocateVCs(0) }); n != 0 {
 				t.Errorf("%s vcs=%d: AllocateVCs on blocked head flits allocates %v times per call, want 0",
 					name, vcs, n)
 			}
@@ -416,8 +446,8 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 				reqs = append(reqs, alloc.VCRequest{Requester: r.idx(h.in, 1), Resource: r.idx(rq.Dir, rq.VC), Pri: rq.Pri})
 			}
 		}
-		r.Receive()
-		r.AllocateVCs()
+		receive(r)
+		r.AllocateVCs(0)
 		if got := len(r.vaReqs) != 0; got != c.listPath {
 			t.Errorf("%s: request list built = %v, want %v", c.name, got, c.listPath)
 		}

@@ -92,10 +92,6 @@ func (r *Router) OutputVCSnapshot(d topo.Direction, v int) OutVCState {
 	}
 }
 
-// BufDepth returns the per-VC buffer depth the router was built with; a
-// full-credit, unallocated output VC is idle.
-func (r *Router) BufDepth() int { return r.cfg.BufDepth }
-
 // EjectionBacklog returns the number of flits buffered in the endpoint's
 // ejection unit for VC v — the terminal link of an endpoint-congestion
 // blocking chain.

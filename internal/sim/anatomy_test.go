@@ -88,9 +88,9 @@ func TestAnatomyDeterministicAcrossJobs(t *testing.T) {
 }
 
 // TestAnatomyLatencyClosure checks the telescoping identity on real runs:
-// the component cycles partition the summed end-to-end latency exactly,
-// and the decomposed population is exactly the measured-and-delivered
-// packets.
+// the component cycles, none negative, partition the summed end-to-end
+// latency exactly, and the decomposed population is exactly the
+// measured-and-delivered packets.
 func TestAnatomyLatencyClosure(t *testing.T) {
 	for _, alg := range []string{"footprint", "dbar", "oddeven", "dor"} {
 		res := anatomyRun(t, alg, 0.3)
@@ -100,6 +100,9 @@ func TestAnatomyLatencyClosure(t *testing.T) {
 		}
 		var sum int64
 		for _, c := range a.Components() {
+			if c.Cycles < 0 {
+				t.Errorf("%s: component %s is %d cycles; no wait is negative", alg, c.Name, c.Cycles)
+			}
 			sum += c.Cycles
 		}
 		if sum != a.LatencyCycles {

@@ -34,7 +34,7 @@ func AnalyzeCongestionTree(net *network.Network, dest int) CongestionTree {
 		for d := topo.East; d <= topo.South; d++ {
 			linkVCs := 0
 			for v := 0; v < r.VCs(); v++ {
-				if r.InputBufferUse(d, v) > 0 && r.InputVCDest(d, v) == dest {
+				if iv := r.InputVCSnapshot(d, v); iv.Buffered > 0 && iv.PacketDest == dest {
 					linkVCs++
 				}
 			}

@@ -21,9 +21,6 @@ func HotspotFlows() Permutation {
 	}
 }
 
-// HotspotNodes returns the oversubscribed endpoints of Table 3.
-func HotspotNodes() []int { return []int{63, 56, 0, 7} }
-
 // BackgroundNodes returns the nodes of mesh m not participating in the
 // hotspot flows (neither as source nor destination); they inject the
 // uniform background traffic whose latency Figure 9 measures.
