@@ -8,31 +8,29 @@ import (
 
 // WakeListFaults checks the wake-list contract at a cycle boundary (after
 // a Step, or after an Offer) against a scan of the whole fabric, and
-// describes every breach: the busy list must hold each Busy link exactly
-// once and no idle one, and the wake set
-// must cover both ends of every busy link and every node whose router or
-// endpoint is not quiescent.
+// describes every breach. Three checks: every link holding a staged flit
+// or credit is on the busy list exactly once and no empty link is; the
+// receiving node of every staged flit is woken; and every node whose
+// router or endpoint holds work is woken.
 func (n *Network) WakeListFaults() []string {
 	var faults []string
-	listed := make(map[*router.Channel]int, len(n.busy))
-	for _, ch := range n.busy {
+	listed := make(map[*router.Channel]int, len(n.lists.Busy))
+	for _, ch := range n.lists.Busy {
 		listed[ch]++
 	}
-	woken := func(id int) bool { return n.wake[id>>6]&(1<<uint(id&63)) != 0 }
+	woken := func(id int) bool { return n.lists.Wake[id>>6]&(1<<uint(id&63)) != 0 }
 	for i := range n.links {
 		ch := &n.links[i]
-		from, to := ch.Ends()
 		want := 0
 		if ch.Busy() {
 			want = 1
 		}
 		if listed[ch] != want {
-			faults = append(faults, fmt.Sprintf("link %d->%d (busy %v) is on the busy list %d times, want %d",
-				from, to, ch.Busy(), listed[ch], want))
+			faults = append(faults, fmt.Sprintf("link %d to node %d (busy %v) is on the busy list %d times, want %d",
+				i, ch.Receiver(), ch.Busy(), listed[ch], want))
 		}
-		if ch.Busy() && !(woken(from) && woken(to)) {
-			faults = append(faults, fmt.Sprintf("busy link %d->%d: ends woken %v and %v",
-				from, to, woken(from), woken(to)))
+		if !ch.CanSend() && !woken(ch.Receiver()) {
+			faults = append(faults, fmt.Sprintf("link %d holds a flit and its receiving node %d is not woken", i, ch.Receiver()))
 		}
 	}
 	for id := range n.routers {

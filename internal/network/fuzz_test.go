@@ -18,16 +18,17 @@ import (
 // never exceed the buffer depth, and neither side ever goes negative; and
 // every router's routing.State — what the algorithms decide on — equals a
 // scan of the VC snapshots it is maintained from.
-// (Flits and credits in flight on the one-cycle channel pipelines account
+// (Flits and credits staged on the one-cycle channel registers account
 // for the remainder, so the observable sum only ever undershoots the
 // depth, never overshoots.) Alongside, the arena's live-packet count must
 // track the network's in-flight count exactly — the allocation overhaul
 // recycles flit and packet slots at ejection, and a leak or double-free
 // on any path breaks this equality immediately. And the lists Step follows
 // must agree with a scan of the fabric (Network.WakeListFaults): each
-// busy link on the busy list exactly once and no idle one, and the wake
-// set covering every node that holds work and both ends of every busy
-// link — what the deleted all-nodes and all-links scans computed.
+// link holding a staged flit or credit on the busy list exactly once and
+// no empty one, and the wake set covering the receiving node of every
+// staged flit and every node that holds work — what the deleted
+// all-nodes and all-links scans computed.
 //
 // The schedule is finite, so the run must also drain: every credit
 // returns, every buffer empties, and the arena's live counts reach zero.
@@ -169,7 +170,7 @@ func FuzzCreditConservation(f *testing.F) {
 			}
 		}
 
-		// Let in-flight credits on the channel pipelines land, then the
+		// Let credits staged on the channel registers land, then the
 		// conservation sums must telescope back to exactly full credit
 		// and empty buffers everywhere.
 		for i := 0; i < 8; i++ {

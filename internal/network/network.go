@@ -41,13 +41,14 @@ type Network struct {
 	now       int64
 	inFlight  int
 
-	// links is every channel and busy those carrying a flit or credit (a
-	// channel appends itself when first sent on; Step delivers from, ticks
-	// and prunes the list); wake is the next cycle's worklist as a node set
-	// and active this cycle's, ascending. All are sized at construction.
+	// links is every channel. lists is what they report to: the busy list
+	// of those holding a flit or credits (a channel appends itself when
+	// first staged on; Step delivers from and empties the list) and the
+	// next cycle's worklist as a node set (a Send sets its receiving
+	// node). active is this cycle's worklist, ascending. All are sized at
+	// construction.
 	links  []router.Channel
-	busy   []*router.Channel
-	wake   []uint64
+	lists  router.Links
 	active []int
 
 	// Sink, when set, receives every packet as its tail flit is consumed
@@ -61,8 +62,8 @@ type Network struct {
 }
 
 // Phase identifies one stage of the fabric's cycle loop. PhaseLinkTraversal
-// covers both link spans of a cycle (delivery of arrivals at the top, the
-// pipeline tick at the bottom); route computation runs inside PhaseVCAlloc's
+// is the delivery pass at the top of the cycle, which hands on what the
+// links carried last cycle; route computation runs inside PhaseVCAlloc's
 // AllocateVCs; PhaseSwitchAlloc covers switch allocation plus crossbar
 // traversal; PhaseInjectEject is the endpoints' consume and inject.
 type Phase uint8
@@ -103,8 +104,8 @@ func (p Phase) String() string {
 // at the top of every Step; returning false leaves the cycle unmarked.
 // Within an instrumented cycle, BeginPhase marks each phase entry (the
 // probe attributes the span since the previous mark to the previous
-// phase) and EndCycle closes the last span. A phase may begin more than
-// once per cycle (link-traversal does); probes accumulate.
+// phase) and EndCycle closes the last span. Step marks each phase once
+// per cycle.
 type PhaseProbe interface {
 	BeginCycle(now int64) bool
 	BeginPhase(p Phase)
@@ -118,7 +119,7 @@ func New(cfg Config) *Network {
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]*router.Router, nodes)
 	n.endpoints = make([]*router.Endpoint, nodes)
-	n.wake = make([]uint64, (nodes+63)/64)
+	n.lists.Wake = make([]uint64, (nodes+63)/64)
 	n.active = make([]int, 0, nodes)
 	for id := 0; id < nodes; id++ {
 		n.routers[id] = router.New(router.Config{
@@ -136,11 +137,11 @@ func New(cfg Config) *Network {
 	// cut from one slice.
 	w, h := cfg.Mesh.Width, cfg.Mesh.Height
 	n.links = make([]router.Channel, 2*nodes+2*((w-1)*h+w*(h-1)))
-	n.busy = make([]*router.Channel, 0, len(n.links))
+	n.lists.Busy = make([]*router.Channel, 0, len(n.links))
 	unwired := n.links
 	link := func() (ch *router.Channel) {
 		ch, unwired = &unwired[0], unwired[1:]
-		return ch.Init(&n.busy)
+		return ch.Init(&n.lists)
 	}
 	// Inter-router links: for every node and direction with a neighbour,
 	// one channel from node's output to the neighbour's opposite input,
@@ -216,40 +217,41 @@ func (n *Network) Offer(p *flit.Packet) {
 func (n *Network) Arena() *flit.Arena { return n.arena }
 
 // wakeNode puts node id on the next cycle's worklist.
-func (n *Network) wakeNode(id int) { n.wake[id>>6] |= 1 << uint(id&63) }
-
-// wakeEnds wakes both ends of a link that has something to deliver.
-func (n *Network) wakeEnds(from, to int) { n.wakeNode(from); n.wakeNode(to) }
+func (n *Network) wakeNode(id int) { n.lists.Wake[id>>6] |= 1 << uint(id&63) }
 
 // Step advances the fabric by one cycle, visiting only the links on the
-// busy list and the nodes woken since the last cycle began: by a link
-// still busy after its tick (both ends), by their own router or endpoint
-// still holding work after their step, or by an Offer. A skipped node's
-// cycle is a provable no-op (DESIGN.md, "Wake lists"); the worklist is
-// ascending in node id, so iteration and shared-RNG consumption order are
-// those of a loop over every node. Routers and endpoints are handed the
-// cycle, so a node that slept any number of cycles stamps its events
-// correctly. Phases are globally ordered so results are independent of
-// router iteration order: all deliveries, all routing+VC allocation, all
-// switch traversal, all endpoint activity, all busy links tick. On a cycle the probe elects to sample, each phase entry is
-// marked; the probe only reads clocks and allocation counters between
+// busy list and the nodes woken since the last cycle began: by a flit sent
+// to them, by their own router or endpoint still holding work after their
+// step, or by an Offer. A skipped node's cycle is a provable no-op
+// (DESIGN.md, "Wake lists"); the worklist is ascending in node id, so
+// iteration and shared-RNG consumption order are those of a loop over
+// every node. Routers and endpoints are handed the cycle, so a node that
+// slept any number of cycles stamps its events correctly. Phases are
+// globally ordered so results are independent of router iteration order:
+// one delivery pass over the busy list (what every link carried last
+// cycle), all routing+VC allocation, all switch traversal, all endpoint
+// activity. On a cycle the probe elects to sample, each phase entry is
+// marked once; the probe only reads clocks and allocation counters between
 // phases, so sampling can never change simulated results.
 func (n *Network) Step() {
 	p := n.Probe
 	probed := p != nil && p.BeginCycle(n.now)
 	n.active = n.active[:0]
-	for w, m := range n.wake {
+	for w, m := range n.lists.Wake {
 		for ; m != 0; m &= m - 1 {
 			n.active = append(n.active, w<<6+bits.TrailingZeros64(m))
 		}
-		n.wake[w] = 0
+		n.lists.Wake[w] = 0
 	}
 	if probed {
 		p.BeginPhase(PhaseLinkTraversal)
 	}
-	for _, ch := range n.busy {
+	// Delivering stages nothing, so every listed link ends the pass empty
+	// and the list empties whole; this cycle's sends refill it.
+	for _, ch := range n.lists.Busy {
 		ch.Deliver()
 	}
+	n.lists.Busy = n.lists.Busy[:0]
 	if probed {
 		p.BeginPhase(PhaseVCAlloc)
 	}
@@ -274,19 +276,6 @@ func (n *Network) Step() {
 			n.wakeNode(id)
 		}
 	}
-	if probed {
-		p.BeginPhase(PhaseLinkTraversal)
-	}
-	// A link that went idle leaves the list (its next Send or SendCredit
-	// relists it); one still busy has something to deliver next cycle.
-	keep := n.busy[:0]
-	for _, ch := range n.busy {
-		if ch.Tick() {
-			keep = append(keep, ch)
-			n.wakeEnds(ch.Ends())
-		}
-	}
-	n.busy = keep
 	if probed {
 		p.EndCycle()
 	}

@@ -13,11 +13,12 @@ import (
 	"nocsim/internal/topo"
 )
 
-// stepPhases is the order in which Step marks the phases of a cycle;
-// route computation runs inside PhaseVCAlloc and is not marked.
+// stepPhases is the order in which Step marks the phases of a cycle, each
+// once: the delivery pass, then the node phases. Route computation runs
+// inside PhaseVCAlloc and is not marked.
 var stepPhases = []network.Phase{
 	network.PhaseLinkTraversal, network.PhaseVCAlloc, network.PhaseSwitchAlloc,
-	network.PhaseInjectEject, network.PhaseLinkTraversal,
+	network.PhaseInjectEject,
 }
 
 // orderProbe instruments every cycle and keeps the first cycle whose

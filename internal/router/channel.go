@@ -7,128 +7,102 @@ package router
 
 import "nocsim/internal/flit"
 
-// Channel is a unidirectional link with one cycle of latency carrying one
-// flit per cycle downstream and any number of credits per cycle upstream.
-// The network calls Tick once per cycle, after all routers have run, to
-// advance staged traffic to the deliverable position.
+// Channel is a unidirectional link with one cycle of latency: a register
+// holding at most one flit for the receiving end and any number of credits
+// for the sending end. What is staged in one cycle, the fabric's delivery
+// pass at the top of the next hands on (Deliver), which empties the
+// register.
 type Channel struct {
-	// downstream flit pipeline
-	staged  *flit.Flit
-	arrived *flit.Flit
-	// upstream credit pipeline
-	stagedCredits  []flit.Credit
-	arrivedCredits []flit.Credit
-	creditBuf      [4]flit.Credit
+	flit      *flit.Flit
+	credits   []flit.Credit
+	creditBuf [2]flit.Credit
 
 	// The router (and its port) at each end, or the endpoint in its place,
-	// and the end's node, set as they attach: flits go to the to end,
-	// credits to the from end.
-	fromR, toR *Router
-	ep         *Endpoint
-	// busy is the fabric's busy-link list and listed whether the channel
-	// is on it already (or would be).
-	busy             *[]*Channel
-	fromNode, toNode int32
+	// and the receiving end's node, set as they attach: flits go to the to
+	// end, credits to the from end.
+	fromR, toR       *Router
+	ep               *Endpoint
+	links            *Links
+	toNode           int32
 	fromPort, toPort uint8
-	listed           bool
 }
 
-// Init readies a zero Channel in place and returns it. The credit slices
-// start on its own array and hold Table 2's two credits a cycle (Speedup)
-// without growing; busy is the list it joins when it is sent on.
-func (c *Channel) Init(busy *[]*Channel) *Channel {
-	c.stagedCredits, c.arrivedCredits = c.creditBuf[:0:2], c.creditBuf[2:2]
-	c.busy = busy
+// Links is what a fabric's channels report to as they are sent on. Busy
+// lists the channels holding a flit or credits for the next delivery
+// pass, each once, in the order they were first staged on; Wake is the
+// next cycle's worklist as a node bitset, on which Send sets the receiving
+// node.
+type Links struct {
+	Busy []*Channel
+	Wake []uint64
+}
+
+// Init readies a zero Channel in place and returns it. The credit slice
+// starts on its own array and holds Table 2's two credits a cycle
+// (Speedup) without growing; l is what it reports to when sent on.
+func (c *Channel) Init(l *Links) *Channel {
+	c.credits = c.creditBuf[:0]
+	c.links = l
 	return c
 }
 
-// list puts the channel on the busy list; a no-op once listed.
+// list puts the channel on the busy list; call it before staging, so that
+// a channel that already holds something, and so is listed, is not listed
+// twice.
 func (c *Channel) list() {
-	if !c.listed {
-		c.listed = true
-		*c.busy = append(*c.busy, c)
+	if c.flit == nil && len(c.credits) == 0 {
+		c.links.Busy = append(c.links.Busy, c)
 	}
 }
 
-// Ends returns the nodes at the sending and the receiving end; an
-// injection or ejection channel names its node twice.
-func (c *Channel) Ends() (from, to int) { return int(c.fromNode), int(c.toNode) }
+// Receiver returns the node at the receiving end, which Send wakes.
+func (c *Channel) Receiver() int { return int(c.toNode) }
 
 // CanSend reports whether the sender may stage a flit this cycle.
-func (c *Channel) CanSend() bool { return c.staged == nil }
+func (c *Channel) CanSend() bool { return c.flit == nil }
 
-// Busy reports whether the channel carries any traffic in either
-// pipeline: a flit staged or awaiting delivery, or credits in flight. An
-// idle channel's Tick is a no-op and it has nothing to deliver, so the
-// network keeps it off the busy-link list until it is sent on again.
-func (c *Channel) Busy() bool {
-	return c.staged != nil || c.arrived != nil ||
-		len(c.stagedCredits) > 0 || len(c.arrivedCredits) > 0
-}
+// Busy reports whether the channel holds a flit or credits for the next
+// delivery pass, which is exactly when it is on the busy list.
+func (c *Channel) Busy() bool { return c.flit != nil || len(c.credits) > 0 }
 
-// Send stages f for delivery next cycle. It panics when called twice in
-// one cycle; the link carries one flit per cycle.
+// Send stages f for delivery next cycle and wakes the receiving node. It
+// panics when called twice in one cycle; the link carries one flit per
+// cycle.
 func (c *Channel) Send(f *flit.Flit) {
-	if c.staged != nil {
+	if c.flit != nil {
 		panic("router: channel overdriven")
 	}
-	c.staged = f
 	c.list()
+	c.flit = f
+	c.links.Wake[c.toNode>>6] |= 1 << uint(c.toNode&63)
 }
 
-// recv returns the flit that arrived this cycle, or nil. The flit is
-// consumed.
-func (c *Channel) recv() *flit.Flit {
-	f := c.arrived
-	c.arrived = nil
-	return f
-}
-
-// SendCredit stages a credit for upstream delivery next cycle.
+// SendCredit stages a credit for upstream delivery next cycle. It wakes
+// nobody: a quiescent sender does nothing with a credit, and one that
+// holds work has woken itself.
 func (c *Channel) SendCredit(cr flit.Credit) {
-	c.stagedCredits = append(c.stagedCredits, cr)
 	c.list()
+	c.credits = append(c.credits, cr)
 }
 
-// recvCredits returns the credits that arrived this cycle. The returned
-// slice is valid until the channel's next Tick.
-func (c *Channel) recvCredits() []flit.Credit {
-	crs := c.arrivedCredits
-	c.arrivedCredits = c.arrivedCredits[:0]
-	return crs
-}
-
-// Deliver hands what arrived this cycle to the attached ends: the flit to
-// the receiving end, the credits to the sender.
+// Deliver hands what was staged last cycle to the attached ends — the flit
+// to the receiving end, the credits to the sender — and empties the
+// channel. Accepting either stages nothing on any link.
 func (c *Channel) Deliver() {
-	if f := c.recv(); f != nil {
+	if f := c.flit; f != nil {
+		c.flit = nil
 		if c.toR != nil {
 			c.toR.acceptFlit(int(c.toPort), f)
 		} else {
 			c.ep.acceptFlit(f)
 		}
 	}
-	if crs := c.recvCredits(); len(crs) > 0 {
+	if len(c.credits) > 0 {
 		if c.fromR != nil {
-			c.fromR.acceptCredits(int(c.fromPort), crs)
+			c.fromR.acceptCredits(int(c.fromPort), c.credits)
 		} else {
-			c.ep.acceptCredits(crs)
+			c.ep.acceptCredits(c.credits)
 		}
+		c.credits = c.credits[:0]
 	}
-}
-
-// Tick advances the one-cycle pipelines. Undelivered flits stay in the
-// arrival slot (the receiver is obliged to drain it, which routers do —
-// buffer space is guaranteed by credits). It reports whether the channel
-// is still Busy; one that is not forgets its listing and must be dropped.
-func (c *Channel) Tick() bool {
-	if c.arrived == nil {
-		c.arrived = c.staged
-		c.staged = nil
-	}
-	// Credits are always consumed by receivers each cycle; swap buffers.
-	c.arrivedCredits = append(c.arrivedCredits, c.stagedCredits...)
-	c.stagedCredits = c.stagedCredits[:0]
-	c.listed = c.Busy()
-	return c.listed
 }

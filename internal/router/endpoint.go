@@ -79,7 +79,7 @@ func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel, a *flit.Arena) *
 		ejBuf:    make([][]*flit.Flit, vcs),
 		consume:  alloc.NewRoundRobin(vcs),
 	}
-	injCh.ep, injCh.fromNode, ejCh.ep, ejCh.toNode = e, int32(node), e, int32(node)
+	injCh.ep, ejCh.ep, ejCh.toNode = e, e, int32(node)
 	store := make([]*flit.Flit, vcs*bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
 		e.credits[v] = bufDepth

@@ -12,11 +12,11 @@ func newTestEndpoint() (*Endpoint, *Channel, *Channel) {
 	return NewEndpoint(3, 2, 4, inj, ej, flit.NewArena()), inj, ej
 }
 
-// receiveAt hands e the credits and the flit that arrived on its channels,
-// as their Deliver does inside a network.
+// receiveAt hands e the credits and the flit staged on its channels, as
+// the delivery pass does inside a network.
 func receiveAt(e *Endpoint) {
-	e.acceptCredits(e.injCh.recvCredits())
-	if f := e.ejCh.recv(); f != nil {
+	e.acceptCredits(returned(e.injCh))
+	if f := sent(e.ejCh); f != nil {
 		e.acceptFlit(f)
 	}
 }
@@ -26,8 +26,7 @@ func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
 	e.Offer(&flit.Packet{ID: 1, Src: 3, Dest: 7, Size: 3})
 	for i := 0; i < 3; i++ {
 		e.Inject(int64(i))
-		inj.Tick()
-		f := inj.recv()
+		f := sent(inj)
 		if f == nil {
 			t.Fatalf("cycle %d: no flit injected", i)
 		}
@@ -36,8 +35,7 @@ func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
 		}
 	}
 	e.Inject(3)
-	inj.Tick()
-	if inj.recv() != nil {
+	if sent(inj) != nil {
 		t.Error("injected beyond packet length")
 	}
 	if e.QueueLen() != 0 {
@@ -49,25 +47,22 @@ func TestEndpointRespectsCredits(t *testing.T) {
 	e, inj, _ := newTestEndpoint()
 	e.Offer(&flit.Packet{ID: 1, Src: 3, Dest: 7, Size: 10})
 	// Buffer depth 4: after 4 flits the chosen VC is out of credits.
-	sent, usedVC := 0, -1
+	n, usedVC := 0, -1
 	for i := 0; i < 8; i++ {
 		e.Inject(int64(i))
-		inj.Tick()
-		if f := inj.recv(); f != nil {
-			sent++
+		if f := sent(inj); f != nil {
+			n++
 			usedVC = f.VC
 		}
 	}
-	if sent != 4 {
-		t.Errorf("sent %d flits with 4 credits", sent)
+	if n != 4 {
+		t.Errorf("sent %d flits with 4 credits", n)
 	}
 	// Returning a credit for the held VC resumes injection.
 	inj.SendCredit(flit.Credit{VC: usedVC})
-	inj.Tick()
 	receiveAt(e)
 	e.Inject(100)
-	inj.Tick()
-	if inj.recv() == nil {
+	if sent(inj) == nil {
 		t.Error("injection did not resume after credits returned")
 	}
 }
@@ -78,8 +73,7 @@ func TestEndpointPacketHoldsOneVC(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
 		e.Inject(int64(i))
-		inj.Tick()
-		if f := inj.recv(); f != nil {
+		if f := sent(inj); f != nil {
 			seen[f.VC] = true
 		}
 	}
@@ -97,7 +91,6 @@ func TestEndpointEjectionAndSink(t *testing.T) {
 	for i, f := range fs {
 		f.VC = 0
 		ej.Send(f)
-		ej.Tick()
 		receiveAt(e)
 		e.Consume(int64(i))
 	}
@@ -108,8 +101,7 @@ func TestEndpointEjectionAndSink(t *testing.T) {
 		t.Errorf("eject cycle = %d, want 1", done.Eject)
 	}
 	// Credits returned for both flits.
-	ej.Tick()
-	if crs := ej.recvCredits(); len(crs) != 2 {
+	if crs := returned(ej); len(crs) != 2 {
 		t.Errorf("ejection credits = %d, want 2", len(crs))
 	}
 }
@@ -139,7 +131,6 @@ func TestEndpointObserversSeePacketBeforeFree(t *testing.T) {
 	f := a.NewFlit()
 	f.Packet, f.Head, f.Tail = p, true, true
 	ej.Send(f)
-	ej.Tick()
 	receiveAt(e)
 	e.Consume(17)
 
@@ -167,7 +158,6 @@ func TestEndpointConsumesOneFlitPerCycle(t *testing.T) {
 		f := segment(p)[0]
 		f.VC = vc
 		ej.Send(f)
-		ej.Tick()
 		receiveAt(e)
 	}
 	e.Consume(10)
@@ -186,7 +176,6 @@ func TestEndpointWrongDestPanics(t *testing.T) {
 	f := segment(p)[0]
 	f.VC = 0
 	ej.Send(f)
-	ej.Tick()
 	receiveAt(e)
 	defer func() {
 		if recover() == nil {
@@ -204,8 +193,7 @@ func TestEndpointQueueLenCountsCurrentPacket(t *testing.T) {
 		t.Errorf("queue len = %d, want 2", e.QueueLen())
 	}
 	e.Inject(0) // starts packet 1
-	inj.Tick()
-	inj.recv()
+	sent(inj)
 	if e.QueueLen() != 2 {
 		t.Errorf("queue len after first flit = %d, want 2 (in-flight counts)", e.QueueLen())
 	}
@@ -221,7 +209,6 @@ func TestEndpointSlowConsumeInterval(t *testing.T) {
 		f := segment(p)[0]
 		f.VC = i % 2
 		ej.Send(f)
-		ej.Tick()
 		receiveAt(e)
 	}
 	for now := int64(0); now < 12; now++ {
@@ -242,7 +229,6 @@ func TestEndpointSlowConsumeInterval(t *testing.T) {
 		if ej2.CanSend() {
 			ej2.Send(f)
 		}
-		ej2.Tick()
 		receiveAt(e2)
 	}
 	for now := int64(0); now < 8; now++ {
@@ -277,8 +263,7 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 			offer()
 		}
 		e.Inject(int64(left))
-		inj.Tick()
-		f := inj.recv()
+		f := sent(inj)
 		if f == nil || f.Packet.ID != uint64(left) {
 			t.Fatalf("step %d: injected %v, want packet %d", left, f, left)
 		}
@@ -290,7 +275,6 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 		}
 		// Hand the buffer slot back, as the router would.
 		inj.SendCredit(flit.Credit{VC: f.VC, Tail: true})
-		inj.Tick()
 		receiveAt(e)
 	}
 	if offered != total || e.QueueLen() != 0 {

@@ -220,7 +220,7 @@ func (r *Router) AttachIn(d topo.Direction, ch *Channel) {
 
 // AttachOut connects ch as the output channel leaving port d.
 func (r *Router) AttachOut(d topo.Direction, ch *Channel) {
-	r.outCh[d], ch.fromR, ch.fromPort, ch.fromNode = ch, r, uint8(d), int32(r.cfg.NodeID)
+	r.outCh[d], ch.fromR, ch.fromPort = ch, r, uint8(d)
 }
 
 // AttachDownstream makes nb, the State of the router at the far end of

@@ -58,21 +58,36 @@ func testRouter(t *testing.T, alg routing.Algorithm, vcs int) (*Router, map[topo
 	return r, ins, outs
 }
 
-// testChannel returns a channel on a busy list of its own.
+// testChannel returns a channel reporting to lists of its own.
 func testChannel() *Channel {
-	var busy []*Channel
-	return new(Channel).Init(&busy)
+	return new(Channel).Init(&Links{Wake: make([]uint64, 1)})
 }
 
-// receive hands r what arrived on its channels — flits on the inputs,
-// credits on the outputs — as their Deliver does inside a network, where
-// the far ends are attached too.
+// sent takes the flit staged on ch, and returned the credits, as the
+// delivery pass does before handing them to an end: a test reads them in
+// the place of an end it did not attach. Nothing reads a test channel's
+// own busy list, so neither takes the channel off it.
+func sent(ch *Channel) *flit.Flit {
+	f := ch.flit
+	ch.flit = nil
+	return f
+}
+
+func returned(ch *Channel) []flit.Credit {
+	crs := append([]flit.Credit(nil), ch.credits...)
+	ch.credits = ch.credits[:0]
+	return crs
+}
+
+// receive hands r what was staged on its channels — flits on the inputs,
+// credits on the outputs — as the delivery pass does inside a network,
+// where the far ends are attached too.
 func receive(r *Router) {
 	for p := 0; p < topo.NumPorts; p++ {
-		if f := r.inCh[p].recv(); f != nil {
+		if f := sent(r.inCh[p]); f != nil {
 			r.acceptFlit(p, f)
 		}
-		r.acceptCredits(p, r.outCh[p].recvCredits())
+		r.acceptCredits(p, returned(r.outCh[p]))
 	}
 }
 
@@ -120,14 +135,12 @@ func TestSingleFlitTraversal(t *testing.T) {
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 0
 	ins[topo.West].Send(f)
-	ins[topo.West].Tick()
 
 	receive(r)
 	r.AllocateVCs(0)
 	r.SwitchAndTraverse(0)
-	outs[topo.East].Tick()
 
-	got := outs[topo.East].recv()
+	got := sent(outs[topo.East])
 	if got == nil {
 		t.Fatal("flit did not traverse in one cycle")
 	}
@@ -135,8 +148,7 @@ func TestSingleFlitTraversal(t *testing.T) {
 		t.Errorf("output VC = %d, want 1 (rewritten by VA)", got.VC)
 	}
 	// Credit for the freed input slot goes back upstream.
-	ins[topo.West].Tick()
-	crs := ins[topo.West].recvCredits()
+	crs := returned(ins[topo.West])
 	if len(crs) != 1 || crs[0].VC != 0 || !crs[0].Tail {
 		t.Errorf("upstream credit = %v", crs)
 	}
@@ -150,7 +162,6 @@ func TestOwnerRegisterLifecycle(t *testing.T) {
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 0
 	ins[topo.West].Send(f)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != 6 {
@@ -166,7 +177,6 @@ func TestOwnerRegisterLifecycle(t *testing.T) {
 		t.Error("owner cleared before downstream drained")
 	}
 	outs[topo.East].SendCredit(flit.Credit{VC: 1, Tail: true})
-	outs[topo.East].Tick()
 	receive(r)
 	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != -1 {
 		t.Errorf("owner after drain = %d, want -1", got)
@@ -187,7 +197,6 @@ func TestConservativeReallocWaitsForTailCredit(t *testing.T) {
 	f1 := headFlit(1, 6, 1)[0]
 	f1.VC = 0
 	ins[topo.West].Send(f1)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	r.SwitchAndTraverse(0)
@@ -196,7 +205,6 @@ func TestConservativeReallocWaitsForTailCredit(t *testing.T) {
 	f2 := headFlit(2, 6, 1)[0]
 	f2.VC = 1
 	ins[topo.West].Send(f2)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	if r.OutputVCSnapshot(topo.East, 1).Allocated {
@@ -204,7 +212,6 @@ func TestConservativeReallocWaitsForTailCredit(t *testing.T) {
 	}
 	// Tail credit arrives; now reallocation may happen.
 	outs[topo.East].SendCredit(flit.Credit{VC: 1, Tail: true})
-	outs[topo.East].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	if !r.OutputVCSnapshot(topo.East, 1).Allocated {
@@ -223,7 +230,6 @@ func TestEagerReallocAfterTailSend(t *testing.T) {
 	f1 := headFlit(1, 6, 1)[0]
 	f1.VC = 0
 	ins[topo.West].Send(f1)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	r.SwitchAndTraverse(0)
@@ -231,7 +237,6 @@ func TestEagerReallocAfterTailSend(t *testing.T) {
 	f2 := headFlit(2, 6, 1)[0]
 	f2.VC = 1
 	ins[topo.West].Send(f2)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	if !r.OutputVCSnapshot(topo.East, 1).Allocated {
@@ -248,12 +253,10 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 	for i, f := range flits {
 		f.VC = 0
 		ins[topo.West].Send(f)
-		ins[topo.West].Tick()
 		receive(r)
 		r.AllocateVCs(0)
 		r.SwitchAndTraverse(0)
-		outs[topo.East].Tick()
-		got := outs[topo.East].recv()
+		got := sent(outs[topo.East])
 		if got == nil {
 			t.Fatalf("flit %d stalled", i)
 		}
@@ -271,7 +274,6 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 	alg := &scriptAlg{}
 	r, _, outs := testRouter(t, alg, 2)
 	outs[topo.East].SendCredit(flit.Credit{VC: 0})
-	outs[topo.East].Tick()
 	defer func() {
 		if recover() == nil {
 			t.Error("credit overflow not detected")
@@ -286,12 +288,10 @@ func TestEjectionRequestsLocalPort(t *testing.T) {
 	f := headFlit(1, 5, 1)[0] // dest == NodeID
 	f.VC = 0
 	ins[topo.West].Send(f)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	r.SwitchAndTraverse(0)
-	outs[topo.Local].Tick()
-	if got := outs[topo.Local].recv(); got == nil {
+	if sent(outs[topo.Local]) == nil {
 		t.Fatal("packet for this node not sent to the local port")
 	}
 }
@@ -306,13 +306,11 @@ func TestInputVCBlockedCounter(t *testing.T) {
 	b := headFlit(9, 6, 2)[0] // multi-flit: holds the VC
 	b.VC = 0
 	ins[topo.West].Send(b)
-	ins[topo.West].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 1
 	ins[topo.West].Send(f)
-	ins[topo.West].Tick()
 	receive(r)
 	for i := 0; i < 3; i++ {
 		r.AllocateVCs(0)
@@ -339,14 +337,10 @@ func TestSpeedupMovesTwoFlitsPerCycle(t *testing.T) {
 	fb.VC = 1
 	ins[topo.West].Send(fa)
 	ins[topo.North].Send(fb)
-	ins[topo.West].Tick()
-	ins[topo.North].Tick()
 	receive(r)
 	r.AllocateVCs(0)
 	r.SwitchAndTraverse(0)
-	outs[topo.East].Tick()
-	outs[topo.South].Tick()
-	if outs[topo.East].recv() == nil || outs[topo.South].recv() == nil {
+	if sent(outs[topo.East]) == nil || sent(outs[topo.South]) == nil {
 		t.Error("speedup-2 router failed to move two flits in one cycle")
 	}
 }
@@ -382,7 +376,6 @@ func TestBlockedHeadsAllocateNothing(t *testing.T) {
 					f.VC = v
 					id++
 					ins[d].Send(f)
-					ins[d].Tick()
 				}
 				receive(r)
 				r.AllocateVCs(0)
@@ -441,7 +434,6 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 			f := headFlit(uint64(h.dest), h.dest, 2)[0]
 			f.VC = 1
 			ins[h.in].Send(f)
-			ins[h.in].Tick()
 			for _, rq := range c.script[h.dest] {
 				reqs = append(reqs, alloc.VCRequest{Requester: r.idx(h.in, 1), Resource: r.idx(rq.Dir, rq.VC), Pri: rq.Pri})
 			}

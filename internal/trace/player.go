@@ -16,14 +16,23 @@ type Player struct {
 	records []Record
 	next    int // first un-injected record index
 
-	waiting   map[uint64][]Record // dep ID -> records blocked on it
-	delivered map[uint64]bool
-	ready     []Record // dependency-satisfied, cycle-due records
+	// Dependency state by record position, built by Init: dep[i] is the
+	// position of the record that record i waits for (-1 for none) and
+	// delivered[i] is set once record i is delivered. The records that
+	// wait for record d form a list in record order, from firstWaiter[d]
+	// through nextWaiter (-1 ends it); those below next came due before d
+	// was delivered and wait for OnEject to release them.
+	dep         []int32
+	delivered   []bool
+	firstWaiter []int32
+	nextWaiter  []int32
+	ready       []int32 // dependency-satisfied, cycle-due record positions
 
 	// inflight keys by packet pointer, which is stable offer-to-eject
 	// even for arena packets: the endpoint recycles a slot only after
-	// OnEject (in the Sink chain) has run.
-	inflight map[*flit.Packet]uint64 // packet -> record ID
+	// OnEject (in the Sink chain) has run. The packet's ID cannot serve:
+	// the simulation renumbers every packet it is offered.
+	inflight map[*flit.Packet]int32 // packet -> record position
 
 	arena *flit.Arena
 
@@ -38,33 +47,44 @@ func (p *Player) UseArena(a *flit.Arena) { p.arena = a }
 // NewPlayer returns a player for records, which must be Validate-clean.
 func NewPlayer(records []Record) *Player {
 	return &Player{
-		records:   records,
-		waiting:   map[uint64][]Record{},
-		delivered: map[uint64]bool{},
-		inflight:  map[*flit.Packet]uint64{},
-		Total:     len(records),
+		records:  records,
+		inflight: map[*flit.Packet]int32{},
+		Total:    len(records),
 	}
 }
 
-// Init implements sim.Injector.
+// Init implements sim.Injector: it validates the trace against m and
+// builds the dependency state.
 func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
-	if err := Validate(p.records, m.Nodes()); err != nil {
+	dep, err := depPositions(p.records, m.Nodes())
+	if err != nil {
 		panic(fmt.Sprintf("trace: invalid trace for %dx%d mesh: %v", m.Width, m.Height, err))
 	}
+	n := len(dep)
+	p.dep, p.delivered = dep, make([]bool, n)
+	p.firstWaiter, p.nextWaiter = make([]int32, n), make([]int32, n)
+	for i := range p.firstWaiter {
+		p.firstWaiter[i] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		if d := dep[i]; d >= 0 {
+			p.nextWaiter[i], p.firstWaiter[d] = p.firstWaiter[d], int32(i)
+		}
+	}
 }
 
-// Tick implements sim.Injector: offer every due, dependency-free record.
+// Tick implements sim.Injector: offer the records released since the last
+// Tick, in ejection order, then every newly due, dependency-free record,
+// in record order.
 func (p *Player) Tick(now int64, offer func(*flit.Packet)) {
 	for p.next < len(p.records) && p.records[p.next].Cycle <= now {
-		r := p.records[p.next]
-		p.next++
-		if r.Dep != 0 && !p.delivered[r.Dep] {
-			p.waiting[r.Dep] = append(p.waiting[r.Dep], r)
-			continue
+		if d := p.dep[p.next]; d < 0 || p.delivered[d] {
+			p.ready = append(p.ready, int32(p.next))
 		}
-		p.ready = append(p.ready, r)
+		p.next++
 	}
-	for _, r := range p.ready {
+	for _, i := range p.ready {
+		r := &p.records[i]
 		var pkt *flit.Packet
 		if p.arena != nil {
 			pkt = p.arena.NewPacket()
@@ -76,7 +96,7 @@ func (p *Player) Tick(now int64, offer func(*flit.Packet)) {
 		pkt.Dest = r.Dest
 		pkt.Size = r.Size
 		pkt.Born = now
-		p.inflight[pkt] = r.ID
+		p.inflight[pkt] = i
 		offer(pkt)
 	}
 	p.ready = p.ready[:0]
@@ -85,15 +105,14 @@ func (p *Player) Tick(now int64, offer func(*flit.Packet)) {
 // OnEject implements sim.EjectObserver: release dependents of the
 // delivered record.
 func (p *Player) OnEject(pkt *flit.Packet) {
-	id, ok := p.inflight[pkt]
+	i, ok := p.inflight[pkt]
 	if !ok {
 		return // another injector's packet
 	}
 	delete(p.inflight, pkt)
-	p.delivered[id] = true
+	p.delivered[i] = true
 	p.Done++
-	if deps := p.waiting[id]; len(deps) != 0 {
-		p.ready = append(p.ready, deps...)
-		delete(p.waiting, id)
+	for j := p.firstWaiter[i]; j >= 0 && int(j) < p.next; j = p.nextWaiter[j] {
+		p.ready = append(p.ready, j)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"nocsim/internal/flit"
@@ -92,5 +93,38 @@ func TestPlayerNotFinishedWhileWaiting(t *testing.T) {
 	}
 	if len(pkts) != 1 || p.Done != 0 {
 		t.Errorf("%d packets injected, %d of %d done; want 1 injected, 0 done", len(pkts), p.Done, p.Total)
+	}
+}
+
+// TestPlayerReleaseOrder pins the injection order: the records released
+// since the last Tick first, in the order their dependencies were
+// delivered (the dependents of one record in record order), then the newly
+// due records in record order; a dependent that comes due after its
+// dependency was delivered goes out when due.
+func TestPlayerReleaseOrder(t *testing.T) {
+	p := NewPlayer([]Record{
+		{ID: 1, Cycle: 0, Src: 0, Dest: 1, Size: 1},
+		{ID: 2, Cycle: 0, Src: 1, Dest: 2, Size: 1},
+		{ID: 3, Cycle: 1, Src: 1, Dest: 0, Size: 1, Dep: 1},
+		{ID: 4, Cycle: 1, Src: 2, Dest: 1, Size: 1, Dep: 2},
+		{ID: 5, Cycle: 1, Src: 1, Dest: 3, Size: 1, Dep: 1},
+		{ID: 6, Cycle: 2, Src: 3, Dest: 0, Size: 1},
+		{ID: 7, Cycle: 5, Src: 1, Dest: 2, Size: 1, Dep: 1},
+	})
+	p.Init(topo.MustNew(2, 2), nil)
+	byID := map[uint64]*flit.Packet{}
+	var order []uint64
+	tick := func(now int64) {
+		p.Tick(now, func(pkt *flit.Packet) { byID[pkt.ID] = pkt; order = append(order, pkt.ID) })
+	}
+	tick(0)
+	tick(1)
+	p.OnEject(byID[2])
+	p.OnEject(byID[1])
+	tick(2)
+	tick(3)
+	tick(5)
+	if want := []uint64{1, 2, 4, 3, 5, 6, 7}; !slices.Equal(order, want) {
+		t.Errorf("injection order %v, want %v", order, want)
 	}
 }

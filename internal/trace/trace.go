@@ -161,28 +161,41 @@ func Merge(traces ...[]Record) []Record {
 // non-negative cycles, dependencies referencing existing records, and
 // cycle ordering.
 func Validate(records []Record, nodes int) error {
-	seen := make(map[uint64]bool, len(records))
+	_, err := depPositions(records, nodes)
+	return err
+}
+
+// depPositions validates records as Validate does and returns, for each
+// record, the position of the record its Dep names, or -1 for none.
+func depPositions(records []Record, nodes int) ([]int32, error) {
+	pos := make(map[uint64]int32, len(records))
 	prev := int64(0)
 	for i, r := range records {
-		if r.ID == 0 || seen[r.ID] {
-			return fmt.Errorf("trace: record %d: bad or duplicate ID %d", i, r.ID)
+		if _, dup := pos[r.ID]; r.ID == 0 || dup {
+			return nil, fmt.Errorf("trace: record %d: bad or duplicate ID %d", i, r.ID)
 		}
-		seen[r.ID] = true
+		pos[r.ID] = int32(i)
 		if r.Cycle < prev {
-			return fmt.Errorf("trace: record %d out of order", i)
+			return nil, fmt.Errorf("trace: record %d out of order", i)
 		}
 		prev = r.Cycle
 		if r.Size < 1 {
-			return fmt.Errorf("trace: record %d: size %d", i, r.Size)
+			return nil, fmt.Errorf("trace: record %d: size %d", i, r.Size)
 		}
 		if r.Src < 0 || r.Src >= nodes || r.Dest < 0 || r.Dest >= nodes || r.Src == r.Dest {
-			return fmt.Errorf("trace: record %d: bad endpoints %d->%d", i, r.Src, r.Dest)
+			return nil, fmt.Errorf("trace: record %d: bad endpoints %d->%d", i, r.Src, r.Dest)
 		}
 	}
+	deps := make([]int32, len(records))
 	for i, r := range records {
-		if r.Dep != 0 && !seen[r.Dep] {
-			return fmt.Errorf("trace: record %d: dangling dependency %d", i, r.Dep)
+		deps[i] = -1
+		if r.Dep != 0 {
+			d, ok := pos[r.Dep]
+			if !ok {
+				return nil, fmt.Errorf("trace: record %d: dangling dependency %d", i, r.Dep)
+			}
+			deps[i] = d
 		}
 	}
-	return nil
+	return deps, nil
 }

@@ -3,9 +3,11 @@
 # Output is byte-identical at any worker count, so CI runs this at
 # JOBS=1 and JOBS=4 and fails on `git diff --exit-code results/`, which
 # prints the rows that moved. A PR that means to move simulated results
-# reruns it and commits the diff.
+# reruns it and commits the diff. Each command's wall time goes to
+# stderr (bash 5 or later, for EPOCHREALTIME), so that a change to the
+# speed of whole paper artefacts shows in the log of every regeneration.
 #
-#	bash results/regen.sh          # one worker per CPU, ~95 s on two cores
+#	bash results/regen.sh          # one worker per CPU, ~85 s on two cores
 #	JOBS=1 bash results/regen.sh
 set -euo pipefail
 
@@ -15,9 +17,11 @@ trap 'rm -rf "$bin"' EXIT
 go build -o "$bin" ./cmd/nocsim
 
 run() { # run OUTPUT COMMAND ARGS...
-	local out=$1 cmd=$2
+	local out=$1 cmd=$2 t0=$EPOCHREALTIME
 	shift 2
 	"$bin/nocsim" "$cmd" -profile quick -jobs "${JOBS:-0}" "$@" > "results/$out"
+	awk -v t0="$t0" -v t1="$EPOCHREALTIME" -v what="$cmd $*" -v out="$out" \
+		'BEGIN { printf "regen: %-16s %-16s %6.1f s\n", what, out, t1 - t0 }' >&2
 }
 
 run fig2_tables.txt ctree
