@@ -238,6 +238,32 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
+// BenchmarkSimNew measures building a simulation, the one cost every
+// sweep cell, bisection probe and test pays once per fabric before its
+// first cycle: the Table 2 router with a uniform injector on the 8×8 mesh
+// under Footprint, and on Figure 8's 16×16 mesh under DOR.
+func BenchmarkSimNew(b *testing.B) {
+	for _, c := range []struct {
+		name, alg string
+		side      int
+	}{{"footprint-8x8", "footprint", 8}, {"dor-16x16", "dor", 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Width, cfg.Height, cfg.Algorithm = c.side, c.side, c.alg
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inj, err := NewPatternInjector(cfg, "uniform", 0.3, 1, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := New(cfg, inj); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- ablations (DESIGN.md) -------------------------------------------------
 
 // BenchmarkAblationThreshold sweeps Footprint's congestion threshold

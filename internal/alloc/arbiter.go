@@ -16,10 +16,17 @@ type RoundRobin struct {
 
 // NewRoundRobin returns a round-robin arbiter for n requesters.
 func NewRoundRobin(n int) *RoundRobin {
+	a := MakeRoundRobin(n)
+	return &a
+}
+
+// MakeRoundRobin is NewRoundRobin as a value, for an arbiter held inside
+// the struct it arbitrates for.
+func MakeRoundRobin(n int) RoundRobin {
 	if n <= 0 || n > 32 {
 		panic("alloc: round-robin arbiter needs 1 to 32 requesters")
 	}
-	return &RoundRobin{n: n}
+	return RoundRobin{n: n}
 }
 
 // Arbitrate packs the request vector into a mask for ArbitrateMask.

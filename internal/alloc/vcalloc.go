@@ -45,23 +45,36 @@ type VCAllocator struct {
 // NewVCAllocator returns an allocator for numRequesters input VCs and
 // numResources output VCs.
 func NewVCAllocator(numRequesters, numResources int) *VCAllocator {
+	n := numRequesters + numResources
+	a := MakeVCAllocator(numRequesters, numResources, make([]int32, 3*n), make([]uint8, n), make([]Grant, 0, 8))
+	return &a
+}
+
+// MakeVCAllocator is NewVCAllocator as a value on memory the caller cuts:
+// idx and pri hold 3 and 1 elements per requester and per resource, and
+// grants is where Allocate starts its grant list (empty, any capacity).
+func MakeVCAllocator(numRequesters, numResources int, idx []int32, pri []uint8, grants []Grant) VCAllocator {
 	if numRequesters <= 0 || numResources <= 0 {
 		panic("alloc: VC allocator needs positive dimensions")
 	}
-	slab := make([]int32, 3*(numRequesters+numResources)) // the six index arrays
-	cut := func(n int) []int32 { s := slab[:n:n]; slab = slab[n:]; return s }
-	a := &VCAllocator{
+	if n := numRequesters + numResources; len(idx) != 3*n || len(pri) != n {
+		panic("alloc: VC allocator arrays of the wrong size")
+	}
+	// Each array is cut with cap == len, so no append reaches the next.
+	cut32 := func(n int) []int32 { s := idx[:n:n]; idx = idx[n:]; return s }
+	cut8 := func(n int) []uint8 { s := pri[:n:n]; pri = pri[n:]; return s }
+	a := VCAllocator{
 		numRequesters: numRequesters,
 		numResources:  numResources,
-		outNext:       cut(numResources),
-		inNext:        cut(numRequesters),
-		resPri:        make([]uint8, numResources),
-		resWin:        cut(numResources),
-		reqPri:        make([]uint8, numRequesters),
-		reqWin:        cut(numRequesters),
-		touchedRes:    cut(numResources)[:0],
-		touchedReqs:   cut(numRequesters)[:0],
-		grants:        make([]Grant, 0, 8),
+		outNext:       cut32(numResources),
+		inNext:        cut32(numRequesters),
+		resPri:        cut8(numResources),
+		resWin:        cut32(numResources),
+		reqPri:        cut8(numRequesters),
+		reqWin:        cut32(numRequesters),
+		touchedRes:    cut32(numResources)[:0],
+		touchedReqs:   cut32(numRequesters)[:0],
+		grants:        grants[:0],
 	}
 	for i := range a.resWin {
 		a.resWin[i] = -1

@@ -70,7 +70,7 @@ func FuzzCreditConservation(f *testing.F) {
 			VCs:      vcs,
 			BufDepth: depth,
 			Speedup:  1 + pick(2),
-			NewAlg:   func() routing.Algorithm { return routing.MustNew(name) },
+			Alg:      routing.MustNew(name),
 			Rand:     rand.New(rand.NewSource(int64(next()))),
 		}
 		// Optionally throttle one endpoint's ejection bandwidth, the

@@ -61,7 +61,7 @@ func newLockstep(t testing.TB, s lockstepSpec) *lockstep {
 	newAlg := func() routing.Algorithm { return routing.MustNew(s.alg) }
 	l := &lockstep{t: t, vcs: s.vcs, netRNG: newCountingSource(s.seed), refRNG: newCountingSource(s.seed)}
 	l.net = network.New(network.Config{
-		Mesh: mesh, VCs: s.vcs, BufDepth: s.depth, Speedup: s.speedup, NewAlg: newAlg,
+		Mesh: mesh, VCs: s.vcs, BufDepth: s.depth, Speedup: s.speedup, Alg: newAlg(),
 		Rand: rand.New(l.netRNG), SlowEndpoints: s.slow,
 	})
 	l.ref = newRefFabric(mesh, s.vcs, s.depth, s.speedup, newAlg, rand.New(l.refRNG), s.slow)

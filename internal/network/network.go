@@ -19,10 +19,12 @@ type Config struct {
 	VCs      int
 	BufDepth int
 	Speedup  int
-	// NewAlg constructs a routing algorithm instance; each router gets
-	// its own so algorithms may keep per-router state.
-	NewAlg func() routing.Algorithm
-	Rand   *rand.Rand
+	// Alg is the routing algorithm every router decides with. One instance
+	// serves the whole fabric: an algorithm keeps no state of its own
+	// (Decide is pure, under the routepurity lint), and what it reads of
+	// a router comes through the routing.View it is handed.
+	Alg  routing.Algorithm
+	Rand *rand.Rand
 	// Sinks receives router and endpoint events; a nil field is an event
 	// nobody listens to.
 	Sinks router.Sinks
@@ -34,9 +36,12 @@ type Config struct {
 
 // Network is a running mesh fabric.
 type Network struct {
-	cfg       Config
-	routers   []*router.Router
-	endpoints []*router.Endpoint
+	cfg Config
+	// routers and endpoints hold node id's router and endpoint at index
+	// id, as values: Router and Endpoint hand out pointers into them, and
+	// the channels and neighbours' DownstreamIdle point into them too.
+	routers   []router.Router
+	endpoints []router.Endpoint
 	arena     *flit.Arena
 	now       int64
 	inFlight  int
@@ -113,26 +118,23 @@ type PhaseProbe interface {
 }
 
 // New builds the mesh: one router and endpoint per node, one channel per
-// directed link (including injection and ejection links).
+// directed link (including injection and ejection links). It makes the
+// same number of heap allocations at any mesh size (DESIGN.md,
+// "Construction").
 func New(cfg Config) *Network {
 	n := &Network{cfg: cfg, arena: flit.NewArena()}
 	nodes := cfg.Mesh.Nodes()
-	n.routers = make([]*router.Router, nodes)
-	n.endpoints = make([]*router.Endpoint, nodes)
+	n.routers, n.endpoints = router.NewNodes(router.Config{
+		Mesh:     cfg.Mesh,
+		VCs:      cfg.VCs,
+		BufDepth: cfg.BufDepth,
+		Speedup:  cfg.Speedup,
+		Alg:      cfg.Alg,
+		Rand:     cfg.Rand,
+		Sinks:    cfg.Sinks,
+	}, n.arena)
 	n.lists.Wake = make([]uint64, (nodes+63)/64)
 	n.active = make([]int, 0, nodes)
-	for id := 0; id < nodes; id++ {
-		n.routers[id] = router.New(router.Config{
-			Mesh:     cfg.Mesh,
-			NodeID:   id,
-			VCs:      cfg.VCs,
-			BufDepth: cfg.BufDepth,
-			Speedup:  cfg.Speedup,
-			Alg:      cfg.NewAlg(),
-			Rand:     cfg.Rand,
-			Sinks:    cfg.Sinks,
-		})
-	}
 	// Every channel (injection and ejection per node, two per mesh edge) is
 	// cut from one slice.
 	w, h := cfg.Mesh.Width, cfg.Mesh.Height
@@ -158,23 +160,25 @@ func New(cfg Config) *Network {
 			n.routers[id].AttachDownstream(d, n.routers[nb].State())
 		}
 	}
-	// Injection and ejection links.
+	// Injection and ejection links, and one ejection sink for every
+	// endpoint.
+	sink := func(p *flit.Packet) {
+		n.inFlight--
+		if n.Sink != nil {
+			n.Sink(p)
+		}
+	}
 	for id := 0; id < nodes; id++ {
 		inj, ej := link(), link()
 		n.routers[id].AttachIn(topo.Local, inj)
 		n.routers[id].AttachOut(topo.Local, ej)
-		ep := router.NewEndpoint(id, cfg.VCs, cfg.BufDepth, inj, ej, n.arena)
+		ep := &n.endpoints[id]
+		ep.Attach(inj, ej)
 		ep.SetPacketSink(cfg.Sinks.Packets)
 		if iv, ok := cfg.SlowEndpoints[id]; ok {
 			ep.ConsumeInterval = iv
 		}
-		ep.Sink = func(p *flit.Packet) {
-			n.inFlight--
-			if n.Sink != nil {
-				n.Sink(p)
-			}
-		}
-		n.endpoints[id] = ep
+		ep.Sink = sink
 	}
 	return n
 }
@@ -182,8 +186,8 @@ func New(cfg Config) *Network {
 // SetBlockedSink replaces Config.Sinks.Blocked on every router, from the
 // next Step on; a simulation opens and closes its measurement window so.
 func (n *Network) SetBlockedSink(b router.BlockedSink) {
-	for _, r := range n.routers {
-		r.SetBlockedSink(b)
+	for i := range n.routers {
+		n.routers[i].SetBlockedSink(b)
 	}
 }
 
@@ -194,10 +198,10 @@ func (n *Network) Now() int64 { return n.now }
 func (n *Network) Mesh() topo.Mesh { return n.cfg.Mesh }
 
 // Router returns the router of node id, for analyzers.
-func (n *Network) Router(id int) *router.Router { return n.routers[id] }
+func (n *Network) Router(id int) *router.Router { return &n.routers[id] }
 
 // Endpoint returns the endpoint of node id.
-func (n *Network) Endpoint(id int) *router.Endpoint { return n.endpoints[id] }
+func (n *Network) Endpoint(id int) *router.Endpoint { return &n.endpoints[id] }
 
 // Nodes returns the node count.
 func (n *Network) Nodes() int { return n.cfg.Mesh.Nodes() }
@@ -268,7 +272,7 @@ func (n *Network) Step() {
 		p.BeginPhase(PhaseInjectEject)
 	}
 	for _, id := range n.active {
-		e := n.endpoints[id]
+		e := &n.endpoints[id]
 		e.Consume(n.now)
 		e.Inject(n.now)
 		// Nothing later in the cycle touches the node's held work.
@@ -294,9 +298,9 @@ func (n *Network) Run(cycles int64) {
 // fabric's total flit-hop work, used by the runtime self-metrics.
 func (n *Network) TotalOutputFlits() int64 {
 	var total int64
-	for _, r := range n.routers {
+	for i := range n.routers {
 		for d := topo.East; d <= topo.Local; d++ {
-			total += r.OutputFlits(d)
+			total += n.routers[i].OutputFlits(d)
 		}
 	}
 	return total

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nocsim"
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
 	"nocsim/internal/obs"
@@ -22,7 +23,7 @@ func newNet(t *testing.T, w, h int, alg string, vcs int) *network.Network {
 		VCs:      vcs,
 		BufDepth: 4,
 		Speedup:  2,
-		NewAlg:   func() routing.Algorithm { return routing.MustNew(alg) },
+		Alg:      routing.MustNew(alg),
 		Rand:     rand.New(rand.NewSource(1)),
 	})
 }
@@ -320,7 +321,7 @@ func TestSlowEndpointNetworkLossless(t *testing.T) {
 		VCs:      4,
 		BufDepth: 4,
 		Speedup:  2,
-		NewAlg:   func() routing.Algorithm { return routing.MustNew("footprint") },
+		Alg:      routing.MustNew("footprint"),
 		Rand:     rand.New(rand.NewSource(5)),
 		SlowEndpoints: map[int]int{
 			5: 3, // drains every 3rd cycle
@@ -407,5 +408,46 @@ func TestFabricStateIndependentOfMeshSize(t *testing.T) {
 				t.Errorf("%s: router %d has an owner index: %v", alg, id, indexed)
 			}
 		}
+	}
+}
+
+// TestNewAllocatesPerFabricNotPerNode pins construction to a constant
+// number of heap allocations: every per-node array is cut from one slab
+// per element type, arbiters and the VC allocator are values inside the
+// router, and one algorithm instance serves the fabric, so a 16×16 mesh
+// costs what a 4×4 one does.
+func TestNewAllocatesPerFabricNotPerNode(t *testing.T) {
+	for _, c := range []struct {
+		alg  string
+		most float64 // measured: footprint adds its owner index slab
+	}{{"dor", 21}, {"footprint", 22}} {
+		counts := map[int]float64{}
+		for _, side := range []int{4, 16} {
+			cfg := network.Config{Mesh: topo.MustNew(side, side), VCs: 10, BufDepth: 4, Speedup: 2,
+				Alg: routing.MustNew(c.alg), Rand: rand.New(rand.NewSource(1))}
+			counts[side] = testing.AllocsPerRun(10, func() { network.New(cfg) })
+		}
+		if counts[4] != counts[16] || counts[16] > c.most {
+			t.Errorf("%s: network.New makes %v allocations at 4x4 and %v at 16x16, want equal and at most %v",
+				c.alg, counts[4], counts[16], c.most)
+		}
+	}
+
+	// A whole simulation: the Table 2 router on the 16×16 mesh of Figure 8
+	// with a uniform injector, built as every sweep cell builds one.
+	cfg := nocsim.DefaultConfig()
+	cfg.Width, cfg.Height, cfg.Algorithm = 16, 16, "dor"
+	const most = 36 // measured; 11,801 when each node allocated its own arrays
+	got := testing.AllocsPerRun(10, func() {
+		inj, err := nocsim.NewPatternInjector(cfg, "uniform", 0.05, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nocsim.New(cfg, inj); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > most {
+		t.Errorf("nocsim.New of a 16x16 DOR simulation with a pattern injector makes %v allocations, want at most %d", got, most)
 	}
 }

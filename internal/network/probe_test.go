@@ -91,7 +91,7 @@ func TestProbedStepIsIdentical(t *testing.T) {
 					VCs:      4,
 					BufDepth: 4,
 					Speedup:  2,
-					NewAlg:   func() routing.Algorithm { return routing.MustNew(alg) },
+					Alg:      routing.MustNew(alg),
 					Rand:     rand.New(rand.NewSource(1)),
 				})
 				n.Probe = probe

@@ -119,7 +119,7 @@ func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
 				VCs:      4,
 				BufDepth: 4,
 				Speedup:  2,
-				NewAlg:   func() routing.Algorithm { return routing.MustNew("footprint") },
+				Alg:      routing.MustNew("footprint"),
 				Rand:     rand.New(rand.NewSource(1)),
 				Sinks:    sinks,
 			})
@@ -259,7 +259,7 @@ func TestEventsCarryNetworkCycle(t *testing.T) {
 				VCs:      4,
 				BufDepth: 4,
 				Speedup:  2,
-				NewAlg:   func() routing.Algorithm { return routing.MustNew(alg) },
+				Alg:      routing.MustNew(alg),
 				Rand:     rand.New(rand.NewSource(1)),
 				Sinks:    router.Sinks{Blocked: rec, Packets: rec, Decisions: rec},
 			})

@@ -30,7 +30,7 @@ func floodNet(t *testing.T, cycles int, slow map[int]int) *network.Network {
 		VCs:           2,
 		BufDepth:      4,
 		Speedup:       2,
-		NewAlg:        func() routing.Algorithm { return routing.MustNew("footprint") },
+		Alg:           routing.MustNew("footprint"),
 		Rand:          rand.New(rand.NewSource(1)),
 		SlowEndpoints: slow,
 	})

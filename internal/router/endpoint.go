@@ -35,7 +35,7 @@ type Endpoint struct {
 	// Ejection side.
 	ejBuf   [][]*flit.Flit
 	ejMask  uint32 // the non-empty VCs of ejBuf
-	consume *alloc.RoundRobin
+	consume alloc.RoundRobin
 
 	// Sink is invoked when a packet's tail flit is consumed; the
 	// simulator collects latency statistics here. May be nil.
@@ -62,30 +62,43 @@ type Endpoint struct {
 }
 
 // NewEndpoint creates the endpoint for node with the router's VC count and
-// buffer depth. injCh carries flits to the router's local input port (and
-// credits back); ejCh carries flits from the router's local output port
-// (and credits back); a is the network's arena.
+// buffer depth: the one-node case of NewNodes, on slabs of its own. injCh
+// carries flits to the router's local input port (and credits back); ejCh
+// carries flits from the router's local output port (and credits back); a
+// is the network's arena.
 func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel, a *flit.Arena) *Endpoint {
-	e := &Endpoint{
+	e, s := new(Endpoint), newSlabs(Config{VCs: vcs, BufDepth: bufDepth}, 0, 1)
+	e.init(node, vcs, bufDepth, a, &s)
+	e.Attach(injCh, ejCh)
+	return e
+}
+
+// init builds the endpoint in place, cutting its arrays from s.
+func (e *Endpoint) init(node, vcs, bufDepth int, a *flit.Arena, s *slabs) {
+	*e = Endpoint{
 		node:     node,
 		vcs:      vcs,
 		bufDepth: bufDepth,
-		injCh:    injCh,
-		ejCh:     ejCh,
 		arena:    a,
 		injVC:    -1,
-		credits:  make([]int, vcs),
-		vcBusy:   make([]bool, vcs),
-		ejBuf:    make([][]*flit.Flit, vcs),
-		consume:  alloc.NewRoundRobin(vcs),
+		queue:    s.queue.cut(queueCap)[:0],
+		credits:  s.ints.cut(vcs),
+		vcBusy:   s.bools.cut(vcs),
+		ejBuf:    s.ejBufs.cut(vcs),
+		consume:  alloc.MakeRoundRobin(vcs),
 	}
-	injCh.ep, ejCh.ep, ejCh.toNode = e, e, int32(node)
-	store := make([]*flit.Flit, vcs*bufDepth) // credits bound each VC's backlog
+	store := s.flits.cut(vcs * bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
 		e.credits[v] = bufDepth
 		e.ejBuf[v] = store[v*bufDepth : v*bufDepth : (v+1)*bufDepth]
 	}
-	return e
+}
+
+// Attach connects injCh as the channel to the router's local input port
+// and ejCh as the one from its local output port.
+func (e *Endpoint) Attach(injCh, ejCh *Channel) {
+	e.injCh, e.ejCh = injCh, ejCh
+	injCh.ep, ejCh.ep, ejCh.toNode = e, e, int32(e.node)
 }
 
 // SetPacketSink attaches the sink the endpoint reports packet injection

@@ -39,9 +39,11 @@ const stageCap = 4
 // Router is one mesh router. Its per-VC state is laid out as
 // struct-of-arrays indexed by idx = int(port)*VCs + vc (the same dense
 // index the VC allocator uses), so a cycle's scans walk contiguous
-// arrays instead of chasing per-port/per-VC pointers. The input buffers
-// and output stages are fixed-capacity rings and the scratch lists are
-// sized at construction, so a warm cycle allocates nothing.
+// arrays instead of chasing per-port/per-VC pointers. The arrays are cut
+// from slabs shared by every node of the fabric, and the per-port ones
+// are held inline. The input buffers and output stages are
+// fixed-capacity rings and the scratch lists are sized at construction,
+// so a warm cycle allocates nothing.
 type Router struct {
 	cfg Config
 	vcs int // cfg.VCs, hot-path copy
@@ -89,16 +91,16 @@ type Router struct {
 
 	// Output stages: per-port rings of capacity stageCap over one backing
 	// array, absorbing the internal speedup.
-	stageStore []*flit.Flit
-	stageHead  []int32
-	stageLen   []int32
+	stageStore [topo.NumPorts * stageCap]*flit.Flit
+	stageHead  [topo.NumPorts]int32
+	stageLen   [topo.NumPorts]int32
 
-	inCh  []*Channel // attached input channels, [port]
-	outCh []*Channel // attached output channels, [port]
+	inCh  [topo.NumPorts]*Channel // attached input channels
+	outCh [topo.NumPorts]*Channel // attached output channels
 
-	va      *alloc.VCAllocator
-	saIn    []*alloc.RoundRobin // per input port: VC chooser
-	saOut   []*alloc.RoundRobin // per output port: input chooser
+	va      alloc.VCAllocator
+	saIn    [topo.NumPorts]alloc.RoundRobin // per input port: VC chooser
+	saOut   [topo.NumPorts]alloc.RoundRobin // per output port: input chooser
 	vaReqs  []alloc.VCRequest
 	vaHeads []uint8 // this cycle's routing heads with a grantable VC, ascending
 
@@ -140,11 +142,38 @@ type Router struct {
 // per-port VC state lives in uint32 bitmasks.
 const MaxVCs = 32
 
-// New constructs a router. Input and output channels and the neighbours'
-// states are attached later by the network with AttachIn, AttachOut and
+// New constructs a router: the one-node case of NewNodes, on slabs of
+// its own. Input and output channels and the neighbours' states are
+// attached later by the network with AttachIn, AttachOut and
 // AttachDownstream. It panics on a configuration sim.Config.Validate and
 // sim.New reject; callers taking user input go through those.
 func New(cfg Config) *Router {
+	mustBeValid(cfg)
+	r, s := new(Router), newSlabs(cfg, 1, 0)
+	r.init(cfg, &s)
+	return r
+}
+
+// NewNodes constructs the router and the endpoint of every node of
+// cfg.Mesh, node id at index id of each slice, in a number of heap
+// allocations that does not grow with the mesh: every per-VC array is cut
+// from one slab per element type (DESIGN.md, "Construction"). cfg.NodeID
+// is not read, and every router shares cfg.Alg. Channels are attached
+// later with AttachIn, AttachOut and Endpoint.Attach.
+func NewNodes(cfg Config, a *flit.Arena) ([]Router, []Endpoint) {
+	mustBeValid(cfg)
+	nodes := cfg.Mesh.Nodes()
+	s := newSlabs(cfg, nodes, nodes)
+	rs, es := make([]Router, nodes), make([]Endpoint, nodes)
+	for id := range rs {
+		cfg.NodeID = id
+		rs[id].init(cfg, &s)
+		es[id].init(id, cfg.VCs, cfg.BufDepth, a, &s)
+	}
+	return rs, es
+}
+
+func mustBeValid(cfg Config) {
 	if cfg.VCs < 1 {
 		panic("router: need at least one VC")
 	}
@@ -160,48 +189,43 @@ func New(cfg Config) *Router {
 	if cfg.Speedup < 1 {
 		panic("router: need speedup >= 1")
 	}
-	P := topo.NumPorts
-	n := P * cfg.VCs
-	r := &Router{
+}
+
+// init builds the router in place, cutting its arrays from s.
+func (r *Router) init(cfg Config, s *slabs) {
+	n := topo.NumPorts * cfg.VCs
+	regs, index := routing.StateLen(cfg.Mesh, cfg.VCs, cfg.Alg)
+	*r = Router{
 		cfg: cfg,
 		vcs: cfg.VCs,
-		st:  routing.NewState(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg),
+		st:  routing.NewStateOn(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg, s.i32.cut(regs), s.index.cut(index)),
 
-		inState:   make([]uint8, n),
-		inOutDir:  make([]topo.Direction, n),
-		inOutVC:   make([]int32, n),
-		inBlocked: make([]int64, n),
-		inRouted:  make([]bool, n),
-		inDest:    make([]int32, n),
-		inDec:     make([]routing.Decision, n),
+		inState:   s.u8.cut(n),
+		inOutDir:  s.dirs.cut(n),
+		inOutVC:   s.i32.cut(n),
+		inBlocked: s.i64.cut(n),
+		inRouted:  s.bools.cut(n),
+		inDest:    s.i32.cut(n),
+		inDec:     s.decs.cut(n),
 
-		bufStore: make([]*flit.Flit, n*cfg.BufDepth),
-		bufHead:  make([]int32, n),
-		bufLen:   make([]int32, n),
+		bufStore: s.flits.cut(n * cfg.BufDepth),
+		bufHead:  s.i32.cut(n),
+		bufLen:   s.i32.cut(n),
 
-		outAlloc:     make([]bool, n),
-		outCredits:   make([]int32, n),
-		outAwaitTail: make([]bool, n),
+		outAlloc:     s.bools.cut(n),
+		outCredits:   s.i32.cut(n),
+		outAwaitTail: s.bools.cut(n),
 
-		stageStore: make([]*flit.Flit, P*stageCap),
-		stageHead:  make([]int32, P),
-		stageLen:   make([]int32, P),
-
-		inCh:  make([]*Channel, P),
-		outCh: make([]*Channel, P),
-
-		va:      alloc.NewVCAllocator(n, n),
-		saIn:    make([]*alloc.RoundRobin, P),
-		saOut:   make([]*alloc.RoundRobin, P),
-		vaHeads: make([]uint8, 0, n),                       // every head fits
-		vaReqs:  make([]alloc.VCRequest, 0, 2*(cfg.VCs+1)), // two heads' requests, then it grows
+		va:      alloc.MakeVCAllocator(n, n, s.i32.cut(6*n), s.u8.cut(2*n), s.grants.cut(vaGrants)),
+		vaHeads: s.u8.cut(n)[:0],                   // every head fits
+		vaReqs:  s.reqs.cut(vaReqCap(cfg.VCs))[:0], // then it grows
 	}
-	for i := 0; i < n; i++ {
+	for i := range r.outCredits {
 		r.outCredits[i] = int32(cfg.BufDepth)
 	}
-	for p := 0; p < P; p++ {
-		r.saIn[p] = alloc.NewRoundRobin(cfg.VCs)
-		r.saOut[p] = alloc.NewRoundRobin(P)
+	for p := range r.saIn {
+		r.saIn[p] = alloc.MakeRoundRobin(cfg.VCs)
+		r.saOut[p] = alloc.MakeRoundRobin(topo.NumPorts)
 		r.freeMask[p] = r.st.Idle[p] // all VCs start idle
 	}
 	r.routeCtx = routing.Context{
@@ -210,7 +234,6 @@ func New(cfg Config) *Router {
 		View: r,
 		Rand: cfg.Rand,
 	}
-	return r
 }
 
 // AttachIn connects ch as the input channel arriving at port d.

@@ -3,6 +3,7 @@ package router
 import (
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nocsim/internal/alloc"
@@ -451,6 +452,36 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 			if r.inState[g.Requester] != vcActive || r.idx(r.inOutDir[g.Requester], int(r.inOutVC[g.Requester])) != g.Resource {
 				t.Errorf("%s: input VC %d holds %v VC %d (state %d), Allocate grants resource %d", c.name,
 					g.Requester, r.inOutDir[g.Requester], r.inOutVC[g.Requester], r.inState[g.Requester], g.Resource)
+			}
+		}
+	}
+}
+
+// TestSlabsCutExactly: newSlabs sizes every slab for exactly the arrays
+// the routers and endpoints cut from it, so after building them each slab
+// is used up — a size too small panics in a cut, one too large is memory
+// nobody reads — for every shape of the sizes: one VC and the most, one-
+// and four-flit buffers, with and without Footprint's owner index.
+func TestSlabsCutExactly(t *testing.T) {
+	for _, alg := range []string{"dor", "footprint"} {
+		for _, vcs := range []int{1, 2, 10, MaxVCs} {
+			for _, depth := range []int{1, 4} {
+				if vcs < 2 && alg == "footprint" {
+					continue
+				}
+				cfg := Config{Mesh: topo.MustNew(3, 2), VCs: vcs, BufDepth: depth, Speedup: 2, Alg: routing.MustNew(alg)}
+				s := newSlabs(cfg, cfg.Mesh.Nodes(), cfg.Mesh.Nodes())
+				for id := 0; id < cfg.Mesh.Nodes(); id++ {
+					cfg.NodeID = id
+					new(Router).init(cfg, &s)
+					new(Endpoint).init(id, vcs, depth, nil, &s)
+				}
+				v := reflect.ValueOf(s)
+				for i := 0; i < v.NumField(); i++ {
+					if left := v.Field(i).Len(); left != 0 {
+						t.Errorf("%s, %d VCs, depth %d: slab %s has %d elements left", alg, vcs, depth, v.Type().Field(i).Name, left)
+					}
+				}
 			}
 		}
 	}

@@ -41,8 +41,28 @@ type State struct {
 // idle and unowned. Only Footprint, whose decisions read the owner index,
 // gets one: no other State holds anything sized by the mesh.
 func NewState(m topo.Mesh, node, vcs int, alg Algorithm) State {
+	regs, index := StateLen(m, vcs, alg)
+	return NewStateOn(m, node, vcs, alg, make([]int32, regs), make([]uint32, index))
+}
+
+// StateLen returns how many owner registers and owner-index entries a
+// State of vcs VCs on m under alg holds: the lengths NewStateOn takes.
+// The index is Footprint's alone, so it is 0 for every other algorithm.
+func StateLen(m topo.Mesh, vcs int, alg Algorithm) (regs, index int) {
+	if _, ok := alg.(*Footprint); ok {
+		index = topo.NumPorts * m.Nodes()
+	}
+	return 2 * topo.NumPorts * vcs, index
+}
+
+// NewStateOn is NewState on memory the caller cuts, zeroed, of the
+// lengths StateLen gives: regs becomes Owner and RegOwner, and index
+// Owners (nil when the length is 0).
+func NewStateOn(m topo.Mesh, node, vcs int, alg Algorithm, regs []int32, index []uint32) State {
+	if r, i := StateLen(m, vcs, alg); len(regs) != r || len(index) != i {
+		panic("routing: State registers or owner index of the wrong size")
+	}
 	n := topo.NumPorts * vcs
-	regs := make([]int32, 2*n) // Owner, then RegOwner
 	for i := range regs {
 		regs[i] = -1
 	}
@@ -54,8 +74,8 @@ func NewState(m topo.Mesh, node, vcs int, alg Algorithm) State {
 		Mesh:     m,
 		Pos:      m.Coord(node),
 	}
-	if _, ok := alg.(*Footprint); ok {
-		s.Owners = make([]uint32, topo.NumPorts*m.Nodes())
+	if len(index) > 0 {
+		s.Owners = index
 	}
 	for d := range s.Idle {
 		s.Idle[d] = vcMask(0, vcs)

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"nocsim/internal/obs"
 	"nocsim/internal/router"
@@ -110,11 +111,18 @@ func (c Config) Validate() error {
 	if c.WatchdogCycles < 0 {
 		return fmt.Errorf("sim: negative watchdog window %d", c.WatchdogCycles)
 	}
-	for node, interval := range c.SlowEndpoints {
+	// Ascending node order, so that of several bad entries the lowest is
+	// the one named, on every call.
+	nodes := make([]int, 0, len(c.SlowEndpoints))
+	for node := range c.SlowEndpoints {
+		nodes = append(nodes, node)
+	}
+	slices.Sort(nodes)
+	for _, node := range nodes {
 		if node < 0 || node >= c.Width*c.Height {
 			return fmt.Errorf("sim: slow endpoint %d is not a node of the %dx%d mesh", node, c.Width, c.Height)
 		}
-		if interval < 1 {
+		if interval := c.SlowEndpoints[node]; interval < 1 {
 			return fmt.Errorf("sim: slow endpoint %d needs a consume interval >= 1, have %d", node, interval)
 		}
 	}

@@ -167,14 +167,16 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	newAlg := cfg.AlgFactory
-	if newAlg == nil {
-		if _, err := routing.New(cfg.Algorithm); err != nil {
+	var alg routing.Algorithm
+	if cfg.AlgFactory != nil {
+		alg = cfg.AlgFactory()
+	} else {
+		var err error
+		if alg, err = routing.New(cfg.Algorithm); err != nil {
 			return nil, err
 		}
-		newAlg = func() routing.Algorithm { return routing.MustNew(cfg.Algorithm) }
 	}
-	if alg := newAlg(); cfg.VCs < 2 && alg.UsesEscape() {
+	if cfg.VCs < 2 && alg.UsesEscape() {
 		return nil, fmt.Errorf("sim: %s reserves VC 0 as its escape channel and needs at least 2 VCs, have %d",
 			alg.Name(), cfg.VCs)
 	}
@@ -202,7 +204,7 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		VCs:           cfg.VCs,
 		BufDepth:      cfg.BufDepth,
 		Speedup:       cfg.Speedup,
-		NewAlg:        newAlg,
+		Alg:           alg,
 		Rand:          rng,
 		Sinks:         sinks,
 		SlowEndpoints: cfg.SlowEndpoints,

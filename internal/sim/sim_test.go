@@ -62,9 +62,31 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNamesLowestBadSlowEndpoint: with two bad slow endpoints,
+// Validate names the lower node id every time, not whichever one map
+// iteration reaches first.
+func TestValidateNamesLowestBadSlowEndpoint(t *testing.T) {
+	for _, c := range []struct {
+		slow map[int]int
+		want string
+	}{
+		{map[int]int{70: 4, 99: 4, 2: 1}, "sim: slow endpoint 70 is not a node of the 8x8 mesh"},
+		{map[int]int{9: 0, 5: -1, 40: 2}, "sim: slow endpoint 5 needs a consume interval >= 1, have -1"},
+		{map[int]int{-3: 2, 12: 0}, "sim: slow endpoint -3 is not a node of the 8x8 mesh"},
+	} {
+		cfg := DefaultConfig()
+		cfg.SlowEndpoints = c.slow
+		for i := 0; i < 50; i++ {
+			if err := cfg.Validate(); err == nil || err.Error() != c.want {
+				t.Fatalf("%v, call %d: got %v, want %q", c.slow, i, err, c.want)
+			}
+		}
+	}
+}
+
 // TestNewChecksEscapeVC: an algorithm that reserves VC 0 as its escape
 // channel cannot run on one VC; New must say so instead of letting
-// router.New panic. Algorithms without an escape VC run on one.
+// router construction panic. Algorithms without an escape VC run on one.
 func TestNewChecksEscapeVC(t *testing.T) {
 	for _, tc := range []struct {
 		alg string
