@@ -24,65 +24,94 @@ type VCRequest struct {
 // stage. The implementation is sparse: cost is proportional to the number
 // of requests submitted, not requesters×resources, because the router
 // invokes it every cycle.
+//
+// An allocator owns only what outlives a call, its round-robin pointers;
+// a call's working memory is a VCScratch it points to, which allocators
+// that are never called at the same time may share.
 type VCAllocator struct {
-	numRequesters int
-	numResources  int
-
 	outNext []int32 // round-robin pointer per resource
 	inNext  []int32 // round-robin pointer per requester
+	sc      *VCScratch
+}
 
-	// scratch, reused across calls; only touched entries are reset. The
-	// touched lists have their bound; grants starts at the few a call makes.
+// VCScratch is the working memory of one Allocate call. A call leaves it
+// as it found it, resetting only the entries it touched, so it carries
+// nothing from one call to the next and one VCScratch serves any number
+// of allocators called one at a time (a fabric's routers share one). It
+// is sized for the worst call and never grows.
+type VCScratch struct {
 	resPri      []uint8 // best priority seen per resource this call
-	resWin      []int32 // winning requester per resource this call
+	resWin      []int32 // winning requester per resource this call, -1 untouched
 	reqPri      []uint8 // best granted priority per requester
-	reqWin      []int32 // winning resource per requester
+	reqWin      []int32 // winning resource per requester, -1 untouched
 	touchedRes  []int32
 	touchedReqs []int32
 	grants      []Grant
 }
 
 // NewVCAllocator returns an allocator for numRequesters input VCs and
-// numResources output VCs.
+// numResources output VCs, with a scratch of its own.
 func NewVCAllocator(numRequesters, numResources int) *VCAllocator {
 	n := numRequesters + numResources
-	a := MakeVCAllocator(numRequesters, numResources, make([]int32, 3*n), make([]uint8, n), make([]Grant, 0, 8))
+	sc := MakeVCScratch(numRequesters, numResources, make([]int32, 2*n), make([]uint8, n),
+		make([]Grant, min(numRequesters, numResources)))
+	a := MakeVCAllocator(numRequesters, numResources, make([]int32, n), &sc)
 	return &a
 }
 
-// MakeVCAllocator is NewVCAllocator as a value on memory the caller cuts:
-// idx and pri hold 3 and 1 elements per requester and per resource, and
-// grants is where Allocate starts its grant list (empty, any capacity).
-func MakeVCAllocator(numRequesters, numResources int, idx []int32, pri []uint8, grants []Grant) VCAllocator {
+// MakeVCScratch returns the working memory of allocators with up to
+// numRequesters requesters and numResources resources, on memory the
+// caller cuts: idx holds 2 elements per requester and per resource, pri
+// 1, and grants one per match a call can make, min(numRequesters,
+// numResources).
+func MakeVCScratch(numRequesters, numResources int, idx []int32, pri []uint8, grants []Grant) VCScratch {
+	n := numRequesters + numResources
 	if numRequesters <= 0 || numResources <= 0 {
 		panic("alloc: VC allocator needs positive dimensions")
 	}
-	if n := numRequesters + numResources; len(idx) != 3*n || len(pri) != n {
-		panic("alloc: VC allocator arrays of the wrong size")
+	if len(idx) != 2*n || len(pri) != n || len(grants) != min(numRequesters, numResources) {
+		panic("alloc: VC allocator scratch arrays of the wrong size")
 	}
 	// Each array is cut with cap == len, so no append reaches the next.
 	cut32 := func(n int) []int32 { s := idx[:n:n]; idx = idx[n:]; return s }
 	cut8 := func(n int) []uint8 { s := pri[:n:n]; pri = pri[n:]; return s }
-	a := VCAllocator{
-		numRequesters: numRequesters,
-		numResources:  numResources,
-		outNext:       cut32(numResources),
-		inNext:        cut32(numRequesters),
-		resPri:        cut8(numResources),
-		resWin:        cut32(numResources),
-		reqPri:        cut8(numRequesters),
-		reqWin:        cut32(numRequesters),
-		touchedRes:    cut32(numResources)[:0],
-		touchedReqs:   cut32(numRequesters)[:0],
-		grants:        grants[:0],
+	sc := VCScratch{
+		resPri:      cut8(numResources),
+		resWin:      cut32(numResources),
+		reqPri:      cut8(numRequesters),
+		reqWin:      cut32(numRequesters),
+		touchedRes:  cut32(numResources)[:0],
+		touchedReqs: cut32(numRequesters)[:0],
+		grants:      grants[:0],
 	}
-	for i := range a.resWin {
-		a.resWin[i] = -1
+	for i := range sc.resWin {
+		sc.resWin[i] = -1
 	}
-	for i := range a.reqWin {
-		a.reqWin[i] = -1
+	for i := range sc.reqWin {
+		sc.reqWin[i] = -1
 	}
-	return a
+	return sc
+}
+
+// MakeVCAllocator returns an allocator for numRequesters input VCs and
+// numResources output VCs as a value: next, cut by the caller, holds its
+// round-robin pointers, one per requester and per resource, and sc is
+// the scratch its calls work in, sized for at least its dimensions.
+func MakeVCAllocator(numRequesters, numResources int, next []int32, sc *VCScratch) VCAllocator {
+	if numRequesters <= 0 || numResources <= 0 {
+		panic("alloc: VC allocator needs positive dimensions")
+	}
+	if len(next) != numRequesters+numResources {
+		panic("alloc: VC allocator pointers of the wrong size")
+	}
+	if len(sc.reqWin) < numRequesters || len(sc.resWin) < numResources {
+		panic("alloc: VC allocator scratch smaller than the allocator")
+	}
+	return VCAllocator{
+		outNext: next[:numResources:numResources],
+		inNext:  next[numResources:],
+		sc:      sc,
+	}
 }
 
 // rrBetter reports whether candidate a beats candidate b for a resource
@@ -117,13 +146,13 @@ func (a *VCAllocator) GrantUncontended(q, base int, pri *[Highest + 1]uint32, fr
 			}
 			r = base + bits.TrailingZeros32(m)
 		}
-		if p == Lowest && esc >= 0 && (r < 0 || rrBetter(esc, r, next, a.numResources)) {
+		if p == Lowest && esc >= 0 && (r < 0 || rrBetter(esc, r, next, len(a.outNext))) {
 			r = esc
 		}
 	}
 	if r >= 0 { // out of range, q or r panics here: each array has its length
-		a.outNext[r] = int32((q + 1) % a.numRequesters)
-		a.inNext[q] = int32((r + 1) % a.numResources)
+		a.outNext[r] = int32((q + 1) % len(a.inNext))
+		a.inNext[q] = int32((r + 1) % len(a.outNext))
 	}
 	return r
 }
@@ -137,60 +166,62 @@ type Grant struct {
 // Allocate matches requesters to resources and returns the grants. Each
 // requester receives at most one resource and each resource is granted to
 // at most one requester. Requests with Pri == None are ignored. The
-// returned slice is reused by the next call to Allocate.
+// returned slice is the scratch's, reused by the next call of any
+// allocator that shares it.
 func (a *VCAllocator) Allocate(reqs []VCRequest) []Grant {
+	sc, nq, nr := a.sc, int32(len(a.inNext)), int32(len(a.outNext))
 	// Output stage: each resource picks its best requester.
 	for _, rq := range reqs {
 		if rq.Pri == None {
 			continue
 		}
-		if rq.Requester < 0 || rq.Requester >= a.numRequesters ||
-			rq.Resource < 0 || rq.Resource >= a.numResources {
+		if rq.Requester < 0 || rq.Requester >= int(nq) ||
+			rq.Resource < 0 || rq.Resource >= int(nr) {
 			panic("alloc: VC request out of range")
 		}
 		r, q, pri := int32(rq.Resource), int32(rq.Requester), uint8(rq.Pri)
-		if a.resWin[r] == -1 {
-			a.touchedRes = append(a.touchedRes, r)
-			a.resPri[r] = pri
-			a.resWin[r] = q
+		if sc.resWin[r] == -1 {
+			sc.touchedRes = append(sc.touchedRes, r)
+			sc.resPri[r] = pri
+			sc.resWin[r] = q
 			continue
 		}
-		if pri > a.resPri[r] ||
-			(pri == a.resPri[r] && q != a.resWin[r] &&
-				rrBetter(q, a.resWin[r], a.outNext[r], int32(a.numRequesters))) {
-			a.resPri[r] = pri
-			a.resWin[r] = q
+		if pri > sc.resPri[r] ||
+			(pri == sc.resPri[r] && q != sc.resWin[r] &&
+				rrBetter(q, sc.resWin[r], a.outNext[r], nq)) {
+			sc.resPri[r] = pri
+			sc.resWin[r] = q
 		}
 	}
 
 	// Input stage: each requester keeps its best resource grant. Either
 	// stage's scratch is reset as the next stage reads it.
-	for _, r := range a.touchedRes {
-		q, p := a.resWin[r], a.resPri[r]
-		a.resWin[r], a.resPri[r] = -1, uint8(None)
-		if a.reqWin[q] == -1 {
-			a.touchedReqs = append(a.touchedReqs, q)
-			a.reqPri[q] = p
-			a.reqWin[q] = r
+	for _, r := range sc.touchedRes {
+		q, p := sc.resWin[r], sc.resPri[r]
+		sc.resWin[r], sc.resPri[r] = -1, uint8(None)
+		if sc.reqWin[q] == -1 {
+			sc.touchedReqs = append(sc.touchedReqs, q)
+			sc.reqPri[q] = p
+			sc.reqWin[q] = r
 			continue
 		}
-		if p > a.reqPri[q] ||
-			(p == a.reqPri[q] && r != a.reqWin[q] &&
-				rrBetter(r, a.reqWin[q], a.inNext[q], int32(a.numResources))) {
-			a.reqPri[q] = p
-			a.reqWin[q] = r
+		if p > sc.reqPri[q] ||
+			(p == sc.reqPri[q] && r != sc.reqWin[q] &&
+				rrBetter(r, sc.reqWin[q], a.inNext[q], nr)) {
+			sc.reqPri[q] = p
+			sc.reqWin[q] = r
 		}
 	}
 
-	grants := a.grants[:0]
-	for _, q := range a.touchedReqs {
-		r := a.reqWin[q]
-		a.reqWin[q], a.reqPri[q] = -1, uint8(None)
+	grants := sc.grants[:0]
+	for _, q := range sc.touchedReqs {
+		r := sc.reqWin[q]
+		sc.reqWin[q], sc.reqPri[q] = -1, uint8(None)
 		grants = append(grants, Grant{Requester: int(q), Resource: int(r)})
 		// Advance round-robin state past the winners.
-		a.inNext[q] = (r + 1) % int32(a.numResources)
-		a.outNext[r] = (q + 1) % int32(a.numRequesters)
+		a.inNext[q] = (r + 1) % nr
+		a.outNext[r] = (q + 1) % nq
 	}
-	a.grants, a.touchedRes, a.touchedReqs = grants, a.touchedRes[:0], a.touchedReqs[:0]
+	sc.grants, sc.touchedRes, sc.touchedReqs = grants, sc.touchedRes[:0], sc.touchedReqs[:0]
 	return grants
 }

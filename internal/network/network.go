@@ -234,9 +234,11 @@ func (n *Network) wakeNode(id int) { n.lists.Wake[id>>6] |= 1 << uint(id&63) }
 // globally ordered so results are independent of router iteration order:
 // one delivery pass over the busy list (what every link carried last
 // cycle), all routing+VC allocation, all switch traversal, all endpoint
-// activity. On a cycle the probe elects to sample, each phase entry is
-// marked once; the probe only reads clocks and allocation counters between
-// phases, so sampling can never change simulated results.
+// activity. The routers share one VC-allocation scratch (router.NewNodes),
+// so their AllocateVCs calls must not overlap. On a cycle the probe
+// elects to sample, each phase entry is marked once; the probe only reads
+// clocks and allocation counters between phases, so sampling can never
+// change simulated results.
 func (n *Network) Step() {
 	p := n.Probe
 	probed := p != nil && p.BeginCycle(n.now)

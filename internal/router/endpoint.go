@@ -29,7 +29,7 @@ type Endpoint struct {
 	nextSeq   int // next flit of the packet currently being injected
 	injVC     int // local input VC held by the current packet
 	curPacket *flit.Packet
-	credits   []int // buffer credits per router local input VC
+	credits   []int32 // buffer credits per router local input VC
 	vcBusy    []bool
 	pickRR    int
 	// Ejection side.
@@ -82,14 +82,14 @@ func (e *Endpoint) init(node, vcs, bufDepth int, a *flit.Arena, s *slabs) {
 		arena:    a,
 		injVC:    -1,
 		queue:    s.queue.cut(queueCap)[:0],
-		credits:  s.ints.cut(vcs),
+		credits:  s.i32.cut(vcs),
 		vcBusy:   s.bools.cut(vcs),
 		ejBuf:    s.ejBufs.cut(vcs),
 		consume:  alloc.MakeRoundRobin(vcs),
 	}
 	store := s.flits.cut(vcs * bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
-		e.credits[v] = bufDepth
+		e.credits[v] = int32(bufDepth)
 		e.ejBuf[v] = store[v*bufDepth : v*bufDepth : (v+1)*bufDepth]
 	}
 }
@@ -134,7 +134,7 @@ func (e *Endpoint) QueueLen() int {
 func (e *Endpoint) acceptCredits(crs []flit.Credit) {
 	for _, cr := range crs {
 		e.credits[cr.VC]++
-		if e.credits[cr.VC] > e.bufDepth {
+		if int(e.credits[cr.VC]) > e.bufDepth {
 			panic(fmt.Sprintf("router: endpoint %d credit overflow vc %d", e.node, cr.VC))
 		}
 	}
@@ -255,7 +255,7 @@ func (e *Endpoint) newFlit() *flit.Flit {
 // pickVC selects a free local input VC for a new packet: unheld, with the
 // most credits; round-robin among ties. Returns -1 when none is free.
 func (e *Endpoint) pickVC() int {
-	best, bestCr := -1, -1
+	best, bestCr := -1, int32(-1)
 	for i := 0; i < e.vcs; i++ {
 		v := (e.pickRR + i) % e.vcs
 		if e.vcBusy[v] {

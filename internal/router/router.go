@@ -58,9 +58,10 @@ type Router struct {
 	// input VC, so the per-cycle re-evaluation of a blocked head reads
 	// one dense array instead of chasing flit and packet pointers.
 	inDest []int32
-	// inDec is the head packet's routing decision per input VC: the VC
-	// request set as masks, replaced at every re-evaluation.
-	inDec []routing.Decision
+	// inReqDir is the output port of the head packet's latest routing
+	// decision, replaced at every re-evaluation; the decision itself
+	// lives in the scratch only while AllocateVCs runs.
+	inReqDir []uint8
 
 	// Input buffers: per-VC rings of capacity BufDepth over one backing
 	// array; slot i of VC idx is bufStore[idx*BufDepth+(bufHead[idx]+i)%BufDepth].
@@ -98,11 +99,10 @@ type Router struct {
 	inCh  [topo.NumPorts]*Channel // attached input channels
 	outCh [topo.NumPorts]*Channel // attached output channels
 
-	va      alloc.VCAllocator
-	saIn    [topo.NumPorts]alloc.RoundRobin // per input port: VC chooser
-	saOut   [topo.NumPorts]alloc.RoundRobin // per output port: input chooser
-	vaReqs  []alloc.VCRequest
-	vaHeads []uint8 // this cycle's routing heads with a grantable VC, ascending
+	va    alloc.VCAllocator               // its round-robin pointers; calls work in sc.va
+	saIn  [topo.NumPorts]alloc.RoundRobin // per input port: VC chooser
+	saOut [topo.NumPorts]alloc.RoundRobin // per output port: input chooser
+	sc    *vaScratch                      // AllocateVCs' working memory, the fabric's
 
 	// routeCtx is the reusable routing context: Decide receives a pointer
 	// to it every call (only Dest and InDir vary), so route computation
@@ -150,7 +150,7 @@ const MaxVCs = 32
 func New(cfg Config) *Router {
 	mustBeValid(cfg)
 	r, s := new(Router), newSlabs(cfg, 1, 0)
-	r.init(cfg, &s)
+	r.init(cfg, &s, newVAScratch(cfg.VCs, &s))
 	return r
 }
 
@@ -158,16 +158,17 @@ func New(cfg Config) *Router {
 // cfg.Mesh, node id at index id of each slice, in a number of heap
 // allocations that does not grow with the mesh: every per-VC array is cut
 // from one slab per element type (DESIGN.md, "Construction"). cfg.NodeID
-// is not read, and every router shares cfg.Alg. Channels are attached
-// later with AttachIn, AttachOut and Endpoint.Attach.
+// is not read, and every router shares cfg.Alg and one vaScratch. Channels
+// are attached later with AttachIn, AttachOut and Endpoint.Attach.
 func NewNodes(cfg Config, a *flit.Arena) ([]Router, []Endpoint) {
 	mustBeValid(cfg)
 	nodes := cfg.Mesh.Nodes()
 	s := newSlabs(cfg, nodes, nodes)
+	sc := newVAScratch(cfg.VCs, &s)
 	rs, es := make([]Router, nodes), make([]Endpoint, nodes)
 	for id := range rs {
 		cfg.NodeID = id
-		rs[id].init(cfg, &s)
+		rs[id].init(cfg, &s, sc)
 		es[id].init(id, cfg.VCs, cfg.BufDepth, a, &s)
 	}
 	return rs, es
@@ -191,8 +192,9 @@ func mustBeValid(cfg Config) {
 	}
 }
 
-// init builds the router in place, cutting its arrays from s.
-func (r *Router) init(cfg Config, s *slabs) {
+// init builds the router in place, cutting its arrays from s; its
+// AllocateVCs calls work in sc.
+func (r *Router) init(cfg Config, s *slabs, sc *vaScratch) {
 	n := topo.NumPorts * cfg.VCs
 	regs, index := routing.StateLen(cfg.Mesh, cfg.VCs, cfg.Alg)
 	*r = Router{
@@ -206,7 +208,7 @@ func (r *Router) init(cfg Config, s *slabs) {
 		inBlocked: s.i64.cut(n),
 		inRouted:  s.bools.cut(n),
 		inDest:    s.i32.cut(n),
-		inDec:     s.decs.cut(n),
+		inReqDir:  s.u8.cut(n),
 
 		bufStore: s.flits.cut(n * cfg.BufDepth),
 		bufHead:  s.i32.cut(n),
@@ -216,9 +218,8 @@ func (r *Router) init(cfg Config, s *slabs) {
 		outCredits:   s.i32.cut(n),
 		outAwaitTail: s.bools.cut(n),
 
-		va:      alloc.MakeVCAllocator(n, n, s.i32.cut(6*n), s.u8.cut(2*n), s.grants.cut(vaGrants)),
-		vaHeads: s.u8.cut(n)[:0],                   // every head fits
-		vaReqs:  s.reqs.cut(vaReqCap(cfg.VCs))[:0], // then it grows
+		va: alloc.MakeVCAllocator(n, n, s.i32.cut(2*n), &sc.va),
+		sc: sc,
 	}
 	for i := range r.outCredits {
 		r.outCredits[i] = int32(cfg.BufDepth)
@@ -426,7 +427,8 @@ func (r *Router) AllocateVCs(now int64) {
 	if r.routingPorts == 0 {
 		return
 	}
-	r.vaHeads, r.vaReqs = r.vaHeads[:0], r.vaReqs[:0]
+	sc := r.sc
+	sc.heads, sc.reqs = sc.heads[:0], sc.reqs[:0]
 	var seen [topo.NumPorts]uint32
 	var dup uint32
 	for ps := r.routingPorts; ps != 0; ps &= ps - 1 {
@@ -438,7 +440,7 @@ func (r *Router) AllocateVCs(now int64) {
 			// The route (and its VC request set) is re-evaluated every cycle
 			// while the packet waits, so adaptive decisions track the live
 			// congestion state (DESIGN.md, "Mechanism analysis").
-			dec := &r.inDec[requester]
+			dec := &sc.dec[requester]
 			dest := int(r.inDest[requester])
 			if r.cfg.Sinks.Packets != nil && !r.inRouted[requester] {
 				r.cfg.Sinks.Packets.OnRoute(now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
@@ -458,6 +460,7 @@ func (r *Router) AllocateVCs(now int64) {
 				}
 			}
 			r.inRouted[requester] = true
+			r.inReqDir[requester] = uint8(dec.Dir)
 			// A blocked head (no requested VC free) is recorded nowhere; the
 			// others are, and dup collects every VC a second head wants too.
 			a, esc := dec.VCMask()&r.freeMask[dec.Dir], uint32(0)
@@ -467,7 +470,7 @@ func (r *Router) AllocateVCs(now int64) {
 			if a|esc == 0 {
 				continue
 			}
-			r.vaHeads = append(r.vaHeads, uint8(requester))
+			sc.heads = append(sc.heads, uint8(requester))
 			dup |= seen[dec.Dir]&a | seen[dec.Esc]&esc
 			seen[dec.Dir] |= a
 			seen[dec.Esc] |= esc
@@ -478,8 +481,8 @@ func (r *Router) AllocateVCs(now int64) {
 	// (DESIGN.md, "VC allocation in two forms"). Otherwise the heads expand
 	// in list order (ascending VC, escape last): grant order, and with it
 	// event order, follows the order Allocate first sees each resource in.
-	for _, h := range r.vaHeads {
-		q, dec, esc := int(h), &r.inDec[h], -1
+	for _, h := range sc.heads {
+		q, dec, esc := int(h), &sc.dec[h], -1
 		if dec.HasEsc && r.freeMask[dec.Esc]&1 != 0 {
 			esc = r.idx(dec.Esc, 0)
 		}
@@ -490,13 +493,13 @@ func (r *Router) AllocateVCs(now int64) {
 		}
 		for a := dec.VCMask() & free; a != 0; a &= a - 1 {
 			vc := bits.TrailingZeros32(a)
-			r.vaReqs = append(r.vaReqs, alloc.VCRequest{Requester: q, Resource: base + vc, Pri: dec.PriOf(vc)})
+			sc.reqs = append(sc.reqs, alloc.VCRequest{Requester: q, Resource: base + vc, Pri: dec.PriOf(vc)})
 		}
 		if esc >= 0 {
-			r.vaReqs = append(r.vaReqs, alloc.VCRequest{Requester: q, Resource: esc, Pri: alloc.Lowest})
+			sc.reqs = append(sc.reqs, alloc.VCRequest{Requester: q, Resource: esc, Pri: alloc.Lowest})
 		}
 	}
-	for _, g := range r.va.Allocate(r.vaReqs) { // nothing, in mask form
+	for _, g := range r.va.Allocate(sc.reqs) { // nothing, in mask form
 		r.grant(now, g.Requester, g.Resource)
 	}
 
@@ -510,7 +513,7 @@ func (r *Router) AllocateVCs(now int64) {
 			r.inBlocked[requester]++
 			r.vcAllocFails++
 			if r.cfg.Sinks.Blocked != nil {
-				out := r.inDec[requester].Dir
+				out := topo.Direction(r.inReqDir[requester])
 				fp, busy := r.portOccupancy(out, int(r.inDest[requester]))
 				// The packet goes out with the first failure of a span only,
 				// so a head that stays blocked costs no flit or packet load.

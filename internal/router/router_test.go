@@ -441,7 +441,7 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 		}
 		receive(r)
 		r.AllocateVCs(0)
-		if got := len(r.vaReqs) != 0; got != c.listPath {
+		if got := len(r.sc.reqs) != 0; got != c.listPath {
 			t.Errorf("%s: request list built = %v, want %v", c.name, got, c.listPath)
 		}
 		want := alloc.NewVCAllocator(5*4, 5*4).Allocate(reqs)
@@ -458,8 +458,8 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 }
 
 // TestSlabsCutExactly: newSlabs sizes every slab for exactly the arrays
-// the routers and endpoints cut from it, so after building them each slab
-// is used up — a size too small panics in a cut, one too large is memory
+// the routers, their shared VC-allocation scratch and the endpoints cut
+// from it, so after building them each slab is used up — a size too small panics in a cut, one too large is memory
 // nobody reads — for every shape of the sizes: one VC and the most, one-
 // and four-flit buffers, with and without Footprint's owner index.
 func TestSlabsCutExactly(t *testing.T) {
@@ -471,9 +471,10 @@ func TestSlabsCutExactly(t *testing.T) {
 				}
 				cfg := Config{Mesh: topo.MustNew(3, 2), VCs: vcs, BufDepth: depth, Speedup: 2, Alg: routing.MustNew(alg)}
 				s := newSlabs(cfg, cfg.Mesh.Nodes(), cfg.Mesh.Nodes())
+				sc := newVAScratch(vcs, &s)
 				for id := 0; id < cfg.Mesh.Nodes(); id++ {
 					cfg.NodeID = id
-					new(Router).init(cfg, &s)
+					new(Router).init(cfg, &s, sc)
 					new(Endpoint).init(id, vcs, depth, nil, &s)
 				}
 				v := reflect.ValueOf(s)

@@ -9,8 +9,8 @@ import (
 
 // slab is the backing slice of one element type from which nodes cut
 // their arrays. cut hands out consecutive pieces with cap == len, so no
-// node's append (a router's vaReqs growing, say) can reach a neighbour's
-// elements.
+// node's append (an endpoint's source queue growing, say) can reach a
+// neighbour's elements.
 type slab[T any] []T
 
 func (s *slab[T]) cut(n int) []T {
@@ -19,19 +19,40 @@ func (s *slab[T]) cut(n int) []T {
 	return c
 }
 
-// Initial capacities of the lists that may grow past them: a router's VC
-// requests and grants, an endpoint's source queue. Each grows privately
-// on its first append past its cut.
-const (
-	vaGrants = 8
-	queueCap = 4
-)
+// queueCap is the initial room of an endpoint's source queue, which grows
+// privately on its first append past it.
+const queueCap = 4
 
-func vaReqCap(vcs int) int { return 2 * (vcs + 1) } // two heads' requests
+// vaScratch is the working memory of Router.AllocateVCs. Nothing in it
+// outlives a call, and network.Step runs the routers' AllocateVCs one at a
+// time, so one vaScratch serves every router of a fabric. It is sized for
+// the worst call and never grows.
+type vaScratch struct {
+	dec   []routing.Decision // per input VC: this call's decision for its head
+	heads []uint8            // this call's routing heads with a grantable VC, ascending
+	reqs  []alloc.VCRequest  // the list form's requests
+	va    alloc.VCScratch    // the allocator's
+}
+
+// vaReqCap bounds one call's requests: every head asks for at most every
+// VC of one port and the escape VC.
+func vaReqCap(vcs int) int { return topo.NumPorts * vcs * (vcs + 1) }
+
+// newVAScratch cuts, from s, the scratch of routers with vcs VCs.
+func newVAScratch(vcs int, s *slabs) *vaScratch {
+	n := topo.NumPorts * vcs
+	return &vaScratch{
+		dec:   s.decs.cut(n),
+		heads: s.u8.cut(n)[:0],
+		reqs:  s.reqs.cut(vaReqCap(vcs))[:0],
+		va:    alloc.MakeVCScratch(n, n, s.i32.cut(4*n), s.u8.cut(2*n), s.grants.cut(n)),
+	}
+}
 
 // slabs holds one slab per element type of the per-node arrays, sized by
 // newSlabs exactly for the routers and endpoints about to cut from them
-// (DESIGN.md, "Construction").
+// and, if there are routers, the one vaScratch they share (DESIGN.md,
+// "Construction").
 type slabs struct {
 	u8     slab[uint8]
 	dirs   slab[topo.Direction]
@@ -43,33 +64,33 @@ type slabs struct {
 	reqs   slab[alloc.VCRequest]
 	grants slab[alloc.Grant]
 	index  slab[uint32]
-	ints   slab[int]
 	ejBufs slab[[]*flit.Flit]
 	queue  slab[*flit.Packet]
 }
 
-// newSlabs sizes the slabs for routers routers of cfg's shape and
-// endpoints endpoints of its VC count and buffer depth. Router.init and
-// Endpoint.init make the cuts these sizes add up.
+// newSlabs sizes the slabs for routers routers of cfg's shape, their
+// vaScratch, and endpoints endpoints of its VC count and buffer depth.
+// Router.init, newVAScratch and Endpoint.init make the cuts these sizes
+// add up.
 func newSlabs(cfg Config, routers, endpoints int) slabs {
 	v, depth := cfg.VCs, cfg.BufDepth
 	n := topo.NumPorts * v
-	var regs, index int
+	var regs, index, scratch int
 	if routers > 0 {
 		regs, index = routing.StateLen(cfg.Mesh, v, cfg.Alg)
+		scratch = 1
 	}
 	return slabs{
-		u8:     make([]uint8, routers*4*n), // inState, vaHeads, the allocator's two priority arrays
+		u8:     make([]uint8, routers*2*n+scratch*3*n), // inState, inReqDir; heads, the allocator's two priority arrays
 		dirs:   make([]topo.Direction, routers*n),
-		i32:    make([]int32, routers*(5*n+6*n+regs)), // five per-VC arrays, the allocator's six, owner registers
+		i32:    make([]int32, routers*(7*n+regs)+scratch*4*n+endpoints*v), // five per-VC arrays, two round-robin, owner registers; the allocator's four; credits
 		i64:    make([]int64, routers*n),
 		bools:  make([]bool, routers*3*n+endpoints*v),
-		decs:   make([]routing.Decision, routers*n),
+		decs:   make([]routing.Decision, scratch*n),
 		flits:  make([]*flit.Flit, (routers*n+endpoints*v)*depth),
-		reqs:   make([]alloc.VCRequest, routers*vaReqCap(v)),
-		grants: make([]alloc.Grant, routers*vaGrants),
+		reqs:   make([]alloc.VCRequest, scratch*vaReqCap(v)),
+		grants: make([]alloc.Grant, scratch*n),
 		index:  make([]uint32, routers*index),
-		ints:   make([]int, endpoints*v),
 		ejBufs: make([][]*flit.Flit, endpoints*v),
 		queue:  make([]*flit.Packet, endpoints*queueCap),
 	}

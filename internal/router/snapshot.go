@@ -51,7 +51,7 @@ func (r *Router) InputVCSnapshot(d topo.Direction, v int) InVCState {
 		st.Blocked = r.inBlocked[i]
 		st.Routed = r.inRouted[i]
 		if r.inRouted[i] {
-			st.ReqDir = r.inDec[i].Dir
+			st.ReqDir = topo.Direction(r.inReqDir[i])
 		}
 	case vcActive:
 		st.State = VCStateActive

@@ -23,8 +23,16 @@ import "nocsim/internal/alloc"
 //  3. translate the port's congestion state into prioritized VC requests:
 //     uncongested (idle ≥ threshold) → all adaptive VCs at Low;
 //     saturated (no idle) → footprint VCs at High if any, else all
-//     adaptive at Low; in between → idle at Highest, footprint at High,
-//     busy at Low. The escape VC is always requested at Lowest.
+//     adaptive at Low; in between, the affinity ladder → idle VCs whose
+//     footprint register names the destination (reclaim) at Highest,
+//     occupied footprint VCs at Medium, the other idle VCs at High (at
+//     Low once the destination has footprint VCs on the port), busy VCs
+//     at Low. The escape VC is always requested at Lowest.
+//
+// The in-between ladder is not the paper's (idle at Highest, footprint at
+// High, busy at Low): DESIGN.md, "Mechanism analysis", gives the
+// paper-literal ladder, why it is inert under conservative reallocation,
+// and the measurements behind this one.
 type Footprint struct {
 	// Threshold is the idle-VC count at or above which the port is
 	// treated as uncongested. Zero means the paper's default of half the
