@@ -9,7 +9,7 @@
 //	nocsim -alg dbar -pattern transpose -rate 0.35
 //	nocsim -rates 0.1,0.2,0.3 -jobs 4  # parallel mini-sweep, one row per rate
 //	nocsim -width 16 -height 16 -vcs 4 -rate 0.2
-//	nocsim -trace-out trace.json    # Perfetto-loadable lifecycle trace
+//	nocsim -trace-jsonl trace.jsonl # packet lifecycle trace, one JSON event per line
 //	nocsim -heatmap-out links.csv   # measurement-window link heatmap
 //	nocsim -counters-out ts.csv     # per-router counters every 100 cycles
 //	nocsim -anatomy                 # latency anatomy after the result, under [<alg>]
@@ -130,7 +130,6 @@ func single(fs *flag.FlagSet) action {
 	printConfig := fs.Bool("print-config", false, "print the configuration (Table 2) and exit")
 	heatmap := fs.Bool("heatmap", false, "print the measurement-window link utilization: mean, per-node egress grid and the five hottest links")
 
-	traceOut := fs.String("trace-out", "", "write a Chrome-trace (Perfetto) packet lifecycle trace to this file")
 	traceJSONL := fs.String("trace-jsonl", "", "write the packet lifecycle trace as JSONL to this file")
 	traceCap := fs.Int("trace-cap", 0, "lifecycle tracer ring capacity in events (0 = default)")
 	o := register(fs, false, true)
@@ -144,7 +143,7 @@ func single(fs *flag.FlagSet) action {
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{{"trace-out", *traceOut != ""}, {"trace-jsonl", *traceJSONL != ""}, {"trace-cap", *traceCap != 0}, {"heatmap", *heatmap}} {
+		}{{"trace-jsonl", *traceJSONL != ""}, {"trace-cap", *traceCap != 0}, {"heatmap", *heatmap}} {
 			if f.set && *rates != "" {
 				return fmt.Errorf("-%s applies to a single run and -rates makes several", f.name)
 			}
@@ -152,8 +151,8 @@ func single(fs *flag.FlagSet) action {
 		if *traceCap < 0 {
 			return fmt.Errorf("-trace-cap %d: a ring capacity is a positive event count (0 = default)", *traceCap)
 		}
-		if *traceCap != 0 && *traceOut == "" && *traceJSONL == "" {
-			return errors.New("-trace-cap needs -trace-out or -trace-jsonl")
+		if *traceCap != 0 && *traceJSONL == "" {
+			return errors.New("-trace-cap needs -trace-jsonl")
 		}
 		if err := o.start(stderr); err != nil {
 			return err
@@ -168,7 +167,7 @@ func single(fs *flag.FlagSet) action {
 		if *rates != "" {
 			return rateSweep(w, cfg, *pattern, size, *rates, o)
 		}
-		cfg.Obs.Trace = *traceOut != "" || *traceJSONL != ""
+		cfg.Obs.Trace = *traceJSONL != ""
 		cfg.Obs.TraceCapacity = *traceCap
 		cfg.Obs.Heatmap = cfg.Obs.Heatmap || *heatmap
 		gen, err := sim.PatternGenerator(cfg, *pattern, size, *rate)
@@ -192,7 +191,7 @@ func single(fs *flag.FlagSet) action {
 		fmt.Fprintf(w, "blocking           %d events, purity %.3f, HoL degree %.1f\n",
 			res.BlockEvents, res.Purity, res.HoLDegree)
 		fmt.Fprintf(w, "runtime            %s\n", res.Runtime)
-		if col := s.Observability(); col != nil {
+		if col := res.Obs; col != nil {
 			if *heatmap {
 				hm := col.Heatmap
 				fmt.Fprintf(w, "\nmean link utilization %.3f over the %d-cycle measurement window\n", hm.MeanUtilization(), hm.Cycles())
@@ -201,13 +200,6 @@ func single(fs *flag.FlagSet) action {
 				for _, l := range hm.Hottest(5) {
 					fmt.Fprintf(w, "  n%-3d -%s-> n%-3d %d flits, %.4f flits/cycle\n", l.From, l.Dir, l.To, l.Flits, l.Utilization)
 				}
-			}
-			if *traceOut != "" {
-				if err := writeFile(*traceOut, col.Tracer.WriteChromeTrace); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "trace              %s (%d events, %d dropped) — load in https://ui.perfetto.dev\n",
-					*traceOut, col.Tracer.Len(), col.Tracer.Dropped())
 			}
 			if *traceJSONL != "" {
 				if err := writeFile(*traceJSONL, col.Tracer.WriteJSONL); err != nil {
@@ -309,7 +301,7 @@ func register(fs *flag.FlagSet, figure, perRun bool) *opts {
 		fs.BoolVar(&o.anatomy, "anatomy", false,
 			"collect the latency anatomy (per-hop latency composition, VC-class grant split, exercised adaptiveness) and print it per run")
 		fs.StringVar(&o.anatomyOut, "anatomy-out", "",
-			"write the latency anatomy as CSV, one aggregate file plus one -occupancy time-series file per run, suffixed with the run label")
+			"write the latency anatomy aggregate as CSV, one file per run, suffixed with the run label")
 		fs.StringVar(&o.countersOut, "counters-out", "",
 			"write per-router counters sampled every 100 cycles as CSV; with more than one run, one file per run suffixed with the run label")
 		fs.StringVar(&o.heatmapOut, "heatmap-out", "",
@@ -409,7 +401,6 @@ func (o *opts) finish(w io.Writer, runs []*sim.Result) error {
 		}
 		if o.anatomyOut != "" {
 			write(obs.SuffixPath(o.anatomyOut, label), res.Anatomy.WriteCSV)
-			write(obs.SuffixPath(o.anatomyOut, label+"-occupancy"), res.Obs.Anatomy.WriteSeriesCSV)
 		}
 		if o.anatomy {
 			fmt.Fprintf(w, "\n[%s] ", label)

@@ -87,13 +87,14 @@ func TestBadValues(t *testing.T) {
 		{[]string{"scale", "-profile", "nope"}, `"nope"`},
 		{[]string{"hotspot", "-profile", "nope"}, `"nope"`},
 		{[]string{"traces", "-profile", "nope"}, `"nope"`},
-		{[]string{"-rates", "0.1,0.2", "-trace-out", "t.json"}, "-trace-out"},
 		{[]string{"-rates", "0.1,0.2", "-trace-jsonl", "t.jsonl"}, "-trace-jsonl"},
 		{[]string{"-rates", "0.1,0.2", "-trace-cap", "100"}, "-trace-cap"},
 		{[]string{"-rates", "0.1,0.2", "-heatmap"}, "-heatmap"},
 		{[]string{"-trace-cap", "100"}, "-trace-cap"},
 		{[]string{"-width", "4", "-height", "4", "-warmup", "10", "-measure", "20", "-drain", "100",
 			"-trace-cap", "-5", "-trace-jsonl", jsonl}, "-trace-cap -5"},
+		{[]string{"-width", "4", "-height", "4", "-warmup", "10", "-measure", "20", "-drain", "100",
+			"-trace-cap", "100000000000000", "-trace-jsonl", jsonl}, "trace capacity 100000000000000"},
 	} {
 		code, out, errOut := nocsim(c.args...)
 		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, c.bad) {
@@ -207,7 +208,7 @@ func TestFinish(t *testing.T) {
 		if head := "\n[" + label + "] latency anatomy"; !strings.Contains(out.String(), head) {
 			t.Errorf("output lacks %q:\n%s", head, out.String())
 		}
-		for _, name := range []string{"c_" + label + ".csv", "a_" + label + ".csv", "a_" + label + "-occupancy.csv"} {
+		for _, name := range []string{"c_" + label + ".csv", "a_" + label + ".csv"} {
 			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
 				t.Errorf("%s: not written (%v)", name, err)
 			}

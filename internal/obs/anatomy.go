@@ -5,17 +5,8 @@ import (
 	"io"
 
 	"nocsim/internal/flit"
-	"nocsim/internal/network"
 	"nocsim/internal/router"
-	"nocsim/internal/topo"
 )
-
-// DefaultAnatomyPeriod is the footprint-occupancy sampling period in
-// cycles when the caller does not choose one.
-const DefaultAnatomyPeriod = 256
-
-// DefaultAnatomySamples bounds the occupancy time series.
-const DefaultAnatomySamples = 4096
 
 // Component is one named slice of the latency decomposition.
 type Component struct {
@@ -214,25 +205,6 @@ func (a *Anatomy) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// AnatomySample is one point of the footprint-occupancy time series: the
-// state of every network-port output VC in the fabric at one cycle.
-type AnatomySample struct {
-	Cycle int64 `json:"cycle"`
-	// AllocatedVCs counts VCs currently held by a packet.
-	AllocatedVCs int `json:"allocated_vcs"`
-	// OwnedVCs counts VCs whose downstream buffer holds packets to some
-	// destination (the live footprint state; owner set, possibly no
-	// longer allocated).
-	OwnedVCs int `json:"owned_vcs"`
-	// IdleVCs counts fully drained, unallocated VCs.
-	IdleVCs int `json:"idle_vcs"`
-	// Trees is the number of distinct destinations owning at least one
-	// VC — the count of live congestion trees; LargestTree is the VC
-	// count of the biggest one (the paper's congestion-tree extent).
-	Trees       int `json:"trees"`
-	LargestTree int `json:"largest_tree"`
-}
-
 // packetAnatomy is the in-flight decomposition state of one packet.
 type packetAnatomy struct {
 	// lastMark is the inject cycle, then the cycle of the last head
@@ -245,8 +217,6 @@ type packetAnatomy struct {
 // AnatomyCollector accumulates the latency anatomy. All event callbacks
 // run on the single stepping goroutine, so it needs no locking.
 type AnatomyCollector struct {
-	period int64
-
 	windowSet  bool
 	start, end int64
 
@@ -254,27 +224,13 @@ type AnatomyCollector struct {
 	// window); events for unknown packet IDs are ignored.
 	inflight map[uint64]packetAnatomy
 
-	agg     Anatomy
-	samples []AnatomySample
-	// sampleDropped counts occupancy samples discarded at the bound.
-	sampleDropped int64
-	// treeCounts is the per-destination owned-VC scratch counter for
-	// sampling (slice-indexed: no map iteration anywhere near results).
-	treeCounts []int
-	treeTouch  []int
+	agg Anatomy
 }
 
-// NewAnatomyCollector returns a collector sampling occupancy every
-// period cycles (DefaultAnatomyPeriod when <= 0), keeping at most
-// DefaultAnatomySamples points.
-func NewAnatomyCollector(period int64) *AnatomyCollector {
-	if period <= 0 {
-		period = DefaultAnatomyPeriod
-	}
-	return &AnatomyCollector{
-		period:   period,
-		inflight: make(map[uint64]packetAnatomy),
-	}
+// NewAnatomyCollector returns an empty collector; it measures nothing
+// until OpenWindow.
+func NewAnatomyCollector() *AnatomyCollector {
+	return &AnatomyCollector{inflight: make(map[uint64]packetAnatomy)}
 }
 
 // OpenWindow arms measurement for packets born in [start, end).
@@ -288,12 +244,6 @@ func (a *AnatomyCollector) Aggregate() *Anatomy {
 	out := a.agg
 	return &out
 }
-
-// Samples returns the occupancy time series, oldest first.
-func (a *AnatomyCollector) Samples() []AnatomySample { return a.samples }
-
-// SamplesDropped returns occupancy samples discarded at the row bound.
-func (a *AnatomyCollector) SamplesDropped() int64 { return a.sampleDropped }
 
 // onInject starts tracking a packet if it is measured: born inside the
 // measurement window. The source-queue component is Inject - Born.
@@ -377,68 +327,4 @@ func (a *AnatomyCollector) onDecision(p *flit.Packet, d router.Decision) {
 	if d.MinimalProgress {
 		a.agg.MinimalDecisions++
 	}
-}
-
-// sample records one occupancy point: every network-port output VC in
-// the fabric, classified idle / owned / allocated, plus the
-// congestion-tree census (destinations owning VCs).
-func (a *AnatomyCollector) sample(now int64, net *network.Network) {
-	if len(a.samples) >= DefaultAnatomySamples {
-		a.sampleDropped++
-		return
-	}
-	if a.treeCounts == nil {
-		a.treeCounts = make([]int, net.Nodes())
-	}
-	s := AnatomySample{Cycle: now}
-	for id := 0; id < net.Nodes(); id++ {
-		r := net.Router(id)
-		for d := topo.East; d < topo.Local; d++ {
-			idle := r.State().Idle[d]
-			for v := 0; v < r.VCs(); v++ {
-				ov := r.OutputVCSnapshot(d, v)
-				if ov.Allocated {
-					s.AllocatedVCs++
-				}
-				if idle>>uint(v)&1 != 0 {
-					s.IdleVCs++
-					continue
-				}
-				owner := ov.Owner
-				if owner < 0 {
-					continue
-				}
-				s.OwnedVCs++
-				if a.treeCounts[owner] == 0 {
-					a.treeTouch = append(a.treeTouch, owner)
-				}
-				a.treeCounts[owner]++
-			}
-		}
-	}
-	for _, dest := range a.treeTouch {
-		s.Trees++
-		if a.treeCounts[dest] > s.LargestTree {
-			s.LargestTree = a.treeCounts[dest]
-		}
-		a.treeCounts[dest] = 0
-	}
-	a.treeTouch = a.treeTouch[:0]
-	a.samples = append(a.samples, s)
-}
-
-// WriteSeriesCSV writes the occupancy time series:
-//
-//	cycle,allocated_vcs,owned_vcs,idle_vcs,trees,largest_tree
-func (a *AnatomyCollector) WriteSeriesCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "cycle,allocated_vcs,owned_vcs,idle_vcs,trees,largest_tree"); err != nil {
-		return err
-	}
-	for _, s := range a.samples {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d\n",
-			s.Cycle, s.AllocatedVCs, s.OwnedVCs, s.IdleVCs, s.Trees, s.LargestTree); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -13,7 +13,7 @@ import (
 // telescoping identity (components partition Eject−Born exactly), and the
 // decision aggregates.
 func TestAnatomyDecomposition(t *testing.T) {
-	a := NewAnatomyCollector(0)
+	a := NewAnatomyCollector()
 	a.OpenWindow(100, 200)
 
 	p := &flit.Packet{ID: 1, Born: 100, Dest: 5}
@@ -78,7 +78,7 @@ func TestAnatomyDecomposition(t *testing.T) {
 // trace in the aggregate, so the anatomy describes exactly the measured
 // population.
 func TestAnatomyMeasuredPopulationGate(t *testing.T) {
-	a := NewAnatomyCollector(0)
+	a := NewAnatomyCollector()
 
 	early := &flit.Packet{ID: 1, Born: 10}
 	a.onInject(12, early) // window not open yet
@@ -100,7 +100,7 @@ func TestAnatomyMeasuredPopulationGate(t *testing.T) {
 // aggregate: the table carries the headline numbers and the CSV carries
 // one metric,value row per field.
 func TestAnatomyFormatAndCSV(t *testing.T) {
-	a := NewAnatomyCollector(0)
+	a := NewAnatomyCollector()
 	a.OpenWindow(0, 1000)
 	p := &flit.Packet{ID: 7, Born: 0}
 	a.onInject(1, p)
@@ -126,14 +126,6 @@ func TestAnatomyFormatAndCSV(t *testing.T) {
 		if !strings.Contains(csv.String(), want) {
 			t.Errorf("WriteCSV output missing %q:\n%s", want, csv.String())
 		}
-	}
-
-	var series strings.Builder
-	if err := a.WriteSeriesCSV(&series); err != nil {
-		t.Fatal(err)
-	}
-	if got := series.String(); got != "cycle,allocated_vcs,owned_vcs,idle_vcs,trees,largest_tree\n" {
-		t.Errorf("WriteSeriesCSV with no samples = %q, want header only", got)
 	}
 }
 

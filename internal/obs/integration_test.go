@@ -29,13 +29,11 @@ func runObserved(t *testing.T) (*sim.Result, *obs.Collector, sim.Config) {
 	cfg.MeasureCycles = 600
 	cfg.DrainCycles = 4000
 	cfg.Obs = obs.Options{Trace: true, SamplePeriod: 50, Heatmap: true}
-	s := sim.MustNew(cfg, observedLoad(cfg))
-	col := s.Observability()
-	if col == nil {
-		t.Fatal("Observability() nil with collectors enabled")
+	res := sim.MustNew(cfg, observedLoad(cfg)).Run()
+	if res.Obs == nil {
+		t.Fatal("Result.Obs nil with collectors enabled")
 	}
-	res := s.Run()
-	return res, col, cfg
+	return res, res.Obs, cfg
 }
 
 // observedLoad is the traffic runObserved offers.
@@ -177,48 +175,6 @@ func runHotspotSaturated(t *testing.T, o obs.Options) (*sim.Result, *failureCloc
 	return s.Run(), clock
 }
 
-// TestChromeTraceFromSimulation validates the Chrome-trace export of a
-// real run: well-formed JSON with a traceEvents array of events that all
-// carry the required fields, loadable by Perfetto.
-func TestChromeTraceFromSimulation(t *testing.T) {
-	_, col, _ := runObserved(t)
-	var buf bytes.Buffer
-	if err := col.Tracer.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var f struct {
-		TraceEvents     []map[string]any `json:"traceEvents"`
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		t.Fatal("chrome trace has no events")
-	}
-	phases := map[string]bool{}
-	for i, ce := range f.TraceEvents {
-		for _, key := range []string{"name", "ph", "ts", "pid", "tid"} {
-			if _, ok := ce[key]; !ok {
-				t.Fatalf("event %d missing %q", i, key)
-			}
-		}
-		ph := ce["ph"].(string)
-		phases[ph] = true
-		if ph != "i" && ph != "X" {
-			t.Errorf("event %d: unexpected phase %q", i, ph)
-		}
-		if ph == "X" {
-			if dur, ok := ce["dur"].(float64); !ok || dur < 1 {
-				t.Errorf("event %d: X slice needs dur >= 1, got %v", i, ce["dur"])
-			}
-		}
-	}
-	if !phases["i"] || !phases["X"] {
-		t.Errorf("want both instant and slice events, got %v", phases)
-	}
-}
-
 // TestJSONLFromSimulation checks the JSONL export line by line.
 func TestJSONLFromSimulation(t *testing.T) {
 	_, col, _ := runObserved(t)
@@ -347,9 +303,7 @@ func TestHeatmapEgressGrid(t *testing.T) {
 		Pattern: traffic.Permutation{Flows: map[int]int{0: 3}},
 		Rate:    1.0,
 	}
-	s := sim.MustNew(cfg, gen)
-	s.Run()
-	out := s.Observability().Heatmap.EgressGrid()
+	out := sim.MustNew(cfg, gen).Run().Obs.Heatmap.EgressGrid()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // header + 4 rows
 		t.Fatalf("heatmap lines = %d:\n%s", len(lines), out)
@@ -469,14 +423,14 @@ func TestDisabledObservability(t *testing.T) {
 		cfg.Obs = o
 		gen := &traffic.Generator{Pattern: traffic.Uniform{Nodes: cfg.Mesh().Nodes()},
 			Rate: 0.2, Size: traffic.FixedSize(2)}
-		s := sim.MustNew(cfg, gen)
-		if o.Enabled() && s.Observability() == nil {
+		res := sim.MustNew(cfg, gen).Run()
+		if o.Enabled() && res.Obs == nil {
 			t.Fatal("collector missing")
 		}
-		if !o.Enabled() && s.Observability() != nil {
+		if !o.Enabled() && res.Obs != nil {
 			t.Fatal("collector present when disabled")
 		}
-		return s.Run()
+		return res
 	}
 	off := run(obs.Options{})
 	on := run(obs.Options{Trace: true, SamplePeriod: 25, Heatmap: true})
@@ -484,23 +438,5 @@ func TestDisabledObservability(t *testing.T) {
 	if off.Accepted != on.Accepted || off.Measured != on.Measured ||
 		off.P99 != on.P99 || off.BlockEvents != on.BlockEvents {
 		t.Errorf("observability changed results:\noff: %v\non:  %v", off, on)
-	}
-}
-
-// liveNet builds a small fabric with some traffic in flight so that
-// collectors ticked against it read non-trivial state.
-func liveNet(t *testing.T) *network.Network { return floodNet(t, 50, nil) }
-
-// TestAnatomySeriesBound: the occupancy series keeps its first
-// DefaultAnatomySamples points and counts the rest, which is what the
-// end-of-run truncation warning reports.
-func TestAnatomySeriesBound(t *testing.T) {
-	col := obs.NewCollector(obs.Options{Anatomy: true})
-	net := liveNet(t)
-	for i := int64(0); i < obs.DefaultAnatomySamples+3; i++ {
-		col.Tick(i*obs.DefaultAnatomyPeriod, net)
-	}
-	if kept, dropped := len(col.Anatomy.Samples()), col.Anatomy.SamplesDropped(); kept != obs.DefaultAnatomySamples || dropped != 3 {
-		t.Errorf("kept %d samples, dropped %d; want %d and 3", kept, dropped, obs.DefaultAnatomySamples)
 	}
 }

@@ -1,11 +1,12 @@
 // Package obs is the fabric's observability subsystem: a bounded-ring
-// packet lifecycle tracer with JSONL and Chrome-trace (Perfetto)
-// exporters, per-router/per-port time-series counters with a CSV
-// exporter, and per-link/per-node heatmaps reconciled against the
-// simulation's accepted throughput. Everything plugs into the
+// packet lifecycle tracer with a JSONL exporter, per-router/per-port
+// time-series counters with a CSV exporter, per-link/per-node heatmaps
+// reconciled against the simulation's accepted throughput, and the
+// latency anatomy aggregate. The event collectors plug into the
 // router.Sinks seam through Collector.Attach; a collector that is off
 // leaves its sink field nil, and the nil check at the event site is the
-// whole cost.
+// whole cost. The watchdog and its fabric snapshot read the network
+// directly and write a file when a run stalls.
 package obs
 
 import (
@@ -30,10 +31,8 @@ type Options struct {
 	// window.
 	Heatmap bool
 	// Anatomy enables the latency-anatomy collector: per-packet latency
-	// decomposition, exercised-adaptiveness decision records and the
-	// footprint-occupancy time series; the run's Result then carries an
-	// Anatomy aggregate. Occupancy is sampled every DefaultAnatomyPeriod
-	// cycles, retaining DefaultAnatomySamples series points.
+	// decomposition and exercised-adaptiveness decision records; the
+	// run's Result then carries an Anatomy aggregate.
 	Anatomy bool
 }
 
@@ -74,19 +73,16 @@ func NewCollector(o Options) *Collector {
 		c.Heatmap = NewHeatmap()
 	}
 	if o.Anatomy {
-		c.Anatomy = NewAnatomyCollector(DefaultAnatomyPeriod)
+		c.Anatomy = NewAnatomyCollector()
 	}
 	return c
 }
 
 // Tick is called once per simulated cycle before the fabric steps; it
-// drives periodic counter and occupancy sampling.
+// drives periodic counter sampling.
 func (c *Collector) Tick(now int64, net *network.Network) {
 	if c.Sampler != nil && now%c.Sampler.period == 0 {
 		c.Sampler.Sample(now, net)
-	}
-	if c.Anatomy != nil && now%c.Anatomy.period == 0 {
-		c.Anatomy.sample(now, net)
 	}
 }
 

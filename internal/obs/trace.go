@@ -92,8 +92,12 @@ type Tracer struct {
 }
 
 // DefaultTraceCapacity bounds the tracer's ring buffer when the caller
-// does not choose one (≈3 MB of events).
+// does not choose one (6 MB of 96-byte events).
 const DefaultTraceCapacity = 1 << 16
+
+// MaxTraceCapacity is the largest ring a caller may ask for (1.5 GiB of
+// events); sim.Config.Validate rejects more.
+const MaxTraceCapacity = 1 << 24
 
 // NewTracer returns a tracer retaining the most recent capacity events
 // (DefaultTraceCapacity when capacity <= 0).
@@ -151,72 +155,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// chromeEvent is one entry of the Chrome trace event format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-// Perfetto and chrome://tracing load the JSON object {"traceEvents":[...]}.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   uint64         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// chromeTraceFile is the JSON-object form of the Chrome trace format.
-type chromeTraceFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// WriteChromeTrace writes the retained events in Chrome trace event
-// format: one process per router (pid = node id), one track per packet
-// (tid = packet id), one timestamp unit per simulated cycle. Blocking
-// spans and hops become complete ("X") slices; injection, route
-// computation and ejection become instant ("i") events. The output
-// loads directly in Perfetto or chrome://tracing.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	events := t.Events()
-	out := chromeTraceFile{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(events))}
-	for _, e := range events {
-		args := map[string]any{"packet": e.Packet, "src": e.Src, "dest": e.Dest}
-		ce := chromeEvent{TS: e.Cycle, PID: e.Node, TID: e.Packet, Args: args}
-		switch e.Kind {
-		case EventInject:
-			ce.Name, ce.Phase, ce.Scope = "inject", "i", "t"
-		case EventRoute:
-			ce.Name, ce.Phase, ce.Scope = "route", "i", "t"
-			args["in"] = e.Dir.String()
-		case EventBlock:
-			ce.Name, ce.Phase, ce.Scope = "vc-block", "i", "t"
-			args["out"] = e.Dir.String()
-			args["footprint_vcs"] = e.FootprintVCs
-			args["busy_vcs"] = e.BusyVCs
-		case EventGrant:
-			// Render the whole allocation wait as a slice ending at the
-			// grant cycle; zero-wait grants get a 1-cycle sliver.
-			dur := e.Waited
-			if dur < 1 {
-				dur = 1
-			}
-			ce.Name, ce.Phase = "vc-alloc", "X"
-			ce.TS, ce.Dur = e.Cycle-e.Waited, dur
-			args["out"] = e.Dir.String()
-			args["vc"] = e.VC
-			args["vc_class"] = e.Class.String()
-			args["waited"] = e.Waited
-		case EventHop:
-			ce.Name, ce.Phase, ce.Dur = "hop "+e.Dir.String(), "X", 1
-			args["vc"] = e.VC
-		case EventEject:
-			ce.Name, ce.Phase, ce.Scope = "eject", "i", "t"
-		}
-		out.TraceEvents = append(out.TraceEvents, ce)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }

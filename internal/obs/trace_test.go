@@ -89,42 +89,6 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestWriteChromeTraceStructure(t *testing.T) {
-	tr := NewTracer(16)
-	tr.add(Event{Cycle: 5, Kind: EventInject, Node: 1, Packet: 42, Src: 1, Dest: 9})
-	tr.add(Event{Cycle: 9, Kind: EventGrant, Node: 1, Packet: 42, Src: 1, Dest: 9,
-		Dir: topo.East, VC: 3, Waited: 4})
-	tr.add(Event{Cycle: 9, Kind: EventHop, Node: 1, Packet: 42, Src: 1, Dest: 9,
-		Dir: topo.East, VC: 3})
-	tr.add(Event{Cycle: 12, Kind: EventEject, Node: 9, Packet: 42, Src: 1, Dest: 9})
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var f struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("not valid JSON: %v", err)
-	}
-	if len(f.TraceEvents) != 4 {
-		t.Fatalf("traceEvents = %d, want 4", len(f.TraceEvents))
-	}
-	for i, ce := range f.TraceEvents {
-		for _, key := range []string{"name", "ph", "ts", "pid", "tid"} {
-			if _, ok := ce[key]; !ok {
-				t.Errorf("event %d missing %q: %v", i, key, ce)
-			}
-		}
-	}
-	// The grant renders as a complete slice spanning the blocking wait.
-	grant := f.TraceEvents[1]
-	if grant["ph"] != "X" || grant["ts"] != float64(5) || grant["dur"] != float64(4) {
-		t.Errorf("grant slice = ph %v ts %v dur %v, want X 5 4",
-			grant["ph"], grant["ts"], grant["dur"])
-	}
-}
-
 func TestSamplerBounds(t *testing.T) {
 	s := NewSampler(0)
 	if s.Period() != 1 {

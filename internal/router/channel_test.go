@@ -1,7 +1,6 @@
 package router
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -21,12 +20,13 @@ func deliveryPass(l *Links) {
 // localLinks wires node 5's router and endpoint as a network does, by an
 // injection and an ejection channel reporting to l.
 func localLinks(l *Links) (r *Router, e *Endpoint, inj, ej *Channel) {
-	r = New(Config{Mesh: topo.MustNew(4, 4), NodeID: 5, VCs: 2, BufDepth: 4,
-		Speedup: 2, Alg: &scriptAlg{}, Rand: rand.New(rand.NewSource(1))})
+	rs, es := testNodes(&scriptAlg{}, 2)
+	r, e = &rs[5], &es[5]
 	inj, ej = new(Channel).Init(l), new(Channel).Init(l)
 	r.AttachIn(topo.Local, inj)
 	r.AttachOut(topo.Local, ej)
-	return r, NewEndpoint(5, 2, 4, inj, ej, flit.NewArena()), inj, ej
+	e.Attach(inj, ej)
+	return r, e, inj, ej
 }
 
 // TestChannelOneCycleLatency: a flit staged in one cycle wakes its

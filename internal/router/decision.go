@@ -67,8 +67,6 @@ func (c VCClass) String() string {
 // DecisionSink.OnRouteDecision. Ejection decisions (dest == this node)
 // are not reported: they exercise no routing freedom.
 type Decision struct {
-	// In is the input port the packet arrived on.
-	In topo.Direction
 	// MinimalPorts is the number of productive output ports on minimal
 	// paths toward the destination (1 when aligned in a dimension, else
 	// 2) — the Eq-1 per-hop port ceiling for a fully adaptive algorithm.
@@ -77,9 +75,6 @@ type Decision struct {
 	// adaptive (non-escape) requests. OfferedPorts/MinimalPorts is the
 	// per-decision exercised port adaptiveness.
 	OfferedPorts int
-	// PortMask has bit 1<<Direction set for every port requested,
-	// escape included.
-	PortMask uint8
 	// AdmissibleVCs is the static per-hop VC ceiling: adaptive VCs per
 	// port times MinimalPorts.
 	AdmissibleVCs int
@@ -105,9 +100,9 @@ type Decision struct {
 // decision dec.
 // Called only when Sinks.Decisions is attached and the packet is not at its
 // destination.
-func (r *Router) emitDecision(now int64, in topo.Direction, dec *routing.Decision, p *flit.Packet) {
+func (r *Router) emitDecision(now int64, dec *routing.Decision, p *flit.Packet) {
 	dx, hasX, dy, hasY := r.st.MinimalDirs(p.Dest)
-	d := Decision{In: in, MinimalProgress: true, EscapeRequested: dec.HasEsc}
+	d := Decision{MinimalProgress: true, EscapeRequested: dec.HasEsc}
 	if hasX {
 		d.MinimalPorts++
 	}
@@ -117,15 +112,11 @@ func (r *Router) emitDecision(now int64, in topo.Direction, dec *routing.Decisio
 	d.AdmissibleVCs = d.MinimalPorts * (r.vcs - r.st.Lo)
 	if offered := dec.VCMask(); offered != 0 {
 		d.OfferedPorts = 1
-		d.PortMask = 1 << uint(dec.Dir)
 		d.MinimalProgress = (hasX && dec.Dir == dx) || (hasY && dec.Dir == dy)
 		d.OfferedVCs = bits.OnesCount32(offered)
 		idle := offered & r.st.Idle[dec.Dir]
 		d.IdleVCs = bits.OnesCount32(idle)
 		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.st.OwnerMask(dec.Dir, p.Dest))
-	}
-	if dec.HasEsc {
-		d.PortMask |= 1 << uint(dec.Esc)
 	}
 	r.cfg.Sinks.Decisions.OnRouteDecision(now, r.cfg.NodeID, p, d)
 }

@@ -61,18 +61,6 @@ type Endpoint struct {
 	ConsumeInterval int
 }
 
-// NewEndpoint creates the endpoint for node with the router's VC count and
-// buffer depth: the one-node case of NewNodes, on slabs of its own. injCh
-// carries flits to the router's local input port (and credits back); ejCh
-// carries flits from the router's local output port (and credits back); a
-// is the network's arena.
-func NewEndpoint(node, vcs, bufDepth int, injCh, ejCh *Channel, a *flit.Arena) *Endpoint {
-	e, s := new(Endpoint), newSlabs(Config{VCs: vcs, BufDepth: bufDepth}, 0, 1)
-	e.init(node, vcs, bufDepth, a, &s)
-	e.Attach(injCh, ejCh)
-	return e
-}
-
 // init builds the endpoint in place, cutting its arrays from s.
 func (e *Endpoint) init(node, vcs, bufDepth int, a *flit.Arena, s *slabs) {
 	*e = Endpoint{

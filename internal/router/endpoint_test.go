@@ -9,7 +9,9 @@ import (
 func newTestEndpoint() (*Endpoint, *Channel, *Channel) {
 	inj := testChannel()
 	ej := testChannel()
-	return NewEndpoint(3, 2, 4, inj, ej, flit.NewArena()), inj, ej
+	_, es := testNodes(&scriptAlg{}, 2)
+	es[3].Attach(inj, ej)
+	return &es[3], inj, ej
 }
 
 // receiveAt hands e the credits and the flit staged on its channels, as

@@ -142,18 +142,6 @@ type Router struct {
 // per-port VC state lives in uint32 bitmasks.
 const MaxVCs = 32
 
-// New constructs a router: the one-node case of NewNodes, on slabs of
-// its own. Input and output channels and the neighbours' states are
-// attached later by the network with AttachIn, AttachOut and
-// AttachDownstream. It panics on a configuration sim.Config.Validate and
-// sim.New reject; callers taking user input go through those.
-func New(cfg Config) *Router {
-	mustBeValid(cfg)
-	r, s := new(Router), newSlabs(cfg, 1, 0)
-	r.init(cfg, &s, newVAScratch(cfg.VCs, &s))
-	return r
-}
-
 // NewNodes constructs the router and the endpoint of every node of
 // cfg.Mesh, node id at index id of each slice, in a number of heap
 // allocations that does not grow with the mesh: every per-VC array is cut
@@ -163,7 +151,7 @@ func New(cfg Config) *Router {
 func NewNodes(cfg Config, a *flit.Arena) ([]Router, []Endpoint) {
 	mustBeValid(cfg)
 	nodes := cfg.Mesh.Nodes()
-	s := newSlabs(cfg, nodes, nodes)
+	s := newSlabs(cfg)
 	sc := newVAScratch(cfg.VCs, &s)
 	rs, es := make([]Router, nodes), make([]Endpoint, nodes)
 	for id := range rs {
@@ -456,7 +444,7 @@ func (r *Router) AllocateVCs(now int64) {
 				r.routeCtx.InDir = topo.Direction(p)
 				*dec = r.cfg.Alg.Decide(&r.routeCtx)
 				if r.cfg.Sinks.Decisions != nil && !r.inRouted[requester] {
-					r.emitDecision(now, topo.Direction(p), dec, r.bufFront(requester).Packet)
+					r.emitDecision(now, dec, r.bufFront(requester).Packet)
 				}
 			}
 			r.inRouted[requester] = true

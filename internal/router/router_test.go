@@ -42,12 +42,18 @@ func (s *scriptAlg) Decide(ctx *routing.Context) routing.Decision {
 	return dec
 }
 
+// testNodes builds the routers and endpoints of a 4x4 fabric with vcs
+// VCs and four-flit buffers, no channel attached.
+func testNodes(alg routing.Algorithm, vcs int) ([]Router, []Endpoint) {
+	return NewNodes(Config{Mesh: topo.MustNew(4, 4), VCs: vcs, BufDepth: 4,
+		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1))}, flit.NewArena())
+}
+
+// testRouter is node 5 of testNodes with a test channel on every port.
 func testRouter(t *testing.T, alg routing.Algorithm, vcs int) (*Router, map[topo.Direction]*Channel, map[topo.Direction]*Channel) {
 	t.Helper()
-	r := New(Config{
-		Mesh: topo.MustNew(4, 4), NodeID: 5, VCs: vcs, BufDepth: 4,
-		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1)),
-	})
+	rs, _ := testNodes(alg, vcs)
+	r := &rs[5]
 	ins := map[topo.Direction]*Channel{}
 	outs := map[topo.Direction]*Channel{}
 	for d := topo.East; d <= topo.Local; d++ {
@@ -123,7 +129,7 @@ func TestNewValidation(t *testing.T) {
 					t.Errorf("case %d: no panic", i)
 				}
 			}()
-			New(cfg)
+			NewNodes(cfg, nil)
 		}()
 	}
 }
@@ -470,7 +476,7 @@ func TestSlabsCutExactly(t *testing.T) {
 					continue
 				}
 				cfg := Config{Mesh: topo.MustNew(3, 2), VCs: vcs, BufDepth: depth, Speedup: 2, Alg: routing.MustNew(alg)}
-				s := newSlabs(cfg, cfg.Mesh.Nodes(), cfg.Mesh.Nodes())
+				s := newSlabs(cfg)
 				sc := newVAScratch(vcs, &s)
 				for id := 0; id < cfg.Mesh.Nodes(); id++ {
 					cfg.NodeID = id

@@ -50,9 +50,8 @@ func newVAScratch(vcs int, s *slabs) *vaScratch {
 }
 
 // slabs holds one slab per element type of the per-node arrays, sized by
-// newSlabs exactly for the routers and endpoints about to cut from them
-// and, if there are routers, the one vaScratch they share (DESIGN.md,
-// "Construction").
+// newSlabs exactly for the routers and endpoints of one fabric and the
+// one vaScratch its routers share (DESIGN.md, "Construction").
 type slabs struct {
 	u8     slab[uint8]
 	dirs   slab[topo.Direction]
@@ -68,30 +67,25 @@ type slabs struct {
 	queue  slab[*flit.Packet]
 }
 
-// newSlabs sizes the slabs for routers routers of cfg's shape, their
-// vaScratch, and endpoints endpoints of its VC count and buffer depth.
-// Router.init, newVAScratch and Endpoint.init make the cuts these sizes
-// add up.
-func newSlabs(cfg Config, routers, endpoints int) slabs {
-	v, depth := cfg.VCs, cfg.BufDepth
+// newSlabs sizes the slabs for a router and an endpoint at every node of
+// cfg.Mesh and their vaScratch. Router.init, newVAScratch and
+// Endpoint.init make the cuts these sizes add up.
+func newSlabs(cfg Config) slabs {
+	nodes, v, depth := cfg.Mesh.Nodes(), cfg.VCs, cfg.BufDepth
 	n := topo.NumPorts * v
-	var regs, index, scratch int
-	if routers > 0 {
-		regs, index = routing.StateLen(cfg.Mesh, v, cfg.Alg)
-		scratch = 1
-	}
+	regs, index := routing.StateLen(cfg.Mesh, v, cfg.Alg)
 	return slabs{
-		u8:     make([]uint8, routers*2*n+scratch*3*n), // inState, inReqDir; heads, the allocator's two priority arrays
-		dirs:   make([]topo.Direction, routers*n),
-		i32:    make([]int32, routers*(7*n+regs)+scratch*4*n+endpoints*v), // five per-VC arrays, two round-robin, owner registers; the allocator's four; credits
-		i64:    make([]int64, routers*n),
-		bools:  make([]bool, routers*3*n+endpoints*v),
-		decs:   make([]routing.Decision, scratch*n),
-		flits:  make([]*flit.Flit, (routers*n+endpoints*v)*depth),
-		reqs:   make([]alloc.VCRequest, scratch*vaReqCap(v)),
-		grants: make([]alloc.Grant, scratch*n),
-		index:  make([]uint32, routers*index),
-		ejBufs: make([][]*flit.Flit, endpoints*v),
-		queue:  make([]*flit.Packet, endpoints*queueCap),
+		u8:     make([]uint8, nodes*2*n+3*n), // inState, inReqDir; heads, the allocator's two priority arrays
+		dirs:   make([]topo.Direction, nodes*n),
+		i32:    make([]int32, nodes*(7*n+regs+v)+4*n), // five per-VC arrays, two round-robin, owner registers, credits; the allocator's four
+		i64:    make([]int64, nodes*n),
+		bools:  make([]bool, nodes*(3*n+v)),
+		decs:   make([]routing.Decision, n),
+		flits:  make([]*flit.Flit, nodes*(n+v)*depth),
+		reqs:   make([]alloc.VCRequest, vaReqCap(v)),
+		grants: make([]alloc.Grant, n),
+		index:  make([]uint32, nodes*index),
+		ejBufs: make([][]*flit.Flit, nodes*v),
+		queue:  make([]*flit.Packet, nodes*queueCap),
 	}
 }

@@ -111,6 +111,9 @@ func (c Config) Validate() error {
 	if c.WatchdogCycles < 0 {
 		return fmt.Errorf("sim: negative watchdog window %d", c.WatchdogCycles)
 	}
+	if c.Obs.TraceCapacity > obs.MaxTraceCapacity {
+		return fmt.Errorf("sim: trace capacity %d events is over the %d maximum", c.Obs.TraceCapacity, obs.MaxTraceCapacity)
+	}
 	// Ascending node order, so that of several bad entries the lowest is
 	// the one named, on every call.
 	nodes := make([]int, 0, len(c.SlowEndpoints))

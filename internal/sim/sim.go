@@ -243,11 +243,6 @@ func MustNew(cfg Config, gens ...Injector) *Simulation {
 // Network exposes the underlying fabric for analyzers.
 func (s *Simulation) Network() *network.Network { return s.net }
 
-// Observability returns the run's collector — tracer, sampler and
-// heatmap as selected by Config.Obs — or nil when observability is
-// disabled. Export its data after Run.
-func (s *Simulation) Observability() *obs.Collector { return s.col }
-
 // onEject collects statistics for packets completing at their destination.
 func (s *Simulation) onEject(p *flit.Packet) {
 	if s.measuring && p.Born >= s.measStart && p.Born < s.measEnd {
@@ -411,11 +406,6 @@ func (s *Simulation) Run() *Result {
 	if s.col != nil {
 		if s.col.Anatomy != nil {
 			res.Anatomy = s.col.Anatomy.Aggregate()
-			if d := s.col.Anatomy.SamplesDropped(); d > 0 {
-				fmt.Fprintf(os.Stderr,
-					"sim: warning: anatomy occupancy series truncated — %d of %d samples dropped (the series keeps the first %d)\n",
-					d, d+obs.DefaultAnatomySamples, obs.DefaultAnatomySamples)
-			}
 		}
 		if s.col.Tracer != nil {
 			// Ring overflow silently truncates the lifecycle record; make

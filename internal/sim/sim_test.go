@@ -40,6 +40,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Algorithm = "" },
 		func(c *Config) { c.MeasureCycles = 0 },
 		func(c *Config) { c.WarmupCycles = -1 },
+		// A ring past the maximum would panic in obs.NewTracer.
+		func(c *Config) { c.Obs.TraceCapacity = obs.MaxTraceCapacity + 1 },
 		// A slow endpoint that is not on the mesh would be silently
 		// ignored, and an interval below 1 silently run at full speed.
 		func(c *Config) { c.SlowEndpoints = map[int]int{99: 4} },

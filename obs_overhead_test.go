@@ -16,9 +16,11 @@ import (
 // a cost. What can regress silently is the enabled path — an accidental
 // allocation or per-event work in a collector shows up here as a blown
 // ratio. Each row alternates disabled and enabled runs, best of 3 each,
-// so both sample the same host conditions. The bound is deliberately
-// loose (2.5x) so scheduler noise on shared CI runners does not flake
-// it; real regressions of that kind are order-of-magnitude.
+// so both sample the same host conditions. Each row's bound is twice the
+// median of ten runs of this test on a 2-vCPU Xeon VM (collectors 1.38x,
+// anatomy 1.30x, watchdog 1.03x; every ratio is in CHANGES.md), capped at
+// 2.5x so that scheduler noise on shared CI runners does not flake it;
+// real regressions of that kind are order-of-magnitude.
 func TestObsOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -47,14 +49,15 @@ func TestObsOverheadBudget(t *testing.T) {
 		name    string
 		o       obs.Options
 		watched bool
+		bound   float64
 		hint    string
 	}{
-		{"collectors", obs.Options{Trace: true, SamplePeriod: 100, Heatmap: true}, false,
+		{"collectors", obs.Options{Trace: true, SamplePeriod: 100, Heatmap: true}, false, 2.5,
 			"did a collector callback start allocating?"},
-		{"anatomy", obs.Options{Anatomy: true}, false,
+		{"anatomy", obs.Options{Anatomy: true}, false, 2.5,
 			"did an event callback or the decision walk start allocating?"},
 		// A beat every 128 cycles.
-		{"watchdog", obs.Options{}, true, "did the beat gate break?"},
+		{"watchdog", obs.Options{}, true, 2.05, "did the beat gate break?"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var disabled, enabled float64
@@ -67,8 +70,8 @@ func TestObsOverheadBudget(t *testing.T) {
 			}
 			ratio := disabled / enabled
 			t.Logf("cycles/s: disabled %.0f, %s %.0f (%.2fx overhead)", disabled, row.name, enabled, ratio)
-			if ratio > 2.5 {
-				t.Errorf("%s costs %.2fx (budget 2.5x): %s", row.name, ratio, row.hint)
+			if ratio > row.bound {
+				t.Errorf("%s costs %.2fx (budget %.2fx): %s", row.name, ratio, row.bound, row.hint)
 			}
 		})
 	}
