@@ -344,7 +344,7 @@ func BenchmarkAblationRealloc(b *testing.B) {
 }
 
 // runFootprintVariant runs the Figure 9 hotspot scenario with a custom
-// Footprint instance (bypassing the registry) and returns the background
+// Footprint instance (bypassing routing's table) and returns the background
 // latency.
 func runFootprintVariant(cfg sim.Config, fp *routing.Footprint) (float64, error) {
 	cfg.AlgFactory = func() routing.Algorithm {

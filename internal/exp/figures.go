@@ -32,11 +32,10 @@ func SaturationFromCurve(c Curve) float64 {
 	if len(c.Points) == 0 {
 		return 0
 	}
-	crit := sim.DefaultCriterion()
 	zero := c.Points[0].Result.AvgLatency(flit.ClassBackground)
 	best := 0.0
 	for _, p := range c.Points {
-		if crit.Saturated(p.Result, zero) {
+		if sim.Saturated(p.Result, zero) {
 			continue
 		}
 		if p.Result.Accepted > best {
@@ -95,7 +94,6 @@ func (cs CurveSet) Format() string {
 		fmt.Fprintf(&b, "%16s", c.Algorithm)
 	}
 	b.WriteString("\n")
-	crit := sim.DefaultCriterion()
 	for i := 0; i < cs.maxPoints(); i++ {
 		fmt.Fprintf(&b, "%-8.2f", cs.rateAt(i))
 		for _, c := range cs.Curves {
@@ -105,7 +103,7 @@ func (cs CurveSet) Format() string {
 			}
 			r := c.Points[i].Result
 			zero := c.Points[0].Result.AvgLatency(flit.ClassBackground)
-			if crit.Saturated(r, zero) {
+			if sim.Saturated(r, zero) {
 				fmt.Fprintf(&b, "%16s", "sat")
 			} else {
 				fmt.Fprintf(&b, "%16.1f", r.AvgLatency(flit.ClassBackground))
@@ -148,7 +146,6 @@ func curveConfig(p Profile, figure, pattern, alg string) sim.Config {
 // a bisection-free curve is cheap enough that curve-level parallelism
 // already covers the grid.
 func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []string) (CurveSet, error) {
-	crit := sim.DefaultCriterion()
 	cs := CurveSet{Figure: figure, Pattern: pattern}
 	curves, err := sim.Map(p.Jobs, len(algs), func(i int) (Curve, error) {
 		cfg := curveConfig(p, figure, pattern, algs[i])
@@ -166,7 +163,7 @@ func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []str
 			}
 			// Deeply saturated points cost a full drain budget each and
 			// add nothing to the curve: stop after two in a row.
-			if crit.Saturated(res, zero) {
+			if sim.Saturated(res, zero) {
 				if saturated++; saturated >= 2 {
 					break
 				}

@@ -56,11 +56,10 @@ type Anatomy struct {
 	// router visited (ejection decisions excluded — they exercise no
 	// routing freedom).
 	Decisions int64 `json:"decisions"`
-	// MinimalPortsSum / OfferedPortsSum accumulate the per-decision
-	// minimal-path port ceiling and the ports actually offered;
-	// their ratio is the run's exercised port adaptiveness.
+	// MinimalPortsSum accumulates the per-decision minimal-path port
+	// ceiling; every decision offers one port, so Decisions over it is
+	// the run's exercised port adaptiveness.
 	MinimalPortsSum int64 `json:"minimal_ports_sum"`
-	OfferedPortsSum int64 `json:"offered_ports_sum"`
 	// AdmissibleVCsSum / OfferedVCsSum do the same for VCs.
 	AdmissibleVCsSum int64 `json:"admissible_vcs_sum"`
 	OfferedVCsSum    int64 `json:"offered_vcs_sum"`
@@ -69,10 +68,8 @@ type Anatomy struct {
 	FootprintVCsSum int64 `json:"footprint_vcs_sum"`
 	IdleVCsSum      int64 `json:"idle_vcs_sum"`
 	// EscapeDecisions counts decisions whose request set included the
-	// escape VC; MinimalDecisions counts decisions that offered only
-	// minimal-path ports.
-	EscapeDecisions  int64 `json:"escape_decisions"`
-	MinimalDecisions int64 `json:"minimal_decisions"`
+	// escape VC.
+	EscapeDecisions int64 `json:"escape_decisions"`
 }
 
 // Components returns the latency decomposition as a fixed-order slice
@@ -103,13 +100,14 @@ func (a *Anatomy) TotalGrants() int64 {
 }
 
 // PortAdaptivenessExercised is the run-level exercised port
-// adaptiveness: offered ports over the minimal-path ceiling, in [0, 1].
-// NaN-free: returns 0 when no decisions were recorded.
+// adaptiveness: offered ports (one per decision) over the minimal-path
+// ceiling, in [0, 1]. NaN-free: returns 0 when no decisions were
+// recorded.
 func (a *Anatomy) PortAdaptivenessExercised() float64 {
 	if a.MinimalPortsSum == 0 {
 		return 0
 	}
-	return float64(a.OfferedPortsSum) / float64(a.MinimalPortsSum)
+	return float64(a.Decisions) / float64(a.MinimalPortsSum)
 }
 
 // VCAdaptivenessExercised is the run-level exercised VC adaptiveness:
@@ -156,10 +154,9 @@ func (a *Anatomy) Format(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	if a.Decisions > 0 {
-		fmt.Fprintf(w, "  adaptiveness exercised: ports %.3f, vcs %.3f over %d decisions (escape offered %.1f%%, minimal progress %.1f%%)\n",
+		fmt.Fprintf(w, "  adaptiveness exercised: ports %.3f, vcs %.3f over %d decisions (escape offered %.1f%%)\n",
 			a.PortAdaptivenessExercised(), a.VCAdaptivenessExercised(), a.Decisions,
-			100*float64(a.EscapeDecisions)/float64(a.Decisions),
-			100*float64(a.MinimalDecisions)/float64(a.Decisions))
+			100*float64(a.EscapeDecisions)/float64(a.Decisions))
 	}
 }
 
@@ -184,13 +181,11 @@ func (a *Anatomy) WriteCSV(w io.Writer) error {
 	pairs = append(pairs,
 		pair{"decisions", a.Decisions},
 		pair{"minimal_ports_sum", a.MinimalPortsSum},
-		pair{"offered_ports_sum", a.OfferedPortsSum},
 		pair{"admissible_vcs_sum", a.AdmissibleVCsSum},
 		pair{"offered_vcs_sum", a.OfferedVCsSum},
 		pair{"footprint_vcs_sum", a.FootprintVCsSum},
 		pair{"idle_vcs_sum", a.IdleVCsSum},
 		pair{"escape_decisions", a.EscapeDecisions},
-		pair{"minimal_decisions", a.MinimalDecisions},
 		pair{"port_adaptiveness_exercised", fmt.Sprintf("%.6f", a.PortAdaptivenessExercised())},
 		pair{"vc_adaptiveness_exercised", fmt.Sprintf("%.6f", a.VCAdaptivenessExercised())},
 	)
@@ -316,15 +311,11 @@ func (a *AnatomyCollector) onDecision(p *flit.Packet, d router.Decision) {
 	}
 	a.agg.Decisions++
 	a.agg.MinimalPortsSum += int64(d.MinimalPorts)
-	a.agg.OfferedPortsSum += int64(d.OfferedPorts)
 	a.agg.AdmissibleVCsSum += int64(d.AdmissibleVCs)
 	a.agg.OfferedVCsSum += int64(d.OfferedVCs)
 	a.agg.FootprintVCsSum += int64(d.FootprintVCs)
 	a.agg.IdleVCsSum += int64(d.IdleVCs)
 	if d.EscapeRequested {
 		a.agg.EscapeDecisions++
-	}
-	if d.MinimalProgress {
-		a.agg.MinimalDecisions++
 	}
 }

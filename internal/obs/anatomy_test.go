@@ -27,8 +27,8 @@ func TestAnatomyDecomposition(t *testing.T) {
 	a.onGrant(111, p, router.VCClassFootprint, 0) // vc-wait-footprint 0
 	a.onHeadTraverse(112, p)                      // switch-wait 1
 	a.onDecision(p, router.Decision{
-		MinimalPorts: 2, OfferedPorts: 1, AdmissibleVCs: 18, OfferedVCs: 9,
-		FootprintVCs: 3, IdleVCs: 6, EscapeRequested: true, MinimalProgress: true,
+		MinimalPorts: 2, AdmissibleVCs: 18, OfferedVCs: 9,
+		FootprintVCs: 3, IdleVCs: 6, EscapeRequested: true,
 	})
 	a.onEject(115, p) // serialization 3, latency 15
 
@@ -42,10 +42,10 @@ func TestAnatomyDecomposition(t *testing.T) {
 		SerializationCycles: 3,
 		LatencyCycles:       15,
 		Decisions:           1,
-		MinimalPortsSum:     2, OfferedPortsSum: 1,
-		AdmissibleVCsSum: 18, OfferedVCsSum: 9,
+		MinimalPortsSum:     2,
+		AdmissibleVCsSum:    18, OfferedVCsSum: 9,
 		FootprintVCsSum: 3, IdleVCsSum: 6,
-		EscapeDecisions: 1, MinimalDecisions: 1,
+		EscapeDecisions: 1,
 	}
 	want.VCWaitCycles[router.VCClassIdle] = 2
 	want.VCWaitCycles[router.VCClassFootprint] = 0
@@ -88,7 +88,7 @@ func TestAnatomyMeasuredPopulationGate(t *testing.T) {
 	a.onRoute(255, late)
 	a.onGrant(256, late, router.VCClassBusy, 1)
 	a.onHeadTraverse(257, late)
-	a.onDecision(late, router.Decision{MinimalPorts: 2, OfferedPorts: 2})
+	a.onDecision(late, router.Decision{MinimalPorts: 2})
 	a.onEject(260, late)
 
 	if agg := a.Aggregate(); *agg != (Anatomy{}) {

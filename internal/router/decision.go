@@ -60,10 +60,11 @@ func (c VCClass) String() string {
 
 // Decision summarizes one routing decision — the first route computation
 // for a packet at a router — as the adaptiveness it actually exercised:
-// how many ports and VCs the algorithm offered versus the minimal-path
-// ceiling it could have offered. The router (not the routing algorithm;
-// the routepurity lint keeps Decide side-effect free) derives it from the
-// routing.Decision returned and reports it through
+// one port (every decision offers VCs on one minimal port, which
+// routing's property tests hold) and how many VCs, against the
+// minimal-path ceilings it could have offered. The router (not the
+// routing algorithm; the routepurity lint keeps Decide side-effect free)
+// derives it from the routing.Decision returned and reports it through
 // DecisionSink.OnRouteDecision. Ejection decisions (dest == this node)
 // are not reported: they exercise no routing freedom.
 type Decision struct {
@@ -71,10 +72,6 @@ type Decision struct {
 	// paths toward the destination (1 when aligned in a dimension, else
 	// 2) — the Eq-1 per-hop port ceiling for a fully adaptive algorithm.
 	MinimalPorts int
-	// OfferedPorts is the number of distinct output ports carrying
-	// adaptive (non-escape) requests. OfferedPorts/MinimalPorts is the
-	// per-decision exercised port adaptiveness.
-	OfferedPorts int
 	// AdmissibleVCs is the static per-hop VC ceiling: adaptive VCs per
 	// port times MinimalPorts.
 	AdmissibleVCs int
@@ -90,9 +87,6 @@ type Decision struct {
 	// EscapeRequested reports whether the request set included the
 	// escape VC (the Duato fallback was on the table this decision).
 	EscapeRequested bool
-	// MinimalProgress reports whether every offered port lies on a
-	// minimal path (no misrouting offered).
-	MinimalProgress bool
 }
 
 // emitDecision builds and reports, stamped now, the Decision record for a
@@ -101,8 +95,8 @@ type Decision struct {
 // Called only when Sinks.Decisions is attached and the packet is not at its
 // destination.
 func (r *Router) emitDecision(now int64, dec *routing.Decision, p *flit.Packet) {
-	dx, hasX, dy, hasY := r.st.MinimalDirs(p.Dest)
-	d := Decision{MinimalProgress: true, EscapeRequested: dec.HasEsc}
+	_, hasX, _, hasY := r.st.MinimalDirs(p.Dest)
+	d := Decision{EscapeRequested: dec.HasEsc}
 	if hasX {
 		d.MinimalPorts++
 	}
@@ -111,8 +105,6 @@ func (r *Router) emitDecision(now int64, dec *routing.Decision, p *flit.Packet) 
 	}
 	d.AdmissibleVCs = d.MinimalPorts * (r.vcs - r.st.Lo)
 	if offered := dec.VCMask(); offered != 0 {
-		d.OfferedPorts = 1
-		d.MinimalProgress = (hasX && dec.Dir == dx) || (hasY && dec.Dir == dy)
 		d.OfferedVCs = bits.OnesCount32(offered)
 		idle := offered & r.st.Idle[dec.Dir]
 		d.IdleVCs = bits.OnesCount32(idle)

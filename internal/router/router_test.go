@@ -362,7 +362,7 @@ func routingHeads(r *Router) int {
 }
 
 // TestBlockedHeadsAllocateNothing fills the output ports of a router,
-// under every registered algorithm, from all-idle through the congestion
+// under every routing algorithm, from all-idle through the congestion
 // thresholds to saturated, and holds that re-deciding and re-requesting
 // for the head flits left blocked allocates nothing: a decision is a few
 // masks stored in place, and a blocked head submits no requests.

@@ -53,18 +53,10 @@ func countAllowedPaths(m topo.Mesh, alg Algorithm, cur, dest int, inDir topo.Dir
 	return n
 }
 
-// AllowedPorts returns the adaptive output ports alg permits at cur
-// toward dest for a packet that arrived from inDir: the static per-hop
-// choice set whose size bounds, at every router, how many ports a
-// runtime decision can offer. The anatomy invariant tests compare the
-// exercised adaptiveness aggregates against this bound.
-func AllowedPorts(m topo.Mesh, alg Algorithm, cur, dest int, inDir topo.Direction) []topo.Direction {
-	return allowedPorts(m, alg, cur, dest, inDir)
-}
-
 // allowedPorts returns the adaptive output ports alg permits at cur toward
 // dest for a packet that arrived from inDir (escape-channel ports excluded
-// unless they are also adaptive ports).
+// unless they are also adaptive ports): the static per-hop choice set a
+// decision picks its port from. An overlay allows its base's ports.
 func allowedPorts(m topo.Mesh, alg Algorithm, cur, dest int, inDir topo.Direction) []topo.Direction {
 	dx, hasX, dy, hasY := m.MinimalDirs(cur, dest)
 	switch a := alg.(type) {
@@ -73,7 +65,7 @@ func allowedPorts(m topo.Mesh, alg Algorithm, cur, dest int, inDir topo.Directio
 	case *OddEven:
 		dirs, n := a.allowedDirs(m, cur, dest, inDir)
 		return dirs[:n]
-	case *XORDET:
+	case *overlay:
 		return allowedPorts(m, a.base, cur, dest, inDir)
 	default:
 		// Fully adaptive (DBAR, Footprint): every minimal port.

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nocsim/internal/topo"
@@ -79,12 +81,13 @@ func TestPortAdaptivenessOddEven(t *testing.T) {
 	}
 }
 
-// TestAllowedPortsBound checks the exported static choice set: at every
-// (node, dest, arrival) triple the allowed ports are a subset of the
-// minimal ports, and fully adaptive algorithms allow all of them.
+// TestAllowedPortsBound checks the static choice set of every
+// configuration: at every (node, dest) pair the allowed ports are a
+// subset of the minimal ports, and fully adaptive algorithms (DBAR and
+// its overlays, Footprint) allow all of them.
 func TestAllowedPortsBound(t *testing.T) {
 	m := topo.MustNew(4, 4)
-	for _, name := range []string{"dor", "oddeven", "dbar", "footprint"} {
+	for _, name := range Names() {
 		alg := mustAlg(t, name)
 		for s := 0; s < m.Nodes(); s++ {
 			for d := 0; d < m.Nodes(); d++ {
@@ -99,23 +102,55 @@ func TestAllowedPortsBound(t *testing.T) {
 				if hasY {
 					minimal++
 				}
-				ports := AllowedPorts(m, alg, s, d, topo.Local)
+				ports := allowedPorts(m, alg, s, d, topo.Local)
 				if len(ports) == 0 || len(ports) > minimal {
-					t.Fatalf("%s: AllowedPorts(%d->%d) = %v, want 1..%d ports", name, s, d, ports, minimal)
+					t.Fatalf("%s: allowedPorts(%d->%d) = %v, want 1..%d ports", name, s, d, ports, minimal)
 				}
 				for _, p := range ports {
 					if !((hasX && p == dx) || (hasY && p == dy)) {
-						t.Fatalf("%s: AllowedPorts(%d->%d) offers non-minimal port %v", name, s, d, p)
+						t.Fatalf("%s: allowedPorts(%d->%d) offers non-minimal port %v", name, s, d, p)
 					}
 				}
-				if name == "footprint" || name == "dbar" {
+				if name == "footprint" || strings.HasPrefix(name, "dbar") {
 					if len(ports) != minimal {
-						t.Fatalf("%s: AllowedPorts(%d->%d) = %v, fully adaptive should allow all %d minimal ports",
+						t.Fatalf("%s: allowedPorts(%d->%d) = %v, fully adaptive should allow all %d minimal ports",
 							name, s, d, ports, minimal)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestOverlayAllowsBasePorts: an overlay picks VCs, never ports, so
+// every "+xordet" and "+voqsw" configuration allows exactly its base's
+// ports at every (node, dest, arrival port), and so has its base's
+// P_adapt in Table 1.
+func TestOverlayAllowsBasePorts(t *testing.T) {
+	for _, name := range Names() {
+		baseName, _, isOverlay := strings.Cut(name, "+")
+		if !isOverlay {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			alg, base := mustAlg(t, name), mustAlg(t, baseName)
+			for _, m := range []topo.Mesh{topo.MustNew(4, 4), topo.MustNew(8, 8)} {
+				for s := 0; s < m.Nodes(); s++ {
+					for d := 0; d < m.Nodes(); d++ {
+						if s == d {
+							continue
+						}
+						for in := topo.East; in <= topo.Local; in++ {
+							got, want := allowedPorts(m, alg, s, d, in), allowedPorts(m, base, s, d, in)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%dx%d: allowedPorts(%d->%d, in %v) = %v, want %s's %v",
+									m.Width, m.Height, s, d, in, got, baseName, want)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -18,9 +18,6 @@ type DBAR struct{}
 // NewDBAR returns a DBAR router.
 func NewDBAR() *DBAR { return &DBAR{} }
 
-// Name implements Algorithm.
-func (*DBAR) Name() string { return "dbar" }
-
 // UsesEscape implements Algorithm; DBAR relies on Duato's theory.
 func (*DBAR) UsesEscape() bool { return true }
 
@@ -61,7 +58,3 @@ func (a *DBAR) Route(ctx *Context, reqs []Request) []Request {
 }
 
 var _ Algorithm = (*DBAR)(nil)
-
-func init() {
-	Register("dbar", func() Algorithm { return NewDBAR() })
-}

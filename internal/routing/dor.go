@@ -15,9 +15,6 @@ type DOR struct{}
 // NewDOR returns a dimension-order router.
 func NewDOR() *DOR { return &DOR{} }
 
-// Name implements Algorithm.
-func (*DOR) Name() string { return "dor" }
-
 // UsesEscape implements Algorithm; DOR needs no escape VC.
 func (*DOR) UsesEscape() bool { return false }
 
@@ -39,10 +36,6 @@ func (a *DOR) Route(ctx *Context, reqs []Request) []Request {
 }
 
 var _ Algorithm = (*DOR)(nil)
-
-func init() {
-	Register("dor", func() Algorithm { return NewDOR() })
-}
 
 // selectByCounts implements the two-stage port comparison shared by the
 // adaptive algorithms (Algorithm 1, step 2): the port with more primary

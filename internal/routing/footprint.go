@@ -60,9 +60,6 @@ type Footprint struct {
 // NewFootprint returns a Footprint router with the paper's parameters.
 func NewFootprint() *Footprint { return &Footprint{} }
 
-// Name implements Algorithm.
-func (*Footprint) Name() string { return "footprint" }
-
 // UsesEscape implements Algorithm; Footprint relies on Duato's theory.
 func (*Footprint) UsesEscape() bool { return true }
 
@@ -158,7 +155,3 @@ func (f *Footprint) Route(ctx *Context, reqs []Request) []Request {
 }
 
 var _ Algorithm = (*Footprint)(nil)
-
-func init() {
-	Register("footprint", func() Algorithm { return NewFootprint() })
-}

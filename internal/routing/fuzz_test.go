@@ -74,7 +74,7 @@ func FuzzRouteAdmissible(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
-	// One longer seed per registered algorithm so the initial corpus
+	// One longer seed per algorithm so the initial corpus
 	// exercises every Route implementation: the first byte picks names[i].
 	for i, name := range Names() {
 		seed := make([]byte, 48)

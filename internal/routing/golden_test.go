@@ -41,7 +41,7 @@ type goldenAlg struct {
 	alg Algorithm
 }
 
-// goldenAlgorithms returns every registered algorithm plus the Footprint
+// goldenAlgorithms returns every algorithm of Names() plus the Footprint
 // ablation variants the benchmarks construct directly.
 func goldenAlgorithms() []goldenAlg {
 	var algs []goldenAlg

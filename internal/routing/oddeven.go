@@ -20,9 +20,6 @@ type OddEven struct{}
 // NewOddEven returns an odd-even turn model router.
 func NewOddEven() *OddEven { return &OddEven{} }
 
-// Name implements Algorithm.
-func (*OddEven) Name() string { return "oddeven" }
-
 // UsesEscape implements Algorithm; the turn model needs no escape VC.
 func (*OddEven) UsesEscape() bool { return false }
 
@@ -104,7 +101,3 @@ func (oe *OddEven) Route(ctx *Context, reqs []Request) []Request {
 }
 
 var _ Algorithm = (*OddEven)(nil)
-
-func init() {
-	Register("oddeven", func() Algorithm { return NewOddEven() })
-}

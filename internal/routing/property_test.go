@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,7 +109,7 @@ func levelsViolation(d Decision) string {
 	return ""
 }
 
-// TestRoutingInvariantsRandomized drives every registered algorithm
+// TestRoutingInvariantsRandomized drives every algorithm of Names()
 // through randomized reachable decisions and holds the invariants that
 // make the fabric minimal and deadlock-free:
 //
@@ -118,6 +119,9 @@ func levelsViolation(d Decision) string {
 //     direction (Duato's theory needs the escape layer to stay DOR);
 //   - Odd-Even variants never request a turn the turn model forbids;
 //   - DOR variants request exactly the dimension-order direction;
+//   - the decision requests at least one adaptive VC, on a port of the
+//     algorithm's static choice set (allowedPorts), so it offers one
+//     minimal port;
 //   - a freshly injected packet always gets at least one request;
 //   - the decision files nothing under level None and no VC under two
 //     levels (levelsViolation);
@@ -168,8 +172,14 @@ func TestRoutingInvariantsRandomized(t *testing.T) {
 					t.Fatalf("trial %d: no requests for a freshly injected packet (cur %d dest %d)",
 						trial, s.cur, s.dest)
 				}
-				if bad := levelsViolation(alg.Decide(s.ctx(int64(trial)))); bad != "" {
+				dec := alg.Decide(s.ctx(int64(trial)))
+				if bad := levelsViolation(dec); bad != "" {
 					t.Fatalf("trial %d: %s", trial, bad)
+				}
+				allowed := allowedPorts(s.m, alg, s.cur, s.dest, s.inDir)
+				if dec.VCMask() == 0 || !slices.Contains(allowed, dec.Dir) {
+					t.Fatalf("trial %d: decision requests VCs %#x on %v, want some on one of %v (cur %d dest %d in %v)",
+						trial, dec.VCMask(), dec.Dir, allowed, s.cur, s.dest, s.inDir)
 				}
 
 				// Purity: an identical decision replayed with an equally

@@ -1,8 +1,9 @@
 // Package routing implements the routing algorithms evaluated in the
 // Footprint paper (ISCA'17): dimension-order routing (DOR), the Odd-Even
 // turn model, DBAR-style fully-adaptive routing, the proposed Footprint
-// algorithm, and the XORDET static VC-mapping overlay. It also provides
-// the paper's two-level adaptiveness metrics and hardware cost model.
+// algorithm, and the two static VC-mapping overlays on the first three,
+// XORDET ("+xordet") and VOQ_sw ("+voqsw"). It also provides the paper's
+// two-level adaptiveness metrics and hardware cost model.
 //
 // A routing algorithm sees only local router state — per-VC idleness and
 // ownership at each output port, plus the one-hop-downstream status that
@@ -14,8 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"nocsim/internal/alloc"
 	"nocsim/internal/topo"
@@ -91,14 +90,6 @@ func (d *Decision) PriOf(vc int) alloc.Priority {
 	return alloc.None
 }
 
-// onlyVC returns d with its requests on Dir replaced by the single VC vc
-// at Low, the escape untouched: what the static VC-mapping overlays make
-// of their base algorithm's decision.
-func (d Decision) onlyVC(vc int) Decision {
-	d.Pri = [alloc.Highest + 1]uint32{alloc.Low: 1 << uint(vc)}
-	return d
-}
-
 // appendRequests expands d to list form — the VCs of Dir in ascending
 // order, the escape request last — and appends it to reqs. Every
 // Algorithm's Route is this applied to its Decide.
@@ -115,8 +106,6 @@ func appendRequests(reqs []Request, d Decision) []Request {
 
 // Algorithm computes VC requests for the head flit of a packet.
 type Algorithm interface {
-	// Name returns the algorithm's identifier, e.g. "footprint".
-	Name() string
 	// UsesEscape reports whether VC 0 is reserved as a dimension-order
 	// escape channel (Duato's theory). When true, adaptive VCs are
 	// 1..V-1; when false all V VCs are usable by any packet.
@@ -134,15 +123,6 @@ type Algorithm interface {
 	// VCs of the chosen port in ascending order and the escape request
 	// last, and returns the extended slice.
 	Route(ctx *Context, reqs []Request) []Request
-}
-
-// adaptiveVCRange returns the usable VC index range [lo, V) for non-escape
-// requests of an algorithm.
-func adaptiveVCRange(usesEscape bool) (lo int) {
-	if usesEscape {
-		return 1
-	}
-	return 0
 }
 
 // vcMask returns the mask of VCs [lo, nVCs).
@@ -171,34 +151,33 @@ func dorDir(m topo.Mesh, cur, dest int) topo.Direction {
 	return dorOf(m.MinimalDirs(cur, dest))
 }
 
-// Registry of algorithm constructors, keyed by name. Constructors receive
-// no arguments; XORDET overlays are registered as composite names such as
-// "dor+xordet".
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() Algorithm{}
-)
-
-// Register adds a constructor under name; it panics on duplicates.
-// Packages register their algorithms in init.
-func Register(name string, ctor func() Algorithm) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("routing: duplicate algorithm " + name)
-	}
-	registry[name] = ctor
+// algorithms is every routing configuration, in name order: the four
+// base algorithms and the two overlays on each base but Footprint. It is
+// the one place a configuration is named.
+var algorithms = []struct {
+	name string
+	new  func() Algorithm
+}{
+	{"dbar", func() Algorithm { return NewDBAR() }},
+	{"dbar+voqsw", func() Algorithm { return &overlay{base: NewDBAR(), voqsw: true} }},
+	{"dbar+xordet", func() Algorithm { return &overlay{base: NewDBAR()} }},
+	{"dor", func() Algorithm { return NewDOR() }},
+	{"dor+voqsw", func() Algorithm { return &overlay{base: NewDOR(), voqsw: true} }},
+	{"dor+xordet", func() Algorithm { return &overlay{base: NewDOR()} }},
+	{"footprint", func() Algorithm { return NewFootprint() }},
+	{"oddeven", func() Algorithm { return NewOddEven() }},
+	{"oddeven+voqsw", func() Algorithm { return &overlay{base: NewOddEven(), voqsw: true} }},
+	{"oddeven+xordet", func() Algorithm { return &overlay{base: NewOddEven()} }},
 }
 
 // New returns a fresh instance of the named algorithm.
 func New(name string) (Algorithm, error) {
-	registryMu.RLock()
-	ctor, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("routing: unknown algorithm %q (have %v)", name, Names())
+	for _, a := range algorithms {
+		if a.name == name {
+			return a.new(), nil
+		}
 	}
-	return ctor(), nil
+	return nil, fmt.Errorf("routing: unknown algorithm %q (have %v)", name, Names())
 }
 
 // MustNew is New but panics on unknown names.
@@ -210,14 +189,11 @@ func MustNew(name string) Algorithm {
 	return a
 }
 
-// Names lists the registered algorithm names, sorted.
+// Names lists the algorithm names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		names[i] = a.name
 	}
-	sort.Strings(names)
 	return names
 }

@@ -142,8 +142,13 @@ func TestRegistryHasAllAlgorithms(t *testing.T) {
 			t.Errorf("New(%q): %v", n, err)
 			continue
 		}
-		if a.Name() != n {
-			t.Errorf("New(%q).Name() = %q", n, a.Name())
+		// The first adaptive VC: 1 exactly when VC 0 is the escape.
+		wantLo := 0
+		if a.UsesEscape() {
+			wantLo = 1
+		}
+		if lo := NewState(topo.MustNew(4, 4), 0, 4, a).Lo; lo != wantLo {
+			t.Errorf("%s: State.Lo = %d, want %d", n, lo, wantLo)
 		}
 	}
 }
@@ -158,15 +163,6 @@ func TestRegistryUnknown(t *testing.T) {
 		}
 	}()
 	MustNew("nope")
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register("dor", func() Algorithm { return NewDOR() })
 }
 
 func TestDORRoute(t *testing.T) {
@@ -689,12 +685,6 @@ func TestFootprintCost(t *testing.T) {
 	}
 	if log2ceil(1) != 0 || log2ceil(2) != 1 || log2ceil(3) != 2 {
 		t.Error("log2ceil broken")
-	}
-}
-
-func TestAdaptiveVCRange(t *testing.T) {
-	if adaptiveVCRange(true) != 1 || adaptiveVCRange(false) != 0 {
-		t.Error("adaptiveVCRange wrong")
 	}
 }
 

@@ -68,11 +68,13 @@ func NewStateOn(m topo.Mesh, node, vcs int, alg Algorithm, regs []int32, index [
 	}
 	s := State{
 		VCs:      vcs,
-		Lo:       adaptiveVCRange(alg.UsesEscape()),
 		Owner:    regs[:n:n],
 		RegOwner: regs[n:],
 		Mesh:     m,
 		Pos:      m.Coord(node),
+	}
+	if alg.UsesEscape() {
+		s.Lo = 1
 	}
 	if len(index) > 0 {
 		s.Owners = index

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"nocsim/internal/obs"
-	"nocsim/internal/routing"
-	"nocsim/internal/topo"
 	"nocsim/internal/traffic"
 )
 
@@ -116,59 +114,21 @@ func TestAnatomyLatencyClosure(t *testing.T) {
 	}
 }
 
-// maxStaticPorts returns the Eq-1 static ceiling on a single decision's
-// offered ports: the largest AllowedPorts set over every (node, dest,
-// arrival) triple of the mesh.
-func maxStaticPorts(t *testing.T, m topo.Mesh, alg string) int {
-	t.Helper()
-	a, err := routing.New(alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := 0
-	for s := 0; s < m.Nodes(); s++ {
-		for d := 0; d < m.Nodes(); d++ {
-			if s == d {
-				continue
-			}
-			for in := topo.East; in <= topo.Local; in++ {
-				if n := len(routing.AllowedPorts(m, a, s, d, in)); n > max {
-					max = n
-				}
-			}
-		}
-	}
-	return max
-}
-
 // TestAnatomyExercisedWithinStaticBound is the run-level invariant tying
 // the runtime telemetry back to the paper's Equation 1: what a run
-// exercised can never exceed what the algorithm statically allows. All
-// implemented algorithms route minimally, so every decision must also
-// make minimal progress.
+// exercised can never exceed what the algorithm statically allows. That
+// every decision offers one port of the algorithm's static choice set is
+// held where decisions are made, by routing's property tests.
 func TestAnatomyExercisedWithinStaticBound(t *testing.T) {
-	mesh := topo.MustNew(4, 4) // testConfig's fabric
 	for _, alg := range []string{"footprint", "dbar", "oddeven", "dor"} {
 		res := anatomyRun(t, alg, 0.3)
 		a := res.Anatomy
 		if a.Decisions == 0 {
 			t.Fatalf("%s: no routing decisions recorded", alg)
 		}
-		if a.OfferedPortsSum > a.MinimalPortsSum {
-			t.Errorf("%s: offered %d ports over a minimal ceiling of %d",
-				alg, a.OfferedPortsSum, a.MinimalPortsSum)
-		}
 		if a.OfferedVCsSum > a.AdmissibleVCsSum {
 			t.Errorf("%s: offered %d VCs over an admissible ceiling of %d",
 				alg, a.OfferedVCsSum, a.AdmissibleVCsSum)
-		}
-		if a.MinimalDecisions != a.Decisions {
-			t.Errorf("%s: %d of %d decisions offered a non-minimal port",
-				alg, a.Decisions-a.MinimalDecisions, a.Decisions)
-		}
-		if bound := a.Decisions * int64(maxStaticPorts(t, mesh, alg)); a.OfferedPortsSum > bound {
-			t.Errorf("%s: offered %d ports over the static Eq-1 bound %d",
-				alg, a.OfferedPortsSum, bound)
 		}
 		if pa := a.PortAdaptivenessExercised(); pa <= 0 || pa > 1 {
 			t.Errorf("%s: exercised port adaptiveness %v outside (0, 1]", alg, pa)

@@ -30,7 +30,7 @@ type Config struct {
 	// AlgFactory, when non-nil, overrides Algorithm with a custom
 	// constructor — used by ablation studies to run parameterized
 	// variants (e.g. a Footprint with a non-default threshold) that are
-	// not in the registry.
+	// not in routing's table.
 	AlgFactory func() routing.Algorithm
 	// Seed drives every stochastic choice; equal seeds give identical
 	// runs.

@@ -16,7 +16,7 @@ var fuzzPatterns = []string{"uniform", "transpose", "shuffle", "bitcomp", "torna
 // checks, New — and runs whatever they accept for 200 cycles. Accepted
 // must mean runnable: an input the checks let through may end stable or
 // saturated, but never in a panic. The mesh, VC count, buffer depth,
-// speedup, algorithm (every registered name, plus an unknown one),
+// speedup, algorithm (every routing name, plus an unknown one),
 // pattern, load, packet-size range and a slow endpoint all come from the
 // input, each range reaching past what the checks accept.
 func FuzzValidateThenRun(f *testing.F) {

@@ -141,7 +141,7 @@ func (id RunIdentity) Apply(cfg Config) Config {
 }
 
 // algName returns the config's algorithm identity for seed derivation;
-// AlgFactory-only configs (ablation variants outside the registry) fall
+// AlgFactory-only configs (ablation variants outside routing's table) fall
 // back to a fixed token.
 func algName(cfg Config) string {
 	if cfg.Algorithm != "" {

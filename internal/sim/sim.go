@@ -178,7 +178,7 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 	}
 	if cfg.VCs < 2 && alg.UsesEscape() {
 		return nil, fmt.Errorf("sim: %s reserves VC 0 as its escape channel and needs at least 2 VCs, have %d",
-			alg.Name(), cfg.VCs)
+			algName(cfg), cfg.VCs)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &Simulation{

@@ -189,8 +189,7 @@ func TestOverloadDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crit := DefaultCriterion()
-	if !crit.Saturated(res, 10) {
+	if !Saturated(res, 10) {
 		t.Errorf("rate 0.95 bitcomp should saturate a 4x4 mesh: %v", res)
 	}
 }
@@ -234,20 +233,19 @@ func TestLatencyThroughputCurve(t *testing.T) {
 }
 
 func TestSaturationCriterion(t *testing.T) {
-	crit := DefaultCriterion()
 	// Unstable is always saturated.
 	r := &Result{Stable: false}
-	if !crit.Saturated(r, 10) {
+	if !Saturated(r, 10) {
 		t.Error("unstable must be saturated")
 	}
 	// Throughput collapse.
 	r = &Result{Stable: true, Offered: 0.5, Accepted: 0.4}
-	if !crit.Saturated(r, 1e9) {
+	if !Saturated(r, 1e9) {
 		t.Error("accepted << offered must be saturated")
 	}
 	// Healthy point.
 	r = &Result{Stable: true, Offered: 0.2, Accepted: 0.2}
-	if crit.Saturated(r, 10) {
+	if Saturated(r, 10) {
 		t.Error("healthy point misclassified")
 	}
 }
@@ -294,7 +292,7 @@ func TestSaturationProbeWithoutTrafficIsAnError(t *testing.T) {
 }
 
 // TestSaturationMatrixDrainsOrReports is the ROADMAP's saturation matrix
-// in reduced form: every registered algorithm under every synthetic
+// in reduced form: every routing algorithm under every synthetic
 // pattern on a 4x4, bisected at a coarse tolerance and then overloaded at
 // 1.2x the throughput found, with the watchdog armed throughout. Drain or
 // report, never hang: every run comes back within its cycle budget, and
@@ -353,8 +351,7 @@ func TestSlowEndpointCreatesEndpointCongestion(t *testing.T) {
 		t.Fatal("baseline should sustain 0.7 flits/cycle at the endpoint")
 	}
 	// 2 flows x 0.35 = 0.7 flits/cycle > 0.5 ejection rate: must saturate.
-	crit := DefaultCriterion()
-	if !crit.Saturated(slow, fast.AvgLatency(flit.ClassBackground)) {
+	if !Saturated(slow, fast.AvgLatency(flit.ClassBackground)) {
 		t.Errorf("slow endpoint did not congest: %v", slow)
 	}
 }

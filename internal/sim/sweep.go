@@ -86,31 +86,24 @@ func RunLoad(cfg Config, pattern string, size traffic.SizeFn, rate float64) (*Re
 	return s.Run(), nil
 }
 
-// SaturationCriterion decides whether a run is saturated given the
-// zero-load latency reference.
-type SaturationCriterion struct {
-	// LatencyFactor: saturated when mean latency exceeds this multiple
-	// of the zero-load latency (default 3).
-	LatencyFactor float64
-	// AcceptRatio: saturated when accepted/offered drops below this
-	// (default 0.95).
-	AcceptRatio float64
-}
+// The saturation criterion Saturated applies.
+const (
+	saturationLatencyFactor = 3    // mean latency over zero-load latency
+	saturationAcceptRatio   = 0.95 // accepted over offered load
+)
 
-// DefaultCriterion returns the thresholds used throughout the repository.
-func DefaultCriterion() SaturationCriterion {
-	return SaturationCriterion{LatencyFactor: 3, AcceptRatio: 0.95}
-}
-
-// Saturated applies the criterion.
-func (c SaturationCriterion) Saturated(res *Result, zeroLoadLatency float64) bool {
+// Saturated reports whether res is saturated against the zero-load
+// latency reference, by the one criterion used throughout the
+// repository: the run is unstable, accepts less than 95% of its offered
+// load, or its mean latency is over 3 times the zero-load latency.
+func Saturated(res *Result, zeroLoadLatency float64) bool {
 	if !res.Stable {
 		return true
 	}
-	if res.Offered > 0 && res.Accepted < c.AcceptRatio*res.Offered {
+	if res.Offered > 0 && res.Accepted < saturationAcceptRatio*res.Offered {
 		return true
 	}
-	return res.AvgLatency(flit.ClassBackground) > c.LatencyFactor*zeroLoadLatency
+	return res.AvgLatency(flit.ClassBackground) > saturationLatencyFactor*zeroLoadLatency
 }
 
 // SaturationResult reports a saturation-throughput search.
@@ -130,7 +123,7 @@ const probeRate = 0.05
 
 // SaturationThroughput bisects for the network saturation throughput of
 // cfg under the named pattern: the largest offered load that stays stable
-// under the default criterion, resolved to within tol flits/node/cycle
+// under the saturation criterion (Saturated), resolved to within tol flits/node/cycle
 // (the figures use 0.01). A bisection is inherently sequential — each
 // probe's rate depends on the previous verdict — so grids of searches
 // parallelize across cells (see exp.Figure7/Figure8), not within one.
@@ -138,7 +131,6 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 	if tol <= 0 {
 		return nil, fmt.Errorf("sim: tolerance must be positive")
 	}
-	crit := DefaultCriterion()
 	sr := &SaturationResult{}
 
 	probe, err := RunLoad(cfg, pattern, size, probeRate)
@@ -152,7 +144,7 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 		return nil, fmt.Errorf("sim: the probe run at load %.2f measured no packet, so there is no latency to bisect against", probeRate)
 	}
 	sr.ZeroLoadLatency = probe.AvgLatency(flit.ClassBackground)
-	if crit.Saturated(probe, sr.ZeroLoadLatency) {
+	if Saturated(probe, sr.ZeroLoadLatency) {
 		// Even the probe load saturates (cannot happen in practice for
 		// the evaluated configurations; be defensive).
 		sr.Throughput = 0
@@ -167,7 +159,7 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 			return nil, err
 		}
 		sr.Runs = append(sr.Runs, res)
-		if crit.Saturated(res, sr.ZeroLoadLatency) {
+		if Saturated(res, sr.ZeroLoadLatency) {
 			hi = mid
 		} else {
 			lo = mid

@@ -6,7 +6,8 @@
 // with Config, drive it with synthetic traffic patterns, trace files or
 // custom injectors, and collect latency/throughput/blocking statistics.
 // The Footprint routing algorithm and all of the paper's baselines (DOR,
-// Odd-Even, DBAR, and their XORDET variants) are built in; see Algorithms.
+// Odd-Even, DBAR, and their XORDET and VOQ_sw overlays) are built in; see
+// Algorithms.
 //
 // Quick start:
 //
@@ -60,8 +61,9 @@ type Packet = flit.Packet
 // 10 VCs with 4-flit buffers, internal speedup 2, Footprint routing.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
-// Algorithms lists the available routing algorithms: "footprint", "dbar",
-// "oddeven", "dor" and their "+xordet" overlays.
+// Algorithms lists the available routing algorithms, sorted: "footprint",
+// "dbar", "oddeven", "dor" and the "+xordet" and "+voqsw" overlays on the
+// last three.
 func Algorithms() []string { return routing.Names() }
 
 // Patterns lists the built-in synthetic traffic patterns.
