@@ -8,6 +8,7 @@ package nocsim
 // benches keep every experiment exercised by `go test -bench`.
 
 import (
+	"strconv"
 	"testing"
 
 	"nocsim/internal/exp"
@@ -141,26 +142,12 @@ func BenchmarkFigure7VCSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, pt := range vs.Points {
-			db := pt.Throughput["dbar"]
-			if db > 0 {
-				gain := (pt.Throughput["footprint"] - db) / db * 100
-				b.ReportMetric(gain, "gain-pct-"+vcLabel(pt.VCs))
+		for i, s := range vs.Searches {
+			if db := s.DB.Throughput; db > 0 {
+				gain := (s.FP.Throughput - db) / db * 100
+				b.ReportMetric(gain, "gain-pct-"+strconv.Itoa(vs.VCs[i])+"vc")
 			}
 		}
-	}
-}
-
-func vcLabel(v int) string {
-	switch v {
-	case 2:
-		return "2vc"
-	case 4:
-		return "4vc"
-	case 8:
-		return "8vc"
-	default:
-		return "16vc"
 	}
 }
 
@@ -173,8 +160,8 @@ func BenchmarkFigure8Scaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, pt := range st.Points {
-			b.ReportMetric(pt.DBARNormalized, "dbar-over-fp-"+pt.Pattern)
+		for i, s := range st.Searches {
+			b.ReportMetric(s.DB.Throughput/s.FP.Throughput, "dbar-over-fp-"+st.Cells[i].Pattern)
 		}
 	}
 }
@@ -187,9 +174,8 @@ func BenchmarkFigure9Hotspot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for alg, pts := range hs.Curves {
-			b.ReportMetric(pts[1].BackgroundLatency, alg+"-bg-latency")
-		}
+		b.ReportMetric(hs.Points[1].FP.BackgroundLatency, "footprint-bg-latency")
+		b.ReportMetric(hs.Points[1].DB.BackgroundLatency, "dbar-bg-latency")
 	}
 }
 
@@ -202,7 +188,9 @@ func BenchmarkFigure10Traces(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(ts.Pairs[0].DeltaPct, "fp-gain-pct")
+		fp := ts.PairRuns[0].FP.AvgLatency(ClassBackground)
+		db := ts.PairRuns[0].DB.AvgLatency(ClassBackground)
+		b.ReportMetric((db-fp)/db*100, "fp-gain-pct")
 	}
 }
 
@@ -277,7 +265,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(lat, "bg-latency-thr"+itoa(thr))
+			b.ReportMetric(lat, "bg-latency-thr"+strconv.Itoa(thr))
 		}
 	}
 }
@@ -343,9 +331,9 @@ func BenchmarkAblationRealloc(b *testing.B) {
 	}
 }
 
-// runFootprintVariant runs the Figure 9 hotspot scenario with a custom
-// Footprint instance (bypassing routing's table) and returns the background
-// latency.
+// runFootprintVariant runs the Figure 9 hotspot scenario (hotspot flows
+// at 0.45 over 30% background) with a custom Footprint instance
+// (bypassing routing's table) and returns the background latency.
 func runFootprintVariant(cfg sim.Config, fp *routing.Footprint) (float64, error) {
 	cfg.AlgFactory = func() routing.Algorithm {
 		return &routing.Footprint{
@@ -354,24 +342,6 @@ func runFootprintVariant(cfg sim.Config, fp *routing.Footprint) (float64, error)
 			DisableRegulation: fp.DisableRegulation,
 		}
 	}
-	hot := &traffic.Generator{
-		Nodes:   []int{0, 7, 24, 31, 32, 39, 56, 63},
-		Pattern: traffic.HotspotFlows(), Rate: 0.45, Class: flit.ClassHotspot,
-	}
-	bg := &traffic.Generator{
-		Nodes:   traffic.BackgroundNodes(cfg.Mesh()),
-		Pattern: traffic.Uniform{Nodes: cfg.Mesh().Nodes()}, Rate: 0.3,
-	}
-	s, err := sim.New(cfg, hot, bg)
-	if err != nil {
-		return 0, err
-	}
-	return s.Run().AvgLatency(flit.ClassBackground), nil
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
+	pt, err := sim.HotspotRun(cfg, 0.3, 0.45)
+	return pt.BackgroundLatency, err
 }

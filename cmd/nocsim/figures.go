@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,7 +109,11 @@ func scale(fs *flag.FlagSet) action {
 			if errW != nil || errH != nil {
 				return fmt.Errorf("bad size %q: want WIDTHxHEIGHT, e.g. 8x8", s)
 			}
-			meshes = append(meshes, [2]int{width, height})
+			wh := [2]int{width, height}
+			if slices.Contains(meshes, wh) {
+				return fmt.Errorf("size %dx%d is given twice: its runs would share every per-run file", width, height)
+			}
+			meshes = append(meshes, wh)
 		}
 		study, err := exp.Figure8(prof, meshes)
 		if err != nil {
@@ -177,7 +182,11 @@ func traces(fs *flag.FlagSet) action {
 				if !ok {
 					return fmt.Errorf("bad pair %q (want a+b)", p)
 				}
-				pairList = append(pairList, [2]string{a, b})
+				pair := [2]string{a, b}
+				if slices.Contains(pairList, pair) {
+					return fmt.Errorf("pair %s+%s is given twice: its runs would share every per-run file", a, b)
+				}
+				pairList = append(pairList, pair)
 			}
 		}
 		study, err := exp.Figure10(prof, pairList)

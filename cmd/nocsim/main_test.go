@@ -74,6 +74,8 @@ func TestBadValues(t *testing.T) {
 	}{
 		{[]string{"scale", "-sizes", "4x"}, `"4x"`},
 		{[]string{"traces", "-pairs", "x264"}, `"x264"`},
+		{[]string{"traces", "-profile", "quick", "-pairs", "x264+canneal, x264+canneal"}, "x264+canneal is given twice"},
+		{[]string{"scale", "-profile", "quick", "-sizes", "4x4,2x2,04x4"}, "4x4 is given twice"},
 		{[]string{"-rates", "0.1,x"}, `"x"`},
 		{[]string{"-width", "4", "-height", "4", "-warmup", "50", "-measure", "100", "-drain", "200",
 			"-rates", "0.1,0.1004"}, "0.1 and 0.1004"},

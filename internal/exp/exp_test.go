@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"nocsim/internal/flit"
 )
 
 // tinyProfile is even cheaper than Quick, for unit tests.
@@ -105,12 +107,12 @@ func TestFigure7Tiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vs.Points) != 2 {
-		t.Fatalf("points = %d", len(vs.Points))
+	if len(vs.Searches) != 2 {
+		t.Fatalf("searches = %d", len(vs.Searches))
 	}
-	for _, pt := range vs.Points {
-		if pt.Throughput["footprint"] <= 0 || pt.Throughput["dbar"] <= 0 {
-			t.Errorf("VCs=%d: zero throughput %v", pt.VCs, pt.Throughput)
+	for i, s := range vs.Searches {
+		if s.FP.Throughput <= 0 || s.DB.Throughput <= 0 {
+			t.Errorf("VCs=%d: zero throughput %v / %v", vs.VCs[i], s.FP.Throughput, s.DB.Throughput)
 		}
 	}
 	if !strings.Contains(vs.Format(), "Figure 7") {
@@ -123,12 +125,12 @@ func TestFigure8Tiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Points) != 3 { // one mesh x three patterns
-		t.Fatalf("points = %d", len(st.Points))
+	if len(st.Searches) != 3 { // one mesh x three patterns
+		t.Fatalf("searches = %d", len(st.Searches))
 	}
-	for _, pt := range st.Points {
-		if pt.DBARNormalized <= 0 {
-			t.Errorf("%s: normalized %v", pt.Pattern, pt.DBARNormalized)
+	for i, s := range st.Searches {
+		if s.FP.Throughput <= 0 || s.DB.Throughput <= 0 {
+			t.Errorf("%s: zero throughput %v / %v", st.Cells[i].Pattern, s.FP.Throughput, s.DB.Throughput)
 		}
 	}
 	if !strings.Contains(st.Format(), "dbar/fp") {
@@ -141,8 +143,8 @@ func TestFigure9Tiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hs.Curves["footprint"]) != 2 || len(hs.Curves["dbar"]) != 2 {
-		t.Fatalf("curves incomplete: %v", hs.Curves)
+	if len(hs.Points) != 2 {
+		t.Fatalf("points = %d", len(hs.Points))
 	}
 	if !strings.Contains(hs.Format(), "hotRate") {
 		t.Error("bad format")
@@ -154,14 +156,14 @@ func TestFigure10Tiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts.Pairs) != 1 {
-		t.Fatalf("pairs = %d", len(ts.Pairs))
+	if len(ts.PairRuns) != 1 {
+		t.Fatalf("pairs = %d", len(ts.PairRuns))
 	}
-	if ts.Pairs[0].Latency["footprint"] <= 0 || ts.Pairs[0].Latency["dbar"] <= 0 {
-		t.Errorf("latencies = %v", ts.Pairs[0].Latency)
+	if fp, db := ts.PairRuns[0].FP.AvgLatency(flit.ClassBackground), ts.PairRuns[0].DB.AvgLatency(flit.ClassBackground); fp <= 0 || db <= 0 {
+		t.Errorf("latencies = %v / %v", fp, db)
 	}
-	if len(ts.PerWorkload) != 2 {
-		t.Errorf("per-workload = %d", len(ts.PerWorkload))
+	if len(ts.SoloRuns) != 2 {
+		t.Errorf("per-workload = %d", len(ts.SoloRuns))
 	}
 	out := ts.Format()
 	for _, want := range []string{"Figure 10(a)", "Figure 10(b)", "Figure 10(c)", "x264"} {

@@ -180,43 +180,45 @@ func curveSet(p Profile, figure, pattern string, size traffic.SizeFn, algs []str
 	return cs, nil
 }
 
-// VCSweepPoint is one bar of Figure 7: saturation throughput at a VC
-// count.
-type VCSweepPoint struct {
-	VCs        int
-	Throughput map[string]float64 // algorithm -> flits/node/cycle
+// bisect is the run of one cell of Figures 7 and 8: the saturation
+// search of cfg under alg with single-flit packets, labelled
+// "<figure> <pattern>/<alg> <cell>".
+func bisect(p Profile, cfg sim.Config, figure, pattern, alg, cell string) (*sim.SaturationResult, error) {
+	cfg.Algorithm = alg
+	cfg.RunLabel = fmt.Sprintf("%s %s/%s %s", figure, pattern, alg, cell)
+	return sim.SaturationThroughput(cfg, pattern, traffic.FixedSize(1), p.Tol)
 }
 
-// VCSweep is one panel of Figure 7.
-type VCSweep struct {
-	Pattern string
-	Points  []VCSweepPoint
-	runs    []*sim.Result
-}
-
-// Runs returns every simulation of the panel: the probes of each
-// (VC count, algorithm) bisection in order, cell by cell.
-func (v VCSweep) Runs() []*sim.Result { return v.runs }
-
-// saturationRuns flattens the probes of a grid of bisections, cell by
-// cell.
-func saturationRuns(srs []*sim.SaturationResult) []*sim.Result {
+// searchRuns flattens the probes of a grid of search pairs: cell by
+// cell, Footprint's search before DBAR's.
+func searchRuns(searches []Pair[*sim.SaturationResult]) []*sim.Result {
 	var runs []*sim.Result
-	for _, sr := range srs {
-		runs = append(runs, sr.Runs...)
+	for _, s := range searches {
+		runs = append(append(runs, s.FP.Runs...), s.DB.Runs...)
 	}
 	return runs
 }
+
+// VCSweep is one panel of Figure 7: Footprint's and DBAR's saturation
+// searches at each VC count.
+type VCSweep struct {
+	Pattern  string
+	VCs      []int
+	Searches []Pair[*sim.SaturationResult] // one per VC count
+}
+
+// Runs returns every simulation of the panel: the probes of each
+// search, VC count by VC count, Footprint's before DBAR's.
+func (v VCSweep) Runs() []*sim.Result { return searchRuns(v.Searches) }
 
 // Format renders the panel with Footprint's gain over DBAR per VC count.
 func (v VCSweep) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7 — %s traffic (saturation throughput, flits/node/cycle)\n", v.Pattern)
 	fmt.Fprintf(&b, "%-6s %12s %12s %8s\n", "VCs", "footprint", "dbar", "gain")
-	for _, pt := range v.Points {
-		fp, db := pt.Throughput["footprint"], pt.Throughput["dbar"]
-		gain := stats.Ratio(fp-db, db) * 100
-		fmt.Fprintf(&b, "%-6d %12.3f %12.3f %+7.1f%%\n", pt.VCs, fp, db, gain)
+	for i, s := range v.Searches {
+		fp, db := s.FP.Throughput, s.DB.Throughput
+		fmt.Fprintf(&b, "%-6d %12.3f %12.3f %+7.1f%%\n", v.VCs[i], fp, db, stats.Ratio(fp-db, db)*100)
 	}
 	return b.String()
 }
@@ -229,58 +231,43 @@ func Figure7(p Profile, pattern string, vcCounts []int) (VCSweep, error) {
 	if vcCounts == nil {
 		vcCounts = []int{2, 4, 8, 16}
 	}
-	algs := []string{"footprint", "dbar"}
-	srs, err := sim.Map(p.Jobs, len(vcCounts)*len(algs), func(i int) (*sim.SaturationResult, error) {
-		vcs, alg := vcCounts[i/len(algs)], algs[i%len(algs)]
+	searches, err := paired(p, vcCounts, func(vcs int, alg string) (*sim.SaturationResult, error) {
 		cfg := p.BaseConfig()
-		cfg.Algorithm = alg
 		cfg.VCs = vcs
-		cfg.RunLabel = fmt.Sprintf("Figure 7 %s/%s vcs=%d", pattern, alg, vcs)
-		return sim.SaturationThroughput(cfg, pattern, traffic.FixedSize(1), p.Tol)
+		return bisect(p, cfg, "Figure 7", pattern, alg, fmt.Sprintf("vcs=%d", vcs))
 	})
 	if err != nil {
 		return VCSweep{}, err
 	}
-	out := VCSweep{Pattern: pattern, runs: saturationRuns(srs)}
-	for vi, vcs := range vcCounts {
-		pt := VCSweepPoint{VCs: vcs, Throughput: map[string]float64{}}
-		for ai, alg := range algs {
-			pt.Throughput[alg] = srs[vi*len(algs)+ai].Throughput
-		}
-		out.Points = append(out.Points, pt)
-	}
-	return out, nil
+	return VCSweep{Pattern: pattern, VCs: vcCounts, Searches: searches}, nil
 }
 
-// ScalePoint is one bar group of Figure 8.
-type ScalePoint struct {
+// ScaleCell is one bar group of Figure 8: a mesh size and a pattern.
+type ScaleCell struct {
 	Width, Height int
 	Pattern       string
-	Throughput    map[string]float64
-	// DBARNormalized is DBAR's saturation throughput divided by
-	// Footprint's, the quantity Figure 8 plots.
-	DBARNormalized float64
 }
 
 // ScaleStudy is the whole of Figure 8.
 type ScaleStudy struct {
-	Points []ScalePoint
-	runs   []*sim.Result
+	Cells    []ScaleCell
+	Searches []Pair[*sim.SaturationResult] // one per cell
 }
 
-// Runs returns every simulation of the study: the probes of each (mesh,
-// pattern, algorithm) bisection in order, cell by cell.
-func (s ScaleStudy) Runs() []*sim.Result { return s.runs }
+// Runs returns every simulation of the study: the probes of each
+// search, cell by cell, Footprint's before DBAR's.
+func (s ScaleStudy) Runs() []*sim.Result { return searchRuns(s.Searches) }
 
-// Format renders Figure 8's normalized bars.
+// Format renders Figure 8's bars: DBAR's saturation throughput
+// normalized to Footprint's.
 func (s ScaleStudy) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 8 — DBAR throughput normalized to Footprint\n")
 	fmt.Fprintf(&b, "%-8s %-10s %12s %12s %12s\n", "mesh", "pattern", "footprint", "dbar", "dbar/fp")
-	for _, pt := range s.Points {
+	for i, c := range s.Cells {
+		fp, db := s.Searches[i].FP.Throughput, s.Searches[i].DB.Throughput
 		fmt.Fprintf(&b, "%dx%-6d %-10s %12.3f %12.3f %12.2f\n",
-			pt.Width, pt.Height, pt.Pattern,
-			pt.Throughput["footprint"], pt.Throughput["dbar"], pt.DBARNormalized)
+			c.Width, c.Height, c.Pattern, fp, db, stats.Ratio(db, fp))
 	}
 	return b.String()
 }
@@ -292,63 +279,40 @@ func Figure8(p Profile, sizes [][2]int) (ScaleStudy, error) {
 	if sizes == nil {
 		sizes = [][2]int{{4, 4}, {16, 16}}
 	}
-	patterns := SyntheticPatterns()
-	algs := []string{"footprint", "dbar"}
-	type cell struct {
-		wh      [2]int
-		pattern string
-		alg     string
-	}
-	var cells []cell
+	var cells []ScaleCell
 	for _, wh := range sizes {
-		for _, pattern := range patterns {
-			for _, alg := range algs {
-				cells = append(cells, cell{wh, pattern, alg})
-			}
+		for _, pattern := range SyntheticPatterns() {
+			cells = append(cells, ScaleCell{wh[0], wh[1], pattern})
 		}
 	}
-	srs, err := sim.Map(p.Jobs, len(cells), func(i int) (*sim.SaturationResult, error) {
-		c := cells[i]
+	searches, err := paired(p, cells, func(c ScaleCell, alg string) (*sim.SaturationResult, error) {
 		cfg := p.BaseConfig()
-		cfg.Algorithm = c.alg
-		cfg.Width, cfg.Height = c.wh[0], c.wh[1]
-		cfg.RunLabel = fmt.Sprintf("Figure 8 %s/%s %dx%d", c.pattern, c.alg, c.wh[0], c.wh[1])
-		return sim.SaturationThroughput(cfg, c.pattern, traffic.FixedSize(1), p.Tol)
+		cfg.Width, cfg.Height = c.Width, c.Height
+		return bisect(p, cfg, "Figure 8", c.Pattern, alg, fmt.Sprintf("%dx%d", c.Width, c.Height))
 	})
 	if err != nil {
 		return ScaleStudy{}, err
 	}
-	out := ScaleStudy{runs: saturationRuns(srs)}
-	i := 0
-	for _, wh := range sizes {
-		for _, pattern := range patterns {
-			pt := ScalePoint{Width: wh[0], Height: wh[1], Pattern: pattern, Throughput: map[string]float64{}}
-			for _, alg := range algs {
-				pt.Throughput[alg] = srs[i].Throughput
-				i++
-			}
-			pt.DBARNormalized = stats.Ratio(pt.Throughput["dbar"], pt.Throughput["footprint"])
-			out.Points = append(out.Points, pt)
-		}
-	}
-	return out, nil
+	return ScaleStudy{Cells: cells, Searches: searches}, nil
 }
 
-// HotspotStudy is Figure 9: one background-latency curve per algorithm.
+// HotspotStudy is Figure 9: Footprint's and DBAR's background latency
+// at each hotspot rate.
 type HotspotStudy struct {
 	BackgroundRate float64
 	Rates          []float64
-	Curves         map[string][]sim.HotspotPoint
+	Points         []Pair[sim.HotspotPoint] // one per rate
 }
 
 // Runs returns every simulation of the figure: Footprint's curve, then
 // DBAR's, each in rate order.
 func (h HotspotStudy) Runs() []*sim.Result {
-	var runs []*sim.Result
-	for _, alg := range []string{"footprint", "dbar"} {
-		for _, pt := range h.Curves[alg] {
-			runs = append(runs, pt.Result)
-		}
+	runs := make([]*sim.Result, 0, 2*len(h.Points))
+	for _, pt := range h.Points {
+		runs = append(runs, pt.FP.Result)
+	}
+	for _, pt := range h.Points {
+		runs = append(runs, pt.DB.Result)
 	}
 	return runs
 }
@@ -358,32 +322,27 @@ func (h HotspotStudy) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 9 — background latency vs hotspot injection rate (background %.0f%%)\n", h.BackgroundRate*100)
 	fmt.Fprintf(&b, "%-10s %14s %14s\n", "hotRate", "footprint", "dbar")
-	for i, r := range h.Rates {
-		row := func(alg string) string {
-			p := h.Curves[alg][i]
-			if !p.Stable {
-				return "sat"
-			}
-			return fmt.Sprintf("%.1f", p.BackgroundLatency)
+	latency := func(p sim.HotspotPoint) string {
+		if !p.Stable {
+			return "sat"
 		}
-		fmt.Fprintf(&b, "%-10.2f %14s %14s\n", r, row("footprint"), row("dbar"))
+		return fmt.Sprintf("%.1f", p.BackgroundLatency)
+	}
+	for i, pt := range h.Points {
+		fmt.Fprintf(&b, "%-10.2f %14s %14s\n", h.Rates[i], latency(pt.FP), latency(pt.DB))
 	}
 	return b.String()
 }
 
 // Figure9 regenerates Figure 9 with Table 3's hotspot flows and uniform
-// background traffic at bgRate.
+// background traffic at bgRate. Every (rate, algorithm) cell is one
+// independent run; nesting HotspotCurve inside a parallel algorithm loop
+// would oversubscribe the worker budget.
 func Figure9(p Profile, bgRate float64, rates []float64) (HotspotStudy, error) {
 	if rates == nil {
 		rates = rateGrid(0.05, 0.65, 0.05)
 	}
-	out := HotspotStudy{BackgroundRate: bgRate, Rates: rates, Curves: map[string][]sim.HotspotPoint{}}
-	// Flatten the (algorithm × rate) grid so every cell is one independent
-	// run; nesting HotspotCurve inside a parallel algorithm loop would
-	// oversubscribe the worker budget.
-	algs := []string{"footprint", "dbar"}
-	pts, err := sim.Map(p.Jobs, len(algs)*len(rates), func(i int) (sim.HotspotPoint, error) {
-		alg, rate := algs[i/len(rates)], rates[i%len(rates)]
+	pts, err := paired(p, rates, func(rate float64, alg string) (sim.HotspotPoint, error) {
 		cfg := p.BaseConfig()
 		cfg.Algorithm = alg
 		cfg.RunLabel = fmt.Sprintf("Figure 9 %s bg=%.2f", alg, bgRate)
@@ -392,8 +351,5 @@ func Figure9(p Profile, bgRate float64, rates []float64) (HotspotStudy, error) {
 	if err != nil {
 		return HotspotStudy{}, err
 	}
-	for ai, alg := range algs {
-		out.Curves[alg] = pts[ai*len(rates) : (ai+1)*len(rates)]
-	}
-	return out, nil
+	return HotspotStudy{BackgroundRate: bgRate, Rates: rates, Points: pts}, nil
 }

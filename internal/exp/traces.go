@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"nocsim/internal/flit"
@@ -10,34 +11,26 @@ import (
 	"nocsim/internal/trace"
 )
 
-// PairResult is one bar of Figure 10(a): the latency of Footprint versus
-// DBAR when two PARSEC workloads run simultaneously.
-type PairResult struct {
-	A, B      string
-	Latency   map[string]float64 // algorithm -> mean packet latency
-	DeltaPct  float64            // (dbar - footprint) / dbar * 100
-	Delivered map[string]int64
-}
-
-// WorkloadMetrics is one bar of Figures 10(b) and 10(c): per-application
-// purity of blocking and degree of HoL blocking, per algorithm.
-type WorkloadMetrics struct {
-	Name      string
-	Purity    map[string]float64
-	HoLDegree map[string]float64
-}
-
-// TraceStudy is the whole of Figure 10.
+// TraceStudy is the whole of Figure 10: each workload pair replayed
+// together (panel a) and each of their workloads replayed alone (panels
+// b and c), under Footprint and under DBAR.
 type TraceStudy struct {
-	Pairs       []PairResult
-	PerWorkload []WorkloadMetrics
-	runs        []*sim.Result
+	Pairs     [][2]string
+	PairRuns  []Pair[*sim.Result] // one per pair
+	Workloads []string
+	SoloRuns  []Pair[*sim.Result] // one per workload
 }
 
-// Runs returns every simulation of the figure: the (pair × algorithm)
-// replays of panel (a), then the (workload × algorithm) solo replays of
-// panels (b) and (c).
-func (ts TraceStudy) Runs() []*sim.Result { return ts.runs }
+// Runs returns every simulation of the figure: the paired replays of
+// panel (a), then the solo replays of panels (b) and (c), cell by cell,
+// Footprint's before DBAR's.
+func (ts TraceStudy) Runs() []*sim.Result {
+	var runs []*sim.Result
+	for _, rs := range slices.Concat(ts.PairRuns, ts.SoloRuns) {
+		runs = append(runs, rs.FP, rs.DB)
+	}
+	return runs
+}
 
 // DefaultPairs lists the workload combinations reported here, including
 // the pairs the paper calls out by name (X264+Canneal as the single case
@@ -56,9 +49,6 @@ func DefaultPairs() [][2]string {
 		{"bodytrack", "fluidanimate"},
 	}
 }
-
-// traceAlgorithms are the two algorithms Figure 10 compares.
-var traceAlgorithms = []string{"footprint", "dbar"}
 
 // RunTracePair replays the merged traces of two workloads under one
 // algorithm and returns the simulation result. seed drives trace
@@ -118,58 +108,29 @@ func Figure10(p Profile, pairs [][2]string) (TraceStudy, error) {
 	if pairs == nil {
 		pairs = DefaultPairs()
 	}
-	nalg := len(traceAlgorithms)
-	pairRes, err := sim.Map(p.Jobs, len(pairs)*nalg, func(i int) (*sim.Result, error) {
-		pair, alg := pairs[i/nalg], traceAlgorithms[i%nalg]
+	pairRuns, err := paired(p, pairs, func(pair [2]string, alg string) (*sim.Result, error) {
 		return RunTracePair(p, alg, pair[0], pair[1], 1000)
 	})
 	if err != nil {
 		return TraceStudy{}, err
 	}
-	study := TraceStudy{runs: pairRes}
-	for pi, pair := range pairs {
-		pr := PairResult{A: pair[0], B: pair[1],
-			Latency: map[string]float64{}, Delivered: map[string]int64{}}
-		for ai, alg := range traceAlgorithms {
-			res := pairRes[pi*nalg+ai]
-			pr.Latency[alg] = res.AvgLatency(flit.ClassBackground)
-			pr.Delivered[alg] = res.MeasuredEjected
-		}
-		db := pr.Latency["dbar"]
-		pr.DeltaPct = stats.Ratio(db-pr.Latency["footprint"], db) * 100
-		study.Pairs = append(study.Pairs, pr)
-	}
 	// Per-workload blocking metrics (Figures 10b, 10c) from solo runs over
 	// the distinct workloads, in first-appearance order.
-	seen := map[string]bool{}
 	var names []string
 	for _, pair := range pairs {
-		for _, name := range []string{pair[0], pair[1]} {
-			if !seen[name] {
-				seen[name] = true
+		for _, name := range pair {
+			if !slices.Contains(names, name) {
 				names = append(names, name)
 			}
 		}
 	}
-	soloRes, err := sim.Map(p.Jobs, len(names)*nalg, func(i int) (*sim.Result, error) {
-		name, alg := names[i/nalg], traceAlgorithms[i%nalg]
+	soloRuns, err := paired(p, names, func(name, alg string) (*sim.Result, error) {
 		return RunTracePair(p, alg, name, "", 2000)
 	})
 	if err != nil {
 		return TraceStudy{}, err
 	}
-	study.runs = append(study.runs, soloRes...)
-	for ni, name := range names {
-		wm := WorkloadMetrics{Name: name,
-			Purity: map[string]float64{}, HoLDegree: map[string]float64{}}
-		for ai, alg := range traceAlgorithms {
-			res := soloRes[ni*nalg+ai]
-			wm.Purity[alg] = res.Purity
-			wm.HoLDegree[alg] = res.HoLDegree
-		}
-		study.PerWorkload = append(study.PerWorkload, wm)
-	}
-	return study, nil
+	return TraceStudy{Pairs: pairs, PairRuns: pairRuns, Workloads: names, SoloRuns: soloRuns}, nil
 }
 
 // Format renders the three panels of Figure 10.
@@ -177,22 +138,21 @@ func (ts TraceStudy) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 10(a) — PARSEC-substitute pairs, mean packet latency\n")
 	fmt.Fprintf(&b, "%-28s %12s %12s %10s\n", "pair", "footprint", "dbar", "fp gain")
-	for _, pr := range ts.Pairs {
+	for i, rs := range ts.PairRuns {
+		fp, db := rs.FP.AvgLatency(flit.ClassBackground), rs.DB.AvgLatency(flit.ClassBackground)
 		fmt.Fprintf(&b, "%-28s %12.1f %12.1f %+9.1f%%\n",
-			pr.A+"+"+pr.B, pr.Latency["footprint"], pr.Latency["dbar"], pr.DeltaPct)
+			ts.Pairs[i][0]+"+"+ts.Pairs[i][1], fp, db, stats.Ratio(db-fp, db)*100)
 	}
 	b.WriteString("\nFigure 10(b) — purity of blocking (higher = less HoL)\n")
 	fmt.Fprintf(&b, "%-16s %12s %12s %10s\n", "workload", "footprint", "dbar", "fp gain")
-	for _, wm := range ts.PerWorkload {
-		gain := stats.Ratio(wm.Purity["footprint"]-wm.Purity["dbar"], wm.Purity["dbar"]) * 100
-		fmt.Fprintf(&b, "%-16s %12.3f %12.3f %+9.1f%%\n",
-			wm.Name, wm.Purity["footprint"], wm.Purity["dbar"], gain)
+	for i, rs := range ts.SoloRuns {
+		fp, db := rs.FP.Purity, rs.DB.Purity
+		fmt.Fprintf(&b, "%-16s %12.3f %12.3f %+9.1f%%\n", ts.Workloads[i], fp, db, stats.Ratio(fp-db, db)*100)
 	}
 	b.WriteString("\nFigure 10(c) — degree of HoL blocking (impurity x blocks /1k packets)\n")
 	fmt.Fprintf(&b, "%-16s %12s %12s\n", "workload", "footprint", "dbar")
-	for _, wm := range ts.PerWorkload {
-		fmt.Fprintf(&b, "%-16s %12.1f %12.1f\n",
-			wm.Name, wm.HoLDegree["footprint"], wm.HoLDegree["dbar"])
+	for i, rs := range ts.SoloRuns {
+		fmt.Fprintf(&b, "%-16s %12.1f %12.1f\n", ts.Workloads[i], rs.FP.HoLDegree, rs.DB.HoLDegree)
 	}
 	return b.String()
 }

@@ -340,7 +340,7 @@ func (r *refRouter) traverse(p, v int) {
 		return
 	}
 	o.alloc = false
-	if r.alg.ConservativeRealloc() {
+	if r.alg.UsesEscape() {
 		o.awaitTail = true
 	}
 	ivc.state = refIdle

@@ -663,7 +663,9 @@ func (r *Router) traverse(now int64, p, v int) {
 
 	if f.Tail {
 		r.outAlloc[res] = false
-		if r.cfg.Alg.ConservativeRealloc() {
+		// Duato's condition: with an escape VC, reallocate only once the
+		// tail's credit has returned.
+		if r.st.Lo == 1 {
 			r.outAwaitTail[res] = true
 		}
 		r.refreshOutBits(res)

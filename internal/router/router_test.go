@@ -15,14 +15,11 @@ import (
 // scriptAlg issues fixed requests per destination, for microarchitecture
 // unit tests.
 type scriptAlg struct {
-	reqs         map[int][]routing.Request
-	escape       bool
-	conservative bool
+	reqs   map[int][]routing.Request
+	escape bool
 }
 
-func (s *scriptAlg) Name() string              { return "script" }
-func (s *scriptAlg) UsesEscape() bool          { return s.escape }
-func (s *scriptAlg) ConservativeRealloc() bool { return s.conservative }
+func (s *scriptAlg) UsesEscape() bool { return s.escape }
 func (s *scriptAlg) Route(ctx *routing.Context, out []routing.Request) []routing.Request {
 	return append(out, s.reqs[ctx.Dest]...)
 }
@@ -198,7 +195,7 @@ func TestConservativeReallocWaitsForTailCredit(t *testing.T) {
 		reqs: map[int][]routing.Request{
 			6: {{Dir: topo.East, VC: 1, Pri: alloc.Low}},
 		},
-		conservative: true,
+		escape: true,
 	}
 	r, ins, outs := testRouter(t, alg, 2)
 	f1 := headFlit(1, 6, 1)[0]
@@ -231,7 +228,6 @@ func TestEagerReallocAfterTailSend(t *testing.T) {
 		reqs: map[int][]routing.Request{
 			6: {{Dir: topo.East, VC: 1, Pri: alloc.Low}},
 		},
-		conservative: false,
 	}
 	r, ins, _ := testRouter(t, alg, 2)
 	f1 := headFlit(1, 6, 1)[0]

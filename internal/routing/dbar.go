@@ -21,10 +21,6 @@ func NewDBAR() *DBAR { return &DBAR{} }
 // UsesEscape implements Algorithm; DBAR relies on Duato's theory.
 func (*DBAR) UsesEscape() bool { return true }
 
-// ConservativeRealloc implements Algorithm: Duato-based algorithms cannot
-// reallocate a VC before the tail flit's credit returns (Section 4.2.1).
-func (*DBAR) ConservativeRealloc() bool { return true }
-
 // Decide implements Algorithm.
 func (*DBAR) Decide(ctx *Context) Decision {
 	st := ctx.View.State()

@@ -18,9 +18,6 @@ func NewDOR() *DOR { return &DOR{} }
 // UsesEscape implements Algorithm; DOR needs no escape VC.
 func (*DOR) UsesEscape() bool { return false }
 
-// ConservativeRealloc implements Algorithm.
-func (*DOR) ConservativeRealloc() bool { return false }
-
 // Decide implements Algorithm: all VCs of the single dimension-order port
 // at Low priority.
 func (*DOR) Decide(ctx *Context) Decision {

@@ -63,9 +63,6 @@ func NewFootprint() *Footprint { return &Footprint{} }
 // UsesEscape implements Algorithm; Footprint relies on Duato's theory.
 func (*Footprint) UsesEscape() bool { return true }
 
-// ConservativeRealloc implements Algorithm.
-func (*Footprint) ConservativeRealloc() bool { return true }
-
 // threshold returns the congestion threshold for a port with nVCs VCs.
 func (f *Footprint) threshold(nVCs int) int {
 	if f.Threshold > 0 {

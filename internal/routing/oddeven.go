@@ -23,9 +23,6 @@ func NewOddEven() *OddEven { return &OddEven{} }
 // UsesEscape implements Algorithm; the turn model needs no escape VC.
 func (*OddEven) UsesEscape() bool { return false }
 
-// ConservativeRealloc implements Algorithm.
-func (*OddEven) ConservativeRealloc() bool { return false }
-
 // allowedDirs returns the minimal directions the odd-even turn model
 // permits from cur toward dest for a packet that arrived from inDir.
 // At least one direction is always returned for cur != dest.

@@ -33,9 +33,6 @@ type overlay struct {
 // UsesEscape implements Algorithm, deferring to the base algorithm.
 func (o *overlay) UsesEscape() bool { return o.base.UsesEscape() }
 
-// ConservativeRealloc implements Algorithm, deferring to the base.
-func (o *overlay) ConservativeRealloc() bool { return o.base.ConservativeRealloc() }
-
 // Class returns the XORDET VC class of dest on mesh m given nClasses
 // usable VCs: the XOR of the destination coordinates folded modulo
 // nClasses.

@@ -108,13 +108,13 @@ func appendRequests(reqs []Request, d Decision) []Request {
 type Algorithm interface {
 	// UsesEscape reports whether VC 0 is reserved as a dimension-order
 	// escape channel (Duato's theory). When true, adaptive VCs are
-	// 1..V-1; when false all V VCs are usable by any packet.
+	// 1..V-1; when false all V VCs are usable by any packet. An
+	// algorithm with an escape VC also reallocates conservatively, as
+	// Duato's condition requires: an output VC is reallocated only after
+	// the tail flit's credit has returned (Section 4.2.1 of the paper
+	// attributes Odd-Even's uniform-random edge over DBAR to DBAR having
+	// this restriction).
 	UsesEscape() bool
-	// ConservativeRealloc reports Duato-style VC reallocation: an output
-	// VC may be re-allocated only after the tail flit's credit has
-	// returned (Section 4.2.1 of the paper attributes Odd-Even's uniform
-	// -random edge over DBAR to DBAR having this restriction).
-	ConservativeRealloc() bool
 	// Decide computes the VC requests for the packet described by ctx.
 	// ctx.Cur != ctx.Dest. It writes nothing the caller can see: the
 	// decision is returned by value.

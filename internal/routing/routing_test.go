@@ -188,8 +188,8 @@ func TestDORRoute(t *testing.T) {
 
 func TestDORFlags(t *testing.T) {
 	d := NewDOR()
-	if d.UsesEscape() || d.ConservativeRealloc() {
-		t.Error("DOR should not use escape VCs or conservative realloc")
+	if d.UsesEscape() {
+		t.Error("DOR should not use escape VCs")
 	}
 }
 

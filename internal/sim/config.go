@@ -41,7 +41,7 @@ type Config struct {
 	SlowEndpoints map[int]int
 	// Obs selects the observability collectors (lifecycle tracer,
 	// counter sampler, link heatmap) attached to the run. The zero value
-	// disables them all; see Simulation.Observability.
+	// disables them all; the run hands its collector back as Result.Obs.
 	Obs obs.Options
 	// RunLabel is the run's one name: in its pprof labels, its stall
 	// snapshot path (see RunIdentity.Apply) and the per-run tables and

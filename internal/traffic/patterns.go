@@ -75,27 +75,3 @@ func (n Neighbor) Dest(src int, _ *rand.Rand) (int, bool) {
 	}
 	return d, true
 }
-
-// HotspotUniform is uniform random traffic where a fraction of packets is
-// redirected to a fixed hotspot set — the classic hotspot model of
-// Pfister & Norton (1985), whose tree saturation the paper cites.
-type HotspotUniform struct {
-	Nodes    int
-	Hotspots []int
-	// Fraction of packets redirected to a hotspot (e.g. 0.1).
-	Fraction float64
-}
-
-// Name implements Pattern.
-func (HotspotUniform) Name() string { return "hotspot-uniform" }
-
-// Dest implements Pattern.
-func (h HotspotUniform) Dest(src int, rng *rand.Rand) (int, bool) {
-	if len(h.Hotspots) > 0 && rng.Float64() < h.Fraction {
-		d := h.Hotspots[rng.Intn(len(h.Hotspots))]
-		if d != src {
-			return d, true
-		}
-	}
-	return Uniform{Nodes: h.Nodes}.Dest(src, rng)
-}

@@ -339,27 +339,6 @@ func TestNeighbor(t *testing.T) {
 	}
 }
 
-func TestHotspotUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	h := HotspotUniform{Nodes: 64, Hotspots: []int{7}, Fraction: 0.5}
-	hits := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		d, ok := h.Dest(0, rng)
-		if !ok {
-			t.Fatal("hotspot-uniform silent")
-		}
-		if d == 7 {
-			hits++
-		}
-	}
-	// ~50% redirected + ~1/63 of the uniform remainder.
-	frac := float64(hits) / n
-	if frac < 0.45 || frac < 0.5*0.9 || frac > 0.6 {
-		t.Errorf("hotspot fraction = %v, want ~0.51", frac)
-	}
-}
-
 func TestByNameExtendedPatterns(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	for _, name := range []string{"tornado", "bitrev", "neighbor"} {
