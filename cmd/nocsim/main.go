@@ -122,7 +122,7 @@ func single(fs *flag.FlagSet) action {
 	fs.Int64Var(&cfg.MeasureCycles, "measure", cfg.MeasureCycles, "measurement cycles")
 	fs.Int64Var(&cfg.DrainCycles, "drain", cfg.DrainCycles, "drain cycle budget")
 
-	pattern := fs.String("pattern", "uniform", "traffic pattern (uniform|transpose|shuffle|bitcomp)")
+	pattern := fs.String("pattern", "uniform", "traffic pattern ("+strings.Join(traffic.Names(), "|")+")")
 	rate := fs.Float64("rate", 0.2, "offered load in flits/node/cycle")
 	rates := fs.String("rates", "", "comma-separated rate grid, e.g. 0.1,0.2,0.3: run a latency-throughput sweep on the -jobs worker pool instead of a single simulation")
 	minFlits := fs.Int("min-flits", 1, "minimum packet size")

@@ -182,7 +182,7 @@ func TestFinish(t *testing.T) {
 		cfg.WatchdogCycles, cfg.WatchdogOut = 400, stallOut
 		gen := &traffic.Generator{
 			Nodes:   []int{0, 1, 2},
-			Pattern: traffic.Permutation{Label: "wedge", Flows: map[int]int{0: 3, 1: 3, 2: 3}},
+			Pattern: traffic.Permutation{Flows: map[int]int{0: 3, 1: 3, 2: 3}},
 			Rate:    0.2,
 		}
 		s, err := sim.New(cfg, gen)

@@ -52,7 +52,7 @@ func Figure2(p Profile, algorithms []string) (TreeStudy, error) {
 		// One shared seed key: every algorithm sees the same traffic.
 		cfg = sim.Identify(cfg, "Figure 2 "+alg, "figure2").Apply(cfg)
 
-		flows := traffic.Permutation{Label: "sec2", Flows: map[int]int{
+		flows := traffic.Permutation{Flows: map[int]int{
 			0: 10, 1: 15, 4: 13, 12: 13,
 		}}
 		hot := &traffic.Generator{Nodes: []int{0, 1, 4, 12}, Pattern: flows, Rate: 0.9}

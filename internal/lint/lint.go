@@ -100,8 +100,8 @@ func SortFindings(fs []Finding) {
 // results: everything under them must be a pure function of Config and
 // seed — the engine (sim, exp, network, router, routing, alloc, flit,
 // topo), where the traffic is made (traffic, trace) and where it is
-// counted (stats). obs and cli sit outside — they observe runs
-// (wall-clock speed, uptime) without feeding results back in.
+// counted (stats). obs and cmd/nocsim sit outside — they observe and
+// report runs without feeding results back in.
 // internal/prof is in scope on purpose: it exists to concentrate the
 // module's one sanctioned wall-clock read in a single function
 // (prof.Now, which determinism exempts by name), so a new time.Now

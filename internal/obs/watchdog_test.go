@@ -65,7 +65,7 @@ func TestWatchdogWedgedNetwork(t *testing.T) {
 	cfg.WatchdogOut = out
 	gen := &traffic.Generator{
 		Nodes:   []int{0, 1, 2},
-		Pattern: traffic.Permutation{Label: "wedge", Flows: map[int]int{0: 3, 1: 3, 2: 3}},
+		Pattern: traffic.Permutation{Flows: map[int]int{0: 3, 1: 3, 2: 3}},
 		Rate:    1,
 	}
 	res := sim.MustNew(cfg, gen).Run()

@@ -44,7 +44,7 @@ func snapshotMatchesSoAState(t *testing.T, alg string) {
 	cfg.SlowEndpoints = map[int]int{3: 1 << 30} // consumes only at cycle 0
 	gen := &traffic.Generator{
 		Nodes:   []int{0, 1, 2},
-		Pattern: traffic.Permutation{Label: "wedge", Flows: map[int]int{0: 3, 1: 3, 2: 3}},
+		Pattern: traffic.Permutation{Flows: map[int]int{0: 3, 1: 3, 2: 3}},
 		Rate:    1,
 	}
 	s := sim.MustNew(cfg, gen)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -116,6 +115,14 @@ type EjectObserver interface {
 	OnEject(p *flit.Packet)
 }
 
+// MeshChecker is implemented by injectors whose input may not fit the
+// mesh (trace.Player does: a trace names its endpoints). New calls
+// CheckMesh before Init and returns its error, so an unfit input is an
+// error rather than a panic in Init.
+type MeshChecker interface {
+	CheckMesh(m topo.Mesh) error
+}
+
 // ArenaUser is implemented by injectors that can allocate their packets
 // from the network's arena instead of the heap (traffic.Generator and
 // trace.Player do); the simulation hands them the arena at construction
@@ -180,6 +187,14 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		return nil, fmt.Errorf("sim: %s reserves VC 0 as its escape channel and needs at least 2 VCs, have %d",
 			algName(cfg), cfg.VCs)
 	}
+	mesh := cfg.Mesh()
+	for _, g := range gens {
+		if mc, ok := g.(MeshChecker); ok {
+			if err := mc.CheckMesh(mesh); err != nil {
+				return nil, err
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &Simulation{
 		cfg:     cfg,
@@ -217,7 +232,6 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 			return obs.Capture(s.net)
 		})
 	}
-	mesh := cfg.Mesh()
 	for _, g := range gens {
 		g.Init(mesh, rng)
 		if au, ok := g.(ArenaUser); ok {
@@ -426,19 +440,4 @@ func (s *Simulation) Run() *Result {
 		}
 	}
 	return res
-}
-
-// String renders a result as a one-line report. Runs that measured no
-// background packets have no latency distribution; their latency and
-// p99 columns read "n/a" rather than a misleading zero.
-func (r *Result) String() string {
-	lat, p99 := "n/a", "n/a"
-	if s, ok := r.Latency[flit.ClassBackground]; ok && s.N() > 0 {
-		lat = fmt.Sprintf("%.1f", s.Mean())
-	}
-	if !math.IsNaN(r.P99) {
-		p99 = fmt.Sprintf("%.0f", r.P99)
-	}
-	return fmt.Sprintf("alg=%s offered=%.3f accepted=%.3f lat=%s p99=%s stable=%v",
-		r.Config.Algorithm, r.Offered, r.Accepted, lat, p99, r.Stable)
 }

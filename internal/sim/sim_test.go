@@ -158,9 +158,6 @@ func TestLowLoadAccounting(t *testing.T) {
 	if res.P99 < lat {
 		t.Errorf("p99 %v below mean %v", res.P99, lat)
 	}
-	if res.String() == "" {
-		t.Error("empty String()")
-	}
 }
 
 func TestLatencyIncreasesWithLoad(t *testing.T) {
@@ -190,7 +187,8 @@ func TestOverloadDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !Saturated(res, 10) {
-		t.Errorf("rate 0.95 bitcomp should saturate a 4x4 mesh: %v", res)
+		t.Errorf("rate 0.95 bitcomp should saturate a 4x4 mesh: offered %.3f, accepted %.3f, %d of %d measured packets ejected",
+			res.Offered, res.Accepted, res.MeasuredEjected, res.Measured)
 	}
 }
 

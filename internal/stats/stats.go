@@ -3,31 +3,19 @@
 // accounting.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Summary accumulates a stream of values and reports moments and extremes.
-// The zero value is ready to use.
+// Summary accumulates a stream of values and reports their count and
+// mean. The zero value is ready to use.
 type Summary struct {
-	n        int64
-	sum      float64
-	sumSq    float64
-	min, max float64
+	n   int64
+	sum float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
 }
 
 // N returns the number of observations.
@@ -41,56 +29,11 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Var returns the population variance.
-func (s *Summary) Var() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		return 0 // numerical noise
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Reset clears the summary.
-func (s *Summary) Reset() { *s = Summary{} }
-
-// String implements fmt.Stringer.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.0f max=%.0f",
-		s.n, s.Mean(), s.StdDev(), s.Min(), s.Max())
-}
-
 // Histogram collects integer observations (e.g. cycle latencies) in exact
 // counts up to a cap, aggregating the tail, and reports quantiles.
 type Histogram struct {
 	counts []int64
-	over   int64 // observations >= len(counts)
-	overS  *Summary
+	overS  *Summary // observations >= len(counts)
 	total  int64
 }
 
@@ -108,7 +51,6 @@ func (h *Histogram) Add(v int64) {
 		v = 0
 	}
 	if v >= int64(len(h.counts)) {
-		h.over++
 		h.overS.Add(float64(v))
 	} else {
 		h.counts[v]++
@@ -136,29 +78,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.overS.Mean()
-}
-
-// Mean returns the mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	sum += h.overS.Sum()
-	return sum / float64(h.total)
-}
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.over = 0
-	h.overS.Reset()
-	h.total = 0
 }
 
 // Ratio returns num/den, or 0 when den is zero — the shared guard for

@@ -3,12 +3,11 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Var() != 0 {
+	if s.N() != 0 || s.Mean() != 0 {
 		t.Error("empty summary should report zeros")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -19,31 +18,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 	if s.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5", s.Mean())
-	}
-	if s.StdDev() != 2 {
-		t.Errorf("StdDev = %v, want 2", s.StdDev())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if s.String() == "" {
-		t.Error("String empty")
-	}
-	s.Reset()
-	if s.N() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestSummaryNegativeVarianceClamped(t *testing.T) {
-	var s Summary
-	// Identical large values can produce tiny negative variance from
-	// floating point cancellation; it must be clamped.
-	for i := 0; i < 1000; i++ {
-		s.Add(1e9 + 0.1)
-	}
-	if s.Var() < 0 {
-		t.Errorf("Var = %v, want >= 0", s.Var())
 	}
 }
 
@@ -74,10 +48,6 @@ func TestHistogramOverflowTail(t *testing.T) {
 	h.Add(1000)
 	if got := h.Quantile(1.0); got != 1000 {
 		t.Errorf("tail quantile = %v, want 1000 (tail mean)", got)
-	}
-	wantMean := (9*1.0 + 1000) / 10
-	if math.Abs(h.Mean()-wantMean) > 1e-9 {
-		t.Errorf("Mean = %v, want %v", h.Mean(), wantMean)
 	}
 }
 
@@ -138,16 +108,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(10)
-	h.Add(3)
-	h.Add(100)
-	h.Reset()
-	if h.N() != 0 || h.Mean() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
 func TestNewHistogramPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -155,20 +115,4 @@ func TestNewHistogramPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(0)
-}
-
-// Property: histogram mean equals summary mean for in-range values.
-func TestHistogramMatchesSummary(t *testing.T) {
-	f := func(raw []uint8) bool {
-		h := NewHistogram(256)
-		var s Summary
-		for _, v := range raw {
-			h.Add(int64(v))
-			s.Add(float64(v))
-		}
-		return math.Abs(h.Mean()-s.Mean()) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }

@@ -14,6 +14,7 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("NOCT\x01"))
+	f.Add([]byte(hugeCount))
 	f.Add([]byte("XXXX"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,18 +10,19 @@ import (
 
 // Player injects a trace into a simulation, honouring record cycles and
 // dependencies: a record with Dep only becomes eligible after the record
-// it depends on has been delivered. It implements sim.Injector and
-// sim.EjectObserver.
+// it depends on has been delivered. It implements sim.Injector,
+// sim.MeshChecker and sim.EjectObserver.
 type Player struct {
 	records []Record
 	next    int // first un-injected record index
 
-	// Dependency state by record position, built by Init: dep[i] is the
-	// position of the record that record i waits for (-1 for none) and
-	// delivered[i] is set once record i is delivered. The records that
-	// wait for record d form a list in record order, from firstWaiter[d]
-	// through nextWaiter (-1 ends it); those below next came due before d
-	// was delivered and wait for OnEject to release them.
+	// Dependency state by record position, built by CheckMesh (dep) and
+	// Init (the rest): dep[i] is the position of the record that record i
+	// waits for (-1 for none) and delivered[i] is set once record i is
+	// delivered. The records that wait for record d form a list in record
+	// order, from firstWaiter[d] through nextWaiter (-1 ends it); those
+	// below next came due before d was delivered and wait for OnEject to
+	// release them.
 	dep         []int32
 	delivered   []bool
 	firstWaiter []int32
@@ -53,21 +54,34 @@ func NewPlayer(records []Record) *Player {
 	}
 }
 
-// Init implements sim.Injector: it validates the trace against m and
-// builds the dependency state.
-func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
+// CheckMesh implements sim.MeshChecker: it validates the trace against
+// m, keeping the dependency positions for Init.
+func (p *Player) CheckMesh(m topo.Mesh) error {
 	dep, err := depPositions(p.records, m.Nodes())
 	if err != nil {
-		panic(fmt.Sprintf("trace: invalid trace for %dx%d mesh: %v", m.Width, m.Height, err))
+		return fmt.Errorf("trace: invalid trace for %dx%d mesh: %w", m.Width, m.Height, err)
 	}
-	n := len(dep)
-	p.dep, p.delivered = dep, make([]bool, n)
+	p.dep = dep
+	return nil
+}
+
+// Init implements sim.Injector: it builds the dependency state, first
+// validating the trace against m unless CheckMesh already has. An
+// invalid trace panics.
+func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
+	if p.dep == nil {
+		if err := p.CheckMesh(m); err != nil {
+			panic(err)
+		}
+	}
+	n := len(p.dep)
+	p.delivered = make([]bool, n)
 	p.firstWaiter, p.nextWaiter = make([]int32, n), make([]int32, n)
 	for i := range p.firstWaiter {
 		p.firstWaiter[i] = -1
 	}
 	for i := n - 1; i >= 0; i-- {
-		if d := dep[i]; d >= 0 {
+		if d := p.dep[i]; d >= 0 {
 			p.nextWaiter[i], p.firstWaiter[d] = p.firstWaiter[d], int32(i)
 		}
 	}

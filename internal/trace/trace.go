@@ -103,7 +103,9 @@ func Read(r io.Reader) ([]Record, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("trace: implausible record count %d", count)
 	}
-	records := make([]Record, 0, count)
+	// The count is only a claim until its records decode: preallocate for
+	// at most a few thousand, so a 10-byte file cannot ask for gigabytes.
+	records := make([]Record, 0, min(count, 1<<12))
 	prevCycle := int64(0)
 	for i := uint64(0); i < count; i++ {
 		var vals [6]uint64

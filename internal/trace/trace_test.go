@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,7 +67,23 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated body accepted")
 	}
+	// A header claiming 2^28 records over an empty body fails at record
+	// 0, having allocated next to nothing.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(strings.NewReader(hugeCount))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "record 0 field 0") {
+		t.Errorf("2^28-record header over no records: error %v, want record 0's", err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("2^28-record header over no records allocated %d bytes", b)
+	}
 }
+
+// hugeCount is a trace header whose record count, 2^28, is the most the
+// decoder accepts, followed by no records.
+const hugeCount = "NOCT\x01\x80\x80\x80\x80\x01"
 
 func TestValidate(t *testing.T) {
 	if err := Validate(sample(), 16); err != nil {

@@ -7,7 +7,6 @@ import "nocsim/internal/topo"
 // (n63, n56, n0, n7), modelling memory-controller traffic.
 func HotspotFlows() Permutation {
 	return Permutation{
-		Label: "hotspot",
 		Flows: map[int]int{
 			0:  63, // f1
 			32: 63, // f2

@@ -7,6 +7,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"nocsim/internal/flit"
 	"nocsim/internal/topo"
@@ -14,8 +15,6 @@ import (
 
 // Pattern maps a source node to the destination of its next packet.
 type Pattern interface {
-	// Name identifies the pattern, e.g. "uniform".
-	Name() string
 	// Dest returns the destination for a packet from src, or ok=false
 	// when src does not generate traffic under this pattern (e.g. the
 	// diagonal of a transpose).
@@ -25,9 +24,6 @@ type Pattern interface {
 // Uniform sends every packet to a destination drawn uniformly from all
 // other nodes.
 type Uniform struct{ Nodes int }
-
-// Name implements Pattern.
-func (Uniform) Name() string { return "uniform" }
 
 // Dest implements Pattern.
 func (u Uniform) Dest(src int, rng *rand.Rand) (int, bool) {
@@ -44,9 +40,6 @@ func (u Uniform) Dest(src int, rng *rand.Rand) (int, bool) {
 // Transpose sends (x, y) to (y, x); diagonal nodes are silent. The mesh
 // must be square.
 type Transpose struct{ Mesh topo.Mesh }
-
-// Name implements Pattern.
-func (Transpose) Name() string { return "transpose" }
 
 // Dest implements Pattern.
 func (t Transpose) Dest(src int, _ *rand.Rand) (int, bool) {
@@ -65,9 +58,6 @@ func (t Transpose) Dest(src int, _ *rand.Rand) (int, bool) {
 // 2*src/N) mod N. The node count must be a power of two.
 type Shuffle struct{ Nodes int }
 
-// Name implements Pattern.
-func (Shuffle) Name() string { return "shuffle" }
-
 // Dest implements Pattern.
 func (s Shuffle) Dest(src int, _ *rand.Rand) (int, bool) {
 	if s.Nodes&(s.Nodes-1) != 0 {
@@ -83,9 +73,6 @@ func (s Shuffle) Dest(src int, _ *rand.Rand) (int, bool) {
 // BitComplement sends node i to node N-1-i.
 type BitComplement struct{ Nodes int }
 
-// Name implements Pattern.
-func (BitComplement) Name() string { return "bitcomp" }
-
 // Dest implements Pattern.
 func (b BitComplement) Dest(src int, _ *rand.Rand) (int, bool) {
 	d := b.Nodes - 1 - src
@@ -97,18 +84,7 @@ func (b BitComplement) Dest(src int, _ *rand.Rand) (int, bool) {
 
 // Permutation sends each listed source to its fixed destination; other
 // nodes are silent.
-type Permutation struct {
-	Label string
-	Flows map[int]int
-}
-
-// Name implements Pattern.
-func (p Permutation) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "permutation"
-}
+type Permutation struct{ Flows map[int]int }
 
 // Dest implements Pattern.
 func (p Permutation) Dest(src int, _ *rand.Rand) (int, bool) {
@@ -116,38 +92,68 @@ func (p Permutation) Dest(src int, _ *rand.Rand) (int, bool) {
 	return d, ok
 }
 
-// ByName constructs one of the named standard patterns for mesh m. It
-// returns an error when the name is unknown or the pattern is not defined
-// on m — no pattern is defined on a single node, which has nowhere to
-// send — so a pattern it returns never panics in Dest.
+// patterns is the pattern table: every pattern ByName builds, in the
+// order Names lists them, with the condition a mesh must meet for it and
+// its constructor.
+var patterns = []struct {
+	name string
+	// fits returns why pattern name is not defined on m, or nil.
+	fits func(name string, m topo.Mesh) error
+	make func(m topo.Mesh) Pattern
+}{
+	{"uniform", twoNodes, func(m topo.Mesh) Pattern { return Uniform{Nodes: m.Nodes()} }},
+	{"transpose", square, func(m topo.Mesh) Pattern { return Transpose{Mesh: m} }},
+	{"shuffle", powerOfTwo, func(m topo.Mesh) Pattern { return Shuffle{Nodes: m.Nodes()} }},
+	{"bitcomp", twoNodes, func(m topo.Mesh) Pattern { return BitComplement{Nodes: m.Nodes()} }},
+}
+
+// twoNodes is every pattern's condition: a single node has nowhere to
+// send.
+func twoNodes(_ string, m topo.Mesh) error {
+	if m.Nodes() < 2 {
+		return fmt.Errorf("traffic: a %dx%d mesh has no second node to send to", m.Width, m.Height)
+	}
+	return nil
+}
+
+// square is twoNodes on a mesh as wide as it is high.
+func square(name string, m topo.Mesh) error {
+	if m.Width != m.Height {
+		return fmt.Errorf("traffic: %s requires a square mesh, have %dx%d", name, m.Width, m.Height)
+	}
+	return twoNodes(name, m)
+}
+
+// powerOfTwo is twoNodes on a power-of-two node count.
+func powerOfTwo(name string, m topo.Mesh) error {
+	if m.Nodes()&(m.Nodes()-1) != 0 {
+		return fmt.Errorf("traffic: %s requires a power-of-two node count, have %d", name, m.Nodes())
+	}
+	return twoNodes(name, m)
+}
+
+// Names lists the patterns ByName builds, in table order.
+func Names() []string {
+	names := make([]string, len(patterns))
+	for i, p := range patterns {
+		names[i] = p.name
+	}
+	return names
+}
+
+// ByName constructs the named pattern for mesh m. It returns an error
+// when the name is not in the table or the pattern is not defined on m,
+// so a pattern it returns never panics in Dest.
 func ByName(name string, m topo.Mesh) (Pattern, error) {
-	pow2 := m.Nodes()&(m.Nodes()-1) == 0
-	switch {
-	case m.Nodes() < 2:
-		return nil, fmt.Errorf("traffic: a %dx%d mesh has no second node to send to", m.Width, m.Height)
-	case name == "transpose" && m.Width != m.Height:
-		return nil, fmt.Errorf("traffic: transpose requires a square mesh, have %dx%d", m.Width, m.Height)
-	case (name == "shuffle" || name == "bitrev") && !pow2:
-		return nil, fmt.Errorf("traffic: %s requires a power-of-two node count, have %d", name, m.Nodes())
+	for _, p := range patterns {
+		if p.name == name {
+			if err := p.fits(name, m); err != nil {
+				return nil, err
+			}
+			return p.make(m), nil
+		}
 	}
-	switch name {
-	case "uniform":
-		return Uniform{Nodes: m.Nodes()}, nil
-	case "transpose":
-		return Transpose{Mesh: m}, nil
-	case "shuffle":
-		return Shuffle{Nodes: m.Nodes()}, nil
-	case "bitcomp":
-		return BitComplement{Nodes: m.Nodes()}, nil
-	case "tornado":
-		return Tornado{Mesh: m}, nil
-	case "bitrev":
-		return BitReverse{Nodes: m.Nodes()}, nil
-	case "neighbor":
-		return Neighbor{Mesh: m}, nil
-	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
-	}
+	return nil, fmt.Errorf("traffic: unknown pattern %q (want %s)", name, strings.Join(Names(), "|"))
 }
 
 // SizeFn draws a packet size in flits.

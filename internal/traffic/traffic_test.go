@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocsim/internal/flit"
@@ -128,28 +129,45 @@ func TestPermutation(t *testing.T) {
 	if _, ok := p.Dest(3, nil); ok {
 		t.Error("non-flow source should be silent")
 	}
-	if p.Name() != "permutation" {
-		t.Errorf("default name %q", p.Name())
-	}
-	if (Permutation{Label: "x"}).Name() != "x" {
-		t.Error("label not used")
-	}
 }
 
 func TestByName(t *testing.T) {
 	m := topo.MustNew(8, 8)
-	for _, name := range []string{"uniform", "transpose", "shuffle", "bitcomp"} {
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range Names() {
 		p, err := ByName(name, m)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 			continue
 		}
-		if p.Name() != name {
-			t.Errorf("pattern name = %q, want %q", p.Name(), name)
+		// Every node of the mesh draws a destination without panicking.
+		for src := 0; src < m.Nodes(); src++ {
+			if d, ok := p.Dest(src, rng); ok && (d == src || d < 0 || d >= m.Nodes()) {
+				t.Errorf("%s: Dest(%d) = %d", name, src, d)
+			}
 		}
 	}
 	if _, err := ByName("nope", m); err == nil {
 		t.Error("unknown pattern should error")
+	}
+}
+
+// TestByNameExtendedPatterns: tornado, bit-reversal and neighbour traffic
+// are not in the table, so ByName rejects them with an error that lists
+// the patterns it has.
+func TestByNameExtendedPatterns(t *testing.T) {
+	m := topo.MustNew(8, 8)
+	for _, name := range []string{"tornado", "bitrev", "neighbor"} {
+		_, err := ByName(name, m)
+		if err == nil {
+			t.Errorf("ByName(%q) accepted", name)
+			continue
+		}
+		for _, want := range Names() {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ByName(%q) error %q does not list %q", name, err, want)
+			}
+		}
 	}
 }
 
@@ -283,72 +301,6 @@ func TestHotspotFlows(t *testing.T) {
 	for _, n := range bg {
 		if _, isSrc := flows.Flows[n]; isSrc {
 			t.Errorf("background node %d is a hotspot source", n)
-		}
-	}
-}
-
-func TestTornado(t *testing.T) {
-	m := topo.MustNew(8, 8)
-	tor := Tornado{Mesh: m}
-	// (0,0) -> (3,0): shift = W/2-1 = 3.
-	d, ok := tor.Dest(0, nil)
-	if !ok || d != 3 {
-		t.Errorf("tornado(0) = %d,%v, want 3,true", d, ok)
-	}
-	// Row preserved.
-	d, _ = tor.Dest(8, nil) // (0,1) -> (3,1) = 11
-	if d != 11 {
-		t.Errorf("tornado(8) = %d, want 11", d)
-	}
-	// Degenerate 2-wide mesh: shift 0, silent.
-	if _, ok := (Tornado{Mesh: topo.MustNew(2, 2)}).Dest(0, nil); ok {
-		t.Error("2-wide tornado should be silent")
-	}
-}
-
-func TestBitReverse(t *testing.T) {
-	b := BitReverse{Nodes: 8}
-	// 3 bits: 1 (001) -> 4 (100).
-	d, ok := b.Dest(1, nil)
-	if !ok || d != 4 {
-		t.Errorf("bitrev(1) = %d, want 4", d)
-	}
-	// Palindromes are silent: 0 (000), 2 (010), 5 (101), 7 (111).
-	for _, pal := range []int{0, 2, 5, 7} {
-		if _, ok := b.Dest(pal, nil); ok {
-			t.Errorf("bitrev(%d) should be silent", pal)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two bitrev did not panic")
-		}
-	}()
-	BitReverse{Nodes: 12}.Dest(1, nil)
-}
-
-func TestNeighbor(t *testing.T) {
-	m := topo.MustNew(4, 4)
-	n := Neighbor{Mesh: m}
-	if d, ok := n.Dest(0, nil); !ok || d != 1 {
-		t.Errorf("neighbor(0) = %d, want 1", d)
-	}
-	// Wraps within the row: 3 -> 0.
-	if d, _ := n.Dest(3, nil); d != 0 {
-		t.Errorf("neighbor(3) = %d, want 0", d)
-	}
-}
-
-func TestByNameExtendedPatterns(t *testing.T) {
-	m := topo.MustNew(8, 8)
-	for _, name := range []string{"tornado", "bitrev", "neighbor"} {
-		p, err := ByName(name, m)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-			continue
-		}
-		if p.Name() != name {
-			t.Errorf("name = %q, want %q", p.Name(), name)
 		}
 	}
 }

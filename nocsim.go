@@ -66,8 +66,9 @@ func DefaultConfig() Config { return sim.DefaultConfig() }
 // last three.
 func Algorithms() []string { return routing.Names() }
 
-// Patterns lists the built-in synthetic traffic patterns.
-func Patterns() []string { return []string{"uniform", "transpose", "shuffle", "bitcomp"} }
+// Patterns lists the built-in synthetic traffic patterns: "uniform",
+// "transpose", "shuffle" and "bitcomp".
+func Patterns() []string { return traffic.Names() }
 
 // New assembles a simulation from cfg and injectors; use
 // NewUniformInjector / NewPatternInjector / NewTracePlayer to build

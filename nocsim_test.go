@@ -64,6 +64,9 @@ func TestUserInputIsAnErrorNotAPanic(t *testing.T) {
 		{"bitcomp on 9 nodes", 3, 3, "bitcomp", 0.2, 1, 1, ""},
 		{"1x4 mesh", 1, 4, "uniform", 0.2, 1, 1, ""},
 		{"1x1 mesh", 1, 1, "uniform", 0.2, 1, 1, "no second node"},
+		{"transpose on 1x1", 1, 1, "transpose", 0.2, 1, 1, "no second node"},
+		{"shuffle on 1x1", 1, 1, "shuffle", 0.2, 1, 1, "no second node"},
+		{"tornado", 4, 4, "tornado", 0.2, 1, 1, "uniform|transpose|shuffle|bitcomp"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -115,8 +118,8 @@ func TestAlgorithmsAndPatterns(t *testing.T) {
 	if !found {
 		t.Error("footprint missing")
 	}
-	if len(Patterns()) < 4 {
-		t.Errorf("Patterns() = %v", Patterns())
+	if got, want := strings.Join(Patterns(), ","), "uniform,transpose,shuffle,bitcomp"; got != want {
+		t.Errorf("Patterns() = %s, want %s", got, want)
 	}
 }
 
@@ -161,6 +164,22 @@ func TestTraceFacade(t *testing.T) {
 	}
 	if res.MeasuredEjected == 0 {
 		t.Error("nothing delivered")
+	}
+}
+
+// TestTraceOffMeshIsAnError: a trace made for an 8×8 mesh names nodes a
+// 4×4 mesh does not have, and New says so rather than panicking in the
+// player's Init.
+func TestTraceOffMeshIsAnError(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Width, cfg.Height = 8, 8
+	recs, err := GeneratePARSEC(cfg, "x264", 1500, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(quickCfg(), NewTracePlayer(recs))
+	if err == nil || !strings.Contains(err.Error(), "invalid trace for 4x4 mesh") {
+		t.Fatalf("New(4x4, 8x8 trace) error = %v, want the invalid-trace error", err)
 	}
 }
 
