@@ -326,6 +326,18 @@ func lockstepShapes() []lockstepShape {
 				bernoulli(l, rng, all(m4), 0.15, func(int) int { return rng.Intn(16) }, func() int { return 1 + rng.Intn(5) })
 			}
 		}},
+		// The byte-wide counters at their bounds. Three flows into an
+		// endpoint that consumes every third cycle fill buffers of
+		// router.MaxBufDepth flits, and credits run from 255 to 0.
+		{"depth255", lockstepSpec{w: 2, h: 2, vcs: 2, depth: router.MaxBufDepth, speedup: 2, seed: 6, slow: map[int]int{3: 3}},
+			func(l *lockstep, rng *rand.Rand, _ int64) {
+				bernoulli(l, rng, []int{0, 1, 2}, 1, func(int) int { return 3 }, func() int { return 1 + rng.Intn(8) })
+			}},
+		// router.MaxVCs VCs, the widest masks, with three credits a
+		// cycle on a link, one more than its inline array holds.
+		{"vcs32-speedup3", lockstepSpec{w: 4, h: 4, vcs: router.MaxVCs, depth: 2, speedup: 3, seed: 7}, func(l *lockstep, rng *rand.Rand, _ int64) {
+			bernoulli(l, rng, all(m4), 0.4/2.5, func(int) int { return rng.Intn(16) }, func() int { return 1 + rng.Intn(4) })
+		}},
 		// Three flows into an endpoint that never drains: the fabric wedges
 		// and its routers sit blocked with work held.
 		{"wedged", lockstepSpec{w: 2, h: 2, vcs: 2, depth: 4, speedup: 2, seed: 5, slow: map[int]int{3: 1 << 30}},
@@ -337,12 +349,13 @@ func lockstepShapes() []lockstepShape {
 
 // TestLockstep holds the engine — worklist, busy-link list, port masks,
 // mask-form VC allocation — to the reference fabric, cycle by cycle, for
-// every routing algorithm on five traffic shapes: single-flit uniform
+// every routing algorithm on seven traffic shapes: single-flit uniform
 // keeps most nodes awake, multi-flit transpose holds wormholes across
 // sleeping neighbours, Table 3's hotspots past saturation block heads
 // behind slow credits and contest VCs, on/off bursts put the whole
-// fabric to sleep and wake it, and the wedged fixture stalls it with
-// work held.
+// fabric to sleep and wake it, two shapes put the byte counters and the
+// VC masks at their bounds, and the wedged fixture stalls it with work
+// held.
 func TestLockstep(t *testing.T) {
 	const cycles = 1400
 	for _, alg := range routing.Names() {

@@ -64,7 +64,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 			if got == nil {
 				t.Fatal("packet not delivered")
 			}
-			if got.Hops != topo.MustNew(8, 8).Hops(0, 63)+1 {
+			if int(got.Hops) != topo.MustNew(8, 8).Hops(0, 63)+1 {
 				t.Errorf("hops = %d, want %d (minimal routers visited)", got.Hops, 15)
 			}
 			if got.Latency() <= 0 || got.Latency() > 100 {
@@ -113,7 +113,7 @@ func TestRandomTrafficAllAlgorithms(t *testing.T) {
 			delivered := 0
 			n.Sink = func(p *flit.Packet) {
 				delivered++
-				if p.Hops != m.Hops(p.Src, p.Dest)+1 {
+				if int(p.Hops) != m.Hops(p.Src, p.Dest)+1 {
 					t.Errorf("packet %d: hops %d, want %d (minimal)", p.ID, p.Hops, m.Hops(p.Src, p.Dest)+1)
 				}
 			}
@@ -403,10 +403,10 @@ func TestFabricStateIndependentOfMeshSize(t *testing.T) {
 	if large > 1.1*small || small > 1.1*large {
 		t.Errorf("network.New allocates %.0f B per added node for DOR from 4x4 to 8x8 and %.0f B from 8x8 to 16x16: more than 10%% apart", small, large)
 	}
-	// What a DOR node costs at Table 2's 10 VCs: measured 7,457 B from 8×8
-	// to 16×16 (11,711 while each router held its own VC-allocation
-	// scratch).
-	const most = 7700
+	// What a DOR node costs at Table 2's 10 VCs: measured 5,891 B from 8×8
+	// to 16×16 (7,457 while counters were 4 or 8 bytes and flags bools,
+	// 11,711 while each router held its own VC-allocation scratch).
+	const most = 6100
 	if large > most {
 		t.Errorf("network.New allocates %.0f B per added node for DOR at 10 VCs, want at most %d", large, most)
 	}
@@ -425,12 +425,14 @@ func TestFabricStateIndependentOfMeshSize(t *testing.T) {
 // number of heap allocations: every per-node array is cut from one slab
 // per element type, arbiters and the VC allocator are values inside the
 // router, and one algorithm instance serves the fabric, so a 16×16 mesh
-// costs what a 4×4 one does.
+// costs what a 4×4 one does. It also pins the bytes a 16×16 DOR fabric
+// costs per node, which follow the widths the router state is stored at
+// (DESIGN.md, "Construction").
 func TestNewAllocatesPerFabricNotPerNode(t *testing.T) {
 	for _, c := range []struct {
 		alg  string
 		most float64 // measured: footprint adds its owner index slab
-	}{{"dor", 21}, {"footprint", 22}} {
+	}{{"dor", 17}, {"footprint", 18}} {
 		counts := map[int]float64{}
 		for _, side := range []int{4, 16} {
 			cfg := network.Config{Mesh: topo.MustNew(side, side), VCs: 10, BufDepth: 4, Speedup: 2,
@@ -443,11 +445,27 @@ func TestNewAllocatesPerFabricNotPerNode(t *testing.T) {
 		}
 	}
 
+	// Table 2's router at 10 VCs on the 16×16 mesh of Figure 8: measured
+	// 5,979 B per node, 7,598 while counters were 4 or 8 bytes and flags
+	// bools.
+	const mostBytes = 6100
+	net := network.Config{Mesh: topo.MustNew(16, 16), VCs: 10, BufDepth: 4, Speedup: 2,
+		Alg: routing.MustNew("dor"), Rand: rand.New(rand.NewSource(1))}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			network.New(net)
+		}
+	})
+	if perNode := res.AllocedBytesPerOp() / 256; perNode > mostBytes {
+		t.Errorf("network.New of a 16x16 DOR fabric allocates %d B per node, want at most %d", perNode, mostBytes)
+	}
+
 	// A whole simulation: the Table 2 router on the 16×16 mesh of Figure 8
 	// with a uniform injector, built as every sweep cell builds one.
 	cfg := nocsim.DefaultConfig()
 	cfg.Width, cfg.Height, cfg.Algorithm = 16, 16, "dor"
-	const most = 36 // measured; 11,801 when each node allocated its own arrays
+	const most = 32 // measured; 11,801 when each node allocated its own arrays
 	got := testing.AllocsPerRun(10, func() {
 		inj, err := nocsim.NewPatternInjector(cfg, "uniform", 0.05, 1, 1)
 		if err != nil {

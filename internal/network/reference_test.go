@@ -334,7 +334,7 @@ func (r *refRouter) traverse(p, v int) {
 	r.stage[ivc.outDir] = append(r.stage[ivc.outDir], fl)
 	r.xbarGrants[ivc.outDir]++
 	if l := r.inLink[p]; l != nil {
-		l.sentCr = append(l.sentCr, flit.Credit{VC: v, Tail: fl.Tail})
+		l.sentCr = append(l.sentCr, flit.Credit{VC: uint8(v), Tail: fl.Tail})
 	}
 	if !fl.Tail {
 		return
@@ -405,7 +405,7 @@ func (e *refEndpoint) consumeFlit() {
 	}
 	fl := e.ejBuf[v][0]
 	e.ejBuf[v] = e.ejBuf[v][1:]
-	e.ej.sentCr = append(e.ej.sentCr, flit.Credit{VC: v, Tail: fl.Tail})
+	e.ej.sentCr = append(e.ej.sentCr, flit.Credit{VC: uint8(v), Tail: fl.Tail})
 	if fl.Tail {
 		fl.Packet.Eject = e.f.now
 		e.f.inFlight--

@@ -3,6 +3,7 @@ package router
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"nocsim/internal/flit"
 	"nocsim/internal/topo"
@@ -136,7 +137,7 @@ func TestChannelCreditsAccumulateIfUnread(t *testing.T) {
 	l := &Links{Wake: make([]uint64, 1)}
 	_, e, inj, _ := localLinks(l)
 	e.credits[0], e.credits[1] = 1, 2 // five buffer slots in use
-	for _, vc := range []int{1, 0, 1, 0, 0} {
+	for _, vc := range []uint8{1, 0, 1, 0, 0} {
 		inj.SendCredit(flit.Credit{VC: vc})
 	}
 	if n := len(l.Busy); n != 1 {
@@ -145,5 +146,13 @@ func TestChannelCreditsAccumulateIfUnread(t *testing.T) {
 	deliveryPass(l)
 	if e.credits[0] != 4 || e.credits[1] != 4 {
 		t.Errorf("sender credits = %v, want [4 4]", e.credits)
+	}
+}
+
+// TestChannelSize: with two-byte credits a Channel, its inline credit
+// array included, is 80 bytes.
+func TestChannelSize(t *testing.T) {
+	if got := unsafe.Sizeof(Channel{}); got != 80 {
+		t.Errorf("Channel is %d bytes, want 80", got)
 	}
 }

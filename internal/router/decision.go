@@ -121,7 +121,7 @@ func (r *Router) classifyVC(d topo.Direction, vc, dest int) VCClass {
 	if vc == 0 && d != topo.Local && r.st.Lo == 1 {
 		return VCClassEscape
 	}
-	if r.outIdle(r.idx(d, vc)) {
+	if r.st.Idle[d]>>uint(vc)&1 != 0 {
 		return VCClassIdle
 	}
 	if r.st.OwnerMask(d, dest)>>uint(vc)&1 != 0 {

@@ -20,17 +20,15 @@ type Endpoint struct {
 	injCh *Channel // endpoint -> router local input port
 	ejCh  *Channel // router local output port -> endpoint
 
-	// Injection side. The source queue is queue[qHead:]: Inject pops by
-	// advancing qHead, so that a backlog of thousands of packets past
-	// saturation is not moved once per packet injected; Offer moves it
-	// down over the popped prefix when the backing array is full.
-	queue     []*flit.Packet
-	qHead     int
+	// Injection side. The source queue is linked through its packets, so
+	// a backlog of thousands of packets past saturation costs no memory
+	// of the endpoint's and is never copied.
+	queue     flit.Queue
 	nextSeq   int // next flit of the packet currently being injected
 	injVC     int // local input VC held by the current packet
 	curPacket *flit.Packet
-	credits   []int32 // buffer credits per router local input VC
-	vcBusy    []bool
+	credits   []uint8 // buffer credits per router local input VC
+	vcBusy    uint32  // the local input VCs held by a packet being injected
 	pickRR    int
 	// Ejection side.
 	ejBuf   [][]*flit.Flit
@@ -69,15 +67,13 @@ func (e *Endpoint) init(node, vcs, bufDepth int, a *flit.Arena, s *slabs) {
 		bufDepth: bufDepth,
 		arena:    a,
 		injVC:    -1,
-		queue:    s.queue.cut(queueCap)[:0],
-		credits:  s.i32.cut(vcs),
-		vcBusy:   s.bools.cut(vcs),
+		credits:  s.u8.cut(vcs),
 		ejBuf:    s.ejBufs.cut(vcs),
 		consume:  alloc.MakeRoundRobin(vcs),
 	}
 	store := s.flits.cut(vcs * bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
-		e.credits[v] = int32(bufDepth)
+		e.credits[v] = uint8(bufDepth)
 		e.ejBuf[v] = store[v*bufDepth : v*bufDepth : (v+1)*bufDepth]
 	}
 }
@@ -99,18 +95,13 @@ func (e *Endpoint) Offer(p *flit.Packet) {
 	if p.Src != e.node {
 		panic(fmt.Sprintf("router: packet src %d offered to endpoint %d", p.Src, e.node))
 	}
-	if len(e.queue) == cap(e.queue) && e.qHead > 0 {
-		// Reuse the popped prefix before growing, so the array grows
-		// exactly when the backlog outgrows it.
-		e.queue, e.qHead = e.queue[:copy(e.queue, e.queue[e.qHead:])], 0
-	}
-	e.queue = append(e.queue, p)
+	e.queue.Push(p)
 }
 
 // QueueLen returns the number of packets waiting in the source queue,
 // including the packet currently being injected.
 func (e *Endpoint) QueueLen() int {
-	n := len(e.queue) - e.qHead
+	n := e.queue.Len()
 	if e.curPacket != nil {
 		n++
 	}
@@ -121,10 +112,11 @@ func (e *Endpoint) QueueLen() int {
 // called by the injection channel's Deliver.
 func (e *Endpoint) acceptCredits(crs []flit.Credit) {
 	for _, cr := range crs {
-		e.credits[cr.VC]++
-		if int(e.credits[cr.VC]) > e.bufDepth {
+		// Tested before the increment: a byte at MaxBufDepth would wrap.
+		if int(e.credits[cr.VC]) >= e.bufDepth {
 			panic(fmt.Sprintf("router: endpoint %d credit overflow vc %d", e.node, cr.VC))
 		}
+		e.credits[cr.VC]++
 	}
 }
 
@@ -145,7 +137,7 @@ func (e *Endpoint) acceptFlit(f *flit.Flit) {
 // network's worklist watches separately), so it may be skipped without
 // changing any simulated result.
 func (e *Endpoint) Quiescent() bool {
-	return len(e.queue) == e.qHead && e.curPacket == nil && e.ejMask == 0
+	return e.queue.Len() == 0 && e.curPacket == nil && e.ejMask == 0
 }
 
 // Consume drains at most one ejected flit (the endpoint's ejection
@@ -163,7 +155,7 @@ func (e *Endpoint) Consume(now int64) {
 	if len(e.ejBuf[v]) == 0 {
 		e.ejMask &^= 1 << uint(v)
 	}
-	e.ejCh.SendCredit(flit.Credit{VC: v, Tail: f.Tail})
+	e.ejCh.SendCredit(flit.Credit{VC: uint8(v), Tail: f.Tail})
 	if f.Tail {
 		p := f.Packet
 		p.Eject = now
@@ -190,21 +182,17 @@ func (e *Endpoint) Consume(now int64) {
 // Phase D.
 func (e *Endpoint) Inject(now int64) {
 	if e.curPacket == nil {
-		if len(e.queue) == e.qHead {
+		if e.queue.Len() == 0 {
 			return
 		}
 		v := e.pickVC()
 		if v < 0 {
 			return // all local input VCs held by in-flight packets
 		}
-		e.curPacket = e.queue[e.qHead]
-		e.qHead++
-		if e.qHead == len(e.queue) {
-			e.queue, e.qHead = e.queue[:0], 0
-		}
+		e.curPacket = e.queue.Pop()
 		e.nextSeq = 0
 		e.injVC = v
-		e.vcBusy[v] = true
+		e.vcBusy |= 1 << uint(v)
 	}
 	if e.credits[e.injVC] == 0 || !e.injCh.CanSend() {
 		return
@@ -222,7 +210,7 @@ func (e *Endpoint) Inject(now int64) {
 		}
 	}
 	if f.Tail {
-		e.vcBusy[e.injVC] = false
+		e.vcBusy &^= 1 << uint(e.injVC)
 		e.curPacket = nil
 		e.injVC = -1
 	}
@@ -243,14 +231,14 @@ func (e *Endpoint) newFlit() *flit.Flit {
 // pickVC selects a free local input VC for a new packet: unheld, with the
 // most credits; round-robin among ties. Returns -1 when none is free.
 func (e *Endpoint) pickVC() int {
-	best, bestCr := -1, int32(-1)
+	best, bestCr := -1, -1
 	for i := 0; i < e.vcs; i++ {
 		v := (e.pickRR + i) % e.vcs
-		if e.vcBusy[v] {
+		if e.vcBusy>>uint(v)&1 != 0 {
 			continue
 		}
-		if e.credits[v] > bestCr {
-			best, bestCr = v, e.credits[v]
+		if int(e.credits[v]) > bestCr {
+			best, bestCr = v, int(e.credits[v])
 		}
 	}
 	if best >= 0 {

@@ -61,7 +61,7 @@ func TestEndpointRespectsCredits(t *testing.T) {
 		t.Errorf("sent %d flits with 4 credits", n)
 	}
 	// Returning a credit for the held VC resumes injection.
-	inj.SendCredit(flit.Credit{VC: usedVC})
+	inj.SendCredit(flit.Credit{VC: uint8(usedVC)})
 	receiveAt(e)
 	e.Inject(100)
 	if sent(inj) == nil {
@@ -241,11 +241,10 @@ func TestEndpointSlowConsumeInterval(t *testing.T) {
 	}
 }
 
-// TestEndpointLongQueueLeavesInOrder drains a saturated-size source queue
-// through the pop-by-index path: 10,000 single-flit packets, half of them
-// offered while the others leave so that the queue is moved down over its
-// popped prefix along the way, must be injected in offer order with
-// QueueLen exact after every step and the endpoint quiescent at the end.
+// TestEndpointLongQueueLeavesInOrder drains a saturated-size source queue:
+// 10,000 single-flit packets, half of them offered while the others
+// leave, must be injected in offer order with QueueLen exact after every
+// step and the endpoint quiescent at the end.
 func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 	const total = 10000
 	e, inj, _ := newTestEndpoint()
@@ -276,15 +275,44 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 			t.Fatalf("step %d: Quiescent = %v with %d packets queued", left, e.Quiescent(), offered-left)
 		}
 		// Hand the buffer slot back, as the router would.
-		inj.SendCredit(flit.Credit{VC: f.VC, Tail: true})
+		inj.SendCredit(flit.Credit{VC: uint8(f.VC), Tail: true})
 		receiveAt(e)
 	}
 	if offered != total || e.QueueLen() != 0 {
 		t.Errorf("offered %d of %d packets, %d left queued", offered, total, e.QueueLen())
 	}
-	// The backlog never exceeded total/2, so an array that had to hold
-	// every packet ever offered was not reusing its popped prefix.
-	if cap(e.queue) >= total {
-		t.Errorf("queue array grew to %d slots for a backlog of at most %d", cap(e.queue), total/2)
+}
+
+// TestOfferAllocatesNothing: the source queue is linked through its
+// packets, so 10,000 offers into one endpoint, a backlog far past
+// saturation, allocate nothing, and the packets leave in the order they
+// went in.
+func TestOfferAllocatesNothing(t *testing.T) {
+	const total = 10000
+	e, inj, _ := newTestEndpoint()
+	pkts := make([]flit.Packet, 2*total) // AllocsPerRun calls its function twice
+	for i := range pkts {
+		pkts[i] = flit.Packet{ID: uint64(i), Src: 3, Dest: 7, Size: 1}
+	}
+	next := 0
+	if n := testing.AllocsPerRun(1, func() {
+		for range total {
+			e.Offer(&pkts[next])
+			next++
+		}
+	}); n != 0 {
+		t.Errorf("%d offers made %v allocations, want 0", total, n)
+	}
+	for i := range pkts {
+		e.Inject(int64(i))
+		f := sent(inj)
+		if f == nil || f.Packet != &pkts[i] {
+			t.Fatalf("injection %d: got %v, want packet %d", i, f, i)
+		}
+		inj.SendCredit(flit.Credit{VC: uint8(f.VC), Tail: true})
+		receiveAt(e)
+	}
+	if !e.Quiescent() {
+		t.Error("endpoint not quiescent after its queue drained")
 	}
 }

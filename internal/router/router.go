@@ -41,19 +41,20 @@ const stageCap = 4
 // index the VC allocator uses), so a cycle's scans walk contiguous
 // arrays instead of chasing per-port/per-VC pointers. The arrays are cut
 // from slabs shared by every node of the fabric, and the per-port ones
-// are held inline. The input buffers and output stages are
-// fixed-capacity rings and the scratch lists are sized at construction,
-// so a warm cycle allocates nothing.
+// are held inline. Each field is stored at the width its range needs: a
+// port, a VC (below MaxVCs) or a flit count (at most MaxBufDepth) is a
+// byte, and a per-VC flag is a bit of a per-port uint32 mask. The input
+// buffers and output stages are fixed-capacity rings and the scratch
+// lists are sized at construction, so a warm cycle allocates nothing.
 type Router struct {
 	cfg Config
 	vcs int // cfg.VCs, hot-path copy
 
 	// Input VC state machine, SoA over idx.
 	inState   []uint8
-	inOutDir  []topo.Direction // granted output port (active state)
-	inOutVC   []int32          // granted output VC (active state)
-	inBlocked []int64          // consecutive failed-allocation cycles
-	inRouted  []bool
+	inOutDir  []uint8 // granted output port (active state), a topo.Direction
+	inOutVC   []uint8 // granted output VC (active state)
+	inBlocked []int32 // consecutive failed-allocation cycles
 	// inDest is the destination of the head packet of a routing-state
 	// input VC, so the per-cycle re-evaluation of a blocked head reads
 	// one dense array instead of chasing flit and packet pointers.
@@ -66,35 +67,28 @@ type Router struct {
 	// Input buffers: per-VC rings of capacity BufDepth over one backing
 	// array; slot i of VC idx is bufStore[idx*BufDepth+(bufHead[idx]+i)%BufDepth].
 	bufStore []*flit.Flit
-	bufHead  []int32
-	bufLen   []int32
+	bufHead  []uint8
+	bufLen   []uint8
 
-	// Output VC state, SoA over idx: allocation, flow-control credits and
-	// the Duato-style conservative-reallocation latch awaiting the tail
-	// credit. The owner registers of Section 4.4 live in st: st.Owner (the
-	// destination of the packets in the downstream buffer, -1 when
-	// drained) and st.RegOwner (the last destination granted the VC).
-	outAlloc     []bool
-	outCredits   []int32
-	outAwaitTail []bool
+	// Output VC flow-control credits, SoA over idx. The owner registers of
+	// Section 4.4 live in st: st.Owner (the destination of the packets in
+	// the downstream buffer, -1 when drained) and st.RegOwner (the last
+	// destination granted the VC).
+	outCredits []uint8
 
 	// st is what routing decisions read of the output VC state, kept in
 	// step at every transition: refreshOutBits maintains st.Idle, a grant
 	// and a drain call st.SetOwner, and a grant writes st.RegOwner.
-	// freeMask bit v is set while VC v of the port can be allocated (not
-	// held, not awaiting a tail credit); st.Idle is its subset of fully
-	// drained VCs. down[d] is
-	// the State of the neighbour behind output port d (nil at a mesh edge
-	// and for the local port), which DownstreamIdle reads.
-	st       routing.State
-	down     [topo.NumPorts]*routing.State
-	freeMask [topo.NumPorts]uint32
+	// down[d] is the State of the neighbour behind output port d (nil at a
+	// mesh edge and for the local port), which DownstreamIdle reads.
+	st   routing.State
+	down [topo.NumPorts]*routing.State
 
 	// Output stages: per-port rings of capacity stageCap over one backing
 	// array, absorbing the internal speedup.
 	stageStore [topo.NumPorts * stageCap]*flit.Flit
-	stageHead  [topo.NumPorts]int32
-	stageLen   [topo.NumPorts]int32
+	stageHead  [topo.NumPorts]uint8
+	stageLen   [topo.NumPorts]uint8
 
 	inCh  [topo.NumPorts]*Channel // attached input channels
 	outCh [topo.NumPorts]*Channel // attached output channels
@@ -112,17 +106,26 @@ type Router struct {
 
 	// routingMask/activeMask track, per input port, which VCs are in the
 	// routing/active state, so the per-cycle scans iterate only occupied
-	// VCs (bit twiddling over the mask). routingPorts, activePorts and
-	// stagePorts have bit p set while routingMask[p], activeMask[p] or
-	// stageLen[p] is non-zero, so the scans visit only occupied ports;
-	// with the buffered-flit total they answer Quiescent for the network's
-	// worklist.
+	// VCs (bit twiddling over the mask); routedMask is the subset of
+	// routingMask whose head has been routed at least once. routingPorts,
+	// activePorts and stagePorts have bit p set while routingMask[p],
+	// activeMask[p] or stageLen[p] is non-zero, so the scans visit only
+	// occupied ports; with the buffered-flit total they answer Quiescent
+	// for the network's worklist.
 	routingMask  [topo.NumPorts]uint32
 	activeMask   [topo.NumPorts]uint32
+	routedMask   [topo.NumPorts]uint32
 	routingPorts uint8
 	activePorts  uint8
 	stagePorts   uint8
 	bufTotal     int
+
+	// Per output port, the VCs held by a packet (outAlloc) and those
+	// awaiting their tail credit under Duato-style conservative
+	// reallocation (outAwaitTail). A VC in neither can be allocated
+	// (free).
+	outAlloc     [topo.NumPorts]uint32
+	outAwaitTail [topo.NumPorts]uint32
 
 	// outFlits counts flits sent per output port, for link-utilization
 	// analysis.
@@ -141,6 +144,10 @@ type Router struct {
 // MaxVCs is the largest supported VC count per physical channel: the
 // per-port VC state lives in uint32 bitmasks.
 const MaxVCs = 32
+
+// MaxBufDepth is the largest supported buffer depth per VC: buffer
+// occupancy and output credits are bytes.
+const MaxBufDepth = 255
 
 // NewNodes constructs the router and the endpoint of every node of
 // cfg.Mesh, node id at index id of each slice, in a number of heap
@@ -172,8 +179,8 @@ func mustBeValid(cfg Config) {
 	if cfg.Alg.UsesEscape() && cfg.VCs < 2 {
 		panic("router: Duato-based routing needs at least two VCs")
 	}
-	if cfg.BufDepth < 1 {
-		panic("router: need buffer depth >= 1")
+	if cfg.BufDepth < 1 || cfg.BufDepth > MaxBufDepth {
+		panic("router: buffer depth must be 1..255 (per-VC byte counters)")
 	}
 	if cfg.Speedup < 1 {
 		panic("router: need speedup >= 1")
@@ -191,31 +198,27 @@ func (r *Router) init(cfg Config, s *slabs, sc *vaScratch) {
 		st:  routing.NewStateOn(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg, s.i32.cut(regs), s.index.cut(index)),
 
 		inState:   s.u8.cut(n),
-		inOutDir:  s.dirs.cut(n),
-		inOutVC:   s.i32.cut(n),
-		inBlocked: s.i64.cut(n),
-		inRouted:  s.bools.cut(n),
+		inOutDir:  s.u8.cut(n),
+		inOutVC:   s.u8.cut(n),
+		inBlocked: s.i32.cut(n),
 		inDest:    s.i32.cut(n),
 		inReqDir:  s.u8.cut(n),
 
 		bufStore: s.flits.cut(n * cfg.BufDepth),
-		bufHead:  s.i32.cut(n),
-		bufLen:   s.i32.cut(n),
+		bufHead:  s.u8.cut(n),
+		bufLen:   s.u8.cut(n),
 
-		outAlloc:     s.bools.cut(n),
-		outCredits:   s.i32.cut(n),
-		outAwaitTail: s.bools.cut(n),
+		outCredits: s.u8.cut(n),
 
 		va: alloc.MakeVCAllocator(n, n, s.i32.cut(2*n), &sc.va),
 		sc: sc,
 	}
 	for i := range r.outCredits {
-		r.outCredits[i] = int32(cfg.BufDepth)
+		r.outCredits[i] = uint8(cfg.BufDepth)
 	}
 	for p := range r.saIn {
 		r.saIn[p] = alloc.MakeRoundRobin(cfg.VCs)
 		r.saOut[p] = alloc.MakeRoundRobin(topo.NumPorts)
-		r.freeMask[p] = r.st.Idle[p] // all VCs start idle
 	}
 	r.routeCtx = routing.Context{
 		Mesh: cfg.Mesh,
@@ -255,25 +258,24 @@ func (r *Router) Quiescent() bool {
 // idx flattens (port, vc) into the dense SoA / VC-allocator index.
 func (r *Router) idx(d topo.Direction, vc int) int { return int(d)*r.vcs + vc }
 
-// outIdle reports whether output VC idx is unoccupied: free for
-// allocation with an empty downstream buffer.
-func (r *Router) outIdle(idx int) bool {
-	return !r.outAlloc[idx] && !r.outAwaitTail[idx] && int(r.outCredits[idx]) == r.cfg.BufDepth
+// outIdx returns the index of the output VC granted to active input VC i.
+func (r *Router) outIdx(i int) int { return int(r.inOutDir[i])*r.vcs + int(r.inOutVC[i]) }
+
+// free returns the VCs of output port d that can be allocated: neither
+// held nor awaiting a tail credit.
+func (r *Router) free(d topo.Direction) uint32 {
+	return (uint32(1)<<uint(r.vcs) - 1) &^ (r.outAlloc[d] | r.outAwaitTail[d])
 }
 
-// refreshOutBits re-derives output VC idx's bit of the per-port free and
-// idle bitmasks. Call after any mutation of outAlloc, outCredits or
-// outAwaitTail.
+// refreshOutBits re-derives output VC idx's bit of st.Idle: set while the
+// VC is free with an empty downstream buffer. Call after any mutation of
+// outAlloc, outCredits or outAwaitTail.
 func (r *Router) refreshOutBits(idx int) {
-	p := idx / r.vcs
-	bit := uint32(1) << uint(idx%r.vcs)
-	r.freeMask[p] &^= bit
-	r.st.Idle[p] &^= bit
-	if !r.outAlloc[idx] && !r.outAwaitTail[idx] {
-		r.freeMask[p] |= bit
-		if int(r.outCredits[idx]) == r.cfg.BufDepth {
-			r.st.Idle[p] |= bit
-		}
+	p, bit := idx/r.vcs, uint32(1)<<uint(idx%r.vcs)
+	if r.free(topo.Direction(p))&bit != 0 && int(r.outCredits[idx]) == r.cfg.BufDepth {
+		r.st.Idle[p] |= bit
+	} else {
+		r.st.Idle[p] &^= bit
 	}
 }
 
@@ -307,7 +309,7 @@ func (r *Router) bufPop(idx int) *flit.Flit {
 	pos := idx*depth + int(r.bufHead[idx])
 	f := r.bufStore[pos]
 	r.bufStore[pos] = nil
-	r.bufHead[idx] = int32((int(r.bufHead[idx]) + 1) % depth)
+	r.bufHead[idx] = uint8((int(r.bufHead[idx]) + 1) % depth)
 	r.bufLen[idx]--
 	r.bufTotal--
 	return f
@@ -331,7 +333,7 @@ func (r *Router) stagePop(o int) *flit.Flit {
 	pos := o*stageCap + int(r.stageHead[o])
 	f := r.stageStore[pos]
 	r.stageStore[pos] = nil
-	r.stageHead[o] = int32((int(r.stageHead[o]) + 1) % stageCap)
+	r.stageHead[o] = uint8((int(r.stageHead[o]) + 1) % stageCap)
 	if r.stageLen[o]--; r.stageLen[o] == 0 {
 		r.stagePorts &^= 1 << uint(o)
 	}
@@ -380,20 +382,22 @@ func (r *Router) acceptFlit(p int, f *flit.Flit) {
 // phase A, called by the output channel's Deliver.
 func (r *Router) acceptCredits(p int, crs []flit.Credit) {
 	for _, cr := range crs {
-		i := r.idx(topo.Direction(p), cr.VC)
-		r.outCredits[i]++
-		if int(r.outCredits[i]) > r.cfg.BufDepth {
-			panic(fmt.Sprintf("router %d: credit overflow port %v vc %d", r.cfg.NodeID, topo.Direction(p), cr.VC))
+		vc, bit := int(cr.VC), uint32(1)<<cr.VC
+		i := r.idx(topo.Direction(p), vc)
+		// Tested before the increment: a byte at MaxBufDepth would wrap.
+		if int(r.outCredits[i]) >= r.cfg.BufDepth {
+			panic(fmt.Sprintf("router %d: credit overflow port %v vc %d", r.cfg.NodeID, topo.Direction(p), vc))
 		}
+		r.outCredits[i]++
 		if cr.Tail {
-			r.outAwaitTail[i] = false
+			r.outAwaitTail[p] &^= bit
 		}
 		r.refreshOutBits(i)
-		if r.outIdle(i) {
+		if r.st.Idle[p]&bit != 0 {
 			// The owner register clears once the VC fully drains: a
 			// footprint VC is one currently occupied by packets to its
 			// owner destination.
-			r.st.SetOwner(topo.Direction(p), cr.VC, -1)
+			r.st.SetOwner(topo.Direction(p), vc, -1)
 		}
 	}
 }
@@ -401,12 +405,13 @@ func (r *Router) acceptCredits(p int, crs []flit.Credit) {
 // startRouting moves input VC i to the routing state with head flit f at
 // the front of its buffer.
 func (r *Router) startRouting(i int, f *flit.Flit) {
+	p, bit := i/r.vcs, uint32(1)<<uint(i%r.vcs)
 	r.inState[i] = vcRouting
-	r.inRouted[i] = false
 	r.inBlocked[i] = 0
 	r.inDest[i] = int32(f.Packet.Dest)
-	r.routingMask[i/r.vcs] |= uint32(1) << uint(i%r.vcs)
-	r.routingPorts |= 1 << uint(i/r.vcs)
+	r.routedMask[p] &^= bit
+	r.routingMask[p] |= bit
+	r.routingPorts |= 1 << uint(p)
 }
 
 // AllocateVCs runs route computation and VC allocation for every input VC
@@ -423,14 +428,16 @@ func (r *Router) AllocateVCs(now int64) {
 		// Iterate only the VCs in routing state, lowest port and VC first
 		// (the same order the dense scan visited them in).
 		p := bits.TrailingZeros8(ps)
+		routed := r.routedMask[p]
 		for m := r.routingMask[p]; m != 0; m &= m - 1 {
 			requester := r.idx(topo.Direction(p), bits.TrailingZeros32(m))
+			first := routed&(m&-m) == 0 // the head's first route computation here
 			// The route (and its VC request set) is re-evaluated every cycle
 			// while the packet waits, so adaptive decisions track the live
 			// congestion state (DESIGN.md, "Mechanism analysis").
 			dec := &sc.dec[requester]
 			dest := int(r.inDest[requester])
-			if r.cfg.Sinks.Packets != nil && !r.inRouted[requester] {
+			if r.cfg.Sinks.Packets != nil && first {
 				r.cfg.Sinks.Packets.OnRoute(now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
 			}
 			if dest == r.cfg.NodeID {
@@ -443,17 +450,16 @@ func (r *Router) AllocateVCs(now int64) {
 				r.routeCtx.Dest = dest
 				r.routeCtx.InDir = topo.Direction(p)
 				*dec = r.cfg.Alg.Decide(&r.routeCtx)
-				if r.cfg.Sinks.Decisions != nil && !r.inRouted[requester] {
+				if r.cfg.Sinks.Decisions != nil && first {
 					r.emitDecision(now, dec, r.bufFront(requester).Packet)
 				}
 			}
-			r.inRouted[requester] = true
 			r.inReqDir[requester] = uint8(dec.Dir)
 			// A blocked head (no requested VC free) is recorded nowhere; the
 			// others are, and dup collects every VC a second head wants too.
-			a, esc := dec.VCMask()&r.freeMask[dec.Dir], uint32(0)
+			a, esc := dec.VCMask()&r.free(dec.Dir), uint32(0)
 			if dec.HasEsc {
-				esc = r.freeMask[dec.Esc] & 1
+				esc = r.free(dec.Esc) & 1
 			}
 			if a|esc == 0 {
 				continue
@@ -463,6 +469,7 @@ func (r *Router) AllocateVCs(now int64) {
 			seen[dec.Dir] |= a
 			seen[dec.Esc] |= esc
 		}
+		r.routedMask[p] = r.routingMask[p] // every head of the port is routed now
 	}
 
 	// With no VC contested, each head's grant is its own best candidate
@@ -471,10 +478,10 @@ func (r *Router) AllocateVCs(now int64) {
 	// event order, follows the order Allocate first sees each resource in.
 	for _, h := range sc.heads {
 		q, dec, esc := int(h), &sc.dec[h], -1
-		if dec.HasEsc && r.freeMask[dec.Esc]&1 != 0 {
+		if dec.HasEsc && r.free(dec.Esc)&1 != 0 {
 			esc = r.idx(dec.Esc, 0)
 		}
-		base, free := r.idx(dec.Dir, 0), r.freeMask[dec.Dir]
+		base, free := r.idx(dec.Dir, 0), r.free(dec.Dir)
 		if dup == 0 {
 			r.grant(now, q, r.va.GrantUncontended(q, base, &dec.Pri, free, esc))
 			continue
@@ -510,7 +517,7 @@ func (r *Router) AllocateVCs(now int64) {
 					pkt = r.bufFront(requester).Packet
 				}
 				r.cfg.Sinks.Blocked.OnVCAllocFailure(now, r.cfg.NodeID, pkt,
-					out, fp, busy, r.inBlocked[requester])
+					out, fp, busy, int64(r.inBlocked[requester]))
 			}
 		}
 	}
@@ -520,8 +527,8 @@ func (r *Router) AllocateVCs(now int64) {
 func (r *Router) grant(now int64, q, res int) {
 	od, ovc := topo.Direction(res/r.vcs), res%r.vcs
 	r.inState[q] = vcActive
-	r.inOutDir[q] = od
-	r.inOutVC[q] = int32(ovc)
+	r.inOutDir[q] = uint8(od)
+	r.inOutVC[q] = uint8(ovc)
 	p, inBit := q/r.vcs, uint32(1)<<uint(q%r.vcs)
 	if r.routingMask[p] &^= inBit; r.routingMask[p] == 0 {
 		r.routingPorts &^= 1 << uint(p)
@@ -534,9 +541,9 @@ func (r *Router) grant(now int64, q, res int) {
 		// against its pre-grant state: once marked allocated and owned
 		// it would read as busy.
 		r.cfg.Sinks.Packets.OnVCAllocGrant(now, r.cfg.NodeID, r.bufFront(q).Packet,
-			od, ovc, r.classifyVC(od, ovc, dest), r.inBlocked[q])
+			od, ovc, r.classifyVC(od, ovc, dest), int64(r.inBlocked[q]))
 	}
-	r.outAlloc[res] = true
+	r.outAlloc[od] |= uint32(1) << uint(ovc)
 	r.refreshOutBits(res)
 	r.st.SetOwner(od, ovc, dest)
 	r.st.RegOwner[res] = int32(dest)
@@ -576,8 +583,7 @@ func (r *Router) SwitchAndTraverse(now int64) {
 					// with buffered flits whose output VC is out of
 					// credits is backpressure from downstream.
 					i := r.idx(topo.Direction(p), v)
-					if r.bufLen[i] > 0 &&
-						r.outCredits[r.idx(r.inOutDir[i], int(r.inOutVC[i]))] == 0 {
+					if r.bufLen[i] > 0 && r.outCredits[r.outIdx(i)] == 0 {
 						r.creditStalls[r.inOutDir[i]]++
 					}
 				}
@@ -637,8 +643,7 @@ func (r *Router) vcReady(p, v int) bool {
 	if r.inState[i] != vcActive || r.bufLen[i] == 0 {
 		return false
 	}
-	return r.outCredits[r.idx(r.inOutDir[i], int(r.inOutVC[i]))] > 0 &&
-		int(r.stageLen[r.inOutDir[i]]) < stageCap
+	return r.outCredits[r.outIdx(i)] > 0 && int(r.stageLen[r.inOutDir[i]]) < stageCap
 }
 
 // traverse moves the front flit of input VC (p, v) into its output stage
@@ -646,9 +651,7 @@ func (r *Router) vcReady(p, v int) bool {
 func (r *Router) traverse(now int64, p, v int) {
 	i := r.idx(topo.Direction(p), v)
 	f := r.bufPop(i)
-	od := r.inOutDir[i]
-	ovc := int(r.inOutVC[i])
-	res := r.idx(od, ovc)
+	od, ovc, res := topo.Direction(r.inOutDir[i]), int(r.inOutVC[i]), r.outIdx(i)
 	f.VC = ovc
 	r.outCredits[res]--
 	r.refreshOutBits(res)
@@ -659,14 +662,15 @@ func (r *Router) traverse(now int64, p, v int) {
 	}
 
 	// Return a credit for the freed input buffer slot.
-	r.inCh[p].SendCredit(flit.Credit{VC: v, Tail: f.Tail})
+	r.inCh[p].SendCredit(flit.Credit{VC: uint8(v), Tail: f.Tail})
 
 	if f.Tail {
-		r.outAlloc[res] = false
+		bit := uint32(1) << uint(ovc)
+		r.outAlloc[od] &^= bit
 		// Duato's condition: with an escape VC, reallocate only once the
 		// tail's credit has returned.
 		if r.st.Lo == 1 {
-			r.outAwaitTail[res] = true
+			r.outAwaitTail[od] |= bit
 		}
 		r.refreshOutBits(res)
 		// Next packet (if already buffered) starts routing next cycle.

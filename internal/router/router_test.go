@@ -273,16 +273,33 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 	}
 }
 
+// TestCreditsNeverExceedDepth: a credit for a VC whose credits are
+// already at the buffer depth panics, at a router's output port and at an
+// endpoint, and so does a flit pushed into a full input buffer. At
+// MaxBufDepth a byte counter tested after its increment would wrap to 0
+// and pass.
 func TestCreditsNeverExceedDepth(t *testing.T) {
-	alg := &scriptAlg{}
-	r, _, outs := testRouter(t, alg, 2)
-	outs[topo.East].SendCredit(flit.Credit{VC: 0})
-	defer func() {
-		if recover() == nil {
-			t.Error("credit overflow not detected")
+	for _, depth := range []int{4, MaxBufDepth} {
+		rs, es := NewNodes(Config{Mesh: topo.MustNew(4, 4), VCs: 2, BufDepth: depth,
+			Speedup: 2, Alg: &scriptAlg{}}, flit.NewArena())
+		mustPanic := func(what string, f func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("depth %d: %s not detected", depth, what)
+				}
+			}()
+			f()
 		}
-	}()
-	receive(r) // credits already at depth: must panic
+		crs := []flit.Credit{{VC: 1}}
+		mustPanic("router credit overflow", func() { rs[5].acceptCredits(int(topo.East), crs) })
+		mustPanic("endpoint credit overflow", func() { es[5].acceptCredits(crs) })
+		mustPanic("input buffer overflow", func() {
+			for range depth + 1 {
+				rs[5].bufPush(rs[5].idx(topo.West, 1), &flit.Flit{})
+			}
+		})
+	}
 }
 
 func TestEjectionRequestsLocalPort(t *testing.T) {
@@ -451,7 +468,7 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 			t.Errorf("%s: %d heads left routing after %d grants", c.name, n, len(want))
 		}
 		for _, g := range want {
-			if r.inState[g.Requester] != vcActive || r.idx(r.inOutDir[g.Requester], int(r.inOutVC[g.Requester])) != g.Resource {
+			if r.inState[g.Requester] != vcActive || r.outIdx(g.Requester) != g.Resource {
 				t.Errorf("%s: input VC %d holds %v VC %d (state %d), Allocate grants resource %d", c.name,
 					g.Requester, r.inOutDir[g.Requester], r.inOutVC[g.Requester], r.inState[g.Requester], g.Resource)
 			}
@@ -467,7 +484,7 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 func TestSlabsCutExactly(t *testing.T) {
 	for _, alg := range []string{"dor", "footprint"} {
 		for _, vcs := range []int{1, 2, 10, MaxVCs} {
-			for _, depth := range []int{1, 4} {
+			for _, depth := range []int{1, 4, MaxBufDepth} {
 				if vcs < 2 && alg == "footprint" {
 					continue
 				}

@@ -9,7 +9,7 @@ import (
 
 // slab is the backing slice of one element type from which nodes cut
 // their arrays. cut hands out consecutive pieces with cap == len, so no
-// node's append (an endpoint's source queue growing, say) can reach a
+// node's append (into an endpoint's ejection buffer, say) can reach a
 // neighbour's elements.
 type slab[T any] []T
 
@@ -18,10 +18,6 @@ func (s *slab[T]) cut(n int) []T {
 	*s = (*s)[n:]
 	return c
 }
-
-// queueCap is the initial room of an endpoint's source queue, which grows
-// privately on its first append past it.
-const queueCap = 4
 
 // vaScratch is the working memory of Router.AllocateVCs. Nothing in it
 // outlives a call, and network.Step runs the routers' AllocateVCs one at a
@@ -54,17 +50,13 @@ func newVAScratch(vcs int, s *slabs) *vaScratch {
 // one vaScratch its routers share (DESIGN.md, "Construction").
 type slabs struct {
 	u8     slab[uint8]
-	dirs   slab[topo.Direction]
 	i32    slab[int32]
-	i64    slab[int64]
-	bools  slab[bool]
 	decs   slab[routing.Decision]
 	flits  slab[*flit.Flit]
 	reqs   slab[alloc.VCRequest]
 	grants slab[alloc.Grant]
 	index  slab[uint32]
 	ejBufs slab[[]*flit.Flit]
-	queue  slab[*flit.Packet]
 }
 
 // newSlabs sizes the slabs for a router and an endpoint at every node of
@@ -75,17 +67,13 @@ func newSlabs(cfg Config) slabs {
 	n := topo.NumPorts * v
 	regs, index := routing.StateLen(cfg.Mesh, v, cfg.Alg)
 	return slabs{
-		u8:     make([]uint8, nodes*2*n+3*n), // inState, inReqDir; heads, the allocator's two priority arrays
-		dirs:   make([]topo.Direction, nodes*n),
-		i32:    make([]int32, nodes*(7*n+regs+v)+4*n), // five per-VC arrays, two round-robin, owner registers, credits; the allocator's four
-		i64:    make([]int64, nodes*n),
-		bools:  make([]bool, nodes*(3*n+v)),
+		u8:     make([]uint8, nodes*(7*n+v)+3*n),    // seven per-VC arrays, endpoint credits; heads, the allocator's two priority arrays
+		i32:    make([]int32, nodes*(4*n+regs)+4*n), // inBlocked, inDest, two round-robin, owner registers; the allocator's four
 		decs:   make([]routing.Decision, n),
 		flits:  make([]*flit.Flit, nodes*(n+v)*depth),
 		reqs:   make([]alloc.VCRequest, vaReqCap(v)),
 		grants: make([]alloc.Grant, n),
 		index:  make([]uint32, nodes*index),
 		ejBufs: make([][]*flit.Flit, nodes*v),
-		queue:  make([]*flit.Packet, nodes*queueCap),
 	}
 }

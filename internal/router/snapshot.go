@@ -48,14 +48,14 @@ func (r *Router) InputVCSnapshot(d topo.Direction, v int) InVCState {
 		st.State = VCStateIdle
 	case vcRouting:
 		st.State = VCStateRouting
-		st.Blocked = r.inBlocked[i]
-		st.Routed = r.inRouted[i]
-		if r.inRouted[i] {
+		st.Blocked = int64(r.inBlocked[i])
+		st.Routed = r.routedMask[d]>>uint(v)&1 != 0
+		if st.Routed {
 			st.ReqDir = topo.Direction(r.inReqDir[i])
 		}
 	case vcActive:
 		st.State = VCStateActive
-		st.OutDir = r.inOutDir[i]
+		st.OutDir = topo.Direction(r.inOutDir[i])
 		st.OutVC = int(r.inOutVC[i])
 	}
 	if f := r.bufFront(i); f != nil {
@@ -84,11 +84,11 @@ type OutVCState struct {
 func (r *Router) OutputVCSnapshot(d topo.Direction, v int) OutVCState {
 	i := r.idx(d, v)
 	return OutVCState{
-		Allocated:       r.outAlloc[i],
+		Allocated:       r.outAlloc[d]>>uint(v)&1 != 0,
 		Credits:         int(r.outCredits[i]),
 		Owner:           int(r.st.Owner[i]),
 		RegOwner:        int(r.st.RegOwner[i]),
-		AwaitTailCredit: r.outAwaitTail[i],
+		AwaitTailCredit: r.outAwaitTail[d]>>uint(v)&1 != 0,
 	}
 }
 

@@ -96,8 +96,8 @@ func (c Config) Validate() error {
 	if c.VCs < 1 || c.VCs > router.MaxVCs {
 		return fmt.Errorf("sim: need 1 to %d VCs, have %d", router.MaxVCs, c.VCs)
 	}
-	if c.BufDepth < 1 {
-		return fmt.Errorf("sim: need buffer depth >= 1, have %d", c.BufDepth)
+	if c.BufDepth < 1 || c.BufDepth > router.MaxBufDepth {
+		return fmt.Errorf("sim: need buffer depth 1 to %d, have %d", router.MaxBufDepth, c.BufDepth)
 	}
 	if c.Speedup < 1 {
 		return fmt.Errorf("sim: need speedup >= 1, have %d", c.Speedup)

@@ -20,11 +20,12 @@ var fuzzPatterns = []string{"uniform", "transpose", "shuffle", "bitcomp", "torna
 // pattern, load, packet-size range and a slow endpoint all come from the
 // input, each range reaching past what the checks accept.
 func FuzzValidateThenRun(f *testing.F) {
-	// seed encodes one input: mesh width and height, VCs, buffer depth,
-	// speedup, algorithm index, pattern index, load in 255ths, packet-size
-	// range, warm-up and measurement split, RNG seed, and a slow endpoint.
+	// seed encodes one input: mesh width and height, VCs, buffer depth (two
+	// bytes, high first), speedup, algorithm index, pattern index, load in
+	// 255ths, packet-size range, warm-up and measurement split, RNG seed,
+	// and a slow endpoint.
 	seed := func(w, h, vcs, depth, speedup, alg, pattern, load, lo, hi int) []byte {
-		return []byte{byte(w + 1), byte(h + 1), byte(vcs), byte(depth), byte(speedup),
+		return []byte{byte(w + 1), byte(h + 1), byte(vcs), byte(depth >> 8), byte(depth), byte(speedup),
 			byte(alg), byte(pattern), byte(load), byte(lo), byte(hi), 40, 100, 1, 0}
 	}
 	names := routing.Names()
@@ -41,6 +42,9 @@ func FuzzValidateThenRun(f *testing.F) {
 		f.Add(seed(-1, 3, 2, 4, 2, i, 0, 100, 2, 1)) // no mesh, empty size range
 		f.Add(seed(4, 2, 2, 4, 1, i, 2, 150, 1, 3))  // shuffle on 8 nodes, speedup 1
 		f.Add(seed(3, 3, 10, 4, 2, i, 5, 150, 1, 3)) // bit reversal: not in the table
+
+		f.Add(seed(3, 2, 3, 255, 2, i, 0, 255, 1, 9)) // the deepest buffer, saturated
+		f.Add(seed(3, 2, 3, 256, 2, i, 0, 255, 1, 9)) // one flit deeper than a byte counts
 	}
 	f.Add(seed(5, 5, 3, 1, 3, len(names), 0, 10, 1, 2)) // unknown algorithm
 	slow := seed(4, 4, 4, 2, 3, 0, 0, 200, 1, 3)
@@ -59,7 +63,7 @@ func FuzzValidateThenRun(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.Width, cfg.Height = next()%11-1, next()%11-1
 		cfg.VCs = next() % 35
-		cfg.BufDepth = next() % 6
+		cfg.BufDepth = (next()<<8 | next()) % 261 // 0..260, past router.MaxBufDepth
 		cfg.Speedup = next() % 6
 		if a := next() % (len(names) + 1); a < len(names) {
 			cfg.Algorithm = names[a]

@@ -10,6 +10,7 @@ import (
 
 	"nocsim/internal/flit"
 	"nocsim/internal/obs"
+	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/traffic"
 )
@@ -36,6 +37,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.VCs = 0 },
 		func(c *Config) { c.VCs = 33 },
 		func(c *Config) { c.BufDepth = 0 },
+		// Buffer occupancy and credits are bytes.
+		func(c *Config) { c.BufDepth = router.MaxBufDepth + 1 },
 		func(c *Config) { c.Speedup = 0 },
 		func(c *Config) { c.Algorithm = "" },
 		func(c *Config) { c.MeasureCycles = 0 },

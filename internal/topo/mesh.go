@@ -9,7 +9,7 @@ import "fmt"
 
 // Direction identifies a router port. The four cardinal directions connect
 // to neighbouring routers; Local connects to the endpoint (NIC).
-type Direction int
+type Direction uint8
 
 // Router port directions.
 const (
