@@ -40,7 +40,7 @@ func BenchmarkTable1Adaptiveness(b *testing.B) {
 func BenchmarkTable2Config(b *testing.B) {
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		res, err := Run(cfg, "uniform", 0.3)
 		if err != nil {
 			b.Fatal(err)
@@ -55,7 +55,7 @@ func BenchmarkTable3HotspotFlows(b *testing.B) {
 	p := benchProfile()
 	flows := traffic.HotspotFlows()
 	for i := 0; i < b.N; i++ {
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		gen := &traffic.Generator{
 			Nodes:   []int{0, 7, 24, 31, 32, 39, 56, 63},
 			Pattern: flows,
@@ -174,8 +174,9 @@ func BenchmarkFigure9Hotspot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(hs.Points[1].FP.BackgroundLatency, "footprint-bg-latency")
-		b.ReportMetric(hs.Points[1].DB.BackgroundLatency, "dbar-bg-latency")
+		pt := hs.Points[1]
+		b.ReportMetric(pt.FP.Result.AvgLatency(ClassBackground), "footprint-bg-latency")
+		b.ReportMetric(pt.DB.Result.AvgLatency(ClassBackground), "dbar-bg-latency")
 	}
 }
 
@@ -211,7 +212,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	p := benchProfile()
 	run := func(b *testing.B, o obs.Options) {
 		for i := 0; i < b.N; i++ {
-			cfg := p.BaseConfig()
+			cfg := p.Base
 			cfg.Obs = o
 			res, err := Run(cfg, "uniform", 0.3)
 			if err != nil {
@@ -260,7 +261,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
 		for _, thr := range []int{2, 5, 8} {
-			cfg := p.BaseConfig()
+			cfg := p.Base
 			lat, err := runFootprintVariant(cfg, &routing.Footprint{Threshold: thr})
 			if err != nil {
 				b.Fatal(err)
@@ -278,7 +279,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 func BenchmarkAblationPriorities(b *testing.B) {
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		with, err := runFootprintVariant(cfg, &routing.Footprint{})
 		if err != nil {
 			b.Fatal(err)
@@ -299,7 +300,7 @@ func BenchmarkAblationPriorities(b *testing.B) {
 func BenchmarkAblationRegulation(b *testing.B) {
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		with, err := runFootprintVariant(cfg, &routing.Footprint{})
 		if err != nil {
 			b.Fatal(err)
@@ -320,7 +321,7 @@ func BenchmarkAblationRealloc(b *testing.B) {
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
 		for _, alg := range []string{"dbar", "oddeven"} {
-			cfg := p.BaseConfig()
+			cfg := p.Base
 			cfg.Algorithm = alg
 			res, err := Run(cfg, "uniform", 0.45)
 			if err != nil {
@@ -343,5 +344,8 @@ func runFootprintVariant(cfg sim.Config, fp *routing.Footprint) (float64, error)
 		}
 	}
 	pt, err := sim.HotspotRun(cfg, 0.3, 0.45)
-	return pt.BackgroundLatency, err
+	if err != nil {
+		return 0, err
+	}
+	return pt.Result.AvgLatency(ClassBackground), nil
 }

@@ -100,6 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	// Every command registers -jobs (see register).
+	if jobs := fs.Lookup("jobs").Value.(flag.Getter).Get().(int); jobs < 0 {
+		fmt.Fprintf(stderr, "%s: -jobs %d: want a worker count, or 0 for one per CPU\n", name, jobs)
+		return 1
+	}
 	if err := act(stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
 		return 1
@@ -157,8 +162,7 @@ func single(fs *flag.FlagSet) action {
 		if err := o.start(stderr); err != nil {
 			return err
 		}
-		cfg.Obs = o.collectors()
-		cfg.WatchdogCycles, cfg.WatchdogOut = o.watchdogCycles, o.watchdogOut
+		o.configure(&cfg)
 
 		size, err := traffic.SizeRange(*minFlits, *maxFlits)
 		if err != nil {
@@ -271,8 +275,9 @@ func naFloat(v float64, format string, ok bool) string {
 // (-jobs, -watchdog-cycles, -watchdog-out, -pprof) are on every command
 // and -profile on the figure commands. The per-run flags (-anatomy,
 // -anatomy-out, -counters-out, -heatmap-out) are on every command that
-// makes a sim.Result: collectors turns them into what each run carries,
-// and finish reads the runs once the command has made them all.
+// makes a sim.Result: configure turns them and the watchdog flags into
+// what each run carries, and finish reads the runs once the command has
+// made them all.
 type opts struct {
 	tool, profile, pprof, watchdogOut string
 	jobs                              int
@@ -311,16 +316,15 @@ func register(fs *flag.FlagSet, figure, perRun bool) *opts {
 }
 
 // experiment starts the pprof server if -pprof asked for one and returns
-// the named effort profile with the worker count, the watchdog flags and
-// the per-run collectors applied.
+// the named effort profile with the worker count set and configure
+// applied to its Base.
 func (o *opts) experiment(stderr io.Writer) (exp.Profile, error) {
 	prof, err := exp.ProfileByName(o.profile)
 	if err != nil {
 		return prof, err
 	}
 	prof.Jobs = o.jobs
-	prof.WatchdogCycles, prof.WatchdogOut = o.watchdogCycles, o.watchdogOut
-	prof.Obs = o.collectors()
+	o.configure(&prof.Base)
 	return prof, o.start(stderr)
 }
 
@@ -345,28 +349,28 @@ func (o *opts) start(stderr io.Writer) error {
 	return nil
 }
 
-// collectors translates the per-run flags into the collectors every run
-// carries.
-func (o *opts) collectors() obs.Options {
+// configure puts on cfg what the flags ask of every run: the collectors
+// the per-run flags read and the watchdog.
+func (o *opts) configure(cfg *sim.Config) {
 	var period int64
 	if o.countersOut != "" {
 		period = 100
 	}
-	return obs.Options{
+	cfg.Obs = obs.Options{
 		SamplePeriod: period,
 		Heatmap:      o.heatmapOut != "",
 		Anatomy:      o.anatomy || o.anatomyOut != "",
 	}
+	cfg.WatchdogCycles, cfg.WatchdogOut = o.watchdogCycles, o.watchdogOut
 }
 
 // finish serves the per-run flags for every run a command made, which
 // must have carried collectors. A command that made one run writes its
 // counter and heatmap CSVs to the exact paths given, each confirmed by a
 // line on w; otherwise each run's file takes the path suffixed with the
-// run's label, as its stall snapshot does (obs.SuffixPath; a label-less
-// run goes by its algorithm). The anatomy CSVs, two per run, are always
-// suffixed. Then each run's latency anatomy is printed to w under
-// "[<run label>]". Every file that can be written is. The error names
+// run's Label, as its stall snapshot does (obs.SuffixPath). The anatomy
+// CSVs, two per run, are always suffixed. Then each run's latency
+// anatomy is printed to w under "[<Label>]". Every file that can be written is. The error names
 // each file that could not be and each run whose watchdog tripped, with
 // the snapshot it dumped — a stalled run still has a Result, so its
 // results are printed before the error.
@@ -387,10 +391,7 @@ func (o *opts) finish(w io.Writer, runs []*sim.Result) error {
 		return obs.SuffixPath(base, label)
 	}
 	for _, res := range runs {
-		label := res.Config.RunLabel
-		if label == "" {
-			label = res.Config.Algorithm
-		}
+		label := res.Config.Label()
 		if o.countersOut != "" && write(path(o.countersOut, label), res.Obs.Sampler.WriteCSV) && one {
 			fmt.Fprintf(w, "counters           %s (%d samples every %d cycles)\n",
 				o.countersOut, len(res.Obs.Sampler.Samples()), res.Obs.Sampler.Period())

@@ -91,6 +91,13 @@ func TestBadValues(t *testing.T) {
 		{[]string{"scale", "-profile", "nope"}, `"nope"`},
 		{[]string{"hotspot", "-profile", "nope"}, `"nope"`},
 		{[]string{"traces", "-profile", "nope"}, `"nope"`},
+		{[]string{"-jobs", "-3"}, "-jobs -3"},
+		{[]string{"ctree", "-jobs", "-3"}, "-jobs -3"},
+		{[]string{"sweep", "-jobs", "-3"}, "-jobs -3"},
+		{[]string{"scale", "-jobs", "-3"}, "-jobs -3"},
+		{[]string{"hotspot", "-jobs", "-3"}, "-jobs -3"},
+		{[]string{"traces", "-jobs", "-3"}, "-jobs -3"},
+		{[]string{"traces", "-gen", "x264", "-jobs", "-3"}, "-jobs -3"},
 		{[]string{"-rates", "0.1,0.2", "-trace-jsonl", "t.jsonl"}, "-trace-jsonl"},
 		{[]string{"-rates", "0.1,0.2", "-trace-cap", "100"}, "-trace-cap"},
 		{[]string{"-rates", "0.1,0.2", "-heatmap"}, "-heatmap"},
@@ -171,6 +178,7 @@ func TestFinish(t *testing.T) {
 	dir := t.TempDir()
 	stallOut := filepath.Join(dir, "stall.json")
 	o := &opts{
+		watchdogCycles: 400, watchdogOut: stallOut,
 		anatomy: true, anatomyOut: filepath.Join(dir, "a.csv"),
 		countersOut: filepath.Join(dir, "c.csv"), heatmapOut: filepath.Join(dir, "missing", "h.csv"),
 	}
@@ -180,8 +188,7 @@ func TestFinish(t *testing.T) {
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 200, 2000
 		cfg.SlowEndpoints = slow
 		cfg.RunLabel = label
-		cfg.Obs = o.collectors()
-		cfg.WatchdogCycles, cfg.WatchdogOut = 400, stallOut
+		o.configure(&cfg)
 		gen := &traffic.Generator{
 			Nodes:   []int{0, 1, 2},
 			Pattern: traffic.Permutation{Flows: map[int]int{0: 3, 1: 3, 2: 3}},
@@ -255,7 +262,9 @@ func TestRunReportOptions(t *testing.T) {
 		{opts{anatomy: true}, obs.Options{Anatomy: true}},
 		{opts{anatomyOut: "a.csv"}, obs.Options{Anatomy: true}},
 	} {
-		if got := c.o.collectors(); !reflect.DeepEqual(got, c.want) {
+		var cfg sim.Config
+		c.o.configure(&cfg)
+		if got := cfg.Obs; !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%+v: options %+v, want %+v", c.o, got, c.want)
 		}
 	}

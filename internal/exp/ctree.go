@@ -45,7 +45,7 @@ func Figure2(p Profile, algorithms []string) (TreeStudy, error) {
 	}
 	anatomies, err := sim.Map(p.Jobs, len(algorithms), func(i int) (TreeAnatomy, error) {
 		alg := algorithms[i]
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		cfg.Width, cfg.Height = 4, 4
 		cfg.VCs = 4
 		cfg.Algorithm = alg
@@ -66,8 +66,8 @@ func Figure2(p Profile, algorithms []string) (TreeStudy, error) {
 			return TreeAnatomy{}, err
 		}
 		sampler := sim.NewTreeSampler(13)
-		warm := p.Warmup
-		total := warm + p.Measure
+		warm := cfg.WarmupCycles
+		total := warm + cfg.MeasureCycles
 		for c := int64(0); c < total; c++ {
 			s.Step()
 			if c >= warm {

@@ -1,19 +1,19 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"nocsim/internal/flit"
+	"nocsim/internal/sim"
 )
 
 // tinyProfile is even cheaper than Quick, for unit tests.
 func tinyProfile() Profile {
 	return Profile{
 		Name:        "tiny",
-		Warmup:      200,
-		Measure:     400,
-		Drain:       1500,
+		Base:        table2(200, 400, 1500),
 		Rates:       []float64{0.1, 0.3},
 		Tol:         0.1,
 		TraceCycles: 1200,
@@ -22,18 +22,24 @@ func tinyProfile() Profile {
 
 func TestProfiles(t *testing.T) {
 	full, quick := FullProfile(), QuickProfile()
-	if full.Measure <= quick.Measure {
+	if full.Base.MeasureCycles <= quick.Base.MeasureCycles {
 		t.Error("full profile should measure longer than quick")
 	}
 	if len(full.Rates) <= len(quick.Rates) {
 		t.Error("full profile should have a denser rate grid")
 	}
-	cfg := quick.BaseConfig()
-	if cfg.MeasureCycles != quick.Measure {
-		t.Error("BaseConfig did not apply profile")
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("profile config invalid: %v", err)
+	// A profile sets the effort, never a Table 2 parameter: its Base is
+	// the default configuration but for the three phase lengths.
+	for _, p := range []Profile{full, quick} {
+		if err := p.Base.Validate(); err != nil {
+			t.Errorf("%s profile config invalid: %v", p.Name, err)
+		}
+		cfg := p.Base
+		want := sim.DefaultConfig()
+		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = want.WarmupCycles, want.MeasureCycles, want.DrainCycles
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("%s profile changes Table 2 beyond the phase lengths:\nhave %+v\nwant %+v", p.Name, cfg, want)
+		}
 	}
 }
 
@@ -226,7 +232,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	out := Table2(FullProfile().BaseConfig())
+	out := Table2(FullProfile().Base)
 	for _, want := range []string{"8x8", "footprint", "10 VCs", "wormhole", "2.0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table2 missing %q:\n%s", want, out)

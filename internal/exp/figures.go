@@ -134,7 +134,7 @@ func Figure6(p Profile, pattern string) (CurveSet, error) {
 // curveConfig is the base config of one curve of a panel, labelled
 // "<figure> <pattern>/<alg>"; sim.RunLoad tags each run with its rate.
 func curveConfig(p Profile, figure, pattern, alg string) sim.Config {
-	cfg := p.BaseConfig()
+	cfg := p.Base
 	cfg.Algorithm = alg
 	cfg.RunLabel = fmt.Sprintf("%s %s/%s", figure, pattern, alg)
 	return cfg
@@ -232,7 +232,7 @@ func Figure7(p Profile, pattern string, vcCounts []int) (VCSweep, error) {
 		vcCounts = []int{2, 4, 8, 16}
 	}
 	searches, err := paired(p, vcCounts, func(vcs int, alg string) (*sim.SaturationResult, error) {
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		cfg.VCs = vcs
 		return bisect(p, cfg, "Figure 7", pattern, alg, fmt.Sprintf("vcs=%d", vcs))
 	})
@@ -286,7 +286,7 @@ func Figure8(p Profile, sizes [][2]int) (ScaleStudy, error) {
 		}
 	}
 	searches, err := paired(p, cells, func(c ScaleCell, alg string) (*sim.SaturationResult, error) {
-		cfg := p.BaseConfig()
+		cfg := p.Base
 		cfg.Width, cfg.Height = c.Width, c.Height
 		return bisect(p, cfg, "Figure 8", c.Pattern, alg, fmt.Sprintf("%dx%d", c.Width, c.Height))
 	})
@@ -301,7 +301,7 @@ func Figure8(p Profile, sizes [][2]int) (ScaleStudy, error) {
 type HotspotStudy struct {
 	BackgroundRate float64
 	Rates          []float64
-	Points         []Pair[sim.HotspotPoint] // one per rate
+	Points         []Pair[sim.SweepPoint] // one per rate
 }
 
 // Runs returns every simulation of the figure: Footprint's curve, then
@@ -322,11 +322,11 @@ func (h HotspotStudy) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 9 — background latency vs hotspot injection rate (background %.0f%%)\n", h.BackgroundRate*100)
 	fmt.Fprintf(&b, "%-10s %14s %14s\n", "hotRate", "footprint", "dbar")
-	latency := func(p sim.HotspotPoint) string {
-		if !p.Stable {
+	latency := func(p sim.SweepPoint) string {
+		if !p.Result.Stable {
 			return "sat"
 		}
-		return fmt.Sprintf("%.1f", p.BackgroundLatency)
+		return fmt.Sprintf("%.1f", p.Result.AvgLatency(flit.ClassBackground))
 	}
 	for i, pt := range h.Points {
 		fmt.Fprintf(&b, "%-10.2f %14s %14s\n", h.Rates[i], latency(pt.FP), latency(pt.DB))
@@ -342,8 +342,8 @@ func Figure9(p Profile, bgRate float64, rates []float64) (HotspotStudy, error) {
 	if rates == nil {
 		rates = rateGrid(0.05, 0.65, 0.05)
 	}
-	pts, err := paired(p, rates, func(rate float64, alg string) (sim.HotspotPoint, error) {
-		cfg := p.BaseConfig()
+	pts, err := paired(p, rates, func(rate float64, alg string) (sim.SweepPoint, error) {
+		cfg := p.Base
 		cfg.Algorithm = alg
 		cfg.RunLabel = fmt.Sprintf("Figure 9 %s bg=%.2f", alg, bgRate)
 		return sim.HotspotRun(cfg, bgRate, rate)

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"nocsim/internal/sim"
 )
 
 // TestCurveSetDeterministicAcrossJobs is the harness-level golden test:
@@ -87,10 +85,11 @@ func TestParallelSweepLabelsDistinct(t *testing.T) {
 }
 
 // TestConfigIsPlainData holds the sharing rule of sim.Map: a worker's
-// copy of sim.Config or Profile is private because neither can reach a
-// pointer, an interface, a channel or a sync type. Funcs (constructors
-// and clocks, called but never written) and maps and slices of plain
-// data (read-only once the grid fans out) are allowed.
+// copy of a Profile, and so of the sim.Config it carries as Base, is
+// private because it cannot reach a pointer, an interface, a channel or
+// a sync type. Funcs (constructors and clocks, called but never
+// written) and maps and slices of plain data (read-only once the grid
+// fans out) are allowed.
 func TestConfigIsPlainData(t *testing.T) {
 	var check func(path string, typ reflect.Type)
 	check = func(path string, typ reflect.Type) {
@@ -112,6 +111,5 @@ func TestConfigIsPlainData(t *testing.T) {
 			check(path+"[]", typ.Elem())
 		}
 	}
-	check("sim.Config", reflect.TypeOf(sim.Config{}))
 	check("exp.Profile", reflect.TypeOf(Profile{}))
 }

@@ -11,7 +11,6 @@ package exp
 import (
 	"fmt"
 
-	"nocsim/internal/obs"
 	"nocsim/internal/sim"
 )
 
@@ -19,10 +18,12 @@ import (
 // the paper's methodology; Quick is for benchmarks, smoke tests and
 // iteration.
 type Profile struct {
-	Name    string
-	Warmup  int64
-	Measure int64
-	Drain   int64
+	Name string
+	// Base is the configuration every run of the experiment starts from:
+	// Table 2 at the profile's phase lengths, plus whatever the caller
+	// puts on it (collectors, watchdog). A figure sets only the fields
+	// its grid varies.
+	Base sim.Config
 	// Rates is the injection-rate grid of latency-throughput curves, in
 	// flits/node/cycle.
 	Rates []float64
@@ -35,27 +36,15 @@ type Profile struct {
 	// runs (0 = one per CPU; see sim.Map). Per-run seeds are derived
 	// deterministically, so results are identical at any value.
 	Jobs int
-
-	// Obs selects per-run observability collectors (counter sampler,
-	// heatmap, tracer) attached to every simulation of the experiment;
-	// each Result carries its collector back for per-run export.
-	Obs obs.Options
-	// WatchdogCycles arms the per-run stall watchdog (see
-	// sim.Config.WatchdogCycles); WatchdogOut overrides the stall
-	// snapshot path.
-	WatchdogCycles int64
-	WatchdogOut    string
 }
 
 // FullProfile is the publication-quality effort level.
 func FullProfile() Profile {
 	return Profile{
-		Name:    "full",
-		Warmup:  2500,
-		Measure: 4000,
-		Drain:   15000,
-		Rates:   rateGrid(0.05, 0.95, 0.05),
-		Tol:     0.01,
+		Name:  "full",
+		Base:  table2(2500, 4000, 15000),
+		Rates: rateGrid(0.05, 0.95, 0.05),
+		Tol:   0.01,
 
 		TraceCycles: 20000,
 	}
@@ -64,12 +53,10 @@ func FullProfile() Profile {
 // QuickProfile trades precision for speed (used by go test -bench and CI).
 func QuickProfile() Profile {
 	return Profile{
-		Name:    "quick",
-		Warmup:  400,
-		Measure: 800,
-		Drain:   3000,
-		Rates:   rateGrid(0.1, 0.7, 0.15),
-		Tol:     0.05,
+		Name:  "quick",
+		Base:  table2(400, 800, 3000),
+		Rates: rateGrid(0.1, 0.7, 0.15),
+		Tol:   0.05,
 
 		TraceCycles: 3000,
 	}
@@ -95,18 +82,9 @@ func rateGrid(lo, hi, step float64) []float64 {
 	return out
 }
 
-// apply copies the profile's phase lengths and observability wiring onto
-// a simulation config.
-func (p Profile) apply(cfg sim.Config) sim.Config {
-	cfg.WarmupCycles = p.Warmup
-	cfg.MeasureCycles = p.Measure
-	cfg.DrainCycles = p.Drain
-	cfg.Obs = p.Obs
-	cfg.WatchdogCycles = p.WatchdogCycles
-	cfg.WatchdogOut = p.WatchdogOut
+// table2 is the Table 2 baseline at the given phase lengths.
+func table2(warmup, measure, drain int64) sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = warmup, measure, drain
 	return cfg
 }
-
-// BaseConfig returns the Table 2 default configuration at this profile's
-// effort.
-func (p Profile) BaseConfig() sim.Config { return p.apply(sim.DefaultConfig()) }

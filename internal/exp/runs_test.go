@@ -19,7 +19,7 @@ import (
 // carrying whatever collector the profile asked for.
 func TestEveryFigureReturnsItsRuns(t *testing.T) {
 	p := tinyProfile()
-	p.Obs.Anatomy = true
+	p.Base.Obs.Anatomy = true
 	vcCounts, sizes := []int{2, 4}, [][2]int{{4, 4}}
 	hotRates, pairs := []float64{0.1, 0.3}, [][2]string{{"x264", "canneal"}}
 
@@ -70,7 +70,7 @@ func TestEveryFigureReturnsItsRuns(t *testing.T) {
 	f10, err := Figure10(p, pairs)
 	check("Figure 10", f10.Runs(), err, 2*(len(pairs)+2), 2*(len(pairs)+2))
 
-	p.Obs.Anatomy = false // the study turns its collector on itself
+	p.Base.Obs.Anatomy = false // the study turns its collector on itself
 	an, err := Anatomy(p, "uniform", nil)
 	check("Anatomy", an.Runs(), err, len(AnatomyAlgorithms())*nRate, len(AnatomyAlgorithms())*nRate)
 	if got := an.Runs()[0].Config.RunLabel; got != "anatomy uniform/footprint rate=0.100" {
@@ -89,7 +89,7 @@ func TestEveryFigureReturnsItsRuns(t *testing.T) {
 	for _, c := range an.Curves {
 		for _, pt := range c.Points {
 			cfg := pt.Result.Config
-			cfg.Seed = p.BaseConfig().Seed
+			cfg.Seed = p.Base.Seed
 			cfg.RunLabel = fmt.Sprintf("anatomy uniform/%s rate=%.2f", c.Algorithm, pt.Rate)
 			old, err := sim.RunLoad(cfg, "uniform", traffic.FixedSize(1), pt.Rate)
 			if err != nil {

@@ -59,7 +59,7 @@ func RunTracePair(p Profile, alg, a, b string, seed int64) (*sim.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	cfg := p.BaseConfig()
+	cfg := p.Base
 	cfg.Algorithm = alg
 	var label string
 	if b != "" {

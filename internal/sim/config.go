@@ -43,9 +43,7 @@ type Config struct {
 	// counter sampler, link heatmap) attached to the run. The zero value
 	// disables them all; the run hands its collector back as Result.Obs.
 	Obs obs.Options
-	// RunLabel is the run's one name: in its pprof labels, its stall
-	// snapshot path (see RunIdentity.Apply) and the per-run tables and
-	// export files of the commands; defaults to the algorithm name.
+	// RunLabel names the run; Label reads it, with its fallback.
 	RunLabel string
 	// PprofLabels are extra (key, value) pairs attached to the run's
 	// stepping goroutine as runtime/pprof labels, on top of the implicit
@@ -130,6 +128,25 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Label is the run's one name — in its pprof labels, its stall
+// snapshot path (see RunIdentity.Apply) and the per-run tables and
+// export files of the commands: RunLabel, else the algorithm name.
+func (c Config) Label() string {
+	if c.RunLabel != "" {
+		return c.RunLabel
+	}
+	return algName(c)
+}
+
+// algName returns the config's algorithm name; AlgFactory-only configs
+// (ablation variants outside routing's table) go by a fixed token.
+func algName(cfg Config) string {
+	if cfg.Algorithm != "" {
+		return cfg.Algorithm
+	}
+	return "custom"
 }
 
 // StallPath returns the path the run's watchdog dumps its stall

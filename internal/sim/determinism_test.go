@@ -38,26 +38,6 @@ func scrubPoints(pts []SweepPoint) []SweepPoint {
 	return out
 }
 
-func scrubHotspot(pts []HotspotPoint) []HotspotPoint {
-	out := make([]HotspotPoint, len(pts))
-	for i, p := range pts {
-		r := *p.Result
-		r.Runtime = RuntimeStats{}
-		r.Obs = nil
-		r.Anatomy = nil
-		r.Config = Config{}
-		if math.IsNaN(r.P99) {
-			r.P99 = -1
-		}
-		p.Result = &r
-		if math.IsNaN(p.BackgroundP99) {
-			p.BackgroundP99 = -1
-		}
-		out[i] = p
-	}
-	return out
-}
-
 // TestSweepDeterministicAcrossJobs is the engine's golden test: the same
 // latency-throughput sweep at -jobs=1 and -jobs=8 — and twice at 8, to
 // catch scheduling-order leaks — produces bit-identical Result fields
@@ -147,7 +127,7 @@ func TestHotspotDeterministicAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(scrubHotspot(serial), scrubHotspot(par)) {
+	if !reflect.DeepEqual(scrubPoints(serial), scrubPoints(par)) {
 		t.Errorf("hotspot curve differs across jobs:\nserial:   %+v\nparallel: %+v", serial, par)
 	}
 }

@@ -8,26 +8,15 @@ import (
 	"nocsim/internal/traffic"
 )
 
-// HotspotPoint is one x-axis position of Figure 9: the hotspot flows of
-// Table 3 inject at Rate while background nodes inject uniform traffic at
-// a fixed rate; only the background latency is reported.
-type HotspotPoint struct {
-	Rate              float64 // hotspot injection rate, flits/node/cycle
-	BackgroundLatency float64
-	BackgroundP99     float64
-	Stable            bool
-	Result            *Result
-}
-
-// HotspotCurve reproduces Figure 9 for one algorithm: background latency
-// as a function of the hotspot injection rate. cfg must describe an 8×8
-// mesh, since Table 3's flows are defined on it. bgRate is the constant
-// background load (the paper uses 0.30). The rates run on up to jobs
-// workers (0 = one per CPU); every rate is an independent simulation
+// HotspotCurve reproduces Figure 9 for one algorithm: one point per
+// hotspot injection rate, whose ClassBackground latency is the figure's
+// y value. cfg must describe an 8×8 mesh, since Table 3's flows are
+// defined on it. bgRate is the constant background load (the paper
+// uses 0.30). The rates run on up to jobs workers (0 = one per CPU); every rate is an independent simulation
 // with its own Config copy and derived seed, so the curve is identical
 // at any jobs value.
-func HotspotCurve(cfg Config, bgRate float64, hotspotRates []float64, jobs int) ([]HotspotPoint, error) {
-	return Map(jobs, len(hotspotRates), func(i int) (HotspotPoint, error) {
+func HotspotCurve(cfg Config, bgRate float64, hotspotRates []float64, jobs int) ([]SweepPoint, error) {
+	return Map(jobs, len(hotspotRates), func(i int) (SweepPoint, error) {
 		return HotspotRun(cfg, bgRate, hotspotRates[i])
 	})
 }
@@ -35,23 +24,19 @@ func HotspotCurve(cfg Config, bgRate float64, hotspotRates []float64, jobs int) 
 // HotspotRun simulates one hotspot rate point: Table 3's flows at rate
 // over uniform background traffic at bgRate. Experiment harnesses that
 // flatten whole (algorithm × rate) grids call it directly.
-func HotspotRun(cfg Config, bgRate, rate float64) (HotspotPoint, error) {
+func HotspotRun(cfg Config, bgRate, rate float64) (SweepPoint, error) {
 	if cfg.Width != 8 || cfg.Height != 8 {
-		return HotspotPoint{}, fmt.Errorf("sim: Table 3 hotspot flows require an 8x8 mesh, have %dx%d", cfg.Width, cfg.Height)
+		return SweepPoint{}, fmt.Errorf("sim: Table 3 hotspot flows require an 8x8 mesh, have %dx%d", cfg.Width, cfg.Height)
 	}
 	for _, r := range []float64{bgRate, rate} {
 		if err := traffic.CheckRate(r); err != nil {
-			return HotspotPoint{}, err
+			return SweepPoint{}, err
 		}
-	}
-	base := cfg.RunLabel
-	if base == "" {
-		base = algName(cfg)
 	}
 	// The seed key names the traffic cell only — like loadIdentity, it
 	// excludes the algorithm so Figure 9's curves face identical traffic.
 	id := Identify(cfg,
-		fmt.Sprintf("%s hot=%.2f", base, rate),
+		fmt.Sprintf("%s hot=%.2f", cfg.Label(), rate),
 		fmt.Sprintf("hotspot/bg=%.6f/hot=%.6f", bgRate, rate))
 	cfg = id.Apply(cfg)
 	cfg.PprofLabels = []string{"traffic", "hotspot", "rate", fmt.Sprintf("%.3f", rate)}
@@ -78,14 +63,7 @@ func HotspotRun(cfg Config, bgRate, rate float64) (HotspotPoint, error) {
 	}
 	s, err := New(cfg, hot, bg)
 	if err != nil {
-		return HotspotPoint{}, err
+		return SweepPoint{}, err
 	}
-	res := s.Run()
-	return HotspotPoint{
-		Rate:              rate,
-		BackgroundLatency: res.AvgLatency(flit.ClassBackground),
-		BackgroundP99:     res.P99,
-		Stable:            res.Stable,
-		Result:            res,
-	}, nil
+	return SweepPoint{Rate: rate, Result: s.Run()}, nil
 }

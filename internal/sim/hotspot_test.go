@@ -36,7 +36,7 @@ func TestHotspotCurveShape(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, p := range pts {
-		if p.BackgroundLatency <= 0 {
+		if p.Result.AvgLatency(flit.ClassBackground) <= 0 {
 			t.Errorf("rate %v: no background latency measured", p.Rate)
 		}
 		// Hotspot packets must be excluded from background latency but
@@ -45,9 +45,9 @@ func TestHotspotCurveShape(t *testing.T) {
 			t.Errorf("rate %v: hotspot class not measured", p.Rate)
 		}
 	}
-	if pts[1].BackgroundLatency < pts[0].BackgroundLatency {
-		t.Errorf("background latency should not improve as hotspot load grows: %v -> %v",
-			pts[0].BackgroundLatency, pts[1].BackgroundLatency)
+	lo, hi := pts[0].Result.AvgLatency(flit.ClassBackground), pts[1].Result.AvgLatency(flit.ClassBackground)
+	if hi < lo {
+		t.Errorf("background latency should not improve as hotspot load grows: %v -> %v", lo, hi)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestFootprintBeatsDBARUnderHotspot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	curve := func(alg string) HotspotPoint {
+	curve := func(alg string) *Result {
 		cfg := hotspotTestConfig(alg)
 		cfg.VCs = 10 // the Figure 9 gap needs the paper's VC count
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 1500, 2000, 6000
@@ -66,20 +66,20 @@ func TestFootprintBeatsDBARUnderHotspot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pts[0]
+		return pts[0].Result
 	}
 	fp, db := curve("footprint"), curve("dbar")
+	fpLat, dbLat := fp.AvgLatency(flit.ClassBackground), db.AvgLatency(flit.ClassBackground)
 	t.Logf("hotspot rate 0.45: footprint bg lat %.1f (stable=%v), dbar bg lat %.1f (stable=%v)",
-		fp.BackgroundLatency, fp.Stable, db.BackgroundLatency, db.Stable)
+		fpLat, fp.Stable, dbLat, db.Stable)
 	// The paper's Figure 9: DBAR's background traffic saturates near rate
 	// 0.39 while Footprint survives well past it. At 0.45 Footprint must
 	// be clearly ahead of DBAR on background latency.
 	if db.Stable && !fp.Stable {
 		t.Fatal("inverted: Footprint saturated while DBAR stable at 0.45")
 	}
-	if fp.BackgroundLatency >= db.BackgroundLatency {
-		t.Errorf("no Footprint advantage under endpoint congestion: fp=%.1f dbar=%.1f",
-			fp.BackgroundLatency, db.BackgroundLatency)
+	if fpLat >= dbLat {
+		t.Errorf("no Footprint advantage under endpoint congestion: fp=%.1f dbar=%.1f", fpLat, dbLat)
 	}
 }
 

@@ -28,16 +28,12 @@ import (
 // worker that drew its index), nothing else; a Config is plain data
 // (TestConfigIsPlainData in internal/exp), so a run's copy is private.
 
-// DefaultJobs is the worker count used when a harness is handed a
-// non-positive jobs value: one worker per CPU.
-func DefaultJobs() int { return runtime.NumCPU() }
-
-// Jobs normalizes a -jobs flag value: n if positive, else DefaultJobs.
+// Jobs normalizes a worker count: n if positive, else one per CPU.
 func Jobs(n int) int {
 	if n > 0 {
 		return n
 	}
-	return DefaultJobs()
+	return runtime.NumCPU()
 }
 
 // Map runs f(0), …, f(n-1) on up to jobs workers (Jobs-normalized) and
@@ -138,14 +134,4 @@ func (id RunIdentity) Apply(cfg Config) Config {
 		cfg.WatchdogOut = obs.SuffixPath(cfg.StallPath(), id.Label)
 	}
 	return cfg
-}
-
-// algName returns the config's algorithm identity for seed derivation;
-// AlgFactory-only configs (ablation variants outside routing's table) fall
-// back to a fixed token.
-func algName(cfg Config) string {
-	if cfg.Algorithm != "" {
-		return cfg.Algorithm
-	}
-	return "custom"
 }

@@ -3,23 +3,21 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestJobsNormalization(t *testing.T) {
-	if got := Jobs(0); got != DefaultJobs() {
-		t.Errorf("Jobs(0) = %d, want DefaultJobs %d", got, DefaultJobs())
+	if got := Jobs(0); got != runtime.NumCPU() {
+		t.Errorf("Jobs(0) = %d, want one per CPU, %d", got, runtime.NumCPU())
 	}
-	if got := Jobs(-3); got != DefaultJobs() {
-		t.Errorf("Jobs(-3) = %d, want DefaultJobs %d", got, DefaultJobs())
+	if got := Jobs(-3); got != runtime.NumCPU() {
+		t.Errorf("Jobs(-3) = %d, want one per CPU, %d", got, runtime.NumCPU())
 	}
 	if got := Jobs(5); got != 5 {
 		t.Errorf("Jobs(5) = %d", got)
-	}
-	if DefaultJobs() < 1 {
-		t.Errorf("DefaultJobs = %d", DefaultJobs())
 	}
 }
 
@@ -182,12 +180,16 @@ func TestIdentifyApply(t *testing.T) {
 	}
 
 	applied := id.Apply(cfg)
-	if applied.RunLabel != id.Label || applied.Seed != id.Seed {
-		t.Errorf("Apply: label %q seed %d", applied.RunLabel, applied.Seed)
+	if applied.Label() != id.Label || applied.Seed != id.Seed {
+		t.Errorf("Apply: label %q seed %d", applied.Label(), applied.Seed)
 	}
-	// Apply works on a copy; the shared base config is untouched.
-	if cfg.RunLabel != "" || cfg.Seed != 7 {
-		t.Errorf("base config mutated: label %q seed %d", cfg.RunLabel, cfg.Seed)
+	// Apply works on a copy; the shared base config is untouched, and an
+	// unlabelled run goes by its algorithm ("custom" without a name).
+	if cfg.Label() != "footprint" || cfg.Seed != 7 {
+		t.Errorf("base config mutated: label %q seed %d", cfg.Label(), cfg.Seed)
+	}
+	if anon := (Config{}); anon.Label() != "custom" {
+		t.Errorf("unnamed algorithm: label %q, want custom", anon.Label())
 	}
 	// Watchdog disarmed: no snapshot path is invented.
 	if applied.WatchdogOut != "" {

@@ -335,11 +335,7 @@ func (s *Simulation) heartbeat(now int64) {
 // attached through Config.PprofLabels (traffic pattern, injection rate).
 // CPU and heap profiles then attribute every sample to its run.
 func (s *Simulation) pprofLabels() pprof.LabelSet {
-	label := s.cfg.RunLabel
-	if label == "" {
-		label = algName(s.cfg)
-	}
-	kv := []string{"alg", algName(s.cfg), "run", label}
+	kv := []string{"alg", algName(s.cfg), "run", s.cfg.Label()}
 	if n := len(s.cfg.PprofLabels); n >= 2 {
 		kv = append(kv, s.cfg.PprofLabels[:n-n%2]...)
 	}

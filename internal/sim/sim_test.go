@@ -261,7 +261,7 @@ func TestSaturationThroughputSearch(t *testing.T) {
 	if sr.Throughput < 0.1 || sr.Throughput > 0.9 {
 		t.Errorf("4x4 uniform saturation throughput %v implausible", sr.Throughput)
 	}
-	if sr.ZeroLoadLatency <= 0 {
+	if sr.Runs[0].AvgLatency(flit.ClassBackground) <= 0 {
 		t.Error("no zero-load latency")
 	}
 	if len(sr.Runs) < 3 {

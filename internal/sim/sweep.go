@@ -30,21 +30,17 @@ func LatencyThroughput(cfg Config, pattern string, size traffic.SizeFn, rates []
 }
 
 // loadIdentity derives the identity of one rate point of a sweep: the
-// label is the harness's base label (or the algorithm name)
-// tagged with the injection rate — bisection searches pick rates
-// dynamically, so the rate part cannot be pre-assigned — while the seed
-// key is the canonical (pattern, rate) traffic cell. The key is
-// independent of display decoration, so relabelling never changes
-// results, and deliberately excludes the routing algorithm, so the
-// curves of a figure compare algorithms on identical offered traffic
-// (each run still owns a private RNG seeded from the key).
+// label is the run's Label tagged with the injection rate — bisection
+// searches pick rates dynamically, so the rate part cannot be
+// pre-assigned — while the seed key is the canonical (pattern, rate)
+// traffic cell. The key is independent of display decoration, so
+// relabelling never changes results, and deliberately excludes the
+// routing algorithm, so the curves of a figure compare algorithms on
+// identical offered traffic (each run still owns a private RNG seeded
+// from the key).
 func loadIdentity(cfg Config, pattern string, rate float64) RunIdentity {
-	base := cfg.RunLabel
-	if base == "" {
-		base = algName(cfg)
-	}
 	return Identify(cfg,
-		fmt.Sprintf("%s rate=%.3f", base, rate),
+		fmt.Sprintf("%s rate=%.3f", cfg.Label(), rate),
 		fmt.Sprintf("load/%s/rate=%.6f", pattern, rate))
 }
 
@@ -111,10 +107,9 @@ type SaturationResult struct {
 	// Throughput is the highest stable offered load found, in
 	// flits/node/cycle.
 	Throughput float64
-	// ZeroLoadLatency is the latency reference measured at low load.
-	ZeroLoadLatency float64
 	// Runs holds every simulation performed, in order: the zero-load
-	// probe first, then each bisection step.
+	// probe first, whose background latency is the reference Saturated
+	// judges against, then each bisection step.
 	Runs []*Result
 }
 
@@ -143,8 +138,8 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 		// would walk to its upper bound and report that as a throughput.
 		return nil, fmt.Errorf("sim: the probe run at load %.2f measured no packet, so there is no latency to bisect against", probeRate)
 	}
-	sr.ZeroLoadLatency = probe.AvgLatency(flit.ClassBackground)
-	if Saturated(probe, sr.ZeroLoadLatency) {
+	zero := probe.AvgLatency(flit.ClassBackground)
+	if Saturated(probe, zero) {
 		// Even the probe load saturates (cannot happen in practice for
 		// the evaluated configurations; be defensive).
 		sr.Throughput = 0
@@ -159,7 +154,7 @@ func SaturationThroughput(cfg Config, pattern string, size traffic.SizeFn, tol f
 			return nil, err
 		}
 		sr.Runs = append(sr.Runs, res)
-		if Saturated(res, sr.ZeroLoadLatency) {
+		if Saturated(res, zero) {
 			hi = mid
 		} else {
 			lo = mid

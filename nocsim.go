@@ -131,12 +131,11 @@ func SaturationThroughput(cfg Config, pattern string, tol float64) (*SaturationR
 	return sim.SaturationThroughput(cfg, pattern, traffic.FixedSize(1), tol)
 }
 
-// HotspotPoint is one point of a Figure 9-style hotspot experiment.
-type HotspotPoint = sim.HotspotPoint
-
-// HotspotCurve measures background-traffic latency while the Table 3
-// hotspot flows inject at each rate; cfg must describe an 8×8 mesh.
-func HotspotCurve(cfg Config, backgroundRate float64, hotspotRates []float64) ([]HotspotPoint, error) {
+// HotspotCurve runs cfg once per hotspot rate while the Table 3 hotspot
+// flows inject at that rate over uniform background traffic; read each
+// point's Result.AvgLatency(ClassBackground). cfg must describe an 8×8
+// mesh.
+func HotspotCurve(cfg Config, backgroundRate float64, hotspotRates []float64) ([]SweepPoint, error) {
 	return sim.HotspotCurve(cfg, backgroundRate, hotspotRates, 0)
 }
 

@@ -27,7 +27,7 @@ func TestObsOverheadBudget(t *testing.T) {
 	}
 	// cyclesPerSec runs the benchmark config once and returns its rate.
 	cyclesPerSec := func(t *testing.T, o obs.Options, watched bool) float64 {
-		cfg := benchProfile().BaseConfig()
+		cfg := benchProfile().Base
 		cfg.Obs = o
 		if watched {
 			cfg.WatchdogCycles = 2000
