@@ -75,10 +75,11 @@ func (p *pool[T]) alloc() *T {
 		p.free = p.free[:n-1]
 		p.stats.Reused++
 	} else {
-		if p.slots%arenaChunkSize == 0 {
+		c := p.slots / arenaChunkSize
+		if c == len(p.chunks) {
 			p.chunks = append(p.chunks, make([]T, arenaChunkSize))
 		}
-		s = &p.chunks[len(p.chunks)-1][p.slots%arenaChunkSize]
+		s = &p.chunks[c][p.slots%arenaChunkSize]
 		p.slots++
 	}
 	p.stats.Allocs++
@@ -98,6 +99,16 @@ func (p *pool[T]) release(s *T) {
 	*s = zero
 	p.free = append(p.free, s)
 	p.stats.Live--
+}
+
+// reset empties the pool onto the chunks it has: the slots cut so far are
+// zeroed (those live at the end of a run were never released), so they
+// are handed out again in the order, and as zero, as a new pool's.
+func (p *pool[T]) reset() {
+	for c := range (p.slots + arenaChunkSize - 1) / arenaChunkSize {
+		clear(p.chunks[c])
+	}
+	p.slots, p.free, p.stats = 0, p.free[:0], PoolStats{}
 }
 
 func (p *pool[T]) snapshot() PoolStats {
@@ -145,6 +156,16 @@ func (a *Arena) FreePacket(p *Packet) {
 		panic("flit: packet freed into foreign arena")
 	}
 	a.packets.release(p)
+}
+
+// Reset empties the arena for the next fabric while keeping its chunks:
+// every slot, live or free, is zeroed and forgotten, and the accounting
+// restarts. From then on the arena serves allocations as NewArena's does,
+// so a fabric built on a finished fabric's arena runs as on a new one. No
+// flit or packet of the arena may be used afterwards.
+func (a *Arena) Reset() {
+	a.flits.reset()
+	a.packets.reset()
 }
 
 // Stats reports the arena's live/free/high-water accounting.

@@ -43,6 +43,41 @@ func TestArenaFreeZeroesSlot(t *testing.T) {
 	}
 }
 
+// TestArenaResetServesAsNew: an arena reset with live and freed slots
+// across more than one chunk hands out zero slots in the order a new
+// arena does, keeps its chunks, and restarts its accounting.
+func TestArenaResetServesAsNew(t *testing.T) {
+	a := NewArena()
+	const n = arenaChunkSize + 3
+	var live []*Packet
+	for i := 0; i < n; i++ {
+		p := a.NewPacket()
+		p.ID, p.Dest = uint64(i+1), i
+		live = append(live, p)
+	}
+	for i := 0; i < n; i += 3 {
+		a.FreePacket(live[i])
+	}
+	chunks := len(a.packets.chunks)
+	a.Reset()
+	if st := a.Stats(); st != (ArenaStats{}) {
+		t.Errorf("stats after Reset = %+v, want zero", st)
+	}
+	for i := 0; i < n; i++ {
+		// A new arena cuts its slots in order, chunk by chunk.
+		p := a.NewPacket()
+		if p != &a.packets.chunks[i/arenaChunkSize][i%arenaChunkSize] {
+			t.Fatalf("allocation %d after Reset is not slot %d", i, i)
+		}
+		if *p != (Packet{arena: a}) {
+			t.Fatalf("allocation %d after Reset reads %+v, want a zero packet", i, *p)
+		}
+	}
+	if len(a.packets.chunks) != chunks {
+		t.Errorf("Reset then refill: %d chunks, had %d", len(a.packets.chunks), chunks)
+	}
+}
+
 // TestArenaSecondFreeIsNoOp: a freed slot no longer names its arena, so
 // freeing the same pointer again changes nothing — the slot is not listed
 // twice and the live count does not drop below zero.

@@ -79,7 +79,7 @@ func FuzzCreditConservation(f *testing.F) {
 		if next()%2 == 0 {
 			cfg.SlowEndpoints = map[int]int{pick(mesh.Nodes()): 2 + pick(3)}
 		}
-		net := network.New(cfg)
+		net := network.New(cfg, nil)
 
 		// Finite schedule: a few packets per decoded burst, offered over
 		// the first cycles of the run.

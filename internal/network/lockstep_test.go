@@ -63,7 +63,7 @@ func newLockstep(t testing.TB, s lockstepSpec) *lockstep {
 	l.net = network.New(network.Config{
 		Mesh: mesh, VCs: s.vcs, BufDepth: s.depth, Speedup: s.speedup, Alg: newAlg(),
 		Rand: rand.New(l.netRNG), SlowEndpoints: s.slow,
-	})
+	}, nil)
 	l.ref = newRefFabric(mesh, s.vcs, s.depth, s.speedup, newAlg, rand.New(l.refRNG), s.slow)
 	record := func(out *[]ejection) func(p *flit.Packet) {
 		return func(p *flit.Packet) {

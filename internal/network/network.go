@@ -117,12 +117,44 @@ type PhaseProbe interface {
 	EndCycle()
 }
 
-// New builds the mesh: one router and endpoint per node, one channel per
-// directed link (including injection and ejection links). It makes the
-// same number of heap allocations at any mesh size (DESIGN.md,
-// "Construction").
-func New(cfg Config) *Network {
-	n := &Network{cfg: cfg, arena: flit.NewArena()}
+// Memory is what New builds a fabric on: its nodes' memory (router.Memory),
+// its channels, its lists and its arena. The zero Memory holds nothing.
+// New keeps each array that is large enough for the fabric it builds,
+// cleared, replaces each that is not and resets the arena, so a fabric
+// built on the memory of a finished one runs as one built on a zero
+// Memory (DESIGN.md, "Recycling"). A Memory backs one fabric at a time:
+// building on it ends the one built on it before, which must not be
+// stepped or read again.
+type Memory struct {
+	nodes  router.Memory
+	arena  flit.Arena
+	links  []router.Channel
+	busy   []*router.Channel
+	wake   []uint64
+	active []int
+}
+
+// fit returns s as n zero elements: on s's array when it holds n, else on
+// a new one.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// New builds the mesh on mem (new memory when mem is nil): one router and
+// endpoint per node, one channel per directed link (including injection
+// and ejection links). It makes the same number of heap allocations at
+// any mesh size (DESIGN.md, "Construction").
+func New(cfg Config, mem *Memory) *Network {
+	if mem == nil {
+		mem = new(Memory)
+	}
+	mem.arena.Reset()
+	n := &Network{cfg: cfg, arena: &mem.arena}
 	nodes := cfg.Mesh.Nodes()
 	n.routers, n.endpoints = router.NewNodes(router.Config{
 		Mesh:     cfg.Mesh,
@@ -132,14 +164,16 @@ func New(cfg Config) *Network {
 		Alg:      cfg.Alg,
 		Rand:     cfg.Rand,
 		Sinks:    cfg.Sinks,
-	}, n.arena)
-	n.lists.Wake = make([]uint64, (nodes+63)/64)
-	n.active = make([]int, 0, nodes)
+	}, n.arena, &mem.nodes)
+	mem.wake = fit(mem.wake, (nodes+63)/64)
+	mem.active = fit(mem.active, nodes)
+	n.lists.Wake, n.active = mem.wake, mem.active[:0]
 	// Every channel (injection and ejection per node, two per mesh edge) is
 	// cut from one slice.
 	w, h := cfg.Mesh.Width, cfg.Mesh.Height
-	n.links = make([]router.Channel, 2*nodes+2*((w-1)*h+w*(h-1)))
-	n.lists.Busy = make([]*router.Channel, 0, len(n.links))
+	mem.links = fit(mem.links, 2*nodes+2*((w-1)*h+w*(h-1)))
+	mem.busy = fit(mem.busy, len(mem.links))
+	n.links, n.lists.Busy = mem.links, mem.busy[:0]
 	unwired := n.links
 	link := func() (ch *router.Channel) {
 		ch, unwired = &unwired[0], unwired[1:]

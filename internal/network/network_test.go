@@ -25,7 +25,7 @@ func newNet(t *testing.T, w, h int, alg string, vcs int) *network.Network {
 		Speedup:  2,
 		Alg:      routing.MustNew(alg),
 		Rand:     rand.New(rand.NewSource(1)),
-	})
+	}, nil)
 }
 
 // drainOrDiagnose steps the network until it empties or budget cycles
@@ -324,9 +324,9 @@ func TestSlowEndpointNetworkLossless(t *testing.T) {
 		Alg:      routing.MustNew("footprint"),
 		Rand:     rand.New(rand.NewSource(5)),
 		SlowEndpoints: map[int]int{
-			5: 3, // drains every 3rd cycle
+			5: 3,
 		},
-	})
+	}, nil)
 	delivered := 0
 	n.Sink = func(p *flit.Packet) { delivered++ }
 	offered := 0
@@ -437,7 +437,7 @@ func TestNewAllocatesPerFabricNotPerNode(t *testing.T) {
 		for _, side := range []int{4, 16} {
 			cfg := network.Config{Mesh: topo.MustNew(side, side), VCs: 10, BufDepth: 4, Speedup: 2,
 				Alg: routing.MustNew(c.alg), Rand: rand.New(rand.NewSource(1))}
-			counts[side] = testing.AllocsPerRun(10, func() { network.New(cfg) })
+			counts[side] = testing.AllocsPerRun(10, func() { network.New(cfg, nil) })
 		}
 		if counts[4] != counts[16] || counts[16] > c.most {
 			t.Errorf("%s: network.New makes %v allocations at 4x4 and %v at 16x16, want equal and at most %v",
@@ -454,7 +454,7 @@ func TestNewAllocatesPerFabricNotPerNode(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			network.New(net)
+			network.New(net, nil)
 		}
 	})
 	if perNode := res.AllocedBytesPerOp() / 256; perNode > mostBytes {
@@ -477,5 +477,44 @@ func TestNewAllocatesPerFabricNotPerNode(t *testing.T) {
 	})
 	if got > most {
 		t.Errorf("nocsim.New of a 16x16 DOR simulation with a pattern injector makes %v allocations, want at most %d", got, most)
+	}
+}
+
+// TestRecycledRunAllocatesResidual pins what a run costs once the fabric
+// is recycled (DESIGN.md, "Recycling"): after the first nocsim.Run of
+// the benchmark's uniform_mid op (8×8 Table 2, Footprint, uniform 0.30,
+// 400/800/3000 cycles) has built a fabric, each later one builds on that
+// memory and allocates only what it does not recycle: the Simulation and
+// Network structs, the injector, the metrics and the Result. The same
+// run on new memory allocates 649,380 B in 65 objects.
+func TestRecycledRunAllocatesResidual(t *testing.T) {
+	const (
+		mostAllocs = 30   // measured 24 a run: a quarter of headroom
+		mostBytes  = 4096 // measured 2,840 B a run: 44% of headroom
+	)
+	cfg := nocsim.DefaultConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 400, 800, 3000
+	run := func() {
+		if _, err := nocsim.Run(cfg, "uniform", 0.30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// As testing.AllocsPerRun does: one P, and a first run outside the
+	// count, which here builds the fabric the counted runs recycle.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a recycled run allocates %d objects, %d B", allocs, bytes)
+	if allocs > mostAllocs || bytes > mostBytes {
+		t.Errorf("a run on a recycled fabric allocates %d objects and %d B, want at most %d and %d",
+			allocs, bytes, mostAllocs, mostBytes)
 	}
 }

@@ -93,7 +93,7 @@ func TestProbedStepIsIdentical(t *testing.T) {
 					Speedup:  2,
 					Alg:      routing.MustNew(alg),
 					Rand:     rand.New(rand.NewSource(1)),
-				})
+				}, nil)
 				n.Probe = probe
 				var st fabricState
 				n.Sink = func(p *flit.Packet) { st.Ejected = append(st.Ejected, p.ID) }

@@ -122,7 +122,7 @@ func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
 				Alg:      routing.MustNew("footprint"),
 				Rand:     rand.New(rand.NewSource(1)),
 				Sinks:    sinks,
-			})
+			}, nil)
 			got := &seamOutcome{}
 			n.Sink = func(p *flit.Packet) { got.Ejected = append(got.Ejected, p.ID) }
 			// Every node offers most cycles, half of it at one hotspot:
@@ -262,7 +262,7 @@ func TestEventsCarryNetworkCycle(t *testing.T) {
 				Alg:      routing.MustNew(alg),
 				Rand:     rand.New(rand.NewSource(1)),
 				Sinks:    router.Sinks{Blocked: rec, Packets: rec, Decisions: rec},
-			})
+			}, nil)
 			rec.n = n
 			load := rand.New(rand.NewSource(2))
 			var id uint64

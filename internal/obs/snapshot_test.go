@@ -33,7 +33,7 @@ func floodNet(t *testing.T, cycles int, slow map[int]int) *network.Network {
 		Alg:           routing.MustNew("footprint"),
 		Rand:          rand.New(rand.NewSource(1)),
 		SlowEndpoints: slow,
-	})
+	}, nil)
 	n.Sink = func(p *flit.Packet) {}
 	id := uint64(0)
 	for cycle := 0; cycle < cycles; cycle++ {

@@ -150,17 +150,22 @@ const MaxVCs = 32
 const MaxBufDepth = 255
 
 // NewNodes constructs the router and the endpoint of every node of
-// cfg.Mesh, node id at index id of each slice, in a number of heap
+// cfg.Mesh on mem, node id at index id of each slice, in a number of heap
 // allocations that does not grow with the mesh: every per-VC array is cut
-// from one slab per element type (DESIGN.md, "Construction"). cfg.NodeID
-// is not read, and every router shares cfg.Alg and one vaScratch. Channels
-// are attached later with AttachIn, AttachOut and Endpoint.Attach.
-func NewNodes(cfg Config, a *flit.Arena) ([]Router, []Endpoint) {
+// from one slab per element type (DESIGN.md, "Construction"). A nil mem
+// builds on new memory. cfg.NodeID is not read, and every router shares
+// cfg.Alg and one vaScratch. Channels are attached later with AttachIn,
+// AttachOut and Endpoint.Attach.
+func NewNodes(cfg Config, a *flit.Arena, mem *Memory) ([]Router, []Endpoint) {
 	mustBeValid(cfg)
+	if mem == nil {
+		mem = new(Memory)
+	}
 	nodes := cfg.Mesh.Nodes()
-	s := newSlabs(cfg)
+	s := newSlabs(cfg, &mem.slabs)
 	sc := newVAScratch(cfg.VCs, &s)
-	rs, es := make([]Router, nodes), make([]Endpoint, nodes)
+	mem.routers, mem.endpoints = fit(mem.routers, nodes), fit(mem.endpoints, nodes)
+	rs, es := mem.routers, mem.endpoints
 	for id := range rs {
 		cfg.NodeID = id
 		rs[id].init(cfg, &s, sc)

@@ -43,7 +43,7 @@ func (s *scriptAlg) Decide(ctx *routing.Context) routing.Decision {
 // VCs and four-flit buffers, no channel attached.
 func testNodes(alg routing.Algorithm, vcs int) ([]Router, []Endpoint) {
 	return NewNodes(Config{Mesh: topo.MustNew(4, 4), VCs: vcs, BufDepth: 4,
-		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1))}, flit.NewArena())
+		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1))}, flit.NewArena(), nil)
 }
 
 // testRouter is node 5 of testNodes with a test channel on every port.
@@ -126,7 +126,7 @@ func TestNewValidation(t *testing.T) {
 					t.Errorf("case %d: no panic", i)
 				}
 			}()
-			NewNodes(cfg, nil)
+			NewNodes(cfg, nil, nil)
 		}()
 	}
 }
@@ -281,7 +281,7 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 func TestCreditsNeverExceedDepth(t *testing.T) {
 	for _, depth := range []int{4, MaxBufDepth} {
 		rs, es := NewNodes(Config{Mesh: topo.MustNew(4, 4), VCs: 2, BufDepth: depth,
-			Speedup: 2, Alg: &scriptAlg{}}, flit.NewArena())
+			Speedup: 2, Alg: &scriptAlg{}}, flit.NewArena(), nil)
 		mustPanic := func(what string, f func()) {
 			t.Helper()
 			defer func() {
@@ -480,8 +480,11 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 // the routers, their shared VC-allocation scratch and the endpoints cut
 // from it, so after building them each slab is used up — a size too small panics in a cut, one too large is memory
 // nobody reads — for every shape of the sizes: one VC and the most, one-
-// and four-flit buffers, with and without Footprint's owner index.
+// and four-flit buffers, with and without Footprint's owner index, on new
+// memory and on the larger slabs of a finished fabric.
 func TestSlabsCutExactly(t *testing.T) {
+	var larger slabs
+	newSlabs(Config{Mesh: topo.MustNew(4, 4), VCs: MaxVCs, BufDepth: MaxBufDepth, Alg: routing.MustNew("footprint")}, &larger)
 	for _, alg := range []string{"dor", "footprint"} {
 		for _, vcs := range []int{1, 2, 10, MaxVCs} {
 			for _, depth := range []int{1, 4, MaxBufDepth} {
@@ -489,17 +492,19 @@ func TestSlabsCutExactly(t *testing.T) {
 					continue
 				}
 				cfg := Config{Mesh: topo.MustNew(3, 2), VCs: vcs, BufDepth: depth, Speedup: 2, Alg: routing.MustNew(alg)}
-				s := newSlabs(cfg)
-				sc := newVAScratch(vcs, &s)
-				for id := 0; id < cfg.Mesh.Nodes(); id++ {
-					cfg.NodeID = id
-					new(Router).init(cfg, &s, sc)
-					new(Endpoint).init(id, vcs, depth, nil, &s)
-				}
-				v := reflect.ValueOf(s)
-				for i := 0; i < v.NumField(); i++ {
-					if left := v.Field(i).Len(); left != 0 {
-						t.Errorf("%s, %d VCs, depth %d: slab %s has %d elements left", alg, vcs, depth, v.Type().Field(i).Name, left)
+				for _, old := range []slabs{{}, larger} {
+					s := newSlabs(cfg, &old)
+					sc := newVAScratch(vcs, &s)
+					for id := 0; id < cfg.Mesh.Nodes(); id++ {
+						cfg.NodeID = id
+						new(Router).init(cfg, &s, sc)
+						new(Endpoint).init(id, vcs, depth, nil, &s)
+					}
+					v := reflect.ValueOf(s)
+					for i := 0; i < v.NumField(); i++ {
+						if left := v.Field(i).Len(); left != 0 {
+							t.Errorf("%s, %d VCs, depth %d: slab %s has %d elements left", alg, vcs, depth, v.Type().Field(i).Name, left)
+						}
 					}
 				}
 			}

@@ -45,6 +45,30 @@ func newVAScratch(vcs int, s *slabs) *vaScratch {
 	}
 }
 
+// Memory is what NewNodes builds a fabric's nodes on: the slabs and the
+// router and endpoint arrays. The zero Memory holds nothing. NewNodes
+// keeps each array that is large enough for the fabric it builds, cleared,
+// and replaces each that is not, so nodes built on the memory of a
+// finished fabric are the nodes a zero Memory gives (DESIGN.md,
+// "Recycling"). A Memory backs one fabric at a time: building on it ends
+// the one built on it before.
+type Memory struct {
+	slabs     slabs
+	routers   []Router
+	endpoints []Endpoint
+}
+
+// fit returns s as n zero elements: on s's array when it holds n, else on
+// a new one.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // slabs holds one slab per element type of the per-node arrays, sized by
 // newSlabs exactly for the routers and endpoints of one fabric and the
 // one vaScratch its routers share (DESIGN.md, "Construction").
@@ -60,20 +84,22 @@ type slabs struct {
 }
 
 // newSlabs sizes the slabs for a router and an endpoint at every node of
-// cfg.Mesh and their vaScratch. Router.init, newVAScratch and
-// Endpoint.init make the cuts these sizes add up.
-func newSlabs(cfg Config) slabs {
+// cfg.Mesh and their vaScratch, fitting them on old, which keeps them.
+// Router.init, newVAScratch and Endpoint.init make the cuts these sizes
+// add up.
+func newSlabs(cfg Config, old *slabs) slabs {
 	nodes, v, depth := cfg.Mesh.Nodes(), cfg.VCs, cfg.BufDepth
 	n := topo.NumPorts * v
 	regs, index := routing.StateLen(cfg.Mesh, v, cfg.Alg)
-	return slabs{
-		u8:     make([]uint8, nodes*(7*n+v)+3*n),    // seven per-VC arrays, endpoint credits; heads, the allocator's two priority arrays
-		i32:    make([]int32, nodes*(4*n+regs)+4*n), // inBlocked, inDest, two round-robin, owner registers; the allocator's four
-		decs:   make([]routing.Decision, n),
-		flits:  make([]*flit.Flit, nodes*(n+v)*depth),
-		reqs:   make([]alloc.VCRequest, vaReqCap(v)),
-		grants: make([]alloc.Grant, n),
-		index:  make([]uint32, nodes*index),
-		ejBufs: make([][]*flit.Flit, nodes*v),
+	*old = slabs{
+		u8:     fit(old.u8, nodes*(7*n+v)+3*n),     // seven per-VC arrays, endpoint credits; heads, the allocator's two priority arrays
+		i32:    fit(old.i32, nodes*(4*n+regs)+4*n), // inBlocked, inDest, two round-robin, owner registers; the allocator's four
+		decs:   fit(old.decs, n),
+		flits:  fit(old.flits, nodes*(n+v)*depth),
+		reqs:   fit(old.reqs, vaReqCap(v)),
+		grants: fit(old.grants, n),
+		index:  fit(old.index, nodes*index),
+		ejBufs: fit(old.ejBufs, nodes*v),
 	}
+	return *old
 }

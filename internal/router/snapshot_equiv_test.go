@@ -48,11 +48,11 @@ func snapshotMatchesSoAState(t *testing.T, alg string) {
 		Rate:    1,
 	}
 	s := sim.MustNew(cfg, gen)
+	net := s.Network() // taken before Run, so Run keeps the fabric readable
 	res := s.Run()
 	if res.Stable {
 		t.Fatal("fixture did not wedge; the comparison would only see idle VCs")
 	}
-	net := s.Network()
 
 	populated := false
 	for id := 0; id < net.Nodes(); id++ {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"runtime/pprof"
 
 	"nocsim/internal/flit"
@@ -63,7 +62,7 @@ type Result struct {
 }
 
 // RuntimeStats are the simulator's self-metrics: how fast the host
-// machine simulated the fabric, and how much it allocated doing so.
+// machine simulated the fabric.
 type RuntimeStats struct {
 	// WallSeconds is the host wall-clock time of the run.
 	WallSeconds float64
@@ -77,17 +76,12 @@ type RuntimeStats struct {
 	FlitHops int64
 	// FlitHopsPerSec is FlitHops / WallSeconds.
 	FlitHopsPerSec float64
-	// HeapAllocBytes and HeapAllocs are the heap allocation deltas over
-	// the run (runtime.MemStats TotalAlloc / Mallocs).
-	HeapAllocBytes uint64
-	HeapAllocs     uint64
 }
 
 // String renders the self-metrics as a one-line report.
 func (rs RuntimeStats) String() string {
-	return fmt.Sprintf("%d cycles in %.2fs (%.0f cycles/s, %.0f flit-hops/s, %.1f MB allocated)",
-		rs.Cycles, rs.WallSeconds, rs.CyclesPerSec, rs.FlitHopsPerSec,
-		float64(rs.HeapAllocBytes)/(1<<20))
+	return fmt.Sprintf("%d cycles in %.2fs (%.0f cycles/s, %.0f flit-hops/s)",
+		rs.Cycles, rs.WallSeconds, rs.CyclesPerSec, rs.FlitHopsPerSec)
 }
 
 // AvgLatency returns the mean latency of measured packets of class c.
@@ -133,10 +127,13 @@ type ArenaUser interface {
 
 // Simulation drives one network through the measurement phases.
 type Simulation struct {
-	cfg  Config
+	cfg Config
+	// net is built on fab, which Run hands back to the pool for the next
+	// New unless Network took the fabric (kept); net is nil from then on.
 	net  *network.Network
+	fab  *fabric
+	kept bool
 	gens []Injector
-	rng  *rand.Rand
 	met  *metrics
 	col  *obs.Collector // nil unless cfg.Obs selects collectors
 
@@ -163,13 +160,14 @@ type Simulation struct {
 	stalled   bool
 
 	latency map[flit.Class]*stats.Summary
-	hist    *stats.Histogram
 
 	observers []EjectObserver
 }
 
 // New assembles a simulation from a validated config and its traffic
-// injectors. Injectors must not be shared between simulations.
+// injectors. Injectors must not be shared between simulations. The fabric
+// is built on the memory of a finished run when the pool holds one, which
+// gives the run a new fabric would (DESIGN.md, "Recycling").
 func New(cfg Config, gens ...Injector) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -195,14 +193,16 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	fab := takeFabric(mesh.Nodes())
+	fab.rng.Seed(cfg.Seed)
+	fab.hist.Reset()
+	rng := fab.rng
 	s := &Simulation{
 		cfg:     cfg,
-		rng:     rng,
+		fab:     fab,
 		met:     &metrics{},
 		col:     obs.NewCollector(cfg.Obs),
 		latency: map[flit.Class]*stats.Summary{},
-		hist:    stats.NewHistogram(4096),
 	}
 	// The simulator's own metrics consume only the failure event, and only
 	// inside the measurement window: the fabric starts with the sinks of
@@ -223,7 +223,7 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 		Rand:          rng,
 		Sinks:         sinks,
 		SlowEndpoints: cfg.SlowEndpoints,
-	})
+	}, &fab.net)
 	s.net.Sink = s.onEject
 	s.offerFn = s.offer
 	if cfg.WatchdogCycles > 0 {
@@ -254,8 +254,20 @@ func MustNew(cfg Config, gens ...Injector) *Simulation {
 	return s
 }
 
-// Network exposes the underlying fabric for analyzers.
-func (s *Simulation) Network() *network.Network { return s.net }
+// Network exposes the underlying fabric for analyzers. Taking it keeps
+// the fabric: Run then leaves it readable, and does not recycle it.
+func (s *Simulation) Network() *network.Network {
+	s.mustHoldFabric("Network")
+	s.kept = true
+	return s.net
+}
+
+// mustHoldFabric panics when Run has recycled the simulation's fabric.
+func (s *Simulation) mustHoldFabric(method string) {
+	if s.net == nil {
+		panic("sim: " + method + " after Run: Run recycles the fabric of a simulation whose Network() was not taken before it")
+	}
+}
 
 // onEject collects statistics for packets completing at their destination.
 func (s *Simulation) onEject(p *flit.Packet) {
@@ -268,7 +280,7 @@ func (s *Simulation) onEject(p *flit.Packet) {
 		}
 		sum.Add(float64(p.Latency()))
 		if p.Class == flit.ClassBackground {
-			s.hist.Add(p.Latency())
+			s.fab.hist.Add(p.Latency())
 		}
 	}
 	if s.measuring && s.net.Now() >= s.measStart && s.net.Now() < s.measEnd {
@@ -282,8 +294,11 @@ func (s *Simulation) onEject(p *flit.Packet) {
 // Step advances the simulation one cycle — traffic generation followed by
 // one fabric cycle — without any measurement phase bookkeeping. Analyzers
 // that sample network state (e.g. congestion trees) drive the simulation
-// with it.
-func (s *Simulation) Step() { s.step() }
+// with it. It panics after a Run that recycled the fabric.
+func (s *Simulation) Step() {
+	s.mustHoldFabric("Step")
+	s.step()
+}
 
 // step advances one cycle, generating traffic first.
 func (s *Simulation) step() {
@@ -343,10 +358,12 @@ func (s *Simulation) pprofLabels() pprof.LabelSet {
 }
 
 // Run executes warmup, measurement and drain, returning the aggregated
-// result.
+// result. Unless Network was called before it, Run then recycles the
+// fabric, and New builds a later simulation on its memory: the Result
+// points into none of it, and Step, Run and Network panic from then on.
+// A caller that reads the fabric after the run takes Network first.
 func (s *Simulation) Run() *Result {
-	var mem0 runtime.MemStats
-	runtime.ReadMemStats(&mem0)
+	s.mustHoldFabric("Run")
 	wall0 := prof.Now()
 	startCycle := s.net.Now()
 
@@ -379,8 +396,6 @@ func (s *Simulation) Run() *Result {
 	s.measuring = false
 
 	wall := prof.Now().Sub(wall0).Seconds()
-	var mem1 runtime.MemStats
-	runtime.ReadMemStats(&mem1)
 	ranCycles := s.net.Now() - startCycle
 	hops := s.net.TotalOutputFlits()
 	rt := RuntimeStats{
@@ -389,8 +404,6 @@ func (s *Simulation) Run() *Result {
 		CyclesPerSec:   stats.Ratio(float64(ranCycles), wall),
 		FlitHops:       hops,
 		FlitHopsPerSec: stats.Ratio(float64(hops), wall),
-		HeapAllocBytes: mem1.TotalAlloc - mem0.TotalAlloc,
-		HeapAllocs:     mem1.Mallocs - mem0.Mallocs,
 	}
 
 	nodes := float64(s.cfg.Mesh().Nodes())
@@ -400,7 +413,7 @@ func (s *Simulation) Run() *Result {
 		Offered:         float64(s.offeredFlits) / nodes / cycles,
 		Accepted:        float64(s.ejectedFlits) / nodes / cycles,
 		Latency:         s.latency,
-		P99:             s.hist.Quantile(0.99),
+		P99:             s.fab.hist.Quantile(0.99),
 		Measured:        s.measured,
 		MeasuredEjected: s.measuredEjected,
 		Stable:          s.measuredEjected >= s.measured,
@@ -434,6 +447,10 @@ func (s *Simulation) Run() *Result {
 					d, d+obs.DefaultSampleRows, obs.DefaultSampleRows)
 			}
 		}
+	}
+	if !s.kept {
+		putFabric(s.fab)
+		s.net, s.fab = nil, nil
 	}
 	return res
 }

@@ -33,7 +33,7 @@ func (s *Summary) Mean() float64 {
 // counts up to a cap, aggregating the tail, and reports quantiles.
 type Histogram struct {
 	counts []int64
-	overS  *Summary // observations >= len(counts)
+	over   Summary // observations >= len(counts)
 	total  int64
 }
 
@@ -42,7 +42,13 @@ func NewHistogram(cap int) *Histogram {
 	if cap <= 0 {
 		panic("stats: histogram cap must be positive")
 	}
-	return &Histogram{counts: make([]int64, cap), overS: &Summary{}}
+	return &Histogram{counts: make([]int64, cap)}
+}
+
+// Reset empties the histogram, keeping its bins.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.over, h.total = Summary{}, 0
 }
 
 // Add records one observation; negative values are clamped to 0.
@@ -51,7 +57,7 @@ func (h *Histogram) Add(v int64) {
 		v = 0
 	}
 	if v >= int64(len(h.counts)) {
-		h.overS.Add(float64(v))
+		h.over.Add(float64(v))
 	} else {
 		h.counts[v]++
 	}
@@ -77,7 +83,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			return float64(v)
 		}
 	}
-	return h.overS.Mean()
+	return h.over.Mean()
 }
 
 // Ratio returns num/den, or 0 when den is zero — the shared guard for

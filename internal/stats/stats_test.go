@@ -108,6 +108,23 @@ func TestRatio(t *testing.T) {
 	}
 }
 
+// TestHistogramReset: a reset histogram, tail included, reads as a new
+// one of the same bins.
+func TestHistogramReset(t *testing.T) {
+	h := NewHistogram(10)
+	for _, v := range []int64{3, 5, 50, 70} {
+		h.Add(v)
+	}
+	h.Reset()
+	if h.N() != 0 || !math.IsNaN(h.Quantile(0.5)) {
+		t.Fatalf("after Reset: N %d, median %v; want 0 and NaN", h.N(), h.Quantile(0.5))
+	}
+	h.Add(20)
+	if got := h.Quantile(1); got != 20 {
+		t.Errorf("tail after Reset reads %v, want 20 (the old tail forgotten)", got)
+	}
+}
+
 func TestNewHistogramPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

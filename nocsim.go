@@ -71,8 +71,12 @@ func Algorithms() []string { return routing.Names() }
 func Patterns() []string { return traffic.Names() }
 
 // New assembles a simulation from cfg and injectors; use
-// NewUniformInjector / NewPatternInjector / NewTracePlayer to build
-// injectors, or implement Injector yourself.
+// NewPatternInjector or NewTracePlayer to build injectors, or implement
+// Injector yourself. Its Run recycles the fabric
+// for later simulations of the process to build on, unless the
+// simulation's Network was taken before Run: a caller that reads the
+// fabric after the run takes Network first. Step, Run and Network panic
+// on a simulation whose fabric was recycled.
 func New(cfg Config, injectors ...Injector) (*Simulation, error) {
 	return sim.New(cfg, injectors...)
 }
