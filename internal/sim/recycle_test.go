@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,12 +18,21 @@ import (
 	"nocsim/internal/traffic"
 )
 
-// emptyPool drops every pooled fabric, so that the next New builds on new
-// memory, as the first run of a process does.
+// emptyPool drops every pooled fabric and every pooled trace index, so
+// that the next New builds on new memory, as the first run of a process
+// does. The trace pool holds at most as many indexes as there were
+// players alive at once, never more than a few in this package's tests:
+// a player that checks a trace takes one, and keeps it unless recycled.
 func emptyPool() {
 	fabrics.Lock()
 	fabrics.free = nil
 	fabrics.Unlock()
+	one := []trace.Record{{ID: 1, Src: 0, Dest: 1, Size: 1}}
+	for range 64 {
+		if err := trace.NewPlayer(one).CheckMesh(topo.MustNew(2, 1)); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // pooled reports whether f waits in the pool.
@@ -106,17 +116,7 @@ func recycleCases() []recycleCase {
 		cases = append(cases, simCase(alg, cfg, patternGens(cfg, 0.3, 1, 6)))
 	}
 
-	tr := DefaultConfig()
-	tr.Width, tr.Height, tr.VCs, tr.Algorithm = 4, 4, 4, "footprint"
-	tr.WarmupCycles, tr.MeasureCycles, tr.DrainCycles = 0, 600, 2400
-	wl, err := trace.WorkloadByName("x264")
-	if err != nil {
-		panic(err)
-	}
-	records := trace.Generate(wl, tr.Mesh(), 600, 7)
-	cases = append(cases, simCase("trace x264", tr, func() ([]Injector, error) {
-		return []Injector{trace.NewPlayer(records)}, nil
-	}))
+	cases = append(cases, traceCase())
 
 	hs := DefaultConfig()
 	hs.Algorithm, hs.VCs = "dbar", 4
@@ -129,6 +129,40 @@ func recycleCases() []recycleCase {
 		return scrubWall(pt.Result), flit.ArenaStats{}, nil, nil
 	}})
 	return cases
+}
+
+// parsec generates the named PARSEC workloads for mesh over cycles
+// cycles and merges them.
+func parsec(mesh topo.Mesh, cycles, seed int64, names ...string) []trace.Record {
+	var traces [][]trace.Record
+	for _, name := range names {
+		wl, err := trace.WorkloadByName(name)
+		if err != nil {
+			panic(err)
+		}
+		traces = append(traces, trace.Generate(wl, mesh, cycles, DeriveSeed(seed, "recycle/trace/"+name)))
+	}
+	return trace.Merge(traces...)
+}
+
+// x264Trace is the trace traceCase replays on mesh.
+func x264Trace(mesh topo.Mesh) []trace.Record {
+	wl, err := trace.WorkloadByName("x264")
+	if err != nil {
+		panic(err)
+	}
+	return trace.Generate(wl, mesh, 600, 7)
+}
+
+// traceCase is a 4×4 replay of an x264 trace, measured to the end.
+func traceCase() recycleCase {
+	tr := DefaultConfig()
+	tr.Width, tr.Height, tr.VCs, tr.Algorithm = 4, 4, 4, "footprint"
+	tr.WarmupCycles, tr.MeasureCycles, tr.DrainCycles = 0, 600, 2400
+	records := x264Trace(tr.Mesh())
+	return simCase("trace x264", tr, func() ([]Injector, error) {
+		return []Injector{trace.NewPlayer(records)}, nil
+	})
 }
 
 // hasOwnerIndex reports whether alg's routers carry Footprint's owner
@@ -363,5 +397,133 @@ func TestRunRecyclesUnlessNetworkTaken(t *testing.T) {
 	newSim().Run()
 	if after := dumpResult(t, res); after != before {
 		t.Errorf("a Result changed as later runs built on its fabric:\nat Run: %s\nlater:  %s", before, after)
+	}
+}
+
+// dirtyTrace runs, and leaves to the pools, a predecessor of a replay of
+// target: a larger mesh with more VCs and deeper buffers, and a larger,
+// different trace (a canneal+x264 pair), stopped before the trace ends and
+// before it drains. It returns the fabric and the player it ran on, and
+// its Result.
+func dirtyTrace(target Config) (*fabric, *trace.Player, *Result, error) {
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = target.Width+1, target.Height+2
+	cfg.VCs, cfg.BufDepth = target.VCs+2, target.BufDepth+2
+	cfg.Algorithm = "dbar"
+	cfg.Seed = DeriveSeed(1, "recycle/dirty-trace")
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 0, 500, 0
+	p := trace.NewPlayer(parsec(cfg.Mesh(), 1200, 3, "canneal", "x264"))
+	s, err := New(cfg, p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fab := s.fab
+	return fab, p, s.Run(), nil
+}
+
+// TestRecycledTraceReplayMatchesFresh: a trace replay built on the fabric
+// and the dependency index of a predecessor replay gives the Result and
+// the arena accounting of a replay on new memory. The predecessor is
+// larger and replays a larger, different trace, cut short: it leaves
+// records undelivered and packets in flight, so its index holds another
+// trace's IDs, delivered bits and waiters, and pointers into arena slots
+// that the target hands out again, to its player and to the uniform
+// background it runs beside. The pools are empty before the predecessor,
+// so the target's player takes exactly its index. Then the same pair goes
+// through sim.Map at 4 workers.
+func TestRecycledTraceReplayMatchesFresh(t *testing.T) {
+	base := traceCase().cfg
+	records := x264Trace(base.Mesh())
+	c := simCase("trace x264 over uniform", base, func() ([]Injector, error) {
+		g, err := PatternGenerator(base, "uniform", traffic.UniformSize(1, 4), 0.1)
+		return []Injector{trace.NewPlayer(records), g}, err
+	})
+	emptyPool()
+	fresh, freshArena, _, err := c.run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	emptyPool()
+	pred, p, res, err := dirtyTrace(c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Total <= len(records) || p.Done >= p.Total || res.MeasuredEjected >= res.Measured || !pooled(pred) {
+		t.Fatalf("predecessor: %d records against the target's %d, %d of %d delivered, %d of %d measured packets ejected, fabric pooled %v; want a larger trace cut short with packets in flight",
+			p.Total, len(records), p.Done, p.Total, res.MeasuredEjected, res.Measured, pooled(pred))
+	}
+	got, arena, fab, err := c.run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fab != pred {
+		t.Fatal("the replay did not build on its predecessor's fabric")
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Errorf("replay on recycled memory differs from a first replay:\nrecycled: %+v\nfresh:    %+v", got, fresh)
+	}
+	if arena != freshArena {
+		t.Errorf("arena on recycled memory %v, first replay %v", arena, freshArena)
+	}
+
+	emptyPool()
+	const pairs = 4
+	runs, err := Map(4, 2*pairs, func(j int) (Result, error) {
+		if j%2 == 0 {
+			_, _, _, err := dirtyTrace(c.cfg)
+			return Result{}, err
+		}
+		res, _, _, err := c.run(false)
+		return res, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(runs); i += 2 {
+		if !reflect.DeepEqual(runs[i], fresh) {
+			t.Errorf("replay %d under sim.Map at 4 workers differs from a first replay:\nmap:   %+v\nfresh: %+v", i/2, runs[i], fresh)
+		}
+	}
+}
+
+// TestRecycledTraceRunAllocatesResidual pins what a trace replay costs
+// once its fabric and its player's dependency index are recycled
+// (DESIGN.md, "Recycling"): after a first replay of the benchmark's
+// trace_x264_canneal op (8×8 Table 2, Footprint, an x264+canneal pair of
+// 3,000 cycles, here 7,566 records, 0/3000/12000 cycles) on new memory,
+// each later replay of the trace builds on what the one before left and
+// allocates only what it does not recycle. Measured: the first replay
+// 1,052,152 B, each later one 1,896 B; 406,646 B while the player
+// rebuilt its index every replay.
+func TestRecycledTraceRunAllocatesResidual(t *testing.T) {
+	const mostBytes = 16 << 10
+	cfg := DefaultConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 0, 3000, 12000
+	records := parsec(cfg.Mesh(), 3000, 1, "x264", "canneal")
+	replay := func() {
+		s, err := New(cfg, trace.NewPlayer(records))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+	}
+	// bytes returns what each of runs replays allocates.
+	bytes := func(runs uint64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			replay()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	emptyPool()
+	first := bytes(1)
+	later := bytes(5)
+	t.Logf("%d records: the first replay allocates %d B, a later one %d B", len(records), first, later)
+	if later > mostBytes {
+		t.Errorf("a replay on a recycled fabric and index allocates %d B, want at most %d", later, mostBytes)
 	}
 }

@@ -94,7 +94,9 @@ func (r *Result) AvgLatency(c flit.Class) float64 {
 }
 
 // Injector produces traffic cycle by cycle. traffic.Generator is the
-// synthetic implementation; trace players implement it too.
+// synthetic implementation; trace players implement it too. An injector
+// serves one simulation: one that implements Recycler gives up its
+// per-run memory when that simulation's Run recycles the fabric.
 type Injector interface {
 	// Init prepares the injector for mesh m with the simulation's RNG.
 	Init(m topo.Mesh, rng *rand.Rand)
@@ -115,6 +117,15 @@ type EjectObserver interface {
 // error rather than a panic in Init.
 type MeshChecker interface {
 	CheckMesh(m topo.Mesh) error
+}
+
+// Recycler is implemented by injectors that hold per-run memory a later
+// injector can build on (trace.Player does: its dependency index). Run
+// calls Recycle on each injector when, and only when, it recycles the
+// fabric: after the last cycle, and never when Network was taken, since
+// the caller may then go on stepping (DESIGN.md, "Recycling").
+type Recycler interface {
+	Recycle()
 }
 
 // ArenaUser is implemented by injectors that can allocate their packets
@@ -165,8 +176,9 @@ type Simulation struct {
 }
 
 // New assembles a simulation from a validated config and its traffic
-// injectors. Injectors must not be shared between simulations. The fabric
-// is built on the memory of a finished run when the pool holds one, which
+// injectors. Injectors must not be shared between simulations, nor used
+// again after its Run: Run recycles what a Recycler holds. The fabric is
+// built on the memory of a finished run when the pool holds one, which
 // gives the run a new fabric would (DESIGN.md, "Recycling").
 func New(cfg Config, gens ...Injector) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
@@ -359,9 +371,10 @@ func (s *Simulation) pprofLabels() pprof.LabelSet {
 
 // Run executes warmup, measurement and drain, returning the aggregated
 // result. Unless Network was called before it, Run then recycles the
-// fabric, and New builds a later simulation on its memory: the Result
-// points into none of it, and Step, Run and Network panic from then on.
-// A caller that reads the fabric after the run takes Network first.
+// fabric, and with it the memory of every injector that is a Recycler,
+// and New builds a later simulation on that memory: the Result points
+// into none of it, and Step, Run and Network panic from then on. A
+// caller that reads the fabric after the run takes Network first.
 func (s *Simulation) Run() *Result {
 	s.mustHoldFabric("Run")
 	wall0 := prof.Now()
@@ -449,8 +462,13 @@ func (s *Simulation) Run() *Result {
 		}
 	}
 	if !s.kept {
+		for _, g := range s.gens {
+			if r, ok := g.(Recycler); ok {
+				r.Recycle()
+			}
+		}
 		putFabric(s.fab)
-		s.net, s.fab = nil, nil
+		s.net, s.fab, s.gens = nil, nil, nil
 	}
 	return res
 }

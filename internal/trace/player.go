@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"nocsim/internal/flit"
 	"nocsim/internal/topo"
@@ -11,10 +13,30 @@ import (
 // Player injects a trace into a simulation, honouring record cycles and
 // dependencies: a record with Dep only becomes eligible after the record
 // it depends on has been delivered. It implements sim.Injector,
-// sim.MeshChecker and sim.EjectObserver.
+// sim.MeshChecker, sim.EjectObserver and sim.Recycler. A player replays
+// its trace once: Recycle hands its index to a later player, so a second
+// replay takes a new player from NewPlayer.
 type Player struct {
 	records []Record
 	next    int // first un-injected record index
+
+	// ix is the replay's dependency index, taken by CheckMesh from the
+	// players that recycled theirs, and nil again after Recycle.
+	ix *index
+
+	arena *flit.Arena
+
+	// Done counts delivered trace packets; Total is the trace size.
+	Done, Total int
+}
+
+// index is what a player builds for its trace and a later player can
+// build on (DESIGN.md, "Recycling"). A zero index is the fresh build:
+// every array is fitted and every map cleared before use.
+type index struct {
+	// pos maps a record ID to its position; CheckMesh builds it to
+	// resolve Dep into dep.
+	pos map[uint64]int32
 
 	// Dependency state by record position, built by CheckMesh (dep) and
 	// Init (the rest): dep[i] is the position of the record that record i
@@ -34,11 +56,47 @@ type Player struct {
 	// OnEject (in the Sink chain) has run. The packet's ID cannot serve:
 	// the simulation renumbers every packet it is offered.
 	inflight map[*flit.Packet]int32 // packet -> record position
+}
 
-	arena *flit.Arena
+// indexes holds the indexes of recycled players, for CheckMesh to build
+// on, last put back first. It is shared by every goroutine, sim.Map's
+// workers included, and holds at most as many indexes as there were
+// players alive at once. It is not a sync.Pool, which drops its items at
+// every GC, and at random under the race detector.
+var indexes struct {
+	sync.Mutex
+	free []*index
+}
 
-	// Done counts delivered trace packets; Total is the trace size.
-	Done, Total int
+// takeIndex returns the index put back last, else a zero one.
+func takeIndex() *index {
+	indexes.Lock()
+	defer indexes.Unlock()
+	n := len(indexes.free)
+	if n == 0 {
+		return &index{}
+	}
+	ix := indexes.free[n-1]
+	indexes.free = slices.Delete(indexes.free, n-1, n)
+	return ix
+}
+
+// putIndex returns ix to the pool.
+func putIndex(ix *index) {
+	indexes.Lock()
+	indexes.free = append(indexes.free, ix)
+	indexes.Unlock()
+}
+
+// fit returns s as n zero elements: on s's array when it holds n, else on
+// a new one.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // UseArena makes the player allocate packets from a instead of the heap;
@@ -47,21 +105,26 @@ func (p *Player) UseArena(a *flit.Arena) { p.arena = a }
 
 // NewPlayer returns a player for records, which must be Validate-clean.
 func NewPlayer(records []Record) *Player {
-	return &Player{
-		records:  records,
-		inflight: map[*flit.Packet]int32{},
-		Total:    len(records),
-	}
+	return &Player{records: records, Total: len(records)}
 }
 
 // CheckMesh implements sim.MeshChecker: it validates the trace against
-// m, keeping the dependency positions for Init.
+// m, keeping the dependency positions for Init. The index it builds them
+// in is a recycled player's when there is one; an invalid trace returns
+// it.
 func (p *Player) CheckMesh(m topo.Mesh) error {
-	dep, err := depPositions(p.records, m.Nodes())
-	if err != nil {
+	if p.ix == nil {
+		p.ix = takeIndex()
+	}
+	ix := p.ix
+	if ix.pos == nil {
+		ix.pos = make(map[uint64]int32, len(p.records))
+	}
+	var err error
+	if ix.dep, err = depPositions(p.records, m.Nodes(), ix.pos, ix.dep); err != nil {
+		p.Recycle()
 		return fmt.Errorf("trace: invalid trace for %dx%d mesh: %w", m.Width, m.Height, err)
 	}
-	p.dep = dep
 	return nil
 }
 
@@ -69,21 +132,37 @@ func (p *Player) CheckMesh(m topo.Mesh) error {
 // validating the trace against m unless CheckMesh already has. An
 // invalid trace panics.
 func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
-	if p.dep == nil {
+	if p.ix == nil {
 		if err := p.CheckMesh(m); err != nil {
 			panic(err)
 		}
 	}
-	n := len(p.dep)
-	p.delivered = make([]bool, n)
-	p.firstWaiter, p.nextWaiter = make([]int32, n), make([]int32, n)
-	for i := range p.firstWaiter {
-		p.firstWaiter[i] = -1
+	ix := p.ix
+	n := len(ix.dep)
+	ix.delivered = fit(ix.delivered, n)
+	ix.firstWaiter, ix.nextWaiter = fit(ix.firstWaiter, n), fit(ix.nextWaiter, n)
+	for i := range ix.firstWaiter {
+		ix.firstWaiter[i] = -1
 	}
 	for i := n - 1; i >= 0; i-- {
-		if d := p.dep[i]; d >= 0 {
-			p.nextWaiter[i], p.firstWaiter[d] = p.firstWaiter[d], int32(i)
+		if d := ix.dep[i]; d >= 0 {
+			ix.nextWaiter[i], ix.firstWaiter[d] = ix.firstWaiter[d], int32(i)
 		}
+	}
+	ix.ready = ix.ready[:0]
+	if ix.inflight == nil {
+		ix.inflight = map[*flit.Packet]int32{}
+	}
+	clear(ix.inflight)
+}
+
+// Recycle implements sim.Recycler: the player's index goes to the pool
+// for a later player's CheckMesh to build on, and the player is spent.
+// A second Recycle returns nothing.
+func (p *Player) Recycle() {
+	if p.ix != nil {
+		putIndex(p.ix)
+		p.ix = nil
 	}
 }
 
@@ -91,13 +170,14 @@ func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
 // Tick, in ejection order, then every newly due, dependency-free record,
 // in record order.
 func (p *Player) Tick(now int64, offer func(*flit.Packet)) {
+	ix := p.ix
 	for p.next < len(p.records) && p.records[p.next].Cycle <= now {
-		if d := p.dep[p.next]; d < 0 || p.delivered[d] {
-			p.ready = append(p.ready, int32(p.next))
+		if d := ix.dep[p.next]; d < 0 || ix.delivered[d] {
+			ix.ready = append(ix.ready, int32(p.next))
 		}
 		p.next++
 	}
-	for _, i := range p.ready {
+	for _, i := range ix.ready {
 		r := &p.records[i]
 		var pkt *flit.Packet
 		if p.arena != nil {
@@ -110,23 +190,24 @@ func (p *Player) Tick(now int64, offer func(*flit.Packet)) {
 		pkt.Dest = r.Dest
 		pkt.Size = r.Size
 		pkt.Born = now
-		p.inflight[pkt] = i
+		ix.inflight[pkt] = i
 		offer(pkt)
 	}
-	p.ready = p.ready[:0]
+	ix.ready = ix.ready[:0]
 }
 
 // OnEject implements sim.EjectObserver: release dependents of the
 // delivered record.
 func (p *Player) OnEject(pkt *flit.Packet) {
-	i, ok := p.inflight[pkt]
+	ix := p.ix
+	i, ok := ix.inflight[pkt]
 	if !ok {
 		return // another injector's packet
 	}
-	delete(p.inflight, pkt)
-	p.delivered[i] = true
+	delete(ix.inflight, pkt)
+	ix.delivered[i] = true
 	p.Done++
-	for j := p.firstWaiter[i]; j >= 0 && int(j) < p.next; j = p.nextWaiter[j] {
-		p.ready = append(p.ready, j)
+	for j := ix.firstWaiter[i]; j >= 0 && int(j) < p.next; j = ix.nextWaiter[j] {
+		ix.ready = append(ix.ready, j)
 	}
 }

@@ -133,24 +133,33 @@ func Read(r io.Reader) ([]Record, error) {
 // Merge combines several traces into one, reassigning IDs to keep them
 // unique and preserving intra-trace dependencies. The paper stresses the
 // network by running two PARSEC workloads simultaneously; Merge is how
-// those pairs are formed.
+// those pairs are formed. An invalid input stays invalid: a zero ID stays
+// zero, a duplicate ID stays duplicate, and a Dep that names no record of
+// its trace names no record of the merged trace.
 func Merge(traces ...[]Record) []Record {
 	total := 0
 	for _, t := range traces {
 		total += len(t)
 	}
 	out := make([]Record, 0, total)
+	dangling := uint64(total) + 1 // above every ID Merge assigns
 	var nextID uint64
 	for _, t := range traces {
 		remap := make(map[uint64]uint64, len(t))
 		for _, r := range t {
 			nextID++
-			remap[r.ID] = nextID
+			if r.ID != 0 {
+				remap[r.ID] = nextID
+			}
 		}
 		for _, r := range t {
 			r.ID = remap[r.ID]
 			if r.Dep != 0 {
-				r.Dep = remap[r.Dep] // zero if dangling
+				d, ok := remap[r.Dep]
+				if !ok {
+					d = dangling
+				}
+				r.Dep = d
 			}
 			out = append(out, r)
 		}
@@ -163,38 +172,40 @@ func Merge(traces ...[]Record) []Record {
 // non-negative cycles, dependencies referencing existing records, and
 // cycle ordering.
 func Validate(records []Record, nodes int) error {
-	_, err := depPositions(records, nodes)
+	_, err := depPositions(records, nodes, make(map[uint64]int32, len(records)), nil)
 	return err
 }
 
 // depPositions validates records as Validate does and returns, for each
-// record, the position of the record its Dep names, or -1 for none.
-func depPositions(records []Record, nodes int) ([]int32, error) {
-	pos := make(map[uint64]int32, len(records))
+// record, the position of the record its Dep names, or -1 for none, on
+// deps's array when it is large enough. It maps every ID to its position
+// in pos, which it clears first.
+func depPositions(records []Record, nodes int, pos map[uint64]int32, deps []int32) ([]int32, error) {
+	clear(pos)
 	prev := int64(0)
 	for i, r := range records {
 		if _, dup := pos[r.ID]; r.ID == 0 || dup {
-			return nil, fmt.Errorf("trace: record %d: bad or duplicate ID %d", i, r.ID)
+			return deps, fmt.Errorf("trace: record %d: bad or duplicate ID %d", i, r.ID)
 		}
 		pos[r.ID] = int32(i)
 		if r.Cycle < prev {
-			return nil, fmt.Errorf("trace: record %d out of order", i)
+			return deps, fmt.Errorf("trace: record %d out of order", i)
 		}
 		prev = r.Cycle
 		if r.Size < 1 {
-			return nil, fmt.Errorf("trace: record %d: size %d", i, r.Size)
+			return deps, fmt.Errorf("trace: record %d: size %d", i, r.Size)
 		}
 		if r.Src < 0 || r.Src >= nodes || r.Dest < 0 || r.Dest >= nodes || r.Src == r.Dest {
-			return nil, fmt.Errorf("trace: record %d: bad endpoints %d->%d", i, r.Src, r.Dest)
+			return deps, fmt.Errorf("trace: record %d: bad endpoints %d->%d", i, r.Src, r.Dest)
 		}
 	}
-	deps := make([]int32, len(records))
+	deps = fit(deps, len(records))
 	for i, r := range records {
 		deps[i] = -1
 		if r.Dep != 0 {
 			d, ok := pos[r.Dep]
 			if !ok {
-				return nil, fmt.Errorf("trace: record %d: dangling dependency %d", i, r.Dep)
+				return deps, fmt.Errorf("trace: record %d: dangling dependency %d", i, r.Dep)
 			}
 			deps[i] = d
 		}

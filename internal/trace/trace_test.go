@@ -146,6 +146,40 @@ func TestMergePreservesDeps(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsInvalidInputInvalid: Merge renumbers IDs, but a trace
+// that fails Validate fails it merged too, with the same fault: a Dep
+// that names no record of its own trace (here an ID only the other trace
+// has) names no merged record, and a zero ID stays zero.
+func TestMergeKeepsInvalidInputInvalid(t *testing.T) {
+	valid := []Record{
+		{ID: 1, Cycle: 0, Src: 0, Dest: 1, Size: 1},
+		{ID: 3, Cycle: 2, Src: 1, Dest: 0, Size: 1, Dep: 1},
+	}
+	for _, c := range []struct {
+		name  string
+		bad   []Record
+		fault string
+	}{
+		{"dangling dep", []Record{
+			{ID: 1, Cycle: 1, Src: 2, Dest: 3, Size: 1},
+			{ID: 2, Cycle: 3, Src: 3, Dest: 2, Size: 1, Dep: 3},
+		}, "dangling dependency"},
+		{"zero id", []Record{
+			{ID: 0, Cycle: 1, Src: 2, Dest: 3, Size: 1},
+			{ID: 2, Cycle: 3, Src: 3, Dest: 2, Size: 1},
+		}, "bad or duplicate ID 0"},
+	} {
+		if err := Validate(c.bad, 16); err == nil || !strings.Contains(err.Error(), c.fault) {
+			t.Fatalf("%s: Validate of the input = %v, want %q", c.name, err, c.fault)
+		}
+		for _, merged := range [][]Record{Merge(c.bad), Merge(valid, c.bad), Merge(c.bad, valid)} {
+			if err := Validate(merged, 16); err == nil || !strings.Contains(err.Error(), c.fault) {
+				t.Errorf("%s: Validate after Merge = %v, want %q", c.name, err, c.fault)
+			}
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	m := topo.MustNew(8, 8)
 	w, err := WorkloadByName("dedup")

@@ -147,7 +147,9 @@ func HotspotCurve(cfg Config, backgroundRate float64, hotspotRates []float64) ([
 type TraceRecord = trace.Record
 
 // NewTracePlayer returns an injector that replays records, honouring
-// their cycles and dependencies.
+// their cycles and dependencies. It serves one simulation: the Run that
+// recycles the fabric recycles the player's dependency index too, so a
+// second replay needs a new player.
 func NewTracePlayer(records []TraceRecord) Injector { return trace.NewPlayer(records) }
 
 // GeneratePARSEC synthesizes a trace modelled on the named PARSEC
