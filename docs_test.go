@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -24,6 +25,23 @@ func TestDocsCiteExistingResults(t *testing.T) {
 			if matches, err := filepath.Glob(path); err != nil || len(matches) == 0 {
 				t.Errorf("%s cites `%s`, which does not exist", doc, path)
 			}
+		}
+	}
+}
+
+// TestFigureSectionsCiteResults: every `## Figure` section of
+// EXPERIMENTS.md cites at least one `results/…` file, so that what it
+// says of a figure can be checked against the committed rows.
+func TestFigureSectionsCiteResults(t *testing.T) {
+	text, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile("`results/[^`]*`")
+	for _, section := range strings.Split(string(text), "\n## ")[1:] {
+		heading, _, _ := strings.Cut(section, "\n")
+		if strings.HasPrefix(heading, "Figure") && !cite.MatchString(section) {
+			t.Errorf("EXPERIMENTS.md section %q cites no `results/` file", heading)
 		}
 	}
 }

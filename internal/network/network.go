@@ -8,6 +8,7 @@ import (
 	"math/rand"
 
 	"nocsim/internal/flit"
+	"nocsim/internal/reuse"
 	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
@@ -134,17 +135,6 @@ type Memory struct {
 	active []int
 }
 
-// fit returns s as n zero elements: on s's array when it holds n, else on
-// a new one.
-func fit[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // New builds the mesh on mem (new memory when mem is nil): one router and
 // endpoint per node, one channel per directed link (including injection
 // and ejection links). It makes the same number of heap allocations at
@@ -165,14 +155,14 @@ func New(cfg Config, mem *Memory) *Network {
 		Rand:     cfg.Rand,
 		Sinks:    cfg.Sinks,
 	}, n.arena, &mem.nodes)
-	mem.wake = fit(mem.wake, (nodes+63)/64)
-	mem.active = fit(mem.active, nodes)
+	mem.wake = reuse.Fit(mem.wake, (nodes+63)/64)
+	mem.active = reuse.Fit(mem.active, nodes)
 	n.lists.Wake, n.active = mem.wake, mem.active[:0]
 	// Every channel (injection and ejection per node, two per mesh edge) is
 	// cut from one slice.
 	w, h := cfg.Mesh.Width, cfg.Mesh.Height
-	mem.links = fit(mem.links, 2*nodes+2*((w-1)*h+w*(h-1)))
-	mem.busy = fit(mem.busy, len(mem.links))
+	mem.links = reuse.Fit(mem.links, 2*nodes+2*((w-1)*h+w*(h-1)))
+	mem.busy = reuse.Fit(mem.busy, len(mem.links))
 	n.links, n.lists.Busy = mem.links, mem.busy[:0]
 	unwired := n.links
 	link := func() (ch *router.Channel) {

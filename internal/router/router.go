@@ -7,6 +7,7 @@ import (
 
 	"nocsim/internal/alloc"
 	"nocsim/internal/flit"
+	"nocsim/internal/reuse"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
@@ -164,7 +165,7 @@ func NewNodes(cfg Config, a *flit.Arena, mem *Memory) ([]Router, []Endpoint) {
 	nodes := cfg.Mesh.Nodes()
 	s := newSlabs(cfg, &mem.slabs)
 	sc := newVAScratch(cfg.VCs, &s)
-	mem.routers, mem.endpoints = fit(mem.routers, nodes), fit(mem.endpoints, nodes)
+	mem.routers, mem.endpoints = reuse.Fit(mem.routers, nodes), reuse.Fit(mem.endpoints, nodes)
 	rs, es := mem.routers, mem.endpoints
 	for id := range rs {
 		cfg.NodeID = id

@@ -3,6 +3,7 @@ package router
 import (
 	"nocsim/internal/alloc"
 	"nocsim/internal/flit"
+	"nocsim/internal/reuse"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
@@ -58,17 +59,6 @@ type Memory struct {
 	endpoints []Endpoint
 }
 
-// fit returns s as n zero elements: on s's array when it holds n, else on
-// a new one.
-func fit[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // slabs holds one slab per element type of the per-node arrays, sized by
 // newSlabs exactly for the routers and endpoints of one fabric and the
 // one vaScratch its routers share (DESIGN.md, "Construction").
@@ -92,14 +82,14 @@ func newSlabs(cfg Config, old *slabs) slabs {
 	n := topo.NumPorts * v
 	regs, index := routing.StateLen(cfg.Mesh, v, cfg.Alg)
 	*old = slabs{
-		u8:     fit(old.u8, nodes*(7*n+v)+3*n),     // seven per-VC arrays, endpoint credits; heads, the allocator's two priority arrays
-		i32:    fit(old.i32, nodes*(4*n+regs)+4*n), // inBlocked, inDest, two round-robin, owner registers; the allocator's four
-		decs:   fit(old.decs, n),
-		flits:  fit(old.flits, nodes*(n+v)*depth),
-		reqs:   fit(old.reqs, vaReqCap(v)),
-		grants: fit(old.grants, n),
-		index:  fit(old.index, nodes*index),
-		ejBufs: fit(old.ejBufs, nodes*v),
+		u8:     reuse.Fit(old.u8, nodes*(7*n+v)+3*n),     // seven per-VC arrays, endpoint credits; heads, the allocator's two priority arrays
+		i32:    reuse.Fit(old.i32, nodes*(4*n+regs)+4*n), // inBlocked, inDest, two round-robin, owner registers; the allocator's four
+		decs:   reuse.Fit(old.decs, n),
+		flits:  reuse.Fit(old.flits, nodes*(n+v)*depth),
+		reqs:   reuse.Fit(old.reqs, vaReqCap(v)),
+		grants: reuse.Fit(old.grants, n),
+		index:  reuse.Fit(old.index, nodes*index),
+		ejBufs: reuse.Fit(old.ejBufs, nodes*v),
 	}
 	return *old
 }

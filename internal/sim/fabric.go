@@ -2,10 +2,9 @@ package sim
 
 import (
 	"math/rand"
-	"slices"
-	"sync"
 
 	"nocsim/internal/network"
+	"nocsim/internal/reuse"
 	"nocsim/internal/stats"
 )
 
@@ -29,13 +28,8 @@ type fabric struct {
 // fabrics holds the fabrics of finished runs whose Network was never
 // taken, for New to build on. It is shared by every goroutine, sim.Map's
 // workers included, and holds at most as many fabrics as there were
-// simulations alive at once. It is not a sync.Pool, which hands out any
-// item whatever its capacity and drops its items at every GC, and at
-// random under the race detector.
-var fabrics struct {
-	sync.Mutex
-	free []*fabric
-}
+// simulations alive at once.
+var fabrics reuse.Pool[fabric]
 
 // takeFabric returns a fabric to build a run of nodes nodes on: of the
 // pooled fabrics, the one put back last among those that hold nodes
@@ -43,28 +37,10 @@ var fabrics struct {
 // The pool is keyed by capacity, not by config: any run may take any
 // fabric, and New keeps what is large enough.
 func takeFabric(nodes int) *fabric {
-	fabrics.Lock()
-	defer fabrics.Unlock()
-	n := len(fabrics.free)
-	if n == 0 {
+	f := fabrics.Take(func(f *fabric) bool { return f.nodes >= nodes })
+	if f == nil {
 		return &fabric{hist: stats.NewHistogram(latencyBins), rng: rand.New(rand.NewSource(0)), nodes: nodes}
 	}
-	i := n - 1
-	for j := i; j >= 0; j-- {
-		if fabrics.free[j].nodes >= nodes {
-			i = j
-			break
-		}
-	}
-	f := fabrics.free[i]
-	fabrics.free = slices.Delete(fabrics.free, i, i+1)
 	f.nodes = max(f.nodes, nodes)
 	return f
-}
-
-// putFabric returns the fabric of a finished run to the pool.
-func putFabric(f *fabric) {
-	fabrics.Lock()
-	fabrics.free = append(fabrics.free, f)
-	fabrics.Unlock()
 }

@@ -24,9 +24,8 @@ import (
 // players alive at once, never more than a few in this package's tests:
 // a player that checks a trace takes one, and keeps it unless recycled.
 func emptyPool() {
-	fabrics.Lock()
-	fabrics.free = nil
-	fabrics.Unlock()
+	for fabrics.Take(nil) != nil {
+	}
 	one := []trace.Record{{ID: 1, Src: 0, Dest: 1, Size: 1}}
 	for range 64 {
 		if err := trace.NewPlayer(one).CheckMesh(topo.MustNew(2, 1)); err != nil {
@@ -35,19 +34,24 @@ func emptyPool() {
 	}
 }
 
-// pooled reports whether f waits in the pool.
-func pooled(f *fabric) bool {
-	fabrics.Lock()
-	defer fabrics.Unlock()
-	return slices.Contains(fabrics.free, f)
+// pooledFabrics returns the pooled fabrics, put back last first, and
+// leaves the pool as it found it.
+func pooledFabrics() []*fabric {
+	var all []*fabric
+	for f := fabrics.Take(nil); f != nil; f = fabrics.Take(nil) {
+		all = append(all, f)
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		fabrics.Put(all[i])
+	}
+	return all
 }
 
+// pooled reports whether f waits in the pool.
+func pooled(f *fabric) bool { return slices.Contains(pooledFabrics(), f) }
+
 // poolHolds reports whether the pool holds f and nothing else.
-func poolHolds(f *fabric) bool {
-	fabrics.Lock()
-	defer fabrics.Unlock()
-	return len(fabrics.free) == 1 && fabrics.free[0] == f
-}
+func poolHolds(f *fabric) bool { return slices.Equal(pooledFabrics(), []*fabric{f}) }
 
 // recycleCase is a run to compare on recycled and on new memory. run
 // makes it from new injectors; keep takes the Network before Run, so that

@@ -467,7 +467,7 @@ func (s *Simulation) Run() *Result {
 				r.Recycle()
 			}
 		}
-		putFabric(s.fab)
+		fabrics.Put(s.fab)
 		s.net, s.fab, s.gens = nil, nil, nil
 	}
 	return res

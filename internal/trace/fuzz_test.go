@@ -146,13 +146,19 @@ func FuzzRecycledCheckMatchesValidate(f *testing.F) {
 			20, 0, 0, 2, 1, 0, 20, 0, 1, 3, 1, 0, 20, 0, 3, 1, 1, 0}, uint8(0))
 	m := topo.MustNew(2, 2)
 	f.Fuzz(func(t *testing.T, a, b []byte, lag uint8) {
-		indexes.Lock()
-		indexes.free = nil
-		indexes.Unlock()
+		for indexes.Take(nil) != nil {
+		}
+		// pooled returns the pooled indexes, put back last first, and
+		// leaves the pool as it found it.
 		pooled := func() []*index {
-			indexes.Lock()
-			defer indexes.Unlock()
-			return slices.Clone(indexes.free)
+			var all []*index
+			for ix := indexes.Take(nil); ix != nil; ix = indexes.Take(nil) {
+				all = append(all, ix)
+			}
+			for i := len(all) - 1; i >= 0; i-- {
+				indexes.Put(all[i])
+			}
+			return all
 		}
 
 		arena := flit.NewArena()

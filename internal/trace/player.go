@@ -3,10 +3,9 @@ package trace
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sync"
 
 	"nocsim/internal/flit"
+	"nocsim/internal/reuse"
 	"nocsim/internal/topo"
 )
 
@@ -32,7 +31,7 @@ type Player struct {
 
 // index is what a player builds for its trace and a later player can
 // build on (DESIGN.md, "Recycling"). A zero index is the fresh build:
-// every array is fitted and every map cleared before use.
+// every array goes through reuse.Fit and every map is cleared before use.
 type index struct {
 	// pos maps a record ID to its position; CheckMesh builds it to
 	// resolve Dep into dep.
@@ -59,45 +58,9 @@ type index struct {
 }
 
 // indexes holds the indexes of recycled players, for CheckMesh to build
-// on, last put back first. It is shared by every goroutine, sim.Map's
-// workers included, and holds at most as many indexes as there were
-// players alive at once. It is not a sync.Pool, which drops its items at
-// every GC, and at random under the race detector.
-var indexes struct {
-	sync.Mutex
-	free []*index
-}
-
-// takeIndex returns the index put back last, else a zero one.
-func takeIndex() *index {
-	indexes.Lock()
-	defer indexes.Unlock()
-	n := len(indexes.free)
-	if n == 0 {
-		return &index{}
-	}
-	ix := indexes.free[n-1]
-	indexes.free = slices.Delete(indexes.free, n-1, n)
-	return ix
-}
-
-// putIndex returns ix to the pool.
-func putIndex(ix *index) {
-	indexes.Lock()
-	indexes.free = append(indexes.free, ix)
-	indexes.Unlock()
-}
-
-// fit returns s as n zero elements: on s's array when it holds n, else on
-// a new one.
-func fit[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
+// on. It is shared by every goroutine, sim.Map's workers included, and
+// holds at most as many indexes as there were players alive at once.
+var indexes reuse.Pool[index]
 
 // UseArena makes the player allocate packets from a instead of the heap;
 // the network's endpoints recycle them at ejection. Call before Tick.
@@ -114,7 +77,9 @@ func NewPlayer(records []Record) *Player {
 // it.
 func (p *Player) CheckMesh(m topo.Mesh) error {
 	if p.ix == nil {
-		p.ix = takeIndex()
+		if p.ix = indexes.Take(nil); p.ix == nil {
+			p.ix = &index{}
+		}
 	}
 	ix := p.ix
 	if ix.pos == nil {
@@ -139,8 +104,8 @@ func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
 	}
 	ix := p.ix
 	n := len(ix.dep)
-	ix.delivered = fit(ix.delivered, n)
-	ix.firstWaiter, ix.nextWaiter = fit(ix.firstWaiter, n), fit(ix.nextWaiter, n)
+	ix.delivered = reuse.Fit(ix.delivered, n)
+	ix.firstWaiter, ix.nextWaiter = reuse.Fit(ix.firstWaiter, n), reuse.Fit(ix.nextWaiter, n)
 	for i := range ix.firstWaiter {
 		ix.firstWaiter[i] = -1
 	}
@@ -161,7 +126,7 @@ func (p *Player) Init(m topo.Mesh, _ *rand.Rand) {
 // A second Recycle returns nothing.
 func (p *Player) Recycle() {
 	if p.ix != nil {
-		putIndex(p.ix)
+		indexes.Put(p.ix)
 		p.ix = nil
 	}
 }

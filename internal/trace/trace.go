@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"nocsim/internal/reuse"
 )
 
 // Record is one packet of a trace. Records are ordered by Cycle.
@@ -199,7 +201,7 @@ func depPositions(records []Record, nodes int, pos map[uint64]int32, deps []int3
 			return deps, fmt.Errorf("trace: record %d: bad endpoints %d->%d", i, r.Src, r.Dest)
 		}
 	}
-	deps = fit(deps, len(records))
+	deps = reuse.Fit(deps, len(records))
 	for i, r := range records {
 		deps[i] = -1
 		if r.Dep != 0 {
