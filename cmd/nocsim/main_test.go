@@ -82,7 +82,7 @@ func TestBadValues(t *testing.T) {
 		{[]string{"-width", "4", "-height", "4", "-warmup", "50", "-measure", "100", "-drain", "200",
 			"-rates", "0.2,0.3,0.2"}, "0.2 and 0.2"},
 		{[]string{"sweep", "-figure", "9"}, `"9"`},
-		// Buffer occupancy and credits are bytes: router.MaxBufDepth.
+		// Buffer occupancy and credits are bytes: network.MaxBufDepth.
 		{[]string{"-buf", "256"}, "buffer depth 1 to 255, have 256"},
 		{[]string{"traces", "-gen", "x264", "-cycles", "0"}, "-cycles 0"},
 		{[]string{"traces", "-gen", "x264", "-cycles", "-5"}, "-cycles -5"},

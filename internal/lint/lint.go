@@ -98,10 +98,10 @@ func SortFindings(fs []Finding) {
 
 // deterministicRoots are the packages whose code feeds simulation
 // results: everything under them must be a pure function of Config and
-// seed — the engine (sim, exp, network, router, routing, alloc, flit,
-// topo), where the traffic is made (traffic, trace) and where it is
-// counted (stats). obs and cmd/nocsim sit outside — they observe and
-// report runs without feeding results back in.
+// seed — the engine (sim, exp, network, routing, alloc, flit, topo),
+// where the traffic is made (traffic, trace) and where it is counted
+// (stats). obs and cmd/nocsim sit outside — they observe and report runs
+// without feeding results back in.
 // internal/prof is in scope on purpose: it exists to concentrate the
 // module's one sanctioned wall-clock read in a single function
 // (prof.Now, which determinism exempts by name), so a new time.Now
@@ -109,7 +109,6 @@ func SortFindings(fs []Finding) {
 var deterministicRoots = []string{
 	"nocsim/internal/sim",
 	"nocsim/internal/exp",
-	"nocsim/internal/router",
 	"nocsim/internal/routing",
 	"nocsim/internal/network",
 	"nocsim/internal/prof",

@@ -117,7 +117,6 @@ func TestScopes(t *testing.T) {
 		"nocsim/internal/sim":         true,
 		"nocsim/internal/sim/fixture": true,
 		"nocsim/internal/exp":         true,
-		"nocsim/internal/router":      true,
 		"nocsim/internal/routing":     true,
 		"nocsim/internal/network":     true,
 		"nocsim/internal/prof":        true,

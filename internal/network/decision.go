@@ -1,4 +1,4 @@
-package router
+package network
 
 import (
 	"fmt"
@@ -54,7 +54,7 @@ func (c VCClass) String() string {
 	case VCClassEscape:
 		return "escape"
 	default:
-		panic(fmt.Sprintf("router: unknown VCClass %d", uint8(c)))
+		panic(fmt.Sprintf("network: unknown VCClass %d", uint8(c)))
 	}
 }
 
@@ -91,9 +91,8 @@ type Decision struct {
 
 // emitDecision builds and reports, stamped now, the Decision record for a
 // packet's first route computation at this router, from the routing
-// decision dec.
-// Called only when Sinks.Decisions is attached and the packet is not at its
-// destination.
+// decision dec. Called only when Sinks.Decisions is attached and the
+// packet is not at its destination.
 func (r *Router) emitDecision(now int64, dec *routing.Decision, p *flit.Packet) {
 	_, hasX, _, hasY := r.st.MinimalDirs(p.Dest)
 	d := Decision{EscapeRequested: dec.HasEsc}
@@ -110,7 +109,7 @@ func (r *Router) emitDecision(now int64, dec *routing.Decision, p *flit.Packet) 
 		d.IdleVCs = bits.OnesCount32(idle)
 		d.FootprintVCs = bits.OnesCount32(offered &^ idle & r.st.OwnerMask(dec.Dir, p.Dest))
 	}
-	r.cfg.Sinks.Decisions.OnRouteDecision(now, r.cfg.NodeID, p, d)
+	r.cfg.Sinks.Decisions.OnRouteDecision(now, int(r.id), p, d)
 }
 
 // classifyVC returns the VCClass of output VC (d, vc) for a packet to

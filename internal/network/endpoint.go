@@ -1,4 +1,4 @@
-package router
+package network
 
 import (
 	"fmt"
@@ -17,8 +17,8 @@ type Endpoint struct {
 	vcs      int
 	bufDepth int
 
-	injCh *Channel // endpoint -> router local input port
-	ejCh  *Channel // router local output port -> endpoint
+	injCh *channel // endpoint -> router local input port
+	ejCh  *channel // router local output port -> endpoint
 
 	// Injection side. The source queue is linked through its packets, so
 	// a backlog of thousands of packets past saturation costs no memory
@@ -31,16 +31,16 @@ type Endpoint struct {
 	vcBusy    uint32  // the local input VCs held by a packet being injected
 	pickRR    int
 	// Ejection side.
-	ejBuf   [][]*flit.Flit
-	ejMask  uint32 // the non-empty VCs of ejBuf
-	consume alloc.RoundRobin
+	ejBuf     [][]*flit.Flit
+	ejMask    uint32 // the non-empty VCs of ejBuf
+	consumeRR alloc.RoundRobin
 
-	// Sink is invoked when a packet's tail flit is consumed; the
-	// simulator collects latency statistics here. May be nil.
-	Sink func(p *flit.Packet)
+	// sink is invoked when a packet's tail flit is consumed: the
+	// network's, which counts it out and hands it on to Network.Sink.
+	sink func(p *flit.Packet)
 
-	// packets receives the inject/eject lifecycle events; set with
-	// SetPacketSink, nil when nobody listens.
+	// packets receives the inject/eject lifecycle events, nil when nobody
+	// listens.
 	packets PacketSink
 
 	// arena is the network's: it backs the flits the endpoint segments
@@ -49,27 +49,27 @@ type Endpoint struct {
 	// arena-unaware injectors — are left alone.
 	arena *flit.Arena
 
-	// ConsumeInterval throttles the ejection bandwidth: the endpoint
-	// consumes at most one flit every ConsumeInterval cycles. 1 (the
+	// consumeInterval throttles the ejection bandwidth: the endpoint
+	// consumes at most one flit every consumeInterval cycles. 1 (the
 	// default) matches the router port bandwidth; larger values model
 	// the slow endpoints of Section 2 ("if the bandwidth (ejection
 	// rate) of the endpoint node is lower than the router port
 	// bandwidth"), a second source of endpoint congestion besides
 	// oversubscription.
-	ConsumeInterval int
+	consumeInterval int
 }
 
 // init builds the endpoint in place, cutting its arrays from s.
 func (e *Endpoint) init(node, vcs, bufDepth int, a *flit.Arena, s *slabs) {
 	*e = Endpoint{
-		node:     node,
-		vcs:      vcs,
-		bufDepth: bufDepth,
-		arena:    a,
-		injVC:    -1,
-		credits:  s.u8.cut(vcs),
-		ejBuf:    s.ejBufs.cut(vcs),
-		consume:  alloc.MakeRoundRobin(vcs),
+		node:      node,
+		vcs:       vcs,
+		bufDepth:  bufDepth,
+		arena:     a,
+		injVC:     -1,
+		credits:   s.u8.cut(vcs),
+		ejBuf:     s.ejBufs.cut(vcs),
+		consumeRR: alloc.MakeRoundRobin(vcs),
 	}
 	store := s.flits.cut(vcs * bufDepth) // credits bound each VC's backlog
 	for v := range e.credits {
@@ -78,22 +78,18 @@ func (e *Endpoint) init(node, vcs, bufDepth int, a *flit.Arena, s *slabs) {
 	}
 }
 
-// Attach connects injCh as the channel to the router's local input port
+// attach connects injCh as the channel to the router's local input port
 // and ejCh as the one from its local output port.
-func (e *Endpoint) Attach(injCh, ejCh *Channel) {
+func (e *Endpoint) attach(injCh, ejCh *channel) {
 	e.injCh, e.ejCh = injCh, ejCh
 	injCh.ep, ejCh.ep, ejCh.toNode = e, e, int32(e.node)
 }
-
-// SetPacketSink attaches the sink the endpoint reports packet injection
-// and ejection through. Must be called before traffic flows.
-func (e *Endpoint) SetPacketSink(s PacketSink) { e.packets = s }
 
 // Offer appends a packet to the source queue. The packet's Born cycle must
 // already be set by the traffic generator.
 func (e *Endpoint) Offer(p *flit.Packet) {
 	if p.Src != e.node {
-		panic(fmt.Sprintf("router: packet src %d offered to endpoint %d", p.Src, e.node))
+		panic(fmt.Sprintf("network: packet src %d offered to endpoint %d", p.Src, e.node))
 	}
 	e.queue.Push(p)
 }
@@ -109,22 +105,22 @@ func (e *Endpoint) QueueLen() int {
 }
 
 // acceptCredits returns injection credits crs to their VCs: phase A,
-// called by the injection channel's Deliver.
+// called by the injection channel's deliver.
 func (e *Endpoint) acceptCredits(crs []flit.Credit) {
 	for _, cr := range crs {
 		// Tested before the increment: a byte at MaxBufDepth would wrap.
 		if int(e.credits[cr.VC]) >= e.bufDepth {
-			panic(fmt.Sprintf("router: endpoint %d credit overflow vc %d", e.node, cr.VC))
+			panic(fmt.Sprintf("network: endpoint %d credit overflow vc %d", e.node, cr.VC))
 		}
 		e.credits[cr.VC]++
 	}
 }
 
-// acceptFlit buffers ejected flit f for Consume: phase A, called by the
-// ejection channel's Deliver.
+// acceptFlit buffers ejected flit f for consume: phase A, called by the
+// ejection channel's deliver.
 func (e *Endpoint) acceptFlit(f *flit.Flit) {
 	if len(e.ejBuf[f.VC]) >= e.bufDepth {
-		panic(fmt.Sprintf("router: endpoint %d ejection overflow vc %d", e.node, f.VC))
+		panic(fmt.Sprintf("network: endpoint %d ejection overflow vc %d", e.node, f.VC))
 	}
 	e.ejBuf[f.VC] = append(e.ejBuf[f.VC], f)
 	e.ejMask |= 1 << uint(f.VC)
@@ -132,43 +128,42 @@ func (e *Endpoint) acceptFlit(f *flit.Flit) {
 
 // Quiescent reports that the endpoint holds no work at a cycle boundary:
 // nothing queued for injection, no packet mid-injection, and no ejected
-// flit awaiting consumption. A quiescent endpoint's cycle is a no-op
-// (credit arrivals are signalled by the injection channel, which the
-// network's worklist watches separately), so it may be skipped without
-// changing any simulated result.
+// flit awaiting consumption. A quiescent endpoint's cycle is a no-op:
+// credit arrivals change nothing until a packet is offered, which wakes
+// it.
 func (e *Endpoint) Quiescent() bool {
 	return e.queue.Len() == 0 && e.curPacket == nil && e.ejMask == 0
 }
 
-// Consume drains at most one ejected flit (the endpoint's ejection
+// consume drains at most one ejected flit (the endpoint's ejection
 // bandwidth), returning its buffer credit to the router. now is the
 // current cycle, recorded as the ejection time of completed packets.
 // Phase D.
-func (e *Endpoint) Consume(now int64) {
-	if e.ejMask == 0 || e.ConsumeInterval > 1 && now%int64(e.ConsumeInterval) != 0 {
+func (e *Endpoint) consume(now int64) {
+	if e.ejMask == 0 || e.consumeInterval > 1 && now%int64(e.consumeInterval) != 0 {
 		return
 	}
-	v := e.consume.ArbitrateMask(e.ejMask)
+	v := e.consumeRR.ArbitrateMask(e.ejMask)
 	f := e.ejBuf[v][0]
 	copy(e.ejBuf[v], e.ejBuf[v][1:])
 	e.ejBuf[v] = e.ejBuf[v][:len(e.ejBuf[v])-1]
 	if len(e.ejBuf[v]) == 0 {
 		e.ejMask &^= 1 << uint(v)
 	}
-	e.ejCh.SendCredit(flit.Credit{VC: uint8(v), Tail: f.Tail})
+	e.ejCh.sendCredit(flit.Credit{VC: uint8(v), Tail: f.Tail})
 	if f.Tail {
 		p := f.Packet
 		p.Eject = now
 		if p.Dest != e.node {
-			panic(fmt.Sprintf("router: packet %d for %d ejected at %d", p.ID, p.Dest, e.node))
+			panic(fmt.Sprintf("network: packet %d for %d ejected at %d", p.ID, p.Dest, e.node))
 		}
 		if e.packets != nil {
 			e.packets.OnEject(now, p)
 		}
-		if e.Sink != nil {
-			e.Sink(p)
+		if e.sink != nil {
+			e.sink(p)
 		}
-		// The packet's pointer identity was needed through the Sink chain
+		// The packet's pointer identity was needed through the sink chain
 		// (trace players key in-flight state by it); now the last observer
 		// has run, the slot can be recycled.
 		e.arena.FreePacket(p)
@@ -176,11 +171,11 @@ func (e *Endpoint) Consume(now int64) {
 	e.arena.FreeFlit(f)
 }
 
-// Inject sends at most one flit of the current packet into the router's
+// inject sends at most one flit of the current packet into the router's
 // local input port (the injection bandwidth). A new packet claims a free
 // local input VC — the one with the most credits, round-robin on ties.
 // Phase D.
-func (e *Endpoint) Inject(now int64) {
+func (e *Endpoint) inject(now int64) {
 	if e.curPacket == nil {
 		if e.queue.Len() == 0 {
 			return
@@ -194,7 +189,7 @@ func (e *Endpoint) Inject(now int64) {
 		e.injVC = v
 		e.vcBusy |= 1 << uint(v)
 	}
-	if e.credits[e.injVC] == 0 || !e.injCh.CanSend() {
+	if e.credits[e.injVC] == 0 || !e.injCh.canSend() {
 		return
 	}
 	// Flits are materialized one per cycle as they enter the network —
@@ -202,7 +197,7 @@ func (e *Endpoint) Inject(now int64) {
 	f := e.newFlit()
 	f.VC = e.injVC
 	e.credits[e.injVC]--
-	e.injCh.Send(f)
+	e.injCh.send(f)
 	if f.Head {
 		e.curPacket.Inject = now
 		if e.packets != nil {

@@ -1,4 +1,4 @@
-package router
+package network
 
 import (
 	"testing"
@@ -6,11 +6,11 @@ import (
 	"nocsim/internal/flit"
 )
 
-func newTestEndpoint() (*Endpoint, *Channel, *Channel) {
+func newTestEndpoint() (*Endpoint, *channel, *channel) {
 	inj := testChannel()
 	ej := testChannel()
 	_, es := testNodes(&scriptAlg{}, 2)
-	es[3].Attach(inj, ej)
+	es[3].attach(inj, ej)
 	return &es[3], inj, ej
 }
 
@@ -27,7 +27,7 @@ func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
 	e, inj, _ := newTestEndpoint()
 	e.Offer(&flit.Packet{ID: 1, Src: 3, Dest: 7, Size: 3})
 	for i := 0; i < 3; i++ {
-		e.Inject(int64(i))
+		e.inject(int64(i))
 		f := sent(inj)
 		if f == nil {
 			t.Fatalf("cycle %d: no flit injected", i)
@@ -36,7 +36,7 @@ func TestEndpointInjectsOneFlitPerCycle(t *testing.T) {
 			t.Fatalf("cycle %d: seq %d", i, f.Seq)
 		}
 	}
-	e.Inject(3)
+	e.inject(3)
 	if sent(inj) != nil {
 		t.Error("injected beyond packet length")
 	}
@@ -51,7 +51,7 @@ func TestEndpointRespectsCredits(t *testing.T) {
 	// Buffer depth 4: after 4 flits the chosen VC is out of credits.
 	n, usedVC := 0, -1
 	for i := 0; i < 8; i++ {
-		e.Inject(int64(i))
+		e.inject(int64(i))
 		if f := sent(inj); f != nil {
 			n++
 			usedVC = f.VC
@@ -61,9 +61,9 @@ func TestEndpointRespectsCredits(t *testing.T) {
 		t.Errorf("sent %d flits with 4 credits", n)
 	}
 	// Returning a credit for the held VC resumes injection.
-	inj.SendCredit(flit.Credit{VC: uint8(usedVC)})
+	inj.sendCredit(flit.Credit{VC: uint8(usedVC)})
 	receiveAt(e)
-	e.Inject(100)
+	e.inject(100)
 	if sent(inj) == nil {
 		t.Error("injection did not resume after credits returned")
 	}
@@ -74,7 +74,7 @@ func TestEndpointPacketHoldsOneVC(t *testing.T) {
 	e.Offer(&flit.Packet{ID: 1, Src: 3, Dest: 7, Size: 4})
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		e.Inject(int64(i))
+		e.inject(int64(i))
 		if f := sent(inj); f != nil {
 			seen[f.VC] = true
 		}
@@ -87,14 +87,14 @@ func TestEndpointPacketHoldsOneVC(t *testing.T) {
 func TestEndpointEjectionAndSink(t *testing.T) {
 	e, _, ej := newTestEndpoint()
 	var done *flit.Packet
-	e.Sink = func(p *flit.Packet) { done = p }
+	e.sink = func(p *flit.Packet) { done = p }
 	p := &flit.Packet{ID: 1, Src: 0, Dest: 3, Size: 2}
 	fs := segment(p)
 	for i, f := range fs {
 		f.VC = 0
-		ej.Send(f)
+		ej.send(f)
 		receiveAt(e)
-		e.Consume(int64(i))
+		e.consume(int64(i))
 	}
 	if done == nil {
 		t.Fatal("sink not called on tail consumption")
@@ -124,17 +124,17 @@ func TestEndpointObserversSeePacketBeforeFree(t *testing.T) {
 	e, _, ej := newTestEndpoint()
 	a := e.arena
 	rec := &ejectRecorder{}
-	e.SetPacketSink(rec)
+	e.packets = rec
 	var sunk flit.Packet
-	e.Sink = func(p *flit.Packet) { sunk = *p }
+	e.sink = func(p *flit.Packet) { sunk = *p }
 
 	p := a.NewPacket()
 	p.ID, p.Src, p.Dest, p.Size, p.Born = 42, 1, 3, 1, 5
 	f := a.NewFlit()
 	f.Packet, f.Head, f.Tail = p, true, true
-	ej.Send(f)
+	ej.send(f)
 	receiveAt(e)
-	e.Consume(17)
+	e.consume(17)
 
 	for _, got := range []struct {
 		who string
@@ -152,21 +152,21 @@ func TestEndpointObserversSeePacketBeforeFree(t *testing.T) {
 func TestEndpointConsumesOneFlitPerCycle(t *testing.T) {
 	e, _, ej := newTestEndpoint()
 	consumed := 0
-	e.Sink = func(*flit.Packet) { consumed++ }
+	e.sink = func(*flit.Packet) { consumed++ }
 	// Two single-flit packets on different VCs, delivered same cycle is
 	// impossible (1 flit/cycle link), but buffer both before consuming.
 	for i, vc := range []int{0, 1} {
 		p := &flit.Packet{ID: uint64(i + 1), Src: 0, Dest: 3, Size: 1}
 		f := segment(p)[0]
 		f.VC = vc
-		ej.Send(f)
+		ej.send(f)
 		receiveAt(e)
 	}
-	e.Consume(10)
+	e.consume(10)
 	if consumed != 1 {
 		t.Fatalf("consumed %d packets in one cycle, want 1 (ejection bandwidth)", consumed)
 	}
-	e.Consume(11)
+	e.consume(11)
 	if consumed != 2 {
 		t.Fatalf("second packet not consumed: %d", consumed)
 	}
@@ -177,14 +177,14 @@ func TestEndpointWrongDestPanics(t *testing.T) {
 	p := &flit.Packet{ID: 1, Src: 0, Dest: 9, Size: 1} // not node 3
 	f := segment(p)[0]
 	f.VC = 0
-	ej.Send(f)
+	ej.send(f)
 	receiveAt(e)
 	defer func() {
 		if recover() == nil {
 			t.Error("misrouted packet not detected")
 		}
 	}()
-	e.Consume(0)
+	e.consume(0)
 }
 
 func TestEndpointQueueLenCountsCurrentPacket(t *testing.T) {
@@ -194,7 +194,7 @@ func TestEndpointQueueLenCountsCurrentPacket(t *testing.T) {
 	if e.QueueLen() != 2 {
 		t.Errorf("queue len = %d, want 2", e.QueueLen())
 	}
-	e.Inject(0) // starts packet 1
+	e.inject(0) // starts packet 1
 	sent(inj)
 	if e.QueueLen() != 2 {
 		t.Errorf("queue len after first flit = %d, want 2 (in-flight counts)", e.QueueLen())
@@ -203,38 +203,38 @@ func TestEndpointQueueLenCountsCurrentPacket(t *testing.T) {
 
 func TestEndpointSlowConsumeInterval(t *testing.T) {
 	e, _, ej := newTestEndpoint()
-	e.ConsumeInterval = 3 // one flit every 3 cycles
+	e.consumeInterval = 3 // one flit every 3 cycles
 	consumed := 0
-	e.Sink = func(*flit.Packet) { consumed++ }
+	e.sink = func(*flit.Packet) { consumed++ }
 	for i := 0; i < 4; i++ {
 		p := &flit.Packet{ID: uint64(i + 1), Src: 0, Dest: 3, Size: 1}
 		f := segment(p)[0]
 		f.VC = i % 2
-		ej.Send(f)
+		ej.send(f)
 		receiveAt(e)
 	}
 	for now := int64(0); now < 12; now++ {
-		e.Consume(now)
+		e.consume(now)
 	}
 	if consumed != 4 {
 		t.Fatalf("consumed %d, want all 4 over 12 cycles", consumed)
 	}
 	// Rate check: exactly ceil(12/3) = 4 consume opportunities.
 	e2, _, ej2 := newTestEndpoint()
-	e2.ConsumeInterval = 4
+	e2.consumeInterval = 4
 	got := 0
-	e2.Sink = func(*flit.Packet) { got++ }
+	e2.sink = func(*flit.Packet) { got++ }
 	for i := 0; i < 8; i++ {
 		p := &flit.Packet{ID: uint64(100 + i), Src: 0, Dest: 3, Size: 1}
 		f := segment(p)[0]
 		f.VC = i % 2
-		if ej2.CanSend() {
-			ej2.Send(f)
+		if ej2.canSend() {
+			ej2.send(f)
 		}
 		receiveAt(e2)
 	}
 	for now := int64(0); now < 8; now++ {
-		e2.Consume(now)
+		e2.consume(now)
 	}
 	if got != 2 {
 		t.Fatalf("slow endpoint consumed %d in 8 cycles at interval 4, want 2", got)
@@ -263,7 +263,7 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 		if left%2 == 0 {
 			offer()
 		}
-		e.Inject(int64(left))
+		e.inject(int64(left))
 		f := sent(inj)
 		if f == nil || f.Packet.ID != uint64(left) {
 			t.Fatalf("step %d: injected %v, want packet %d", left, f, left)
@@ -275,7 +275,7 @@ func TestEndpointLongQueueLeavesInOrder(t *testing.T) {
 			t.Fatalf("step %d: Quiescent = %v with %d packets queued", left, e.Quiescent(), offered-left)
 		}
 		// Hand the buffer slot back, as the router would.
-		inj.SendCredit(flit.Credit{VC: uint8(f.VC), Tail: true})
+		inj.sendCredit(flit.Credit{VC: uint8(f.VC), Tail: true})
 		receiveAt(e)
 	}
 	if offered != total || e.QueueLen() != 0 {
@@ -304,12 +304,12 @@ func TestOfferAllocatesNothing(t *testing.T) {
 		t.Errorf("%d offers made %v allocations, want 0", total, n)
 	}
 	for i := range pkts {
-		e.Inject(int64(i))
+		e.inject(int64(i))
 		f := sent(inj)
 		if f == nil || f.Packet != &pkts[i] {
 			t.Fatalf("injection %d: got %v, want packet %d", i, f, i)
 		}
-		inj.SendCredit(flit.Credit{VC: uint8(f.VC), Tail: true})
+		inj.sendCredit(flit.Credit{VC: uint8(f.VC), Tail: true})
 		receiveAt(e)
 	}
 	if !e.Quiescent() {

@@ -2,8 +2,6 @@ package network
 
 import (
 	"fmt"
-
-	"nocsim/internal/router"
 )
 
 // WakeListFaults checks the wake-list contract at a cycle boundary (after
@@ -14,23 +12,24 @@ import (
 // router or endpoint holds work is woken.
 func (n *Network) WakeListFaults() []string {
 	var faults []string
-	listed := make(map[*router.Channel]int, len(n.lists.Busy))
-	for _, ch := range n.lists.Busy {
+	listed := make(map[*channel]int, len(n.busy))
+	for _, ch := range n.busy {
 		listed[ch]++
 	}
-	woken := func(id int) bool { return n.lists.Wake[id>>6]&(1<<uint(id&63)) != 0 }
+	woken := func(id int) bool { return n.wake[id>>6]&(1<<uint(id&63)) != 0 }
 	for i := range n.links {
 		ch := &n.links[i]
+		busy, to := ch.flit != nil || len(ch.credits) > 0, int(ch.toNode)
 		want := 0
-		if ch.Busy() {
+		if busy {
 			want = 1
 		}
 		if listed[ch] != want {
 			faults = append(faults, fmt.Sprintf("link %d to node %d (busy %v) is on the busy list %d times, want %d",
-				i, ch.Receiver(), ch.Busy(), listed[ch], want))
+				i, to, busy, listed[ch], want))
 		}
-		if !ch.CanSend() && !woken(ch.Receiver()) {
-			faults = append(faults, fmt.Sprintf("link %d holds a flit and its receiving node %d is not woken", i, ch.Receiver()))
+		if ch.flit != nil && !woken(to) {
+			faults = append(faults, fmt.Sprintf("link %d holds a flit and its receiving node %d is not woken", i, to))
 		}
 	}
 	for id := range n.routers {

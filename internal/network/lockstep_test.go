@@ -7,7 +7,6 @@ import (
 
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
-	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 	"nocsim/internal/traffic"
@@ -116,14 +115,14 @@ func b2i(b bool) int64 {
 }
 
 // engineIn flattens an input VC snapshot into inFields.
-func engineIn(s router.InVCState) [len(inFields)]int64 {
+func engineIn(s network.InVCState) [len(inFields)]int64 {
 	state := int64(-1)
 	switch s.State {
-	case router.VCStateIdle:
+	case network.VCStateIdle:
 		state = refIdle
-	case router.VCStateRouting:
+	case network.VCStateRouting:
 		state = refRouting
-	case router.VCStateActive:
+	case network.VCStateActive:
 		state = refActive
 	}
 	return [...]int64{state, int64(s.Buffered), int64(s.PacketID), int64(s.PacketDest), s.Blocked,
@@ -150,7 +149,7 @@ func refIn(ivc *refInVC) [len(inFields)]int64 {
 	return f
 }
 
-func engineOut(s router.OutVCState) [len(outFields)]int64 {
+func engineOut(s network.OutVCState) [len(outFields)]int64 {
 	return [...]int64{b2i(s.Allocated), int64(s.Credits), int64(s.Owner), int64(s.RegOwner), b2i(s.AwaitTailCredit)}
 }
 
@@ -328,14 +327,14 @@ func lockstepShapes() []lockstepShape {
 		}},
 		// The byte-wide counters at their bounds. Three flows into an
 		// endpoint that consumes every third cycle fill buffers of
-		// router.MaxBufDepth flits, and credits run from 255 to 0.
-		{"depth255", lockstepSpec{w: 2, h: 2, vcs: 2, depth: router.MaxBufDepth, speedup: 2, seed: 6, slow: map[int]int{3: 3}},
+		// network.MaxBufDepth flits, and credits run from 255 to 0.
+		{"depth255", lockstepSpec{w: 2, h: 2, vcs: 2, depth: network.MaxBufDepth, speedup: 2, seed: 6, slow: map[int]int{3: 3}},
 			func(l *lockstep, rng *rand.Rand, _ int64) {
 				bernoulli(l, rng, []int{0, 1, 2}, 1, func(int) int { return 3 }, func() int { return 1 + rng.Intn(8) })
 			}},
-		// router.MaxVCs VCs, the widest masks, with three credits a
+		// network.MaxVCs VCs, the widest masks, with three credits a
 		// cycle on a link, one more than its inline array holds.
-		{"vcs32-speedup3", lockstepSpec{w: 4, h: 4, vcs: router.MaxVCs, depth: 2, speedup: 3, seed: 7}, func(l *lockstep, rng *rand.Rand, _ int64) {
+		{"vcs32-speedup3", lockstepSpec{w: 4, h: 4, vcs: network.MaxVCs, depth: 2, speedup: 3, seed: 7}, func(l *lockstep, rng *rand.Rand, _ int64) {
 			bernoulli(l, rng, all(m4), 0.4/2.5, func(int) int { return rng.Intn(16) }, func() int { return 1 + rng.Intn(4) })
 		}},
 		// Three flows into an endpoint that never drains: the fabric wedges

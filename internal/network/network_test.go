@@ -60,7 +60,9 @@ func TestSinglePacketDelivery(t *testing.T) {
 			n.Sink = func(p *flit.Packet) { got = p }
 			p := &flit.Packet{ID: 1, Src: 0, Dest: 63, Size: 1, Born: 0}
 			n.Offer(p)
-			n.Run(200)
+			for range 200 {
+				n.Step()
+			}
 			if got == nil {
 				t.Fatal("packet not delivered")
 			}
@@ -83,7 +85,9 @@ func TestMultiFlitPacketDelivery(t *testing.T) {
 	n.Sink = func(p *flit.Packet) { got = p }
 	p := &flit.Packet{ID: 7, Src: 0, Dest: 15, Size: 6, Born: 0}
 	n.Offer(p)
-	n.Run(200)
+	for range 200 {
+		n.Step()
+	}
 	if got == nil {
 		t.Fatal("multi-flit packet not delivered")
 	}
@@ -95,7 +99,9 @@ func TestPacketToSelfNeighbor(t *testing.T) {
 	done := 0
 	n.Sink = func(p *flit.Packet) { done++ }
 	n.Offer(&flit.Packet{ID: 1, Src: 0, Dest: 1, Size: 1})
-	n.Run(50)
+	for range 50 {
+		n.Step()
+	}
 	if done != 1 {
 		t.Fatalf("one-hop packet not delivered")
 	}

@@ -18,8 +18,8 @@ import (
 // the paper specifies as a unit: the routing algorithms' decisions (and
 // the routing.State they read, rebuilt from the VC structs before every
 // decision), the separable VC allocator and the round-robin arbiter. It
-// shares no code with internal/router or internal/network: no worklist,
-// no busy-link list, no port or VC masks, no mask-form allocation.
+// shares no code with the engine in this package: no worklist, no
+// busy-link list, no port or VC masks, no mask-form allocation.
 
 const refStageCap = 4 // output stage depth, absorbing the speedup
 

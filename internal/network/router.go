@@ -1,30 +1,14 @@
-package router
+package network
 
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"nocsim/internal/alloc"
 	"nocsim/internal/flit"
-	"nocsim/internal/reuse"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
-
-// Config parameterizes one router.
-type Config struct {
-	Mesh     topo.Mesh
-	NodeID   int
-	VCs      int // virtual channels per physical channel
-	BufDepth int // flits of buffering per VC
-	Speedup  int // switch-allocation iterations per cycle (Table 2: 2)
-	Alg      routing.Algorithm
-	Rand     *rand.Rand
-	// Sinks receives the router's events; a nil field is an event nobody
-	// listens to.
-	Sinks Sinks
-}
 
 // input VC state machine states.
 const (
@@ -37,19 +21,20 @@ const (
 // s-1 flits per cycle, so a small FIFO suffices.
 const stageCap = 4
 
-// Router is one mesh router. Its per-VC state is laid out as
-// struct-of-arrays indexed by idx = int(port)*VCs + vc (the same dense
-// index the VC allocator uses), so a cycle's scans walk contiguous
-// arrays instead of chasing per-port/per-VC pointers. The arrays are cut
-// from slabs shared by every node of the fabric, and the per-port ones
-// are held inline. Each field is stored at the width its range needs: a
-// port, a VC (below MaxVCs) or a flit count (at most MaxBufDepth) is a
-// byte, and a per-VC flag is a bit of a per-port uint32 mask. The input
-// buffers and output stages are fixed-capacity rings and the scratch
-// lists are sized at construction, so a warm cycle allocates nothing.
+// Router is one mesh router, the package doc's Table 2 router. Its per-VC
+// state is laid out as struct-of-arrays indexed by idx = int(port)*VCs +
+// vc (the same dense index the VC allocator uses), so a cycle's scans
+// walk contiguous arrays instead of chasing per-port/per-VC pointers. The
+// arrays are cut from slabs shared by every node of the fabric, and the
+// per-port ones are held inline. Each field is stored at the width its
+// range needs: a port, a VC (below MaxVCs) or a flit count (at most
+// MaxBufDepth) is a byte, and a per-VC flag is a bit of a per-port uint32
+// mask. The input buffers and output stages are fixed-capacity rings and
+// the scratch lists are sized at construction, so a warm cycle allocates
+// nothing.
 type Router struct {
-	cfg Config
-	vcs int // cfg.VCs, hot-path copy
+	cfg Config // the fabric's
+	vcs int    // cfg.VCs, hot-path copy
 
 	// Input VC state machine, SoA over idx.
 	inState   []uint8
@@ -62,7 +47,7 @@ type Router struct {
 	inDest []int32
 	// inReqDir is the output port of the head packet's latest routing
 	// decision, replaced at every re-evaluation; the decision itself
-	// lives in the scratch only while AllocateVCs runs.
+	// lives in the scratch only while allocateVCs runs.
 	inReqDir []uint8
 
 	// Input buffers: per-VC rings of capacity BufDepth over one backing
@@ -91,13 +76,15 @@ type Router struct {
 	stageHead  [topo.NumPorts]uint8
 	stageLen   [topo.NumPorts]uint8
 
-	inCh  [topo.NumPorts]*Channel // attached input channels
-	outCh [topo.NumPorts]*Channel // attached output channels
+	id int32 // the router's node
+
+	inCh  [topo.NumPorts]*channel // attached input channels
+	outCh [topo.NumPorts]*channel // attached output channels
 
 	va    alloc.VCAllocator               // its round-robin pointers; calls work in sc.va
 	saIn  [topo.NumPorts]alloc.RoundRobin // per input port: VC chooser
 	saOut [topo.NumPorts]alloc.RoundRobin // per output port: input chooser
-	sc    *vaScratch                      // AllocateVCs' working memory, the fabric's
+	sc    *vaScratch                      // allocateVCs' working memory, the fabric's
 
 	// routeCtx is the reusable routing context: Decide receives a pointer
 	// to it every call (only Dest and InDir vary), so route computation
@@ -112,7 +99,7 @@ type Router struct {
 	// activePorts and stagePorts have bit p set while routingMask[p],
 	// activeMask[p] or stageLen[p] is non-zero, so the scans visit only
 	// occupied ports; with the buffered-flit total they answer Quiescent
-	// for the network's worklist.
+	// for the wake lists.
 	routingMask  [topo.NumPorts]uint32
 	activeMask   [topo.NumPorts]uint32
 	routedMask   [topo.NumPorts]uint32
@@ -150,58 +137,34 @@ const MaxVCs = 32
 // occupancy and output credits are bytes.
 const MaxBufDepth = 255
 
-// NewNodes constructs the router and the endpoint of every node of
-// cfg.Mesh on mem, node id at index id of each slice, in a number of heap
-// allocations that does not grow with the mesh: every per-VC array is cut
-// from one slab per element type (DESIGN.md, "Construction"). A nil mem
-// builds on new memory. cfg.NodeID is not read, and every router shares
-// cfg.Alg and one vaScratch. Channels are attached later with AttachIn,
-// AttachOut and Endpoint.Attach.
-func NewNodes(cfg Config, a *flit.Arena, mem *Memory) ([]Router, []Endpoint) {
-	mustBeValid(cfg)
-	if mem == nil {
-		mem = new(Memory)
-	}
-	nodes := cfg.Mesh.Nodes()
-	s := newSlabs(cfg, &mem.slabs)
-	sc := newVAScratch(cfg.VCs, &s)
-	mem.routers, mem.endpoints = reuse.Fit(mem.routers, nodes), reuse.Fit(mem.endpoints, nodes)
-	rs, es := mem.routers, mem.endpoints
-	for id := range rs {
-		cfg.NodeID = id
-		rs[id].init(cfg, &s, sc)
-		es[id].init(id, cfg.VCs, cfg.BufDepth, a, &s)
-	}
-	return rs, es
-}
-
 func mustBeValid(cfg Config) {
 	if cfg.VCs < 1 {
-		panic("router: need at least one VC")
+		panic("network: need at least one VC")
 	}
 	if cfg.VCs > MaxVCs {
-		panic("router: at most 32 VCs supported (per-port idle bitmask)")
+		panic("network: at most 32 VCs supported (per-port idle bitmask)")
 	}
 	if cfg.Alg.UsesEscape() && cfg.VCs < 2 {
-		panic("router: Duato-based routing needs at least two VCs")
+		panic("network: Duato-based routing needs at least two VCs")
 	}
 	if cfg.BufDepth < 1 || cfg.BufDepth > MaxBufDepth {
-		panic("router: buffer depth must be 1..255 (per-VC byte counters)")
+		panic("network: buffer depth must be 1..255 (per-VC byte counters)")
 	}
 	if cfg.Speedup < 1 {
-		panic("router: need speedup >= 1")
+		panic("network: need speedup >= 1")
 	}
 }
 
-// init builds the router in place, cutting its arrays from s; its
-// AllocateVCs calls work in sc.
-func (r *Router) init(cfg Config, s *slabs, sc *vaScratch) {
+// init builds the router of node id in place, cutting its arrays from s;
+// its allocateVCs calls work in sc.
+func (r *Router) init(cfg Config, id int, s *slabs, sc *vaScratch) {
 	n := topo.NumPorts * cfg.VCs
 	regs, index := routing.StateLen(cfg.Mesh, cfg.VCs, cfg.Alg)
 	*r = Router{
 		cfg: cfg,
 		vcs: cfg.VCs,
-		st:  routing.NewStateOn(cfg.Mesh, cfg.NodeID, cfg.VCs, cfg.Alg, s.i32.cut(regs), s.index.cut(index)),
+		id:  int32(id),
+		st:  routing.NewStateOn(cfg.Mesh, id, cfg.VCs, cfg.Alg, s.i32.cut(regs), s.index.cut(index)),
 
 		inState:   s.u8.cut(n),
 		inOutDir:  s.u8.cut(n),
@@ -228,35 +191,31 @@ func (r *Router) init(cfg Config, s *slabs, sc *vaScratch) {
 	}
 	r.routeCtx = routing.Context{
 		Mesh: cfg.Mesh,
-		Cur:  cfg.NodeID,
+		Cur:  id,
 		View: r,
 		Rand: cfg.Rand,
 	}
 }
 
-// AttachIn connects ch as the input channel arriving at port d.
-func (r *Router) AttachIn(d topo.Direction, ch *Channel) {
-	r.inCh[d], ch.toR, ch.toPort, ch.toNode = ch, r, uint8(d), int32(r.cfg.NodeID)
+// attachIn connects ch as the input channel arriving at port d.
+func (r *Router) attachIn(d topo.Direction, ch *channel) {
+	r.inCh[d], ch.toR, ch.toPort, ch.toNode = ch, r, uint8(d), r.id
 }
 
-// AttachOut connects ch as the output channel leaving port d.
-func (r *Router) AttachOut(d topo.Direction, ch *Channel) {
+// attachOut connects ch as the output channel leaving port d.
+func (r *Router) attachOut(d topo.Direction, ch *channel) {
 	r.outCh[d], ch.fromR, ch.fromPort = ch, r, uint8(d)
 }
 
-// AttachDownstream makes nb, the State of the router at the far end of
+// attachDownstream makes nb, the State of the router at the far end of
 // output port d, what DownstreamIdle(d, …) reads.
-func (r *Router) AttachDownstream(d topo.Direction, nb *routing.State) { r.down[d] = nb }
-
-// SetBlockedSink replaces Sinks.Blocked from the next cycle on; nil detaches it.
-func (r *Router) SetBlockedSink(b BlockedSink) { r.cfg.Sinks.Blocked = b }
+func (r *Router) attachDownstream(d topo.Direction, nb *routing.State) { r.down[d] = nb }
 
 // Quiescent reports that the router holds no work at a cycle boundary:
 // no input VC is routing or active, no flit is buffered, and no flit
-// waits in an output stage. A quiescent router's cycle is a no-op (all
-// remaining state transitions are driven by channel arrivals, which the
-// network watches separately), so the active-router worklist may skip it
-// without changing any simulated result.
+// waits in an output stage. A quiescent router's cycle is a no-op: all
+// remaining state transitions are driven by channel arrivals, which wake
+// it.
 func (r *Router) Quiescent() bool {
 	return r.routingPorts|r.activePorts|r.stagePorts == 0 && r.bufTotal == 0
 }
@@ -301,7 +260,7 @@ func (r *Router) bufPush(idx int, f *flit.Flit) {
 	depth := r.cfg.BufDepth
 	if int(r.bufLen[idx]) >= depth {
 		panic(fmt.Sprintf("router %d: input buffer overflow port %v vc %d",
-			r.cfg.NodeID, topo.Direction(idx/r.vcs), idx%r.vcs))
+			r.id, topo.Direction(idx/r.vcs), idx%r.vcs))
 	}
 	pos := (int(r.bufHead[idx]) + int(r.bufLen[idx])) % depth
 	r.bufStore[idx*depth+pos] = f
@@ -326,7 +285,7 @@ func (r *Router) bufPop(idx int) *flit.Flit {
 // stagePush appends f to output port o's stage.
 func (r *Router) stagePush(o int, f *flit.Flit) {
 	if int(r.stageLen[o]) >= stageCap {
-		panic(fmt.Sprintf("router %d: output stage overflow port %v", r.cfg.NodeID, topo.Direction(o)))
+		panic(fmt.Sprintf("router %d: output stage overflow port %v", r.id, topo.Direction(o)))
 	}
 	pos := (int(r.stageHead[o]) + int(r.stageLen[o])) % stageCap
 	r.stageStore[o*stageCap+pos] = f
@@ -366,7 +325,7 @@ func (r *Router) VCs() int { return r.vcs }
 // --- per-cycle phases ------------------------------------------------------
 
 // acceptFlit buffers flit f arriving at input port p: phase A, called by
-// the input channel's Deliver.
+// the input channel's deliver.
 func (r *Router) acceptFlit(p int, f *flit.Flit) {
 	i := r.idx(topo.Direction(p), f.VC)
 	r.bufPush(i, f)
@@ -378,21 +337,21 @@ func (r *Router) acceptFlit(p int, f *flit.Flit) {
 	// head.
 	if r.inState[i] == vcIdle {
 		if !f.Head {
-			panic("router: non-head flit at front of idle VC")
+			panic("network: non-head flit at front of idle VC")
 		}
 		r.startRouting(i, f)
 	}
 }
 
 // acceptCredits returns the credits crs to the VCs of output port p:
-// phase A, called by the output channel's Deliver.
+// phase A, called by the output channel's deliver.
 func (r *Router) acceptCredits(p int, crs []flit.Credit) {
 	for _, cr := range crs {
 		vc, bit := int(cr.VC), uint32(1)<<cr.VC
 		i := r.idx(topo.Direction(p), vc)
 		// Tested before the increment: a byte at MaxBufDepth would wrap.
 		if int(r.outCredits[i]) >= r.cfg.BufDepth {
-			panic(fmt.Sprintf("router %d: credit overflow port %v vc %d", r.cfg.NodeID, topo.Direction(p), vc))
+			panic(fmt.Sprintf("router %d: credit overflow port %v vc %d", r.id, topo.Direction(p), vc))
 		}
 		r.outCredits[i]++
 		if cr.Tail {
@@ -420,9 +379,9 @@ func (r *Router) startRouting(i int, f *flit.Flit) {
 	r.routingPorts |= 1 << uint(p)
 }
 
-// AllocateVCs runs route computation and VC allocation for every input VC
-// in routing state at cycle now. Phase B+C.
-func (r *Router) AllocateVCs(now int64) {
+// allocateVCs runs route computation and VC allocation for every input VC
+// in routing state at cycle now, in the fabric's shared scratch. Phase B+C.
+func (r *Router) allocateVCs(now int64) {
 	if r.routingPorts == 0 {
 		return
 	}
@@ -444,9 +403,9 @@ func (r *Router) AllocateVCs(now int64) {
 			dec := &sc.dec[requester]
 			dest := int(r.inDest[requester])
 			if r.cfg.Sinks.Packets != nil && first {
-				r.cfg.Sinks.Packets.OnRoute(now, r.cfg.NodeID, r.bufFront(requester).Packet, topo.Direction(p))
+				r.cfg.Sinks.Packets.OnRoute(now, int(r.id), r.bufFront(requester).Packet, topo.Direction(p))
 			}
-			if dest == r.cfg.NodeID {
+			if dest == int(r.id) {
 				// Ejection: request every local-port VC obliviously.
 				*dec = routing.Decision{Dir: topo.Local}
 				dec.Pri[alloc.Low] = uint32(1)<<uint(r.vcs) - 1
@@ -522,7 +481,7 @@ func (r *Router) AllocateVCs(now int64) {
 				if r.inBlocked[requester] == 1 {
 					pkt = r.bufFront(requester).Packet
 				}
-				r.cfg.Sinks.Blocked.OnVCAllocFailure(now, r.cfg.NodeID, pkt,
+				r.cfg.Sinks.Blocked.OnVCAllocFailure(now, int(r.id), pkt,
 					out, fp, busy, int64(r.inBlocked[requester]))
 			}
 		}
@@ -546,7 +505,7 @@ func (r *Router) grant(now int64, q, res int) {
 		// Reported before the assignments below so the VC is classified
 		// against its pre-grant state: once marked allocated and owned
 		// it would read as busy.
-		r.cfg.Sinks.Packets.OnVCAllocGrant(now, r.cfg.NodeID, r.bufFront(q).Packet,
+		r.cfg.Sinks.Packets.OnVCAllocGrant(now, int(r.id), r.bufFront(q).Packet,
 			od, ovc, r.classifyVC(od, ovc, dest), int64(r.inBlocked[q]))
 	}
 	r.outAlloc[od] |= uint32(1) << uint(ovc)
@@ -563,10 +522,10 @@ func (r *Router) portOccupancy(d topo.Direction, dest int) (fp, busy int) {
 	return bits.OnesCount32(r.st.OwnerMask(d, dest) >> uint(lo)), r.vcs - lo - r.st.IdleCount(d, lo)
 }
 
-// SwitchAndTraverse performs switch allocation and switch traversal for
+// switchAndTraverse performs switch allocation and switch traversal for
 // Speedup iterations at cycle now, then drains one flit per output port
 // onto its channel. Phase D+E.
-func (r *Router) SwitchAndTraverse(now int64) {
+func (r *Router) switchAndTraverse(now int64) {
 	if r.activePorts|r.stagePorts == 0 {
 		return
 	}
@@ -618,10 +577,10 @@ func (r *Router) SwitchAndTraverse(now int64) {
 	for m := r.stagePorts; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros8(m)
 		ch := r.outCh[o]
-		if !ch.CanSend() {
+		if !ch.canSend() {
 			continue
 		}
-		ch.Send(r.stagePop(o))
+		ch.send(r.stagePop(o))
 		r.outFlits[o]++
 	}
 }
@@ -664,11 +623,11 @@ func (r *Router) traverse(now int64, p, v int) {
 	r.stagePush(int(od), f)
 	r.xbarGrants[od]++
 	if r.cfg.Sinks.Packets != nil && f.Head {
-		r.cfg.Sinks.Packets.OnHeadTraverse(now, r.cfg.NodeID, f.Packet, od, ovc)
+		r.cfg.Sinks.Packets.OnHeadTraverse(now, int(r.id), f.Packet, od, ovc)
 	}
 
 	// Return a credit for the freed input buffer slot.
-	r.inCh[p].SendCredit(flit.Credit{VC: uint8(v), Tail: f.Tail})
+	r.inCh[p].sendCredit(flit.Credit{VC: uint8(v), Tail: f.Tail})
 
 	if f.Tail {
 		bit := uint32(1) << uint(ovc)
@@ -686,7 +645,7 @@ func (r *Router) traverse(now int64, p, v int) {
 		r.inState[i] = vcIdle
 		if nf := r.bufFront(i); nf != nil {
 			if !nf.Head {
-				panic("router: flit interleaving detected")
+				panic("network: flit interleaving detected")
 			}
 			r.startRouting(i, nf)
 		}

@@ -1,4 +1,4 @@
-package router
+package network
 
 import (
 	"math/bits"
@@ -42,42 +42,42 @@ func (s *scriptAlg) Decide(ctx *routing.Context) routing.Decision {
 // testNodes builds the routers and endpoints of a 4x4 fabric with vcs
 // VCs and four-flit buffers, no channel attached.
 func testNodes(alg routing.Algorithm, vcs int) ([]Router, []Endpoint) {
-	return NewNodes(Config{Mesh: topo.MustNew(4, 4), VCs: vcs, BufDepth: 4,
-		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1))}, flit.NewArena(), nil)
+	return new(Memory).newNodes(Config{Mesh: topo.MustNew(4, 4), VCs: vcs, BufDepth: 4,
+		Speedup: 2, Alg: alg, Rand: rand.New(rand.NewSource(1))})
 }
 
 // testRouter is node 5 of testNodes with a test channel on every port.
-func testRouter(t *testing.T, alg routing.Algorithm, vcs int) (*Router, map[topo.Direction]*Channel, map[topo.Direction]*Channel) {
+func testRouter(t *testing.T, alg routing.Algorithm, vcs int) (*Router, map[topo.Direction]*channel, map[topo.Direction]*channel) {
 	t.Helper()
 	rs, _ := testNodes(alg, vcs)
 	r := &rs[5]
-	ins := map[topo.Direction]*Channel{}
-	outs := map[topo.Direction]*Channel{}
+	ins := map[topo.Direction]*channel{}
+	outs := map[topo.Direction]*channel{}
 	for d := topo.East; d <= topo.Local; d++ {
 		ins[d] = testChannel()
 		outs[d] = testChannel()
-		r.AttachIn(d, ins[d])
-		r.AttachOut(d, outs[d])
+		r.attachIn(d, ins[d])
+		r.attachOut(d, outs[d])
 	}
 	return r, ins, outs
 }
 
 // testChannel returns a channel reporting to lists of its own.
-func testChannel() *Channel {
-	return new(Channel).Init(&Links{Wake: make([]uint64, 1)})
+func testChannel() *channel {
+	return new(channel).init(&Network{wake: make([]uint64, 1)})
 }
 
 // sent takes the flit staged on ch, and returned the credits, as the
 // delivery pass does before handing them to an end: a test reads them in
 // the place of an end it did not attach. Nothing reads a test channel's
 // own busy list, so neither takes the channel off it.
-func sent(ch *Channel) *flit.Flit {
+func sent(ch *channel) *flit.Flit {
 	f := ch.flit
 	ch.flit = nil
 	return f
 }
 
-func returned(ch *Channel) []flit.Credit {
+func returned(ch *channel) []flit.Credit {
 	crs := append([]flit.Credit(nil), ch.credits...)
 	ch.credits = ch.credits[:0]
 	return crs
@@ -126,7 +126,7 @@ func TestNewValidation(t *testing.T) {
 					t.Errorf("case %d: no panic", i)
 				}
 			}()
-			NewNodes(cfg, nil, nil)
+			new(Memory).newNodes(cfg)
 		}()
 	}
 }
@@ -138,11 +138,11 @@ func TestSingleFlitTraversal(t *testing.T) {
 	r, ins, outs := testRouter(t, alg, 2)
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 0
-	ins[topo.West].Send(f)
+	ins[topo.West].send(f)
 
 	receive(r)
-	r.AllocateVCs(0)
-	r.SwitchAndTraverse(0)
+	r.allocateVCs(0)
+	r.switchAndTraverse(0)
 
 	got := sent(outs[topo.East])
 	if got == nil {
@@ -165,22 +165,22 @@ func TestOwnerRegisterLifecycle(t *testing.T) {
 	r, ins, outs := testRouter(t, alg, 2)
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 0
-	ins[topo.West].Send(f)
+	ins[topo.West].send(f)
 	receive(r)
-	r.AllocateVCs(0)
+	r.allocateVCs(0)
 	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != 6 {
 		t.Fatalf("owner after allocation = %d, want 6", got)
 	}
 	if idle(r, topo.East, 1) {
 		t.Error("allocated VC reported idle")
 	}
-	r.SwitchAndTraverse(0)
+	r.switchAndTraverse(0)
 	// Flit left; downstream must drain and return the credit before the
 	// owner clears.
 	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != 6 {
 		t.Error("owner cleared before downstream drained")
 	}
-	outs[topo.East].SendCredit(flit.Credit{VC: 1, Tail: true})
+	outs[topo.East].sendCredit(flit.Credit{VC: 1, Tail: true})
 	receive(r)
 	if got := r.OutputVCSnapshot(topo.East, 1).Owner; got != -1 {
 		t.Errorf("owner after drain = %d, want -1", got)
@@ -200,24 +200,24 @@ func TestConservativeReallocWaitsForTailCredit(t *testing.T) {
 	r, ins, outs := testRouter(t, alg, 2)
 	f1 := headFlit(1, 6, 1)[0]
 	f1.VC = 0
-	ins[topo.West].Send(f1)
+	ins[topo.West].send(f1)
 	receive(r)
-	r.AllocateVCs(0)
-	r.SwitchAndTraverse(0)
+	r.allocateVCs(0)
+	r.switchAndTraverse(0)
 
 	// Second packet arrives wanting the same output VC.
 	f2 := headFlit(2, 6, 1)[0]
 	f2.VC = 1
-	ins[topo.West].Send(f2)
+	ins[topo.West].send(f2)
 	receive(r)
-	r.AllocateVCs(0)
+	r.allocateVCs(0)
 	if r.OutputVCSnapshot(topo.East, 1).Allocated {
 		t.Fatal("VC reallocated before tail credit (conservative realloc broken)")
 	}
 	// Tail credit arrives; now reallocation may happen.
-	outs[topo.East].SendCredit(flit.Credit{VC: 1, Tail: true})
+	outs[topo.East].sendCredit(flit.Credit{VC: 1, Tail: true})
 	receive(r)
-	r.AllocateVCs(0)
+	r.allocateVCs(0)
 	if !r.OutputVCSnapshot(topo.East, 1).Allocated {
 		t.Fatal("VC not reallocated after tail credit")
 	}
@@ -232,16 +232,16 @@ func TestEagerReallocAfterTailSend(t *testing.T) {
 	r, ins, _ := testRouter(t, alg, 2)
 	f1 := headFlit(1, 6, 1)[0]
 	f1.VC = 0
-	ins[topo.West].Send(f1)
+	ins[topo.West].send(f1)
 	receive(r)
-	r.AllocateVCs(0)
-	r.SwitchAndTraverse(0)
+	r.allocateVCs(0)
+	r.switchAndTraverse(0)
 
 	f2 := headFlit(2, 6, 1)[0]
 	f2.VC = 1
-	ins[topo.West].Send(f2)
+	ins[topo.West].send(f2)
 	receive(r)
-	r.AllocateVCs(0)
+	r.allocateVCs(0)
 	if !r.OutputVCSnapshot(topo.East, 1).Allocated {
 		t.Fatal("eager realloc should allow immediate reallocation after tail send")
 	}
@@ -255,10 +255,10 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 	flits := headFlit(1, 6, 3)
 	for i, f := range flits {
 		f.VC = 0
-		ins[topo.West].Send(f)
+		ins[topo.West].send(f)
 		receive(r)
-		r.AllocateVCs(0)
-		r.SwitchAndTraverse(0)
+		r.allocateVCs(0)
+		r.switchAndTraverse(0)
 		got := sent(outs[topo.East])
 		if got == nil {
 			t.Fatalf("flit %d stalled", i)
@@ -280,8 +280,8 @@ func TestWormholeHoldsVCForWholePacket(t *testing.T) {
 // and pass.
 func TestCreditsNeverExceedDepth(t *testing.T) {
 	for _, depth := range []int{4, MaxBufDepth} {
-		rs, es := NewNodes(Config{Mesh: topo.MustNew(4, 4), VCs: 2, BufDepth: depth,
-			Speedup: 2, Alg: &scriptAlg{}}, flit.NewArena(), nil)
+		rs, es := new(Memory).newNodes(Config{Mesh: topo.MustNew(4, 4), VCs: 2, BufDepth: depth,
+			Speedup: 2, Alg: &scriptAlg{}})
 		mustPanic := func(what string, f func()) {
 			t.Helper()
 			defer func() {
@@ -305,12 +305,12 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 func TestEjectionRequestsLocalPort(t *testing.T) {
 	alg := &scriptAlg{}
 	r, ins, outs := testRouter(t, alg, 2)
-	f := headFlit(1, 5, 1)[0] // dest == NodeID
+	f := headFlit(1, 5, 1)[0] // dest == the router's node
 	f.VC = 0
-	ins[topo.West].Send(f)
+	ins[topo.West].send(f)
 	receive(r)
-	r.AllocateVCs(0)
-	r.SwitchAndTraverse(0)
+	r.allocateVCs(0)
+	r.switchAndTraverse(0)
 	if sent(outs[topo.Local]) == nil {
 		t.Fatal("packet for this node not sent to the local port")
 	}
@@ -325,15 +325,15 @@ func TestInputVCBlockedCounter(t *testing.T) {
 	r, ins, _ := testRouter(t, alg, 2)
 	b := headFlit(9, 6, 2)[0] // multi-flit: holds the VC
 	b.VC = 0
-	ins[topo.West].Send(b)
+	ins[topo.West].send(b)
 	receive(r)
-	r.AllocateVCs(0)
+	r.allocateVCs(0)
 	f := headFlit(1, 6, 1)[0]
 	f.VC = 1
-	ins[topo.West].Send(f)
+	ins[topo.West].send(f)
 	receive(r)
 	for i := 0; i < 3; i++ {
-		r.AllocateVCs(0)
+		r.allocateVCs(0)
 	}
 	if got := r.InputVCSnapshot(topo.West, 1).Blocked; got != 3 {
 		t.Errorf("blocked = %d, want 3", got)
@@ -355,11 +355,11 @@ func TestSpeedupMovesTwoFlitsPerCycle(t *testing.T) {
 	fa.VC = 0
 	fb := headFlit(2, 9, 1)[0]
 	fb.VC = 1
-	ins[topo.West].Send(fa)
-	ins[topo.North].Send(fb)
+	ins[topo.West].send(fa)
+	ins[topo.North].send(fb)
 	receive(r)
-	r.AllocateVCs(0)
-	r.SwitchAndTraverse(0)
+	r.allocateVCs(0)
+	r.switchAndTraverse(0)
 	if sent(outs[topo.East]) == nil || sent(outs[topo.South]) == nil {
 		t.Error("speedup-2 router failed to move two flits in one cycle")
 	}
@@ -395,20 +395,20 @@ func TestBlockedHeadsAllocateNothing(t *testing.T) {
 					f := headFlit(id, dests[int(id)%len(dests)], 2)[0]
 					f.VC = v
 					id++
-					ins[d].Send(f)
+					ins[d].send(f)
 				}
 				receive(r)
-				r.AllocateVCs(0)
+				r.allocateVCs(0)
 			}
 			for i := 0; i < 4; i++ {
-				r.AllocateVCs(0)
+				r.allocateVCs(0)
 			}
 			if n := routingHeads(r); n < 2*vcs {
 				t.Fatalf("%s vcs=%d: %d blocked head flits, want at least %d",
 					name, vcs, n, 2*vcs)
 			}
-			if n := testing.AllocsPerRun(50, func() { r.AllocateVCs(0) }); n != 0 {
-				t.Errorf("%s vcs=%d: AllocateVCs on blocked head flits allocates %v times per call, want 0",
+			if n := testing.AllocsPerRun(50, func() { r.allocateVCs(0) }); n != 0 {
+				t.Errorf("%s vcs=%d: allocateVCs on blocked head flits allocates %v times per call, want 0",
 					name, vcs, n)
 			}
 		}
@@ -453,13 +453,13 @@ func TestAllocationFormFollowsContention(t *testing.T) {
 		}{{topo.West, 6}, {topo.North, 9}} { // ascending requester index
 			f := headFlit(uint64(h.dest), h.dest, 2)[0]
 			f.VC = 1
-			ins[h.in].Send(f)
+			ins[h.in].send(f)
 			for _, rq := range c.script[h.dest] {
 				reqs = append(reqs, alloc.VCRequest{Requester: r.idx(h.in, 1), Resource: r.idx(rq.Dir, rq.VC), Pri: rq.Pri})
 			}
 		}
 		receive(r)
-		r.AllocateVCs(0)
+		r.allocateVCs(0)
 		if got := len(r.sc.reqs) != 0; got != c.listPath {
 			t.Errorf("%s: request list built = %v, want %v", c.name, got, c.listPath)
 		}
@@ -496,8 +496,7 @@ func TestSlabsCutExactly(t *testing.T) {
 					s := newSlabs(cfg, &old)
 					sc := newVAScratch(vcs, &s)
 					for id := 0; id < cfg.Mesh.Nodes(); id++ {
-						cfg.NodeID = id
-						new(Router).init(cfg, &s, sc)
+						new(Router).init(cfg, id, &s, sc)
 						new(Endpoint).init(id, vcs, depth, nil, &s)
 					}
 					v := reflect.ValueOf(s)

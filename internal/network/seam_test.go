@@ -8,7 +8,6 @@ import (
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
 	"nocsim/internal/obs"
-	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
@@ -22,7 +21,7 @@ type seamCounts struct {
 	Spans, BadPacket int
 }
 
-// seamRecorder implements all three router.Sinks interfaces; the table
+// seamRecorder implements all three network.Sinks interfaces; the table
 // attaches a separate recorder per field.
 type seamRecorder struct{ seamCounts }
 
@@ -37,12 +36,12 @@ func (r *seamRecorder) OnVCAllocFailure(_ int64, _ int, p *flit.Packet, _ topo.D
 }
 func (r *seamRecorder) OnInject(int64, *flit.Packet)                     { r.Injects++ }
 func (r *seamRecorder) OnRoute(int64, int, *flit.Packet, topo.Direction) { r.Routes++ }
-func (r *seamRecorder) OnVCAllocGrant(int64, int, *flit.Packet, topo.Direction, int, router.VCClass, int64) {
+func (r *seamRecorder) OnVCAllocGrant(int64, int, *flit.Packet, topo.Direction, int, network.VCClass, int64) {
 	r.Grants++
 }
 func (r *seamRecorder) OnHeadTraverse(int64, int, *flit.Packet, topo.Direction, int) { r.Hops++ }
 func (r *seamRecorder) OnEject(int64, *flit.Packet)                                  { r.Ejects++ }
-func (r *seamRecorder) OnRouteDecision(int64, int, *flit.Packet, router.Decision)    { r.Decisions++ }
+func (r *seamRecorder) OnRouteDecision(int64, int, *flit.Packet, network.Decision)   { r.Decisions++ }
 
 // seamOutcome is what the fabric did, as seen without any sink.
 type seamOutcome struct {
@@ -96,7 +95,7 @@ func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
 			// Attach on the concrete pointers: a nil *seamRecorder stored
 			// in an interface field would be a non-nil interface, and the
 			// router would call through it.
-			var sinks router.Sinks
+			var sinks network.Sinks
 			if blocked != nil {
 				sinks.Blocked = blocked
 			}
@@ -200,7 +199,7 @@ func TestSinksSubsetsNeverPerturbTheRun(t *testing.T) {
 	}
 }
 
-// clockRecorder implements all three router.Sinks interfaces and checks
+// clockRecorder implements all three network.Sinks interfaces and checks
 // every event's cycle against the network's clock as it arrives.
 type clockRecorder struct {
 	t      *testing.T
@@ -226,7 +225,7 @@ func (r *clockRecorder) OnRoute(now int64, node int, _ *flit.Packet, _ topo.Dire
 	r.check("OnRoute", now, node)
 	r.counts.Routes++
 }
-func (r *clockRecorder) OnVCAllocGrant(now int64, node int, _ *flit.Packet, _ topo.Direction, _ int, _ router.VCClass, _ int64) {
+func (r *clockRecorder) OnVCAllocGrant(now int64, node int, _ *flit.Packet, _ topo.Direction, _ int, _ network.VCClass, _ int64) {
 	r.check("OnVCAllocGrant", now, node)
 	r.counts.Grants++
 }
@@ -238,7 +237,7 @@ func (r *clockRecorder) OnEject(now int64, p *flit.Packet) {
 	r.check("OnEject", now, p.Dest)
 	r.counts.Ejects++
 }
-func (r *clockRecorder) OnRouteDecision(now int64, node int, _ *flit.Packet, _ router.Decision) {
+func (r *clockRecorder) OnRouteDecision(now int64, node int, _ *flit.Packet, _ network.Decision) {
 	r.check("OnRouteDecision", now, node)
 	r.counts.Decisions++
 }
@@ -261,7 +260,7 @@ func TestEventsCarryNetworkCycle(t *testing.T) {
 				Speedup:  2,
 				Alg:      routing.MustNew(alg),
 				Rand:     rand.New(rand.NewSource(1)),
-				Sinks:    router.Sinks{Blocked: rec, Packets: rec, Decisions: rec},
+				Sinks:    network.Sinks{Blocked: rec, Packets: rec, Decisions: rec},
 			}, nil)
 			rec.n = n
 			load := rand.New(rand.NewSource(2))

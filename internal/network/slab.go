@@ -1,4 +1,4 @@
-package router
+package network
 
 import (
 	"nocsim/internal/alloc"
@@ -20,10 +20,10 @@ func (s *slab[T]) cut(n int) []T {
 	return c
 }
 
-// vaScratch is the working memory of Router.AllocateVCs. Nothing in it
-// outlives a call, and network.Step runs the routers' AllocateVCs one at a
-// time, so one vaScratch serves every router of a fabric. It is sized for
-// the worst call and never grows.
+// vaScratch is the working memory of Router.allocateVCs. Nothing in it
+// outlives a call, so one vaScratch serves every router of a fabric (the
+// package doc's invariant). It is sized for the worst call and never
+// grows.
 type vaScratch struct {
 	dec   []routing.Decision // per input VC: this call's decision for its head
 	heads []uint8            // this call's routing heads with a grantable VC, ascending
@@ -46,17 +46,23 @@ func newVAScratch(vcs int, s *slabs) *vaScratch {
 	}
 }
 
-// Memory is what NewNodes builds a fabric's nodes on: the slabs and the
-// router and endpoint arrays. The zero Memory holds nothing. NewNodes
-// keeps each array that is large enough for the fabric it builds, cleared,
-// and replaces each that is not, so nodes built on the memory of a
-// finished fabric are the nodes a zero Memory gives (DESIGN.md,
-// "Recycling"). A Memory backs one fabric at a time: building on it ends
-// the one built on it before.
-type Memory struct {
-	slabs     slabs
-	routers   []Router
-	endpoints []Endpoint
+// newNodes builds the router and the endpoint of every node of cfg.Mesh
+// on m, node id at index id of each slice, in a number of heap
+// allocations that does not grow with the mesh: every per-VC array is cut
+// from one slab per element type (DESIGN.md, "Construction"). Every router
+// shares cfg.Alg and one vaScratch, and every endpoint m's arena. New
+// attaches the channels.
+func (m *Memory) newNodes(cfg Config) ([]Router, []Endpoint) {
+	mustBeValid(cfg)
+	nodes := cfg.Mesh.Nodes()
+	s := newSlabs(cfg, &m.slabs)
+	sc := newVAScratch(cfg.VCs, &s)
+	m.routers, m.endpoints = reuse.Fit(m.routers, nodes), reuse.Fit(m.endpoints, nodes)
+	for id := range m.routers {
+		m.routers[id].init(cfg, id, &s, sc)
+		m.endpoints[id].init(id, cfg.VCs, cfg.BufDepth, &m.arena, &s)
+	}
+	return m.routers, m.endpoints
 }
 
 // slabs holds one slab per element type of the per-node arrays, sized by

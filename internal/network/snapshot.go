@@ -1,4 +1,4 @@
-package router
+package network
 
 import (
 	"nocsim/internal/topo"

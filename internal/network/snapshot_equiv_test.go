@@ -1,10 +1,10 @@
-package router_test
+package network_test
 
 import (
 	"math/bits"
 	"testing"
 
-	"nocsim/internal/router"
+	"nocsim/internal/network"
 	"nocsim/internal/routing"
 	"nocsim/internal/sim"
 	"nocsim/internal/topo"
@@ -67,7 +67,7 @@ func snapshotMatchesSoAState(t *testing.T, alg string) {
 				if !ost.Allocated && !ost.AwaitTailCredit && ost.Credits == cfg.BufDepth {
 					idleBits |= 1 << uint(v)
 				}
-				if r.InputVCSnapshot(d, v).State != router.VCStateIdle || ost.Allocated {
+				if r.InputVCSnapshot(d, v).State != network.VCStateIdle || ost.Allocated {
 					populated = true
 				}
 			}

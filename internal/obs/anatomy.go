@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"nocsim/internal/flit"
-	"nocsim/internal/router"
+	"nocsim/internal/network"
 )
 
 // Component is one named slice of the latency decomposition.
@@ -37,20 +37,20 @@ type Anatomy struct {
 
 	// The latency components, in end-to-end cycle totals over all
 	// measured packets. VCWaitCycles is split by the class of the VC the
-	// wait ended on (indexed by router.VCClass).
-	SrcQueueCycles      int64                      `json:"src_queue_cycles"`
-	RouteWaitCycles     int64                      `json:"route_wait_cycles"`
-	VCWaitCycles        [router.NumVCClasses]int64 `json:"vc_wait_cycles"`
-	SwitchWaitCycles    int64                      `json:"switch_wait_cycles"`
-	LinkCycles          int64                      `json:"link_cycles"`
-	SerializationCycles int64                      `json:"serialization_cycles"`
+	// wait ended on (indexed by network.VCClass).
+	SrcQueueCycles      int64                       `json:"src_queue_cycles"`
+	RouteWaitCycles     int64                       `json:"route_wait_cycles"`
+	VCWaitCycles        [network.NumVCClasses]int64 `json:"vc_wait_cycles"`
+	SwitchWaitCycles    int64                       `json:"switch_wait_cycles"`
+	LinkCycles          int64                       `json:"link_cycles"`
+	SerializationCycles int64                       `json:"serialization_cycles"`
 	// LatencyCycles is the summed end-to-end (Born→Eject) latency; the
 	// components above partition it exactly.
 	LatencyCycles int64 `json:"latency_cycles"`
 
 	// Grants counts VC-allocation wins by the granted VC's class at
 	// grant time (all hops of measured packets, ejection included).
-	Grants [router.NumVCClasses]int64 `json:"grants"`
+	Grants [network.NumVCClasses]int64 `json:"grants"`
 
 	// Decision aggregates: one routing decision per measured packet per
 	// router visited (ejection decisions excluded — they exercise no
@@ -79,7 +79,7 @@ func (a *Anatomy) Components() []Component {
 		{"src-queue", a.SrcQueueCycles},
 		{"route-wait", a.RouteWaitCycles},
 	}
-	for c := router.VCClassIdle; c < router.VCClass(router.NumVCClasses); c++ {
+	for c := network.VCClassIdle; c < network.VCClass(network.NumVCClasses); c++ {
 		out = append(out, Component{"vc-wait-" + c.String(), a.VCWaitCycles[c]})
 	}
 	out = append(out,
@@ -120,7 +120,7 @@ func (a *Anatomy) VCAdaptivenessExercised() float64 {
 }
 
 // GrantShare returns class's fraction of all grants (0 when none).
-func (a *Anatomy) GrantShare(c router.VCClass) float64 {
+func (a *Anatomy) GrantShare(c network.VCClass) float64 {
 	total := a.TotalGrants()
 	if total == 0 {
 		return 0
@@ -149,7 +149,7 @@ func (a *Anatomy) Format(w io.Writer) {
 			c.Name, float64(c.Cycles)/float64(a.Packets), 100*share)
 	}
 	fmt.Fprintf(w, "  vc grants by class:")
-	for c := router.VCClassIdle; c < router.VCClass(router.NumVCClasses); c++ {
+	for c := network.VCClassIdle; c < network.VCClass(network.NumVCClasses); c++ {
 		fmt.Fprintf(w, " %s %.1f%%", c, 100*a.GrantShare(c))
 	}
 	fmt.Fprintln(w)
@@ -175,7 +175,7 @@ func (a *Anatomy) WriteCSV(w io.Writer) error {
 	for _, c := range a.Components() {
 		pairs = append(pairs, pair{"component_" + c.Name + "_cycles", c.Cycles})
 	}
-	for c := router.VCClassIdle; c < router.VCClass(router.NumVCClasses); c++ {
+	for c := network.VCClassIdle; c < network.VCClass(network.NumVCClasses); c++ {
 		pairs = append(pairs, pair{"grants_" + c.String(), a.Grants[c]})
 	}
 	pairs = append(pairs,
@@ -264,7 +264,7 @@ func (a *AnatomyCollector) onRoute(now int64, p *flit.Packet) {
 
 // onGrant charges the allocation wait to the class of the VC that ended
 // it.
-func (a *AnatomyCollector) onGrant(now int64, p *flit.Packet, class router.VCClass, waited int64) {
+func (a *AnatomyCollector) onGrant(now int64, p *flit.Packet, class network.VCClass, waited int64) {
 	st, ok := a.inflight[p.ID]
 	if !ok {
 		return
@@ -305,7 +305,7 @@ func (a *AnatomyCollector) onEject(now int64, p *flit.Packet) {
 // onDecision accumulates one routing decision's exercised adaptiveness.
 // Only decisions of measured (in-flight tracked) packets count, so the
 // aggregate describes the same population as the latency components.
-func (a *AnatomyCollector) onDecision(p *flit.Packet, d router.Decision) {
+func (a *AnatomyCollector) onDecision(p *flit.Packet, d network.Decision) {
 	if _, ok := a.inflight[p.ID]; !ok {
 		return
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"nocsim/internal/flit"
-	"nocsim/internal/router"
+	"nocsim/internal/network"
 )
 
 // TestAnatomyDecomposition drives the collector with a hand-written event
@@ -20,13 +20,13 @@ func TestAnatomyDecomposition(t *testing.T) {
 
 	// Source queue 100→103, then two hops and ejection at 115.
 	a.onInject(103, p)
-	a.onRoute(106, p)                             // route-wait 2, link 1
-	a.onGrant(108, p, router.VCClassIdle, 2)      // vc-wait-idle 2
-	a.onHeadTraverse(109, p)                      // switch-wait 1
-	a.onRoute(111, p)                             // route-wait 1, link 1
-	a.onGrant(111, p, router.VCClassFootprint, 0) // vc-wait-footprint 0
-	a.onHeadTraverse(112, p)                      // switch-wait 1
-	a.onDecision(p, router.Decision{
+	a.onRoute(106, p)                              // route-wait 2, link 1
+	a.onGrant(108, p, network.VCClassIdle, 2)      // vc-wait-idle 2
+	a.onHeadTraverse(109, p)                       // switch-wait 1
+	a.onRoute(111, p)                              // route-wait 1, link 1
+	a.onGrant(111, p, network.VCClassFootprint, 0) // vc-wait-footprint 0
+	a.onHeadTraverse(112, p)                       // switch-wait 1
+	a.onDecision(p, network.Decision{
 		MinimalPorts: 2, AdmissibleVCs: 18, OfferedVCs: 9,
 		FootprintVCs: 3, IdleVCs: 6, EscapeRequested: true,
 	})
@@ -47,10 +47,10 @@ func TestAnatomyDecomposition(t *testing.T) {
 		FootprintVCsSum: 3, IdleVCsSum: 6,
 		EscapeDecisions: 1,
 	}
-	want.VCWaitCycles[router.VCClassIdle] = 2
-	want.VCWaitCycles[router.VCClassFootprint] = 0
-	want.Grants[router.VCClassIdle] = 1
-	want.Grants[router.VCClassFootprint] = 1
+	want.VCWaitCycles[network.VCClassIdle] = 2
+	want.VCWaitCycles[network.VCClassFootprint] = 0
+	want.Grants[network.VCClassIdle] = 1
+	want.Grants[network.VCClassFootprint] = 1
 	if *agg != want {
 		t.Errorf("aggregate mismatch:\ngot  %+v\nwant %+v", *agg, want)
 	}
@@ -86,9 +86,9 @@ func TestAnatomyMeasuredPopulationGate(t *testing.T) {
 	late := &flit.Packet{ID: 2, Born: 250}
 	a.onInject(252, late) // born after the window closes
 	a.onRoute(255, late)
-	a.onGrant(256, late, router.VCClassBusy, 1)
+	a.onGrant(256, late, network.VCClassBusy, 1)
 	a.onHeadTraverse(257, late)
-	a.onDecision(late, router.Decision{MinimalPorts: 2})
+	a.onDecision(late, network.Decision{MinimalPorts: 2})
 	a.onEject(260, late)
 
 	if agg := a.Aggregate(); *agg != (Anatomy{}) {
@@ -105,7 +105,7 @@ func TestAnatomyFormatAndCSV(t *testing.T) {
 	p := &flit.Packet{ID: 7, Born: 0}
 	a.onInject(1, p)
 	a.onRoute(3, p)
-	a.onGrant(4, p, router.VCClassEscape, 1)
+	a.onGrant(4, p, network.VCClassEscape, 1)
 	a.onHeadTraverse(5, p)
 	a.onEject(6, p)
 
@@ -132,14 +132,14 @@ func TestAnatomyFormatAndCSV(t *testing.T) {
 // TestVCClassStrings pins the enum's exporter vocabulary (CSV columns)
 // against accidental renames.
 func TestVCClassStrings(t *testing.T) {
-	want := map[router.VCClass]string{
-		router.VCClassIdle:      "idle",
-		router.VCClassFootprint: "footprint",
-		router.VCClassBusy:      "busy",
-		router.VCClassEscape:    "escape",
+	want := map[network.VCClass]string{
+		network.VCClassIdle:      "idle",
+		network.VCClassFootprint: "footprint",
+		network.VCClassBusy:      "busy",
+		network.VCClassEscape:    "escape",
 	}
-	if len(want) != router.NumVCClasses {
-		t.Fatalf("test covers %d classes, enum has %d", len(want), router.NumVCClasses)
+	if len(want) != network.NumVCClasses {
+		t.Fatalf("test covers %d classes, enum has %d", len(want), network.NumVCClasses)
 	}
 	for c, s := range want {
 		if c.String() != s {

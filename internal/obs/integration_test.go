@@ -43,7 +43,7 @@ func observedLoad(cfg sim.Config) *traffic.Generator {
 }
 
 // TestSeamSharedBySimMetricsAndTracer checks that the simulator's own
-// metrics and the tracer both consume the router.Sinks seam in one run:
+// metrics and the tracer both consume the network.Sinks seam in one run:
 // blocking statistics (fed by sim.metrics) and lifecycle events (fed by
 // the Collector) must both be populated. The failure event is the one
 // they share, through the tracer's forward-then-record wrapper, so the

@@ -3,7 +3,7 @@
 // time-series counters with a CSV exporter, per-link/per-node heatmaps
 // reconciled against the simulation's accepted throughput, and the
 // latency anatomy aggregate. The event collectors plug into the
-// router.Sinks seam through Collector.Attach; a collector that is off
+// network.Sinks seam through Collector.Attach; a collector that is off
 // leaves its sink field nil, and the nil check at the event site is the
 // whole cost. The watchdog and its fabric snapshot read the network
 // directly and write a file when a run stalls.
@@ -12,7 +12,6 @@ package obs
 import (
 	"nocsim/internal/flit"
 	"nocsim/internal/network"
-	"nocsim/internal/router"
 	"nocsim/internal/topo"
 )
 
@@ -42,7 +41,7 @@ func (o Options) Enabled() bool {
 }
 
 // Collector owns the selected observability components and dispatches
-// the router.Sinks events it attached itself to. The simulation drives
+// the network.Sinks events it attached itself to. The simulation drives
 // Tick every cycle and OpenWindow/CloseWindow around its measurement
 // phase.
 type Collector struct {
@@ -105,13 +104,13 @@ func (c *Collector) CloseWindow(net *network.Network) {
 	}
 }
 
-// --- router.Sinks ----------------------------------------------------------
+// --- network.Sinks ----------------------------------------------------------
 
 // Attach adds the collector to the sinks whose events it consumes:
 // Packets when tracing, heatmapping or collecting the latency anatomy,
 // Decisions for the anatomy alone, and — only when tracing — Blocked,
 // keeping the sink already there. A nil collector leaves sinks untouched.
-func (c *Collector) Attach(sinks *router.Sinks) {
+func (c *Collector) Attach(sinks *network.Sinks) {
 	if c == nil {
 		return
 	}
@@ -130,11 +129,11 @@ func (c *Collector) Attach(sinks *router.Sinks) {
 // each failure to the sink attached before it, then records the start of
 // the blocking span.
 type blockTracer struct {
-	next   router.BlockedSink // may be nil
+	next   network.BlockedSink // may be nil
 	tracer *Tracer
 }
 
-// OnVCAllocFailure implements router.BlockedSink: only the first failed
+// OnVCAllocFailure implements network.BlockedSink: only the first failed
 // cycle of a blocking span is recorded, so saturated runs do not flush
 // the ring with repeats. It is also the only cycle p is non-nil on.
 func (b blockTracer) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, fp, busy int, waited int64) {
@@ -147,7 +146,7 @@ func (b blockTracer) OnVCAllocFailure(now int64, node int, p *flit.Packet, out t
 	}
 }
 
-// OnInject implements router.PacketSink.
+// OnInject implements network.PacketSink.
 func (c *Collector) OnInject(now int64, p *flit.Packet) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventInject, Node: p.Src,
@@ -158,7 +157,7 @@ func (c *Collector) OnInject(now int64, p *flit.Packet) {
 	}
 }
 
-// OnRoute implements router.PacketSink.
+// OnRoute implements network.PacketSink.
 func (c *Collector) OnRoute(now int64, node int, p *flit.Packet, in topo.Direction) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventRoute, Node: node,
@@ -169,8 +168,8 @@ func (c *Collector) OnRoute(now int64, node int, p *flit.Packet, in topo.Directi
 	}
 }
 
-// OnVCAllocGrant implements router.PacketSink.
-func (c *Collector) OnVCAllocGrant(now int64, node int, p *flit.Packet, out topo.Direction, outVC int, class router.VCClass, waited int64) {
+// OnVCAllocGrant implements network.PacketSink.
+func (c *Collector) OnVCAllocGrant(now int64, node int, p *flit.Packet, out topo.Direction, outVC int, class network.VCClass, waited int64) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventGrant, Node: node,
 			Packet: p.ID, Src: p.Src, Dest: p.Dest, Dir: out, VC: outVC, Class: class, Waited: waited})
@@ -180,7 +179,7 @@ func (c *Collector) OnVCAllocGrant(now int64, node int, p *flit.Packet, out topo
 	}
 }
 
-// OnHeadTraverse implements router.PacketSink.
+// OnHeadTraverse implements network.PacketSink.
 func (c *Collector) OnHeadTraverse(now int64, node int, p *flit.Packet, out topo.Direction, outVC int) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventHop, Node: node,
@@ -191,7 +190,7 @@ func (c *Collector) OnHeadTraverse(now int64, node int, p *flit.Packet, out topo
 	}
 }
 
-// OnEject implements router.PacketSink.
+// OnEject implements network.PacketSink.
 func (c *Collector) OnEject(now int64, p *flit.Packet) {
 	if c.Tracer != nil {
 		c.Tracer.add(Event{Cycle: now, Kind: EventEject, Node: p.Dest,
@@ -205,8 +204,8 @@ func (c *Collector) OnEject(now int64, p *flit.Packet) {
 	}
 }
 
-// OnRouteDecision implements router.DecisionSink; Attach sets Decisions
+// OnRouteDecision implements network.DecisionSink; Attach sets Decisions
 // only when the anatomy collector is on.
-func (c *Collector) OnRouteDecision(now int64, node int, p *flit.Packet, d router.Decision) {
+func (c *Collector) OnRouteDecision(now int64, node int, p *flit.Packet, d network.Decision) {
 	c.Anatomy.onDecision(p, d)
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nocsim/internal/network"
-	"nocsim/internal/router"
 	"nocsim/internal/topo"
 )
 
@@ -139,7 +138,7 @@ func Capture(net *network.Network) *FabricSnapshot {
 		for d := topo.East; d <= topo.Local; d++ {
 			for v := 0; v < r.VCs(); v++ {
 				iv := r.InputVCSnapshot(d, v)
-				if iv.State != router.VCStateIdle {
+				if iv.State != network.VCStateIdle {
 					is := InputVCSnap{
 						Port:     d.String(),
 						VC:       v,
@@ -149,7 +148,7 @@ func Capture(net *network.Network) *FabricSnapshot {
 						Dest:     iv.PacketDest,
 					}
 					switch iv.State {
-					case router.VCStateRouting:
+					case network.VCStateRouting:
 						is.Blocked = iv.Blocked
 						if iv.Routed {
 							is.ReqPort = iv.ReqDir.String()
@@ -157,7 +156,7 @@ func Capture(net *network.Network) *FabricSnapshot {
 						if iv.Blocked > 0 {
 							snap.BlockedVCs++
 						}
-					case router.VCStateActive:
+					case network.VCStateActive:
 						is.OutPort = iv.OutDir.String()
 						is.OutVC = iv.OutVC
 						ov := r.OutputVCSnapshot(iv.OutDir, iv.OutVC)
@@ -209,11 +208,11 @@ func captureChains(net *network.Network) []BlockChain {
 			for v := 0; v < r.VCs(); v++ {
 				iv := r.InputVCSnapshot(d, v)
 				switch iv.State {
-				case router.VCStateRouting:
+				case network.VCStateRouting:
 					if iv.Blocked > 0 {
 						starts = append(starts, vcKey{id, d, v})
 					}
-				case router.VCStateActive:
+				case network.VCStateActive:
 					if iv.Buffered > 0 && r.OutputVCSnapshot(iv.OutDir, iv.OutVC).Credits == 0 {
 						starts = append(starts, vcKey{id, d, v})
 					}
@@ -258,7 +257,7 @@ func walkChain(net *network.Network, mesh topo.Mesh, start vcKey) BlockChain {
 			Dest:   iv.PacketDest,
 		}
 		switch iv.State {
-		case router.VCStateRouting:
+		case network.VCStateRouting:
 			if iv.Blocked == 0 || !iv.Routed {
 				chain.Terminal = "end"
 				return chain
@@ -279,7 +278,7 @@ func walkChain(net *network.Network, mesh topo.Mesh, start vcKey) BlockChain {
 				return chain
 			}
 			cur = nk
-		case router.VCStateActive:
+		case network.VCStateActive:
 			ov := r.OutputVCSnapshot(iv.OutDir, iv.OutVC)
 			if iv.Buffered == 0 || ov.Credits > 0 {
 				chain.Terminal = "moving"
@@ -305,7 +304,7 @@ func walkChain(net *network.Network, mesh topo.Mesh, start vcKey) BlockChain {
 // busyVCAt picks the output VC at port d that the blocked packet most
 // plausibly waits on: a footprint VC owned by its destination when one
 // exists, else the first non-idle VC.
-func busyVCAt(r *router.Router, d topo.Direction, dest int) (int, bool) {
+func busyVCAt(r *network.Router, d topo.Direction, dest int) (int, bool) {
 	first, idle := -1, r.State().Idle[d]
 	for v := 0; v < r.VCs(); v++ {
 		if idle>>uint(v)&1 != 0 {

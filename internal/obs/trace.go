@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"nocsim/internal/router"
+	"nocsim/internal/network"
 	"nocsim/internal/topo"
 )
 
@@ -67,10 +67,10 @@ type Event struct {
 	Dir    topo.Direction `json:"-"`
 	VC     int            `json:"vc"`
 	// Class is the granted VC's class at grant time (EventGrant only).
-	Class        router.VCClass `json:"-"`
-	Waited       int64          `json:"waited,omitempty"`
-	FootprintVCs int            `json:"footprint_vcs,omitempty"`
-	BusyVCs      int            `json:"busy_vcs,omitempty"`
+	Class        network.VCClass `json:"-"`
+	Waited       int64           `json:"waited,omitempty"`
+	FootprintVCs int             `json:"footprint_vcs,omitempty"`
+	BusyVCs      int             `json:"busy_vcs,omitempty"`
 }
 
 // jsonEvent is Event with the enums rendered as strings for the JSONL

@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"slices"
 
+	"nocsim/internal/network"
 	"nocsim/internal/obs"
-	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/topo"
 )
@@ -91,11 +91,11 @@ func (c Config) Validate() error {
 	if _, err := topo.New(c.Width, c.Height); err != nil {
 		return fmt.Errorf("sim: invalid mesh: %v", err)
 	}
-	if c.VCs < 1 || c.VCs > router.MaxVCs {
-		return fmt.Errorf("sim: need 1 to %d VCs, have %d", router.MaxVCs, c.VCs)
+	if c.VCs < 1 || c.VCs > network.MaxVCs {
+		return fmt.Errorf("sim: need 1 to %d VCs, have %d", network.MaxVCs, c.VCs)
 	}
-	if c.BufDepth < 1 || c.BufDepth > router.MaxBufDepth {
-		return fmt.Errorf("sim: need buffer depth 1 to %d, have %d", router.MaxBufDepth, c.BufDepth)
+	if c.BufDepth < 1 || c.BufDepth > network.MaxBufDepth {
+		return fmt.Errorf("sim: need buffer depth 1 to %d, have %d", network.MaxBufDepth, c.BufDepth)
 	}
 	if c.Speedup < 1 {
 		return fmt.Errorf("sim: need speedup >= 1, have %d", c.Speedup)

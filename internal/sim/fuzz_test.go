@@ -63,7 +63,7 @@ func FuzzValidateThenRun(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.Width, cfg.Height = next()%11-1, next()%11-1
 		cfg.VCs = next() % 35
-		cfg.BufDepth = (next()<<8 | next()) % 261 // 0..260, past router.MaxBufDepth
+		cfg.BufDepth = (next()<<8 | next()) % 261 // 0..260, past network.MaxBufDepth
 		cfg.Speedup = next() % 6
 		if a := next() % (len(names) + 1); a < len(names) {
 			cfg.Algorithm = names[a]

@@ -6,7 +6,7 @@ import (
 	"nocsim/internal/topo"
 )
 
-// metrics implements router.BlockedSink, aggregating the blocking
+// metrics implements network.BlockedSink, aggregating the blocking
 // statistics behind Figures 10(b) and 10(c). It has no on/off switch: the
 // simulation attaches it to the fabric for the measurement window, and
 // nothing reaches it outside.
@@ -20,7 +20,7 @@ type metrics struct {
 	sameDestObs int64
 }
 
-// OnVCAllocFailure implements router.BlockedSink.
+// OnVCAllocFailure implements network.BlockedSink.
 func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo.Direction, footprintVCs, busyVCs int, waited int64) {
 	m.blockEvents++
 	if busyVCs > 0 {

@@ -11,7 +11,6 @@ import (
 	"nocsim/internal/network"
 	"nocsim/internal/obs"
 	"nocsim/internal/prof"
-	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/stats"
 	"nocsim/internal/topo"
@@ -157,7 +156,7 @@ type Simulation struct {
 	// blockedInWindow is the fabric's Sinks.Blocked during the measurement
 	// window — met, behind the tracer when tracing — and blockedOutside on
 	// every other cycle: the tracer alone, or nil.
-	blockedInWindow, blockedOutside router.BlockedSink
+	blockedInWindow, blockedOutside network.BlockedSink
 
 	measured        int64
 	measuredEjected int64
@@ -221,9 +220,9 @@ func New(cfg Config, gens ...Injector) (*Simulation, error) {
 	// the cycles outside it and Run swaps Blocked at the window's edges.
 	// The observability collectors add themselves to the fields they
 	// consume, in both.
-	var sinks router.Sinks
+	var sinks network.Sinks
 	s.col.Attach(&sinks)
-	window := router.Sinks{Blocked: s.met}
+	window := network.Sinks{Blocked: s.met}
 	s.col.Attach(&window)
 	s.blockedOutside, s.blockedInWindow = sinks.Blocked, window.Blocked
 	s.net = network.New(network.Config{

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"nocsim/internal/flit"
+	"nocsim/internal/network"
 	"nocsim/internal/obs"
-	"nocsim/internal/router"
 	"nocsim/internal/routing"
 	"nocsim/internal/traffic"
 )
@@ -38,7 +38,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.VCs = 33 },
 		func(c *Config) { c.BufDepth = 0 },
 		// Buffer occupancy and credits are bytes.
-		func(c *Config) { c.BufDepth = router.MaxBufDepth + 1 },
+		func(c *Config) { c.BufDepth = network.MaxBufDepth + 1 },
 		func(c *Config) { c.Speedup = 0 },
 		func(c *Config) { c.Algorithm = "" },
 		func(c *Config) { c.MeasureCycles = 0 },
@@ -357,7 +357,7 @@ func TestSlowEndpointCreatesEndpointCongestion(t *testing.T) {
 	}
 }
 
-// TestSteadyStateStepAllocatesNothing pins router.Router's claim that the
+// TestSteadyStateStepAllocatesNothing pins network.Router's claim that the
 // cycle loop allocates nothing once warm: the scratch a cycle appends to
 // (the allocator's touched lists, the heads scratch, a channel's credit
 // slices, an endpoint's ejection buffers) has its bound at construction,

@@ -38,14 +38,11 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzGenerateWorkload checks trace generation stays structurally valid
-// under fuzzed workload parameters.
+// under fuzzed workload parameters. It skips exactly the workloads
+// Workload.Validate rejects, which Generate refuses with a panic.
 func FuzzGenerateWorkload(f *testing.F) {
 	f.Add(0.01, 0.5, uint8(8), uint8(4), 0.5, 0.3)
 	f.Fuzz(func(t *testing.T, peerRate, duty float64, sharers, share uint8, replyFrac, writeFrac float64) {
-		if peerRate < 0 || peerRate > 1 || duty < 0 || duty > 1 ||
-			replyFrac < 0 || replyFrac > 1 || writeFrac < 0 || writeFrac > 1 {
-			t.Skip()
-		}
 		w := Workload{
 			Name:           "fuzz",
 			PeerRate:       peerRate,
@@ -57,6 +54,9 @@ func FuzzGenerateWorkload(f *testing.F) {
 			ReplyFraction:  replyFrac,
 			WriteFraction:  writeFrac,
 			MaxOutstanding: 8,
+		}
+		if w.Validate() != nil {
+			t.Skip()
 		}
 		m, _ := newMesh()
 		recs := Generate(w, m, 500, 1)

@@ -85,6 +85,22 @@ func Workloads() []Workload {
 	}
 }
 
+// Validate reports the first parameter of w that Generate cannot honour:
+// a fraction (PeerRate, DirRate, DutyCycle, ReplyFraction or
+// WriteFraction) outside [0, 1] or NaN, or a BurstLen below 1.
+func (w Workload) Validate() error {
+	names := [...]string{"PeerRate", "DirRate", "DutyCycle", "ReplyFraction", "WriteFraction"}
+	for i, v := range [...]float64{w.PeerRate, w.DirRate, w.DutyCycle, w.ReplyFraction, w.WriteFraction} {
+		if !(v >= 0 && v <= 1) { // NaN fails both comparisons
+			return fmt.Errorf("trace: workload %q: %s %v is not a fraction in [0, 1]", w.Name, names[i], v)
+		}
+	}
+	if w.BurstLen < 1 {
+		return fmt.Errorf("trace: workload %q: BurstLen %d is below 1", w.Name, w.BurstLen)
+	}
+	return nil
+}
+
 // WorkloadByName finds a workload model.
 func WorkloadByName(name string) (Workload, error) {
 	for _, w := range Workloads() {
@@ -112,7 +128,11 @@ func directoryNodes(m topo.Mesh) []int {
 // Generate synthesizes a trace of the workload on mesh m covering the
 // given number of cycles. Generation is deterministic in seed. Control
 // packets are single-flit; writebacks and data replies are five flits.
+// w must pass Validate; Generate panics with Validate's error otherwise.
 func Generate(w Workload, m topo.Mesh, cycles int64, seed int64) []Record {
+	if err := w.Validate(); err != nil {
+		panic(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	dirs := directoryNodes(m)
 	nodes := m.Nodes()

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -222,6 +224,43 @@ func TestGenerateValidates(t *testing.T) {
 		if err := Validate(recs, m.Nodes()); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
 		}
+	}
+}
+
+// TestWorkloadValidate pins the one validity check: every model passes,
+// and a NaN or out-of-range fraction or a BurstLen below 1 is refused by
+// Validate, naming the field, and by Generate with that error. A NaN duty
+// cycle once reached rand.Intn with a negative off-period length.
+func TestWorkloadValidate(t *testing.T) {
+	for _, w := range Workloads() {
+		if err := w.Validate(); err != nil {
+			t.Errorf("%s: %v", w.Name, err)
+		}
+	}
+	m := topo.MustNew(8, 8)
+	for field, breakIt := range map[string]func(*Workload){
+		"DutyCycle":     func(w *Workload) { w.DutyCycle = math.NaN() },
+		"PeerRate":      func(w *Workload) { w.PeerRate = -0.1 },
+		"DirRate":       func(w *Workload) { w.DirRate = math.Inf(1) },
+		"ReplyFraction": func(w *Workload) { w.ReplyFraction = 1.5 },
+		"WriteFraction": func(w *Workload) { w.WriteFraction = math.NaN() },
+		"BurstLen":      func(w *Workload) { w.BurstLen = 0 },
+	} {
+		w := Workloads()[0]
+		breakIt(&w)
+		err := w.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s broken: Validate = %v, want an error naming it", field, err)
+			continue
+		}
+		func() {
+			defer func() {
+				if got := recover(); fmt.Sprint(got) != err.Error() {
+					t.Errorf("%s broken: Generate panicked with %v, want %v", field, got, err)
+				}
+			}()
+			Generate(w, m, 100, 1)
+		}()
 	}
 }
 
