@@ -132,6 +132,9 @@ func hotspot(fs *flag.FlagSet) action {
 	o := register(fs, true, true)
 	return func(w, stderr io.Writer) error {
 		if *flows {
+			if err := ignored(fs, "-flows makes no run", func(f string) bool { return f == "flows" }); err != nil {
+				return err
+			}
 			fmt.Fprintln(w, "Table 3 — hotspot flows (8x8 mesh)")
 			f := traffic.HotspotFlows().Flows
 			srcs := make([]int, 0, len(f))
@@ -167,7 +170,13 @@ func traces(fs *flag.FlagSet) action {
 	seed := fs.Int64("seed", 1, "trace generation seed (with -gen)")
 	out := fs.String("o", "", "output file (with -gen)")
 	o := register(fs, true, true)
+	genFlags := []string{"gen", "cycles", "seed", "o"}
 	return func(w, stderr io.Writer) error {
+		// -gen makes no run: it reads its own flags and only those.
+		reads := func(f string) bool { return slices.Contains(genFlags, f) == (*gen != "") }
+		if err := ignored(fs, "-gen reads -cycles, -seed and -o and no other flag", reads); err != nil {
+			return err
+		}
 		if *gen != "" {
 			return generate(w, stderr, *gen, *cycles, *seed, *out)
 		}

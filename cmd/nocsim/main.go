@@ -1,6 +1,7 @@
-// Command nocsim runs one network simulation and reports latency,
-// throughput and blocking statistics, or, given a command name,
-// regenerates one of the paper's tables and figures.
+// Command nocsim runs a network simulation at one offered load, or one
+// per load of a grid, and reports latency, throughput and blocking
+// statistics, or, given a command name, regenerates one of the paper's
+// tables and figures.
 //
 // Usage:
 //
@@ -8,11 +9,10 @@
 //	nocsim -print-config            # show the Table 2 baseline
 //	nocsim -alg dbar -pattern transpose -rate 0.35
 //	nocsim -rates 0.1,0.2,0.3 -jobs 4  # parallel mini-sweep, one row per rate
-//	nocsim -width 16 -height 16 -vcs 4 -rate 0.2
 //	nocsim -trace-jsonl trace.jsonl # packet lifecycle trace, one JSON event per line
 //	nocsim -heatmap-out links.csv   # measurement-window link heatmap
 //	nocsim -counters-out ts.csv     # per-router counters every 100 cycles
-//	nocsim -anatomy                 # latency anatomy after the result, under [<alg>]
+//	nocsim -anatomy                 # latency anatomy after the result, under [<alg> rate=<r>]
 //	nocsim -rates 0.1,0.3 -heatmap-out h.csv  # one file per rate: h_footprint-rate-0.100.csv
 //	nocsim -watchdog-cycles 5000    # on a stall: dump a fabric snapshot, exit 1
 //
@@ -23,14 +23,17 @@
 //	nocsim traces [-pairs a+b,...]  # Figure 10
 //	nocsim traces -gen dedup -cycles 20000 -o dedup.trace  # write a trace file
 //
-// The figure commands take -profile full|quick, and every command takes
-// -jobs, -watchdog-cycles, -watchdog-out and -pprof. Every command but
-// ctree, whose Figure 2 steps its fabrics by hand and makes no
-// sim.Result, takes the per-run flags (-anatomy, -anatomy-out,
-// -counters-out, -heatmap-out): they are served after the results for
-// every run the command made (see opts.finish). A usage error is exit 2;
-// a failed run, a stalled run or a file that could not be written is
-// exit 1.
+// -rate r is the one-point grid of -rates r: the same run, printed in
+// detail. The figure commands take -profile full|quick, and every
+// command takes -jobs, -watchdog-cycles, -watchdog-out and -pprof. Every
+// command but ctree, whose Figure 2 steps its fabrics by hand and makes
+// no sim.Result, takes the per-run flags (-anatomy, -anatomy-out,
+// -counters-out, -heatmap, -heatmap-out, -trace-jsonl, -trace-cap):
+// they are served after the results for every run the command made (see
+// opts.finish). A flag the call would not read, such as a per-run flag
+// next to -print-config, -flows or -gen, is exit 1. A usage error is
+// exit 2; a failed run, a stalled run or a file that could not be
+// written is exit 1.
 package main
 
 import (
@@ -43,6 +46,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -112,8 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// single is the command without a name: one simulation, or a
-// latency-throughput row per rate under -rates.
+// single is the command without a name: one run per rate, the -rate
+// value or each of the -rates grid, by sim.LatencyThroughput; -rate is
+// printed in detail, -rates as a table. A run is named by its rate to
+// three decimals, so two rates that agree that far are an error.
 func single(fs *flag.FlagSet) action {
 	cfg := sim.DefaultConfig()
 	fs.IntVar(&cfg.Width, "width", cfg.Width, "mesh width")
@@ -129,131 +135,94 @@ func single(fs *flag.FlagSet) action {
 
 	pattern := fs.String("pattern", "uniform", "traffic pattern ("+strings.Join(traffic.Names(), "|")+")")
 	rate := fs.Float64("rate", 0.2, "offered load in flits/node/cycle")
-	rates := fs.String("rates", "", "comma-separated rate grid, e.g. 0.1,0.2,0.3: run a latency-throughput sweep on the -jobs worker pool instead of a single simulation")
+	rates := fs.String("rates", "", "comma-separated rate grid, e.g. 0.1,0.2,0.3: one run per rate on the -jobs worker pool, one row each")
 	minFlits := fs.Int("min-flits", 1, "minimum packet size")
 	maxFlits := fs.Int("max-flits", 1, "maximum packet size")
 	printConfig := fs.Bool("print-config", false, "print the configuration (Table 2) and exit")
-	heatmap := fs.Bool("heatmap", false, "print the measurement-window link utilization: mean, per-node egress grid and the five hottest links")
-
-	traceJSONL := fs.String("trace-jsonl", "", "write the packet lifecycle trace as JSONL to this file")
-	traceCap := fs.Int("trace-cap", 0, "lifecycle tracer ring capacity in events (0 = default)")
 	o := register(fs, false, true)
 
 	return func(w, stderr io.Writer) error {
 		if *printConfig {
+			table2 := []string{"print-config", "width", "height", "vcs", "buf", "speedup", "alg", "warmup", "measure", "drain"}
+			if err := ignored(fs, "-print-config makes no run", func(f string) bool { return slices.Contains(table2, f) }); err != nil {
+				return err
+			}
 			fmt.Fprint(w, exp.Table2(cfg))
 			return nil
 		}
-		// The trace outputs and the printed heatmap describe one run.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{{"trace-jsonl", *traceJSONL != ""}, {"trace-cap", *traceCap != 0}, {"heatmap", *heatmap}} {
-			if f.set && *rates != "" {
-				return fmt.Errorf("-%s applies to a single run and -rates makes several", f.name)
+		grid := []float64{*rate}
+		if *rates != "" {
+			if err := ignored(fs, "-rates names every rate", func(f string) bool { return f != "rate" }); err != nil {
+				return err
+			}
+			grid = nil
+			for _, s := range strings.Split(*rates, ",") {
+				v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+				if err != nil {
+					return fmt.Errorf("bad rate %q: %v", s, err)
+				}
+				for _, prev := range grid {
+					if name := fmt.Sprintf("%.3f", v); fmt.Sprintf("%.3f", prev) == name {
+						return fmt.Errorf("rates %v and %v are both rate %s: their runs would share every per-run file", prev, v, name)
+					}
+				}
+				grid = append(grid, v)
 			}
 		}
-		if *traceCap < 0 {
-			return fmt.Errorf("-trace-cap %d: a ring capacity is a positive event count (0 = default)", *traceCap)
-		}
-		if *traceCap != 0 && *traceJSONL == "" {
-			return errors.New("-trace-cap needs -trace-jsonl")
-		}
-		if err := o.start(stderr); err != nil {
+		if err := o.configure(&cfg); err != nil {
 			return err
 		}
-		o.configure(&cfg)
-
 		size, err := traffic.SizeRange(*minFlits, *maxFlits)
 		if err != nil {
 			return err
 		}
-		if *rates != "" {
-			return rateSweep(w, cfg, *pattern, size, *rates, o)
+		if err := o.start(stderr); err != nil {
+			return err
 		}
-		cfg.Obs.Trace = *traceJSONL != ""
-		cfg.Obs.TraceCapacity = *traceCap
-		cfg.Obs.Heatmap = cfg.Obs.Heatmap || *heatmap
-		gen, err := sim.PatternGenerator(cfg, *pattern, size, *rate)
+		pts, err := sim.LatencyThroughput(cfg, *pattern, size, grid, o.jobs)
 		if err != nil {
 			return err
 		}
-		s, err := sim.New(cfg, gen)
-		if err != nil {
-			return err
+		if *rates == "" {
+			res := pts[0].Result
+			fmt.Fprintf(w, "algorithm          %s\n", cfg.Algorithm)
+			fmt.Fprintf(w, "mesh               %dx%d, %d VCs\n", cfg.Width, cfg.Height, cfg.VCs)
+			fmt.Fprintf(w, "pattern            %s @ %.3f flits/node/cycle\n", *pattern, pts[0].Rate)
+			fmt.Fprintf(w, "offered/accepted   %.3f / %.3f flits/node/cycle\n", res.Offered, res.Accepted)
+			fmt.Fprintf(w, "avg latency        %s cycles\n", avgLatency(res))
+			fmt.Fprintf(w, "p99 latency        %s cycles\n", naFloat(res.P99, "%.0f", !math.IsNaN(res.P99)))
+			fmt.Fprintf(w, "stable             %v (%d/%d measured packets delivered)\n",
+				res.Stable, res.MeasuredEjected, res.Measured)
+			fmt.Fprintf(w, "blocking           %d events, purity %.3f, HoL degree %.1f\n",
+				res.BlockEvents, res.Purity, res.HoLDegree)
+			fmt.Fprintf(w, "runtime            %s\n", res.Runtime)
+			return o.finish(w, []*sim.Result{res})
 		}
-		res := s.Run()
-
-		fmt.Fprintf(w, "algorithm          %s\n", cfg.Algorithm)
-		fmt.Fprintf(w, "mesh               %dx%d, %d VCs\n", cfg.Width, cfg.Height, cfg.VCs)
-		fmt.Fprintf(w, "pattern            %s @ %.3f flits/node/cycle\n", *pattern, *rate)
-		fmt.Fprintf(w, "offered/accepted   %.3f / %.3f flits/node/cycle\n", res.Offered, res.Accepted)
-		fmt.Fprintf(w, "avg latency        %s cycles\n", avgLatency(res))
-		fmt.Fprintf(w, "p99 latency        %s cycles\n", naFloat(res.P99, "%.0f", !math.IsNaN(res.P99)))
-		fmt.Fprintf(w, "stable             %v (%d/%d measured packets delivered)\n",
-			res.Stable, res.MeasuredEjected, res.Measured)
-		fmt.Fprintf(w, "blocking           %d events, purity %.3f, HoL degree %.1f\n",
-			res.BlockEvents, res.Purity, res.HoLDegree)
-		fmt.Fprintf(w, "runtime            %s\n", res.Runtime)
-		if col := res.Obs; col != nil {
-			if *heatmap {
-				hm := col.Heatmap
-				fmt.Fprintf(w, "\nmean link utilization %.3f over the %d-cycle measurement window\n", hm.MeanUtilization(), hm.Cycles())
-				fmt.Fprint(w, hm.EgressGrid())
-				fmt.Fprintln(w, "hottest links:")
-				for _, l := range hm.Hottest(5) {
-					fmt.Fprintf(w, "  n%-3d -%s-> n%-3d %d flits, %.4f flits/cycle\n", l.From, l.Dir, l.To, l.Flits, l.Utilization)
-				}
-			}
-			if *traceJSONL != "" {
-				if err := writeFile(*traceJSONL, col.Tracer.WriteJSONL); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "trace jsonl        %s (%d events, %d dropped)\n",
-					*traceJSONL, col.Tracer.Len(), col.Tracer.Dropped())
-			}
+		fmt.Fprintf(w, "%s / %s, %dx%d, %d VCs, %d workers\n",
+			cfg.Algorithm, *pattern, cfg.Width, cfg.Height, cfg.VCs, sim.Jobs(o.jobs))
+		fmt.Fprintf(w, "%8s %10s %10s %10s %8s %8s\n", "rate", "offered", "accepted", "latency", "p99", "stable")
+		results := make([]*sim.Result, len(pts))
+		for i, pt := range pts {
+			res := pt.Result
+			results[i] = res
+			fmt.Fprintf(w, "%8.3f %10.3f %10.3f %10s %8s %8v\n",
+				pt.Rate, res.Offered, res.Accepted, avgLatency(res), naFloat(res.P99, "%.0f", !math.IsNaN(res.P99)), res.Stable)
 		}
-		return o.finish(w, []*sim.Result{res})
+		return o.finish(w, results)
 	}
 }
 
-// rateSweep runs the comma-separated rate grid through the parallel
-// execution engine, prints one row per rate and serves the per-run flags
-// for every run. A run is named by its rate to three decimals, so two
-// rates that agree that far are an error: they would print as one row
-// and share every per-run file.
-func rateSweep(w io.Writer, cfg sim.Config, pattern string, size traffic.SizeFn, rateList string, o *opts) error {
-	var grid []float64
-	named := map[string]string{} // rate to three decimals -> the value given
-	for _, s := range strings.Split(rateList, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("bad rate %q: %v", s, err)
+// ignored returns an error naming the first flag set on fs that the call
+// does not read, one for which reads is false, and why: a flag the call
+// would ignore is an error, not a silent no-op.
+func ignored(fs *flag.FlagSet, why string, reads func(flag string) bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !reads(f.Name) {
+			err = fmt.Errorf("-%s has no effect: %s", f.Name, why)
 		}
-		name, given := fmt.Sprintf("%.3f", v), strings.TrimSpace(s)
-		if prev, ok := named[name]; ok {
-			return fmt.Errorf("rates %s and %s are both rate %s: their runs would share every per-run file",
-				prev, given, name)
-		}
-		named[name] = given
-		grid = append(grid, v)
-	}
-	pts, err := sim.LatencyThroughput(cfg, pattern, size, grid, o.jobs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s / %s, %dx%d, %d VCs, %d workers\n",
-		cfg.Algorithm, pattern, cfg.Width, cfg.Height, cfg.VCs, sim.Jobs(o.jobs))
-	fmt.Fprintf(w, "%8s %10s %10s %10s %8s %8s\n", "rate", "offered", "accepted", "latency", "p99", "stable")
-	results := make([]*sim.Result, len(pts))
-	for i, pt := range pts {
-		res := pt.Result
-		results[i] = res
-		fmt.Fprintf(w, "%8.3f %10.3f %10.3f %10s %8s %8v\n",
-			pt.Rate, res.Offered, res.Accepted, avgLatency(res),
-			naFloat(res.P99, "%.0f", !math.IsNaN(res.P99)), res.Stable)
-	}
-	return o.finish(w, results)
+	})
+	return err
 }
 
 // avgLatency formats the background-class mean latency, "n/a" when no
@@ -274,17 +243,18 @@ func naFloat(v float64, format string, ok bool) string {
 // opts is the flag wiring the commands share. The process flags
 // (-jobs, -watchdog-cycles, -watchdog-out, -pprof) are on every command
 // and -profile on the figure commands. The per-run flags (-anatomy,
-// -anatomy-out, -counters-out, -heatmap-out) are on every command that
-// makes a sim.Result: configure turns them and the watchdog flags into
-// what each run carries, and finish reads the runs once the command has
-// made them all.
+// -anatomy-out, -counters-out, -heatmap, -heatmap-out, -trace-jsonl,
+// -trace-cap) are on every command that makes a sim.Result: configure
+// turns them and the watchdog flags into what each run carries, and
+// finish reads the runs once the command has made them all.
 type opts struct {
 	tool, profile, pprof, watchdogOut string
 	jobs                              int
 	watchdogCycles                    int64
 
-	anatomy                             bool
-	anatomyOut, countersOut, heatmapOut string
+	anatomy, heatmap                                bool
+	anatomyOut, countersOut, heatmapOut, traceJSONL string
+	traceCap                                        int
 }
 
 // register adds the shared flags to fs: -profile when figure is set, the
@@ -299,7 +269,7 @@ func register(fs *flag.FlagSet, figure, perRun bool) *opts {
 	fs.Int64Var(&o.watchdogCycles, "watchdog-cycles", 0,
 		"flag windows of this many cycles with in-flight packets but zero forward progress, dumping a fabric snapshot (0 = off)")
 	fs.StringVar(&o.watchdogOut, "watchdog-out", "",
-		"stall snapshot JSON path (default nocsim-stall.json)")
+		"stall snapshot JSON path, suffixed with the run label of each run that stalls (default nocsim-stall.json)")
 	fs.StringVar(&o.pprof, "pprof", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060)")
 	if perRun {
@@ -309,8 +279,13 @@ func register(fs *flag.FlagSet, figure, perRun bool) *opts {
 			"write the latency anatomy aggregate as CSV, one file per run, suffixed with the run label")
 		fs.StringVar(&o.countersOut, "counters-out", "",
 			"write per-router counters sampled every 100 cycles as CSV; with more than one run, one file per run suffixed with the run label")
+		fs.BoolVar(&o.heatmap, "heatmap", false,
+			"print the measurement-window link utilization per run: mean, per-node egress grid and the five hottest links")
 		fs.StringVar(&o.heatmapOut, "heatmap-out", "",
 			"write the measurement-window link heatmap as CSV; with more than one run, one file per run suffixed with the run label")
+		fs.StringVar(&o.traceJSONL, "trace-jsonl", "",
+			"write the packet lifecycle trace as JSONL; with more than one run, one file per run suffixed with the run label")
+		fs.IntVar(&o.traceCap, "trace-cap", 0, "lifecycle tracer ring capacity in events per run (0 = default)")
 	}
 	return o
 }
@@ -324,7 +299,9 @@ func (o *opts) experiment(stderr io.Writer) (exp.Profile, error) {
 		return prof, err
 	}
 	prof.Jobs = o.jobs
-	o.configure(&prof.Base)
+	if err := o.configure(&prof.Base); err != nil {
+		return prof, err
+	}
 	return prof, o.start(stderr)
 }
 
@@ -351,29 +328,38 @@ func (o *opts) start(stderr io.Writer) error {
 
 // configure puts on cfg what the flags ask of every run: the collectors
 // the per-run flags read and the watchdog.
-func (o *opts) configure(cfg *sim.Config) {
+func (o *opts) configure(cfg *sim.Config) error {
+	if o.traceCap != 0 && o.traceJSONL == "" {
+		return errors.New("-trace-cap needs -trace-jsonl")
+	}
 	var period int64
 	if o.countersOut != "" {
 		period = 100
 	}
 	cfg.Obs = obs.Options{
-		SamplePeriod: period,
-		Heatmap:      o.heatmapOut != "",
-		Anatomy:      o.anatomy || o.anatomyOut != "",
+		Trace:         o.traceJSONL != "",
+		TraceCapacity: o.traceCap,
+		SamplePeriod:  period,
+		Heatmap:       o.heatmap || o.heatmapOut != "",
+		Anatomy:       o.anatomy || o.anatomyOut != "",
 	}
 	cfg.WatchdogCycles, cfg.WatchdogOut = o.watchdogCycles, o.watchdogOut
+	return nil
 }
 
 // finish serves the per-run flags for every run a command made, which
-// must have carried collectors. A command that made one run writes its
-// counter and heatmap CSVs to the exact paths given, each confirmed by a
-// line on w; otherwise each run's file takes the path suffixed with the
-// run's Label, as its stall snapshot does (obs.SuffixPath). The anatomy
-// CSVs, two per run, are always suffixed. Then each run's latency
-// anatomy is printed to w under "[<Label>]". Every file that can be written is. The error names
-// each file that could not be and each run whose watchdog tripped, with
-// the snapshot it dumped — a stalled run still has a Result, so its
-// results are printed before the error.
+// must have carried collectors; it is the one writer of what a run
+// collected. A command that made one run writes its trace, counter and
+// heatmap files to the exact paths given; otherwise each run's file
+// takes the path suffixed with the run's Label, as its stall snapshot
+// does (obs.SuffixPath). The anatomy CSVs are always suffixed. Each file
+// written is confirmed by a line on w with what it holds, and the trace
+// and counter lines say how much a full ring or series dropped. Then the
+// run's link utilization and latency anatomy are printed to w under
+// "[<Label>]". Every file that can be written is. The error names each
+// file that could not be and each run whose watchdog tripped, with the
+// snapshot it dumped — a stalled run still has a Result, so its results
+// are printed before the error.
 func (o *opts) finish(w io.Writer, runs []*sim.Result) error {
 	var lost, stalled []string
 	write := func(path string, export func(io.Writer) error) bool {
@@ -383,25 +369,36 @@ func (o *opts) finish(w io.Writer, runs []*sim.Result) error {
 		}
 		return err == nil
 	}
-	one := len(runs) == 1
-	path := func(base, label string) string {
-		if one {
-			return base
-		}
-		return obs.SuffixPath(base, label)
-	}
 	for _, res := range runs {
-		label := res.Config.Label()
-		if o.countersOut != "" && write(path(o.countersOut, label), res.Obs.Sampler.WriteCSV) && one {
-			fmt.Fprintf(w, "counters           %s (%d samples every %d cycles)\n",
-				o.countersOut, len(res.Obs.Sampler.Samples()), res.Obs.Sampler.Period())
+		label, col := res.Config.Label(), res.Obs
+		path := func(base string) string {
+			if len(runs) == 1 {
+				return base
+			}
+			return obs.SuffixPath(base, label)
 		}
-		if o.heatmapOut != "" && write(path(o.heatmapOut, label), res.Obs.Heatmap.WriteCSV) && one {
-			fmt.Fprintf(w, "heatmap            %s (%d flits ejected in window)\n",
-				o.heatmapOut, res.Obs.Heatmap.TotalEjected())
+		if p := path(o.traceJSONL); o.traceJSONL != "" && write(p, col.Tracer.WriteJSONL) {
+			fmt.Fprintf(w, "trace jsonl        %s (%d events, %d dropped)\n", p, col.Tracer.Len(), col.Tracer.Dropped())
+		}
+		if p := path(o.countersOut); o.countersOut != "" && write(p, col.Sampler.WriteCSV) {
+			fmt.Fprintf(w, "counters           %s (%d samples every %d cycles, %d dropped)\n",
+				p, len(col.Sampler.Samples()), col.Sampler.Period(), col.Sampler.Dropped())
+		}
+		if p := path(o.heatmapOut); o.heatmapOut != "" && write(p, col.Heatmap.WriteCSV) {
+			fmt.Fprintf(w, "heatmap            %s (%d flits ejected in window)\n", p, col.Heatmap.TotalEjected())
 		}
 		if o.anatomyOut != "" {
 			write(obs.SuffixPath(o.anatomyOut, label), res.Anatomy.WriteCSV)
+		}
+		if o.heatmap {
+			hm := col.Heatmap
+			fmt.Fprintf(w, "\n[%s] mean link utilization %.3f over the %d-cycle measurement window\n",
+				label, hm.MeanUtilization(), hm.Cycles())
+			fmt.Fprint(w, hm.EgressGrid())
+			fmt.Fprintln(w, "hottest links:")
+			for _, l := range hm.Hottest(5) {
+				fmt.Fprintf(w, "  n%-3d -%s-> n%-3d %d flits, %.4f flits/cycle\n", l.From, l.Dir, l.To, l.Flits, l.Utilization)
+			}
 		}
 		if o.anatomy {
 			fmt.Fprintf(w, "\n[%s] ", label)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -67,7 +69,8 @@ func TestHotspotFlowsPrintsTable3(t *testing.T) {
 // would ignore, is exit 1 with one line on stderr naming it, before any
 // simulation.
 func TestBadValues(t *testing.T) {
-	jsonl := filepath.Join(t.TempDir(), "t.jsonl")
+	dir := t.TempDir()
+	jsonl, csv := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "x.csv")
 	for _, c := range []struct {
 		args []string
 		bad  string
@@ -98,12 +101,21 @@ func TestBadValues(t *testing.T) {
 		{[]string{"hotspot", "-jobs", "-3"}, "-jobs -3"},
 		{[]string{"traces", "-jobs", "-3"}, "-jobs -3"},
 		{[]string{"traces", "-gen", "x264", "-jobs", "-3"}, "-jobs -3"},
-		{[]string{"-rates", "0.1,0.2", "-trace-jsonl", "t.jsonl"}, "-trace-jsonl"},
-		{[]string{"-rates", "0.1,0.2", "-trace-cap", "100"}, "-trace-cap"},
-		{[]string{"-rates", "0.1,0.2", "-heatmap"}, "-heatmap"},
 		{[]string{"-trace-cap", "100"}, "-trace-cap"},
 		{[]string{"-width", "4", "-height", "4", "-warmup", "10", "-measure", "20", "-drain", "100",
-			"-trace-cap", "-5", "-trace-jsonl", jsonl}, "-trace-cap -5"},
+			"-trace-cap", "-5", "-trace-jsonl", jsonl}, "trace capacity -5"},
+		// A mode that makes no run reads no per-run flag.
+		{[]string{"hotspot", "-flows", "-anatomy", "-heatmap-out", csv}, "-anatomy has no effect"},
+		{[]string{"hotspot", "-flows", "-profile", "quick"}, "-profile has no effect"},
+		{[]string{"traces", "-gen", "x264", "-cycles", "100", "-counters-out", csv}, "-counters-out has no effect: -gen reads"},
+		{[]string{"-print-config", "-anatomy", "-rates", "0.1"}, "-anatomy has no effect"},
+		{[]string{"-print-config", "-rate", "0.3"}, "-rate has no effect"},
+		// The trace generation flags are read by -gen only.
+		{[]string{"traces", "-cycles", "100"}, "-cycles has no effect"},
+		{[]string{"traces", "-seed", "2"}, "-seed has no effect"},
+		{[]string{"traces", "-o", csv}, "-o has no effect"},
+		// -rates names every rate a call runs.
+		{[]string{"-rate", "0.3", "-rates", "0.1,0.2"}, "-rate has no effect"},
 		{[]string{"-width", "4", "-height", "4", "-warmup", "10", "-measure", "20", "-drain", "100",
 			"-trace-cap", "100000000000000", "-trace-jsonl", jsonl}, "trace capacity 100000000000000"},
 	} {
@@ -111,6 +123,9 @@ func TestBadValues(t *testing.T) {
 		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, c.bad) {
 			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 1 and one line naming %s", c.args, code, out, errOut, c.bad)
 		}
+	}
+	if es, _ := os.ReadDir(dir); len(es) > 0 {
+		t.Errorf("a rejected call left %s behind", es[0].Name())
 	}
 }
 
@@ -188,7 +203,9 @@ func TestFinish(t *testing.T) {
 		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 200, 2000
 		cfg.SlowEndpoints = slow
 		cfg.RunLabel = label
-		o.configure(&cfg)
+		if err := o.configure(&cfg); err != nil {
+			t.Fatal(err)
+		}
 		gen := &traffic.Generator{
 			Nodes:   []int{0, 1, 2},
 			Pattern: traffic.Permutation{Flows: map[int]int{0: 3, 1: 3, 2: 3}},
@@ -250,7 +267,8 @@ func TestStartUnbindablePprof(t *testing.T) {
 }
 
 // TestRunReportOptions: -counters-out implies a 100-cycle sampling
-// period; -anatomy-out alone enables the anatomy collector.
+// period; -anatomy-out alone enables the anatomy collector, and
+// -heatmap alone the heatmap.
 func TestRunReportOptions(t *testing.T) {
 	for _, c := range []struct {
 		o    opts
@@ -261,11 +279,109 @@ func TestRunReportOptions(t *testing.T) {
 		{opts{heatmapOut: "h.csv"}, obs.Options{Heatmap: true}},
 		{opts{anatomy: true}, obs.Options{Anatomy: true}},
 		{opts{anatomyOut: "a.csv"}, obs.Options{Anatomy: true}},
+		{opts{heatmap: true}, obs.Options{Heatmap: true}},
+		{opts{traceJSONL: "t.jsonl"}, obs.Options{Trace: true}},
+		{opts{traceJSONL: "t.jsonl", traceCap: 100}, obs.Options{Trace: true, TraceCapacity: 100}},
 	} {
 		var cfg sim.Config
-		c.o.configure(&cfg)
+		if err := c.o.configure(&cfg); err != nil {
+			t.Fatal(err)
+		}
 		if got := cfg.Obs; !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%+v: options %+v, want %+v", c.o, got, c.want)
 		}
+	}
+}
+
+// TestOneRateIsOneSweepPoint: -rate r runs the point -rates r runs, so
+// the detailed block and the table row agree on every figure they share.
+func TestOneRateIsOneSweepPoint(t *testing.T) {
+	phases := []string{"-warmup", "200", "-measure", "400", "-drain", "1000"}
+	code, single, errOut := nocsim(append(phases, "-rate", "0.3")...)
+	if code != 0 {
+		t.Fatalf("-rate 0.3: exit %d, stderr %q", code, errOut)
+	}
+	code, table, errOut := nocsim(append(phases, "-rates", "0.3")...)
+	if code != 0 {
+		t.Fatalf("-rates 0.3: exit %d, stderr %q", code, errOut)
+	}
+	var offered, accepted, latency, p99 string
+	for _, line := range strings.Split(single, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "offered/accepted"):
+			offered, accepted = f[1], f[3]
+		case strings.HasPrefix(line, "avg latency"):
+			latency = f[2]
+		case strings.HasPrefix(line, "p99 latency"):
+			p99 = f[2]
+		}
+	}
+	want := strings.Join([]string{"0.300", offered, accepted, latency, p99}, " ")
+	lines := strings.Split(strings.TrimSpace(table), "\n")
+	if got := strings.Join(strings.Fields(lines[len(lines)-1])[:5], " "); got != want || offered == "" {
+		t.Errorf("-rates 0.3 row %q, want the -rate 0.3 figures %q\n-rate 0.3 printed:\n%s", got, want, single)
+	}
+}
+
+// TestTraceAndHeatmapPerRun: -trace-jsonl and -heatmap are per-run
+// flags: with two rates, each run writes its own label-suffixed trace,
+// every line of which is one JSON event, and prints its own heatmap.
+func TestTraceAndHeatmapPerRun(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errOut := nocsim(append(small, "-rates", "0.1,0.2", "-trace-jsonl", filepath.Join(dir, "t.jsonl"), "-heatmap")...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	for _, label := range []string{"footprint rate=0.100", "footprint rate=0.200"} {
+		if head := "\n[" + label + "] mean link utilization"; strings.Count(out, head) != 1 {
+			t.Errorf("output holds %q %d times, want once:\n%s", head, strings.Count(out, head), out)
+		}
+		path := filepath.Join(dir, "t_"+obs.Slug(label)+".jsonl")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		for i, line := range lines {
+			var ev struct {
+				Kind  *string
+				Cycle *int64
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Kind == nil || ev.Cycle == nil {
+				t.Fatalf("%s line %d %q: not an event with a kind and a cycle (%v)", path, i+1, line, err)
+			}
+		}
+		if confirm := fmt.Sprintf("trace jsonl        %s (%d events, 0 dropped)", path, len(lines)); !strings.Contains(out, confirm) {
+			t.Errorf("output lacks %q:\n%s", confirm, out)
+		}
+	}
+}
+
+// TestCounterTruncationWarns: a counter series that outgrows
+// obs.DefaultSampleRows keeps its first rows, and finish says how many
+// it dropped next to the file it wrote. Sampling all 256 routers of a
+// 16x16 mesh every cycle fills the bound in 391 cycles.
+func TestCounterTruncationWarns(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 200
+	cfg.Obs = obs.Options{SamplePeriod: 1}
+	res, err := sim.RunLoad(cfg, "uniform", traffic.FixedSize(1), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := res.Obs.Sampler.Dropped()
+	if dropped == 0 {
+		t.Fatalf("%d cycles on %d routers dropped no samples", res.Runtime.Cycles, cfg.Mesh().Nodes())
+	}
+	path := filepath.Join(t.TempDir(), "c.csv")
+	var out strings.Builder
+	if err := (&opts{countersOut: path}).finish(&out, []*sim.Result{res}); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("counters           %s (%d samples every 1 cycles, %d dropped)\n", path, obs.DefaultSampleRows, dropped)
+	if out.String() != want {
+		t.Errorf("finish printed %q, want %q", out.String(), want)
 	}
 }

@@ -109,8 +109,8 @@ func (c Config) Validate() error {
 	if c.WatchdogCycles < 0 {
 		return fmt.Errorf("sim: negative watchdog window %d", c.WatchdogCycles)
 	}
-	if c.Obs.TraceCapacity > obs.MaxTraceCapacity {
-		return fmt.Errorf("sim: trace capacity %d events is over the %d maximum", c.Obs.TraceCapacity, obs.MaxTraceCapacity)
+	if c.Obs.TraceCapacity < 0 || c.Obs.TraceCapacity > obs.MaxTraceCapacity {
+		return fmt.Errorf("sim: trace capacity %d events is outside 0 to %d (0 = the default)", c.Obs.TraceCapacity, obs.MaxTraceCapacity)
 	}
 	// Ascending node order, so that of several bad entries the lowest is
 	// the one named, on every call.

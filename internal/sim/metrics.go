@@ -29,13 +29,6 @@ func (m *metrics) OnVCAllocFailure(now int64, node int, p *flit.Packet, out topo
 	}
 }
 
-// reset clears the counters (called at the start of measurement).
-func (m *metrics) reset() {
-	m.blockEvents = 0
-	m.sameDestSum = 0
-	m.sameDestObs = 0
-}
-
 // purity returns the paper's purity of blocking (Figure 10b): at each
 // VC-allocation failure, the ratio of footprint VCs (busy VCs owned by
 // the blocked packet's destination) to all busy VCs at the requested

@@ -51,7 +51,9 @@ type Result struct {
 	// zero-progress window (see Config.WatchdogCycles).
 	Stalled bool
 	// Obs is the run's observability collector (nil when Config.Obs is
-	// disabled); experiment harnesses export its data per run.
+	// disabled); experiment harnesses export its data per run. A full
+	// trace ring or counter series drops what does not fit: its Dropped
+	// count is for the caller to report.
 	Obs *obs.Collector
 	// Anatomy is the run's latency anatomy and exercised adaptiveness
 	// (nil unless Config.Obs.Anatomy). It is a telemetry payload:
@@ -383,7 +385,7 @@ func (s *Simulation) Run() *Result {
 		for i := int64(0); i < s.cfg.WarmupCycles; i++ {
 			s.step()
 		}
-		s.met.reset()
+		*s.met = metrics{} // the blocking statistics are the window's
 		s.net.SetBlockedSink(s.blockedInWindow)
 		s.measuring = true
 		s.measStart = s.net.Now()
@@ -438,27 +440,8 @@ func (s *Simulation) Run() *Result {
 	if s.measured > 0 {
 		res.HoLDegree = s.met.holDegree() / float64(s.measured) * 1000
 	}
-	if s.col != nil {
-		if s.col.Anatomy != nil {
-			res.Anatomy = s.col.Anatomy.Aggregate()
-		}
-		if s.col.Tracer != nil {
-			// Ring overflow silently truncates the lifecycle record; make
-			// the loss visible so trace-derived analyses are not trusted
-			// over a partial window.
-			if d := s.col.Tracer.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr,
-					"sim: warning: trace ring overflowed — %d of %d lifecycle events dropped (raise the trace capacity)\n",
-					d, s.col.Tracer.Total())
-			}
-		}
-		if s.col.Sampler != nil {
-			if d := s.col.Sampler.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr,
-					"sim: warning: counter series truncated — %d of %d router-samples dropped (the series keeps the first %d)\n",
-					d, d+obs.DefaultSampleRows, obs.DefaultSampleRows)
-			}
-		}
+	if s.col != nil && s.col.Anatomy != nil {
+		res.Anatomy = s.col.Anatomy.Aggregate()
 	}
 	if !s.kept {
 		for _, g := range s.gens {

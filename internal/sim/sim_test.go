@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,8 +40,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Algorithm = "" },
 		func(c *Config) { c.MeasureCycles = 0 },
 		func(c *Config) { c.WarmupCycles = -1 },
-		// A ring past the maximum would panic in obs.NewTracer.
+		// A ring past the maximum would panic in obs.NewTracer, and a
+		// negative one silently takes the default.
 		func(c *Config) { c.Obs.TraceCapacity = obs.MaxTraceCapacity + 1 },
+		func(c *Config) { c.Obs.TraceCapacity = -5 },
 		// A slow endpoint that is not on the mesh would be silently
 		// ignored, and an interval below 1 silently run at full speed.
 		func(c *Config) { c.SlowEndpoints = map[int]int{99: 4} },
@@ -387,11 +386,11 @@ func TestSteadyStateStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCounterTruncationWarns: a counter series that outgrows
-// obs.DefaultSampleRows keeps its first rows and says so on stderr, as
-// the trace ring and the anatomy series do. Sampling all 256 routers of
-// a 16x16 mesh every cycle fills the bound in 391 cycles.
-func TestCounterTruncationWarns(t *testing.T) {
+// TestCounterSeriesTruncates: a counter series that outgrows
+// obs.DefaultSampleRows keeps its first rows and counts the rest as
+// dropped, for the caller to report. Sampling all 256 routers of a
+// 16x16 mesh every cycle fills the bound in 391 cycles.
+func TestCounterSeriesTruncates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Width, cfg.Height = 16, 16
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 100, 300, 200
@@ -400,29 +399,11 @@ func TestCounterTruncationWarns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MustNew(cfg, gen)
-
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	res := MustNew(cfg, gen).Run()
+	if n := len(res.Obs.Sampler.Samples()); n != obs.DefaultSampleRows {
+		t.Errorf("series kept %d rows, want the first %d", n, obs.DefaultSampleRows)
 	}
-	stderr := os.Stderr
-	os.Stderr = w
-	res := s.Run()
-	os.Stderr = stderr
-	w.Close()
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dropped := res.Obs.Sampler.Dropped()
-	if dropped == 0 {
-		t.Fatalf("%d cycles on %d routers dropped no samples", res.Runtime.Cycles, cfg.Mesh().Nodes())
-	}
-	want := fmt.Sprintf("sim: warning: counter series truncated — %d of %d router-samples dropped",
-		dropped, dropped+obs.DefaultSampleRows)
-	if !strings.Contains(string(got), want) {
-		t.Errorf("stderr %q lacks %q", got, want)
+	if res.Obs.Sampler.Dropped() == 0 {
+		t.Errorf("%d cycles on %d routers dropped no samples", res.Runtime.Cycles, cfg.Mesh().Nodes())
 	}
 }

@@ -114,14 +114,15 @@ func WorkloadByName(name string) (Workload, error) {
 // directoryNodes returns the four directory/memory-controller nodes of
 // the mesh, placed at the edge midpoints as in common memory-controller
 // floorplans, so their congestion trees sit where peer traffic actually
-// crosses.
+// crosses. On a mesh too small for four distinct midpoints some
+// coincide, and every one is on the mesh.
 func directoryNodes(m topo.Mesh) []int {
 	midX, midY := m.Width/2, m.Height/2
 	return []int{
-		midX,                            // top edge
-		midY * m.Width,                  // left edge
-		(midY+1)*m.Width - 1,            // right edge
-		(m.Height-1)*m.Width + midX - 1, // bottom edge
+		midX,                                  // top edge
+		midY * m.Width,                        // left edge
+		(midY+1)*m.Width - 1,                  // right edge
+		(m.Height-1)*m.Width + max(midX-1, 0), // bottom edge
 	}
 }
 
@@ -138,13 +139,11 @@ func Generate(w Workload, m topo.Mesh, cycles int64, seed int64) []Record {
 	nodes := m.Nodes()
 
 	// Fixed peer sets per core, giving each workload its sharing
-	// structure.
+	// structure; a mesh with fewer other nodes than ShareDegree makes
+	// every other node a peer, and a one-node mesh none.
 	peers := make([][]int, nodes)
 	for n := 0; n < nodes; n++ {
-		deg := w.ShareDegree
-		if deg < 1 {
-			deg = 1
-		}
+		deg := min(max(w.ShareDegree, 1), nodes-1)
 		set := map[int]bool{}
 		for len(set) < deg {
 			p := rng.Intn(nodes)
@@ -165,7 +164,7 @@ func Generate(w Workload, m topo.Mesh, cycles int64, seed int64) []Record {
 		isDir[d] = true
 	}
 	isSharer := make([]bool, nodes)
-	stride := nodes / maxi(w.DirSharers, 1)
+	stride := nodes / max(w.DirSharers, 1)
 	if stride < 1 {
 		stride = 1
 	}
@@ -226,7 +225,7 @@ func Generate(w Workload, m topo.Mesh, cycles int64, seed int64) []Record {
 				// Flip burst state; off periods scale to honour the
 				// duty cycle.
 				if bursting[b] {
-					offLen := float64(w.BurstLen) * (1 - w.DutyCycle) / maxf(w.DutyCycle, 0.05)
+					offLen := float64(w.BurstLen) * (1 - w.DutyCycle) / max(w.DutyCycle, 0.05)
 					left[b] = 1 + rng.Intn(int(2*offLen)+1)
 				} else {
 					left[b] = 1 + rng.Intn(2*w.BurstLen)
@@ -242,12 +241,9 @@ func Generate(w Workload, m topo.Mesh, cycles int64, seed int64) []Record {
 			if !bursting[bn] {
 				continue
 			}
-			// Peer traffic: every core.
-			if rng.Float64() < w.PeerRate {
-				dest := peers[n][rng.Intn(len(peers[n]))]
-				if dest != n {
-					emit(cyc, n, dest, 1, true)
-				}
+			// Peer traffic: every core with a peer.
+			if len(peers[n]) > 0 && rng.Float64() < w.PeerRate {
+				emit(cyc, n, peers[n][rng.Intn(len(peers[n]))], 1, true)
 			}
 			// Directory traffic: sharer cores only.
 			if isSharer[n] && rng.Float64() < w.DirRate {
@@ -264,18 +260,4 @@ func Generate(w Workload, m topo.Mesh, cycles int64, seed int64) []Record {
 		}
 	}
 	return records
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nocsim/internal/topo"
 )
@@ -223,6 +224,34 @@ func TestGenerateValidates(t *testing.T) {
 		}
 		if err := Validate(recs, m.Nodes()); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
+		}
+	}
+}
+
+// TestGenerateSmallMeshes: on a mesh with fewer nodes than a workload's
+// ShareDegree, or with one node, every model returns a valid trace:
+// peer sets shrink to the other nodes, the directories stay on the mesh
+// and no record sends to itself. Canneal's 12 peers on 3x3 once made the
+// peer-set loop spin forever, and on 1x1 a directory was node -1.
+func TestGenerateSmallMeshes(t *testing.T) {
+	for _, wh := range [][2]int{{1, 1}, {1, 2}, {2, 2}, {3, 3}, {1, 5}} {
+		m := topo.MustNew(wh[0], wh[1])
+		for _, d := range directoryNodes(m) {
+			if d < 0 || d >= m.Nodes() {
+				t.Errorf("%dx%d: directory %d is off the mesh", wh[0], wh[1], d)
+			}
+		}
+		for _, w := range Workloads() {
+			done := make(chan []Record, 1)
+			go func() { done <- Generate(w, m, 2000, 7) }()
+			select {
+			case recs := <-done:
+				if err := Validate(recs, m.Nodes()); err != nil {
+					t.Errorf("%s on %dx%d: %v", w.Name, wh[0], wh[1], err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s on %dx%d: Generate did not return in 10 s", w.Name, wh[0], wh[1])
+			}
 		}
 	}
 }
